@@ -3,21 +3,22 @@
 //! speedup the order-stable worker pool buys on a multicore host.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mosaic_sim::experiments;
-use mosaic_sim::{Parallelism, Scale};
+use mosaic_sim::experiments::run_scenario;
+use mosaic_sim::{Parallelism, Scale, Scenario};
 
 fn bench_grid_execution(c: &mut Criterion) {
-    let scale = Scale::quick();
-    let mut group = c.benchmark_group("effectiveness_grid");
+    let grid =
+        |parallelism| Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism);
+    let mut group = c.benchmark_group("effectiveness");
     group.sample_size(3);
     group.bench_function("sequential", |b| {
-        b.iter(|| experiments::effectiveness_grid_with(&scale, Parallelism::Sequential))
+        b.iter(|| run_scenario(&grid(Parallelism::Sequential)))
     });
     group.bench_function("parallel_auto", |b| {
-        b.iter(|| experiments::effectiveness_grid_with(&scale, Parallelism::Auto))
+        b.iter(|| run_scenario(&grid(Parallelism::Auto)))
     });
     group.bench_function("parallel_4", |b| {
-        b.iter(|| experiments::effectiveness_grid_with(&scale, Parallelism::Threads(4)))
+        b.iter(|| run_scenario(&grid(Parallelism::Threads(4))))
     });
     group.finish();
 }

@@ -42,8 +42,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mosaic_sim::runner::{self, ExperimentConfig};
-use mosaic_sim::Scenario;
+use mosaic_sim::engine::RunSummary;
+use mosaic_sim::{Parallelism, Scenario, Simulation};
 use mosaic_types::Transaction;
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
@@ -80,12 +80,13 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
-/// The scenario's workload scaled to `accounts`: blocks and τ shrink by
-/// the same factor so every size runs the same window count and the
-/// trace volume stays proportional. `depth` then multiplies the block
-/// count at fixed accounts — the axis along which the streamed
-/// pipeline's memory must stay flat while the trace grows.
-fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, ExperimentConfig) {
+/// The scenario scaled to `accounts` as one streamed cell (its first
+/// strategy at the base point): blocks and τ shrink by the same factor
+/// so every size runs the same window count and the trace volume stays
+/// proportional. `depth` then multiplies the block count at fixed
+/// accounts — the axis along which the streamed pipeline's memory must
+/// stay flat while the trace grows.
+fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, Scenario) {
     let Some(workload) = scenario.trace.workload() else {
         fail("scenario's trace source is not generated; bench_scale needs workload.* to scale");
     };
@@ -94,25 +95,38 @@ fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, 
     w.initial_accounts = accounts;
     w.blocks = ((workload.blocks as f64 * factor) as u64).max(2) * depth.max(1);
     let tau = ((f64::from(scenario.base.tau()) * factor) as u32).max(1);
-    let params = scenario
-        .base
-        .with_tau(tau)
-        .unwrap_or_else(|e| fail(format!("scaled tau invalid: {e}")));
-    let config = ExperimentConfig::new(params, scenario.strategies[0], scenario.eval_epochs);
-    (w, config)
+    let cell = Scenario {
+        trace: TraceSource::StreamedGenerated(w.clone()),
+        base: scenario
+            .base
+            .with_tau(tau)
+            .unwrap_or_else(|e| fail(format!("scaled tau invalid: {e}"))),
+        grid: Vec::new(),
+        strategies: vec![scenario.strategies[0]],
+        // The curve measures the pipeline, not the pool's threads.
+        cell_parallelism: Parallelism::Sequential,
+        ..scenario.clone()
+    };
+    (w, cell)
+}
+
+/// Runs the scenario's one cell, writing its per-epoch CSV to `out`.
+fn stream_csv(cell: Scenario, out: &mut dyn std::io::Write) -> Result<RunSummary, String> {
+    let sim = Simulation::from_scenario(cell).map_err(|e| e.to_string())?;
+    sim.stream_cell(&sim.cells()[0], out)
+        .map_err(|e| e.to_string())
 }
 
 /// Child mode: measure one account count, print one JSON entry line.
 fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
     let scenario =
         Scenario::load(scenario_path).unwrap_or_else(|e| fail(format!("{scenario_path}: {e}")));
-    let (workload, config) = scaled(&scenario, accounts, depth);
+    let (workload, cell) = scaled(&scenario, accounts, depth);
     let txs = workload.blocks as u128 * workload.txs_per_block as u128;
     let trace_mb = (txs as f64 * std::mem::size_of::<Transaction>() as f64) / (1024.0 * 1024.0);
-    let source = TraceSource::StreamedGenerated(workload);
 
     let started = Instant::now();
-    let summary = runner::run_streamed(&config, &source, &mut std::io::sink())
+    let summary = stream_csv(cell, &mut std::io::sink())
         .unwrap_or_else(|e| fail(format!("streamed run failed: {e}")));
     let seconds = started.elapsed().as_secs_f64();
     let rss = peak_rss_mb();
@@ -121,7 +135,7 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
          \"peak_rss_mb\": {:.1}, \"seconds\": {:.2}, \"epochs_per_sec\": {:.3}, \
          \"speedup\": {:.2}}}",
         accounts,
-        source.workload().expect("generated source").blocks,
+        workload.blocks,
         txs,
         trace_mb,
         rss,
@@ -135,13 +149,15 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
 /// Byte-compares the streamed CSV against the materialised path at the
 /// given size (must be small enough to fit in memory).
 fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
-    let (workload, config) = scaled(scenario, accounts, 1);
-    let source = TraceSource::StreamedGenerated(workload);
+    let (workload, cell) = scaled(scenario, accounts, 1);
     let mut streamed: Vec<u8> = Vec::new();
-    runner::run_streamed(&config, &source, &mut streamed).map_err(|e| e.to_string())?;
-    let trace = source.materialize().map_err(|e| e.to_string())?;
+    stream_csv(cell.clone(), &mut streamed)?;
     let mut resident: Vec<u8> = Vec::new();
-    runner::run_streaming(&config, &trace, &mut resident).map_err(|e| e.to_string())?;
+    let cell = Scenario {
+        trace: TraceSource::Generated(workload),
+        ..cell
+    };
+    stream_csv(cell, &mut resident)?;
     if streamed != resident {
         return Err(format!(
             "streamed CSV diverged from materialised path at {accounts} accounts"

@@ -48,7 +48,7 @@ use mosaic_telemetry::Recorder;
 fn check_determinism(sim: &Simulation) -> (usize, usize) {
     // The gate must exercise the pool even at scales below the adaptive
     // sequential cutoff — byte-identity is the contract at every size.
-    mosaic_sim::parallel::set_par_cutoff(1);
+    mosaic_metrics::parallel::set_par_cutoff(1);
     // Strictly more workers than the machine has cores (2x, minimum 4),
     // so the threaded code paths engage even on single-core runners AND
     // the oversubscribed-scheduling case is exercised on every runner.
@@ -83,7 +83,7 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
                 Recorder::disabled()
             };
             mosaic_telemetry::install_global(recorder);
-            mosaic_sim::parallel::thread_pool_reset();
+            mosaic_metrics::parallel::thread_pool_reset();
             let mut variant = cell.clone();
             variant.config.cell_parallelism = parallelism;
             let mut bytes: Vec<u8> = Vec::new();
@@ -122,7 +122,7 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
         }
     }
     mosaic_telemetry::install_global(Recorder::disabled());
-    mosaic_sim::parallel::thread_pool_reset();
+    mosaic_metrics::parallel::thread_pool_reset();
     (checked, divergent)
 }
 

@@ -3,8 +3,9 @@
 //!
 //! A [`NodeSession`] owns the scenario's expanded cell list and at most
 //! one *active run* — an [`AllocationCore`] plus its strategy, created
-//! at `BEGIN` and driven transaction-by-transaction through the core's
-//! event API. The per-epoch CSV text is appended row-by-row exactly as
+//! at `BEGIN` and fed each `TX` / `TxBatch` as it arrives, through the
+//! same event API the offline driver (`mosaic_sim::engine::run_cell`)
+//! uses. The per-epoch CSV text is appended row-by-row exactly as
 //! [`mosaic_metrics::EpochCsvWriter`] would write it, which is what
 //! makes the `CSV` reply byte-identical to the offline runner's files.
 //!
@@ -28,7 +29,7 @@ use crate::stats::ServerStats;
 
 /// The run started by the last `BEGIN`.
 struct ActiveRun {
-    core: AllocationCore<'static>,
+    core: AllocationCore,
     strategy: Box<dyn EpochStrategy>,
     /// Header + one row per processed epoch, byte-identical to the
     /// offline stream-csv output for the same cell.
@@ -115,13 +116,11 @@ impl NodeSession {
         match request {
             Request::Begin { cell, blocks } => Some(self.begin(cell, blocks)),
             Request::Tx(tx) => {
-                self.ingest(tx);
+                self.ingest(&[tx]);
                 None
             }
             Request::TxBatch(txs) => {
-                for tx in txs {
-                    self.ingest(tx);
-                }
+                self.ingest(&txs);
                 None
             }
             Request::End => Some(self.end()),
@@ -177,7 +176,7 @@ impl NodeSession {
         }
     }
 
-    fn ingest(&mut self, tx: Transaction) {
+    fn ingest(&mut self, txs: &[Transaction]) {
         if self.deferred.is_some() {
             return;
         }
@@ -186,12 +185,13 @@ impl NodeSession {
             return;
         };
         self.rows.clear();
-        match run
+        let result = run
             .core
-            .ingest_tx(run.strategy.as_mut(), tx, &mut self.rows)
-        {
-            Ok(()) => append_rows(run, &self.rows),
-            Err(e) => self.deferred = Some(e.to_string()),
+            .ingest_block(run.strategy.as_mut(), txs, &mut self.rows);
+        // A faulty batch still ingested its valid prefix, whose rows count.
+        append_rows(run, &self.rows);
+        if let Err(e) = result {
+            self.deferred = Some(e.to_string());
         }
     }
 

@@ -7,6 +7,7 @@
 //! run is invisible to another connection.
 
 use std::net::TcpListener;
+use std::sync::OnceLock;
 use std::thread;
 
 use mosaic_node::replay::{replay, replay_sessions};
@@ -21,24 +22,34 @@ fn quick_scenario() -> Scenario {
     Scenario::load(path).expect("checked-in scenario parses")
 }
 
-fn offline_csvs(scenario: &Scenario) -> Vec<(String, String)> {
-    let cells = scenario.cells().unwrap();
-    let single_point = scenario.is_single_point();
-    let simulation = Simulation::from_scenario(scenario.clone()).unwrap();
-    cells
-        .iter()
-        .map(|cell| {
-            let mut bytes = Vec::new();
-            simulation.stream_cell(cell, &mut bytes).unwrap();
-            (
-                cell.file_stem(single_point),
-                String::from_utf8(bytes).unwrap(),
-            )
-        })
-        .collect()
+/// The offline oracle for `quick_scenario`, built once and before any
+/// server in this test binary boots ([`boot`] waits on it). A
+/// telemetry-on server installs its recorder process-wide, so an
+/// offline `Simulation` running beside it in a sibling test thread
+/// would count into that server's `STATS` aggregate.
+fn offline_csvs() -> &'static [(String, String)] {
+    static OFFLINE: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    OFFLINE.get_or_init(|| {
+        let scenario = quick_scenario();
+        let single_point = scenario.is_single_point();
+        let simulation = Simulation::from_scenario(scenario).unwrap();
+        simulation
+            .cells()
+            .iter()
+            .map(|cell| {
+                let mut bytes = Vec::new();
+                simulation.stream_cell(cell, &mut bytes).unwrap();
+                (
+                    cell.file_stem(single_point),
+                    String::from_utf8(bytes).unwrap(),
+                )
+            })
+            .collect()
+    })
 }
 
 fn boot(scenario: &Scenario) -> (String, thread::JoinHandle<mosaic_types::Result<()>>) {
+    offline_csvs();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let serve_scenario = scenario.clone();
@@ -55,7 +66,7 @@ fn stop(addr: &str, server: thread::JoinHandle<mosaic_types::Result<()>>) {
 #[test]
 fn concurrent_replays_are_byte_identical_to_the_offline_run() {
     let scenario = quick_scenario();
-    let offline = offline_csvs(&scenario);
+    let offline = offline_csvs();
     let (addr, server) = boot(&scenario);
 
     // Three sessions at once; replay_sessions cross-checks the sessions
@@ -84,7 +95,7 @@ fn concurrent_replays_are_byte_identical_to_the_offline_run() {
         report.stats
     );
     assert_eq!(report.cells.len(), offline.len());
-    for (replayed, (stem, csv)) in report.cells.iter().zip(&offline) {
+    for (replayed, (stem, csv)) in report.cells.iter().zip(offline) {
         assert_eq!(&replayed.stem, stem);
         assert_eq!(
             replayed.csv, *csv,
@@ -103,7 +114,7 @@ fn concurrent_replays_are_byte_identical_to_the_offline_run() {
             .collect()
     });
     for report in reports {
-        for (replayed, (stem, csv)) in report.cells.iter().zip(&offline) {
+        for (replayed, (stem, csv)) in report.cells.iter().zip(offline) {
             assert_eq!(&replayed.stem, stem);
             assert_eq!(
                 replayed.csv, *csv,

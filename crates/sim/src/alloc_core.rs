@@ -1,86 +1,40 @@
-//! The incremental allocation core: one pipeline behind every driver.
+//! The allocation core: the one epoch loop behind every driver.
 //!
-//! [`AllocationCore`] owns the pieces the batch epoch loop used to
-//! interleave inline — incremental [`History`]/CSR training-graph
-//! absorption, [`EpochStrategy`] invocation at τ-block boundaries, the
-//! migration protocol (beacon commits, reconfiguration, per-shard
-//! processing via [`mosaic_chain::Ledger`]), and an always-queryable
-//! `shard_of` map — so that the offline batch paths
-//! ([`crate::engine::run_with_observer`],
-//! [`crate::engine::run_streamed_with_observer`],
-//! [`crate::session::Simulation`]) and a live `mosaic-node` service are
-//! thin drivers over the *same* state machine, byte-identical by
-//! construction.
+//! [`AllocationCore`] owns the paper's §V-A protocol end to end: it
+//! turns a block-ordered transaction sequence into training chunks and
+//! τ-block evaluation windows, folds the training prefix into the
+//! incremental [`History`] graph, runs the [`EpochStrategy`]'s initial
+//! allocation at the training cut, and at every window boundary runs
+//! the epoch — strategy decision, beacon commit bounded by λ,
+//! reconfiguration, per-shard processing via [`mosaic_chain::Ledger`],
+//! metric row — while keeping `shard_of` queryable throughout.
 //!
-//! Two layers of API:
+//! It has one API, driven by events: [`AllocationCore::begin`] declares
+//! the block span, which fixes the training cut and the window grid;
+//! [`AllocationCore::ingest_block`] delivers transactions in block
+//! order, closing every chunk and epoch a batch crosses;
+//! [`AllocationCore::advance_to`] says "every block below this has been
+//! delivered", closing windows no later transaction would reveal;
+//! [`AllocationCore::end_stream`] closes what remains. Queries
+//! ([`AllocationCore::lookup`], [`AllocationCore::load_report`],
+//! [`AllocationCore::summary`]) are answerable at any point.
 //!
-//! * **Batch primitives** — [`AllocationCore::ingest_training`] /
-//!   [`AllocationCore::ingest_training_chunk`],
-//!   [`AllocationCore::finish_training`],
-//!   [`AllocationCore::process_epoch`], and the `commit_window_*`
-//!   methods. Drivers that already hold whole epoch windows (the
-//!   materialised and streamed engine loops) call these in exactly the
-//!   sequence the historical loops used, which is what keeps the
-//!   equivalence harness (`tests/scenario_equivalence.rs`, the
-//!   determinism CI gate) byte-green across the refactor.
-//! * **Event API** — [`AllocationCore::begin`],
-//!   [`AllocationCore::ingest_tx`] / [`AllocationCore::ingest_block`],
-//!   [`AllocationCore::end_stream`]. Transactions arrive one at a time
-//!   (a socket, a mempool feed); the core detects τ-block epoch
-//!   boundaries itself, closes epochs as they complete, and hands the
-//!   per-epoch metric rows back. Queries ([`AllocationCore::lookup`],
-//!   [`AllocationCore::load_report`]) are answerable at any point.
-//!
-//! Both layers fold training data and process epochs through the same
-//! code, and both orderings are chunking-invariant folds in block
-//! order, so the event-driven rows are byte-identical to the batch rows
-//! for the same trace (asserted end-to-end by the `mosaic-node` replay
-//! tests and CI job).
+//! The drivers only move transactions: offline,
+//! [`crate::engine::run_cell`] reads an
+//! [`EpochWindowStream`](mosaic_workload::EpochWindowStream) into it;
+//! live, a `mosaic-node` session hands it each wire batch. Training
+//! ingestion and epoch processing are folds in block order, so the rows
+//! do not depend on how the sequence was cut into batches.
 
 use std::time::Duration;
 
-use mosaic_chain::Ledger;
-use mosaic_metrics::timing::DurationStats;
+use mosaic_chain::{EpochOutcome, Ledger};
 use mosaic_metrics::{AggregateBuilder, EpochMetrics};
-use mosaic_telemetry::{Counter, Gauge, Recorder};
+use mosaic_telemetry::{Counter, DurationStats, Gauge, Recorder};
 use mosaic_types::{AccountId, Error, Result, ShardId, Transaction};
 
 use crate::engine::{EpochCtx, EpochStrategy, History, MigrationCount, RunSummary};
 use crate::runner::ExperimentConfig;
-
-/// How a training chunk is folded into the [`History`].
-///
-/// The distinction exists because the streamed training loop wants the
-/// un-merged graph delta bounded by one chunk ([`TrainingFold::Merge`])
-/// except for the final recent-window chunk (kept un-merged so the
-/// initial allocation pays for exactly one merge, matching the
-/// materialised loop's cost accounting), while strategies that never
-/// read the training graph at all skip edge accumulation entirely
-/// ([`TrainingFold::Skip`]) — the RSS/time win large streamed scenarios
-/// rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainingFold {
-    /// Absorb the chunk's edges and merge them into the maintained CSR.
-    Merge,
-    /// Absorb the chunk's edges but leave the merge to the next
-    /// [`History::graph`] call (used for the final training chunk).
-    Defer,
-    /// Record only the transaction count; build no graph state. Valid
-    /// only when the strategy neither consumes history after the
-    /// initial allocation nor reads the training graph in it
-    /// ([`skips_training_graph`]).
-    Skip,
-}
-
-/// `true` if `strategy` lets the streamed pipeline skip training-graph
-/// accumulation entirely: it never consults the history after the
-/// initial allocation *and* its initial allocation never reads the
-/// graph (e.g. the hash-based Random baseline). Such strategies see an
-/// empty graph at initial-allocation time, which by contract
-/// ([`EpochStrategy::needs_training_graph`]) yields the identical ϕ.
-pub fn skips_training_graph(strategy: &dyn EpochStrategy) -> bool {
-    !strategy.consumes_history() && !strategy.needs_training_graph()
-}
 
 /// Per-shard slice of the last processed epoch's load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,21 +77,7 @@ pub struct LoadReport {
     pub shards: Vec<ShardLoad>,
 }
 
-/// Fields of the last processed epoch the core keeps for
-/// [`AllocationCore::load_report`].
-#[derive(Debug, Clone)]
-struct EpochSnapshot {
-    epoch: u64,
-    lambda: f64,
-    committed: usize,
-    migrations_applied: usize,
-    migrations_stale: usize,
-    miners_moved: usize,
-    intra: Vec<usize>,
-    cross: Vec<usize>,
-}
-
-/// Where the event-driven feed currently is.
+/// Where the feed currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Ingesting the training prefix `[0, cut_block)`.
@@ -149,23 +89,41 @@ enum Phase {
     Done,
 }
 
-/// Windowing state of the event-driven feed ([`AllocationCore::begin`]).
+/// Windowing state of the feed started by [`AllocationCore::begin`].
 #[derive(Debug)]
-struct StreamState {
+struct Feed {
     blocks: u64,
+    tau: u64,
     cut_block: u64,
+    /// Start of the last training chunk `[cut − τ, cut)`, which becomes
+    /// the first epoch's recent window.
     recent_start: u64,
     phase: Phase,
     /// Start block of the training chunk / evaluation window being
     /// buffered.
     window_start: u64,
-    /// Highest block number ingested so far (monotonicity check).
-    high_block: Option<u64>,
+    /// No block below this may still arrive: the highest block
+    /// ingested or the last [`AllocationCore::advance_to`] mark.
+    delivered: u64,
     /// Transactions of the current chunk/window.
     buf: Vec<Transaction>,
     /// The previous epoch's transactions (initially the last τ blocks
     /// of training).
     recent: Vec<Transaction>,
+}
+
+impl Feed {
+    /// Exclusive end block of the chunk/window being buffered: training
+    /// runs in τ-block chunks up to `recent_start`, then the single
+    /// `[recent_start, cut)` chunk, then τ-block evaluation windows.
+    fn boundary(&self) -> Option<u64> {
+        match self.phase {
+            Phase::Training if self.window_start >= self.recent_start => Some(self.cut_block),
+            Phase::Training => Some((self.window_start + self.tau).min(self.recent_start)),
+            Phase::Evaluating => Some(self.window_start + self.tau),
+            Phase::Done => None,
+        }
+    }
 }
 
 /// Cached lock-free telemetry handles for the core's counters and
@@ -199,12 +157,11 @@ impl CoreMetrics {
     }
 }
 
-/// The incremental epoch-allocation state machine.
+/// The epoch-allocation state machine for one experiment cell.
 ///
-/// Create with [`AllocationCore::new`], feed the training prefix, call
-/// [`AllocationCore::finish_training`], then process evaluation windows
-/// — either explicitly (batch primitives) or transaction-by-transaction
-/// (event API). See the [module docs](self) for the two layers.
+/// Create with [`AllocationCore::new`], declare the feed with
+/// [`AllocationCore::begin`], deliver transactions, finish with
+/// [`AllocationCore::end_stream`]. See the [module docs](self).
 ///
 /// The core captures the process-wide telemetry recorder at
 /// construction (see [`mosaic_telemetry::install_global`]) and emits
@@ -213,9 +170,9 @@ impl CoreMetrics {
 /// a disabled recorder — the default — makes every emission a single
 /// branch, and nothing telemetry does feeds back into results.
 #[derive(Debug)]
-pub struct AllocationCore<'t> {
+pub struct AllocationCore {
     config: ExperimentConfig,
-    history: History<'t>,
+    history: History<'static>,
     ledger: Option<Ledger>,
     init_time: Duration,
     aggregate: AggregateBuilder,
@@ -223,8 +180,9 @@ pub struct AllocationCore<'t> {
     input_bytes_sum: f64,
     input_samples: usize,
     total_migrations: usize,
-    last_epoch: Option<EpochSnapshot>,
-    stream: Option<StreamState>,
+    /// The last processed epoch, kept for [`AllocationCore::load_report`].
+    last_epoch: Option<EpochOutcome>,
+    feed: Option<Feed>,
     recorder: Recorder,
     metrics: CoreMetrics,
     /// Training-graph edge total at the last merge telemetry observed
@@ -232,9 +190,9 @@ pub struct AllocationCore<'t> {
     edges_seen: usize,
 }
 
-impl<'t> AllocationCore<'t> {
+impl AllocationCore {
     /// A fresh core for one experiment cell. No allocation exists until
-    /// [`AllocationCore::finish_training`] runs.
+    /// the feed crosses the training cut.
     pub fn new(config: ExperimentConfig) -> Self {
         let recorder = mosaic_telemetry::global();
         let metrics = CoreMetrics::bind(&recorder);
@@ -249,7 +207,7 @@ impl<'t> AllocationCore<'t> {
             input_samples: 0,
             total_migrations: 0,
             last_epoch: None,
-            stream: None,
+            feed: None,
             recorder,
             metrics,
             edges_seen: 0,
@@ -264,18 +222,7 @@ impl<'t> AllocationCore<'t> {
         self.recorder = recorder;
     }
 
-    /// The telemetry recorder this core reports through.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// The cell configuration this core runs.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
-    /// The chain state, once [`AllocationCore::finish_training`] has
-    /// built it.
+    /// The chain state, once the initial allocation has built it.
     pub fn ledger(&self) -> Option<&Ledger> {
         self.ledger.as_ref()
     }
@@ -285,53 +232,292 @@ impl<'t> AllocationCore<'t> {
         self.aggregate.epochs()
     }
 
-    // ------------------------------------------------------------------
-    // Batch primitives
-    // ------------------------------------------------------------------
-
-    /// Ingests the whole training prefix as one borrowed slice (the
-    /// materialised driver): O(1) history append plus one
-    /// [`EpochStrategy::observe_training`] call.
-    pub fn ingest_training(&mut self, strategy: &mut dyn EpochStrategy, train: &'t [Transaction]) {
-        self.metrics.txs.add(train.len() as u64);
-        let span = self.recorder.span("epoch.train");
-        self.history.extend(train);
-        strategy.observe_training(train);
-        span.finish();
+    /// The run summary over everything processed so far.
+    pub fn summary(&self) -> RunSummary {
+        RunSummary {
+            epochs: self.aggregate.epochs(),
+            aggregate: self.aggregate.finish(),
+            init_seconds: self.init_time.as_secs_f64(),
+            mean_alloc_seconds: self.alloc_stats.mean_seconds(),
+            mean_input_bytes: if self.input_samples == 0 {
+                0.0
+            } else {
+                self.input_bytes_sum / self.input_samples as f64
+            },
+            total_migrations: self.total_migrations,
+        }
     }
 
-    /// Ingests one owned training chunk (the streamed driver and the
-    /// event API): the chunk is observed, folded per `fold`, and may be
-    /// dropped by the caller immediately after.
-    pub fn ingest_training_chunk(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        chunk: &[Transaction],
-        fold: TrainingFold,
-    ) {
-        self.metrics.txs.add(chunk.len() as u64);
-        self.fold_training_chunk(strategy, chunk, fold);
+    // ------------------------------------------------------------------
+    // Queries
+    // ------------------------------------------------------------------
+
+    /// The shard currently responsible for `account`, or `None` before
+    /// the initial allocation exists. Total over accounts: unknown
+    /// accounts resolve through ϕ's hash-based default rule.
+    pub fn lookup(&self, account: AccountId) -> Option<ShardId> {
+        self.ledger.as_ref().map(|l| l.phi().shard_of(account))
     }
 
-    /// The fold itself, shared with the event API (whose transactions
-    /// were already counted one at a time by
-    /// [`AllocationCore::ingest_tx`]).
-    fn fold_training_chunk(
+    /// Per-shard load and migration-protocol state after the last
+    /// processed epoch, or `None` before the first epoch completes.
+    pub fn load_report(&self) -> Option<LoadReport> {
+        let ledger = self.ledger.as_ref()?;
+        let last = self.last_epoch.as_ref()?;
+        let shards = last
+            .load
+            .intra_counts()
+            .iter()
+            .zip(last.load.cross_counts())
+            .enumerate()
+            .map(|(shard, (&intra_txs, &cross_txs))| ShardLoad {
+                shard: shard as u16,
+                intra_txs,
+                cross_txs,
+            })
+            .collect();
+        Some(LoadReport {
+            epoch: last.epoch.as_u64(),
+            epochs_processed: self.aggregate.epochs(),
+            lambda: last.lambda,
+            committed_migrations: last.committed.len(),
+            migrations_applied: last.reconfig.migrations_applied,
+            migrations_stale: last.reconfig.migrations_stale,
+            miners_moved: last.reconfig.miners_moved,
+            total_migrations: self.total_migrations,
+            beacon_blocks: ledger.beacon().len(),
+            network_bytes: ledger.meter().total(),
+            shards,
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Event API
+    // ------------------------------------------------------------------
+
+    /// Starts a feed spanning `blocks` blocks: the training prefix is
+    /// `[0, ⌊blocks · train_fraction⌋)`, evaluation windows of τ blocks
+    /// follow from the cut.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EmptyTrace`] if `blocks` is zero.
+    pub fn begin(&mut self, blocks: u64) -> Result<()> {
+        if blocks == 0 {
+            return Err(Error::EmptyTrace);
+        }
+        let tau = u64::from(self.config.params.tau());
+        let cut_block = ((blocks as f64) * self.config.train_fraction).floor() as u64;
+        self.feed = Some(Feed {
+            blocks,
+            tau,
+            cut_block,
+            recent_start: cut_block.saturating_sub(tau),
+            phase: Phase::Training,
+            window_start: 0,
+            delivered: 0,
+            buf: Vec::new(),
+            recent: Vec::new(),
+        });
+        Ok(())
+    }
+
+    /// Exclusive end block of the training chunk or evaluation window
+    /// the feed is buffering, so a driver that can choose its batch
+    /// sizes can read up to it. `None` when nothing more will be
+    /// consumed: before [`AllocationCore::begin`], after `eval_epochs`
+    /// rows, and after [`AllocationCore::end_stream`].
+    pub fn next_boundary(&self) -> Option<u64> {
+        self.feed.as_ref()?.boundary()
+    }
+
+    /// [`AllocationCore::ingest_block`] for a single transaction, with
+    /// the same errors.
+    pub fn ingest_tx(
         &mut self,
         strategy: &mut dyn EpochStrategy,
-        chunk: &[Transaction],
-        fold: TrainingFold,
-    ) {
+        tx: Transaction,
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        self.ingest_block(strategy, &[tx], rows)
+    }
+
+    /// Feeds a block-ordered batch — one transaction, one block, or a
+    /// span of many windows. Blocks must not decrease, within the batch
+    /// or against what was delivered before. Every training chunk the
+    /// batch crosses is folded into the history, every evaluation
+    /// window it crosses runs the full epoch protocol and pushes its
+    /// metric row onto `rows`. Transactions past the `eval_epochs` cap
+    /// are checked and dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotInitialized`] before [`AllocationCore::begin`];
+    /// [`Error::ParseTrace`] at the first out-of-order or out-of-range
+    /// block, after the valid transactions before it were ingested;
+    /// [`Ledger::new`] construction errors at the training cut.
+    pub fn ingest_block(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        txs: &[Transaction],
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        let mut feed = self.take_feed("call begin() before ingesting transactions")?;
+        let result = self.ingest(strategy, &mut feed, txs, rows);
+        self.feed = Some(feed);
+        result
+    }
+
+    fn ingest(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        feed: &mut Feed,
+        txs: &[Transaction],
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        let mut high = feed.delivered;
+        let mut fault = None;
+        let mut valid = txs.len();
+        for (i, tx) in txs.iter().enumerate() {
+            let block = tx.block.as_u64();
+            if block < high || block >= feed.blocks {
+                valid = i;
+                fault = Some(block);
+                break;
+            }
+            high = block;
+        }
+        self.metrics.txs.add(valid as u64);
+
+        let mut rest = &txs[..valid];
+        while let Some(first) = rest.first() {
+            self.close_through(strategy, feed, first.block.as_u64(), rows)?;
+            let Some(end) = feed.boundary() else {
+                break;
+            };
+            let run = rest.partition_point(|tx| tx.block.as_u64() < end);
+            feed.buf.extend_from_slice(&rest[..run]);
+            rest = &rest[run..];
+        }
+        feed.delivered = high;
+
+        match fault {
+            None => Ok(()),
+            Some(block) if block >= feed.blocks => Err(Error::ParseTrace {
+                line: 0,
+                message: format!(
+                    "block {block} out of range (stream declared {} blocks)",
+                    feed.blocks
+                ),
+            }),
+            Some(block) => Err(Error::ParseTrace {
+                line: 0,
+                message: format!(
+                    "block {block} arrived after block {high} (stream must be block-ordered)"
+                ),
+            }),
+        }
+    }
+
+    /// Declares every block below `block` delivered: each training
+    /// chunk and evaluation window ending at or before it is closed,
+    /// and a later transaction below it is an ordering error. This is
+    /// how a driver closes a window whose successor is empty or not
+    /// read yet.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NotInitialized`] before [`AllocationCore::begin`], plus
+    /// [`Ledger::new`] construction errors at the training cut.
+    pub fn advance_to(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        block: u64,
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        let mut feed = self.take_feed("call begin() before advance_to()")?;
+        let block = block.min(feed.blocks);
+        feed.delivered = feed.delivered.max(block);
+        let result = self.close_through(strategy, &mut feed, block, rows);
+        self.feed = Some(feed);
+        result
+    }
+
+    /// Ends the feed: closes the remaining training chunks (running the
+    /// initial allocation if the cut was never crossed), then the
+    /// remaining evaluation windows while their start is inside the
+    /// block span — so a trailing partial or empty window still yields
+    /// its row, up to `eval_epochs`. Queries remain answerable
+    /// afterwards. Errors as [`AllocationCore::advance_to`].
+    pub fn end_stream(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        let mut feed = self.take_feed("call begin() before end_stream()")?;
+        let blocks = feed.blocks;
+        let result = self.close_through(strategy, &mut feed, blocks, rows);
+        if result.is_ok() {
+            while feed.phase == Phase::Evaluating && feed.window_start < feed.blocks {
+                self.close_epoch(strategy, &mut feed, rows);
+            }
+            feed.phase = Phase::Done;
+        }
+        self.feed = Some(feed);
+        result
+    }
+
+    /// Moves the feed out of `self` so the closing helpers can borrow
+    /// it and the rest of the core separately; callers put it back.
+    fn take_feed(&mut self, hint: &'static str) -> Result<Feed> {
+        self.feed.take().ok_or(Error::NotInitialized(hint))
+    }
+
+    /// Closes every training chunk / evaluation window whose exclusive
+    /// end is at or before `block`.
+    fn close_through(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        feed: &mut Feed,
+        block: u64,
+        rows: &mut Vec<EpochMetrics>,
+    ) -> Result<()> {
+        while let Some(end) = feed.boundary() {
+            if block < end {
+                break;
+            }
+            match feed.phase {
+                Phase::Training => self.close_training_chunk(strategy, feed, end)?,
+                Phase::Evaluating => self.close_epoch(strategy, feed, rows),
+                Phase::Done => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds the buffered training chunk ending at `end` into the
+    /// strategy and the history; at the cut, runs the initial
+    /// allocation and hands the chunk over as the first recent window.
+    fn close_training_chunk(
+        &mut self,
+        strategy: &mut dyn EpochStrategy,
+        feed: &mut Feed,
+        end: u64,
+    ) -> Result<()> {
+        let at_cut = end == feed.cut_block;
         let span = self.recorder.span("epoch.train");
-        strategy.observe_training(chunk);
-        match fold {
-            TrainingFold::Merge => {
-                self.history.absorb(chunk);
+        strategy.observe_training(&feed.buf);
+        if !strategy.consumes_history() && !strategy.needs_training_graph() {
+            // The graph is never read: keep only the count.
+            self.history.record_unretained(feed.buf.len());
+        } else {
+            self.history.absorb(&feed.buf);
+            if !at_cut {
                 // Merge each chunk into the maintained CSR as it
                 // arrives, so the un-merged delta (a hash map over
                 // edges) stays bounded by one chunk instead of growing
-                // to the whole training prefix. The CSR content is
-                // independent of merge points.
+                // to the whole training prefix. The last chunk is left
+                // for the initial allocation to merge.
                 let total = self.history.graph().edge_count();
                 if self.metrics.edges_merged.is_enabled() {
                     self.metrics
@@ -340,22 +526,24 @@ impl<'t> AllocationCore<'t> {
                     self.edges_seen = total;
                 }
             }
-            TrainingFold::Defer => self.history.absorb(chunk),
-            TrainingFold::Skip => self.history.record_unretained(chunk.len()),
         }
         span.finish();
+        if at_cut {
+            self.finish_training(strategy)?;
+            std::mem::swap(&mut feed.recent, &mut feed.buf);
+            feed.phase = Phase::Evaluating;
+        }
+        feed.buf.clear();
+        feed.window_start = end;
+        Ok(())
     }
 
-    /// Runs the strategy's initial allocation on the ingested training
-    /// history and builds the chain state (ledger, beacon, miners)
-    /// around the resulting ϕ. After this, [`AllocationCore::lookup`]
-    /// answers and epochs can be processed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Ledger::new`] construction errors (inconsistent
-    /// shard/miner counts).
-    pub fn finish_training(&mut self, strategy: &mut dyn EpochStrategy) -> Result<()> {
+    /// Runs the strategy's initial allocation on the training history
+    /// and builds the chain state (ledger, beacon, miners) around the
+    /// resulting ϕ; from here on [`AllocationCore::lookup`] answers.
+    /// The training graph is freed if the strategy will never consult
+    /// the history again — the memory bound large scenarios rely on.
+    fn finish_training(&mut self, strategy: &mut dyn EpochStrategy) -> Result<()> {
         let span = self.recorder.span("epoch.train");
         let (initial_phi, init_time) =
             strategy.initial_allocation(&mut self.history, self.config.params.shards());
@@ -369,47 +557,42 @@ impl<'t> AllocationCore<'t> {
         ledger.set_migration_capacity(self.config.migration_capacity);
         ledger.set_parallelism(self.config.cell_parallelism);
         self.ledger = Some(ledger);
-        Ok(())
-    }
-
-    /// Frees the accreted training graph if `strategy` will never
-    /// consult the history again — the memory bound streamed sessions
-    /// rely on. The materialised driver never calls this (its history
-    /// borrows from the resident trace and costs nothing extra).
-    pub fn release_history_if_unused(&mut self, strategy: &dyn EpochStrategy) {
         if !strategy.consumes_history() {
             self.history.release();
         }
+        Ok(())
     }
 
-    /// Processes one evaluation window through the full epoch protocol:
-    /// strategy decision, allocation install, beacon commit bounded by
-    /// λ, reconfiguration, per-shard processing, metric extraction. The
-    /// returned row has already been folded into the running aggregate.
-    ///
-    /// Deliberately stops *before* the strategy observes the committed
-    /// window: drivers fan the row to their observers first and only
-    /// commit the window ([`AllocationCore::commit_window_retained`] /
-    /// [`AllocationCore::commit_window_owned`]) when the run continues,
-    /// which preserves the historical abort semantics exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`AllocationCore::finish_training`] has not run.
-    pub fn process_epoch(
+    /// Closes the buffered evaluation window: full protocol, row onto
+    /// `rows`, window committed to strategy and history, buffers
+    /// rotated (the processed window becomes the next recent window).
+    fn close_epoch(
         &mut self,
         strategy: &mut dyn EpochStrategy,
-        window: &[Transaction],
-        recent: &[Transaction],
-    ) -> EpochMetrics {
-        self.metrics.txs.add(window.len() as u64);
-        self.process_epoch_inner(strategy, window, recent)
+        feed: &mut Feed,
+        rows: &mut Vec<EpochMetrics>,
+    ) {
+        self.metrics.queue_depth.set(feed.buf.len() as f64);
+        rows.push(self.process_epoch(strategy, &feed.buf, &feed.recent));
+        strategy.after_epoch(&feed.buf);
+        if strategy.consumes_history() {
+            self.history.absorb(&feed.buf);
+        } else {
+            self.history.record_unretained(feed.buf.len());
+        }
+        std::mem::swap(&mut feed.recent, &mut feed.buf);
+        feed.buf.clear();
+        feed.window_start += feed.tau;
+        if self.aggregate.epochs() >= self.config.eval_epochs {
+            feed.phase = Phase::Done;
+        }
     }
 
-    /// The protocol itself, shared with the event API (whose window
-    /// transactions were already counted by
-    /// [`AllocationCore::ingest_tx`]).
-    fn process_epoch_inner(
+    /// One evaluation window through the epoch protocol: strategy
+    /// decision, allocation install, beacon commit bounded by λ,
+    /// reconfiguration, per-shard processing, metric extraction. The
+    /// returned row has already been folded into the running aggregate.
+    fn process_epoch(
         &mut self,
         strategy: &mut dyn EpochStrategy,
         window: &[Transaction],
@@ -418,7 +601,7 @@ impl<'t> AllocationCore<'t> {
         let ledger = self
             .ledger
             .as_mut()
-            .expect("finish_training must run before epochs are processed");
+            .expect("the feed crosses the training cut before any window closes");
         let score_span = self.recorder.span("epoch.score");
         let decision = strategy.before_epoch(
             ledger,
@@ -463,332 +646,7 @@ impl<'t> AllocationCore<'t> {
             .miners_moved
             .add(outcome.reconfig.miners_moved as u64);
         self.metrics.cross_ratio.set(metrics.cross_ratio);
-        self.last_epoch = Some(EpochSnapshot {
-            epoch: outcome.epoch.as_u64(),
-            lambda: outcome.lambda,
-            committed: outcome.committed.len(),
-            migrations_applied: outcome.reconfig.migrations_applied,
-            migrations_stale: outcome.reconfig.migrations_stale,
-            miners_moved: outcome.reconfig.miners_moved,
-            intra: outcome.load.intra_counts().to_vec(),
-            cross: outcome.load.cross_counts().to_vec(),
-        });
+        self.last_epoch = Some(outcome);
         metrics
-    }
-
-    /// Commits a processed window whose transactions outlive the core
-    /// (the materialised driver): the strategy observes it, then the
-    /// history retains the slice in O(1).
-    pub fn commit_window_retained(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        window: &'t [Transaction],
-    ) {
-        strategy.after_epoch(window);
-        self.history.extend(window);
-    }
-
-    /// Commits a processed window the caller owns (streamed driver,
-    /// event API): the strategy observes it, then the history either
-    /// absorbs its edges or — for strategies that never consult the
-    /// history again — records only the count.
-    pub fn commit_window_owned(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        window: &[Transaction],
-    ) {
-        strategy.after_epoch(window);
-        if strategy.consumes_history() {
-            self.history.absorb(window);
-        } else {
-            self.history.record_unretained(window.len());
-        }
-    }
-
-    /// The run summary over everything processed so far — bit-identical
-    /// to what the historical batch loops returned at the same point.
-    pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            epochs: self.aggregate.epochs(),
-            aggregate: self.aggregate.finish(),
-            init_seconds: self.init_time.as_secs_f64(),
-            mean_alloc_seconds: self.alloc_stats.mean_seconds(),
-            mean_input_bytes: if self.input_samples == 0 {
-                0.0
-            } else {
-                self.input_bytes_sum / self.input_samples as f64
-            },
-            total_migrations: self.total_migrations,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Queries
-    // ------------------------------------------------------------------
-
-    /// The shard currently responsible for `account`, or `None` before
-    /// the initial allocation exists. Total over accounts: unknown
-    /// accounts resolve through ϕ's hash-based default rule.
-    pub fn lookup(&self, account: AccountId) -> Option<ShardId> {
-        self.ledger.as_ref().map(|l| l.phi().shard_of(account))
-    }
-
-    /// Per-shard load and migration-protocol state after the last
-    /// processed epoch, or `None` before the first epoch completes.
-    pub fn load_report(&self) -> Option<LoadReport> {
-        let ledger = self.ledger.as_ref()?;
-        let snap = self.last_epoch.as_ref()?;
-        let shards = snap
-            .intra
-            .iter()
-            .zip(&snap.cross)
-            .enumerate()
-            .map(|(shard, (&intra_txs, &cross_txs))| ShardLoad {
-                shard: shard as u16,
-                intra_txs,
-                cross_txs,
-            })
-            .collect();
-        Some(LoadReport {
-            epoch: snap.epoch,
-            epochs_processed: self.aggregate.epochs(),
-            lambda: snap.lambda,
-            committed_migrations: snap.committed,
-            migrations_applied: snap.migrations_applied,
-            migrations_stale: snap.migrations_stale,
-            miners_moved: snap.miners_moved,
-            total_migrations: self.total_migrations,
-            beacon_blocks: ledger.beacon().len(),
-            network_bytes: ledger.meter().total(),
-            shards,
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Event API
-    // ------------------------------------------------------------------
-
-    /// Starts an event-driven feed spanning `blocks` blocks total. The
-    /// training cut and τ windowing are derived exactly as the streamed
-    /// batch loop derives them, so the rows the feed produces are
-    /// byte-identical to a batch run over the same trace.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EmptyTrace`] if `blocks` is zero.
-    pub fn begin(&mut self, blocks: u64) -> Result<()> {
-        if blocks == 0 {
-            return Err(Error::EmptyTrace);
-        }
-        let cut_block = ((blocks as f64) * self.config.train_fraction).floor() as u64;
-        let recent_start = cut_block.saturating_sub(u64::from(self.config.params.tau()));
-        self.stream = Some(StreamState {
-            blocks,
-            cut_block,
-            recent_start,
-            phase: Phase::Training,
-            window_start: 0,
-            high_block: None,
-            buf: Vec::new(),
-            recent: Vec::new(),
-        });
-        Ok(())
-    }
-
-    /// Feeds one transaction. Blocks must arrive in non-decreasing
-    /// order; when `tx` crosses a τ-block boundary the core closes the
-    /// finished chunk/epoch first (training chunks fold into the
-    /// history; evaluation epochs run the full protocol and push their
-    /// metric row onto `rows`). Transactions past the `eval_epochs`
-    /// cap are ignored, mirroring the batch loop leaving the trace tail
-    /// unread.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NotInitialized`] before [`AllocationCore::begin`],
-    /// [`Error::ParseTrace`] on an out-of-order or out-of-range block,
-    /// plus [`AllocationCore::finish_training`] errors at the cut.
-    pub fn ingest_tx(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        tx: Transaction,
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        let state = self
-            .stream
-            .as_mut()
-            .ok_or(Error::NotInitialized("call begin() before ingest_tx()"))?;
-        let block = tx.block.as_u64();
-        if let Some(high) = state.high_block {
-            if block < high {
-                return Err(Error::ParseTrace {
-                    line: 0,
-                    message: format!(
-                        "block {block} arrived after block {high} (stream must be block-ordered)"
-                    ),
-                });
-            }
-        }
-        if block >= state.blocks {
-            return Err(Error::ParseTrace {
-                line: 0,
-                message: format!(
-                    "block {block} out of range (stream declared {} blocks)",
-                    state.blocks
-                ),
-            });
-        }
-        state.high_block = Some(block);
-        self.metrics.txs.incr();
-        self.advance_to(strategy, block, rows)?;
-        let state = self.stream.as_mut().expect("stream state present");
-        if state.phase != Phase::Done {
-            state.buf.push(tx);
-        }
-        Ok(())
-    }
-
-    /// [`AllocationCore::ingest_tx`] over a whole block (or any
-    /// block-ordered batch) of transactions.
-    ///
-    /// # Errors
-    ///
-    /// As [`AllocationCore::ingest_tx`].
-    pub fn ingest_block(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        txs: &[Transaction],
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        for tx in txs {
-            self.ingest_tx(strategy, *tx, rows)?;
-        }
-        Ok(())
-    }
-
-    /// Ends the feed: closes the remaining training chunks (running the
-    /// initial allocation if the cut was never crossed), then the
-    /// remaining evaluation windows — including trailing partial or
-    /// empty ones, under the same `start ≤ max_block` / `eval_epochs`
-    /// rules as the batch loop. Queries remain answerable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NotInitialized`] before [`AllocationCore::begin`], plus
-    /// [`AllocationCore::finish_training`] errors.
-    pub fn end_stream(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        let blocks = self
-            .stream
-            .as_ref()
-            .ok_or(Error::NotInitialized("call begin() before end_stream()"))?
-            .blocks;
-        // Close every chunk/window that ends at or before the stream
-        // end; trailing (possibly empty) evaluation windows follow.
-        self.advance_to(strategy, blocks, rows)?;
-        let mut state = self.stream.take().expect("stream state present");
-        let max_block = state.blocks - 1;
-        while state.phase == Phase::Evaluating && state.window_start <= max_block {
-            self.close_epoch(strategy, &mut state, rows);
-        }
-        state.phase = Phase::Done;
-        self.stream = Some(state);
-        Ok(())
-    }
-
-    /// Closes every training chunk / evaluation window that ends at or
-    /// before `block` (exclusive upper bounds ≤ `block`).
-    fn advance_to(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        block: u64,
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        let mut state = self.stream.take().expect("stream state present");
-        let result = self.advance_inner(strategy, &mut state, block, rows);
-        self.stream = Some(state);
-        result
-    }
-
-    fn advance_inner(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        state: &mut StreamState,
-        block: u64,
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        let tau = u64::from(self.config.params.tau());
-        loop {
-            match state.phase {
-                Phase::Training => {
-                    // Chunks of τ blocks up to the recent-window start,
-                    // then the single [recent_start, cut) chunk —
-                    // mirroring the streamed batch loop's boundaries so
-                    // observe_training sees identical call sequences.
-                    let closes_training = state.window_start >= state.recent_start;
-                    let chunk_end = if closes_training {
-                        state.cut_block
-                    } else {
-                        (state.window_start + tau).min(state.recent_start)
-                    };
-                    if block < chunk_end {
-                        return Ok(());
-                    }
-                    let fold = if skips_training_graph(strategy) {
-                        TrainingFold::Skip
-                    } else if closes_training {
-                        TrainingFold::Defer
-                    } else {
-                        TrainingFold::Merge
-                    };
-                    let chunk = std::mem::take(&mut state.buf);
-                    self.fold_training_chunk(strategy, &chunk, fold);
-                    if closes_training {
-                        self.finish_training(strategy)?;
-                        self.release_history_if_unused(strategy);
-                        // The training tail becomes the first recent
-                        // window, exactly as in the batch loops.
-                        state.recent = chunk;
-                        state.phase = Phase::Evaluating;
-                        state.window_start = state.cut_block;
-                    } else {
-                        state.buf = chunk;
-                        state.buf.clear();
-                        state.window_start = chunk_end;
-                    }
-                }
-                Phase::Evaluating => {
-                    if block < state.window_start + tau {
-                        return Ok(());
-                    }
-                    self.close_epoch(strategy, state, rows);
-                }
-                Phase::Done => return Ok(()),
-            }
-        }
-    }
-
-    /// Closes the evaluation window currently buffered in `state`:
-    /// full protocol, row onto `rows`, window committed, buffers
-    /// rotated (the processed window becomes the next recent window).
-    fn close_epoch(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        state: &mut StreamState,
-        rows: &mut Vec<EpochMetrics>,
-    ) {
-        self.metrics.queue_depth.set(state.buf.len() as f64);
-        let metrics = self.process_epoch_inner(strategy, &state.buf, &state.recent);
-        rows.push(metrics);
-        self.commit_window_owned(strategy, &state.buf);
-        std::mem::swap(&mut state.recent, &mut state.buf);
-        state.buf.clear();
-        state.window_start += u64::from(self.config.params.tau());
-        if self.aggregate.epochs() >= self.config.eval_epochs {
-            state.phase = Phase::Done;
-        }
     }
 }

@@ -1,42 +1,36 @@
-//! The unified epoch engine: one pipeline for every allocation strategy.
+//! The epoch engine: the strategy seam and the offline driver.
 //!
 //! The paper's evaluation (§V-A) runs five very different allocation
 //! mechanisms through the *same* protocol — initial allocation on the
 //! training prefix, then per-epoch allocation updates, beacon commits and
-//! metric collection over the evaluation epochs. [`EpochStrategy`] is the
-//! seam between the protocol and the mechanisms:
+//! metric collection over the evaluation epochs. The protocol lives in
+//! [`AllocationCore`]; this module holds what plugs into it:
 //!
-//! * the protocol lives in one place per trace-ownership model:
-//!   [`run_with`] / [`run_with_observer`] drive it over a resident
-//!   trace, [`run_streamed_with_observer`] over a bounded-memory
-//!   [`EpochWindowStream`] — with byte-identical metric output;
-//! * every mechanism is an [`EpochStrategy`] implementation — a blanket
-//!   impl adapts any miner-driven [`GlobalAllocator`] (Metis, G-TxAllo),
-//!   [`StaticStrategy`] wraps rule-only allocation (hash-based Random),
-//!   [`AdaptiveTxAllo`] wraps the incremental A-TxAllo update, and
-//!   [`MosaicStrategy`] wraps the client-driven [`MosaicFramework`];
-//! * adding a sixth strategy requires a new impl plus a registry entry
-//!   ([`crate::Strategy::build`]) — the protocol is untouched.
-//!
-//! The engine also owns the evaluation hot path:
-//!
-//! * the historical graph is accreted **incrementally** ([`History`]):
-//!   epoch windows append as borrowed slices in O(1), and
-//!   [`History::graph`] folds only the not-yet-merged delta into a
-//!   maintained CSR via [`TxGraph::merge_delta`] — per-epoch work is
-//!   proportional to the window, never a full `GraphBuilder::build`
-//!   rebuild of the whole history (the rebuild stays available in
+//! * [`EpochStrategy`] is the seam between the protocol and the
+//!   mechanisms — a blanket impl adapts any miner-driven
+//!   [`GlobalAllocator`] (Metis, G-TxAllo), [`StaticStrategy`] wraps
+//!   rule-only allocation (hash-based Random), [`AdaptiveTxAllo`] wraps
+//!   the incremental A-TxAllo update, and [`MosaicStrategy`] wraps the
+//!   client-driven [`MosaicFramework`]. Adding a sixth strategy is a new
+//!   impl plus a registry entry ([`crate::Strategy::build`]);
+//! * [`History`] is the transaction history strategies see: windows are
+//!   absorbed into a per-window delta and [`History::graph`] sort-merges
+//!   it into a maintained CSR via [`TxGraph::merge_delta`], so per-epoch
+//!   work is proportional to the window, never a full
+//!   `GraphBuilder::build` of the whole history (which stays in
 //!   `mosaic-txgraph` as the reference oracle the delta path is
-//!   proptested against). Strategies that never look at the history
-//!   (Mosaic, Random, A-TxAllo) still pay nothing;
-//! * within a cell, epoch processing parallelises over the order-stable
-//!   pool ([`crate::parallel`]) with byte-identical output
-//!   ([`crate::runner::ExperimentConfig::cell_parallelism`]);
-//! * per-epoch metric rows can be **streamed** to any sink instead of
-//!   accumulated ([`run_with_observer`]), so the paper's `full`
-//!   200-epoch protocol runs in bounded memory
-//!   (`mosaic_metrics::EpochCsvWriter` + `runner::run_streaming`).
+//!   proptested against);
+//! * [`run_cell`] is the offline driver: it reads an
+//!   [`EpochWindowStream`] — resident trace, generator or CSV file, all
+//!   the same to it — into the core and hands each finished epoch's row
+//!   to the caller, so rows can go straight to a sink and the paper's
+//!   `full` 200-epoch protocol runs in bounded memory.
+//!
+//! Within a cell, epoch processing parallelises over the order-stable
+//! pool ([`mosaic_metrics::parallel`]) with byte-identical output
+//! ([`crate::runner::ExperimentConfig::cell_parallelism`]).
 
+use std::marker::PhantomData;
 use std::time::Duration;
 
 use mosaic_chain::Ledger;
@@ -47,46 +41,39 @@ use mosaic_metrics::{Aggregate, EpochLoad, EpochMetrics, LoadParams};
 use mosaic_partition::GlobalAllocator;
 use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
 use mosaic_txgraph::{GraphBuilder, TxGraph};
-use mosaic_types::{AccountShardMap, BlockHeight, Error, Result, SystemParams, Transaction};
-use mosaic_workload::{EpochWindowStream, TransactionTrace};
+use mosaic_types::{AccountShardMap, Result, SystemParams, Transaction};
+use mosaic_workload::EpochWindowStream;
 
-use crate::alloc_core::{skips_training_graph, AllocationCore, TrainingFold};
-use crate::parallel::Parallelism;
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::alloc_core::AllocationCore;
+use crate::runner::ExperimentConfig;
+use crate::Parallelism;
 
 /// Incrementally accreted transaction history.
 ///
-/// Epoch windows are appended as borrowed slices in O(1). The
-/// interaction graph is maintained as a long-lived CSR: when a strategy
-/// asks for it, the pending windows are drained into a per-window delta
-/// builder and sort-merged into the existing buffers
-/// ([`TxGraph::merge_delta`]) — O(window + touched adjacency) per epoch
-/// instead of the O(V + E) full rebuild the evaluation previously paid.
-/// Strategies that never ask (Mosaic, Random, A-TxAllo) pay nothing.
+/// Committed windows are folded into a per-window delta builder as they
+/// arrive; the interaction graph is maintained as a long-lived CSR, and
+/// when a strategy asks for it the accumulated delta is sort-merged into
+/// the existing buffers ([`TxGraph::merge_delta`]) — O(window + touched
+/// adjacency) per epoch instead of an O(V + E) full rebuild. Strategies
+/// that never ask (Mosaic, Random, A-TxAllo) pay nothing.
+///
+/// The history owns everything it keeps. The lifetime parameter is
+/// unused: the end-to-end benchmark crate, which a PR may not edit,
+/// names the type as `History<'_>`.
 #[derive(Debug, Default)]
 pub struct History<'t> {
     /// Accumulates only the not-yet-merged windows (drained each merge).
     delta: GraphBuilder,
-    pending: Vec<&'t [Transaction]>,
     /// The maintained full-history CSR, grown in place.
     graph: TxGraph,
     txs: usize,
+    _lifetime: PhantomData<&'t ()>,
 }
 
-impl<'t> History<'t> {
+impl History<'_> {
     /// An empty history.
     pub fn new() -> Self {
         History::default()
-    }
-
-    /// Appends committed transactions (O(1); accretion is deferred until
-    /// [`History::graph`]).
-    pub fn extend(&mut self, txs: &'t [Transaction]) {
-        if txs.is_empty() {
-            return;
-        }
-        self.pending.push(txs);
-        self.txs += txs.len();
     }
 
     /// Total transactions in the history (including not-yet-merged
@@ -100,23 +87,11 @@ impl<'t> History<'t> {
         self.txs == 0
     }
 
-    /// Drains pending windows into the delta builder (hash-map
-    /// accumulation, the part a miner amortises while blocks commit).
-    /// Separated from the CSR merge so strategies can keep it *outside*
-    /// their timed region while paying for the [`History::graph`] merge
-    /// inside it.
-    pub fn accrete(&mut self) {
-        for window in self.pending.drain(..) {
-            self.delta.add_transactions(window);
-        }
-    }
-
-    /// Folds `txs` straight into the delta builder without retaining the
-    /// slice — equivalent to [`History::extend`] + [`History::accrete`],
-    /// but borrowing nothing. The streamed epoch loop uses this so each
-    /// window buffer can be dropped (or reused) the moment it has been
-    /// absorbed; accumulation order equals slice order, so chunked
-    /// absorption builds the identical graph to one monolithic extend.
+    /// Folds `txs` into the delta builder (hash-map accumulation, the
+    /// part a miner amortises while blocks commit) without retaining
+    /// the slice; the CSR merge is deferred until [`History::graph`].
+    /// Accumulation order equals slice order, so chunked absorption
+    /// builds the same graph as one monolithic call.
     pub fn absorb(&mut self, txs: &[Transaction]) {
         if txs.is_empty() {
             return;
@@ -126,31 +101,28 @@ impl<'t> History<'t> {
     }
 
     /// Records `n` transactions as part of the history *without* keeping
-    /// them. The streamed loop uses this for strategies that never
-    /// consult the graph ([`EpochStrategy::consumes_history`] = `false`),
-    /// keeping [`History::len`]-based accounting (e.g. miner input
-    /// bytes) identical to the materialised run while storing nothing.
+    /// them — for strategies that never consult the graph
+    /// ([`EpochStrategy::consumes_history`] = `false`), so
+    /// [`History::len`]-based accounting (e.g. miner input bytes) stays
+    /// the same while nothing is stored.
     pub fn record_unretained(&mut self, n: usize) {
         self.txs += n;
     }
 
-    /// Frees the graph state (maintained CSR, delta builder, pending
-    /// windows) while keeping the transaction count. The streamed loop
-    /// calls this right after the initial allocation when the strategy
-    /// will never consult the history again — from then on the session's
-    /// footprint is bounded by the current + recent window alone.
+    /// Frees the graph state (maintained CSR, delta builder) while
+    /// keeping the transaction count. The core calls this right after
+    /// the initial allocation when the strategy will never consult the
+    /// history again — from then on the cell's footprint is bounded by
+    /// the current + recent window alone.
     pub fn release(&mut self) {
         self.delta = GraphBuilder::default();
-        self.pending = Vec::new();
         self.graph = TxGraph::default();
     }
 
-    /// The full-history interaction graph, maintained incrementally.
-    ///
-    /// Drains pending windows and sort-merges the accumulated delta into
-    /// the long-lived CSR; with nothing pending this is a cache hit.
+    /// The full-history interaction graph, maintained incrementally:
+    /// sort-merges the accumulated delta into the long-lived CSR; with
+    /// nothing absorbed since the last call this is a cache hit.
     pub fn graph(&mut self) -> &TxGraph {
-        self.accrete();
         if self.delta.vertex_count() > 0 {
             let delta = self.delta.drain_delta();
             self.graph.merge_delta(&delta);
@@ -161,10 +133,8 @@ impl<'t> History<'t> {
 
 /// Everything a strategy may look at before an epoch is processed.
 ///
-/// The window lifetime `'w` is independent of the history lifetime `'t`:
-/// the materialised loop borrows both from the resident trace, while the
-/// streamed loop hands out windows borrowed from short-lived buffers
-/// against a history that retains nothing.
+/// The windows borrow from the core's short-lived buffers (`'w`); the
+/// history retains none of them.
 #[derive(Debug)]
 pub struct EpochCtx<'e, 'w, 't> {
     /// The upcoming epoch's transactions (the mempool the oracle sees).
@@ -241,12 +211,11 @@ pub trait EpochStrategy {
     }
 
     /// Ingests one chunk of the training prefix, in block order, before
-    /// [`EpochStrategy::initial_allocation`] runs. The materialised loop
-    /// calls this once with the whole prefix; the streamed loop calls it
-    /// per τ-block chunk. Implementations must be chunking-invariant:
-    /// a sequence of calls in order is equivalent to one call on the
-    /// concatenation. Default: ignore (graph strategies read the
-    /// training data from `history` instead).
+    /// [`EpochStrategy::initial_allocation`] runs. The core calls it
+    /// per training chunk (at most τ blocks). Implementations must be
+    /// chunking-invariant: a sequence of calls in order is equivalent to
+    /// one call on the concatenation. Default: ignore (graph strategies
+    /// read the training data from `history` instead).
     fn observe_training(&mut self, chunk: &[Transaction]) {
         let _ = chunk;
     }
@@ -264,9 +233,9 @@ pub trait EpochStrategy {
     /// `true` if the strategy consults [`EpochCtx::history`] after the
     /// initial allocation. Strategies that never do (client-driven
     /// Mosaic, the static hash baseline, incremental A-TxAllo) return
-    /// `false`, which lets the streamed loop free the accreted graph and
-    /// stop retaining windows — the memory bound the 10M-account
-    /// scenarios rely on.
+    /// `false`, which lets the core free the accreted graph and stop
+    /// absorbing windows — the memory bound the 10M-account scenarios
+    /// rely on.
     fn consumes_history(&self) -> bool {
         true
     }
@@ -275,10 +244,9 @@ pub trait EpochStrategy {
     /// training graph ([`History::graph`]). Strategies returning
     /// `false` promise an identical initial ϕ for *any* graph content —
     /// including the empty graph — which, combined with
-    /// [`EpochStrategy::consumes_history`] `= false`, lets the streamed
-    /// pipeline skip training-graph edge accumulation entirely
-    /// ([`crate::alloc_core::skips_training_graph`]): no delta builder,
-    /// no CSR, just the transaction count. Only the rule-only hash
+    /// [`EpochStrategy::consumes_history`] `= false`, lets the core skip
+    /// training-graph edge accumulation entirely: no delta builder, no
+    /// CSR, just the transaction count. Only the rule-only hash
     /// baseline qualifies today; the default is conservative.
     fn needs_training_graph(&self) -> bool {
         true
@@ -335,11 +303,11 @@ impl<A: GlobalAllocator> EpochStrategy for A {
 
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
         let input_bytes = miner_input_bytes(ctx.history.len()) as f64;
-        // Hash-map accumulation happens outside the timed region (a
-        // miner folds blocks in as they commit); the delta merge into
-        // the maintained CSR + the allocation is the per-epoch
-        // recomputation Table IV measures, so both run inside `time_it`.
-        ctx.history.accrete();
+        // Hash-map accumulation already happened as windows were
+        // absorbed (a miner folds blocks in as they commit); the delta
+        // merge into the maintained CSR + the allocation is the
+        // per-epoch recomputation Table IV measures, so both run inside
+        // `time_it`.
         let history = &mut *ctx.history;
         let k = ctx.params.shards();
         let parallelism = ctx.parallelism;
@@ -392,7 +360,7 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
 
     fn needs_training_graph(&self) -> bool {
         // Rule-only allocators (hash-based Random) never read the
-        // graph, so the streamed pipeline can skip building it.
+        // graph, so the core can skip building it.
         self.allocator.uses_graph()
     }
 
@@ -554,9 +522,9 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
     }
 }
 
-/// The aggregated outcome of a run whose per-epoch rows were handed to
-/// an observer instead of collected — everything
-/// [`crate::runner::ExperimentResult`] carries except the row vector.
+/// The aggregated outcome of one cell — everything
+/// [`crate::runner::ExperimentResult`] carries except the row vector,
+/// which goes to the caller's observer as it is produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Means over the evaluation epochs (bit-identical to
@@ -574,189 +542,55 @@ pub struct RunSummary {
     pub total_migrations: usize,
 }
 
-/// Runs one experiment cell with an explicit strategy — **the** epoch
-/// loop of the crate. [`crate::runner::run`] resolves the strategy from
-/// the registry and delegates here; custom strategies (new mechanisms,
-/// ablation policies) are passed in directly.
+/// Runs one experiment cell offline: feeds `stream` through an
+/// [`AllocationCore`], one training chunk or evaluation window per read,
+/// and hands each epoch's metric row to `on_epoch(epoch_index, row)` the
+/// moment the epoch closes. The core holds O(1) metric state and at
+/// most the current and previous window, so neither trace length nor
+/// epoch count bounds memory when the observer streams rows to disk.
 ///
-/// Collects the per-epoch rows in memory; for arbitrarily long
-/// protocols use [`run_with_observer`] (or
-/// [`crate::runner::run_streaming`]) and stream each row to a sink as
-/// it is produced.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_with(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-) -> ExperimentResult {
-    let mut per_epoch = Vec::with_capacity(config.eval_epochs);
-    let summary = run_with_observer(config, trace, strategy, &mut |_, metrics: &EpochMetrics| {
-        per_epoch.push(*metrics);
-        true
-    });
-    ExperimentResult {
-        strategy: config.strategy,
-        params: config.params,
-        aggregate: summary.aggregate,
-        per_epoch,
-        init_seconds: summary.init_seconds,
-        mean_alloc_seconds: summary.mean_alloc_seconds,
-        mean_input_bytes: summary.mean_input_bytes,
-        total_migrations: summary.total_migrations,
-    }
-}
-
-/// [`run_with`], but each evaluation epoch's metric row is handed to
-/// `on_epoch(epoch_index, row)` the moment it is computed instead of
-/// being accumulated — the engine itself holds O(1) metric state
-/// (a running [`AggregateBuilder`]), so the `full` 200-epoch protocol
-/// (and anything longer) runs in bounded memory when the observer
-/// streams rows to disk.
-///
-/// The observer returns whether to **continue**: returning `false`
-/// aborts the run after the current epoch (its row is already included
-/// in the summary), so a sink failure doesn't burn the rest of a long
-/// protocol. [`RunSummary::epochs`] reports how far the run got.
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_with_observer(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-    on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
-) -> RunSummary {
-    assert!(!trace.is_empty(), "experiment needs a non-empty trace");
-    let tau = config.params.tau();
-
-    let (train, _eval) = trace.split_at_fraction(config.train_fraction);
-    let max_block = trace.max_block().expect("non-empty trace");
-    let cut_block = BlockHeight::new(
-        (((max_block.as_u64() + 1) as f64) * config.train_fraction).floor() as u64,
-    );
-
-    let mut core = AllocationCore::new(*config);
-    core.ingest_training(strategy, train);
-    core.finish_training(strategy)
-        .expect("consistent shard counts");
-
-    // The first "recent window" is the last τ blocks of training.
-    let mut recent_window = trace.block_range(
-        BlockHeight::new(cut_block.as_u64().saturating_sub(u64::from(tau))),
-        cut_block,
-    );
-
-    for (epoch, window) in trace
-        .epoch_windows(cut_block, tau)
-        .take(config.eval_epochs)
-        .enumerate()
-    {
-        let metrics = core.process_epoch(strategy, window, recent_window);
-        if !on_epoch(epoch, &metrics) {
-            break;
-        }
-        core.commit_window_retained(strategy, window);
-        recent_window = window;
-    }
-
-    core.summary()
-}
-
-/// [`run_with_observer`] over an [`EpochWindowStream`] instead of a
-/// resident trace — the same §V-A protocol, byte-identical metric rows,
-/// but the session owns at most the current and recent window (plus the
-/// incremental CSR while the strategy still consumes it; strategies with
-/// [`EpochStrategy::consumes_history`] `= false` free even that right
-/// after the initial allocation). Trace size never bounds memory.
-///
-/// The training prefix is consumed in τ-block chunks: each chunk is
-/// handed to [`EpochStrategy::observe_training`], absorbed into the
-/// history's delta builder, merged into the maintained CSR, and dropped.
-/// Both `observe_training` and graph accretion are chunking-invariant
-/// folds in block order, and the per-epoch metric rows carry no timing
-/// fields, so the streamed run's CSV output is byte-identical to the
-/// materialised run's wherever both exist (proptested in
-/// `tests/scenario_equivalence.rs`).
+/// The observer returns whether to **continue**: `false` stops the cell
+/// after the current epoch (its row is already in the summary), so a
+/// sink failure doesn't burn the rest of a long protocol.
 ///
 /// # Errors
 ///
-/// [`Error::EmptyTrace`] if the stream spans no blocks (the materialised
-/// loop panics instead — a resident empty trace is a programming error,
-/// a streamed one may be a bad file); otherwise propagates stream read
-/// errors ([`Error::ParseTrace`] / [`Error::Io`]).
-pub fn run_streamed_with_observer(
+/// [`mosaic_types::Error::EmptyTrace`] if the stream spans no blocks;
+/// stream read errors; ledger construction errors at the training cut.
+pub fn run_cell(
     config: &ExperimentConfig,
     stream: &mut EpochWindowStream,
     strategy: &mut dyn EpochStrategy,
     on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
 ) -> Result<RunSummary> {
-    let tau = config.params.tau();
-    let blocks = stream.blocks();
-    if blocks == 0 {
-        return Err(Error::EmptyTrace);
-    }
-    let max_block = blocks - 1;
-    let cut_block = ((blocks as f64) * config.train_fraction).floor() as u64;
-    let recent_start = cut_block.saturating_sub(u64::from(tau));
-
-    // Training prefix, chunked: blocks [0, cut − τ) pass through a single
-    // reused buffer; [cut − τ, cut) is kept — it becomes the first
-    // "recent window", exactly as in the materialised loop. Strategies
-    // whose initial allocation never reads the graph skip edge
-    // accumulation entirely (TrainingFold::Skip).
     let mut core = AllocationCore::new(*config);
-    let skip_graph = skips_training_graph(strategy);
-    let chunk_blocks = u64::from(tau);
-    let mut buf: Vec<Transaction> = Vec::new();
-    while stream.position() < recent_start {
-        let to = (stream.position() + chunk_blocks).min(recent_start);
-        buf.clear();
-        stream.read_to(to, &mut buf)?;
-        let fold = if skip_graph {
-            TrainingFold::Skip
-        } else {
-            TrainingFold::Merge
-        };
-        core.ingest_training_chunk(strategy, &buf, fold);
-    }
-    let mut recent: Vec<Transaction> = Vec::new();
-    stream.read_to(cut_block, &mut recent)?;
-    let fold = if skip_graph {
-        TrainingFold::Skip
-    } else {
-        TrainingFold::Defer
+    core.begin(stream.blocks())?;
+    let mut batch: Vec<Transaction> = Vec::new();
+    let mut rows: Vec<EpochMetrics> = Vec::new();
+    let mut epoch = 0;
+    let mut fan = |rows: &mut Vec<EpochMetrics>| {
+        rows.drain(..).all(|row| {
+            epoch += 1;
+            on_epoch(epoch - 1, &row)
+        })
     };
-    core.ingest_training_chunk(strategy, &recent, fold);
-
-    core.finish_training(strategy)
-        .expect("consistent shard counts");
-    core.release_history_if_unused(strategy);
-
-    let mut window: Vec<Transaction> = Vec::new();
-    let mut start = cut_block;
-    for epoch in 0..config.eval_epochs {
-        // Same termination rule as `TransactionTrace::epoch_windows`:
-        // yield (possibly empty) windows while their start is in range.
-        if start > max_block {
+    // Reading exactly to the core's next boundary closes at most one
+    // window per pass, so the observer's verdict is heard before the
+    // next epoch runs.
+    while let Some(boundary) = core.next_boundary() {
+        batch.clear();
+        stream.read_to(boundary, &mut batch)?;
+        core.ingest_block(strategy, &batch, &mut rows)?;
+        core.advance_to(strategy, stream.position(), &mut rows)?;
+        if !fan(&mut rows) {
+            return Ok(core.summary());
+        }
+        if stream.position() >= stream.blocks() {
             break;
         }
-        window.clear();
-        stream.read_to(start + u64::from(tau), &mut window)?;
-        let metrics = core.process_epoch(strategy, &window, &recent);
-        if !on_epoch(epoch, &metrics) {
-            break;
-        }
-        core.commit_window_owned(strategy, &window);
-        // The processed window becomes the next epoch's recent window;
-        // the old recent buffer is reused for the next read.
-        std::mem::swap(&mut recent, &mut window);
-        start += u64::from(tau);
     }
-
+    core.end_stream(strategy, &mut rows)?;
+    fan(&mut rows);
     Ok(core.summary())
 }
 
@@ -765,7 +599,7 @@ mod tests {
     use super::*;
     use mosaic_core::policy::PilotPolicy;
     use mosaic_partition::HashAllocator;
-    use mosaic_types::{AccountId, TxId};
+    use mosaic_types::{AccountId, BlockHeight, TxId};
 
     fn tx(id: u64, from: u64, to: u64, block: u64) -> Transaction {
         Transaction::new(
@@ -782,8 +616,8 @@ mod tests {
         let b: Vec<Transaction> = (10..14).map(|i| tx(i, 2, 3, i)).collect();
         let mut h = History::new();
         assert!(h.is_empty());
-        h.extend(&a);
-        h.extend(&b);
+        h.absorb(&a);
+        h.absorb(&b);
         assert_eq!(h.len(), 14);
         let edge_count = h.graph().edge_count();
         assert_eq!(edge_count, 2);

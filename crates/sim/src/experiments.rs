@@ -5,8 +5,7 @@
 //! can print them directly. See `EXPERIMENTS.md` at the repository root
 //! for the paper-vs-measured record.
 //!
-//! Since the scenario redesign, every grid here is *data*: the
-//! effectiveness grid is [`Scenario::effectiveness`], the β sweep is
+//! Every grid here is *data*: the effectiveness grid is [`Scenario::effectiveness`], the β sweep is
 //! [`Scenario::beta_sweep`], and the ablations derive their grids from
 //! a base scenario — all executed by a
 //! [`Simulation`](crate::session::Simulation) session that materialises
@@ -19,14 +18,14 @@ use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
 use mosaic_types::SystemParams;
 
-use crate::parallel::Parallelism;
 use crate::radar::RadarAxis;
-use crate::runner::{ExperimentConfig, ExperimentResult};
+use crate::runner::ExperimentResult;
 use crate::scale::Scale;
 use crate::scenario::{Capacity, GridAxis, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
 use crate::strategy::Strategy;
+use crate::Parallelism;
 
 /// The parameter rows of Tables I–IV: `k ∈ {4, 16, 32}` at `η = 2`, then
 /// `η ∈ {5, 10}` at `k = 16` (§V-A). Identical to the points
@@ -47,32 +46,6 @@ pub fn parameter_sets(tau: u32) -> Vec<(String, SystemParams)> {
         ("η = 5".to_string(), build(16, 5.0)),
         ("η = 10".to_string(), build(16, 10.0)),
     ]
-}
-
-/// The flat cell list of the effectiveness grid: every parameter set ×
-/// every strategy, in the paper's report order — the expansion of
-/// [`Scenario::effectiveness`].
-pub fn grid_specs(scale: &Scale) -> Vec<(String, ExperimentConfig)> {
-    Scenario::effectiveness(scale)
-        .cells()
-        .expect("the paper grid is a valid scenario")
-        .into_iter()
-        .map(|cell| (cell.label, cell.config))
-        .collect()
-}
-
-/// Runs the full effectiveness grid — every parameter set × every
-/// strategy, all on one shared trace — across the worker pool.
-pub fn effectiveness_grid(scale: &Scale) -> Vec<GridCell> {
-    effectiveness_grid_with(scale, Parallelism::Auto)
-}
-
-/// [`effectiveness_grid`] with explicit worker-pool sizing. The result
-/// is independent of the parallelism level (cells are deterministic and
-/// collected in input order). A thin wrapper over
-/// [`Simulation::from_scenario`] + [`Simulation::run`].
-pub fn effectiveness_grid_with(scale: &Scale, parallelism: Parallelism) -> Vec<GridCell> {
-    run_scenario(&Scenario::effectiveness(scale).with_grid_parallelism(parallelism))
 }
 
 /// Materialises and runs `scenario`, panicking on failure — the
@@ -474,7 +447,7 @@ pub fn policy_ablation(session: &Simulation) -> TextTable {
     let trace = session.trace();
 
     let policies = ["Pilot", "InteractionOnly", "WorkloadOnly", "Sticky"];
-    let results = crate::parallel::ordered_map(&policies, Parallelism::Auto, |&name| {
+    let results = mosaic_metrics::parallel::ordered_map(&policies, Parallelism::Auto, |&name| {
         let session = Simulation::with_trace(base.clone(), trace.clone())
             .expect("validated scenario stays valid");
         let report = session
@@ -631,7 +604,7 @@ mod tests {
     /// One shared quick grid for all table tests (the grid is the
     /// expensive part).
     fn quick_cells() -> Vec<GridCell> {
-        effectiveness_grid(&Scale::quick())
+        run_scenario(&Scenario::effectiveness(&Scale::quick()))
     }
 
     #[test]
@@ -663,22 +636,18 @@ mod tests {
 
     #[test]
     fn parallel_grid_matches_sequential() {
-        // Determinism of the parallel pipeline: same seed ⇒ byte-identical
-        // CSV series and identical cell order, regardless of scheduling.
-        let scale = Scale::quick();
-        let sequential = effectiveness_grid_with(&scale, Parallelism::Sequential);
-        let parallel = effectiveness_grid_with(&scale, Parallelism::Auto);
+        // Same seed ⇒ byte-identical CSV series and identical cell
+        // order, regardless of scheduling.
+        let grid = |parallelism| {
+            let scenario = Scenario::effectiveness(&Scale::quick());
+            run_scenario(&scenario.with_grid_parallelism(parallelism))
+        };
+        let (sequential, parallel) = (grid(Parallelism::Sequential), grid(Parallelism::Auto));
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.param_label, p.param_label);
             assert_eq!(s.result.strategy, p.result.strategy);
-            assert_eq!(
-                s.result.to_csv(),
-                p.result.to_csv(),
-                "{} / {} diverged between sequential and parallel runs",
-                s.param_label,
-                s.result.strategy
-            );
+            assert_eq!(s.result.to_csv(), p.result.to_csv(), "{}", s.param_label);
             assert_eq!(s.result.total_migrations, p.result.total_migrations);
         }
     }
@@ -706,14 +675,14 @@ mod tests {
         // The scenario expansion and the hand-written paper grid are the
         // same data.
         let scale = Scale::quick();
-        let specs = grid_specs(&scale);
+        let cells = Scenario::effectiveness(&scale).cells().unwrap();
         let sets = parameter_sets(scale.tau);
-        assert_eq!(specs.len(), sets.len() * Strategy::ALL.len());
-        for (i, (label, config)) in specs.iter().enumerate() {
+        assert_eq!(cells.len(), sets.len() * Strategy::ALL.len());
+        for (i, cell) in cells.iter().enumerate() {
             let (expected_label, expected_params) = &sets[i / Strategy::ALL.len()];
-            assert_eq!(label, expected_label);
-            assert_eq!(config.params, *expected_params);
-            assert_eq!(config.strategy, Strategy::ALL[i % Strategy::ALL.len()]);
+            assert_eq!(&cell.label, expected_label);
+            assert_eq!(cell.config.params, *expected_params);
+            assert_eq!(cell.config.strategy, Strategy::ALL[i % Strategy::ALL.len()]);
         }
     }
 }

@@ -1,46 +1,56 @@
 //! End-to-end experiment runner reproducing the Mosaic paper's
 //! evaluation (§V).
 //!
-//! The crate wires every other crate together:
+//! One path runs every experiment cell, offline or live:
 //!
-//! * [`alloc_core`] — the incremental [`AllocationCore`]: training
-//!   ingestion, τ-boundary epoch processing, the migration protocol and
-//!   an always-queryable `shard_of` map behind one state machine, with
-//!   an event API (`begin`/`ingest_tx`/`end_stream`) for live feeds;
-//! * [`engine`] — the unified epoch pipeline: the [`EpochStrategy`]
-//!   trait every allocation mechanism implements, and
-//!   [`engine::run_with`], the crate's **single** epoch loop — a thin
-//!   driver over the core since the `mosaic-node` refactor;
-//! * [`Strategy`] — the five allocation strategies under test: Mosaic
-//!   (client-driven Pilot), G-TxAllo, A-TxAllo, Metis, and hash-based
-//!   Random — plus the registry ([`Strategy::build`]) resolving each to
-//!   its [`EpochStrategy`] implementation;
-//! * [`Scale`] — workload/epoch presets (`quick` for tests, `default`
-//!   for commodity-hardware runs, `full` for the paper's 200-epoch
-//!   protocol);
+//! ```text
+//! Scenario → Simulation → engine::run_cell → AllocationCore ← NodeSession
+//! ```
+//!
 //! * [`scenario`] — the declarative experiment spec: a [`Scenario`]
 //!   names a trace source, a parameter grid ([`GridAxis`] over
 //!   `k`/`η`/`τ`/`β`/`λ`/capacity), the strategy set, parallelism and
 //!   observers, and round-trips through a text format so studies live
 //!   as checked-in `.scenario` files;
-//! * [`session`] — [`Simulation`], the runnable form of a scenario:
-//!   the trace is materialised **once**, shared across all grid cells
-//!   behind an `Arc`, and every cell streams through the engine with
-//!   the scenario's observer stack — the single entry point subsuming
-//!   the historical run/run_custom/run_streaming/grid scatter;
-//! * [`runner`] — the 90/10 train–eval protocol primitives the session
-//!   is built from: [`runner::run`] for one registry cell,
-//!   [`runner::run_custom`] for caller-supplied [`EpochStrategy`]
-//!   implementations, and [`runner::run_streaming`] for bounded-memory
-//!   single-cell runs (all kept byte-identical to the session paths);
-//! * [`parallel`] — order-stable parallel execution (re-exported from
-//!   `mosaic_metrics::parallel`), used at two levels: independent
-//!   experiment cells across the grid, and chunk/per-shard work items
-//!   *within* a cell ([`ExperimentConfig::cell_parallelism`]); the
-//!   same seed produces byte-identical results at every level;
+//! * [`session`] — [`Simulation`], the runnable form of a scenario: it
+//!   expands the grid into cells, shares one trace across them, runs
+//!   them on the order-stable pool and fans every epoch row to the
+//!   observer stack;
+//! * [`engine`] — [`engine::run_cell`], the offline driver that reads a
+//!   window stream into the core, and the [`EpochStrategy`] trait every
+//!   allocation mechanism implements;
+//! * [`alloc_core`] — [`AllocationCore`], the §V-A protocol as an
+//!   event-driven state machine: training cut, τ-block epochs, strategy
+//!   decision, commit ≤ λ, metric row, and an always-queryable
+//!   `shard_of` map. `mosaic-node` sessions feed the same core from a
+//!   socket;
+//! * [`Strategy`] — the five allocation strategies under test: Mosaic
+//!   (client-driven Pilot), G-TxAllo, A-TxAllo, Metis, and hash-based
+//!   Random — plus the registry ([`Strategy::build`]) resolving each to
+//!   its [`EpochStrategy`] implementation;
+//! * [`runner`] — [`ExperimentConfig`] and [`ExperimentResult`], one
+//!   cell and its measured outcome;
+//! * [`Scale`] — workload/epoch presets (`quick` for tests, `default`
+//!   for commodity-hardware runs, `full` for the paper's 200-epoch
+//!   protocol);
 //! * [`experiments`] — one function per paper table/figure (Tables I–VI,
 //!   Figure 1), each returning a [`mosaic_metrics::TextTable`] shaped
-//!   like the original, computed on a parallel cell grid.
+//!   like the original.
+//!
+//! # Responsibility boundaries
+//!
+//! In scope: turning a block-ordered transaction sequence into training
+//! chunks and τ-block epochs (in [`AllocationCore`] and nowhere else),
+//! driving strategies and the ledger through the epoch protocol,
+//! expanding scenarios into cells, and reporting per-epoch rows and
+//! per-cell summaries.
+//!
+//! Out of scope: producing transactions (`mosaic-workload`), the
+//! allocation algorithms (`mosaic-partition`, `mosaic-txallo`,
+//! `mosaic-core`), chain state and the migration commit rules
+//! (`mosaic-chain`), metric definitions, CSV encoding and the worker
+//! pool (`mosaic-metrics`; only [`Parallelism`] is re-exported here),
+//! and sockets, codecs and per-connection sessions (`mosaic-node`).
 //!
 //! # Example
 //!
@@ -60,7 +70,6 @@
 pub mod alloc_core;
 pub mod engine;
 pub mod experiments;
-pub mod parallel;
 pub mod radar;
 pub mod runner;
 pub mod scale;
@@ -68,9 +77,9 @@ pub mod scenario;
 pub mod session;
 pub mod strategy;
 
-pub use alloc_core::{AllocationCore, LoadReport, ShardLoad, TrainingFold};
+pub use alloc_core::{AllocationCore, LoadReport, ShardLoad};
 pub use engine::{EpochCtx, EpochDecision, EpochStrategy, MigrationCount, MosaicStrategy};
-pub use parallel::Parallelism;
+pub use mosaic_metrics::parallel::Parallelism;
 pub use runner::{ExperimentConfig, ExperimentResult};
 pub use scale::Scale;
 pub use scenario::{Capacity, GridAxis, ObserverSpec, RunTarget, Scenario};

@@ -1,26 +1,22 @@
-//! The 90/10 train–eval experiment protocol (§V-A).
+//! The experiment cell and its measured outcome (§V-A).
 //!
 //! "The first 90% of the dataset is used for the initial allocation,
 //! while the remaining 10% is reserved for evaluation. … Evaluation
 //! metrics are calculated using the data from the current epoch based on
 //! the allocation results computed at the end of the preceding epoch."
 //!
-//! The protocol itself — train/eval split, graph accretion, per-epoch
-//! allocation and metric collection — lives in [`crate::engine::run_with`],
-//! the crate's single epoch loop. This module defines the experiment
-//! cell ([`ExperimentConfig`]) and its measured outcome
-//! ([`ExperimentResult`]); [`run`] resolves the configured [`Strategy`]
-//! through the registry and delegates.
+//! [`ExperimentConfig`] describes one cell of that protocol (one
+//! strategy × one parameter set); [`ExperimentResult`] is what running
+//! it measured. The protocol itself lives in
+//! [`crate::AllocationCore`]; cells are run by
+//! [`crate::Simulation`] (or directly by [`crate::engine::run_cell`]).
 
-use std::io;
-
-use mosaic_metrics::{Aggregate, EpochCsvWriter, EpochMetrics};
+use mosaic_metrics::{Aggregate, EpochMetrics};
 use mosaic_types::SystemParams;
-use mosaic_workload::{TraceSource, TransactionTrace};
 
-use crate::engine::{self, EpochStrategy, RunSummary};
-use crate::parallel::Parallelism;
+use crate::engine::RunSummary;
 use crate::strategy::Strategy;
+use crate::Parallelism;
 
 /// Configuration of one experiment cell (one strategy × one parameter
 /// set × one trace).
@@ -116,12 +112,31 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
+    /// Assembles a cell's result from the rows its observers collected
+    /// (empty without a `collect` observer) and the run's summary.
+    pub fn new(
+        config: &ExperimentConfig,
+        per_epoch: Vec<EpochMetrics>,
+        summary: &RunSummary,
+    ) -> Self {
+        ExperimentResult {
+            strategy: config.strategy,
+            params: config.params,
+            per_epoch,
+            aggregate: summary.aggregate,
+            init_seconds: summary.init_seconds,
+            mean_alloc_seconds: summary.mean_alloc_seconds,
+            mean_input_bytes: summary.mean_input_bytes,
+            total_migrations: summary.total_migrations,
+        }
+    }
+
     /// Serialises the per-epoch series as CSV
     /// ([`mosaic_metrics::report::EPOCH_CSV_HEADER`] + one row per
     /// epoch), ready for external plotting of the paper's time series.
     ///
-    /// Byte-identical to what [`run_streaming`] writes for the same
-    /// cell.
+    /// Byte-identical to what the `stream-csv` observer and
+    /// [`crate::Simulation::stream_cell`] write for the same cell.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(mosaic_metrics::report::EPOCH_CSV_HEADER);
         out.push('\n');
@@ -133,132 +148,29 @@ impl ExperimentResult {
     }
 }
 
-/// Runs one experiment cell over `trace`: resolves `config.strategy`
-/// through the registry ([`Strategy::build`]) and drives it through the
-/// unified epoch pipeline.
-///
-/// # Panics
-///
-/// Panics if the trace is empty or the configuration is inconsistent
-/// (mismatched shard counts cannot occur — the ledger is built from
-/// `config.params`).
-pub fn run(config: &ExperimentConfig, trace: &TransactionTrace) -> ExperimentResult {
-    let mut strategy = config.strategy.build(config.params);
-    engine::run_with(config, trace, strategy.as_mut())
-}
-
-/// Runs one experiment cell with a caller-supplied strategy — the entry
-/// point for mechanisms outside the [`Strategy`] registry (ablation
-/// policies, experimental allocators). `config.strategy` is still used
-/// to label the result.
-pub fn run_custom(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    strategy: &mut dyn EpochStrategy,
-) -> ExperimentResult {
-    engine::run_with(config, trace, strategy)
-}
-
-/// Runs one experiment cell while **streaming** each per-epoch CSV row
-/// to `out` the moment it is computed, holding no per-epoch vector in
-/// memory — the entry point for the paper's `full` 200-epoch protocol
-/// (and anything longer) on bounded memory.
-///
-/// The bytes written are identical to [`ExperimentResult::to_csv`] for
-/// the same cell; the returned [`RunSummary`] aggregate is bit-identical
-/// to the collected run's.
-///
-/// # Errors
-///
-/// Propagates the sink's first I/O error; the run aborts at the failing
-/// epoch (a sink failure at epoch 1 of a 200-epoch protocol does not
-/// burn the remaining 199).
-///
-/// # Panics
-///
-/// Panics if the trace is empty.
-pub fn run_streaming(
-    config: &ExperimentConfig,
-    trace: &TransactionTrace,
-    out: &mut dyn io::Write,
-) -> io::Result<RunSummary> {
-    let mut strategy = config.strategy.build(config.params);
-    let mut writer = EpochCsvWriter::new(out)?;
-    let mut io_error: Option<io::Error> = None;
-    let summary = engine::run_with_observer(
-        config,
-        trace,
-        strategy.as_mut(),
-        &mut |_, metrics: &EpochMetrics| match writer.write_epoch(metrics) {
-            Ok(()) => true,
-            Err(e) => {
-                io_error = Some(e);
-                false
-            }
-        },
-    );
-    if let Some(e) = io_error {
-        return Err(e);
-    }
-    writer.finish()?;
-    Ok(summary)
-}
-
-/// [`run_streaming`] for a [`TraceSource`] consumed through a bounded
-/// window stream: neither the trace nor the per-epoch rows are ever
-/// resident, so memory is governed by the epoch window (τ blocks), not
-/// the trace length. Works for every source variant; byte-identical to
-/// [`run_streaming`] over the materialised trace of the same source.
-///
-/// # Errors
-///
-/// Returns [`mosaic_types::Error::Io`] / `ParseTrace` from opening or
-/// reading the source, [`mosaic_types::Error::EmptyTrace`] on a
-/// zero-block trace, and the sink's first I/O error (the run aborts at
-/// the failing epoch).
-pub fn run_streamed(
-    config: &ExperimentConfig,
-    source: &TraceSource,
-    out: &mut dyn io::Write,
-) -> mosaic_types::Result<RunSummary> {
-    let mut stream = source.window_stream()?;
-    let mut strategy = config.strategy.build(config.params);
-    let mut writer = EpochCsvWriter::new(out).map_err(|e| sink_error(&e))?;
-    let mut io_error: Option<io::Error> = None;
-    let summary = engine::run_streamed_with_observer(
-        config,
-        &mut stream,
-        strategy.as_mut(),
-        &mut |_, metrics: &EpochMetrics| match writer.write_epoch(metrics) {
-            Ok(()) => true,
-            Err(e) => {
-                io_error = Some(e);
-                false
-            }
-        },
-    )?;
-    if let Some(e) = io_error {
-        return Err(sink_error(&e));
-    }
-    writer.finish().map_err(|e| sink_error(&e))?;
-    Ok(summary)
-}
-
-fn sink_error(e: &io::Error) -> mosaic_types::Error {
-    mosaic_types::Error::Io {
-        path: "<stream sink>".to_string(),
-        message: e.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
     use crate::scale::Scale;
-    use mosaic_workload::generate;
+    use mosaic_workload::{generate, EpochWindowStream, TransactionTrace};
+    use std::sync::Arc;
 
-    fn quick_trace() -> TransactionTrace {
-        generate(&Scale::quick().workload).into_trace()
+    fn quick_trace() -> Arc<TransactionTrace> {
+        Arc::new(generate(&Scale::quick().workload).into_trace())
+    }
+
+    /// One registry cell over a resident trace, rows collected.
+    fn run(config: &ExperimentConfig, trace: &Arc<TransactionTrace>) -> ExperimentResult {
+        let mut stream = EpochWindowStream::resident(Arc::clone(trace));
+        let mut strategy = config.strategy.build(config.params);
+        let mut per_epoch = Vec::new();
+        let summary = engine::run_cell(config, &mut stream, strategy.as_mut(), &mut |_, row| {
+            per_epoch.push(*row);
+            true
+        })
+        .unwrap();
+        ExperimentResult::new(config, per_epoch, &summary)
     }
 
     fn quick_config(strategy: Strategy, k: u16) -> ExperimentConfig {
@@ -380,53 +292,18 @@ mod tests {
     }
 
     #[test]
-    fn streaming_run_matches_collected_run_byte_for_byte() {
-        let trace = quick_trace();
-        for strategy in Strategy::ALL {
-            let config = quick_config(strategy, 4);
-            let collected = run(&config, &trace);
-            let mut bytes: Vec<u8> = Vec::new();
-            let summary = run_streaming(&config, &trace, &mut bytes).unwrap();
-            assert_eq!(
-                String::from_utf8(bytes).unwrap(),
-                collected.to_csv(),
-                "{strategy}: streamed CSV diverged"
-            );
-            assert_eq!(summary.aggregate, collected.aggregate, "{strategy}");
-            assert_eq!(summary.epochs, collected.per_epoch.len());
-            assert_eq!(summary.total_migrations, collected.total_migrations);
-        }
-    }
-
-    #[test]
     fn streaming_run_aborts_on_sink_failure() {
-        /// Accepts `limit` bytes, then reports a full disk forever.
-        struct FailingSink {
-            written: usize,
-            limit: usize,
-        }
-        impl io::Write for FailingSink {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if self.written + buf.len() > self.limit {
-                    return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
-                }
-                self.written += buf.len();
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let trace = quick_trace();
-        let config = quick_config(Strategy::Random, 4);
-        // Room for the header and roughly one row, then failure.
-        let mut sink = FailingSink {
-            written: 0,
-            limit: mosaic_metrics::report::EPOCH_CSV_HEADER.len() + 40,
-        };
-        let err = run_streaming(&config, &trace, &mut sink).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        // A sink with room for the header and roughly one row: the
+        // cell stops at the failing epoch with the sink's error.
+        let sim = crate::Simulation::from_scenario(crate::Scenario::full_protocol(&Scale::quick()));
+        let sim = sim.unwrap();
+        let mut room = [0u8; mosaic_metrics::report::EPOCH_CSV_HEADER.len() + 40];
+        let mut sink = &mut room[..];
+        let err = sim.stream_cell(&sim.cells()[0], &mut sink).unwrap_err();
+        assert!(
+            matches!(&err, mosaic_types::Error::Io { path, .. } if path == "<stream sink>"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -446,16 +323,5 @@ mod tests {
             );
             assert_eq!(sequential.total_migrations, parallel.total_migrations);
         }
-    }
-
-    #[test]
-    fn run_custom_matches_registry_run() {
-        let trace = quick_trace();
-        let config = quick_config(Strategy::ATxAllo, 4);
-        let registry = run(&config, &trace);
-        let mut strategy = config.strategy.build(config.params);
-        let custom = run_custom(&config, &trace, strategy.as_mut());
-        assert_eq!(registry.per_epoch, custom.per_epoch);
-        assert_eq!(registry.total_migrations, custom.total_migrations);
     }
 }

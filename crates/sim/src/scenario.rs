@@ -37,10 +37,10 @@ use std::path::{Path, PathBuf};
 use mosaic_types::{Error, LambdaPolicy, Result, SystemParams};
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
-use crate::parallel::Parallelism;
 use crate::runner::ExperimentConfig;
 use crate::scale::Scale;
 use crate::strategy::Strategy;
+use crate::Parallelism;
 
 /// The beacon-chain migration-commit bound of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +254,7 @@ pub enum ObserverSpec {
     Collect,
     /// Stream each cell's rows to `<dir>/<cell>.csv` the moment they are
     /// computed (bounded memory — byte-identical to
-    /// [`crate::runner::run_streaming`]).
+    /// [`crate::Simulation::stream_cell`]).
     StreamCsv(PathBuf),
     /// Install a process-wide telemetry recorder whose JSONL event
     /// stream (phase spans, per-epoch events, the final metric

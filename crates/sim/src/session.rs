@@ -1,43 +1,33 @@
-//! Simulation sessions: one trace, many experiment cells.
+//! Simulation sessions: one scenario, many experiment cells.
 //!
 //! A [`Simulation`] is the runnable form of a [`Scenario`]:
-//! [`Simulation::from_scenario`] validates the spec and — for resident
-//! sources — materialises its trace **once** (generation or CSV load),
-//! holds it behind an [`Arc`], and [`Simulation::run`] drives every
-//! cell of the expanded grid over the order-stable worker pool — the
-//! single entry point that subsumes the historical `runner::run` /
-//! `run_custom` / `run_streaming` / `effectiveness_grid*` scatter.
+//! [`Simulation::from_scenario`] validates the spec and expands its
+//! grid into cells; [`Simulation::run`] drives them over the
+//! order-stable worker pool. Each cell opens an [`EpochWindowStream`]
+//! on the session's trace and runs through [`engine::run_cell`],
+//! fanning every epoch's metric row to the scenario's observer stack.
 //!
-//! Streamed sources (`TraceSource::Streamed*`) never materialise: each
-//! cell opens its own [`mosaic_workload::EpochWindowStream`] and the
-//! engine's streaming loop holds only the current and previous τ-block
-//! windows (plus the incremental history graph), so session memory is
-//! bounded by the window size, not the trace length. Output bytes are
-//! identical to the materialised path on the same source.
-//!
-//! Sessions share traces: [`Simulation::with_trace`] builds a second
-//! session over the *same* `Arc` (no regeneration, no copy), which is
-//! how ablation studies run several strategy variants against one
-//! workload, and the first step toward sharing incremental `History`
-//! state across cells that replay the same trace.
-//!
-//! Every cell runs through the engine's single epoch loop
-//! ([`crate::engine::run_with_observer`]), so a scenario run is
-//! byte-identical to the legacy entry points on the same seed —
-//! enforced by `tests/scenario_equivalence.rs` and the scenario CI job.
+//! Source kinds differ only in where the windows come from. A resident
+//! source (`generated`, `csv`) is materialised **once** and shared
+//! behind an [`Arc`] — [`Simulation::with_trace`] builds further
+//! sessions over the same `Arc`, which is how ablation studies run
+//! several strategy variants against one workload. A streamed source
+//! (`TraceSource::Streamed*`) is never materialised: each cell re-opens
+//! it, and session memory is bounded by the window size, not the trace
+//! length. The output bytes are the same either way.
 
 use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use mosaic_metrics::parallel::{ordered_map, thread_pool_reset};
 use mosaic_metrics::{EpochCsvWriter, EpochMetrics};
 use mosaic_telemetry::{json_f64, Recorder};
 use mosaic_types::{Error, Result};
-use mosaic_workload::TransactionTrace;
+use mosaic_workload::{EpochWindowStream, TransactionTrace};
 
 use crate::engine::{self, EpochStrategy, RunSummary};
-use crate::parallel::ordered_map;
 use crate::runner::ExperimentResult;
 use crate::scenario::{CellSpec, ObserverSpec, Scenario};
 use crate::strategy::Strategy;
@@ -93,8 +83,7 @@ impl SimulationReport {
 pub trait RunObserver: Sync {
     /// Called for each evaluation epoch of each cell the moment its
     /// metric row is computed. Returning `false` aborts that cell after
-    /// the current epoch (mirroring
-    /// [`crate::engine::run_with_observer`]).
+    /// the current epoch (see [`engine::run_cell`]).
     fn on_epoch(&self, cell: &CellSpec, epoch: usize, metrics: &EpochMetrics) -> bool {
         let _ = (cell, epoch, metrics);
         true
@@ -115,21 +104,12 @@ impl<T: RunObserver + ?Sized> RunObserver for &T {
     }
 }
 
-/// How a session accesses its transactions: a shared resident trace,
-/// or a streamed source each cell re-opens as a bounded window stream.
-enum TraceHandle {
-    /// The whole trace lives in memory behind a shareable [`Arc`].
-    Materialized(Arc<TransactionTrace>),
-    /// The trace is consumed through
-    /// [`mosaic_workload::TraceSource::window_stream`]; the source
-    /// itself lives in `Simulation::scenario`.
-    Streamed,
-}
-
 /// A runnable experiment session built from a [`Scenario`].
 pub struct Simulation {
     scenario: Scenario,
-    trace: TraceHandle,
+    /// The shared resident trace; `None` for a streamed source, which
+    /// each cell re-opens from `scenario.trace`.
+    trace: Option<Arc<TransactionTrace>>,
     cells: Vec<CellSpec>,
     observers: Vec<Box<dyn RunObserver>>,
 }
@@ -139,8 +119,8 @@ impl std::fmt::Debug for Simulation {
         let mut s = f.debug_struct("Simulation");
         s.field("scenario", &self.scenario.name);
         match &self.trace {
-            TraceHandle::Materialized(trace) => s.field("trace_txs", &trace.len()),
-            TraceHandle::Streamed => s.field("trace", &"streamed"),
+            Some(trace) => s.field("trace_txs", &trace.len()),
+            None => s.field("trace", &"streamed"),
         };
         s.field("cells", &self.cells.len())
             .field("observers", &self.observers.len())
@@ -165,16 +145,20 @@ impl Simulation {
         // multi-minute trace generation first.
         scenario.validate()?;
         if scenario.trace.is_streamed() {
-            let cells = scenario.cells()?;
-            return Ok(Simulation {
-                scenario,
-                trace: TraceHandle::Streamed,
-                cells,
-                observers: Vec::new(),
-            });
+            return Simulation::new(scenario, None);
         }
         let trace = Arc::new(scenario.trace.materialize()?);
         Simulation::with_trace(scenario, trace)
+    }
+
+    fn new(scenario: Scenario, trace: Option<Arc<TransactionTrace>>) -> Result<Self> {
+        let cells = scenario.cells()?;
+        Ok(Simulation {
+            scenario,
+            trace,
+            cells,
+            observers: Vec::new(),
+        })
     }
 
     /// Builds a session over an already-materialised trace — the
@@ -206,13 +190,7 @@ impl Simulation {
         if trace.is_empty() {
             return Err(Error::EmptyTrace);
         }
-        let cells = scenario.cells()?;
-        Ok(Simulation {
-            scenario,
-            trace: TraceHandle::Materialized(trace),
-            cells,
-            observers: Vec::new(),
-        })
+        Simulation::new(scenario, Some(trace))
     }
 
     /// Attaches a custom observer (may be called multiple times; the
@@ -241,10 +219,7 @@ impl Simulation {
 
     /// The shared resident trace, or `None` for a streamed session.
     pub fn try_trace(&self) -> Option<Arc<TransactionTrace>> {
-        match &self.trace {
-            TraceHandle::Materialized(trace) => Some(Arc::clone(trace)),
-            TraceHandle::Streamed => None,
-        }
+        self.trace.clone()
     }
 
     /// The expanded cells this session will run, in report order.
@@ -263,8 +238,8 @@ impl Simulation {
         self.run_with_factory(|cell| cell.config.strategy.build(cell.config.params))
     }
 
-    /// [`Simulation::run`] with a caller-supplied strategy factory —
-    /// the session form of `run_custom`, for mechanisms outside the
+    /// [`Simulation::run`] with a caller-supplied strategy factory, for
+    /// mechanisms outside the
     /// [`Strategy`] registry (ablation policies, experimental
     /// allocators). The factory is called once per cell, possibly from
     /// several threads at once; `cell.config.strategy` still labels the
@@ -307,7 +282,7 @@ impl Simulation {
     /// `telemetry=jsonl:<path>` observer, if the scenario carries one.
     /// Worker pools capture the recorder when they spawn, so the
     /// calling thread's persistent pools are reset here; cores capture
-    /// it at construction inside the engine loops.
+    /// it at construction inside [`engine::run_cell`].
     fn install_telemetry(&self) -> Result<Option<Recorder>> {
         let Some(path) = self.scenario.observers.iter().find_map(|o| match o {
             ObserverSpec::Telemetry(path) => Some(path),
@@ -323,31 +298,48 @@ impl Simulation {
         let file = fs::File::create(path).map_err(|e| io_error(path.display(), &e))?;
         let recorder = Recorder::with_sink(Box::new(io::BufWriter::new(file)));
         mosaic_telemetry::install_global(recorder.clone());
-        crate::parallel::thread_pool_reset();
+        thread_pool_reset();
         Ok(Some(recorder))
     }
 
+    /// A fresh window stream over the session's trace.
+    fn open_stream(&self) -> Result<EpochWindowStream> {
+        match &self.trace {
+            Some(trace) => Ok(EpochWindowStream::resident(Arc::clone(trace))),
+            None => self.scenario.trace.window_stream(),
+        }
+    }
+
     /// Streams one cell's per-epoch CSV rows to `out`, byte-identical
-    /// to what the `stream-csv` observer writes for the same cell (and
-    /// to the legacy `runner::run_streaming`). The cell's
-    /// [`crate::runner::ExperimentConfig`] — including
+    /// to what the `stream-csv` observer writes for the same cell. The
+    /// cell's [`crate::runner::ExperimentConfig`] — including
     /// `cell_parallelism` overrides — is honoured as given, which is
     /// what the determinism gate uses to byte-compare worker counts.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on the sink's first failure, plus trace
-    /// open/parse errors for streamed sources.
+    /// Returns [`Error::Io`] on the sink's first failure (the cell
+    /// stops at the failing epoch), plus trace open/parse errors.
     pub fn stream_cell(&self, cell: &CellSpec, out: &mut dyn io::Write) -> Result<RunSummary> {
-        match &self.trace {
-            TraceHandle::Materialized(trace) => {
-                crate::runner::run_streaming(&cell.config, trace, out)
-                    .map_err(|e| io_error("<stream sink>", &e))
-            }
-            TraceHandle::Streamed => {
-                crate::runner::run_streamed(&cell.config, &self.scenario.trace, out)
-            }
+        const SINK: &str = "<stream sink>";
+        let mut stream = self.open_stream()?;
+        let mut strategy = cell.config.strategy.build(cell.config.params);
+        let mut writer = EpochCsvWriter::new(out).map_err(|e| io_error(SINK, &e))?;
+        let mut failure = None;
+        let summary = engine::run_cell(
+            &cell.config,
+            &mut stream,
+            strategy.as_mut(),
+            &mut |_, metrics| {
+                failure = writer.write_epoch(metrics).err();
+                failure.is_none()
+            },
+        )?;
+        match failure {
+            Some(e) => Err(e),
+            None => writer.finish().map(|_| summary),
         }
+        .map_err(|e| io_error(SINK, &e))
     }
 
     /// Runs one cell through the engine, fanning each metric row to the
@@ -396,22 +388,8 @@ impl Simulation {
                 .iter()
                 .all(|obs| obs.on_epoch(cell, epoch, metrics))
         };
-        let summary = match &self.trace {
-            TraceHandle::Materialized(trace) => {
-                engine::run_with_observer(&cell.config, trace, strategy, &mut on_epoch)
-            }
-            TraceHandle::Streamed => {
-                // Scenario validation already rejected streamed + collect,
-                // so `per_epoch` stays empty and memory stays bounded.
-                let mut stream = self.scenario.trace.window_stream()?;
-                engine::run_streamed_with_observer(
-                    &cell.config,
-                    &mut stream,
-                    strategy,
-                    &mut on_epoch,
-                )?
-            }
-        };
+        let mut stream = self.open_stream()?;
+        let summary = engine::run_cell(&cell.config, &mut stream, strategy, &mut on_epoch)?;
         if let Some(e) = io_failure {
             return Err(e);
         }
@@ -423,16 +401,7 @@ impl Simulation {
         }
         Ok(GridCell {
             param_label: cell.label.clone(),
-            result: ExperimentResult {
-                strategy: cell.config.strategy,
-                params: cell.config.params,
-                per_epoch,
-                aggregate: summary.aggregate,
-                init_seconds: summary.init_seconds,
-                mean_alloc_seconds: summary.mean_alloc_seconds,
-                mean_input_bytes: summary.mean_input_bytes,
-                total_migrations: summary.total_migrations,
-            },
+            result: ExperimentResult::new(&cell.config, per_epoch, &summary),
         })
     }
 }
@@ -447,9 +416,9 @@ fn io_error(path: impl std::fmt::Display, e: &dyn std::fmt::Display) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Parallelism;
     use crate::scale::Scale;
     use crate::scenario::GridAxis;
+    use crate::Parallelism;
     use mosaic_workload::TraceSource;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -62,7 +62,7 @@ impl Strategy {
     /// The registry: resolves this strategy to its [`EpochStrategy`]
     /// implementation for one experiment cell. This is the *only* place
     /// the five paper strategies are matched — the epoch protocol itself
-    /// ([`crate::engine::run_with`]) is strategy-agnostic, so adding a
+    /// ([`crate::AllocationCore`]) is strategy-agnostic, so adding a
     /// sixth mechanism means implementing [`EpochStrategy`] and (if it
     /// should appear in the tables) adding one arm here.
     pub fn build(&self, params: SystemParams) -> Box<dyn EpochStrategy> {

@@ -1,14 +1,17 @@
-//! Bounded-memory epoch window streaming.
+//! Epoch window streaming: the one way a driver reads a trace.
 //!
-//! Every materialised experiment holds the whole [`TransactionTrace`]
-//! behind an `Arc`, which caps the workload axis by RAM. This module
-//! provides the streaming alternative: an [`EpochWindowStream`] is a
-//! forward-only cursor over a trace's block order that hands out
-//! *windows* (`[position, to)` block ranges) into a caller-owned buffer,
-//! so a session ever holds at most the current and recent window.
+//! An [`EpochWindowStream`] is a forward-only cursor over a trace's
+//! block order that hands out *windows* (`[position, to)` block ranges)
+//! into a caller-owned buffer. Holding the whole [`TransactionTrace`]
+//! behind an `Arc` caps the workload axis by RAM; reading it through a
+//! stream means a session only ever holds the window it is working on.
 //!
-//! Two backends exist, matching the two [`crate::TraceSource`] families:
+//! Three backends exist:
 //!
+//! * **Resident** — a window source over an already-materialised
+//!   [`TransactionTrace`] shared behind an `Arc` (sessions that reuse
+//!   one trace across many cells); `read_to` copies
+//!   [`TransactionTrace::block_range`].
 //! * **Generated** — the synthetic generator is a pure function of its
 //!   [`WorkloadConfig`] (seed included), so [`GeneratedStream`] replays
 //!   the exact materialised trace lazily; memory is O(accounts).
@@ -20,19 +23,19 @@
 //!   [`Error::ParseTrace`] with the offending line, where the
 //!   materialising reader would have silently sorted.
 //!
-//! Both backends produce transaction sequences byte-identical to their
-//! materialised counterparts, at any window or chunk size.
+//! Every backend produces the transaction sequence of the materialised
+//! trace, at any window or chunk size.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mosaic_types::{AccountId, BlockHeight, Error, Result, Transaction, TxId};
 
 use crate::config::WorkloadConfig;
 use crate::csv::parse_data_line;
 use crate::generator::GeneratedStream;
-#[cfg(doc)]
 use crate::trace::TransactionTrace;
 
 /// Default bounded-buffer size (transactions of lookahead) for the
@@ -68,11 +71,29 @@ pub struct EpochWindowStream {
 }
 
 enum Inner {
+    Resident {
+        trace: Arc<TransactionTrace>,
+        blocks: u64,
+        position: u64,
+    },
     Generated(GeneratedStream),
     Csv(CsvWindowStream),
 }
 
 impl EpochWindowStream {
+    /// Streams an already-materialised trace. Its block span is
+    /// `max_block + 1` (0 for an empty trace).
+    pub fn resident(trace: Arc<TransactionTrace>) -> Self {
+        let blocks = trace.max_block().map_or(0, |b| b.as_u64() + 1);
+        EpochWindowStream {
+            inner: Inner::Resident {
+                trace,
+                blocks,
+                position: 0,
+            },
+        }
+    }
+
     /// Streams the synthetic trace of `cfg` without materialising it.
     ///
     /// # Panics
@@ -109,10 +130,12 @@ impl EpochWindowStream {
     }
 
     /// Total block span of the trace: every transaction lives in
-    /// `[0, blocks)`. For generated sources this is `cfg.blocks`; for CSV
-    /// sources it is `max_block + 1` (0 for a file with no data rows).
+    /// `[0, blocks)`. For generated sources this is `cfg.blocks`; for
+    /// resident and CSV sources it is `max_block + 1` (0 with no
+    /// transactions).
     pub fn blocks(&self) -> u64 {
         match &self.inner {
+            Inner::Resident { blocks, .. } => *blocks,
             Inner::Generated(g) => g.blocks(),
             Inner::Csv(c) => c.blocks,
         }
@@ -122,6 +145,7 @@ impl EpochWindowStream {
     /// emitted).
     pub fn position(&self) -> u64 {
         match &self.inner {
+            Inner::Resident { position, .. } => *position,
             Inner::Generated(g) => g.position(),
             Inner::Csv(c) => c.position,
         }
@@ -135,9 +159,23 @@ impl EpochWindowStream {
     ///
     /// CSV backends surface [`Error::ParseTrace`] on malformed rows and
     /// [`Error::ParseTrace`]-wrapped I/O failures mid-file; generated
-    /// backends are infallible.
+    /// and resident backends are infallible.
     pub fn read_to(&mut self, to: u64, buf: &mut Vec<Transaction>) -> Result<()> {
         match &mut self.inner {
+            Inner::Resident {
+                trace,
+                blocks,
+                position,
+            } => {
+                let to = to.min(*blocks);
+                if to > *position {
+                    buf.extend_from_slice(
+                        trace.block_range(BlockHeight::new(*position), BlockHeight::new(to)),
+                    );
+                    *position = to;
+                }
+                Ok(())
+            }
             Inner::Generated(g) => {
                 g.emit_through(to, buf);
                 Ok(())
@@ -150,6 +188,7 @@ impl EpochWindowStream {
 impl std::fmt::Debug for EpochWindowStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let backend = match &self.inner {
+            Inner::Resident { .. } => "resident",
             Inner::Generated(_) => "generated",
             Inner::Csv(_) => "csv",
         };
@@ -441,12 +480,9 @@ mod tests {
         assert!(matches!(err, Error::Io { .. }), "{err}");
     }
 
-    #[test]
-    fn generated_stream_matches_block_ranges() {
-        let cfg = WorkloadConfig::small_test(8);
-        let trace = generate(&cfg).into_trace();
-        let mut stream = EpochWindowStream::generated(&cfg);
-        assert_eq!(stream.blocks(), cfg.blocks);
+    /// Reads `stream` in ragged 7-block windows and compares each
+    /// against the materialised slice.
+    fn assert_matches_block_ranges(mut stream: EpochWindowStream, trace: &TransactionTrace) {
         let mut start = 0u64;
         while start < stream.blocks() {
             let mut window = Vec::new();
@@ -457,5 +493,26 @@ mod tests {
             );
             start += 7;
         }
+        assert_eq!(stream.position(), stream.blocks());
+    }
+
+    #[test]
+    fn generated_stream_matches_block_ranges() {
+        let cfg = WorkloadConfig::small_test(8);
+        let trace = generate(&cfg).into_trace();
+        let stream = EpochWindowStream::generated(&cfg);
+        assert_eq!(stream.blocks(), cfg.blocks);
+        assert_matches_block_ranges(stream, &trace);
+    }
+
+    #[test]
+    fn resident_stream_matches_block_ranges() {
+        let cfg = WorkloadConfig::small_test(8);
+        let trace = Arc::new(generate(&cfg).into_trace());
+        let stream = EpochWindowStream::resident(Arc::clone(&trace));
+        assert_eq!(stream.blocks(), cfg.blocks);
+        assert_matches_block_ranges(stream, &trace);
+        let empty = EpochWindowStream::resident(Arc::new(TransactionTrace::new(Vec::new())));
+        assert_eq!(empty.blocks(), 0);
     }
 }

@@ -68,10 +68,13 @@
 //! serializable [`sim::Scenario`] specs (checked in as `.scenario`
 //! files under `scenarios/`): a scenario names the trace source, the
 //! parameter grid, the strategy set, both parallelism levels and the
-//! observer stack; the session materialises the trace **once**, shares
-//! it across every grid cell behind an `Arc`, and runs the independent
-//! cells on an order-stable worker pool ([`sim::parallel`]). Results
-//! are deterministic and identical at every parallelism level.
+//! observer stack; the session materialises a resident trace **once**,
+//! shares it across every grid cell behind an `Arc`, and runs the
+//! independent cells on an order-stable worker pool
+//! ([`metrics::parallel`]). Every cell goes through one epoch loop —
+//! [`sim::engine::run_cell`] feeding [`sim::AllocationCore`], the same
+//! core a [`node`] session feeds from a socket. Results are
+//! deterministic and identical at every parallelism level.
 //!
 //! ```
 //! use mosaic::prelude::*;

@@ -1,8 +1,29 @@
 //! Cross-crate integration tests: the full pipeline (workload → initial
 //! allocation → Mosaic epochs → metrics) with system-level invariants.
 
+use std::sync::Arc;
+
 use mosaic::prelude::*;
-use mosaic::sim::{runner, Scale};
+use mosaic::workload::TraceSource;
+
+/// One `strategy` cell at `k = 4` on the quick scale over `trace`, rows
+/// collected.
+fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) -> ExperimentResult {
+    let scale = Scale::quick();
+    let params = SystemParams::builder()
+        .shards(4)
+        .tau(scale.tau)
+        .build()
+        .unwrap();
+    let scenario = Scenario::new("end-to-end", TraceSource::Generated(scale.workload), epochs)
+        .with_base(params)
+        .with_strategies([strategy]);
+    let report = Simulation::with_trace(scenario, Arc::new(trace))
+        .unwrap()
+        .run()
+        .unwrap();
+    report.cells.into_iter().next().unwrap().result
+}
 
 /// Runs the Mosaic strategy on the quick scale and returns everything
 /// needed for invariant checks.
@@ -63,13 +84,7 @@ fn chains_verify_after_full_run() {
 fn committed_migrations_never_exceed_lambda() {
     let scale = Scale::quick();
     let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(4)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
-    let config = runner::ExperimentConfig::new(params, Strategy::Mosaic, scale.eval_epochs);
-    let result = runner::run(&config, &trace);
+    let result = run_quick_cell(Strategy::Mosaic, scale.eval_epochs, trace);
     for epoch in &result.per_epoch {
         let lambda = epoch.total_txs as f64 / 4.0;
         assert!(
@@ -110,13 +125,7 @@ fn mosaic_converges_not_thrashes() {
     // systemic thrash.
     let scale = Scale::quick();
     let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(4)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
-    let config = runner::ExperimentConfig::new(params, Strategy::Mosaic, scale.eval_epochs);
-    let result = runner::run(&config, &trace);
+    let result = run_quick_cell(Strategy::Mosaic, scale.eval_epochs, trace);
     let first = result.per_epoch.first().unwrap().cross_ratio;
     let last = result.per_epoch.last().unwrap().cross_ratio;
     assert!(
@@ -134,13 +143,7 @@ fn csv_roundtrip_preserves_experiment_results() {
     mosaic::workload::csv::write_trace(&trace, &mut buf).unwrap();
     let reloaded = mosaic::workload::csv::read_trace(buf.as_slice()).unwrap();
 
-    let params = SystemParams::builder()
-        .shards(4)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
-    let config = runner::ExperimentConfig::new(params, Strategy::Random, 3);
-    let a = runner::run(&config, &trace);
-    let b = runner::run(&config, &reloaded);
+    let a = run_quick_cell(Strategy::Random, 3, trace);
+    let b = run_quick_cell(Strategy::Random, 3, reloaded);
     assert_eq!(a.per_epoch, b.per_epoch);
 }

@@ -1,11 +1,49 @@
-//! Registry-level tests of the unified epoch engine: every strategy the
+//! Registry-level tests of the epoch engine: every strategy the
 //! registry can build must produce a valid total allocation, and the
 //! parallel experiment grid must be indistinguishable from a sequential
 //! run of the same seed.
 
+use std::sync::Arc;
+
 use mosaic::prelude::*;
-use mosaic::sim::engine::History;
-use mosaic::sim::{experiments, Parallelism, Scale};
+use mosaic::sim::engine::{self, History};
+use mosaic::sim::experiments;
+use mosaic::types::Error;
+use mosaic::workload::{EpochWindowStream, TraceSource};
+
+/// A one-cell session: `strategy` at `k = 4` on the quick scale, rows
+/// collected, over the shared `trace`.
+fn quick_cell(
+    strategy: Strategy,
+    trace: &Arc<TransactionTrace>,
+    cell_parallelism: Parallelism,
+) -> Simulation {
+    let scale = Scale::quick();
+    let params = SystemParams::builder()
+        .shards(4)
+        .eta(2.0)
+        .tau(scale.tau)
+        .build()
+        .unwrap();
+    let scenario = Scenario::new(
+        "engine-registry",
+        TraceSource::Generated(scale.workload),
+        scale.eval_epochs,
+    )
+    .with_base(params)
+    .with_strategies([strategy])
+    .with_cell_parallelism(cell_parallelism);
+    Simulation::with_trace(scenario, Arc::clone(trace)).unwrap()
+}
+
+fn run_quick_cell(
+    strategy: Strategy,
+    trace: &Arc<TransactionTrace>,
+    cell_parallelism: Parallelism,
+) -> ExperimentResult {
+    let report = quick_cell(strategy, trace, cell_parallelism).run().unwrap();
+    report.cells.into_iter().next().unwrap().result
+}
 
 #[test]
 fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
@@ -24,7 +62,7 @@ fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
         let mut built = strategy.build(params);
         assert_eq!(built.name(), strategy.name());
         let mut history = History::new();
-        history.extend(train);
+        history.absorb(train);
         built.observe_training(train);
         let (phi, _elapsed) = built.initial_allocation(&mut history, k);
         assert_eq!(phi.shards(), k, "{strategy}: wrong shard count");
@@ -44,16 +82,9 @@ fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
 #[test]
 fn full_runs_stay_within_shard_bounds_for_every_strategy() {
     let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(4)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    let trace = Arc::new(generate(&scale.workload).into_trace());
     for strategy in Strategy::ALL {
-        let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let result = mosaic::sim::runner::run(&config, &trace);
+        let result = run_quick_cell(strategy, &trace, Parallelism::Sequential);
         assert_eq!(result.strategy, strategy);
         assert_eq!(result.per_epoch.len(), scale.eval_epochs);
         for epoch in &result.per_epoch {
@@ -69,20 +100,11 @@ fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
     // invisible in the output: for every registry strategy the CSV
     // series, aggregates and migration totals are byte-identical to a
     // sequential run of the same cell.
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(4)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    let trace = Arc::new(generate(&Scale::quick().workload).into_trace());
     for strategy in Strategy::ALL {
-        let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let sequential = mosaic::sim::runner::run(&config, &trace);
+        let sequential = run_quick_cell(strategy, &trace, Parallelism::Sequential);
         for parallelism in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let parallel =
-                mosaic::sim::runner::run(&config.with_cell_parallelism(parallelism), &trace);
+            let parallel = run_quick_cell(strategy, &trace, parallelism);
             assert_eq!(
                 sequential.to_csv(),
                 parallel.to_csv(),
@@ -99,22 +121,15 @@ fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
 
 #[test]
 fn streamed_cell_matches_collected_cell() {
-    // The streaming runner (bounded-memory path for the full protocol)
-    // must write exactly the bytes `ExperimentResult::to_csv` produces
-    // and report a bit-identical aggregate.
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(4)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    // `Simulation::stream_cell` (rows straight to a sink) must write
+    // exactly the bytes `ExperimentResult::to_csv` renders from the
+    // collected rows, and report a bit-identical aggregate.
+    let trace = Arc::new(generate(&Scale::quick().workload).into_trace());
     for strategy in Strategy::ALL {
-        let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let collected = mosaic::sim::runner::run(&config, &trace);
+        let sim = quick_cell(strategy, &trace, Parallelism::Sequential);
+        let collected = sim.run().unwrap().cells.remove(0).result;
         let mut bytes: Vec<u8> = Vec::new();
-        let summary = mosaic::sim::runner::run_streaming(&config, &trace, &mut bytes).unwrap();
+        let summary = sim.stream_cell(&sim.cells()[0], &mut bytes).unwrap();
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
             collected.to_csv(),
@@ -125,10 +140,23 @@ fn streamed_cell_matches_collected_cell() {
 }
 
 #[test]
+fn empty_resident_trace_is_an_error_not_a_panic() {
+    let config = ExperimentConfig::new(SystemParams::default(), Strategy::Random, 4);
+    let mut stream = EpochWindowStream::resident(Arc::new(TransactionTrace::new(Vec::new())));
+    let mut strategy = config.strategy.build(config.params);
+    let result = engine::run_cell(&config, &mut stream, strategy.as_mut(), &mut |_, _| true);
+    assert_eq!(result.unwrap_err(), Error::EmptyTrace);
+}
+
+#[test]
 fn parallel_grid_output_is_byte_identical_to_sequential() {
-    let scale = Scale::quick();
-    let sequential = experiments::effectiveness_grid_with(&scale, Parallelism::Sequential);
-    let parallel = experiments::effectiveness_grid_with(&scale, Parallelism::Auto);
+    let grid = |parallelism| {
+        experiments::run_scenario(
+            &Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism),
+        )
+    };
+    let sequential = grid(Parallelism::Sequential);
+    let parallel = grid(Parallelism::Auto);
 
     let csv = |cells: &[experiments::GridCell]| -> String {
         cells

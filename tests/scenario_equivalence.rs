@@ -1,104 +1,103 @@
-//! Golden equivalence: `Simulation::from_scenario` reproduces the
-//! legacy entry points — `runner::run`, `runner::run_streaming`, and the
-//! hand-wired effectiveness grid — byte-for-byte on the same seed; the
-//! streamed window pipeline reproduces the materialised engine
-//! byte-for-byte on arbitrary workloads; and the checked-in
-//! `scenarios/` files are exactly their presets.
+//! Fixed points of the one epoch loop: the checked-in `quick` scenario
+//! reproduces its golden CSVs from a resident and from a streamed
+//! source; every window source (resident, generated, CSV file) drives
+//! the same bytes out of `engine::run_cell` on arbitrary workloads; and
+//! the checked-in `scenarios/` files are exactly their presets.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use mosaic::metrics::EpochCsvWriter;
 use mosaic::prelude::*;
-use mosaic::sim::runner;
+use mosaic::sim::engine::{self, RunSummary};
 use mosaic::sim::{experiments, ObserverSpec, Parallelism, Scenario, Simulation};
-use mosaic::workload::{TraceSource, WorkloadConfig};
+use mosaic::workload::{EpochWindowStream, TraceSource, WorkloadConfig};
 use proptest::prelude::*;
 
 // Both glob imports export a `Strategy` (the registry enum and
 // proptest's generation trait); the experiments below mean the enum.
 use mosaic::sim::Strategy;
 
-fn legacy_grid(scale: &Scale, trace: &TransactionTrace) -> Vec<experiments::GridCell> {
-    // The pre-scenario oracle: the hand-wired parameter grid driven cell
-    // by cell through `runner::run`, exactly as `effectiveness_grid`
-    // used to do.
+/// One registry cell over `stream`: its CSV bytes and summary.
+fn csv_of(config: &ExperimentConfig, mut stream: EpochWindowStream) -> (Vec<u8>, RunSummary) {
+    let mut strategy = config.strategy.build(config.params);
+    let mut writer = EpochCsvWriter::new(Vec::new()).unwrap();
+    let summary = engine::run_cell(config, &mut stream, strategy.as_mut(), &mut |_, row| {
+        writer.write_epoch(row).is_ok()
+    })
+    .unwrap();
+    (writer.finish().unwrap(), summary)
+}
+
+/// The hand-wired oracle for the effectiveness grid: the paper's
+/// parameter sets × every strategy, each cell straight through
+/// `engine::run_cell` with no scenario expansion in between.
+fn manual_grid(scale: &Scale, trace: &Arc<TransactionTrace>) -> Vec<experiments::GridCell> {
     let mut cells = Vec::new();
     for (label, params) in experiments::parameter_sets(scale.tau) {
         for strategy in Strategy::ALL {
+            let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
+            let mut built = strategy.build(params);
+            let mut per_epoch = Vec::new();
+            let summary = engine::run_cell(
+                &config,
+                &mut EpochWindowStream::resident(Arc::clone(trace)),
+                built.as_mut(),
+                &mut |_, row| {
+                    per_epoch.push(*row);
+                    true
+                },
+            )
+            .unwrap();
             cells.push(experiments::GridCell {
                 param_label: label.clone(),
-                result: runner::run(
-                    &ExperimentConfig::new(params, strategy, scale.eval_epochs),
-                    trace,
-                ),
+                result: ExperimentResult::new(&config, per_epoch, &summary),
             });
         }
     }
     cells
 }
 
+/// The fixed point: `tests/golden/quick/` holds the five CSVs
+/// `full_run --scenario scenarios/quick.scenario` wrote before the
+/// driver stack collapsed onto `AllocationCore`'s event API. The same
+/// spec must reproduce them byte-for-byte whether its trace is resident
+/// or streamed.
 #[test]
-fn scenario_grid_reproduces_legacy_manual_loop() {
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let report = Simulation::from_scenario(Scenario::effectiveness(&scale))
-        .unwrap()
-        .run()
-        .unwrap();
-    let legacy = legacy_grid(&scale, &trace);
-    assert_eq!(report.cells.len(), legacy.len());
-    for (cell, oracle) in report.cells.iter().zip(&legacy) {
-        assert_eq!(cell.param_label, oracle.param_label);
-        assert_eq!(cell.result.strategy, oracle.result.strategy);
-        assert_eq!(
-            cell.result.to_csv(),
-            oracle.result.to_csv(),
-            "{} / {}: scenario CSV diverged from legacy runner::run",
-            cell.param_label,
-            cell.result.strategy
-        );
-        assert_eq!(cell.result.aggregate, oracle.result.aggregate);
-        assert_eq!(cell.result.total_migrations, oracle.result.total_migrations);
-    }
-}
-
-#[test]
-fn scenario_stream_csv_matches_legacy_run_streaming() {
-    let scale = Scale::quick();
-    let trace = Arc::new(generate(&scale.workload).into_trace());
-    let dir = std::env::temp_dir().join("mosaic-scenario-equivalence");
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // full_protocol preset = the old full_run loop: base point, every
-    // strategy, one streamed CSV per strategy.
-    let scenario =
-        Scenario::full_protocol(&scale).with_observers([ObserverSpec::StreamCsv(dir.clone())]);
-    let params = scenario.base;
-    Simulation::with_trace(scenario, Arc::clone(&trace))
-        .unwrap()
-        .run()
-        .unwrap();
-
-    for strategy in Strategy::ALL {
-        let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let mut legacy: Vec<u8> = Vec::new();
-        runner::run_streaming(&config, &trace, &mut legacy).unwrap();
-        let path = dir.join(format!("{}.csv", strategy.name().to_lowercase()));
-        let streamed = std::fs::read(&path).unwrap();
-        assert_eq!(
-            streamed, legacy,
-            "{strategy}: scenario stream-csv file diverged from legacy run_streaming"
-        );
-        std::fs::remove_file(&path).ok();
+fn quick_scenario_reproduces_the_golden_csvs() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick");
+    let resident = Scenario::load(scenarios_dir().join("quick.scenario")).unwrap();
+    let TraceSource::Generated(workload) = resident.trace.clone() else {
+        panic!("quick.scenario declares trace = generated");
+    };
+    let streamed = Scenario {
+        trace: TraceSource::StreamedGenerated(workload),
+        ..resident.clone()
+    };
+    for scenario in [resident, streamed] {
+        let single_point = scenario.is_single_point();
+        let sim = Simulation::from_scenario(scenario).unwrap();
+        assert_eq!(sim.cells().len(), 5);
+        for cell in sim.cells() {
+            let stem = cell.file_stem(single_point);
+            let mut bytes = Vec::new();
+            sim.stream_cell(cell, &mut bytes).unwrap();
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                std::fs::read_to_string(golden.join(format!("{stem}.csv"))).unwrap(),
+                "{stem} diverged from its golden CSV (streamed source: {})",
+                sim.scenario().trace.is_streamed()
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// The streaming tentpole's contract: for *any* workload shape,
-    /// epoch length, worker count and strategy, driving the engine from
-    /// an `EpochWindowStream` writes exactly the bytes the materialised
-    /// trace produces, with a bit-identical aggregate.
+    /// For *any* workload shape, epoch length, worker count and
+    /// strategy, a generator stream and the resident trace it would
+    /// materialise to drive exactly the same bytes out of the engine,
+    /// with a bit-identical aggregate.
     #[test]
     fn streamed_pipeline_is_byte_identical_to_materialised(
         seed in 0u64..100_000,
@@ -125,13 +124,9 @@ proptest! {
         let config = ExperimentConfig::new(params, strategy, 200)
             .with_cell_parallelism(Parallelism::Threads(workers));
 
-        let trace = generate(&workload).into_trace();
-        let mut resident: Vec<u8> = Vec::new();
-        let collected = runner::run_streaming(&config, &trace, &mut resident).unwrap();
-
-        let source = TraceSource::StreamedGenerated(workload);
-        let mut streamed: Vec<u8> = Vec::new();
-        let summary = runner::run_streamed(&config, &source, &mut streamed).unwrap();
+        let trace = Arc::new(generate(&workload).into_trace());
+        let (resident, collected) = csv_of(&config, EpochWindowStream::resident(trace));
+        let (streamed, summary) = csv_of(&config, EpochWindowStream::generated(&workload));
 
         prop_assert_eq!(
             String::from_utf8(streamed).unwrap(),
@@ -151,7 +146,7 @@ fn streamed_csv_source_matches_materialised_run() {
     // generated trace to disk, then drive the experiment from a
     // `streamed-csv` source and byte-compare against the resident run.
     let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let trace = Arc::new(generate(&scale.workload).into_trace());
     let dir = std::env::temp_dir().join("mosaic-streamed-csv-equivalence");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.csv");
@@ -167,10 +162,9 @@ fn streamed_csv_source_matches_materialised_run() {
         .unwrap();
     for strategy in Strategy::ALL {
         let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
-        let mut resident: Vec<u8> = Vec::new();
-        runner::run_streaming(&config, &trace, &mut resident).unwrap();
-        let mut streamed: Vec<u8> = Vec::new();
-        runner::run_streamed(&config, &TraceSource::streamed_csv(&path), &mut streamed).unwrap();
+        let (resident, _) = csv_of(&config, EpochWindowStream::resident(Arc::clone(&trace)));
+        let stream = TraceSource::streamed_csv(&path).window_stream().unwrap();
+        let (streamed, _) = csv_of(&config, stream);
         assert_eq!(streamed, resident, "{strategy}: streamed-csv run diverged");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -180,10 +174,10 @@ fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios")
 }
 
-/// The acceptance gate of the scenario redesign: a checked-in
-/// `.scenario` file, loaded and run via `Simulation::from_scenario`
-/// only, reproduces the Table I effectiveness grid byte-identically to
-/// the pre-scenario pipeline on the same seed.
+/// A checked-in `.scenario` file, loaded and run via
+/// `Simulation::from_scenario` only, reproduces the Table I
+/// effectiveness grid byte-identically to the hand-wired grid on the
+/// same seed.
 #[test]
 fn checked_in_effectiveness_scenario_reproduces_the_table1_grid() {
     let scale = Scale::quick();
@@ -191,16 +185,21 @@ fn checked_in_effectiveness_scenario_reproduces_the_table1_grid() {
     assert_eq!(scenario, Scenario::effectiveness(&scale));
 
     let report = Simulation::from_scenario(scenario).unwrap().run().unwrap();
-    let trace = generate(&scale.workload).into_trace();
-    let legacy = legacy_grid(&scale, &trace);
+    let trace = Arc::new(generate(&scale.workload).into_trace());
+    let manual = manual_grid(&scale, &trace);
 
-    for (cell, oracle) in report.cells.iter().zip(&legacy) {
+    assert_eq!(report.cells.len(), manual.len());
+    for (cell, oracle) in report.cells.iter().zip(&manual) {
+        assert_eq!(cell.param_label, oracle.param_label);
+        assert_eq!(cell.result.strategy, oracle.result.strategy);
         assert_eq!(cell.result.to_csv(), oracle.result.to_csv());
+        assert_eq!(cell.result.aggregate, oracle.result.aggregate);
+        assert_eq!(cell.result.total_migrations, oracle.result.total_migrations);
     }
     assert_eq!(
         experiments::table1(&report.cells).to_string(),
-        experiments::table1(&legacy).to_string(),
-        "Table I rendered from the scenario file diverged from the legacy grid"
+        experiments::table1(&manual).to_string(),
+        "Table I rendered from the scenario file diverged from the hand-wired grid"
     );
 }
 
