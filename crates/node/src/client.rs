@@ -44,6 +44,10 @@ impl MosaicClient {
     /// mismatched binary hello.
     pub fn connect(addr: &str, wire: Wire) -> Result<Self> {
         let stream = TcpStream::connect(addr).map_err(|e| io_error(addr, &e))?;
+        // The writer flushes exactly where a reply is awaited; a frame
+        // larger than its buffer followed by a query leaves as several
+        // writes, and Nagle would hold the last one for a delayed ACK.
+        stream.set_nodelay(true).map_err(|e| io_error(addr, &e))?;
         let mut reader = BufReader::new(stream.try_clone().map_err(|e| io_error(addr, &e))?);
         let mut writer = BufWriter::new(stream);
         if wire == Wire::Binary {

@@ -15,8 +15,8 @@
 //! length-prefixed binary frames with batched `TX` blocks and a
 //! version-negotiating hello. The server is multi-session: every
 //! connection negotiates its codec from its first bytes and gets a
-//! private session on a dedicated core thread, so N clients replay N
-//! scenarios concurrently in full isolation.
+//! private session, run on the connection's own handler thread, so N
+//! clients replay N scenarios concurrently in full isolation.
 //!
 //! * [`proto`] — the typed protocol core and its line rendering:
 //!   `BEGIN`/`TX`/`END` streaming, `LOOKUP` (shard-of-account), `LOAD`
@@ -28,9 +28,9 @@
 //!   over one core;
 //! * [`stats`] — [`ServerStats`], the per-session telemetry recorders
 //!   and the server-wide aggregate behind `STATS`;
-//! * [`server`] — [`serve`]: thread-per-connection front end, one
-//!   session core thread per connection behind a bounded queue
-//!   (per-shard work parallelises inside the ledger's worker pool);
+//! * [`server`] — [`serve`]: one thread per connection, which decodes,
+//!   applies to its own session and replies (per-shard work
+//!   parallelises inside the ledger's worker pool);
 //! * [`client`] — [`MosaicClient`], the typed, codec-generic client
 //!   library;
 //! * [`replay`] — the replay driver ([`replay()`](replay::replay) /

@@ -1,36 +1,41 @@
-//! The TCP service: thread-per-connection front end, one session core
-//! thread *per connection*.
+//! The TCP service: one thread per connection, and that thread *is*
+//! the connection's session.
 //!
 //! Each accepted connection negotiates its codec ([`crate::wire`]) from
 //! the first bytes — a `MOSB` hello selects the binary frame protocol,
 //! anything else is a line-mode session — and then owns a private
-//! [`NodeSession`](crate::session::NodeSession): the
-//! [`SessionRegistry`] spins up a dedicated core thread the moment the
-//! connection's first request arrives (for a replay client, its
-//! `BEGIN`), and the handler forwards decoded requests to it over a
-//! **bounded** mpsc queue. N clients therefore replay N scenarios
-//! concurrently with full per-session isolation — one session's run,
-//! deferred errors, or even a panicking strategy never touch another —
-//! while the bounded queue pushes back on a sender that outruns epoch
-//! processing (the handler blocks, the socket's receive window fills,
-//! the client stalls: end-to-end backpressure with no unbounded
-//! buffering). Transaction traffic travels without a reply channel, so
-//! a replay stream is never round-trip-bound.
+//! [`NodeSession`], built on the handler thread when the connection's
+//! first request arrives (for a replay client, its `BEGIN`; a probe
+//! that connects and closes builds none). The handler decodes a
+//! request, applies it, writes the reply if one is owed, and only then
+//! decodes the next. N clients therefore replay N scenarios
+//! concurrently with full per-session isolation: the only state two
+//! handlers share is the read-only scenario and the [`ServerStats`]
+//! registry.
 //!
-//! Building the session *on* its core thread keeps `Box<dyn
-//! EpochStrategy>` from ever crossing threads, so no `Send` bound is
-//! imposed on strategy implementations.
+//! Backpressure is the socket's: a handler busy applying an epoch is
+//! not reading, so the connection's receive window fills and the
+//! client's writes block — nothing is buffered between decode and
+//! apply. Transaction traffic gets no reply, so a replay stream is
+//! never round-trip-bound. The session is built and dropped on the one
+//! thread that uses it, so `Box<dyn EpochStrategy>` never crosses
+//! threads and strategy implementations need no `Send` bound.
+//!
+//! A panic inside [`NodeSession::apply`] (a strategy blowing up
+//! mid-epoch) is caught on the handler: it is logged, the client is
+//! told `ERR session failed; see node log`, and that connection
+//! closes. No other session shares state with it.
 //!
 //! Shutdown: a `SHUTDOWN` request flips a shared flag and pokes the
 //! listener with a loopback connection so the accept loop observes the
-//! flag; [`serve`] then joins its handler threads (each of which joins
-//! its own session thread) before returning.
+//! flag; [`serve`] then joins every handler thread — each returns when
+//! its client closes the connection — before returning.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Cursor, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 
 use mosaic_sim::{RunTarget, Scenario};
@@ -41,102 +46,14 @@ use crate::session::NodeSession;
 use crate::stats::ServerStats;
 use crate::wire::{self, Incoming, Negotiated, Wire};
 
-/// How many decoded requests may sit between a connection handler and
-/// its session core thread before the handler blocks — the backpressure
-/// bound. Batched `TX` frames count as one message, so the worst-case
-/// buffered transaction count is this times the batch size.
-const SESSION_QUEUE: usize = 256;
-
-/// One decoded unit in flight from a connection handler to its session
-/// core thread.
-enum SessionMsg {
-    /// Apply a request; `reply` is `None` for fire-and-forget traffic.
-    Apply(Request, Option<mpsc::Sender<Response>>),
-    /// Record a malformed fire-and-forget input for the `END` reply.
-    Defer(String),
-}
-
-/// A running session core thread, as its owning handler sees it.
-struct SessionHandle {
-    id: u64,
-    queue: mpsc::SyncSender<SessionMsg>,
-    thread: thread::JoinHandle<()>,
-}
-
-/// The per-connection session table: hands out session ids, spawns one
-/// [`NodeSession`] core thread per connection on demand, and tracks the
-/// live queues (the registry is what makes the server multi-session —
-/// PR 8 had a single global core thread here).
-struct SessionRegistry {
+/// What every connection handler shares with the accept loop.
+struct Server {
     scenario: Scenario,
-    next_id: AtomicU64,
-    active: Mutex<HashMap<u64, mpsc::SyncSender<SessionMsg>>>,
-    /// The telemetry root shared by every session — per-session
-    /// recorders plus the server-wide aggregate behind `STATS`.
+    /// The telemetry root: per-session recorders plus the server-wide
+    /// aggregate behind `STATS`. Also hands out session ids.
     stats: Arc<ServerStats>,
-}
-
-impl SessionRegistry {
-    fn new(scenario: Scenario, stats: Arc<ServerStats>) -> Self {
-        SessionRegistry {
-            scenario,
-            next_id: AtomicU64::new(0),
-            active: Mutex::new(HashMap::new()),
-            stats,
-        }
-    }
-
-    /// Spawns a session core thread for one connection and registers
-    /// its queue. The session is built on the new thread (see module
-    /// docs); the scenario was pre-validated by [`serve`].
-    fn spawn(&self) -> std::io::Result<SessionHandle> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (queue, inbox) = mpsc::sync_channel::<SessionMsg>(SESSION_QUEUE);
-        let scenario = self.scenario.clone();
-        let stats = Arc::clone(&self.stats);
-        let thread = thread::Builder::new()
-            .name(format!("mosaic-session-{id}"))
-            .spawn(move || {
-                let mut session = NodeSession::with_stats(scenario, id, &stats)
-                    .expect("scenario pre-validated by serve");
-                while let Ok(msg) = inbox.recv() {
-                    match msg {
-                        SessionMsg::Apply(request, reply) => {
-                            let response = session.apply(request);
-                            if let (Some(reply), Some(response)) = (reply, response) {
-                                let _ = reply.send(response);
-                            }
-                        }
-                        SessionMsg::Defer(message) => session.defer(message),
-                    }
-                }
-            })?;
-        self.active
-            .lock()
-            .expect("registry lock")
-            .insert(id, queue.clone());
-        Ok(SessionHandle { id, queue, thread })
-    }
-
-    /// Deregisters and joins one session: drops every sender so the
-    /// core thread's receive loop ends, then waits for it. A panicked
-    /// session (a strategy blowing up mid-epoch) is contained here —
-    /// the connection is already gone and no other session shares
-    /// state with it.
-    fn finish(&self, handle: SessionHandle) {
-        let SessionHandle { id, queue, thread } = handle;
-        self.active.lock().expect("registry lock").remove(&id);
-        drop(queue);
-        if thread.join().is_err() {
-            eprintln!("mosaic-node: session {id} panicked; its connection is closed");
-        }
-    }
-
-    /// Live session count (registered queues).
-    #[cfg(test)]
-    fn active_sessions(&self) -> usize {
-        self.active.lock().expect("registry lock").len()
-    }
+    stop: AtomicBool,
+    addr: SocketAddr,
 }
 
 /// Serves `scenario` on `listener` until a client sends `SHUTDOWN`,
@@ -165,34 +82,37 @@ pub fn serve_with_telemetry(
     telemetry: bool,
 ) -> Result<()> {
     // Fail fast on an invalid spec — NodeSession::with_stats
-    // re-validates, but only on a session thread, where the error could
+    // re-validates, but only on a handler thread, where the error could
     // no longer be returned to the caller.
     scenario.cells_for(RunTarget::Node)?;
     let addr = listener
         .local_addr()
         .map_err(|e| io_error("<listener>", &e))?;
-    let stop = Arc::new(AtomicBool::new(false));
     let stats = ServerStats::new(telemetry);
     if telemetry {
         mosaic_telemetry::install_global(stats.recorder().clone());
     }
-    let registry = Arc::new(SessionRegistry::new(scenario, stats));
+    let server = Arc::new(Server {
+        scenario,
+        stats,
+        stop: AtomicBool::new(false),
+        addr,
+    });
 
     let mut handlers = Vec::new();
     for incoming in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
+        if server.stop.load(Ordering::SeqCst) {
             break;
         }
         let stream = match incoming {
             Ok(stream) => stream,
             Err(e) => return Err(io_error(&addr.to_string(), &e)),
         };
-        let registry = Arc::clone(&registry);
-        let stop = Arc::clone(&stop);
+        let server = Arc::clone(&server);
         handlers.push(thread::spawn(move || {
             // A connection dying mid-request only ends that connection
             // (and its private session).
-            let _ = handle_connection(stream, &registry, &stop, addr);
+            let _ = handle_connection(stream, &server);
         }));
     }
 
@@ -202,18 +122,15 @@ pub fn serve_with_telemetry(
     Ok(())
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    registry: &SessionRegistry,
-    stop: &AtomicBool,
-    addr: SocketAddr,
-) -> std::io::Result<()> {
-    let mut raw_reader = BufReader::new(stream.try_clone()?);
+fn handle_connection(stream: TcpStream, server: &Server) -> io::Result<()> {
+    // A reply is one flush; never let Nagle hold it back for an ACK.
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let wire = match wire::accept_hello(&mut raw_reader)? {
+    let (wire, prefix) = match wire::accept_hello(&mut reader)? {
         Negotiated::Binary => {
             wire::write_server_hello(&mut writer, wire::VERSION)?;
-            Wire::Binary
+            (Wire::Binary, Vec::new())
         }
         Negotiated::Unsupported(version) => {
             // Answer with "accepted version 0" (= rejection) and close;
@@ -223,110 +140,76 @@ fn handle_connection(
                  (this build speaks {})",
                 wire::VERSION
             );
-            wire::write_server_hello(&mut writer, 0)?;
-            return Ok(());
+            return wire::write_server_hello(&mut writer, 0);
         }
-        Negotiated::Line(prefix) => {
-            // Replay the consumed sniff bytes ahead of the stream. The
-            // chain of two BufReads is itself BufRead, so the line
-            // reader sees one seamless stream.
-            return run_session(
-                Cursor::new(prefix).chain(raw_reader),
-                writer,
-                Wire::Line,
-                registry,
-                stop,
-                addr,
-            );
-        }
+        Negotiated::Line(prefix) => (Wire::Line, prefix),
     };
-    run_session(
-        Cursor::new(Vec::new()).chain(raw_reader),
-        writer,
-        wire,
-        registry,
-        stop,
-        addr,
-    )
+    // Replay the sniff bytes a line session consumed ahead of the
+    // stream. The chain of two BufReads is itself BufRead, so the
+    // codec sees one seamless stream.
+    run_session(Cursor::new(prefix).chain(reader), writer, wire, server)
 }
 
+/// One connection's read → apply → reply loop, on the caller's thread.
+/// Returns when the peer closes (`Ok`), after `SHUTDOWN`, after a
+/// contained session panic, or with the I/O error that broke the
+/// stream; the session, if one was built, is dropped (and so folded
+/// into the server aggregate) on every path.
 fn run_session(
     mut reader: impl BufRead,
     mut writer: impl Write,
     wire: Wire,
-    registry: &SessionRegistry,
-    stop: &AtomicBool,
-    addr: SocketAddr,
-) -> std::io::Result<()> {
-    // Spun up lazily at the first request so probe connections (port
-    // checks, monitoring dials) never cost a session thread.
-    let mut session: Option<SessionHandle> = None;
-    let outcome = (|| -> std::io::Result<()> {
-        loop {
-            let incoming = match wire.read_request(&mut reader)? {
-                Some(incoming) => incoming,
-                None => return Ok(()),
-            };
-            if session.is_none() {
-                session = Some(registry.spawn()?);
-            }
-            let queue = &session.as_ref().expect("just spawned").queue;
-            match incoming {
-                Incoming::Request(request) => {
-                    let is_shutdown = matches!(request, Request::Shutdown);
-                    if request.expects_reply() {
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        if queue
-                            .send(SessionMsg::Apply(request, Some(reply_tx)))
-                            .is_err()
-                        {
-                            return Ok(());
-                        }
-                        let Ok(response) = reply_rx.recv() else {
-                            // The session thread died (strategy panic);
-                            // tell this client before closing.
-                            let _ = wire.write_response(
-                                &mut writer,
-                                &Response::Error("session failed; see node log".to_string()),
-                            );
-                            let _ = writer.flush();
-                            return Ok(());
-                        };
-                        wire.write_response(&mut writer, &response)?;
-                        writer.flush()?;
-                    } else if queue.send(SessionMsg::Apply(request, None)).is_err() {
-                        return Ok(());
-                    }
-                    if is_shutdown {
-                        stop.store(true, Ordering::SeqCst);
-                        // Wake the accept loop so it observes the flag.
-                        let _ = TcpStream::connect(addr);
+    server: &Server,
+) -> io::Result<()> {
+    // Built lazily at the first request so probe connections (port
+    // checks, monitoring dials) never cost a session.
+    let mut session: Option<NodeSession> = None;
+    while let Some(incoming) = wire.read_request(&mut reader)? {
+        let session = session.get_or_insert_with(|| {
+            NodeSession::with_stats(server.scenario.clone(), &server.stats)
+                .expect("scenario pre-validated by serve")
+        });
+        let is_shutdown = matches!(incoming, Incoming::Request(Request::Shutdown));
+        let reply = match incoming {
+            Incoming::Request(request) => {
+                match catch_unwind(AssertUnwindSafe(|| session.apply(request))) {
+                    Ok(reply) => reply,
+                    Err(_) => {
+                        eprintln!(
+                            "mosaic-node: session {} panicked; its connection is closed",
+                            session.id()
+                        );
+                        let failed = Response::Error("session failed; see node log".to_string());
+                        let _ = wire.write_response(&mut writer, &failed);
+                        let _ = writer.flush();
                         return Ok(());
                     }
                 }
-                Incoming::Malformed {
-                    message,
-                    fire_and_forget,
-                } => {
-                    if fire_and_forget {
-                        if queue.send(SessionMsg::Defer(message)).is_err() {
-                            return Ok(());
-                        }
-                    } else {
-                        wire.write_response(&mut writer, &Response::Error(message))?;
-                        writer.flush()?;
-                    }
-                }
             }
+            Incoming::Malformed {
+                message,
+                fire_and_forget: true,
+            } => {
+                session.defer(message);
+                None
+            }
+            Incoming::Malformed { message, .. } => Some(Response::Error(message)),
+        };
+        if let Some(response) = reply {
+            wire.write_response(&mut writer, &response)?;
+            writer.flush()?;
         }
-    })();
-    if let Some(handle) = session {
-        registry.finish(handle);
+        if is_shutdown {
+            server.stop.store(true, Ordering::SeqCst);
+            // Wake the accept loop so it observes the flag.
+            let _ = TcpStream::connect(server.addr);
+            break;
+        }
     }
-    outcome
+    Ok(())
 }
 
-fn io_error(path: &str, e: &std::io::Error) -> Error {
+fn io_error(path: &str, e: &io::Error) -> Error {
     Error::Io {
         path: path.to_string(),
         message: e.to_string(),
@@ -337,43 +220,99 @@ fn io_error(path: &str, e: &std::io::Error) -> Error {
 mod tests {
     use super::*;
     use mosaic_sim::Scale;
+    use mosaic_types::{AccountId, BlockHeight, Transaction, TxId};
+    use Wire::{Binary, Line};
 
+    /// A peer that has gone away: every write fails.
+    struct Gone;
+
+    impl Write for Gone {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    fn encode(wire: Wire, requests: &[Request]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for request in requests {
+            wire.write_request(&mut bytes, request).unwrap();
+        }
+        bytes
+    }
+
+    /// `run_session` over in-memory streams: however a connection ends,
+    /// the loop returns (cleanly or with the typed I/O error), and the
+    /// session it built — none for a probe — is deregistered with its
+    /// counters folded into the server aggregate.
     #[test]
-    fn registry_spawns_and_reaps_isolated_sessions() {
-        let registry = SessionRegistry::new(
-            Scenario::full_protocol(&Scale::quick()),
-            ServerStats::new(true),
-        );
-        let a = registry.spawn().unwrap();
-        let b = registry.spawn().unwrap();
-        assert_ne!(a.id, b.id);
-        assert_eq!(registry.active_sessions(), 2);
-
-        // Each session answers through its own queue; a run started on
-        // one is invisible to the other.
-        let begin = |h: &SessionHandle| {
-            let (tx, rx) = mpsc::channel();
-            h.queue
-                .send(SessionMsg::Apply(
-                    Request::Begin {
-                        cell: 0,
-                        blocks: 100,
-                    },
-                    Some(tx),
-                ))
-                .unwrap();
-            rx.recv().unwrap()
+    fn a_connection_that_ends_anywhere_leaves_no_session_behind() {
+        let begin = Request::Begin {
+            cell: 0,
+            blocks: 2000,
         };
-        assert!(matches!(begin(&a), Response::Ok(_)));
-        let (tx, rx) = mpsc::channel();
-        b.queue
-            .send(SessionMsg::Apply(Request::Csv, Some(tx)))
-            .unwrap();
-        assert!(matches!(rx.recv().unwrap(), Response::Error(_)));
+        let txs: Vec<Transaction> = (0..5)
+            .map(|i| {
+                Transaction::new(
+                    TxId::new(i),
+                    AccountId::new(1),
+                    AccountId::new(2),
+                    BlockHeight::new(0),
+                )
+            })
+            .collect();
+        let stream = [begin, Request::TxBatch(txs)];
+        let (line, binary) = (encode(Line, &stream), encode(Binary, &stream));
+        let cut = |bytes: &[u8], by: usize| bytes[..bytes.len() - by].to_vec();
+        let eof = Err(io::ErrorKind::UnexpectedEof);
+        let gone = Err(io::ErrorKind::BrokenPipe);
 
-        registry.finish(a);
-        assert_eq!(registry.active_sessions(), 1);
-        registry.finish(b);
-        assert_eq!(registry.active_sessions(), 0);
+        // (case, wire, client bytes, peer still reading, outcome,
+        //  sessions started, transactions ingested)
+        #[rustfmt::skip]
+        let table = [
+            ("probe", Line, vec![], true, Ok(()), 0, 0),
+            ("probe", Binary, vec![], true, Ok(()), 0, 0),
+            ("mid-header, first frame", Binary, vec![9, 0], true, eof, 0, 0),
+            ("mid-header", Binary, [&binary[..], &[9, 0]].concat(), true, eof, 1, 5),
+            ("mid-body", Binary, cut(&binary, 7), true, eof, 1, 0),
+            // A line cut short still parses or fails as a line: the
+            // last TX loses its kind and is deferred, not ingested.
+            ("mid-line", Line, cut(&line, 9), true, Ok(()), 1, 4),
+            ("after TX, before END", Line, line.clone(), true, Ok(()), 1, 5),
+            ("after TX, before END", Binary, binary.clone(), true, Ok(()), 1, 5),
+            ("reply never read", Line, line, false, gone, 1, 0),
+            ("reply never read", Binary, binary, false, gone, 1, 0),
+        ];
+        for (case, wire, bytes, peer_reads, outcome, started, ingested) in table {
+            let server = Server {
+                scenario: Scenario::full_protocol(&Scale::quick()),
+                stats: ServerStats::new(true),
+                stop: AtomicBool::new(false),
+                addr: ([127, 0, 0, 1], 0).into(),
+            };
+            let mut replies = Vec::new();
+            let result = if peer_reads {
+                run_session(&bytes[..], &mut replies, wire, &server)
+            } else {
+                run_session(&bytes[..], Gone, wire, &server)
+            };
+            let case = format!("{case} ({wire} wire)");
+            assert_eq!(result.map_err(|e| e.kind()), outcome, "{case}");
+            assert_eq!(server.stats.sessions_started(), started, "{case}");
+            assert_eq!(server.stats.sessions_active(), 0, "{case}");
+            if started == 0 {
+                continue;
+            }
+            if peer_reads {
+                let reply = wire.read_response(&mut &replies[..]).unwrap();
+                assert!(matches!(reply, Response::Ok(_)), "{case}: {reply:?}");
+            }
+            let aggregate = server.stats.stats_lines(None);
+            let counted = format!("server counter core.txs_ingested {ingested}");
+            assert!(aggregate.contains(&counted), "{case}: {aggregate:?}");
+        }
     }
 }

@@ -9,11 +9,11 @@
 //! [`mosaic_metrics::EpochCsvWriter`] would write it, which is what
 //! makes the `CSV` reply byte-identical to the offline runner's files.
 //!
-//! The session is single-threaded by design: the server gives every
-//! connection its own session on a dedicated core thread (per-shard
-//! parallelism lives *inside* the ledger's worker pool), so ordering is
-//! the arrival order on that connection's channel and no locking is
-//! needed here.
+//! The session is single-threaded by design: the server builds, drives
+//! and drops every connection's session on that connection's handler
+//! thread (per-shard parallelism lives *inside* the ledger's worker
+//! pool), so ordering is the arrival order on the socket and no locking
+//! is needed here.
 
 use std::sync::Arc;
 
@@ -64,25 +64,27 @@ impl NodeSession {
     ///
     /// Propagates [`Scenario::cells`] validation errors.
     pub fn new(scenario: Scenario) -> Result<Self> {
-        Self::with_stats(scenario, 0, &ServerStats::new(true))
+        Self::with_stats(scenario, &ServerStats::new(true))
     }
 
-    /// Builds session `id` registered against `stats` — the server's
-    /// constructor. The session registers itself here and deregisters
-    /// (folding its counters into the server aggregate) on drop.
+    /// Builds a session registered against `stats` — the server's
+    /// constructor. The session registers itself here (which is where
+    /// its id comes from) and deregisters, folding its counters into
+    /// the server aggregate, on drop.
     ///
     /// # Errors
     ///
     /// Propagates [`Scenario::cells`] validation errors.
-    pub fn with_stats(scenario: Scenario, id: u64, stats: &Arc<ServerStats>) -> Result<Self> {
+    pub fn with_stats(scenario: Scenario, stats: &Arc<ServerStats>) -> Result<Self> {
         let cells = scenario.cells_for(RunTarget::Node)?;
+        let (id, recorder) = stats.register();
         Ok(NodeSession {
             cells,
             active: None,
             deferred: None,
             rows: Vec::new(),
             id,
-            recorder: stats.register(id),
+            recorder,
             server: Arc::clone(stats),
         })
     }
@@ -92,21 +94,9 @@ impl NodeSession {
         &self.cells
     }
 
-    /// Parses and applies one request line. `None` means the line gets
-    /// no reply (`TX`, including malformed `TX` lines — their parse
-    /// error is deferred to `END` like any other ingestion error).
-    pub fn apply_line(&mut self, line: &str) -> Option<Response> {
-        match Request::parse(line) {
-            Ok(request) => self.apply(request),
-            Err(message) => {
-                if Request::line_expects_reply(line) {
-                    Some(Response::Error(message))
-                } else {
-                    self.defer(message);
-                    None
-                }
-            }
-        }
+    /// This session's id in the server's stats registry.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Applies one parsed request. `None` exactly when
@@ -263,11 +253,30 @@ fn load_lines(report: &LoadReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Incoming, Wire};
     use mosaic_sim::{Scale, Scenario};
     use mosaic_types::AccountId;
 
     fn session() -> NodeSession {
         NodeSession::new(Scenario::full_protocol(&Scale::quick())).unwrap()
+    }
+
+    /// Decodes `text` with the line codec and feeds it to `s` the way
+    /// the server's read loop does; returns the replies, in order.
+    fn feed(s: &mut NodeSession, text: &str) -> Vec<Response> {
+        let mut input = std::io::Cursor::new(text);
+        let mut replies = Vec::new();
+        while let Some(incoming) = Wire::Line.read_request(&mut input).unwrap() {
+            match incoming {
+                Incoming::Request(request) => replies.extend(s.apply(request)),
+                Incoming::Malformed {
+                    message,
+                    fire_and_forget: true,
+                } => s.defer(message),
+                Incoming::Malformed { message, .. } => replies.push(Response::Error(message)),
+            }
+        }
+        replies
     }
 
     #[test]
@@ -294,7 +303,7 @@ mod tests {
     #[test]
     fn tx_before_begin_defers_the_error_to_end() {
         let mut s = session();
-        assert!(s.apply_line("TX 0 0 1 2 transfer").is_none());
+        assert_eq!(feed(&mut s, "TX 0 0 1 2 transfer\n"), []);
         let Some(Response::Error(message)) = s.apply(Request::End) else {
             panic!("END after a bad TX must fail");
         };
@@ -307,6 +316,14 @@ mod tests {
             }),
             Some(Response::Ok(_))
         ));
+        // A malformed TX line gets no reply either; its parse error is
+        // what END reports, and later TX lines do not overwrite it.
+        let replies = feed(&mut s, "TX broken\nTX 0 0 1 2 transfer\nEND\n");
+        let [Response::Error(message)] = &replies[..] else {
+            panic!("only END replies: {replies:?}");
+        };
+        assert!(message.starts_with("stream aborted: "), "{message}");
+        assert!(!message.contains("before BEGIN"), "{message}");
     }
 
     #[test]
@@ -327,9 +344,8 @@ mod tests {
             }),
             Some(Response::Ok(_))
         ));
-        for i in 0..5 {
-            assert!(s.apply_line(&format!("TX {i} 0 1 2 transfer")).is_none());
-        }
+        let txs: String = (0..5).map(|i| format!("TX {i} 0 1 2 transfer\n")).collect();
+        assert_eq!(feed(&mut s, &txs), []);
         let Some(Response::Stats(lines)) = s.apply(Request::Stats) else {
             panic!("STATS must answer mid-stream");
         };

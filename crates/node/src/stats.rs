@@ -53,19 +53,20 @@ impl ServerStats {
         &self.recorder
     }
 
-    /// Registers session `id` and returns its private recorder.
-    pub fn register(&self, id: u64) -> Recorder {
+    /// Registers a new session and returns its id — its ordinal among
+    /// the sessions this server has started — and private recorder.
+    pub fn register(&self) -> (u64, Recorder) {
         let recorder = if self.enabled {
             Recorder::enabled()
         } else {
             Recorder::disabled()
         };
-        self.sessions_started.fetch_add(1, Ordering::Relaxed);
+        let id = self.sessions_started.fetch_add(1, Ordering::Relaxed);
         self.active
             .lock()
             .expect("stats lock")
             .push((id, recorder.clone()));
-        recorder
+        (id, recorder)
     }
 
     /// Deregisters session `id`, folding its final counters into the
@@ -149,8 +150,9 @@ mod tests {
     #[test]
     fn aggregate_survives_session_lifecycle() {
         let stats = ServerStats::new(true);
-        let a = stats.register(0);
-        let b = stats.register(1);
+        let (a_id, a) = stats.register();
+        let (b_id, b) = stats.register();
+        assert_eq!((a_id, b_id), (0, 1));
         a.add("core.txs_ingested", 100);
         b.add("core.txs_ingested", 50);
         assert_eq!(stats.sessions_started(), 2);
@@ -175,11 +177,11 @@ mod tests {
     #[test]
     fn disabled_stats_still_answer() {
         let stats = ServerStats::new(false);
-        let r = stats.register(7);
+        let (id, r) = stats.register();
         r.add("core.txs_ingested", 9); // dropped: recorder is a no-op
-        let lines = stats.stats_lines(Some((7, &r)));
+        let lines = stats.stats_lines(Some((id, &r)));
         assert_eq!(lines[0], "telemetry off");
-        assert!(lines.contains(&"session 7".to_string()));
+        assert!(lines.contains(&"session 0".to_string()));
         assert!(!lines.iter().any(|l| l.contains("core.txs_ingested")));
     }
 }

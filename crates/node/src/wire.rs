@@ -44,6 +44,15 @@ pub const VERSION: u8 = 1;
 /// prefix must not translate into an unbounded allocation.
 const MAX_FRAME: usize = 64 << 20;
 
+/// What a frame's buffer may reserve on the strength of its length
+/// prefix alone; beyond this it grows only as payload bytes arrive.
+const FRAME_RESERVE: usize = 64 << 10;
+
+/// Upper bound on one line-mode message, newline included. The longest
+/// well-formed request (a `TX` line of four 20-digit fields and a kind)
+/// is under 128 bytes.
+const MAX_LINE: usize = 4 << 10;
+
 /// Bytes of one fixed-width transaction record.
 const TX_BYTES: usize = 33;
 
@@ -203,16 +212,21 @@ impl Wire {
     ///
     /// # Errors
     ///
-    /// I/O errors, a stream ending mid-message, an oversized or empty
-    /// binary frame, or an unknown frame tag (version skew — the
-    /// framing can no longer be trusted, so the error is fatal rather
-    /// than a recoverable [`Incoming::Malformed`]).
+    /// I/O errors, a stream ending mid-frame, an oversized or empty
+    /// binary frame, an over-long line, or an unknown frame tag
+    /// (version skew) — the framing can no longer be trusted, so these
+    /// are fatal rather than a recoverable [`Incoming::Malformed`].
     pub fn read_request(self, input: &mut impl BufRead) -> io::Result<Option<Incoming>> {
         match self {
             Wire::Line => loop {
                 let mut line = String::new();
-                if input.read_line(&mut line)? == 0 {
+                if input.take(MAX_LINE as u64).read_line(&mut line)? == 0 {
                     return Ok(None);
+                }
+                if line.len() == MAX_LINE && !line.ends_with('\n') {
+                    return Err(invalid(format!(
+                        "request line exceeds the {MAX_LINE}-byte cap"
+                    )));
                 }
                 let line = line.trim();
                 if line.is_empty() {
@@ -403,8 +417,13 @@ fn read_frame(input: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
             "binary frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    let mut frame = vec![0u8; len];
-    input.read_exact(&mut frame)?;
+    let mut frame = Vec::with_capacity(len.min(FRAME_RESERVE));
+    if input.take(len as u64).read_to_end(&mut frame)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
     Ok(Some(frame))
 }
 
@@ -772,6 +791,75 @@ mod tests {
             .read_request(&mut Cursor::new(bytes))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Serves `bytes` then EOF, recording the largest buffer a reader
+    /// ever offered it — a lower bound on what that reader allocated.
+    struct Offered {
+        bytes: Cursor<Vec<u8>>,
+        largest: usize,
+    }
+
+    impl Read for Offered {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    impl BufRead for Offered {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.bytes.fill_buf()
+        }
+        fn consume(&mut self, amt: usize) {
+            self.bytes.consume(amt);
+        }
+    }
+
+    #[test]
+    fn a_frame_header_alone_reserves_a_bounded_buffer() {
+        // The largest length the cap admits, then the peer goes away.
+        let mut input = Offered {
+            bytes: Cursor::new((MAX_FRAME as u32).to_le_bytes().to_vec()),
+            largest: 0,
+        };
+        let err = Wire::Binary.read_request(&mut input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(input.largest <= FRAME_RESERVE, "{}", input.largest);
+
+        // A frame larger than the reserve still arrives whole.
+        let txs: Vec<_> = (0..(2 * FRAME_RESERVE / TX_BYTES) as u64).map(tx).collect();
+        let mut bytes = Vec::new();
+        Wire::Binary.write_tx_batch(&mut bytes, &txs).unwrap();
+        assert!(bytes.len() > FRAME_RESERVE);
+        assert_eq!(
+            Wire::Binary.read_request(&mut &bytes[..]).unwrap(),
+            Some(Incoming::Request(Request::TxBatch(txs)))
+        );
+    }
+
+    #[test]
+    fn line_length_is_capped() {
+        // An endless newline-free stream is refused once the cap is
+        // reached, not buffered until memory runs out.
+        let mut endless = io::BufReader::new(io::repeat(b'x'));
+        let err = Wire::Line.read_request(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("cap"), "{err}");
+
+        // The longest admitted line (cap includes the newline) is
+        // still just a line, and the stream stays in frame after it.
+        let mut input = "x".repeat(MAX_LINE - 1).into_bytes();
+        input.extend_from_slice(b"\nEND\n");
+        let mut input = &input[..];
+        assert!(matches!(
+            Wire::Line.read_request(&mut input).unwrap(),
+            Some(Incoming::Malformed { .. })
+        ));
+        assert_eq!(
+            Wire::Line.read_request(&mut input).unwrap(),
+            Some(Incoming::Request(Request::End))
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::net::TcpListener;
 use std::sync::OnceLock;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use mosaic_node::replay::{replay, replay_sessions};
 use mosaic_node::{serve, MosaicClient, Wire};
@@ -61,6 +62,15 @@ fn stop(addr: &str, server: thread::JoinHandle<mosaic_types::Result<()>>) {
     client.shutdown().unwrap();
     drop(client);
     server.join().unwrap().unwrap();
+}
+
+fn tx(id: u64, block: u64) -> mosaic_types::Transaction {
+    mosaic_types::Transaction::new(
+        mosaic_types::TxId::new(id),
+        mosaic_types::AccountId::new(id % 800),
+        mosaic_types::AccountId::new((id + 1) % 800),
+        mosaic_types::BlockHeight::new(block),
+    )
 }
 
 #[test]
@@ -134,14 +144,7 @@ fn stats_are_per_session_and_answered_on_both_codecs() {
 
     let mut a = MosaicClient::connect(&addr, Wire::Binary).unwrap();
     let mut b = MosaicClient::connect(&addr, Wire::Line).unwrap();
-    let tx = |i: u64| {
-        mosaic_types::Transaction::new(
-            mosaic_types::TxId::new(i),
-            mosaic_types::AccountId::new(i % 800),
-            mosaic_types::AccountId::new((i + 1) % 800),
-            mosaic_types::BlockHeight::new(i / 4),
-        )
-    };
+    let tx = |i: u64| tx(i, i / 4);
 
     a.begin(0, 2000).unwrap();
     a.ingest_block(&(0..10).map(tx).collect::<Vec<_>>())
@@ -208,7 +211,52 @@ fn sessions_are_isolated_per_connection() {
         "{shard_err}"
     );
 
+    // B hanging up ends B's session only: the node reaps it (its
+    // handler sees the close asynchronously, hence the poll) and A's
+    // connection keeps answering.
     drop(b);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = a.stats().unwrap();
+        if stats.contains(&"server sessions_active 1".to_string()) {
+            assert!(stats.contains(&"server sessions_started 2".to_string()));
+            break;
+        }
+        assert!(Instant::now() < deadline, "B never reaped: {stats:?}");
+        thread::sleep(Duration::from_millis(5));
+    }
+
     drop(a);
+    stop(&addr, server);
+}
+
+#[test]
+fn a_query_behind_a_big_frame_is_not_held_for_a_delayed_ack() {
+    let scenario = quick_scenario();
+    let (addr, server) = boot(&scenario);
+    let mut client = MosaicClient::connect(&addr, Wire::Binary).unwrap();
+    client.begin(0, 2000).unwrap();
+
+    // 400 transactions = a 13 KiB frame: more than the client's 8 KiB
+    // write buffer, so frame and query leave as several writes. With
+    // Nagle on, the last one waits out the peer's 40 ms delayed-ACK
+    // timer on every round.
+    let mut rounds: Vec<Duration> = (0..9u64)
+        .map(|round| {
+            let block: Vec<_> = (0..400).map(|i| tx(round * 400 + i, round)).collect();
+            client.ingest_block(&block).unwrap();
+            let asked = Instant::now();
+            client.stats().unwrap();
+            asked.elapsed()
+        })
+        .collect();
+    rounds.sort();
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?}; all: {rounds:?}"
+    );
+
+    drop(client);
     stop(&addr, server);
 }
