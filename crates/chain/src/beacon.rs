@@ -86,9 +86,17 @@ impl BeaconChain {
                 }
             }
         }
+        // Accounts are unique now, so `priority_cmp` is a total order:
+        // partitioning off the top `capacity` and sorting only those
+        // commits exactly what sorting everything would.
         let mut requests: Vec<MigrationRequest> = best.into_values().collect();
+        if capacity < requests.len() {
+            if capacity > 0 {
+                requests.select_nth_unstable_by(capacity - 1, MigrationRequest::priority_cmp);
+            }
+            requests.truncate(capacity);
+        }
         requests.sort_by(MigrationRequest::priority_cmp);
-        requests.truncate(capacity);
 
         let block = self.tip().child(
             epoch,
@@ -123,6 +131,7 @@ impl BeaconChain {
 mod tests {
     use super::*;
     use mosaic_types::ShardId;
+    use proptest::prelude::*;
 
     fn mr(account: u64, gain: f64) -> MigrationRequest {
         MigrationRequest::new(
@@ -183,6 +192,45 @@ mod tests {
         assert!(committed.is_empty());
         assert_eq!(bc.len(), 2);
         assert_eq!(bc.tip().body.item_count(), 0);
+    }
+
+    proptest! {
+        /// Selecting the top `capacity` commits exactly what sorting
+        /// every deduplicated request and truncating would — same
+        /// requests, same order, same gain bits — under tied gains,
+        /// signed zeros, repeated accounts and every boundary capacity.
+        #[test]
+        fn prop_commit_equals_full_sort_then_truncate(
+            draws in proptest::collection::vec((0u64..12, 0usize..6), 0..40),
+        ) {
+            const GAINS: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.0, 2.5];
+            let pending: Vec<MigrationRequest> =
+                draws.iter().map(|&(account, g)| mr(account, GAINS[g])).collect();
+
+            // The highest-gain request per account, first one on ties.
+            let mut deduped: Vec<MigrationRequest> = Vec::new();
+            for &request in &pending {
+                match deduped.iter_mut().find(|kept| kept.account == request.account) {
+                    Some(kept) if kept.gain >= request.gain => {}
+                    Some(kept) => *kept = request,
+                    None => deduped.push(request),
+                }
+            }
+            deduped.sort_by(MigrationRequest::priority_cmp);
+
+            let len = deduped.len();
+            for capacity in [0, 1, len.saturating_sub(1), len, len + 1] {
+                let mut bc = BeaconChain::new();
+                pending.iter().for_each(|&request| bc.submit(request));
+                let committed = bc.commit_epoch(EpochId::new(0), capacity);
+                let key = |m: &MigrationRequest| (m.account, m.gain.to_bits());
+                prop_assert_eq!(
+                    committed.iter().map(key).collect::<Vec<_>>(),
+                    deduped.iter().take(capacity).map(key).collect::<Vec<_>>(),
+                    "capacity {} of {}", capacity, len
+                );
+            }
+        }
     }
 
     #[test]

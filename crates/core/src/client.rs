@@ -48,6 +48,22 @@ impl Client {
         }
     }
 
+    /// Creates a client for `account` that already holds `history` and
+    /// `expected` (a wallet restoring its state, or
+    /// [`crate::MosaicFramework::client`] materialising one row of the
+    /// population graph).
+    pub fn with_knowledge(
+        account: AccountId,
+        history: CounterpartySet,
+        expected: CounterpartySet,
+    ) -> Self {
+        Client {
+            account,
+            history,
+            expected,
+        }
+    }
+
     /// The client's account.
     pub fn account(&self) -> AccountId {
         self.account

@@ -6,6 +6,23 @@
 //! workload vector, submit migration requests to the beacon chain, the
 //! beacon commits the best `λ`, and reconfiguration applies them.
 //!
+//! In scope: simulating a *population* of clients. It is stored as one
+//! interaction graph — row ν of the [`TxGraph`] CSR *is* client ν's
+//! historical counterparty multiset `T^ν_h` — plus a sparse map holding
+//! the expectations `T^ν_e` of the accounts β-sampled this epoch. The
+//! scoring step for ν reads only row ν, the public allocation ϕ and the
+//! public workload vector `Ω` — the paper's information boundary — so a
+//! decision is still `O(deg(ν) + k)` on
+//! `16 + 12·deg(ν) + 12·|T^ν_e| + 8k` bytes (Table IV), whatever the
+//! population size. Sharing one graph is a property of the simulator,
+//! not of the protocol.
+//!
+//! Out of scope: being a wallet. A wallet holds one [`Client`], not a
+//! graph; [`Client`] and [`CounterpartySet`] are that wallet-side
+//! reference, [`MosaicFramework::client`] materialises a row as one, and
+//! the population path is property-tested against one standalone
+//! [`Client`] per account (`tests/framework_oracle.rs`).
+//!
 //! [`MosaicFramework::run_epoch`] bundles the five §V-A steps for
 //! standalone use; the experiment engine (`mosaic-sim`'s
 //! `MosaicStrategy`) drives the same steps through the finer-grained
@@ -13,15 +30,17 @@
 //! [`MosaicFramework::observe_epoch`] hooks so that ledger processing
 //! stays inside the strategy-agnostic epoch pipeline.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mosaic_chain::{EpochOutcome, Ledger};
+use mosaic_metrics::data_size::client_input_bytes;
 use mosaic_metrics::{EpochLoad, LoadParams};
-use mosaic_telemetry::DurationStats;
+use mosaic_txgraph::{GraphBuilder, TxGraph};
 use mosaic_types::hash::{sha256_prefix_u64, FnvHashMap};
-use mosaic_types::{AccountId, MigrationRequest, SystemParams, Transaction};
+use mosaic_types::{AccountId, MigrationRequest, ShardId, SystemParams, Transaction};
 
 use crate::client::Client;
+use crate::fusion::fuse_in_place;
 use crate::interaction::CounterpartySet;
 use crate::policy::{ClientPolicy, PilotPolicy, PolicyContext};
 
@@ -32,7 +51,10 @@ pub struct FrameworkReport {
     pub decisions: usize,
     /// Migration requests proposed to the beacon chain.
     pub proposed: usize,
-    /// Mean wall-clock time of one client decision.
+    /// Mean wall-clock time of one client decision: the whole scoring
+    /// pass — the per-epoch ϕ snapshot included — timed with one clock
+    /// pair and divided by `decisions`, so no clock read is counted as
+    /// decision time. Zero for an empty population.
     pub mean_decision_time: Duration,
     /// Mean bytes of input per deciding client (counterparty sets + Ω).
     pub mean_input_bytes: f64,
@@ -60,7 +82,13 @@ pub struct FrameworkReport {
 #[derive(Debug, Clone)]
 pub struct MosaicFramework<P = PilotPolicy> {
     params: SystemParams,
-    clients: FnvHashMap<AccountId, Client>,
+    /// Accumulates one call's updates; drained into `graph` before the
+    /// call returns, so it never holds more than one window.
+    delta: GraphBuilder,
+    /// The population: node ν is client ν, row ν its `T^ν_h`.
+    graph: TxGraph,
+    /// `T^ν_e` of the accounts β-sampled for the upcoming epoch only.
+    expected: FnvHashMap<AccountId, CounterpartySet>,
     expectation_seed: u64,
     policy: P,
 }
@@ -79,7 +107,9 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     pub fn with_policy(params: SystemParams, policy: P) -> Self {
         MosaicFramework {
             params,
-            clients: FnvHashMap::default(),
+            delta: GraphBuilder::new(),
+            graph: TxGraph::default(),
+            expected: FnvHashMap::default(),
             expectation_seed: 0x6d6f_7361_6963, // "mosaic"
             policy,
         }
@@ -92,24 +122,48 @@ impl<P: ClientPolicy> MosaicFramework<P> {
 
     /// Number of known clients.
     pub fn client_count(&self) -> usize {
-        self.clients.len()
+        self.graph.node_count()
     }
 
-    /// Looks up a client's state.
-    pub fn client(&self, account: AccountId) -> Option<&Client> {
-        self.clients.get(&account)
+    /// The population's interaction graph: every observed transaction,
+    /// one node per client (what a miner-side allocator would build from
+    /// the same history).
+    pub fn graph(&self) -> &TxGraph {
+        &self.graph
+    }
+
+    /// Materialises a client's state as the wallet-side [`Client`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client transacted with one counterparty more than
+    /// `u32::MAX` times (the wallet-side multiset counts in `u32`).
+    pub fn client(&self, account: AccountId) -> Option<Client> {
+        let node = self.graph.node_of(account)?;
+        let history = self
+            .graph
+            .neighbors(node)
+            .map(|(other, weight)| {
+                let count = u32::try_from(weight).expect("interaction count fits u32");
+                (self.graph.account_of(other), count)
+            })
+            .collect();
+        let expected = self.expected.get(&account).cloned().unwrap_or_default();
+        Some(Client::with_knowledge(account, history, expected))
     }
 
     /// Feeds committed transactions into the affected clients' histories
     /// (both endpoints), creating clients on first sight.
     pub fn observe_epoch(&mut self, txs: &[Transaction]) {
-        for tx in txs {
-            for account in tx.accounts() {
-                self.clients
-                    .entry(account)
-                    .or_insert_with(|| Client::new(account))
-                    .observe(tx);
-            }
+        self.delta.add_transactions(txs);
+        self.merge_delta();
+    }
+
+    /// Folds the accumulated delta into the population graph.
+    fn merge_delta(&mut self) {
+        if self.delta.vertex_count() > 0 {
+            let delta = self.delta.drain_delta();
+            self.graph.merge_delta(&delta);
         }
     }
 
@@ -118,15 +172,12 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     /// upcoming transactions, selected deterministically per transaction.
     /// With `β = 0` this clears all expectations.
     pub fn set_expectations(&mut self, future: &[Transaction]) {
-        for client in self.clients.values_mut() {
-            client.clear_expected();
-        }
+        self.expected.clear();
         let beta = self.params.beta();
         if beta <= 0.0 {
             return;
         }
         let threshold = (beta * u64::MAX as f64) as u64;
-        let mut sampled: FnvHashMap<AccountId, CounterpartySet> = FnvHashMap::default();
         for tx in future {
             if tx.is_self_transfer() {
                 continue;
@@ -136,71 +187,101 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             seed_bytes[..8].copy_from_slice(&tx.id.as_u64().to_be_bytes());
             seed_bytes[8..].copy_from_slice(&self.expectation_seed.to_be_bytes());
             if sha256_prefix_u64(&seed_bytes) <= threshold {
-                sampled.entry(tx.from).or_default().add(tx.to, 1);
-                sampled.entry(tx.to).or_default().add(tx.from, 1);
+                self.expected.entry(tx.from).or_default().add(tx.to, 1);
+                self.expected.entry(tx.to).or_default().add(tx.from, 1);
+                // New accounts with plans become clients.
+                for account in [tx.from, tx.to] {
+                    if self.graph.node_of(account).is_none() {
+                        self.delta.touch(account);
+                    }
+                }
             }
         }
-        for (account, expected) in sampled {
-            self.clients
-                .entry(account)
-                .or_insert_with(|| Client::new(account))
-                .set_expected(expected);
-        }
+        self.merge_delta();
     }
 
     /// Runs every client's Pilot against the current ϕ and the published
     /// `Ω`, submitting the resulting migration requests to the ledger's
     /// beacon chain. Returns the framework report.
+    ///
+    /// One streaming pass over the population graph: ϕ is resolved once
+    /// per client into a snapshot, then each row is scored against it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `omega.len()` is not the shard count or `β ∉ [0, 1]`.
     pub fn propose(&mut self, ledger: &mut Ledger, omega: &[f64]) -> FrameworkReport {
+        let shards = self.params.shards();
+        let beta = self.params.beta();
+        assert_eq!(omega.len(), usize::from(shards), "one Ω entry per shard");
+        assert!(
+            (0.0..=1.0).contains(&beta),
+            "beta must be in [0,1], got {beta}"
+        );
         let epoch = ledger.current_epoch();
-        let mut stats = DurationStats::new();
+        let graph = &self.graph;
+        let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
+        let decisions = graph.node_count();
         let mut proposed = 0usize;
         let mut input_bytes = 0usize;
+        let mut psi = vec![0.0f64; usize::from(shards)];
+        let mut psi_e_buf = vec![0.0f64; usize::from(shards)];
 
-        // Deterministic order.
-        let mut accounts: Vec<AccountId> = self.clients.keys().copied().collect();
-        accounts.sort_unstable();
-
-        let mut requests = Vec::new();
-        for account in accounts {
-            let client = &self.clients[&account];
-            input_bytes += client.input_size_bytes(self.params.shards());
-            let (request, elapsed) = mosaic_metrics::timing::time_it(|| {
-                let psi = client.psi(ledger.phi(), self.params.beta());
-                let current = ledger.phi().shard_of(account);
-                let (target, gain) = self.policy.choose(&PolicyContext {
-                    psi: &psi,
-                    omega,
-                    current,
-                    eta: self.params.eta(),
-                });
-                if target == current {
-                    None
-                } else {
-                    Some(
-                        MigrationRequest::new(account, current, target, epoch, gain)
-                            .expect("target differs from current"),
-                    )
+        let start = Instant::now();
+        let phi = ledger.phi();
+        let shard_now: Vec<ShardId> = graph.accounts().iter().map(|&a| phi.shard_of(a)).collect();
+        // Ascending account order, so the submission order is deterministic.
+        for (node, &account) in graph.accounts().iter().enumerate() {
+            // Equation 1 over row ν. Interaction counts are integers, so
+            // the sums are exact in any order.
+            let row = xadj[node]..xadj[node + 1];
+            psi.fill(0.0);
+            for j in row.clone() {
+                psi[shard_now[adjncy[j].index()].index()] += adjwgt[j] as f64;
+            }
+            let (psi_e, expected_len) = match self.expected.get(&account) {
+                Some(expected) => {
+                    psi_e_buf.fill(0.0);
+                    for (other, count) in expected.iter() {
+                        // `set_expectations` made every sampled endpoint
+                        // a client, so the snapshot covers it.
+                        let other = graph.node_of(other).expect("sampled account is a client");
+                        psi_e_buf[shard_now[other.index()].index()] += f64::from(count);
+                    }
+                    (Some(psi_e_buf.as_slice()), expected.distinct())
                 }
+                None => (None, 0),
+            };
+            fuse_in_place(&mut psi, psi_e, beta);
+
+            let current = shard_now[node];
+            let (target, gain) = self.policy.choose(&PolicyContext {
+                psi: &psi,
+                omega,
+                current,
+                eta: self.params.eta(),
             });
-            stats.record(elapsed);
-            if let Some(mr) = request {
-                requests.push(mr);
+            if target != current {
+                ledger.submit_migration(
+                    MigrationRequest::new(account, current, target, epoch, gain)
+                        .expect("target differs from current"),
+                );
                 proposed += 1;
             }
+            input_bytes += client_input_bytes(row.len() + expected_len, shards);
         }
-        for mr in requests {
-            ledger.submit_migration(mr);
-        }
+        let elapsed = start.elapsed();
 
         FrameworkReport {
-            decisions: stats.count() as usize,
+            decisions,
             proposed,
-            mean_decision_time: stats.mean(),
-            mean_input_bytes: if stats.count() == 0 {
+            mean_decision_time: elapsed
+                .checked_div(u32::try_from(decisions).expect("TxGraph node ids are u32"))
+                .unwrap_or_default(),
+            mean_input_bytes: if decisions == 0 {
                 0.0
             } else {
-                input_bytes as f64 / stats.count() as f64
+                input_bytes as f64 / decisions as f64
             },
         }
     }

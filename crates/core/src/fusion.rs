@@ -41,6 +41,35 @@ pub fn fuse(psi_h: &[f64], psi_e: &[f64], beta: f64) -> Vec<f64> {
     }
 }
 
+/// [`fuse`] in place over `psi` (holding `Ψ_h` on entry, `Ψ` on exit)
+/// for callers that score many clients from reused buffers. The float
+/// expressions are exactly [`fuse`]'s, so the result is bit-identical
+/// (proptested below). `psi_e = None` means a client without
+/// expectations and fuses like the all-zero `Ψ_e`; `β` is not
+/// re-validated per call.
+pub(crate) fn fuse_in_place(psi: &mut [f64], psi_e: Option<&[f64]>, beta: f64) {
+    let total_h: f64 = psi.iter().sum();
+    let expected = psi_e.and_then(|e| {
+        let total_e: f64 = e.iter().sum();
+        (total_e > 0.0).then_some((e, total_e))
+    });
+    match (total_h > 0.0, expected) {
+        (true, Some((e, total_e))) => {
+            for (h, e) in psi.iter_mut().zip(e) {
+                *h = (1.0 - beta) * (*h / total_h) + beta * (e / total_e);
+            }
+        }
+        (true, None) => psi.iter_mut().for_each(|h| *h /= total_h),
+        (false, Some((e, total_e))) => {
+            for (h, e) in psi.iter_mut().zip(e) {
+                *h = e / total_e;
+            }
+        }
+        // No signal on either side: `psi` is already the zero vector.
+        (false, None) => {}
+    }
+}
+
 /// Normalises to unit mass; `None` if the vector is all-zero.
 fn normalize(v: &[f64]) -> Option<Vec<f64>> {
     let total: f64 = v.iter().sum();
@@ -94,6 +123,32 @@ mod tests {
     }
 
     proptest! {
+        /// The in-place form agrees with [`fuse`] to the bit, including
+        /// when either side (or both) carries no mass, and treats a
+        /// missing `Ψ_e` as the zero vector.
+        #[test]
+        fn prop_in_place_is_bit_identical(
+            h in proptest::collection::vec(0u32..50, 5),
+            e in proptest::collection::vec(0u32..50, 5),
+            zero_h in any::<bool>(),
+            zero_e in any::<bool>(),
+            beta in 0.0f64..=1.0,
+        ) {
+            let side = |v: &[u32], zero: bool| -> Vec<f64> {
+                v.iter().map(|&x| if zero { 0.0 } else { f64::from(x) }).collect()
+            };
+            let (h, e) = (side(&h, zero_h), side(&e, zero_e));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+            let mut fused = h.clone();
+            fuse_in_place(&mut fused, Some(&e), beta);
+            prop_assert_eq!(bits(&fused), bits(&fuse(&h, &e, beta)));
+
+            let mut alone = h.clone();
+            fuse_in_place(&mut alone, None, beta);
+            prop_assert_eq!(bits(&alone), bits(&fuse(&h, &[0.0; 5], beta)));
+        }
+
         /// The fused vector is a probability distribution whenever either
         /// input has mass.
         #[test]

@@ -23,6 +23,27 @@
 //! simulated clients against a [`mosaic_chain::Ledger`]. Clients are free
 //! to run any policy ([`policy`]); [`Pilot`] is the reference.
 //!
+//! # Responsibility boundaries
+//!
+//! In scope: what one client knows and decides ([`Client`],
+//! [`CounterpartySet`], [`fusion`], [`potential`], [`Pilot`],
+//! [`policy`]), and simulating a *population* of such clients
+//! ([`MosaicFramework`]). The population is stored as one interaction
+//! graph (a `mosaic-txgraph` CSR whose row ν is client ν's `T^ν_h`)
+//! instead of one hash map per client, but a scoring step for ν reads
+//! only row ν, the public ϕ and the public `Ω` — the paper's information
+//! boundary — and Table IV's input size is still
+//! `16 + 12·deg(ν) + 12·|T^ν_e| + 8k` bytes per decision. [`Client`]
+//! stays the wallet-side reference the population path is
+//! property-tested against.
+//!
+//! Out of scope: chain state, the beacon's commit rule and
+//! reconfiguration (`mosaic-chain`), the miner-driven allocators the
+//! paper compares against (`mosaic-partition`, `mosaic-txallo`), the
+//! epoch protocol that drives the framework's hooks (`mosaic-sim`), and
+//! any cross-client coordination — clients decide independently from
+//! the same public snapshot (§VII-C leaves coordination as future work).
+//!
 //! # Example
 //!
 //! ```

@@ -246,8 +246,10 @@ pub trait EpochStrategy {
     /// including the empty graph — which, combined with
     /// [`EpochStrategy::consumes_history`] `= false`, lets the core skip
     /// training-graph edge accumulation entirely: no delta builder, no
-    /// CSR, just the transaction count. Only the rule-only hash
-    /// baseline qualifies today; the default is conservative.
+    /// CSR, just the transaction count. The rule-only hash baseline
+    /// qualifies, and so does [`MosaicStrategy`], which reads the graph
+    /// its own clients built in [`EpochStrategy::observe_training`]; the
+    /// default is conservative.
     fn needs_training_graph(&self) -> bool {
         true
     }
@@ -431,6 +433,11 @@ impl EpochStrategy for AdaptiveTxAllo {
 /// expected transactions, every client runs its policy and proposes
 /// migrations, the ledger commits ≤ λ of them while processing the
 /// window, and clients observe the committed transactions.
+///
+/// The strategy owns the cell's only interaction graph: the framework's
+/// population graph, preloaded from the training prefix, is also what
+/// G-TxAllo reads for the initial ϕ, so [`History`] stays empty (count
+/// only) for a Pilot cell.
 #[derive(Debug, Clone)]
 pub struct MosaicStrategy<P> {
     params: SystemParams,
@@ -467,15 +474,20 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
 
     fn initial_allocation(
         &mut self,
-        history: &mut History<'_>,
+        _history: &mut History<'_>,
         k: u16,
     ) -> (AccountShardMap, Duration) {
-        // §V-B: ϕ is initialised with G-TxAllo's result.
-        let graph = history.graph();
+        // §V-B: ϕ is initialised with G-TxAllo's result, on the graph
+        // the clients' preloaded histories already form.
+        let graph = self.framework.graph();
         time_it(|| self.init.allocate(graph, k))
     }
 
     fn consumes_history(&self) -> bool {
+        false
+    }
+
+    fn needs_training_graph(&self) -> bool {
         false
     }
 

@@ -58,6 +58,28 @@ fn manual_grid(scale: &Scale, trace: &Arc<TransactionTrace>) -> Vec<experiments:
     cells
 }
 
+/// Every cell of `scenario` must stream exactly the bytes checked in
+/// under `tests/golden/<dir>/`.
+fn assert_reproduces_golden(scenario: Scenario, dir: &str, cells: usize) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(dir);
+    let single_point = scenario.is_single_point();
+    let sim = Simulation::from_scenario(scenario).unwrap();
+    assert_eq!(sim.cells().len(), cells);
+    for cell in sim.cells() {
+        let stem = cell.file_stem(single_point);
+        let mut bytes = Vec::new();
+        sim.stream_cell(cell, &mut bytes).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            std::fs::read_to_string(golden.join(format!("{stem}.csv"))).unwrap(),
+            "{stem} diverged from its golden CSV (streamed source: {})",
+            sim.scenario().trace.is_streamed()
+        );
+    }
+}
+
 /// The fixed point: `tests/golden/quick/` holds the five CSVs
 /// `full_run --scenario scenarios/quick.scenario` wrote before the
 /// driver stack collapsed onto `AllocationCore`'s event API. The same
@@ -65,7 +87,6 @@ fn manual_grid(scale: &Scale, trace: &Arc<TransactionTrace>) -> Vec<experiments:
 /// or streamed.
 #[test]
 fn quick_scenario_reproduces_the_golden_csvs() {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick");
     let resident = Scenario::load(scenarios_dir().join("quick.scenario")).unwrap();
     let TraceSource::Generated(workload) = resident.trace.clone() else {
         panic!("quick.scenario declares trace = generated");
@@ -75,21 +96,19 @@ fn quick_scenario_reproduces_the_golden_csvs() {
         ..resident.clone()
     };
     for scenario in [resident, streamed] {
-        let single_point = scenario.is_single_point();
-        let sim = Simulation::from_scenario(scenario).unwrap();
-        assert_eq!(sim.cells().len(), 5);
-        for cell in sim.cells() {
-            let stem = cell.file_stem(single_point);
-            let mut bytes = Vec::new();
-            sim.stream_cell(cell, &mut bytes).unwrap();
-            assert_eq!(
-                String::from_utf8(bytes).unwrap(),
-                std::fs::read_to_string(golden.join(format!("{stem}.csv"))).unwrap(),
-                "{stem} diverged from its golden CSV (streamed source: {})",
-                sim.scenario().trace.is_streamed()
-            );
-        }
+        assert_reproduces_golden(scenario, "quick", 5);
     }
+}
+
+/// The β > 0 fixed point (`quick` runs Pilot at β = 0 only):
+/// `tests/golden/beta-sweep-quick/` holds the five CSVs `full_run` wrote
+/// for `scenarios/beta-sweep-quick.scenario` while every client was its
+/// own pair of hash maps — future-knowledge fusion and expectation-only
+/// clients included.
+#[test]
+fn beta_sweep_reproduces_the_golden_csvs() {
+    let scenario = Scenario::load(scenarios_dir().join("beta-sweep-quick.scenario")).unwrap();
+    assert_reproduces_golden(scenario, "beta-sweep-quick", 5);
 }
 
 proptest! {
