@@ -16,7 +16,7 @@
 
 use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
-use mosaic_types::SystemParams;
+use mosaic_types::{AccountId, DefaultRule, SystemParams};
 
 use crate::radar::RadarAxis;
 use crate::runner::ExperimentResult;
@@ -335,11 +335,15 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     let epochs = mosaic.aggregate.epochs.max(1) as f64;
     let mr_per_epoch = mosaic.total_migrations as f64 / epochs;
 
-    // Hash-based per-account work: one SHA-256, measured directly.
+    // Hash-based per-account work, measured directly: the rule the Random
+    // cell runs — SHA-256 of the 20-byte address, reduced mod k.
+    let shards = mosaic.params.shards();
     let (_, hash_time) = mosaic_metrics::timing::time_it(|| {
-        let mut acc = 0u64;
+        let mut acc = 0u16;
         for i in 0..1000u64 {
-            acc ^= mosaic_types::hash::sha256_prefix_u64(&i.to_be_bytes());
+            acc ^= DefaultRule::Sha256Mod
+                .shard_of(AccountId::new(i), shards)
+                .as_u16();
         }
         acc
     });

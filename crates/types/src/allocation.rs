@@ -34,6 +34,12 @@ pub enum DefaultRule {
 
 impl DefaultRule {
     /// Resolves `account` to a shard under `k` shards.
+    ///
+    /// The 20-byte address pads to a single SHA-256 block, so this is one
+    /// compression on the stack ([`sha256_prefix_u64`]'s one-block path)
+    /// and a reduction: no allocation, no hasher state, no digest bytes.
+    /// It is what every transaction endpoint of a Random cell, every
+    /// `LOOKUP` of an unplaced account and every Pilot newcomer pays.
     pub fn shard_of(&self, account: AccountId, k: u16) -> ShardId {
         debug_assert!(k > 0, "shard count must be positive");
         let prefix = sha256_prefix_u64(&account.address_bytes());
@@ -369,6 +375,65 @@ mod tests {
                 DefaultRule::Sha256FirstBits.shard_of(a, k),
                 ShardId::new(expected)
             );
+        }
+    }
+
+    /// The rule itself, pinned: shards printed by the scalar-only build
+    /// before the SHA-NI kernel and the one-block path existed. A digest
+    /// slip in either kernel moves a row here before it moves a golden CSV.
+    #[test]
+    fn default_rules_match_pinned_shards() {
+        const KS: [u16; 3] = [2, 16, 48];
+        // (account, Sha256Mod shard per k, Sha256FirstBits shard per k)
+        #[rustfmt::skip]
+        let pinned: [(u64, [u16; 3], [u16; 3]); 32] = [
+            (0x0, [0, 12, 28], [0, 6, 18]),
+            (0x1, [1, 7, 39], [0, 5, 17]),
+            (0x2, [0, 12, 12], [1, 14, 44]),
+            (0x7, [1, 13, 13], [1, 10, 30]),
+            (0xff, [1, 1, 1], [0, 7, 22]),
+            (0x100, [0, 10, 26], [1, 8, 26]),
+            (0xffff, [0, 0, 16], [0, 6, 18]),
+            (0x10000, [0, 8, 40], [1, 14, 43]),
+            (0xf423f, [1, 3, 3], [0, 7, 23]),
+            (0xf4240, [0, 4, 4], [0, 2, 6]),
+            (0xffffffff, [1, 1, 33], [1, 9, 29]),
+            (0x100000000, [1, 5, 5], [0, 7, 23]),
+            (0xfffffffffffffffe, [0, 14, 30], [1, 12, 36]),
+            (0xffffffffffffffff, [1, 13, 45], [1, 12, 38]),
+            (0x8000000000000000, [0, 0, 32], [0, 1, 5]),
+            (0x7fffffffffffffff, [1, 9, 41], [0, 3, 9]),
+            (0x6e789e6aa1b965f4, [1, 5, 21], [1, 13, 40]),
+            (0x6c45d188009454f, [1, 5, 5], [0, 1, 5]),
+            (0xf88bb8a8724c81ec, [1, 7, 39], [0, 7, 21]),
+            (0x1b39896a51a8749b, [0, 10, 10], [0, 6, 20]),
+            (0x53cb9f0c747ea2ea, [0, 12, 12], [1, 9, 27]),
+            (0x2c829abe1f4532e1, [0, 2, 18], [1, 8, 25]),
+            (0xc584133ac916ab3c, [1, 13, 29], [0, 6, 20]),
+            (0x3ee5789041c98ac3, [1, 3, 19], [0, 3, 9]),
+            (0xf3b8488c368cb0a6, [0, 4, 36], [1, 11, 34]),
+            (0x657eecdd3cb13d09, [1, 1, 33], [0, 0, 0]),
+            (0xc2d326e0055bdef6, [1, 1, 1], [1, 9, 27]),
+            (0x8621a03fe0bbdb7b, [1, 13, 13], [1, 14, 43]),
+            (0x8e1f7555983aa92f, [1, 9, 41], [0, 1, 5]),
+            (0xb54e0f1600cc4d19, [1, 1, 1], [1, 12, 38]),
+            (0x84bb3f97971d80ab, [0, 10, 10], [1, 10, 31]),
+            (0x7d29825c75521255, [1, 13, 13], [0, 3, 9]),
+        ];
+        for (account, modulo, first_bits) in pinned {
+            let a = AccountId::new(account);
+            for (i, k) in KS.into_iter().enumerate() {
+                assert_eq!(
+                    DefaultRule::Sha256Mod.shard_of(a, k),
+                    ShardId::new(modulo[i]),
+                    "Sha256Mod, account {account:#x}, k = {k}"
+                );
+                assert_eq!(
+                    DefaultRule::Sha256FirstBits.shard_of(a, k),
+                    ShardId::new(first_bits[i]),
+                    "Sha256FirstBits, account {account:#x}, k = {k}"
+                );
+            }
         }
     }
 

@@ -21,20 +21,24 @@
 //!   environment variable); memory is O(chunk). Streaming cannot sort,
 //!   so the file must be block-ordered — out-of-order input is a
 //!   [`Error::ParseTrace`] with the offending line, where the
-//!   materialising reader would have silently sorted.
+//!   materialising reader would have silently sorted. Both passes over
+//!   the file (the opening block-order scan and the chunk refill) pull
+//!   rows from [`crate::csv`]'s one row reader — the same canonical fast
+//!   path, the same `parse_data_line` for every other line, the same
+//!   4096-byte line bound as `read_trace`.
 //!
 //! Every backend produces the transaction sequence of the materialised
 //! trace, at any window or chunk size.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mosaic_types::{AccountId, BlockHeight, Error, Result, Transaction, TxId};
 
 use crate::config::WorkloadConfig;
-use crate::csv::parse_data_line;
+use crate::csv::RowReader;
 use crate::generator::GeneratedStream;
 use crate::trace::TransactionTrace;
 
@@ -116,7 +120,7 @@ impl EpochWindowStream {
     /// [`Error::Io`] if the file cannot be opened; [`Error::ParseTrace`]
     /// if the block column is malformed or out of order (the opening
     /// scan verifies block order up front, so a mid-run surprise cannot
-    /// waste hours of simulation).
+    /// waste hours of simulation) or a line is longer than 4096 bytes.
     pub fn csv(path: impl AsRef<Path>) -> Result<Self> {
         Self::csv_with_chunk_size(path, csv_chunk_from_env())
     }
@@ -214,11 +218,8 @@ fn csv_chunk_from_env() -> usize {
 /// buffer.
 struct CsvWindowStream {
     path: PathBuf,
-    reader: BufReader<File>,
-    /// Reused line buffer for the streaming pass.
-    line: String,
-    /// 1-based line number of the last line read in the streaming pass.
-    line_no: usize,
+    /// The streaming pass's row reader (it counts the lines).
+    rows: RowReader<BufReader<File>>,
     /// `max_block + 1` from the opening scan (0: no data rows).
     blocks: u64,
     /// All blocks below this height have been emitted.
@@ -237,22 +238,12 @@ struct CsvWindowStream {
 impl CsvWindowStream {
     fn open(path: &Path, chunk_txs: usize) -> Result<Self> {
         let scan = File::open(path).map_err(|e| io_error(path, &e))?;
+        let mut scan = RowReader::new(BufReader::new(scan));
         let mut max_block: Option<u64> = None;
-        for (idx, line) in BufReader::new(scan).lines().enumerate() {
-            let line_no = idx + 1;
-            let line = line.map_err(|e| read_error(line_no, &e))?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let field = trimmed.split(',').next().unwrap_or("").trim();
-            let block = field.parse::<u64>().map_err(|_| Error::ParseTrace {
-                line: line_no,
-                message: format!("invalid block '{field}'"),
-            })?;
+        while let Some(block) = scan.next_block()? {
             if let Some(last) = max_block {
                 if block < last {
-                    return Err(out_of_order(line_no, block, last));
+                    return Err(out_of_order(scan.line_no(), block, last));
                 }
             }
             max_block = Some(block);
@@ -260,9 +251,7 @@ impl CsvWindowStream {
         let file = File::open(path).map_err(|e| io_error(path, &e))?;
         Ok(CsvWindowStream {
             path: path.to_path_buf(),
-            reader: BufReader::new(file),
-            line: String::new(),
-            line_no: 0,
+            rows: RowReader::new(BufReader::new(file)),
             blocks: max_block.map_or(0, |b| b + 1),
             position: 0,
             chunk: Vec::with_capacity(chunk_txs),
@@ -280,24 +269,13 @@ impl CsvWindowStream {
         self.chunk.clear();
         self.chunk_pos = 0;
         while self.chunk.len() < self.chunk_txs {
-            self.line.clear();
-            let read = self
-                .reader
-                .read_line(&mut self.line)
-                .map_err(|e| read_error(self.line_no + 1, &e))?;
-            if read == 0 {
+            let Some((block, from, to, kind)) = self.rows.next_row()? else {
                 self.eof = true;
                 return Ok(());
-            }
-            self.line_no += 1;
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let (block, from, to, kind) = parse_data_line(trimmed, self.line_no)?;
+            };
             if let Some(last) = self.last_block {
                 if block < last {
-                    return Err(out_of_order(self.line_no, block, last));
+                    return Err(out_of_order(self.rows.line_no(), block, last));
                 }
             }
             self.last_block = Some(block);
@@ -344,13 +322,6 @@ fn out_of_order(line: usize, block: u64, last: u64) -> Error {
             "block {block} after {last}: streamed CSV input must be block-ordered \
              (the materialising reader sorts; the bounded-buffer reader cannot)"
         ),
-    }
-}
-
-fn read_error(line: usize, e: &std::io::Error) -> Error {
-    Error::ParseTrace {
-        line,
-        message: format!("io error: {e}"),
     }
 }
 
@@ -465,6 +436,20 @@ mod tests {
             Error::ParseTrace {
                 line: 3,
                 message: "invalid from 'bad'".into()
+            }
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn newline_free_csv_is_rejected_at_open() {
+        let path = temp_csv("no-newline.csv", &vec![b'7'; 1 << 20]);
+        let err = EpochWindowStream::csv_with_chunk_size(&path, 4).unwrap_err();
+        assert_eq!(
+            err,
+            Error::ParseTrace {
+                line: 1,
+                message: "line longer than 4096 bytes".into()
             }
         );
         std::fs::remove_file(&path).ok();
