@@ -14,14 +14,14 @@
 //! With `--check-determinism` no files are written: every cell runs
 //! through [`Simulation::stream_cell`] at a worker matrix —
 //! `cell_parallelism` 1 vs 2 vs a thread count beyond the machine's
-//! cores, with the adaptive sequential cutoff disabled so the pool
-//! engages at every scale — and the CSV byte streams are compared. The
-//! same matrix then re-runs with a process-wide telemetry recorder
-//! installed, so the gate also enforces the observability invariant:
-//! instrumentation must never perturb a result byte. Any difference
-//! exits non-zero; this is the end-to-end enforcement of the
-//! allocators' parallel-equals-sequential contract, exercised through
-//! the scenario parser and session path CI actually ships.
+//! cores — and the CSV byte streams are compared. The same matrix then
+//! re-runs with a process-wide telemetry recorder installed, so the
+//! gate also enforces the observability invariant: instrumentation
+//! must never perturb a result byte. Any difference exits non-zero;
+//! this is the end-to-end enforcement of the parallel-equals-sequential
+//! contract of the two within-cell pool paths (per-shard ledger commit,
+//! Ω classification), exercised through the scenario parser and session
+//! path CI actually ships.
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario
@@ -46,9 +46,6 @@ use mosaic_telemetry::Recorder;
 /// difference. Returns `(checked, divergent)` cell counts — a gate that
 /// compared nothing must not pass.
 fn check_determinism(sim: &Simulation) -> (usize, usize) {
-    // The gate must exercise the pool even at scales below the adaptive
-    // sequential cutoff — byte-identity is the contract at every size.
-    mosaic_metrics::parallel::set_par_cutoff(1);
     // Strictly more workers than the machine has cores (2x, minimum 4),
     // so the threaded code paths engage even on single-core runners AND
     // the oversubscribed-scheduling case is exercised on every runner.

@@ -34,9 +34,5 @@ pub mod report;
 pub mod timing;
 
 pub use load::{EpochLoad, LoadParams};
-pub use parallel::{
-    chunked_scan_commit, chunked_scan_commit_slices, for_each_indexed_mut, map_indexed,
-    map_indexed_scratch, ordered_map, par_cutoff, scan_chunk_size, set_par_cutoff, Parallelism,
-    WorkerPool,
-};
+pub use parallel::{for_each_indexed_mut, ordered_map, Parallelism, WorkerPool};
 pub use report::{Aggregate, AggregateBuilder, EpochCsvWriter, EpochMetrics, TextTable};

@@ -5,36 +5,23 @@
 //! barrier or poisoning the pool for later calls.
 
 use mosaic_metrics::parallel::{
-    chunked_scan_commit, map_indexed, set_par_cutoff, thread_pool_reset, thread_pool_workers,
-    Parallelism,
+    for_each_indexed_mut, ordered_map, thread_pool_reset, thread_pool_workers, Parallelism,
 };
 use proptest::prelude::*;
 
-/// Unit inputs here are far below the production cutoff by design.
-fn force_parallel() {
-    set_par_cutoff(1);
-}
-
-/// One mixed workload: a `map_indexed` sweep feeding a
-/// `chunked_scan_commit` walk whose commit fold is order-sensitive
+/// One mixed workload over both helpers: an `ordered_map` pass feeding a
+/// `for_each_indexed_mut` pass whose per-item result depends on the
+/// item's index, then an order-sensitive fold
 /// (`total = total * 31 + term`), so any lane mix-up, dropped item or
-/// out-of-order commit in the pool changes the bytes.
-fn workload(values: &[u64], chunk: usize, parallelism: Parallelism) -> (Vec<u64>, u64) {
-    let squares = map_indexed(values.len(), parallelism, |i| {
-        values[i].wrapping_mul(values[i])
+/// misplaced slot in the pool changes the bytes.
+fn workload(values: &[u64], parallelism: Parallelism) -> (Vec<u64>, u64) {
+    let mut squares = ordered_map(values, parallelism, |&v| v.wrapping_mul(v));
+    for_each_indexed_mut(&mut squares, parallelism, |i, sq| {
+        *sq = (*sq % 97) ^ i as u64;
     });
-    let mut total = 0u64;
-    chunked_scan_commit(
-        &mut total,
-        values.len(),
-        chunk.max(1),
-        parallelism,
-        || (),
-        |(), _total: &u64, i| squares[i] % 97,
-        |total, i, term: u64| {
-            *total = total.wrapping_mul(31).wrapping_add(term ^ i as u64);
-        },
-    );
+    let total = squares.iter().fold(0u64, |total, &term| {
+        total.wrapping_mul(31).wrapping_add(term)
+    });
     (squares, total)
 }
 
@@ -42,50 +29,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Many successive calls on one reused pool == fresh pool per call
-    /// == sequential, for arbitrary inputs, chunk and worker counts.
+    /// == sequential, for arbitrary inputs and worker counts.
     #[test]
     fn reused_pool_is_byte_identical(
         values in proptest::collection::vec(any::<u64>(), 1..200),
-        chunk in 1usize..64,
         workers in 2usize..9,
         calls in 1usize..5,
     ) {
-        force_parallel();
-        let sequential = workload(&values, chunk, Parallelism::Sequential);
+        let sequential = workload(&values, Parallelism::Sequential);
 
         // Fresh pool: reset, then run once.
         thread_pool_reset();
-        let fresh = workload(&values, chunk, Parallelism::Threads(workers));
+        let fresh = workload(&values, Parallelism::Threads(workers));
         prop_assert_eq!(&fresh, &sequential);
 
         // Reused pool: keep calling on the same (now warm) pool.
         for call in 0..calls {
-            let reused = workload(&values, chunk, Parallelism::Threads(workers));
+            let reused = workload(&values, Parallelism::Threads(workers));
             prop_assert_eq!(&reused, &sequential, "call = {}", call);
         }
     }
 }
 
-/// A panicking scoring closure must propagate to the caller (no
-/// deadlocked barrier), and the pool must stay usable — later calls on
-/// the same thread still match the sequential oracle.
+/// A panicking item closure must propagate to the caller (no deadlocked
+/// barrier) from either helper, and the pool must stay usable — later
+/// calls on the same thread still match the sequential oracle.
 #[test]
 fn worker_panic_propagates_and_pool_survives() {
-    force_parallel();
     thread_pool_reset();
     let values: Vec<u64> = (0..500).collect();
     let par = Parallelism::Threads(4);
 
     // Warm the pool and remember its size.
-    let baseline = workload(&values, 16, par);
+    let baseline = workload(&values, par);
     let spawned = thread_pool_workers();
     assert!(spawned > 0, "pool should be warm");
 
-    for panicking_item in [0usize, 250, 499] {
+    for panicking_item in [0u64, 250, 499] {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map_indexed(values.len(), par, |i| {
-                assert!(i != panicking_item, "boom at {i}");
-                values[i]
+            ordered_map(&values, par, |&v| {
+                assert!(v != panicking_item, "boom at {v}");
+                v
+            })
+        }));
+        assert!(caught.is_err(), "panic at {panicking_item} must propagate");
+
+        let mut scratch = values.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_indexed_mut(&mut scratch, par, |i, _| {
+                assert!(i as u64 != panicking_item, "boom at {i}");
             })
         }));
         assert!(caught.is_err(), "panic at {panicking_item} must propagate");
@@ -97,7 +89,7 @@ fn worker_panic_propagates_and_pool_survives() {
         spawned,
         "panic must not kill workers"
     );
-    let after = workload(&values, 16, par);
+    let after = workload(&values, par);
     assert_eq!(after, baseline, "pool must stay correct after a panic");
-    assert_eq!(after, workload(&values, 16, Parallelism::Sequential));
+    assert_eq!(after, workload(&values, Parallelism::Sequential));
 }

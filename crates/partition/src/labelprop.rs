@@ -12,7 +12,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mosaic_metrics::parallel::{chunked_scan_commit_slices, scan_chunk_size, Parallelism};
 use mosaic_txgraph::{NodeId, TxGraph};
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountShardMap, ShardId};
@@ -28,10 +27,6 @@ pub struct LabelPropagation {
     pub cap_factor: f64,
     /// Seed for the deterministic visit-order shuffle.
     pub seed: u64,
-    /// Worker-pool sizing for the label-scoring scan. The partition is
-    /// bit-identical at every level (the commit walk stays sequential),
-    /// so this is purely a throughput knob.
-    pub parallelism: Parallelism,
 }
 
 impl Default for LabelPropagation {
@@ -40,30 +35,13 @@ impl Default for LabelPropagation {
             rounds: 8,
             cap_factor: 1.1,
             seed: 0x1abe1,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
 
-/// Appends `v`'s connectivity-per-label entries onto `out`, reusing the
-/// caller's histogram scratch (one per worker — never an allocation per
-/// node). Appending rather than clearing lets the parallel path land
-/// every node's entries in one flat per-lane arena.
-fn score_labels_into(
-    graph: &TxGraph,
-    label: &[u32],
-    v: usize,
-    scratch: &mut FnvHashMap<u32, f64>,
-    out: &mut Vec<(u32, f64)>,
-) {
-    scratch.clear();
-    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
-        *scratch.entry(label[nb.index()]).or_default() += w as f64;
-    }
-    out.extend(scratch.iter().map(|(&l, &c)| (l, c)));
-}
-
-/// Scores `v`'s connectivity per neighbouring label into `entries`.
+/// Scores `v`'s connectivity per neighbouring label into `entries`,
+/// reusing the caller's histogram scratch (never an allocation per
+/// node).
 fn score_labels(
     graph: &TxGraph,
     label: &[u32],
@@ -71,12 +49,15 @@ fn score_labels(
     scratch: &mut FnvHashMap<u32, f64>,
     entries: &mut Vec<(u32, f64)>,
 ) {
+    scratch.clear();
+    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+        *scratch.entry(label[nb.index()]).or_default() += w as f64;
+    }
     entries.clear();
-    score_labels_into(graph, label, v, scratch, entries);
+    entries.extend(scratch.iter().map(|(&l, &c)| (l, c)));
 }
 
-/// The relabel decision shared verbatim by the sequential oracle and the
-/// parallel commit walk: adopt the most-connected other label under the
+/// The relabel decision: adopt the most-connected other label under the
 /// cap (ties to the lower label id), when strictly better-connected than
 /// the current one. Order-independent over `entries` (the comparator is
 /// a total order), so hashmap iteration order never leaks into the
@@ -116,22 +97,7 @@ fn commit_label_move(
     false
 }
 
-/// Sweep state for the parallel path: live labels plus move stamps so a
-/// commit can detect that a prescored histogram went stale.
-struct SweepState<'a> {
-    label: &'a mut [u32],
-    label_weight: &'a mut [f64],
-    stamp: Vec<u32>,
-    moves: u32,
-}
-
 impl LabelPropagation {
-    /// Returns the allocator with its worker-pool sizing replaced.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Partitions `graph` into `k` parts.
     ///
     /// # Panics
@@ -165,72 +131,21 @@ impl LabelPropagation {
             order.swap(i, j);
         }
 
-        if self.parallelism.workers(n) <= 1 {
-            // Sequential reference sweep: one histogram + one entry
-            // buffer reused across nodes and sweeps.
-            let mut scratch: FnvHashMap<u32, f64> = FnvHashMap::default();
-            let mut entries: Vec<(u32, f64)> = Vec::new();
-            for _ in 0..self.rounds {
-                let mut moves = 0usize;
-                for &v in &order {
-                    let v = v as usize;
-                    score_labels(graph, &label, v, &mut scratch, &mut entries);
-                    if commit_label_move(v, &entries, &dv, cap, &mut label, &mut label_weight) {
-                        moves += 1;
-                    }
-                }
-                if moves == 0 {
-                    break;
+        // One histogram + one entry buffer reused across nodes and
+        // sweeps.
+        let mut scratch: FnvHashMap<u32, f64> = FnvHashMap::default();
+        let mut entries: Vec<(u32, f64)> = Vec::new();
+        for _ in 0..self.rounds {
+            let mut moves = 0usize;
+            for &v in &order {
+                let v = v as usize;
+                score_labels(graph, &label, v, &mut scratch, &mut entries);
+                if commit_label_move(v, &entries, &dv, cap, &mut label, &mut label_weight) {
+                    moves += 1;
                 }
             }
-        } else {
-            let mut state = SweepState {
-                label: &mut label,
-                label_weight: &mut label_weight,
-                stamp: vec![0u32; n],
-                moves: 0,
-            };
-            let chunk = scan_chunk_size(n, self.parallelism);
-            // Live rescan buffers for stale histograms — the arena
-            // payload is immutable by the time commit sees it.
-            let mut live_scratch: FnvHashMap<u32, f64> = FnvHashMap::default();
-            let mut live_entries: Vec<(u32, f64)> = Vec::new();
-            for _ in 0..self.rounds {
-                let moves_before = state.moves;
-                chunked_scan_commit_slices(
-                    &mut state,
-                    n,
-                    chunk,
-                    self.parallelism,
-                    FnvHashMap::<u32, f64>::default,
-                    |scratch, s: &SweepState, i, arena: &mut Vec<(u32, f64)>| {
-                        let v = order[i] as usize;
-                        score_labels_into(graph, s.label, v, scratch, arena);
-                        s.moves
-                    },
-                    |s, i, snap, entries| {
-                        let v = order[i] as usize;
-                        // Stale iff a neighbour was relabelled after the
-                        // snapshot was scored.
-                        let entries: &[(u32, f64)] = if s.moves != snap
-                            && graph
-                                .neighbors(NodeId::new(v as u32))
-                                .any(|(nb, _)| s.stamp[nb.index()] > snap)
-                        {
-                            score_labels(graph, s.label, v, &mut live_scratch, &mut live_entries);
-                            &live_entries
-                        } else {
-                            entries
-                        };
-                        if commit_label_move(v, entries, &dv, cap, s.label, s.label_weight) {
-                            s.moves += 1;
-                            s.stamp[v] = s.moves;
-                        }
-                    },
-                );
-                if state.moves == moves_before {
-                    break;
-                }
+            if moves == 0 {
+                break;
             }
         }
 
@@ -275,10 +190,6 @@ impl GlobalAllocator for LabelPropagation {
                 .expect("in-range part");
         }
         phi
-    }
-
-    fn allocate_with(&self, graph: &TxGraph, k: u16, parallelism: Parallelism) -> AccountShardMap {
-        self.with_parallelism(parallelism).allocate(graph, k)
     }
 }
 

@@ -36,11 +36,13 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod dense;
 pub mod hash_alloc;
 pub mod labelprop;
 pub mod metis;
 mod traits;
 
+pub use dense::DenseHistogram;
 pub use hash_alloc::HashAllocator;
 pub use labelprop::LabelPropagation;
 pub use metis::{MetisConfig, MetisPartitioner};

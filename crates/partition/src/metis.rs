@@ -18,33 +18,24 @@
 //! balance) — exactly the objective mix the paper attributes to the
 //! Metis-based allocation baselines.
 //!
-//! # Parallelism and layout
+//! # Layout
 //!
-//! The hot scans — the heavy-edge-matching candidate search, the coarse
-//! adjacency aggregation and the refinement gain vectors — fan out over
-//! the persistent barrier-synchronised pool
-//! ([`mosaic_metrics::parallel`]) when [`MetisConfig::parallelism`]
-//! allows; every state mutation is replayed sequentially in input order
-//! with stale scores recomputed inline, so the partition is
-//! **bit-identical** to the sequential run at any worker count
-//! (proptested in `tests/parallel_equivalence.rs`). Every coarsening
-//! level stores its adjacency in flat CSR lanes ([`WorkGraph`]:
-//! contiguous `u32` neighbour ids and `u64` weights), so the scoring
-//! loops stream branch-light over contiguous memory instead of chasing
-//! one `Vec` per node, and refinement gain vectors land in the sweep's
-//! flat per-worker arenas ([`chunked_scan_commit_slices`]) rather than
-//! per-node allocations.
+//! Every phase is one sequential pass — each committed match or move
+//! changes what the next decision reads. Every coarsening level stores
+//! its adjacency in flat CSR lanes ([`WorkGraph`]: contiguous `u32`
+//! neighbour ids and `u64` weights), so the scoring loops stream
+//! branch-light over contiguous memory instead of chasing one `Vec` per
+//! node, and the contraction accumulates each coarse row in dense
+//! reused scratch ([`DenseHistogram`]) rather than a hash map.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mosaic_metrics::parallel::{
-    chunked_scan_commit, chunked_scan_commit_slices, scan_chunk_size, Parallelism,
-};
 use mosaic_txgraph::TxGraph;
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountShardMap, ShardId};
 
+use crate::dense::DenseHistogram;
 use crate::traits::GlobalAllocator;
 
 /// Tuning knobs for [`MetisPartitioner`].
@@ -62,11 +53,6 @@ pub struct MetisConfig {
     pub refine_passes: usize,
     /// Seed for the (deterministic) matching order shuffle.
     pub seed: u64,
-    /// Worker-pool sizing for the candidate scans (matching, coarse
-    /// aggregation, refinement gains). The partition is bit-identical at
-    /// every level, so this is purely a throughput knob; the experiment
-    /// engine threads its `cell_parallelism` in per epoch.
-    pub parallelism: Parallelism,
 }
 
 impl Default for MetisConfig {
@@ -77,7 +63,6 @@ impl Default for MetisConfig {
             balance_factor: 1.10,
             refine_passes: 8,
             seed: 0x6d65_7469, // "meti"
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -102,12 +87,6 @@ impl MetisPartitioner {
         self.config
     }
 
-    /// Returns the partitioner with its worker-pool sizing replaced.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
     /// Partitions `graph` into `k` parts, returning one part id per node
     /// (indexed by [`mosaic_txgraph::NodeId`]).
     ///
@@ -129,7 +108,6 @@ impl MetisPartitioner {
         }
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let parallelism = self.config.parallelism;
 
         // --- Phase 1: coarsen -------------------------------------------
         let base = WorkGraph::from_tx_graph(graph);
@@ -142,7 +120,7 @@ impl MetisPartitioner {
             if current.len() <= stop_at {
                 break;
             }
-            let (coarse, map) = coarsen_once(current, &mut rng, parallelism);
+            let (coarse, map) = coarsen_once(current, &mut rng);
             // Bail out if matching stopped making progress (e.g. stars).
             if coarse.len() as f64 > current.len() as f64 * 0.97 {
                 break;
@@ -162,7 +140,6 @@ impl MetisPartitioner {
             k,
             max_allowed,
             self.config.refine_passes,
-            parallelism,
         );
 
         // --- Phase 3: uncoarsen + refine ---------------------------------
@@ -176,14 +153,7 @@ impl MetisPartitioner {
             parts = fine_parts;
             let max_allowed = max_part_weight(fine.total_weight(), k, self.config.balance_factor);
             rebalance(fine, &mut parts, k, max_allowed);
-            refine(
-                fine,
-                &mut parts,
-                k,
-                max_allowed,
-                self.config.refine_passes,
-                parallelism,
-            );
+            refine(fine, &mut parts, k, max_allowed, self.config.refine_passes);
         }
 
         parts
@@ -203,10 +173,6 @@ impl GlobalAllocator for MetisPartitioner {
                 .expect("partitioner produced an in-range part");
         }
         phi
-    }
-
-    fn allocate_with(&self, graph: &TxGraph, k: u16, parallelism: Parallelism) -> AccountShardMap {
-        self.with_parallelism(parallelism).allocate(graph, k)
     }
 }
 
@@ -272,9 +238,6 @@ fn max_part_weight(total: u64, k: u16, balance_factor: f64) -> u64 {
 const UNMATCHED: u32 = u32::MAX;
 
 /// Heaviest currently-unmatched neighbour of `v`; ties to the lower id.
-/// The single candidate-scan comparator shared by the sequential walk
-/// and the parallel prescoring pass (identical tie-breaks by
-/// construction).
 fn best_unmatched_neighbor(graph: &WorkGraph, mate: &[u32], v: usize) -> Option<(u32, u64)> {
     let mut best: Option<(u32, u64)> = None;
     for (nb, w) in graph.nbrs(v) {
@@ -290,20 +253,7 @@ fn best_unmatched_neighbor(graph: &WorkGraph, mate: &[u32], v: usize) -> Option<
 
 /// One heavy-edge-matching coarsening step. Returns the coarse graph and
 /// the fine→coarse node map.
-///
-/// The matching walk is sequential by nature (every committed pair
-/// removes two candidates), but the candidate scan per node is not: in
-/// parallel mode each chunk of the visit order is prescored against a
-/// snapshot of the matching, and the sequential commit walk reuses a
-/// prescored candidate whenever it is still unmatched. Because the
-/// unmatched set only shrinks, a still-unmatched snapshot argmax *is*
-/// the live argmax, and a consumed candidate falls back to an inline
-/// rescan — the matching is identical to the sequential one.
-fn coarsen_once(
-    graph: &WorkGraph,
-    rng: &mut StdRng,
-    parallelism: Parallelism,
-) -> (WorkGraph, Vec<u32>) {
+fn coarsen_once(graph: &WorkGraph, rng: &mut StdRng) -> (WorkGraph, Vec<u32>) {
     let n = graph.len();
     let mut mate = vec![UNMATCHED; n];
 
@@ -314,50 +264,16 @@ fn coarsen_once(
         order.swap(i, j);
     }
 
-    if parallelism.workers(n) <= 1 {
-        // Sequential reference walk.
-        for &v in &order {
-            let v = v as usize;
-            if mate[v] != UNMATCHED {
-                continue;
-            }
-            let best = best_unmatched_neighbor(graph, &mate, v);
-            commit_match(&mut mate, v, best);
+    for &v in &order {
+        let v = v as usize;
+        if mate[v] != UNMATCHED {
+            continue;
         }
-    } else {
-        chunked_scan_commit(
-            &mut mate,
-            n,
-            scan_chunk_size(n, parallelism),
-            parallelism,
-            || (),
-            |(), mate: &Vec<u32>, i| {
-                let v = order[i] as usize;
-                if mate[v] != UNMATCHED {
-                    return None;
-                }
-                best_unmatched_neighbor(graph, mate, v)
-            },
-            |mate, i, prescored| {
-                let v = order[i] as usize;
-                if mate[v] != UNMATCHED {
-                    return;
-                }
-                let best = match prescored {
-                    // Snapshot argmax still unmatched → it is the live
-                    // argmax (the unmatched set only shrinks).
-                    Some((nb, w)) if mate[nb as usize] == UNMATCHED => Some((nb, w)),
-                    // Candidate consumed earlier in the chunk: rescan.
-                    Some(_) => best_unmatched_neighbor(graph, mate, v),
-                    // No unmatched neighbour at snapshot time → none now.
-                    None => None,
-                };
-                commit_match(mate, v, best);
-            },
-        );
+        let best = best_unmatched_neighbor(graph, &mate, v);
+        commit_match(&mut mate, v, best);
     }
 
-    finish_coarsen(graph, &order, &mate, parallelism)
+    finish_coarsen(graph, &order, &mate)
 }
 
 /// Records `v`'s match decision (pair or singleton).
@@ -372,12 +288,7 @@ fn commit_match(mate: &mut [u32], v: usize, best: Option<(u32, u64)>) {
 }
 
 /// Contracts a computed matching into the coarse graph.
-fn finish_coarsen(
-    graph: &WorkGraph,
-    order: &[u32],
-    mate: &[u32],
-    parallelism: Parallelism,
-) -> (WorkGraph, Vec<u32>) {
+fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph, Vec<u32>) {
     let n = graph.len();
     // Assign coarse ids in visit order (pair owner = first visited).
     let mut coarse_of = vec![UNMATCHED; n];
@@ -395,12 +306,6 @@ fn finish_coarsen(
         next += 1;
     }
 
-    // Build the coarse graph. Every coarse node's merged adjacency is
-    // independent of the others (and sorted by neighbour id), so the
-    // aggregation fans out with one reusable histogram per worker; the
-    // scored rows land in the sweep's flat per-worker arenas and the
-    // sequential commit appends them straight onto the coarse CSR lanes
-    // (input order, so the layout is identical at any worker count).
     let cn = next as usize;
     let mut vwgt = vec![0u64; cn];
     for v in 0..n {
@@ -424,54 +329,41 @@ fn finish_coarsen(
         cursor[c] += 1;
     }
 
-    struct CoarseCsr {
-        xadj: Vec<usize>,
-        anbr: Vec<u32>,
-        awgt: Vec<u64>,
-    }
-    let mut csr = CoarseCsr {
-        xadj: vec![0usize; 1],
-        anbr: Vec::new(),
-        awgt: Vec::new(),
-    };
-    let coarse_of_ref = &coarse_of;
-    chunked_scan_commit_slices(
-        &mut csr,
-        cn,
-        scan_chunk_size(cn, parallelism),
-        parallelism,
-        FnvHashMap::<u32, u64>::default,
-        |scratch, _csr, c, arena: &mut Vec<(u32, u64)>| {
-            scratch.clear();
-            for &v in &members[mxadj[c]..mxadj[c + 1]] {
-                for (nb, w) in graph.nbrs(v as usize) {
-                    let cnb = coarse_of_ref[nb as usize];
-                    if cnb as usize != c {
-                        *scratch.entry(cnb).or_default() += w;
-                    }
+    // Build the coarse CSR row by row: merge the members' adjacency per
+    // coarse neighbour (coarse ids are `< cn`, so the histogram is
+    // dense), then sort the row by neighbour id — the histogram's
+    // first-touch order never reaches the layout.
+    let mut xadj = Vec::with_capacity(cn + 1);
+    xadj.push(0usize);
+    let mut anbr: Vec<u32> = Vec::new();
+    let mut awgt: Vec<u64> = Vec::new();
+    let mut hist = DenseHistogram::new(cn);
+    let mut row: Vec<(u32, u64)> = Vec::new();
+    for c in 0..cn {
+        for &v in &members[mxadj[c]..mxadj[c + 1]] {
+            for (nb, w) in graph.nbrs(v as usize) {
+                let cnb = coarse_of[nb as usize];
+                if cnb as usize != c {
+                    hist.add(cnb, w);
                 }
             }
-            let row_start = arena.len();
-            arena.extend(scratch.iter().map(|(&cnb, &w)| (cnb, w)));
-            // Keys are unique (histogram), so the unstable sort is
-            // deterministic regardless of hashmap iteration order.
-            arena[row_start..].sort_unstable_by_key(|&(cnb, _)| cnb);
-        },
-        |csr, _c, (), row| {
-            for &(cnb, w) in row {
-                csr.anbr.push(cnb);
-                csr.awgt.push(w);
-            }
-            csr.xadj.push(csr.anbr.len());
-        },
-    );
+        }
+        row.clear();
+        hist.drain_into(&mut row);
+        row.sort_unstable_by_key(|&(cnb, _)| cnb);
+        for &(cnb, w) in &row {
+            anbr.push(cnb);
+            awgt.push(w);
+        }
+        xadj.push(anbr.len());
+    }
 
     (
         WorkGraph {
             vwgt,
-            xadj: csr.xadj,
-            anbr: csr.anbr,
-            awgt: csr.awgt,
+            xadj,
+            anbr,
+            awgt,
         },
         coarse_of,
     )
@@ -604,16 +496,6 @@ fn rebalance(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64) {
     }
 }
 
-/// Refinement state threaded through the scan/commit walk: the live
-/// partition plus the move stamps that let a commit detect stale gain
-/// vectors (`stamp[v]` = index of the move that last relocated `v`).
-struct RefineState<'p> {
-    parts: &'p mut [u16],
-    part_weight: Vec<u64>,
-    stamp: Vec<u32>,
-    moves: u32,
-}
-
 /// Accumulates `v`'s connectivity-per-part vector into `conn`.
 fn fill_conn(graph: &WorkGraph, parts: &[u16], v: usize, conn: &mut [u64]) {
     conn.iter_mut().for_each(|c| *c = 0);
@@ -622,8 +504,7 @@ fn fill_conn(graph: &WorkGraph, parts: &[u16], v: usize, conn: &mut [u64]) {
     }
 }
 
-/// The move decision shared verbatim by the sequential oracle and the
-/// parallel commit walk: pick the most-connected other part (ties to the
+/// The move decision: pick the most-connected other part (ties to the
 /// lighter one) and move when the gain is positive, or zero-gain but
 /// balance-improving, under the balance bound. Returns `true` on a move.
 fn refine_commit_move(
@@ -670,20 +551,7 @@ fn refine_commit_move(
 /// FM-style greedy boundary refinement: repeatedly move nodes to the part
 /// they are most connected to, when the move has positive cut gain (or
 /// zero gain but improves balance) and respects the balance bound.
-///
-/// In parallel mode each chunk prescores the gain vectors against a
-/// snapshot of the partition; the commit walk replays the moves
-/// sequentially with live part weights, rescoring a node inline iff one
-/// of its neighbours moved after the snapshot — bit-identical to the
-/// sequential pass at any worker count.
-fn refine(
-    graph: &WorkGraph,
-    parts: &mut [u16],
-    k: u16,
-    max_allowed: u64,
-    passes: usize,
-    parallelism: Parallelism,
-) {
+fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes: usize) {
     let n = graph.len();
     let kk = usize::from(k);
     let mut part_weight = vec![0u64; kk];
@@ -691,75 +559,19 @@ fn refine(
         part_weight[usize::from(parts[v])] += graph.vwgt[v];
     }
 
-    if parallelism.workers(n) <= 1 {
-        // Sequential reference pass.
-        let mut conn = vec![0u64; kk];
-        for _ in 0..passes {
-            let mut moved = 0usize;
-            for v in 0..n {
-                if graph.degree(v) == 0 {
-                    continue;
-                }
-                fill_conn(graph, parts, v, &mut conn);
-                if refine_commit_move(graph, v, &conn, parts, &mut part_weight, max_allowed) {
-                    moved += 1;
-                }
+    let mut conn = vec![0u64; kk];
+    for _ in 0..passes {
+        let mut moved = 0usize;
+        for v in 0..n {
+            if graph.degree(v) == 0 {
+                continue;
             }
-            if moved == 0 {
-                break;
+            fill_conn(graph, parts, v, &mut conn);
+            if refine_commit_move(graph, v, &conn, parts, &mut part_weight, max_allowed) {
+                moved += 1;
             }
         }
-        return;
-    }
-
-    let mut state = RefineState {
-        parts,
-        part_weight,
-        stamp: vec![0u32; n],
-        moves: 0,
-    };
-    let chunk = scan_chunk_size(n, parallelism);
-    // Live rescan buffer for stale gain vectors — the arena payload is
-    // immutable by the time commit sees it.
-    let mut rescan = vec![0u64; kk];
-    for _ in 0..passes {
-        let moves_before = state.moves;
-        chunked_scan_commit_slices(
-            &mut state,
-            n,
-            chunk,
-            parallelism,
-            || (),
-            |(), s: &RefineState, v, arena: &mut Vec<u64>| {
-                if graph.degree(v) == 0 {
-                    return None;
-                }
-                let base = arena.len();
-                arena.resize(base + kk, 0);
-                fill_conn(graph, s.parts, v, &mut arena[base..]);
-                Some(s.moves)
-            },
-            |s, v, snap, conn| {
-                let Some(snap) = snap else {
-                    return;
-                };
-                // Stale iff a neighbour moved after the snapshot was
-                // scored (a move bumps `moves` and stamps the mover).
-                let conn: &[u64] = if s.moves != snap
-                    && graph.nbrs(v).any(|(nb, _)| s.stamp[nb as usize] > snap)
-                {
-                    fill_conn(graph, s.parts, v, &mut rescan);
-                    &rescan
-                } else {
-                    conn
-                };
-                if refine_commit_move(graph, v, conn, s.parts, &mut s.part_weight, max_allowed) {
-                    s.moves += 1;
-                    s.stamp[v] = s.moves;
-                }
-            },
-        );
-        if state.moves == moves_before {
+        if moved == 0 {
             break;
         }
     }
@@ -913,6 +725,75 @@ mod tests {
             weights[usize::from(hub_part)] <= hub_weight + 60,
             "hub part overloaded: {weights:?}"
         );
+    }
+
+    /// The contraction by definition, written the slow obvious way:
+    /// coarse edge `(a, b)` weighs the sum of the fine edges between the
+    /// two groups, rows in ascending neighbour id, no self-loops.
+    fn reference_contraction(fine: &WorkGraph, coarse_of: &[u32]) -> WorkGraph {
+        let cn = coarse_of.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut vwgt = vec![0u64; cn];
+        let mut rows: Vec<std::collections::BTreeMap<u32, u64>> = vec![Default::default(); cn];
+        for v in 0..fine.len() {
+            let c = coarse_of[v];
+            vwgt[c as usize] += fine.vwgt[v];
+            for (nb, w) in fine.nbrs(v) {
+                let cnb = coarse_of[nb as usize];
+                if cnb != c {
+                    *rows[c as usize].entry(cnb).or_default() += w;
+                }
+            }
+        }
+        let mut coarse = WorkGraph {
+            vwgt,
+            xadj: vec![0],
+            anbr: Vec::new(),
+            awgt: Vec::new(),
+        };
+        for row in rows {
+            coarse.anbr.extend(row.keys());
+            coarse.awgt.extend(row.values());
+            coarse.xadj.push(coarse.anbr.len());
+        }
+        coarse
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// One coarsening step on arbitrary graphs: the fine→coarse map
+        /// is a matching (groups of one node, or of two adjacent ones,
+        /// densely numbered) and the dense-scratch contraction equals
+        /// the ordered-map contraction lane for lane.
+        #[test]
+        fn prop_contraction_equals_ordered_map_reference(
+            edges in proptest::collection::vec((0u64..80, 0u64..80, 1u64..6), 1..400),
+            seed in any::<u64>(),
+        ) {
+            let mut b = GraphBuilder::new();
+            for (x, y, w) in edges {
+                b.add_edge(acct(x), acct(y), w);
+            }
+            let fine = WorkGraph::from_tx_graph(&b.build());
+            let (coarse, coarse_of) = coarsen_once(&fine, &mut StdRng::seed_from_u64(seed));
+
+            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); coarse.len()];
+            for (v, &c) in coarse_of.iter().enumerate() {
+                groups[c as usize].push(v);
+            }
+            for group in &groups {
+                match group[..] {
+                    [_] => {}
+                    [a, b] => prop_assert!(fine.nbrs(a).any(|(nb, _)| nb as usize == b)),
+                    _ => prop_assert!(false, "group of {} nodes", group.len()),
+                }
+            }
+
+            let expected = reference_contraction(&fine, &coarse_of);
+            prop_assert_eq!(&coarse.vwgt, &expected.vwgt);
+            prop_assert_eq!(&coarse.xadj, &expected.xadj);
+            prop_assert_eq!(&coarse.anbr, &expected.anbr);
+            prop_assert_eq!(&coarse.awgt, &expected.awgt);
+        }
     }
 
     proptest! {

@@ -1,6 +1,5 @@
 //! The interface of a miner-driven global allocation algorithm.
 
-use mosaic_metrics::parallel::Parallelism;
 use mosaic_txgraph::TxGraph;
 use mosaic_types::AccountShardMap;
 
@@ -19,6 +18,10 @@ use mosaic_types::AccountShardMap;
 /// `GlobalAllocator` into a strategy that recomputes ϕ on the full
 /// history each epoch, so implementing this trait is all a new
 /// miner-driven algorithm needs to appear in the evaluation.
+///
+/// An allocation is one sequential, deterministic computation: the
+/// engine's `cell_parallelism` knob never reaches an allocator, so ϕ
+/// cannot depend on a worker count.
 pub trait GlobalAllocator {
     /// Human-readable name used in reports ("Metis", "Random", …).
     fn name(&self) -> &'static str;
@@ -36,21 +39,6 @@ pub trait GlobalAllocator {
     /// graph argument, including the empty graph.
     fn uses_graph(&self) -> bool {
         true
-    }
-
-    /// [`GlobalAllocator::allocate`] with an explicit worker-pool sizing
-    /// for the allocator's internal scans.
-    ///
-    /// Implementations must return a result **identical** to
-    /// [`GlobalAllocator::allocate`] at every parallelism level — the
-    /// experiment engine threads its per-cell knob through here and
-    /// promises byte-identical CSVs, and the parallel-equivalence
-    /// proptests enforce it. The default ignores the knob (correct for
-    /// allocators with no internal scan worth parallelising, e.g. hash
-    /// allocation).
-    fn allocate_with(&self, graph: &TxGraph, k: u16, parallelism: Parallelism) -> AccountShardMap {
-        let _ = parallelism;
-        self.allocate(graph, k)
     }
 }
 

@@ -146,8 +146,9 @@ pub struct EpochCtx<'e, 'w, 't> {
     pub history: &'e mut History<'t>,
     /// System parameters of the experiment cell.
     pub params: SystemParams,
-    /// Worker-pool sizing for within-cell work this strategy dispatches
-    /// (e.g. workload classification); byte-identical at every level.
+    /// Worker-pool sizing for the within-cell work a strategy dispatches
+    /// over independent items (Ω classification chunks); byte-identical
+    /// at every level. Allocators never see it.
     pub parallelism: Parallelism,
 }
 
@@ -280,15 +281,6 @@ pub fn allocation_diff(old: &AccountShardMap, new: &AccountShardMap) -> usize {
 /// (the paper's "global optimization" row of Table VI). The graph
 /// materialisation happens inside the timed region, exactly as a miner
 /// recomputing from its replicated history would pay for it.
-///
-/// The per-epoch recomputation runs through
-/// [`GlobalAllocator::allocate_with`] with the cell's parallelism knob
-/// ([`EpochCtx::parallelism`]), so Metis- and TxAllo-style allocators
-/// fan their scoring scans over the order-stable pool; the result is
-/// bit-identical at every worker count, which keeps experiment CSVs
-/// byte-stable (enforced by the determinism CI job). The initial
-/// (training-prefix) allocation stays sequential — it runs once per
-/// cell and grids already parallelise across cells.
 impl<A: GlobalAllocator> EpochStrategy for A {
     fn name(&self) -> &'static str {
         GlobalAllocator::name(self)
@@ -310,13 +302,7 @@ impl<A: GlobalAllocator> EpochStrategy for A {
         // merge into the maintained CSR + the allocation is the
         // per-epoch recomputation Table IV measures, so both run inside
         // `time_it`.
-        let history = &mut *ctx.history;
-        let k = ctx.params.shards();
-        let parallelism = ctx.parallelism;
-        let (phi, elapsed) = time_it(|| {
-            let graph = history.graph();
-            self.allocate_with(graph, k, parallelism)
-        });
+        let (phi, elapsed) = time_it(|| self.allocate(ctx.history.graph(), ctx.params.shards()));
         let moved = allocation_diff(ledger.phi(), &phi);
         EpochDecision {
             new_phi: Some(phi),
@@ -410,10 +396,7 @@ impl EpochStrategy for AdaptiveTxAllo {
 
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
         let mut phi = ledger.phi().clone();
-        let (moved, elapsed) = time_it(|| {
-            self.update
-                .update_with(&mut phi, ctx.recent_window, ctx.parallelism)
-        });
+        let (moved, elapsed) = time_it(|| self.update.update(&mut phi, ctx.recent_window));
         EpochDecision {
             new_phi: Some(phi),
             migrations: MigrationCount::Moves(moved),

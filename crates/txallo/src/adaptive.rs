@@ -1,6 +1,5 @@
 //! A-TxAllo: the fast adaptive allocation update.
 
-use mosaic_metrics::parallel::Parallelism;
 use mosaic_txgraph::GraphBuilder;
 use mosaic_types::{AccountShardMap, Transaction};
 
@@ -42,18 +41,6 @@ impl ATxAllo {
     /// resolved through `phi`'s default rule, then optimised like any
     /// other active account.
     pub fn update(&self, phi: &mut AccountShardMap, window: &[Transaction]) -> usize {
-        self.update_with(phi, window, self.config.parallelism)
-    }
-
-    /// [`ATxAllo::update`] with an explicit worker-pool sizing for the
-    /// per-account scoring scan, overriding the config's. The resulting
-    /// allocation is bit-identical at every parallelism level.
-    pub fn update_with(
-        &self,
-        phi: &mut AccountShardMap,
-        window: &[Transaction],
-        parallelism: Parallelism,
-    ) -> usize {
         let k = phi.shards();
         let kk = usize::from(k);
         if window.is_empty() || k <= 1 {
@@ -105,7 +92,6 @@ impl ATxAllo {
             &mut parts,
             &mut load,
             self.config.rounds,
-            parallelism,
         );
 
         // Write back only actual changes.

@@ -1,7 +1,5 @@
 //! TxAllo configuration.
 
-use mosaic_metrics::parallel::Parallelism;
-
 /// Tuning parameters shared by [`crate::GTxAllo`] and [`crate::ATxAllo`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxAlloConfig {
@@ -12,11 +10,6 @@ pub struct TxAlloConfig {
     /// Capacity slack: a shard's workload target is
     /// `slack × total_workload / k`; load beyond the target is penalised.
     pub capacity_slack: f64,
-    /// Worker-pool sizing for the per-account scoring scans. The
-    /// allocation is bit-identical at every level (the commit walks stay
-    /// sequential), so this is purely a throughput knob; the experiment
-    /// engine threads its `cell_parallelism` in per epoch.
-    pub parallelism: Parallelism,
 }
 
 impl Default for TxAlloConfig {
@@ -25,7 +18,6 @@ impl Default for TxAlloConfig {
             eta: 2.0,
             rounds: 10,
             capacity_slack: 1.05,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -42,12 +34,6 @@ impl TxAlloConfig {
             eta,
             ..TxAlloConfig::default()
         }
-    }
-
-    /// Returns the config with its worker-pool sizing replaced.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 }
 

@@ -1,9 +1,7 @@
 //! G-TxAllo: the complete (global) deterministic allocation algorithm.
 
-use mosaic_metrics::parallel::Parallelism;
 use mosaic_partition::GlobalAllocator;
 use mosaic_txgraph::TxGraph;
-use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountShardMap, ShardId};
 
 use crate::config::TxAlloConfig;
@@ -83,14 +81,8 @@ impl GTxAllo {
         });
 
         // --- Phase 1: community detection ---------------------------------
-        let communities = sweep::detect_communities(
-            graph,
-            &dv,
-            &order,
-            capacity,
-            self.config.rounds,
-            self.config.parallelism,
-        );
+        let communities =
+            sweep::detect_communities(graph, &dv, &order, capacity, self.config.rounds);
 
         // --- Phase 2: LPT community-to-shard mapping -----------------------
         let mut parts = map_communities_lpt(&communities, &dv, k);
@@ -108,7 +100,6 @@ impl GTxAllo {
             &mut parts,
             &mut load,
             self.config.rounds,
-            self.config.parallelism,
         );
 
         parts
@@ -116,25 +107,30 @@ impl GTxAllo {
 }
 
 /// LPT bin packing of communities onto `k` shards: heaviest community to
-/// the currently lightest shard.
+/// the currently lightest shard (ties to the lower community id).
+///
+/// Community ids are node ids, so both per-community tables are `Vec`s
+/// indexed by id. Every `dv` is ≥ 1, so a zero weight means "no member".
 fn map_communities_lpt(communities: &[u32], dv: &[f64], k: u16) -> Vec<u16> {
     let n = communities.len();
     let kk = usize::from(k);
-    // Aggregate community weights.
-    let mut weight: FnvHashMap<u32, f64> = FnvHashMap::default();
+    let mut weight = vec![0.0f64; n];
     for v in 0..n {
-        *weight.entry(communities[v]).or_default() += dv[v];
+        weight[communities[v] as usize] += dv[v];
     }
-    let mut by_weight: Vec<(u32, f64)> = weight.into_iter().collect();
-    by_weight.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
+    let mut by_weight: Vec<u32> = (0..n as u32)
+        .filter(|&c| weight[c as usize] > 0.0)
+        .collect();
+    by_weight.sort_unstable_by(|&a, &b| {
+        weight[b as usize]
+            .partial_cmp(&weight[a as usize])
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
+            .then(a.cmp(&b))
     });
 
     let mut shard_load = vec![0.0f64; kk];
-    let mut comm_shard: FnvHashMap<u32, u16> = FnvHashMap::default();
-    for (c, w) in by_weight {
+    let mut comm_shard = vec![0u16; n];
+    for c in by_weight {
         let lightest = (0..kk)
             .min_by(|&a, &b| {
                 shard_load[a]
@@ -142,11 +138,14 @@ fn map_communities_lpt(communities: &[u32], dv: &[f64], k: u16) -> Vec<u16> {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("k > 0");
-        shard_load[lightest] += w;
-        comm_shard.insert(c, lightest as u16);
+        shard_load[lightest] += weight[c as usize];
+        comm_shard[c as usize] = lightest as u16;
     }
 
-    (0..n).map(|v| comm_shard[&communities[v]]).collect()
+    communities
+        .iter()
+        .map(|&c| comm_shard[c as usize])
+        .collect()
 }
 
 impl GlobalAllocator for GTxAllo {
@@ -162,10 +161,6 @@ impl GlobalAllocator for GTxAllo {
                 .expect("partition produced in-range shard");
         }
         phi
-    }
-
-    fn allocate_with(&self, graph: &TxGraph, k: u16, parallelism: Parallelism) -> AccountShardMap {
-        GTxAllo::new(self.config.with_parallelism(parallelism)).allocate(graph, k)
     }
 }
 

@@ -1,27 +1,18 @@
-//! The shared greedy-sweep kernels of both TxAllo variants, with their
-//! deterministic-parallel scoring paths.
+//! The shared greedy-sweep kernels of both TxAllo variants.
 //!
 //! G-TxAllo's community detection and account-level refinement and
 //! A-TxAllo's window update are all the same shape: visit accounts in a
 //! fixed order, score each account's connectivity to its candidate
 //! targets, commit the best admissible move, repeat until a fixed point.
-//! The *scoring* scan (a weighted histogram over the account's
-//! neighbours) is embarrassingly parallel; the *commit* must stay
-//! sequential because every move shifts the loads later decisions read.
-//!
-//! Both kernels here therefore run the scan over
-//! [`mosaic_metrics::parallel::chunked_scan_commit_slices`]: chunks of
-//! the visit order are prescored against a snapshot into flat per-worker
-//! arenas (no allocation per account), the commit walk replays moves in
-//! input order with live loads, and a prescored histogram is recomputed
-//! inline iff one of the account's neighbours moved after the snapshot.
-//! The result is **bit-identical** to the sequential sweep at every
-//! worker count (the sequential path below is the oracle the
-//! parallel-equivalence proptests compare against).
+//! Every committed move shifts the loads and labels later decisions
+//! read, so each kernel is one sequential sweep; what keeps it fast is
+//! that the per-account histogram lives in dense reused scratch
+//! ([`DenseHistogram`]) and that community detection re-scores only the
+//! accounts whose decision can have changed (see
+//! [`detect_communities`]).
 
-use mosaic_metrics::parallel::{chunked_scan_commit_slices, scan_chunk_size, Parallelism};
+use mosaic_partition::DenseHistogram;
 use mosaic_txgraph::{NodeId, TxGraph};
-use mosaic_types::hash::FnvHashMap;
 
 use crate::objective::AlloObjective;
 
@@ -33,8 +24,7 @@ fn fill_shard_conn(graph: &TxGraph, parts: &[u16], v: usize, conn: &mut [f64]) {
     }
 }
 
-/// The objective-walk move decision shared verbatim by the sequential
-/// oracle and the parallel commit walk: move `v` to the shard with the
+/// The objective-walk move decision: move `v` to the shard with the
 /// best positive [`AlloObjective::move_delta`]. Returns `true` on a move.
 fn commit_objective_move(
     v: usize,
@@ -66,25 +56,12 @@ fn commit_objective_move(
     }
 }
 
-/// Live sweep state for the parallel paths: the assignment being
-/// mutated plus move stamps (`stamp[v]` = index of the move that last
-/// relocated `v`) so a commit can detect stale prescored histograms.
-struct SweepState<'a, W> {
-    assign: &'a mut [W],
-    weight: &'a mut [f64],
-    stamp: Vec<u32>,
-    moves: u32,
-}
-
 /// Greedy account-level refinement against the throughput objective —
 /// the inner loop of G-TxAllo phase 3 and of the whole A-TxAllo update.
 ///
 /// Visits `order` repeatedly (at most `rounds` sweeps, stopping at a
 /// fixed point), moving each account to the shard with the best positive
 /// objective delta. `parts` and `load` are updated in place.
-// The argument list mirrors the sweep's working set one-to-one; a
-// bundling struct would only rename the same eight things.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn objective_refine(
     graph: &TxGraph,
     order: &[u32],
@@ -93,116 +70,54 @@ pub(crate) fn objective_refine(
     parts: &mut [u16],
     load: &mut [f64],
     rounds: usize,
-    parallelism: Parallelism,
 ) {
-    let n = order.len();
-    let kk = load.len();
-
-    if parallelism.workers(n) <= 1 {
-        // Sequential reference sweep (one conn buffer reused throughout).
-        let mut conn = vec![0.0f64; kk];
-        for _ in 0..rounds {
-            let mut moves = 0usize;
-            for &v in order {
-                let v = v as usize;
-                fill_shard_conn(graph, parts, v, &mut conn);
-                if commit_objective_move(v, &conn, objective, dv, parts, load) {
-                    moves += 1;
-                }
-            }
-            if moves == 0 {
-                break;
+    // One conn buffer reused throughout.
+    let mut conn = vec![0.0f64; load.len()];
+    for _ in 0..rounds {
+        let mut moves = 0usize;
+        for &v in order {
+            let v = v as usize;
+            fill_shard_conn(graph, parts, v, &mut conn);
+            if commit_objective_move(v, &conn, objective, dv, parts, load) {
+                moves += 1;
             }
         }
-        return;
-    }
-
-    let mut state = SweepState {
-        assign: parts,
-        weight: load,
-        stamp: vec![0u32; graph.node_count()],
-        moves: 0,
-    };
-    let chunk = scan_chunk_size(n, parallelism);
-    // Live rescan buffer for stale conn vectors — the arena payload is
-    // immutable by the time commit sees it.
-    let mut rescan = vec![0.0f64; kk];
-    for _ in 0..rounds {
-        let moves_before = state.moves;
-        chunked_scan_commit_slices(
-            &mut state,
-            n,
-            chunk,
-            parallelism,
-            || (),
-            |(), s: &SweepState<u16>, i, arena: &mut Vec<f64>| {
-                let v = order[i] as usize;
-                let base = arena.len();
-                arena.resize(base + kk, 0.0);
-                fill_shard_conn(graph, s.assign, v, &mut arena[base..]);
-                s.moves
-            },
-            |s, i, snap, conn| {
-                let v = order[i] as usize;
-                // Stale iff a neighbour moved after the snapshot.
-                let conn: &[f64] = if s.moves != snap
-                    && graph
-                        .neighbors(NodeId::new(v as u32))
-                        .any(|(nb, _)| s.stamp[nb.index()] > snap)
-                {
-                    fill_shard_conn(graph, s.assign, v, &mut rescan);
-                    &rescan
-                } else {
-                    conn
-                };
-                if commit_objective_move(v, conn, objective, dv, s.assign, s.weight) {
-                    s.moves += 1;
-                    s.stamp[v] = s.moves;
-                }
-            },
-        );
-        if state.moves == moves_before {
+        if moves == 0 {
             break;
         }
     }
 }
 
-/// Appends `v`'s connectivity-per-community entries onto `out`, reusing
-/// the caller's histogram scratch (one per worker). Appending rather
-/// than clearing lets the parallel path land every node's entries in
-/// one flat per-lane arena.
-fn score_communities_into(
-    graph: &TxGraph,
-    comm: &[u32],
-    v: usize,
-    scratch: &mut FnvHashMap<u32, f64>,
-    out: &mut Vec<(u32, f64)>,
-) {
-    scratch.clear();
-    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
-        *scratch.entry(comm[nb.index()]).or_default() += w as f64;
-    }
-    out.extend(scratch.iter().map(|(&c, &w)| (c, w)));
-}
-
-/// Scores `v`'s connectivity per neighbouring community into `entries`.
+/// Scores `v`'s connectivity per neighbouring community into `entries`
+/// (first-touch order; per community the weights sum in neighbour
+/// order). Community ids are node ids, so the histogram is dense.
 fn score_communities(
     graph: &TxGraph,
     comm: &[u32],
     v: usize,
-    scratch: &mut FnvHashMap<u32, f64>,
+    hist: &mut DenseHistogram<f64>,
     entries: &mut Vec<(u32, f64)>,
 ) {
+    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+        hist.add(comm[nb.index()], w as f64);
+    }
     entries.clear();
-    score_communities_into(graph, comm, v, scratch, entries);
+    hist.drain_into(entries);
 }
 
-/// The community-join decision shared verbatim by both paths: adopt the
-/// most-connected other community that fits under the cap (ties to the
-/// lower community id), when better-connected than the current one
-/// beyond the float tolerance. Order-independent over `entries` (total
-/// order comparator), so hashmap iteration order never leaks into the
-/// result. Returns `true` on a move.
+/// What one community-join evaluation did.
+struct JoinOutcome {
+    /// The node changed community.
+    moved: bool,
+    /// Some other community was passed over only because it was full.
+    capped: bool,
+}
+
+/// The community-join decision: adopt the most-connected other
+/// community that fits under the cap (ties to the lower community id),
+/// when better-connected than the current one beyond the float
+/// tolerance. Order-independent over `entries` (total order comparator),
+/// so the histogram's entry order never leaks into the result.
 fn commit_community_move(
     v: usize,
     entries: &[(u32, f64)],
@@ -210,16 +125,18 @@ fn commit_community_move(
     capacity: f64,
     comm: &mut [u32],
     comm_weight: &mut [f64],
-) -> bool {
+) -> JoinOutcome {
     let own = comm[v];
     let mut own_conn = 0.0f64;
     let mut best: Option<(u32, f64)> = None;
+    let mut capped = false;
     for &(c, cw) in entries {
         if c == own {
             own_conn = cw;
             continue;
         }
         if comm_weight[c as usize] + dv[v] > capacity {
+            capped = true;
             continue;
         }
         match best {
@@ -227,97 +144,217 @@ fn commit_community_move(
             _ => best = Some((c, cw)),
         }
     }
+    let mut moved = false;
     if let Some((c, cw)) = best {
         if cw > own_conn + 1e-9 {
             comm_weight[own as usize] -= dv[v];
             comm_weight[c as usize] += dv[v];
             comm[v] = c;
-            return true;
+            moved = true;
         }
     }
-    false
+    JoinOutcome { moved, capped }
 }
 
 /// Greedy capped label propagation (G-TxAllo phase 1). Returns a
 /// community id per node.
+///
+/// Round 1 moves most nodes and the rounds after it move a shrinking
+/// handful, so a node is re-scored only while its decision can still
+/// change — exactly, not heuristically. Call a node *settled* once an
+/// evaluation of it passed over no community at the cap: every entry
+/// was a candidate, so the node now sits in its best-connected
+/// community (it stayed because no entry beat its own, or it moved to
+/// the best one). Its entries depend only on its neighbours'
+/// communities, so they stay what that evaluation saw until a neighbour
+/// moves, and meanwhile the candidates can only shrink (a community may
+/// fill up). Re-scoring it would therefore find nothing
+/// better-connected and return "no move": skipping it changes no move,
+/// no round count and no result. A neighbour's move un-settles a node;
+/// a node that was capped is never settled, because the community it
+/// passed over may drain.
 pub(crate) fn detect_communities(
     graph: &TxGraph,
     dv: &[f64],
     order: &[u32],
     capacity: f64,
     rounds: usize,
-    parallelism: Parallelism,
 ) -> Vec<u32> {
     let n = graph.node_count();
     let mut comm: Vec<u32> = (0..n as u32).collect();
     let mut comm_weight: Vec<f64> = dv.to_vec();
+    let mut settled = vec![false; n];
 
-    if parallelism.workers(order.len()) <= 1 {
-        // Sequential reference sweep: one histogram + one entry buffer
-        // reused across nodes and rounds.
-        let mut scratch: FnvHashMap<u32, f64> = FnvHashMap::default();
-        let mut entries: Vec<(u32, f64)> = Vec::new();
+    // One histogram + one entry buffer reused across nodes and rounds.
+    let mut hist = DenseHistogram::new(n);
+    let mut entries: Vec<(u32, f64)> = Vec::new();
+    for _ in 0..rounds.max(1) {
+        let mut moves = 0usize;
+        for &v in order {
+            let v = v as usize;
+            if settled[v] {
+                continue;
+            }
+            score_communities(graph, &comm, v, &mut hist, &mut entries);
+            let outcome =
+                commit_community_move(v, &entries, dv, capacity, &mut comm, &mut comm_weight);
+            settled[v] = !outcome.capped;
+            if outcome.moved {
+                moves += 1;
+                for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
+                    settled[nb.index()] = false;
+                }
+            }
+        }
+        if moves == 0 {
+            break;
+        }
+    }
+    comm
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use mosaic_txgraph::GraphBuilder;
+    use mosaic_types::AccountId;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// What [`detect_communities`] must equal, written the slow obvious
+    /// way: every node is re-scored in every round, into an ordered
+    /// map. Also reports the rounds run and whether the cap ever
+    /// excluded a community, so tests can tell which regime they hit.
+    fn reference_communities(
+        graph: &TxGraph,
+        dv: &[f64],
+        order: &[u32],
+        capacity: f64,
+        rounds: usize,
+    ) -> (Vec<u32>, usize, bool) {
+        let n = graph.node_count();
+        let mut comm: Vec<u32> = (0..n as u32).collect();
+        let mut comm_weight = dv.to_vec();
+        let mut rounds_run = 0;
+        let mut capped = false;
         for _ in 0..rounds.max(1) {
-            let mut moves = 0usize;
+            rounds_run += 1;
+            let mut moves = 0;
             for &v in order {
                 let v = v as usize;
-                score_communities(graph, &comm, v, &mut scratch, &mut entries);
-                if commit_community_move(v, &entries, dv, capacity, &mut comm, &mut comm_weight) {
-                    moves += 1;
+                let mut hist: BTreeMap<u32, f64> = BTreeMap::new();
+                for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+                    *hist.entry(comm[nb.index()]).or_default() += w as f64;
+                }
+                let own = comm[v];
+                let own_conn = hist.remove(&own).unwrap_or(0.0);
+                // Ascending ids + strict `>` = ties to the lower id.
+                let mut best: Option<(u32, f64)> = None;
+                for (c, cw) in hist {
+                    if comm_weight[c as usize] + dv[v] > capacity {
+                        capped = true;
+                    } else if best.is_none_or(|(_, bw)| cw > bw) {
+                        best = Some((c, cw));
+                    }
+                }
+                if let Some((c, cw)) = best {
+                    if cw > own_conn + 1e-9 {
+                        comm_weight[own as usize] -= dv[v];
+                        comm_weight[c as usize] += dv[v];
+                        comm[v] = c;
+                        moves += 1;
+                    }
                 }
             }
             if moves == 0 {
                 break;
             }
         }
-        return comm;
+        (comm, rounds_run, capped)
     }
 
-    let mut state = SweepState {
-        assign: &mut comm,
-        weight: &mut comm_weight,
-        stamp: vec![0u32; n],
-        moves: 0,
-    };
-    let chunk = scan_chunk_size(order.len(), parallelism);
-    // Live rescan buffers for stale histograms — the arena payload is
-    // immutable by the time commit sees it.
-    let mut live_scratch: FnvHashMap<u32, f64> = FnvHashMap::default();
-    let mut live_entries: Vec<(u32, f64)> = Vec::new();
-    for _ in 0..rounds.max(1) {
-        let moves_before = state.moves;
-        chunked_scan_commit_slices(
-            &mut state,
-            order.len(),
-            chunk,
-            parallelism,
-            FnvHashMap::<u32, f64>::default,
-            |scratch, s: &SweepState<u32>, i, arena: &mut Vec<(u32, f64)>| {
-                let v = order[i] as usize;
-                score_communities_into(graph, s.assign, v, scratch, arena);
-                s.moves
-            },
-            |s, i, snap, entries| {
-                let v = order[i] as usize;
-                let entries: &[(u32, f64)] = if s.moves != snap
-                    && graph
-                        .neighbors(NodeId::new(v as u32))
-                        .any(|(nb, _)| s.stamp[nb.index()] > snap)
-                {
-                    score_communities(graph, s.assign, v, &mut live_scratch, &mut live_entries);
-                    &live_entries
-                } else {
-                    entries
-                };
-                if commit_community_move(v, entries, dv, capacity, s.assign, s.weight) {
-                    s.moves += 1;
-                    s.stamp[v] = s.moves;
+    fn graph_from_edges(edges: &[(u64, u64, u64)]) -> TxGraph {
+        let mut b = GraphBuilder::new();
+        for &(x, y, w) in edges {
+            b.add_edge(AccountId::new(x), AccountId::new(y), w);
+        }
+        b.build()
+    }
+
+    fn node_weights(graph: &TxGraph) -> Vec<f64> {
+        graph
+            .nodes()
+            .map(|v| graph.node_weight(v).max(1) as f64)
+            .collect()
+    }
+
+    /// A ring of cliques (a tight cap splits every clique) plus a path
+    /// whose edges grow heavier along the visit order, which drags one
+    /// label a hop further per round — several rounds to a fixed point.
+    fn clique_ring(cliques: u64, size: u64) -> TxGraph {
+        let mut edges: Vec<(u64, u64, u64)> = (0..6).map(|i| (1000 + i, 1001 + i, i + 1)).collect();
+        for c in 0..cliques {
+            let base = c * size;
+            for i in 0..size {
+                for j in (i + 1)..size {
+                    edges.push((base + i, base + j, 1 + (i + j) % 3));
                 }
-            },
+            }
+            edges.push((base, ((c + 1) % cliques) * size, 1));
+        }
+        graph_from_edges(&edges)
+    }
+
+    /// The three regimes by construction — fixed point with no cap in
+    /// play, cap excluding communities, `rounds` cutting the sweep short
+    /// — each checked to be the regime it claims to be.
+    #[test]
+    fn skip_rule_matches_reference_in_every_regime() {
+        let g = clique_ring(12, 9);
+        let dv = node_weights(&g);
+        let total: f64 = dv.iter().sum();
+        let order: Vec<u32> = (0..g.node_count() as u32).collect();
+
+        let (free, free_rounds, free_capped) = reference_communities(&g, &dv, &order, total, 10);
+        assert!(
+            !free_capped && (3..10).contains(&free_rounds),
+            "{free_rounds}"
         );
-        if state.moves == moves_before {
-            break;
+        assert_eq!(detect_communities(&g, &dv, &order, total, 10), free);
+
+        let tight = total / 40.0;
+        let (capped, _, was_capped) = reference_communities(&g, &dv, &order, tight, 10);
+        assert!(was_capped);
+        assert_ne!(capped, free);
+        assert_eq!(detect_communities(&g, &dv, &order, tight, 10), capped);
+
+        let (cut, cut_rounds, _) = reference_communities(&g, &dv, &order, total, 1);
+        assert_eq!(cut_rounds, 1);
+        assert_ne!(cut, free, "one round must not reach the fixed point");
+        assert_eq!(detect_communities(&g, &dv, &order, total, 1), cut);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Node for node, on arbitrary graphs, visit orders, caps (from
+        /// "nothing fits" to "everything fits") and round limits.
+        #[test]
+        fn detect_communities_equals_rescore_everything_reference(
+            edges in proptest::collection::vec((0u64..60, 0u64..60, 1u64..6), 1..300),
+            order_keys in proptest::collection::vec(any::<u32>(), 60),
+            cap_share in 0.01f64..1.2,
+            rounds in 0usize..7,
+        ) {
+            let g = graph_from_edges(&edges);
+            let dv = node_weights(&g);
+            let mut order: Vec<u32> = (0..g.node_count() as u32).collect();
+            order.sort_unstable_by_key(|&v| (order_keys[v as usize], v));
+            let capacity = cap_share * dv.iter().sum::<f64>();
+            let (expected, _, _) = reference_communities(&g, &dv, &order, capacity, rounds);
+            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds), expected);
         }
     }
-    comm
 }

@@ -118,9 +118,10 @@ impl EpochWindowStream {
     /// # Errors
     ///
     /// [`Error::Io`] if the file cannot be opened; [`Error::ParseTrace`]
-    /// if the block column is malformed or out of order (the opening
+    /// if the block column is malformed, out of order (the opening
     /// scan verifies block order up front, so a mid-run surprise cannot
-    /// waste hours of simulation) or a line is longer than 4096 bytes.
+    /// waste hours of simulation) or `u64::MAX` (the block span would
+    /// not fit), or a line is longer than 4096 bytes.
     pub fn csv(path: impl AsRef<Path>) -> Result<Self> {
         Self::csv_with_chunk_size(path, csv_chunk_from_env())
     }
@@ -246,6 +247,9 @@ impl CsvWindowStream {
                     return Err(out_of_order(scan.line_no(), block, last));
                 }
             }
+            if block == u64::MAX {
+                return Err(block_span_overflow(scan.line_no()));
+            }
             max_block = Some(block);
         }
         let file = File::open(path).map_err(|e| io_error(path, &e))?;
@@ -321,6 +325,19 @@ fn out_of_order(line: usize, block: u64, last: u64) -> Error {
         message: format!(
             "block {block} after {last}: streamed CSV input must be block-ordered \
              (the materialising reader sorts; the bounded-buffer reader cannot)"
+        ),
+    }
+}
+
+/// Out of line and cold: the opening scan's per-row loop should hold a
+/// compare, not a `format!`.
+#[cold]
+fn block_span_overflow(line: usize) -> Error {
+    Error::ParseTrace {
+        line,
+        message: format!(
+            "block {}: the trace's block span (highest block + 1) must fit in 64 bits",
+            u64::MAX
         ),
     }
 }

@@ -157,8 +157,10 @@ fn number(rng: &mut StdRng, allow_u64_max: bool) -> String {
         2 => "1234567890123456789".into(),  // 19 digits
         3 => "9999999999999999999".into(),  // the largest 19-digit run
         4 => "10000000000000000000".into(), // 20 digits, fits
-        // `blocks = max_block + 1` overflows on a `u64::MAX` block column
-        // (then as now), so only the account columns get this one.
+        // `blocks = max_block + 1` overflowed on a `u64::MAX` block column
+        // in the loops the oracle preserves (the reader now refuses it:
+        // `u64_max_block_is_refused_with_its_line_number`), so only the
+        // account columns get this one.
         5 if allow_u64_max => u64::MAX.to_string(),
         6 => "18446744073709551616".into(),      // u64::MAX + 1
         7 => "0000000000000000000000007".into(), // 25 digits, value 7
@@ -336,4 +338,32 @@ fn invalid_utf8_is_an_io_error_with_its_line_number() {
         let path = temp_csv("invalid-utf8.csv", bytes);
         assert_eq!(stream_all(&path, 4).unwrap_err(), expected);
     }
+}
+
+/// `blocks = max_block + 1` has no value for a `u64::MAX` block column:
+/// it used to panic in debug builds and wrap to an empty stream in
+/// release builds. The opening scan refuses the row instead.
+#[test]
+fn u64_max_block_is_refused_with_its_line_number() {
+    let max = u64::MAX;
+    for (bytes, line) in [
+        (format!("{max},1,2\n"), 1),
+        (format!("0,1,2\n# note\n{max},3,4,call"), 3),
+        (format!("0,1,2\n 0{max} ,3,4\n{max},5,6\n"), 2),
+    ] {
+        let path = temp_csv("u64-max-block.csv", bytes.as_bytes());
+        let err = EpochWindowStream::csv_with_chunk_size(&path, 4).unwrap_err();
+        match err {
+            Error::ParseTrace { line: at, message } => {
+                assert_eq!(at, line, "{bytes:?}");
+                assert!(message.contains(&max.to_string()), "{message}");
+            }
+            other => panic!("expected ParseTrace, got {other:?}"),
+        }
+    }
+    // One below is an ordinary (if distant) block.
+    let path = temp_csv("u64-max-block.csv", format!("{},1,2\n", max - 1).as_bytes());
+    let txs = stream_all(&path, 4).unwrap();
+    assert_eq!(txs.len(), 1);
+    assert_eq!(txs[0].block, BlockHeight::new(max - 1));
 }
