@@ -2,24 +2,16 @@
 //! no JSON crate, just the two shapes our benches write.
 //!
 //! ```text
-//! bench_check <baseline.json> <current.json> [--min-ratio 0.9] [--min-final 1.5]
+//! bench_check <baseline.json> <current.json> [--min-ratio 0.9]
 //!             [--wire line|binary] [--summary <file.md>]
 //! ```
 //!
-//! Checks, in order:
-//!
-//! 1. **Regression ratio** — every baseline entry's speedup must be
-//!    matched positionally by a current entry with
-//!    `current / baseline >= min-ratio` (default 0.9×). Both files are
-//!    written by the same bench code, so positional matching is exact;
-//!    the labels are printed for every row.
-//! 2. **Absolute thread speedup** — when the *current* file records a
-//!    multi-threaded allocator run on real cores (`"workers"` present
-//!    and `"cpus" > 2`), the largest-size entry of every allocator must
-//!    reach `min-final` (default 1.5×). On a runner with ≤ 2 cpus the
-//!    gate is skipped with a note — a healthy thread speedup cannot
-//!    exist there, and pretending otherwise would just train people to
-//!    ignore the gate.
+//! The gate is the **regression ratio**: every baseline entry's speedup
+//! must be matched positionally by a current entry with
+//! `current / baseline >= min-ratio` (default 0.9×). Both files are
+//! written by the same bench code, so positional matching is exact; the
+//! labels are printed for every row. A file that records `"cpus"` only
+//! compares against a baseline from the same cpu count.
 //!
 //! `--wire <token>` restricts both files to the `node_replay` entries
 //! recorded for that wire codec before any gate runs — CI checks the
@@ -128,8 +120,8 @@ fn label(e: &Entry) -> String {
     }
 }
 
-/// Runs both gates; returns human-readable failures (empty = pass).
-fn check(baseline: &BenchFile, current: &BenchFile, min_ratio: f64, min_final: f64) -> Vec<String> {
+/// Runs the gate; returns human-readable failures (empty = pass).
+fn check(baseline: &BenchFile, current: &BenchFile, min_ratio: f64) -> Vec<String> {
     let mut failures = Vec::new();
     if baseline.bench != current.bench {
         failures.push(format!(
@@ -187,49 +179,6 @@ fn check(baseline: &BenchFile, current: &BenchFile, min_ratio: f64, min_final: f
         }
     }
 
-    // Absolute thread-speedup gate (allocator benches on real cores —
-    // at 2 cpus the commit walk's sequential share caps the speedup too
-    // low for a meaningful floor, so the gate arms above that).
-    let multicore = current.cpus.is_some_and(|c| c > 2.0);
-    if current.workers.is_some() && current.entries.iter().any(|e| e.allocator.is_some()) {
-        if multicore {
-            let mut allocators: Vec<&str> = current
-                .entries
-                .iter()
-                .filter_map(|e| e.allocator.as_deref())
-                .collect();
-            // The results interleave allocators per size step, so sort
-            // before dedup (dedup alone only drops consecutive runs).
-            allocators.sort_unstable();
-            allocators.dedup();
-            for allocator in allocators {
-                let largest = current
-                    .entries
-                    .iter()
-                    .filter(|e| e.allocator.as_deref() == Some(allocator))
-                    .max_by(|a, b| a.size.total_cmp(&b.size))
-                    .expect("allocator has entries");
-                println!(
-                    "{}: {} largest-size speedup {:.2}x (floor {min_final}x)",
-                    current.bench,
-                    label(largest),
-                    largest.speedup
-                );
-                if largest.speedup < min_final {
-                    failures.push(format!(
-                        "{} largest-size speedup {:.2}x below the {min_final}x floor",
-                        label(largest),
-                        largest.speedup
-                    ));
-                }
-            }
-        } else {
-            println!(
-                "{}: run recorded on ≤ 2 cpus (cpus = {:?}) — absolute speedup gate skipped",
-                current.bench, current.cpus
-            );
-        }
-    }
     failures
 }
 
@@ -277,7 +226,6 @@ fn filter_wire(file: &mut BenchFile, wire: &str, path: &str) -> Result<(), Strin
 fn run(args: &[String]) -> Result<Vec<String>, String> {
     let mut paths = Vec::new();
     let mut min_ratio = 0.9f64;
-    let mut min_final = 1.5f64;
     let mut summary_path: Option<String> = None;
     let mut wire_filter: Option<String> = None;
     let mut it = args.iter();
@@ -288,12 +236,6 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--min-ratio needs a number")?;
-            }
-            "--min-final" => {
-                min_final = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-final needs a number")?;
             }
             "--wire" => {
                 wire_filter = Some(it.next().ok_or("--wire needs a codec token")?.clone());
@@ -306,7 +248,7 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
     }
     let [baseline_path, current_path] = paths.as_slice() else {
         return Err("usage: bench_check <baseline.json> <current.json> \
-                    [--min-ratio 0.9] [--min-final 1.5] [--wire line|binary] \
+                    [--min-ratio 0.9] [--wire line|binary] \
                     [--summary <file.md>]"
             .into());
     };
@@ -321,7 +263,7 @@ fn run(args: &[String]) -> Result<Vec<String>, String> {
         std::fs::write(&path, summary_markdown(&baseline, &current))
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    Ok(check(&baseline, &current, min_ratio, min_final))
+    Ok(check(&baseline, &current, min_ratio))
 }
 
 fn main() -> ExitCode {
@@ -402,7 +344,7 @@ mod tests {
         assert_eq!(f.entries[1].wire.as_deref(), Some("binary"));
         assert_eq!(f.entries[0].sessions, Some(1.0));
         assert_eq!(label(&f.entries[1]), "@800[binary×1]");
-        assert!(check(&f, &f, 0.9, 2.0).is_empty());
+        assert!(check(&f, &f, 0.9).is_empty());
     }
 
     #[test]
@@ -415,7 +357,7 @@ mod tests {
         // the two-codec baseline without tripping the entry-count gate.
         let mut baseline = parse(NODE).unwrap();
         filter_wire(&mut baseline, "binary", "NODE").unwrap();
-        assert!(check(&baseline, &f, 0.9, 2.0).is_empty());
+        assert!(check(&baseline, &f, 0.9).is_empty());
 
         let err = filter_wire(&mut parse(NODE).unwrap(), "carrier-pigeon", "NODE").unwrap_err();
         assert!(err.contains("carrier-pigeon"), "{err}");
@@ -429,11 +371,11 @@ mod tests {
         // machine-independent), so baselines from any box compare.
         assert_eq!(f.cpus, Some(0.0));
         assert_eq!(f.entries[1].size, 1_000_000.0);
-        assert!(check(&f, &f, 0.9, 2.0).is_empty());
+        assert!(check(&f, &f, 0.9).is_empty());
         // A shrinking trace/RSS ratio is a regression like any other.
         let mut cur = f.clone();
         cur.entries[1].speedup = 0.77 * 0.8;
-        let failures = check(&f, &cur, 0.9, 2.0);
+        let failures = check(&f, &cur, 0.9);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("@1000000"), "{failures:?}");
     }
@@ -458,9 +400,9 @@ mod tests {
     #[test]
     fn identical_files_pass() {
         let f = parse(ALLOC).unwrap();
-        assert!(check(&f, &f, 0.9, 2.0).is_empty());
+        assert!(check(&f, &f, 0.9).is_empty());
         let g = parse(GRAPH).unwrap();
-        assert!(check(&g, &g, 0.9, 2.0).is_empty());
+        assert!(check(&g, &g, 0.9).is_empty());
     }
 
     #[test]
@@ -468,92 +410,23 @@ mod tests {
         let base = parse(GRAPH).unwrap();
         let mut cur = base.clone();
         cur.entries[1].speedup = 4.72 * 0.8; // 0.8 < 0.9 floor
-        let failures = check(&base, &cur, 0.9, 2.0);
+        let failures = check(&base, &cur, 0.9);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("regressed"), "{failures:?}");
-    }
-
-    #[test]
-    fn absolute_gate_fires_once_per_allocator_on_interleaved_entries() {
-        // The real bench file interleaves allocators per size step:
-        // [metis, g_txallo, metis, g_txallo, ...]. The gate must still
-        // evaluate each allocator exactly once (plain dedup would not).
-        let interleaved = r#"{
-  "bench": "allocators_parallel", "workers": 4, "cpus": 4,
-  "results": [
-    {"allocator": "metis", "nodes": 2000, "speedup": 1.5},
-    {"allocator": "g_txallo", "nodes": 2000, "speedup": 1.5},
-    {"allocator": "metis", "nodes": 24000, "speedup": 1.5},
-    {"allocator": "g_txallo", "nodes": 24000, "speedup": 1.5}
-  ]
-}"#;
-        let f = parse(interleaved).unwrap();
-        let failures = check(&f, &f, 0.9, 2.0);
-        assert_eq!(failures.len(), 2, "one failure per allocator: {failures:?}");
     }
 
     #[test]
     fn ratio_gate_skipped_across_different_cpu_counts() {
         // Baseline from a 1-core box, current from a 4-core runner:
         // the thread-speedup ratio is not comparable, so a "regression"
-        // must not fire — but the absolute multi-core floor still does.
+        // must not fire.
         let single = ALLOC.replace("\"cpus\": 4", "\"cpus\": 1");
         let base = parse(&single).unwrap();
         let mut cur = parse(ALLOC).unwrap();
         for e in &mut cur.entries {
             e.speedup = 0.5; // would trip the ratio gate if armed
         }
-        let failures = check(&base, &cur, 0.9, 2.0);
-        assert_eq!(failures.len(), 2, "{failures:?}"); // one per allocator
-        assert!(failures.iter().all(|f| f.contains("below the 2x floor")));
-    }
-
-    #[test]
-    fn absolute_gate_fails_below_floor_on_multicore() {
-        let base = parse(ALLOC).unwrap();
-        let mut cur = base.clone();
-        // Largest metis entry sinks below the 2.3x floor while staying
-        // above the (loosened) regression ratio floor.
-        cur.entries[1].speedup = 2.2;
-        let failures = check(&base, &cur, 0.8, 2.3);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("below the 2.3x floor"), "{failures:?}");
-    }
-
-    #[test]
-    fn absolute_gate_skipped_on_single_cpu() {
-        let single = ALLOC.replace("\"cpus\": 4", "\"cpus\": 1");
-        let base = parse(&single).unwrap();
-        let mut cur = base.clone();
-        for e in &mut cur.entries {
-            e.speedup = 1.0; // no thread speedup on one core
-        }
-        for e in &mut cur.entries {
-            // Keep the ratio gate out of the way for this test.
-            e.speedup = e.speedup.max(1.0);
-        }
-        let mut base_flat = base.clone();
-        for e in &mut base_flat.entries {
-            e.speedup = 1.0;
-        }
-        assert!(check(&base_flat, &cur, 0.9, 2.0).is_empty());
-    }
-
-    #[test]
-    fn absolute_gate_skipped_on_two_cpus() {
-        // A 2-cpu runner cannot hit a healthy floor (the sequential
-        // commit walk caps the speedup), so the gate must not arm.
-        let dual = ALLOC.replace("\"cpus\": 4", "\"cpus\": 2");
-        let base = parse(&dual).unwrap();
-        let mut cur = base.clone();
-        for e in &mut cur.entries {
-            e.speedup = 1.0;
-        }
-        let mut base_flat = base.clone();
-        for e in &mut base_flat.entries {
-            e.speedup = 1.0;
-        }
-        assert!(check(&base_flat, &cur, 0.9, 1.5).is_empty());
+        assert!(check(&base, &cur, 0.9).is_empty());
     }
 
     #[test]
@@ -582,10 +455,10 @@ mod tests {
         let base = parse(ALLOC).unwrap();
         let mut cur = base.clone();
         cur.entries.pop();
-        let failures = check(&base, &cur, 0.9, 2.0);
+        let failures = check(&base, &cur, 0.9);
         assert!(failures[0].contains("entry count changed"), "{failures:?}");
         let graph = parse(GRAPH).unwrap();
-        let failures = check(&base, &graph, 0.9, 2.0);
+        let failures = check(&base, &graph, 0.9);
         assert!(failures[0].contains("bench mismatch"), "{failures:?}");
     }
 }

@@ -40,7 +40,6 @@
 pub mod beacon;
 pub mod block;
 pub mod consensus;
-pub mod crossshard;
 pub mod fee_market;
 pub mod ledger;
 pub mod miner;

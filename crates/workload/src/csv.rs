@@ -10,19 +10,28 @@
 //!
 //! Every line loop over a CSV — [`read_trace`], the streaming reader's
 //! opening block-order scan and its chunk refill — pulls rows from the
-//! one private `RowReader`. It reads a line as bytes into a reused
-//! buffer and tries the **canonical fast path** first: the row
-//! [`write_trace`] emits, `digits,digits,digits[,transfer|,call]` with
-//! fields of at most 19 digits (which cannot overflow a `u64`) and a
-//! `\n`, `\r\n` or end-of-file terminator, parsed byte by byte with no
-//! UTF-8 validation, no trimming and no `String`. **Every other line** —
-//! comments, blanks, padded fields, `+7`, 20-digit numbers, malformed
-//! rows — goes through `from_utf8` and `str::trim` to `parse_data_line`,
-//! so the dialect and every error message have a single owner and the
-//! fast path can only ever agree with it.
+//! one private `RowReader`, and it reads a row **in place** first: it
+//! looks at the head of the reader's own buffer (`fill_buf`) and, if a
+//! whole line there is one it can answer for, parses it where it lies and
+//! `consume`s it. A row read takes the canonical row [`write_trace`]
+//! emits, `digits,digits,digits[,transfer|,call]` with fields of at most
+//! 19 digits (which cannot overflow a `u64`) and a `\n` or `\r\n`
+//! terminator, parsed byte by byte with no UTF-8 validation, no trimming
+//! and no copy. The opening scan only needs the block column, so it takes
+//! any line that is 1–19 digits, a `,` and an all-ASCII rest reaching
+//! `\n` within the line bound, and finds that `\n` eight bytes at a time.
+//!
+//! **Every line the in-place head declines** — comments, blanks, padded
+//! fields, `+7`, 20-digit numbers, malformed or non-ASCII rows, a line
+//! that straddles the end of the buffer, a last line with no terminator —
+//! is copied into a reused buffer and takes the copying path: the same
+//! canonical grammar (one function serves both), then `from_utf8` and
+//! `str::trim` to `parse_data_line`, so the dialect and every error
+//! message have a single owner and the in-place head can only ever agree
+//! with it.
 //!
 //! A line is at most 4096 bytes long (`MAX_LINE_BYTES`), terminator
-//! included — a constant, not a setting. The reader never buffers more
+//! included — a constant, not a setting. The reader never copies more
 //! than that plus the one byte that tells, so a newline-free file is a
 //! typed error on line 1 instead of an allocation the size of the file.
 
@@ -53,8 +62,9 @@ const KINDS: [(&str, TxKind); 2] = [
 /// # Errors
 ///
 /// Returns [`Error::ParseTrace`] with a 1-based line number on malformed
-/// input or a line longer than 4096 bytes, and propagates I/O failures as
-/// [`Error::ParseTrace`] as well.
+/// input, a line longer than 4096 bytes or a `u64::MAX` block (the
+/// trace's block span, highest block + 1, would not fit), and propagates
+/// I/O failures as [`Error::ParseTrace`] as well.
 ///
 /// # Example
 ///
@@ -69,6 +79,9 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<TransactionTrace> {
     let mut rows = RowReader::new(reader);
     let mut txs = Vec::new();
     while let Some((block, from, to, kind)) = rows.next_row()? {
+        if block == u64::MAX {
+            return Err(block_span_overflow(rows.line_no()));
+        }
         txs.push(Transaction::with_kind(
             TxId::new(txs.len() as u64),
             AccountId::new(from),
@@ -88,12 +101,13 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<TransactionTrace> {
     }
 }
 
-/// Pulls data rows out of a `block,from,to[,kind]` byte stream: the
-/// canonical fast path first, `parse_data_line` for every other line (see
+/// Pulls data rows out of a `block,from,to[,kind]` byte stream: in place
+/// first, the copying path for every line the in-place head declines (see
 /// the module docs). Comments and blank lines are skipped.
 pub(crate) struct RowReader<R> {
     reader: R,
-    /// Reused line buffer; never grows past its initial capacity.
+    /// The copying path's reused line buffer; never grows past its
+    /// initial capacity.
     line: Vec<u8>,
     /// 1-based number of the last line read (0 before the first).
     line_no: usize,
@@ -115,26 +129,51 @@ impl<R: BufRead> RowReader<R> {
 
     /// The next data row, or `None` at end of input.
     pub(crate) fn next_row(&mut self) -> Result<Option<Row>> {
-        self.next_with(|row| row, parse_data_line)
+        self.next_with(
+            |head| canonical_row(head, false),
+            |row| row,
+            parse_data_line,
+        )
     }
 
     /// The block column of the next data row, leaving the other columns
-    /// of a non-canonical line unparsed — the opening scan's view, under
-    /// which a bad sender is not an error yet.
+    /// unparsed — the opening scan's view, under which a bad sender is not
+    /// an error yet.
     pub(crate) fn next_block(&mut self) -> Result<Option<u64>> {
         self.next_with(
+            block_head,
             |(block, ..)| block,
             |trimmed, line_no| Ok(parse_block_column(trimmed, line_no)?.0),
         )
     }
 
+    /// The next data row seen through `in_place` (a whole line at the
+    /// head of the reader's buffer and its length, or `None` to decline),
+    /// else through the copying path: `of_canonical` on a canonical line,
+    /// `parse` on any other non-blank, non-comment one.
     fn next_with<T>(
         &mut self,
+        in_place: impl Fn(&[u8]) -> Option<(T, usize)>,
         of_canonical: impl Fn(Row) -> T,
         parse: impl Fn(&str, usize) -> Result<T>,
     ) -> Result<Option<T>> {
-        while self.fill_line()? {
-            if let Some(row) = canonical_row(&self.line) {
+        loop {
+            // Exactly the errors `read_until` would give: it retries an
+            // interrupted read and reports any other.
+            let head = match self.reader.fill_buf() {
+                Ok(buf) => in_place(buf),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+                Err(e) => return Err(read_error(self.line_no + 1, &e)),
+            };
+            if let Some((value, len)) = head {
+                self.reader.consume(len);
+                self.line_no += 1;
+                return Ok(Some(value));
+            }
+            if !self.fill_line()? {
+                return Ok(None);
+            }
+            if let Some((row, _)) = canonical_row(&self.line, true) {
                 return Ok(Some(of_canonical(row)));
             }
             let text = std::str::from_utf8(&self.line).map_err(|_| {
@@ -150,7 +189,6 @@ impl<R: BufRead> RowReader<R> {
                 return parse(trimmed, self.line_no).map(Some);
             }
         }
-        Ok(None)
     }
 
     /// Reads the next line, terminator included, into `self.line`;
@@ -177,10 +215,14 @@ impl<R: BufRead> RowReader<R> {
     }
 }
 
-/// The fast path: `digits,digits,digits[,transfer|,call]` and a line
-/// terminator, nothing else. `None` hands the line to `parse_data_line`.
-fn canonical_row(line: &[u8]) -> Option<Row> {
-    let (block, rest) = leading_u64(line)?;
+/// The canonical grammar, spelled once: `digits,digits,digits[,transfer|,call]`
+/// and a `\n` or `\r\n` at the head of `bytes`, nothing else; returns the
+/// row and its length, terminator included. `bytes` is either the head of
+/// a read buffer or, with `whole_line`, one copied line — whose end also
+/// ends the row (the last line of a file may have no terminator). `None`
+/// hands the line to `parse_data_line`.
+fn canonical_row(bytes: &[u8], whole_line: bool) -> Option<(Row, usize)> {
+    let (block, rest) = leading_u64(bytes)?;
     let (from, rest) = leading_u64(rest.strip_prefix(b",")?)?;
     let (to, rest) = leading_u64(rest.strip_prefix(b",")?)?;
     let (kind, rest) = match rest.strip_prefix(b",") {
@@ -189,7 +231,59 @@ fn canonical_row(line: &[u8]) -> Option<Row> {
             .find_map(|&(name, kind)| Some((kind, field.strip_prefix(name.as_bytes())?)))?,
         None => (TxKind::Transfer, rest),
     };
-    matches!(rest, b"" | b"\n" | b"\r\n").then_some((block, from, to, kind))
+    // A copied line ends at its first `\n`, so on one this is exactly
+    // "the rest is empty, `\n` or `\r\n`".
+    let terminator = match rest {
+        [b'\n', ..] => 1,
+        [b'\r', b'\n', ..] => 2,
+        [] if whole_line => 0,
+        _ => return None,
+    };
+    Some((
+        (block, from, to, kind),
+        bytes.len() - rest.len() + terminator,
+    ))
+}
+
+/// The opening scan's in-place head: 1 to 19 digits, a `,`, then an
+/// all-ASCII rest that reaches `\n` within `MAX_LINE_BYTES`; returns the
+/// digits' value and the line's length. The copying path returns the same
+/// value on exactly such a line: it is valid UTF-8, does not start with
+/// `#` or whitespace, and its first field is the digits, untrimmed.
+fn block_head(bytes: &[u8]) -> Option<(u64, usize)> {
+    let bytes = &bytes[..bytes.len().min(MAX_LINE_BYTES)];
+    let (block, rest) = leading_u64(bytes)?;
+    let rest = rest.strip_prefix(b",")?;
+    let newline = ascii_line_end(rest)?;
+    Some((block, bytes.len() - rest.len() + newline + 1))
+}
+
+/// Offset of the first `\n` in `bytes` when every byte before it is
+/// ASCII; `None` when a non-ASCII byte comes first or there is no `\n`.
+/// Eight bytes at a time: a word holds a `\n` iff `x ^ 0x0a…0a` has a
+/// zero byte, and a non-ASCII byte iff `x & 0x80…80` is non-zero.
+fn ascii_line_end(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let y = x ^ NEWLINES;
+        // The zero-byte test's lowest set bit is exact (a false positive
+        // needs a borrow from a true zero below it), so the lowest bit of
+        // `stop` is the first `\n` or non-ASCII byte, whichever it is.
+        let stop = (y.wrapping_sub(ONES) & !y | x) & HIGHS;
+        if stop != 0 {
+            let i = at + stop.trailing_zeros() as usize / 8;
+            return (bytes[i] == b'\n').then_some(i);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    let i = tail.iter().position(|&b| b == b'\n' || !b.is_ascii())?;
+    (tail[i] == b'\n').then_some(at + i)
 }
 
 /// Splits a leading run of 1 to 19 ASCII digits — every such run fits a
@@ -265,6 +359,20 @@ fn read_error(line: usize, e: &io::Error) -> Error {
     Error::ParseTrace {
         line,
         message: format!("io error: {e}"),
+    }
+}
+
+/// Both readers refuse a `u64::MAX` block: a trace's block span is its
+/// highest block + 1. Out of line and cold: the per-row loops should hold
+/// a compare, not a `format!`.
+#[cold]
+pub(crate) fn block_span_overflow(line: usize) -> Error {
+    Error::ParseTrace {
+        line,
+        message: format!(
+            "block {}: the trace's block span (highest block + 1) must fit in 64 bits",
+            u64::MAX
+        ),
     }
 }
 
@@ -376,6 +484,115 @@ mod tests {
             read_trace(&over[6..6 + MAX_LINE_BYTES + 1]).unwrap_err(),
             too_long(1)
         );
+    }
+
+    /// The opening scan's view of `bytes`, read to the end.
+    fn all_blocks(reader: impl BufRead) -> Result<Vec<u64>> {
+        let mut rows = RowReader::new(reader);
+        let mut blocks = Vec::new();
+        while let Some(block) = rows.next_block()? {
+            blocks.push(block);
+        }
+        Ok(blocks)
+    }
+
+    /// Where the in-place head of `next_block` stops and the copying path
+    /// takes over, at every buffer size: lines straddle a buffer of 1, 2,
+    /// 7 or 64 bytes; 4097 and 8192 bytes (and the slice itself) hold a
+    /// 4096-byte line whole. Dropping the ASCII check or the line bound
+    /// from `block_head` fails this test.
+    #[test]
+    fn block_head_edges_match_the_copying_path_at_every_capacity() {
+        let invalid_utf8 = |line| Error::ParseTrace {
+            line,
+            message: "io error: stream did not contain valid UTF-8".into(),
+        };
+        // A `len`-byte line (terminator included) with block 5, then one more row.
+        let long = |len: usize| {
+            let mut bytes = b"5,".to_vec();
+            bytes.resize(len - 1, b'a');
+            bytes.extend(b"\n6,1,2\n");
+            bytes
+        };
+        let cases: Vec<(Vec<u8>, Result<Vec<u64>>)> = vec![
+            // Non-ASCII after the comma: invalid UTF-8 in the tail and in
+            // a whole word is an error; a valid NBSP is not.
+            (b"5,\xff\n6,1,2\n".to_vec(), Err(invalid_utf8(1))),
+            (b"5,abcdefgh\xff,1\n".to_vec(), Err(invalid_utf8(1))),
+            (
+                b"0,1,2\n5,1,2,abcdefgh\xc3\n".to_vec(),
+                Err(invalid_utf8(2)),
+            ),
+            ("5,\u{a0}1,2\n6,1,2\n".into(), Ok(vec![5, 6])),
+            ("5,1,2,abcdefgh\u{a0}\n".into(), Ok(vec![5])),
+            // The line bound, terminator included.
+            (long(MAX_LINE_BYTES), Ok(vec![5, 6])),
+            (long(MAX_LINE_BYTES + 1), Err(too_long(1))),
+            // 19 digits in place; 20 through `str::parse`, fitting or not.
+            (
+                b"9999999999999999999,1,2\n".to_vec(),
+                Ok(vec![9_999_999_999_999_999_999]),
+            ),
+            (
+                b"10000000000000000000,1,2\n".to_vec(),
+                Ok(vec![10_000_000_000_000_000_000]),
+            ),
+            (
+                b"99999999999999999999,1,2\n".to_vec(),
+                Err(Error::ParseTrace {
+                    line: 1,
+                    message: "invalid block '99999999999999999999'".into(),
+                }),
+            ),
+            // A bare `\r` does not end a line.
+            (b"5,1,2\r6,1,2\n7,1\r\n".to_vec(), Ok(vec![5, 7])),
+            (b"5\r,1,2\n".to_vec(), Ok(vec![5])),
+            // No final newline.
+            (b"5,1,2\n6,1,2".to_vec(), Ok(vec![5, 6])),
+            (b"5,1,2\n6,".to_vec(), Ok(vec![5, 6])),
+            (b"5,1,2\n6,\xff".to_vec(), Err(invalid_utf8(2))),
+        ];
+        for (bytes, expected) in &cases {
+            let shown = String::from_utf8_lossy(&bytes[..bytes.len().min(40)]);
+            assert_eq!(&all_blocks(bytes.as_slice()), expected, "{shown:?}");
+            for capacity in [1, 2, 7, 64, 4097, 8192] {
+                let reader = io::BufReader::with_capacity(capacity, bytes.as_slice());
+                assert_eq!(
+                    &all_blocks(reader),
+                    expected,
+                    "{shown:?} at capacity {capacity}"
+                );
+            }
+        }
+    }
+
+    /// The word-at-a-time scan against a byte loop, on every placement of
+    /// a `\n` and a non-ASCII byte over fillers that sit one bit away from
+    /// either.
+    #[test]
+    fn ascii_line_end_matches_a_byte_loop() {
+        let byte_loop = |bytes: &[u8]| {
+            let i = bytes.iter().position(|&b| b == b'\n' || !b.is_ascii())?;
+            (bytes[i] == b'\n').then_some(i)
+        };
+        for filler in [b'a', 0x0b, 0x09, 0x00, 0x7f] {
+            for stop in [0x80, 0x8a, 0xc2, 0xff] {
+                for len in 0..26 {
+                    for newline in (0..len).map(Some).chain([None]) {
+                        for high in (0..len).map(Some).chain([None]) {
+                            let mut bytes = vec![filler; len];
+                            if let Some(i) = high {
+                                bytes[i] = stop;
+                            }
+                            if let Some(i) = newline {
+                                bytes[i] = b'\n';
+                            }
+                            assert_eq!(ascii_line_end(&bytes), byte_loop(&bytes), "{bytes:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

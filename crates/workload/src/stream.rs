@@ -23,9 +23,13 @@
 //!   [`Error::ParseTrace`] with the offending line, where the
 //!   materialising reader would have silently sorted. Both passes over
 //!   the file (the opening block-order scan and the chunk refill) pull
-//!   rows from [`crate::csv`]'s one row reader — the same canonical fast
-//!   path, the same `parse_data_line` for every other line, the same
-//!   4096-byte line bound as `read_trace`.
+//!   rows from [`crate::csv`]'s one row reader, which parses a line in
+//!   place in the `BufReader`'s buffer when it can — the scan reads just
+//!   the block column and finds the line end eight bytes at a time, the
+//!   refill parses the canonical row — and copies only the lines it
+//!   declines (comments, odd spellings, a line straddling the buffer end)
+//!   to the same `parse_data_line` and 4096-byte line bound as
+//!   `read_trace`.
 //!
 //! Every backend produces the transaction sequence of the materialised
 //! trace, at any window or chunk size.
@@ -38,7 +42,7 @@ use std::sync::Arc;
 use mosaic_types::{AccountId, BlockHeight, Error, Result, Transaction, TxId};
 
 use crate::config::WorkloadConfig;
-use crate::csv::RowReader;
+use crate::csv::{block_span_overflow, RowReader};
 use crate::generator::GeneratedStream;
 use crate::trace::TransactionTrace;
 
@@ -301,14 +305,14 @@ impl CsvWindowStream {
             return Ok(());
         }
         loop {
-            while self.chunk_pos < self.chunk.len() {
-                let tx = self.chunk[self.chunk_pos];
-                if tx.block.as_u64() >= to {
-                    self.position = to;
-                    return Ok(());
-                }
-                buf.push(tx);
-                self.chunk_pos += 1;
+            // `refill` keeps the chunk block-ordered.
+            let pending = &self.chunk[self.chunk_pos..];
+            let below = pending.partition_point(|tx| tx.block.as_u64() < to);
+            buf.extend_from_slice(&pending[..below]);
+            self.chunk_pos += below;
+            if below < pending.len() {
+                self.position = to;
+                return Ok(());
             }
             if self.eof {
                 self.position = to;
@@ -325,19 +329,6 @@ fn out_of_order(line: usize, block: u64, last: u64) -> Error {
         message: format!(
             "block {block} after {last}: streamed CSV input must be block-ordered \
              (the materialising reader sorts; the bounded-buffer reader cannot)"
-        ),
-    }
-}
-
-/// Out of line and cold: the opening scan's per-row loop should hold a
-/// compare, not a `format!`.
-#[cold]
-fn block_span_overflow(line: usize) -> Error {
-    Error::ParseTrace {
-        line,
-        message: format!(
-            "block {}: the trace's block span (highest block + 1) must fit in 64 bits",
-            u64::MAX
         ),
     }
 }

@@ -7,7 +7,7 @@
 //! files: the same transactions with the same `TxId`s, or the same
 //! `Error::ParseTrace { line, message }`.
 
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 
 use mosaic_types::{AccountId, BlockHeight, Error, Result, Transaction, TxId, TxKind};
@@ -158,9 +158,10 @@ fn number(rng: &mut StdRng, allow_u64_max: bool) -> String {
         3 => "9999999999999999999".into(),  // the largest 19-digit run
         4 => "10000000000000000000".into(), // 20 digits, fits
         // `blocks = max_block + 1` overflowed on a `u64::MAX` block column
-        // in the loops the oracle preserves (the reader now refuses it:
-        // `u64_max_block_is_refused_with_its_line_number`), so only the
-        // account columns get this one.
+        // in the loops the oracle preserves (both readers now refuse it:
+        // `u64_max_block_is_refused_with_its_line_number`,
+        // `read_trace_refuses_a_u64_max_block_with_the_streaming_error`),
+        // so only the account columns get this one.
         5 if allow_u64_max => u64::MAX.to_string(),
         6 => "18446744073709551616".into(),      // u64::MAX + 1
         7 => "0000000000000000000000007".into(), // 25 digits, value 7
@@ -296,6 +297,28 @@ fn read_trace_returns_what_the_str_path_returned() {
     );
 }
 
+/// A `&[u8]` reader's buffer is the whole rest of the input, so above no
+/// line ever straddles one. Through small `BufReader`s most lines do, and
+/// the reader's in-place head must hand each of them to the copying path;
+/// through large ones the whole file is in the buffer again.
+#[test]
+fn read_trace_returns_what_the_str_path_returned_at_every_buffer_capacity() {
+    for seed in 0..1500u64 {
+        let bytes = file(&mut StdRng::seed_from_u64(seed ^ 0xb0f));
+        let expected = oracle::read_trace(&bytes);
+        let expected = expected.as_ref().map(TransactionTrace::transactions);
+        for capacity in [1usize, 2, 7, 64, 4097, 8192] {
+            let got = read_trace(BufReader::with_capacity(capacity, bytes.as_slice()));
+            assert_eq!(
+                got.as_ref().map(TransactionTrace::transactions),
+                expected,
+                "seed {seed}, capacity {capacity}: {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+    }
+}
+
 #[test]
 fn csv_stream_returns_what_the_str_path_returned_at_every_chunk_size() {
     let (mut parsed, mut failed) = (0, 0);
@@ -366,4 +389,27 @@ fn u64_max_block_is_refused_with_its_line_number() {
     let txs = stream_all(&path, 4).unwrap();
     assert_eq!(txs.len(), 1);
     assert_eq!(txs[0].block, BlockHeight::new(max - 1));
+}
+
+/// The materialising reader has the same `+ 1` downstream: a
+/// `TraceSource::Csv` trace reaches `EpochWindowStream::resident`'s
+/// `max_block + 1`. It refuses the row with the streaming reader's error.
+#[test]
+fn read_trace_refuses_a_u64_max_block_with_the_streaming_error() {
+    let max = u64::MAX;
+    for bytes in [
+        format!("{max},1,2\n"),
+        format!("0,1,2\n# note\n{max},3,4,call"),
+        format!("0,1,2\n 0{max} ,3,4\n{max},5,6\n"),
+    ] {
+        let path = temp_csv("u64-max-block-read-trace.csv", bytes.as_bytes());
+        let streamed = EpochWindowStream::csv_with_chunk_size(&path, 4).unwrap_err();
+        assert_eq!(
+            read_trace(bytes.as_bytes()).unwrap_err(),
+            streamed,
+            "{bytes:?}"
+        );
+    }
+    let trace = read_trace(format!("{},1,2\n", max - 1).as_bytes()).unwrap();
+    assert_eq!(trace.max_block(), Some(BlockHeight::new(max - 1)));
 }

@@ -164,14 +164,25 @@ fn streamed_csv_source_matches_materialised_run() {
     // End-to-end through the bounded-buffer CSV reader: write a
     // generated trace to disk, then drive the experiment from a
     // `streamed-csv` source and byte-compare against the resident run.
+    // The second file is the same trace with `\r\n` endings and no final
+    // newline; both are far larger than the reader's 8 KiB buffer, so the
+    // in-place head and the straddling-line fallback both run.
     let scale = Scale::quick();
     let trace = Arc::new(generate(&scale.workload).into_trace());
     let dir = std::env::temp_dir().join("mosaic-streamed-csv-equivalence");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.csv");
     let mut bytes = Vec::new();
     mosaic::workload::csv::write_trace(&trace, &mut bytes).unwrap();
-    std::fs::write(&path, bytes).unwrap();
+    let mut crlf = Vec::with_capacity(bytes.len() + trace.len() + 1);
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        crlf.extend_from_slice(line.strip_suffix(b"\n").unwrap());
+        crlf.extend_from_slice(b"\r\n");
+    }
+    crlf.truncate(crlf.len() - 2);
+    assert!(crlf.len() > 16 * 8192);
+    let paths = [dir.join("trace.csv"), dir.join("trace-crlf.csv")];
+    std::fs::write(&paths[0], bytes).unwrap();
+    std::fs::write(&paths[1], crlf).unwrap();
 
     let params = SystemParams::builder()
         .shards(4)
@@ -182,9 +193,16 @@ fn streamed_csv_source_matches_materialised_run() {
     for strategy in Strategy::ALL {
         let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
         let (resident, _) = csv_of(&config, EpochWindowStream::resident(Arc::clone(&trace)));
-        let stream = TraceSource::streamed_csv(&path).window_stream().unwrap();
-        let (streamed, _) = csv_of(&config, stream);
-        assert_eq!(streamed, resident, "{strategy}: streamed-csv run diverged");
+        for path in &paths {
+            let stream = TraceSource::streamed_csv(path).window_stream().unwrap();
+            let (streamed, _) = csv_of(&config, stream);
+            assert_eq!(
+                streamed,
+                resident,
+                "{strategy}: streamed-csv run of {} diverged",
+                path.display()
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
