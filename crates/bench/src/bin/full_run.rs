@@ -19,9 +19,9 @@
 //! gate also enforces the observability invariant: instrumentation
 //! must never perturb a result byte. Any difference exits non-zero;
 //! this is the end-to-end enforcement of the parallel-equals-sequential
-//! contract of the two within-cell pool paths (per-shard ledger commit,
-//! Ω classification), exercised through the scenario parser and session
-//! path CI actually ships.
+//! contract of the within-cell pool path (the per-shard ledger commit),
+//! exercised through the scenario parser and session path CI actually
+//! ships.
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario

@@ -59,10 +59,9 @@ pub struct Ledger {
     /// Per-epoch migration-commit cap override; `None` = the paper's
     /// `λ` bound. Used by the capacity ablation.
     migration_capacity: Option<usize>,
-    /// Worker-pool sizing for phase-3 processing (transaction
-    /// classification chunks and per-shard block commits). The outcome
-    /// is byte-identical at every level; `Sequential` by default so
-    /// grid runs that already parallelise across cells don't
+    /// Worker-pool sizing for the phase-3 per-shard block commits. The
+    /// outcome is byte-identical at every level; `Sequential` by default
+    /// so grid runs that already parallelise across cells don't
     /// oversubscribe.
     parallelism: Parallelism,
 }
@@ -148,18 +147,18 @@ impl Ledger {
         self.migration_capacity
     }
 
-    /// Sets the worker-pool sizing for phase-3 epoch processing.
+    /// Sets the worker-pool sizing for the phase-3 per-shard block
+    /// commits (on at least 64 shards; fewer commit on one thread).
     ///
     /// Epoch outcomes are byte-identical at every parallelism level
-    /// (asserted by `mosaic-sim`'s engine tests): transaction
-    /// classification reduces exact per-chunk integer counts in input
-    /// order, the capacity walk stays sequential, and per-shard block
-    /// commits are independent.
+    /// (asserted by `mosaic-sim`'s engine tests): the commits are
+    /// independent, and transaction classification is one sequential
+    /// pass ([`Ledger::classify`]) at every level.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.parallelism = parallelism;
     }
 
-    /// The worker-pool sizing used for phase-3 epoch processing.
+    /// The worker-pool sizing used for the phase-3 per-shard commits.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
     }
@@ -175,6 +174,23 @@ impl Ledger {
         }
         self.phi = phi;
         Ok(())
+    }
+
+    /// Classifies `txs` under the current ϕ with this ledger's `k`, `η`
+    /// and `λ(|txs|)`, in one pass that resolves each endpoint through
+    /// [`AccountShardMap::resolve`]: the first read of an account fills
+    /// its slot in ϕ's table, so later reads — this window's, the next
+    /// epoch's, Pilot's Ω pass — skip the map and the hash rule. Phase 3
+    /// of [`Ledger::process_epoch`] and Pilot's Ω oracle both classify
+    /// here.
+    pub fn classify(&mut self, txs: &[Transaction]) -> EpochLoad {
+        let params = LoadParams {
+            shards: self.params.shards(),
+            eta: self.params.eta(),
+            lambda: self.params.lambda(txs.len()),
+        };
+        let phi = &mut self.phi;
+        EpochLoad::compute(txs, params, |a| phi.resolve(a))
     }
 
     /// Runs one full epoch over `txs` (the `τ`-block window) and returns
@@ -201,19 +217,9 @@ impl Ledger {
         );
 
         // Phase 3: transaction processing under the updated ϕ. The
-        // classification pass fans out over chunk work items; the
         // per-shard block commits are independent work items on the
-        // same pool. Both are byte-identical to a sequential run.
-        let load = EpochLoad::compute_with(
-            txs,
-            LoadParams {
-                shards: self.params.shards(),
-                eta: self.params.eta(),
-                lambda,
-            },
-            |a| self.phi.shard_of(a),
-            self.parallelism,
-        );
+        // pool, byte-identical to a sequential run.
+        let load = self.classify(txs);
         let (intra, cross) = (load.intra_counts(), load.cross_counts());
         // A commit is one small hash: below MIN_PARALLEL_SHARDS the
         // spawn/join cost of the pool exceeds the work, so small shard
@@ -370,8 +376,7 @@ mod tests {
     #[test]
     fn parallel_epoch_processing_matches_sequential() {
         // k = 128 ≥ MIN_PARALLEL_SHARDS exercises the parallel
-        // per-shard commit branch, not just the chunked classification
-        // (20k txs clear that threshold too).
+        // per-shard commit branch.
         let k = 128u16;
         assert!(usize::from(k) >= MIN_PARALLEL_SHARDS);
         let run = |parallelism: Parallelism| {
@@ -393,6 +398,97 @@ mod tests {
             assert_eq!(seq, par, "{parallelism:?} diverged");
             assert_eq!(seq_meter, par_meter);
         }
+    }
+
+    /// ϕ's table is invisible to the ledger: windows over ids on both
+    /// sides of the table cap classify exactly as a cache-free model of ϕ
+    /// says — before the boundary (Pilot's Ω pass) and after it (phase
+    /// 3) — across committed migrations and a `set_allocation` swap.
+    #[test]
+    fn classification_matches_a_cache_free_model_across_the_table_cap() {
+        use mosaic_types::DefaultRule;
+        use std::collections::BTreeMap;
+
+        let k = 4u16;
+        let cap = AccountShardMap::TABLE_CAP;
+        let ids: Vec<u64> = (0..24)
+            .chain(cap - 12..cap + 12)
+            .chain(u64::MAX - 3..=u64::MAX)
+            .collect();
+        let explicit = |seed: u64| -> BTreeMap<u64, u16> {
+            ids.iter()
+                .enumerate()
+                .filter(|(i, _)| (*i as u64 + seed).is_multiple_of(3))
+                .map(|(i, &a)| (a, ((i as u64 * 7 + seed) % u64::from(k)) as u16))
+                .collect()
+        };
+        let to_phi = |model: &BTreeMap<u64, u16>| {
+            let mut phi = AccountShardMap::new(k);
+            phi.extend_assignments(
+                model
+                    .iter()
+                    .map(|(&a, &s)| (AccountId::new(a), ShardId::new(s))),
+            )
+            .unwrap();
+            phi
+        };
+        let model_shard = |model: &BTreeMap<u64, u16>, a: AccountId| match model.get(&a.as_u64()) {
+            Some(&s) => ShardId::new(s),
+            None => DefaultRule::Sha256Mod.shard_of(a, k),
+        };
+        let reference = |model: &BTreeMap<u64, u16>, window: &[Transaction]| {
+            let params = params(k);
+            EpochLoad::compute(
+                window,
+                LoadParams {
+                    shards: k,
+                    eta: params.eta(),
+                    lambda: params.lambda(window.len()),
+                },
+                |a| model_shard(model, a),
+            )
+        };
+
+        let mut model = explicit(0);
+        let mut ledger = Ledger::new(params(k), to_phi(&model), 8).unwrap();
+        let mut state = 0x5eed_u64;
+        let mut pick = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ids[(state >> 33) as usize % ids.len()]
+        };
+        let mut committed = 0;
+        for epoch in 0..12u64 {
+            if epoch == 6 {
+                model = explicit(1);
+                ledger.set_allocation(to_phi(&model)).unwrap();
+            }
+            let window: Vec<Transaction> = (0..48)
+                .map(|i| tx(epoch * 48 + i, pick(), pick()))
+                .collect();
+            // Pilot's Ω pass reads ϕ before this epoch's migrations land.
+            assert_eq!(ledger.classify(&window), reference(&model, &window));
+            for _ in 0..6 {
+                let account = AccountId::new(pick());
+                let from = model_shard(&model, account);
+                let to = ShardId::new((from.as_u16() + 1) % k);
+                ledger.submit_migration(
+                    MigrationRequest::new(account, from, to, ledger.current_epoch(), 1.0).unwrap(),
+                );
+            }
+            let out = ledger.process_epoch(&window);
+            for mr in &out.committed {
+                model.insert(mr.account.as_u64(), mr.to.as_u16());
+            }
+            committed += out.committed.len();
+            assert_eq!(out.load, reference(&model, &window), "epoch {epoch}");
+            for &a in &ids {
+                let a = AccountId::new(a);
+                assert_eq!(ledger.phi().shard_of(a), model_shard(&model, a));
+            }
+        }
+        assert!(committed > 20, "only {committed} migrations committed");
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 
 use mosaic_chain::{EpochOutcome, Ledger};
 use mosaic_metrics::data_size::client_input_bytes;
-use mosaic_metrics::{EpochLoad, LoadParams};
 use mosaic_txgraph::{GraphBuilder, TxGraph};
 use mosaic_types::hash::{sha256_prefix_u64, FnvHashMap};
 use mosaic_types::{AccountId, MigrationRequest, ShardId, SystemParams, Transaction};
@@ -301,17 +300,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         window: &[Transaction],
     ) -> (EpochOutcome, FrameworkReport) {
         // Step 1: mempool-derived workload distribution (§V-A).
-        let lambda = self.params.lambda(window.len());
-        let omega = EpochLoad::compute(
-            window,
-            LoadParams {
-                shards: self.params.shards(),
-                eta: self.params.eta(),
-                lambda,
-            },
-            |a| ledger.phi().shard_of(a),
-        )
-        .workload_vector();
+        let omega = ledger.classify(window).workload_vector();
 
         // Step 2: future knowledge.
         self.set_expectations(window);

@@ -16,10 +16,8 @@
 //! * **Input data size** — bytes of input an allocation algorithm consumes
 //!   ([`data_size`]).
 //!
-//! [`EpochLoad`] computes all effectiveness metrics in one pass over an
-//! epoch's transactions given an allocation;
-//! [`EpochLoad::compute_with`] fans the classification out over the
-//! order-stable worker pool ([`parallel`]) with bit-identical results.
+//! [`EpochLoad`] computes all effectiveness metrics in one sequential
+//! pass over an epoch's transactions given an allocation.
 //! [`report::EpochCsvWriter`] streams per-epoch rows to disk so
 //! arbitrarily long protocols run in bounded memory.
 

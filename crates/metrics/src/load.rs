@@ -1,19 +1,12 @@
 //! Per-epoch workload accounting and capacity-constrained throughput.
 //!
-//! [`EpochLoad::compute`] is the single-pass sequential reference;
-//! [`EpochLoad::compute_with`] produces bit-identical results by
-//! splitting the classification pass into independent chunk work items
-//! on the order-stable pool ([`crate::parallel`]) and replaying the
-//! (inherently sequential) capacity walk over the pre-resolved shard
-//! pairs.
+//! [`EpochLoad::compute`] classifies a window in one sequential pass. It
+//! takes an `FnMut` resolver, so the caller can fill a cache as it reads:
+//! `Ledger::classify` passes `AccountShardMap::resolve`, and once ϕ's
+//! table is warm a pass is a few ns per transaction, too little to split
+//! across threads.
 
 use mosaic_types::{AccountId, ShardId, Transaction};
-
-use crate::parallel::{ordered_map, Parallelism};
-
-/// Below this window size the chunked parallel path falls back to the
-/// single-pass computation: thread spawn/join costs more than the scan.
-const PARALLEL_MIN_TXS: usize = 8192;
 
 /// Parameters of the load model for one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,15 +65,16 @@ pub struct EpochLoad {
 impl EpochLoad {
     /// Classifies and processes `txs` under allocation `shard_of`.
     ///
-    /// `shard_of` must return shards `< params.shards`.
+    /// `shard_of` must return shards `< params.shards`; it is called for
+    /// `from` then `to` of each transaction, in order.
     ///
     /// # Panics
     ///
     /// Panics if an allocation resolves out of range, or if
     /// `params.shards == 0`.
-    pub fn compute<F>(txs: &[Transaction], params: LoadParams, shard_of: F) -> Self
+    pub fn compute<F>(txs: &[Transaction], params: LoadParams, mut shard_of: F) -> Self
     where
-        F: Fn(AccountId) -> ShardId,
+        F: FnMut(AccountId) -> ShardId,
     {
         assert!(params.shards > 0, "need at least one shard");
         let k = usize::from(params.shards);
@@ -112,120 +106,6 @@ impl EpochLoad {
                     budget[s_to.index()] -= params.eta;
                     processed += 1;
                 }
-            }
-        }
-
-        EpochLoad {
-            params,
-            intra,
-            cross,
-            total_txs: txs.len(),
-            cross_txs,
-            processed,
-            residual: budget,
-        }
-    }
-
-    /// [`EpochLoad::compute`] with the classification pass fanned out
-    /// over per-chunk work items on the order-stable pool.
-    ///
-    /// Each worker classifies a contiguous chunk of the window into
-    /// per-shard intra/cross counts and resolves the `(from, to)` shard
-    /// pair of every transaction; the partial counts are reduced in
-    /// input order (exact integer sums) and the capacity walk — whose
-    /// cross-shard admissions couple shards and are therefore inherently
-    /// sequential — replays over the pre-resolved pairs. The result is
-    /// bit-identical to [`EpochLoad::compute`] at every parallelism
-    /// level (asserted by `sequential_and_parallel_loads_agree` and the
-    /// engine-level CSV tests in `mosaic-sim`).
-    ///
-    /// Small windows (and [`Parallelism::Sequential`]) take the
-    /// single-pass path directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an allocation resolves out of range, or if
-    /// `params.shards == 0`.
-    pub fn compute_with<F>(
-        txs: &[Transaction],
-        params: LoadParams,
-        shard_of: F,
-        parallelism: Parallelism,
-    ) -> Self
-    where
-        F: Fn(AccountId) -> ShardId + Sync,
-    {
-        assert!(params.shards > 0, "need at least one shard");
-        let workers = parallelism.workers(txs.len().div_ceil(PARALLEL_MIN_TXS.max(1)));
-        if workers <= 1 {
-            return Self::compute(txs, params, shard_of);
-        }
-
-        let k = usize::from(params.shards);
-        let chunk_len = txs.len().div_ceil(workers);
-        let chunks: Vec<&[Transaction]> = txs.chunks(chunk_len).collect();
-
-        struct Partial {
-            intra: Vec<usize>,
-            cross: Vec<usize>,
-            cross_txs: usize,
-            pairs: Vec<(u16, u16)>,
-        }
-        let partials = ordered_map(&chunks, parallelism, |chunk| {
-            let mut partial = Partial {
-                intra: vec![0usize; k],
-                cross: vec![0usize; k],
-                cross_txs: 0,
-                pairs: Vec::with_capacity(chunk.len()),
-            };
-            for tx in *chunk {
-                let s_from = shard_of(tx.from);
-                let s_to = shard_of(tx.to);
-                assert!(
-                    s_from.index() < k && s_to.index() < k,
-                    "allocation out of range"
-                );
-                if s_from == s_to {
-                    partial.intra[s_from.index()] += 1;
-                } else {
-                    partial.cross[s_from.index()] += 1;
-                    partial.cross[s_to.index()] += 1;
-                    partial.cross_txs += 1;
-                }
-                partial.pairs.push((s_from.as_u16(), s_to.as_u16()));
-            }
-            partial
-        });
-
-        // Reduce in input order: counts are exact integer sums, so the
-        // totals equal the single-pass ones regardless of scheduling.
-        let mut intra = vec![0usize; k];
-        let mut cross = vec![0usize; k];
-        let mut cross_txs = 0usize;
-        for partial in &partials {
-            for s in 0..k {
-                intra[s] += partial.intra[s];
-                cross[s] += partial.cross[s];
-            }
-            cross_txs += partial.cross_txs;
-        }
-
-        // The capacity walk runs in transaction order over the resolved
-        // pairs — same floating-point operations in the same order as
-        // the single-pass computation.
-        let mut budget = vec![params.lambda; k];
-        let mut processed = 0usize;
-        for &(s_from, s_to) in partials.iter().flat_map(|p| p.pairs.iter()) {
-            let (f, t) = (usize::from(s_from), usize::from(s_to));
-            if f == t {
-                if budget[f] >= 1.0 {
-                    budget[f] -= 1.0;
-                    processed += 1;
-                }
-            } else if budget[f] >= params.eta && budget[t] >= params.eta {
-                budget[f] -= params.eta;
-                budget[t] -= params.eta;
-                processed += 1;
             }
         }
 
@@ -453,39 +333,6 @@ mod tests {
         assert_eq!(load.processed(), 0);
         assert_eq!(load.workload_deviation(), 0.0);
         assert_eq!(load.normalized_throughput(), 0.0);
-    }
-
-    #[test]
-    fn sequential_and_parallel_loads_agree() {
-        // Big enough to clear PARALLEL_MIN_TXS so the chunked path runs.
-        let txs: Vec<Transaction> = (0..20_000).map(|i| tx(i, i % 97, (i * 13) % 89)).collect();
-        let params = LoadParams {
-            shards: 8,
-            eta: 2.0,
-            lambda: 1500.0,
-        };
-        let seq = EpochLoad::compute(&txs, params, modk(8));
-        for parallelism in [
-            Parallelism::Sequential,
-            Parallelism::Auto,
-            Parallelism::Threads(3),
-        ] {
-            let par = EpochLoad::compute_with(&txs, params, modk(8), parallelism);
-            assert_eq!(seq, par, "{parallelism:?} diverged from single-pass");
-        }
-    }
-
-    #[test]
-    fn small_windows_fall_back_to_single_pass() {
-        let txs: Vec<Transaction> = (0..100).map(|i| tx(i, i % 7, i % 11)).collect();
-        let params = LoadParams {
-            shards: 4,
-            eta: 2.0,
-            lambda: 10.0,
-        };
-        let seq = EpochLoad::compute(&txs, params, modk(4));
-        let par = EpochLoad::compute_with(&txs, params, modk(4), Parallelism::Auto);
-        assert_eq!(seq, par);
     }
 
     #[test]

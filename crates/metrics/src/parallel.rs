@@ -16,7 +16,7 @@
 //! Nested parallelism works because pools stack: a phase closure that
 //! itself calls a parallel helper pops (or creates) the *next* pool on
 //! its thread, so the grid level (cells) and the cell level (shard
-//! commits, Ω classification) never share a barrier. A panicking phase
+//! commits) never share a barrier. A panicking phase
 //! closure is caught on whichever lane it fired, the barrier is still
 //! completed, and the panic is re-raised on the coordinator — the pool
 //! itself stays parked, healthy and reusable (no poisoned state,
@@ -30,10 +30,8 @@
 //! * **across cells** — every cell of the paper's grid is independent
 //!   (same trace, different strategy × parameter pair), so
 //!   `mosaic-sim` maps cells over [`ordered_map`];
-//! * **within a cell** — one epoch's transaction classification
-//!   ([`EpochLoad::compute_with`], chunks over [`ordered_map`]) and the
-//!   per-shard chain commits (`Ledger::process_epoch`, shards over
-//!   [`for_each_indexed_mut`]).
+//! * **within a cell** — the per-shard chain commits
+//!   (`Ledger::process_epoch`, shards over [`for_each_indexed_mut`]).
 //!
 //! The graph allocators (`mosaic-partition`, `mosaic-txallo`) do **not**
 //! run here. Their greedy sweeps are sequential by nature — every
@@ -43,6 +41,10 @@
 //! moves most nodes, so nearly every prescored histogram is stale and
 //! gets scored twice.
 //!
+//! Transaction classification does not run here either. One
+//! `EpochLoad::compute` pass over ϕ's dense table costs ≈ 11 ns per
+//! transaction, and two lanes measured no faster at 8192-tx windows.
+//!
 //! # What must not vary
 //!
 //! What must *not* vary with scheduling is the output: [`ordered_map`]
@@ -51,8 +53,6 @@
 //! contiguous chunk — so a parallel run is byte-identical to a
 //! sequential one (asserted in `mosaic-sim`'s tests and by
 //! `full_run --check-determinism`).
-//!
-//! [`EpochLoad::compute_with`]: crate::EpochLoad::compute_with
 
 use std::any::Any;
 use std::cell::RefCell;

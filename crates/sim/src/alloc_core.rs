@@ -610,7 +610,6 @@ impl AllocationCore {
                 recent_window: recent,
                 history: &mut self.history,
                 params: self.config.params,
-                parallelism: self.config.cell_parallelism,
             },
         );
         score_span.finish();

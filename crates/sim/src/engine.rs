@@ -26,9 +26,9 @@
 //!   to the caller, so rows can go straight to a sink and the paper's
 //!   `full` 200-epoch protocol runs in bounded memory.
 //!
-//! Within a cell, epoch processing parallelises over the order-stable
-//! pool ([`mosaic_metrics::parallel`]) with byte-identical output
-//! ([`crate::runner::ExperimentConfig::cell_parallelism`]).
+//! Within a cell, the ledger's per-shard commits parallelise over the
+//! order-stable pool ([`mosaic_metrics::parallel`]) with byte-identical
+//! output ([`crate::runner::ExperimentConfig::cell_parallelism`]).
 
 use std::marker::PhantomData;
 use std::time::Duration;
@@ -37,7 +37,7 @@ use mosaic_chain::Ledger;
 use mosaic_core::{ClientPolicy, MosaicFramework};
 use mosaic_metrics::data_size::miner_input_bytes;
 use mosaic_metrics::timing::time_it;
-use mosaic_metrics::{Aggregate, EpochLoad, EpochMetrics, LoadParams};
+use mosaic_metrics::{Aggregate, EpochMetrics};
 use mosaic_partition::GlobalAllocator;
 use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
 use mosaic_txgraph::{GraphBuilder, TxGraph};
@@ -46,7 +46,6 @@ use mosaic_workload::EpochWindowStream;
 
 use crate::alloc_core::AllocationCore;
 use crate::runner::ExperimentConfig;
-use crate::Parallelism;
 
 /// Incrementally accreted transaction history.
 ///
@@ -146,10 +145,6 @@ pub struct EpochCtx<'e, 'w, 't> {
     pub history: &'e mut History<'t>,
     /// System parameters of the experiment cell.
     pub params: SystemParams,
-    /// Worker-pool sizing for the within-cell work a strategy dispatches
-    /// over independent items (Ω classification chunks); byte-identical
-    /// at every level. Allocators never see it.
-    pub parallelism: Parallelism,
 }
 
 /// How an epoch's account moves are counted.
@@ -483,20 +478,10 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
             "MosaicStrategy was built with different SystemParams than the experiment cell"
         );
 
-        // Step 1: mempool-derived workload distribution Ω (§V-A),
-        // classified in parallel chunks on large windows.
-        let lambda = ctx.params.lambda(ctx.window.len());
-        let omega = EpochLoad::compute_with(
-            ctx.window,
-            LoadParams {
-                shards: ctx.params.shards(),
-                eta: ctx.params.eta(),
-                lambda,
-            },
-            |a| ledger.phi().shard_of(a),
-            ctx.parallelism,
-        )
-        .workload_vector();
+        // Step 1: mempool-derived workload distribution Ω (§V-A), through
+        // the ledger's own classification pass so the window's accounts
+        // are resolved once for both this pass and phase 3.
+        let omega = ledger.classify(ctx.window).workload_vector();
 
         // Step 2: future knowledge (β-sample of the upcoming window).
         self.framework.set_expectations(ctx.window);

@@ -464,8 +464,8 @@ pub struct Scenario {
     pub strategies: Vec<Strategy>,
     /// Worker-pool sizing across grid cells.
     pub grid_parallelism: Parallelism,
-    /// Worker-pool sizing within each cell (Ω classification chunks,
-    /// per-shard ledger commits). Allocators never see it.
+    /// Worker-pool sizing within each cell (the per-shard ledger
+    /// commits). Allocators never see it.
     pub cell_parallelism: Parallelism,
     /// The observer stack applied to every cell.
     pub observers: Vec<ObserverSpec>,

@@ -24,7 +24,8 @@ use std::sync::Arc;
 use mosaic_metrics::parallel::{ordered_map, thread_pool_reset};
 use mosaic_metrics::{EpochCsvWriter, EpochMetrics};
 use mosaic_telemetry::{json_f64, Recorder};
-use mosaic_types::{Error, Result};
+use mosaic_types::{BlockHeight, Error, Result};
+use mosaic_workload::csv::block_span_overflow;
 use mosaic_workload::{EpochWindowStream, TransactionTrace};
 
 use crate::engine::{self, EpochStrategy, RunSummary};
@@ -169,8 +170,12 @@ impl Simulation {
     /// # Errors
     ///
     /// Propagates scenario validation errors, [`Error::EmptyTrace`] on
-    /// an empty trace, and [`Error::ParseScenario`] if the scenario
-    /// declares a streamed source — sharing one resident trace across
+    /// an empty trace, [`Error::ParseTrace`] if a transaction sits at
+    /// block `u64::MAX` (the block span, highest block + 1, would not
+    /// fit; the line is the 1-based position of the first such
+    /// transaction, the message the CSV readers'), and
+    /// [`Error::ParseScenario`] if the scenario declares a streamed
+    /// source — sharing one resident trace across
     /// sessions contradicts a spec that promises never to materialise
     /// it, so the combination is rejected rather than silently pinning
     /// the trace in memory.
@@ -189,6 +194,12 @@ impl Simulation {
         }
         if trace.is_empty() {
             return Err(Error::EmptyTrace);
+        }
+        if trace.max_block() == Some(BlockHeight::new(u64::MAX)) {
+            let first = trace
+                .transactions()
+                .partition_point(|tx| tx.block < BlockHeight::new(u64::MAX));
+            return Err(block_span_overflow(first + 1));
         }
         Simulation::new(scenario, Some(trace))
     }
@@ -456,6 +467,24 @@ mod tests {
             Simulation::with_trace(streamed_quick_scenario(&dir), resident.trace()).unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("streamed trace source"), "{err}");
+    }
+
+    #[test]
+    fn with_trace_rejects_a_block_span_past_u64() {
+        let tx = |id: u64, block: u64| {
+            mosaic_types::Transaction::new(
+                mosaic_types::TxId::new(id),
+                mosaic_types::AccountId::new(id),
+                mosaic_types::AccountId::new(id + 1),
+                BlockHeight::new(block),
+            )
+        };
+        let trace =
+            TransactionTrace::new(vec![tx(0, 3), tx(1, u64::MAX), tx(2, 7), tx(3, u64::MAX)]);
+        let err = Simulation::with_trace(quick_scenario(), Arc::new(trace)).unwrap_err();
+        // Sorted, the first u64::MAX block is the third transaction.
+        assert_eq!(err, block_span_overflow(3));
+        assert!(err.to_string().contains("must fit in 64 bits"), "{err}");
     }
 
     #[test]

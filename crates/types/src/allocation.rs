@@ -12,6 +12,33 @@
 //! a deterministic [`DefaultRule`] — hash-based allocation, exactly how
 //! conventional sharded blockchains place accounts that no allocation
 //! algorithm has touched yet.
+//!
+//! # The dense table
+//!
+//! ϕ is a pure function of the account, so it is resolved once per
+//! account rather than once per read. Next to the explicit assignments,
+//! the map keeps a `Vec<u16>` indexed by [`AccountId::as_u64`]: slot `a`
+//! holds ϕ(a), or `u16::MAX` while `a` is unresolved. The sentinel never
+//! collides with a shard, because a shard is `< k ≤ 65535`. The table
+//! grows on demand up to [`AccountShardMap::TABLE_CAP`] ids (at most
+//! 32 MiB); ids at or past the cap have no slot and always take the map +
+//! rule path.
+//!
+//! * [`AccountShardMap::assign`] and [`AccountShardMap::migrate`] write
+//!   through to the slot, and [`AccountShardMap::unassign`] clears it, so
+//!   a filled slot always equals ϕ(a).
+//! * [`AccountShardMap::shard_of`] (`&self`) reads the slot first and falls
+//!   back to the map, then the rule; it never fills a slot.
+//! * [`AccountShardMap::resolve`] (`&mut self`) does the same and fills
+//!   the slot on a miss, so the next read of that account is one load.
+//!
+//! The table is a cache, not state: the explicit assignments stay the
+//! owner of what ϕ *is*. [`AccountShardMap::assigned_len`],
+//! [`AccountShardMap::iter`], the counts and the inverse see only explicit
+//! assignments, and `==` and `{:?}` ignore the table, so two maps that
+//! resolve every account alike compare equal whatever each has cached.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +65,11 @@ impl DefaultRule {
     /// The 20-byte address pads to a single SHA-256 block, so this is one
     /// compression on the stack ([`sha256_prefix_u64`]'s one-block path)
     /// and a reduction: no allocation, no hasher state, no digest bytes.
-    /// It is what every transaction endpoint of a Random cell, every
-    /// `LOOKUP` of an unplaced account and every Pilot newcomer pays.
+    /// Through [`AccountShardMap::resolve`] it runs once per account below
+    /// [`AccountShardMap::TABLE_CAP`] — the first transaction endpoint
+    /// of that account in a Random cell, or a Pilot newcomer's first
+    /// read — not once per endpoint; a `LOOKUP` of an account nothing
+    /// has resolved yet and every id past the cap pay it per read.
     pub fn shard_of(&self, account: AccountId, k: u16) -> ShardId {
         debug_assert!(k > 0, "shard count must be positive");
         let prefix = sha256_prefix_u64(&account.address_bytes());
@@ -62,6 +92,12 @@ impl DefaultRule {
 /// the paper stores exactly this object and updates it from the beacon chain
 /// during epoch reconfiguration.
 ///
+/// Ids below [`AccountShardMap::TABLE_CAP`] are also cached in a dense
+/// table (see the [module docs](crate::allocation)):
+/// [`AccountShardMap::resolve`] fills an account's slot on its first read,
+/// explicit assignments write through, and equality and `Debug` ignore the
+/// table.
+///
 /// # Example
 ///
 /// ```
@@ -71,19 +107,41 @@ impl DefaultRule {
 /// let a = AccountId::new(7);
 /// phi.assign(a, ShardId::new(3))?;
 /// assert_eq!(phi.shard_of(a), ShardId::new(3));
-/// // Unassigned accounts still resolve (completeness).
-/// let _ = phi.shard_of(AccountId::new(1000));
+/// // Unassigned accounts still resolve (completeness); `resolve` also
+/// // caches the rule's answer, which stays out of the explicit count.
+/// let b = AccountId::new(1000);
+/// assert_eq!(phi.resolve(b), phi.shard_of(b));
+/// assert_eq!(phi.assigned_len(), 1);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct AccountShardMap {
     shards: u16,
     rule: DefaultRule,
     assigned: FnvHashMap<AccountId, ShardId>,
+    /// Slot `a` holds ϕ(a) as a `u16`, or [`UNRESOLVED`]; ids at or past
+    /// [`AccountShardMap::TABLE_CAP`] have no slot.
+    #[serde(skip)]
+    table: Vec<u16>,
+}
+
+/// The empty slot of the dense table: never a shard, since `k ≤ 65535`.
+const UNRESOLVED: u16 = u16::MAX;
+
+/// The table slot of `account`, if its id can have one at all (the cap
+/// fits a 32-bit `usize`, so the cast is exact).
+fn slot(account: AccountId) -> Option<usize> {
+    let id = account.as_u64();
+    (id < AccountShardMap::TABLE_CAP).then_some(id as usize)
 }
 
 impl AccountShardMap {
+    /// Ids below this have a slot in the dense table: 2^24 ids, at most
+    /// 32 MiB per map. Ids at or above it resolve through the map + rule
+    /// path on every read.
+    pub const TABLE_CAP: u64 = 1 << 24;
+
     /// Creates an empty mapping over `shards` shards with the
     /// [`DefaultRule::Sha256Mod`] fallback.
     ///
@@ -91,12 +149,7 @@ impl AccountShardMap {
     ///
     /// Panics if `shards == 0`.
     pub fn new(shards: u16) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        AccountShardMap {
-            shards,
-            rule: DefaultRule::default(),
-            assigned: FnvHashMap::default(),
-        }
+        Self::with_rule(shards, DefaultRule::default())
     }
 
     /// Creates an empty mapping with an explicit fallback rule.
@@ -110,6 +163,7 @@ impl AccountShardMap {
             shards,
             rule,
             assigned: FnvHashMap::default(),
+            table: Vec::new(),
         }
     }
 
@@ -123,12 +177,53 @@ impl AccountShardMap {
         self.rule
     }
 
-    /// Resolves the shard of `account` (total: never fails).
+    /// Resolves the shard of `account` (total: never fails): its table
+    /// slot if filled, else its explicit assignment, else the rule.
     pub fn shard_of(&self, account: AccountId) -> ShardId {
+        self.cached(account)
+            .unwrap_or_else(|| self.uncached_shard_of(account))
+    }
+
+    /// [`AccountShardMap::shard_of`] that also fills `account`'s table
+    /// slot on a miss, so the rule runs once per account below
+    /// [`AccountShardMap::TABLE_CAP`] however often it is read.
+    pub fn resolve(&mut self, account: AccountId) -> ShardId {
+        if let Some(shard) = self.cached(account) {
+            return shard;
+        }
+        let shard = self.uncached_shard_of(account);
+        self.store(account, shard);
+        shard
+    }
+
+    fn cached(&self, account: AccountId) -> Option<ShardId> {
+        let &s = self.table.get(slot(account)?)?;
+        (s != UNRESOLVED).then(|| ShardId::new(s))
+    }
+
+    fn uncached_shard_of(&self, account: AccountId) -> ShardId {
         match self.assigned.get(&account) {
             Some(&s) => s,
             None => self.rule.shard_of(account, self.shards),
         }
+    }
+
+    /// Writes `shard` into `account`'s slot, growing the table to reach
+    /// it; ids past the cap have no slot.
+    fn store(&mut self, account: AccountId, shard: ShardId) {
+        let Some(i) = slot(account) else {
+            return;
+        };
+        if i >= self.table.len() {
+            if i >= self.table.capacity() {
+                // Amortised doubling, but the capacity never passes the cap.
+                let cap = AccountShardMap::TABLE_CAP as usize;
+                let target = (self.table.capacity() * 2).clamp(i + 1, cap);
+                self.table.reserve_exact(target - self.table.len());
+            }
+            self.table.resize(i + 1, UNRESOLVED);
+        }
+        self.table[i] = shard.as_u16();
     }
 
     /// Returns the explicit assignment of `account`, if any.
@@ -154,6 +249,7 @@ impl AccountShardMap {
                 shards: self.shards,
             });
         }
+        self.store(account, shard);
         Ok(self.assigned.insert(account, shard))
     }
 
@@ -170,12 +266,17 @@ impl AccountShardMap {
     }
 
     /// Removes the explicit assignment of `account` (it falls back to the
-    /// default rule). Returns the removed shard, if any.
+    /// default rule) and clears its table slot. Returns the removed shard,
+    /// if any.
     pub fn unassign(&mut self, account: AccountId) -> Option<ShardId> {
+        if let Some(s) = slot(account).and_then(|i| self.table.get_mut(i)) {
+            *s = UNRESOLVED;
+        }
         self.assigned.remove(&account)
     }
 
-    /// Number of explicitly assigned accounts.
+    /// Number of explicitly assigned accounts; accounts the rule
+    /// resolved (and the table cached) are not counted.
     pub fn assigned_len(&self) -> usize {
         self.assigned.len()
     }
@@ -269,6 +370,25 @@ impl Extend<(AccountId, ShardId)> for AccountShardMap {
             self.assign(account, shard)
                 .expect("shard out of range in Extend");
         }
+    }
+}
+
+/// Equal when every account resolves alike: the table is a cache of the
+/// other three fields, so what each side has cached does not matter.
+impl PartialEq for AccountShardMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.shards == other.shards && self.rule == other.rule && self.assigned == other.assigned
+    }
+}
+
+/// Leaves the table out: it can hold 2^24 slots.
+impl fmt::Debug for AccountShardMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AccountShardMap")
+            .field("shards", &self.shards)
+            .field("rule", &self.rule)
+            .field("assigned", &self.assigned)
+            .finish_non_exhaustive()
     }
 }
 
@@ -458,6 +578,175 @@ mod tests {
         let mut phi = AccountShardMap::new(2);
         let res = phi.extend_assignments([(AccountId::new(0), ShardId::new(5))]);
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn debug_leaves_the_table_out() {
+        let mut phi = AccountShardMap::new(16);
+        for i in 0..1_000_000 {
+            phi.resolve(AccountId::new(i));
+        }
+        let printed = format!("{phi:?}");
+        assert!(printed.len() < 1024, "{} bytes", printed.len());
+        assert_eq!(phi, AccountShardMap::new(16));
+    }
+
+    #[test]
+    fn table_grows_geometrically_up_to_the_cap() {
+        let mut phi = AccountShardMap::new(4);
+        for i in 0..1000 {
+            phi.resolve(AccountId::new(i));
+        }
+        assert_eq!(phi.table.len(), 1000);
+        assert!(phi.table.capacity() < 2048, "{}", phi.table.capacity());
+        phi.resolve(AccountId::new(CAP - 1));
+        phi.resolve(AccountId::new(CAP));
+        assert_eq!(phi.table.len(), CAP as usize);
+        assert!(phi.table.capacity() <= CAP as usize);
+    }
+
+    #[test]
+    fn map_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<AccountShardMap>();
+    }
+
+    /// Ids the table treats differently: the first slots, both sides of
+    /// the cap, and the top of the id space.
+    const CAP: u64 = AccountShardMap::TABLE_CAP;
+    const EDGE_IDS: [u64; 11] = [
+        0,
+        1,
+        2,
+        1000,
+        CAP - 2,
+        CAP - 1,
+        CAP,
+        CAP + 1,
+        1 << 40,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// The reference model: explicit assignments in a `BTreeMap`, every
+    /// other account through the rule — no cache anywhere.
+    struct Model {
+        k: u16,
+        rule: DefaultRule,
+        assigned: std::collections::BTreeMap<u64, u16>,
+    }
+
+    impl Model {
+        fn shard_of(&self, id: u64) -> ShardId {
+            match self.assigned.get(&id) {
+                Some(&s) => ShardId::new(s),
+                None => self.rule.shard_of(AccountId::new(id), self.k),
+            }
+        }
+
+        fn rebuilt(&self) -> AccountShardMap {
+            let mut phi = AccountShardMap::with_rule(self.k, self.rule);
+            phi.extend_assignments(
+                self.assigned
+                    .iter()
+                    .map(|(&a, &s)| (AccountId::new(a), ShardId::new(s))),
+            )
+            .unwrap();
+            phi
+        }
+
+        fn assert_matches(&self, phi: &AccountShardMap) {
+            for id in EDGE_IDS {
+                let a = AccountId::new(id);
+                assert_eq!(phi.shard_of(a), self.shard_of(id), "shard_of({id})");
+                assert_eq!(
+                    phi.explicit(a),
+                    self.assigned.get(&id).map(|&s| ShardId::new(s)),
+                    "explicit({id})"
+                );
+            }
+            assert_eq!(phi.assigned_len(), self.assigned.len());
+            let mut counts = vec![0usize; usize::from(self.k)];
+            for &s in self.assigned.values() {
+                counts[usize::from(s)] += 1;
+            }
+            assert_eq!(phi.explicit_counts(), counts);
+            assert_eq!(*phi, self.rebuilt());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The table is invisible: after every operation, whatever each
+        /// slot holds, the map answers exactly like the cache-free model.
+        #[test]
+        fn prop_table_matches_reference_model(
+            k_pick in 0usize..4,
+            first_bits in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..EDGE_IDS.len(), 0u16..8, any::<u16>()),
+                1..24,
+            ),
+        ) {
+            // k = 65535 puts shard 65534 right next to the sentinel.
+            let k = [1u16, 2, 16, u16::MAX][k_pick];
+            let rule = if first_bits {
+                DefaultRule::Sha256FirstBits
+            } else {
+                DefaultRule::Sha256Mod
+            };
+            let mut phi = AccountShardMap::with_rule(k, rule);
+            let mut model = Model { k, rule, assigned: Default::default() };
+            for (op, pick, shard_pick, raw) in ops {
+                let id = EDGE_IDS[pick];
+                let a = AccountId::new(id);
+                let shard = match shard_pick {
+                    0 => k - 1,
+                    1 => 0,
+                    _ => raw % k,
+                };
+                match op {
+                    0 if shard_pick == 7 => {
+                        // Out of range: refused, and nothing changes.
+                        prop_assert!(phi.assign(a, ShardId::new(k)).is_err());
+                    }
+                    0 => {
+                        let previous = phi.assign(a, ShardId::new(shard)).unwrap();
+                        let expected = model.assigned.insert(id, shard).map(ShardId::new);
+                        prop_assert_eq!(previous, expected);
+                    }
+                    1 => {
+                        let from = phi.migrate(a, ShardId::new(shard)).unwrap();
+                        prop_assert_eq!(from, model.shard_of(id));
+                        model.assigned.insert(id, shard);
+                    }
+                    2 => {
+                        let removed = phi.unassign(a);
+                        prop_assert_eq!(removed, model.assigned.remove(&id).map(ShardId::new));
+                    }
+                    3 => prop_assert_eq!(phi.resolve(a), model.shard_of(id)),
+                    4 => prop_assert_eq!(phi.shard_of(a), model.shard_of(id)),
+                    5 => {
+                        let next = EDGE_IDS[(pick + 1) % EDGE_IDS.len()];
+                        let other = raw.wrapping_add(1) % k;
+                        phi.extend_assignments([
+                            (a, ShardId::new(shard)),
+                            (AccountId::new(next), ShardId::new(other)),
+                        ])
+                        .unwrap();
+                        model.assigned.insert(id, shard);
+                        model.assigned.insert(next, other);
+                    }
+                    _ => {
+                        let copy = phi.clone();
+                        prop_assert_eq!(&copy, &phi);
+                        phi = copy;
+                    }
+                }
+                model.assert_matches(&phi);
+            }
+        }
     }
 
     proptest! {

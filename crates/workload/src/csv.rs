@@ -362,11 +362,13 @@ fn read_error(line: usize, e: &io::Error) -> Error {
     }
 }
 
-/// Both readers refuse a `u64::MAX` block: a trace's block span is its
-/// highest block + 1. Out of line and cold: the per-row loops should hold
-/// a compare, not a `format!`.
+/// The error for a `u64::MAX` block at 1-based row `line`: a trace's block
+/// span is its highest block + 1, which would not fit. Both CSV readers
+/// refuse such a row with it, and so does `Simulation::with_trace` for a
+/// trace built in memory. Out of line and cold: the per-row loops should
+/// hold a compare, not a `format!`.
 #[cold]
-pub(crate) fn block_span_overflow(line: usize) -> Error {
+pub fn block_span_overflow(line: usize) -> Error {
     Error::ParseTrace {
         line,
         message: format!(

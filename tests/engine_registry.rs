@@ -95,8 +95,8 @@ fn full_runs_stay_within_shard_bounds_for_every_strategy() {
 
 #[test]
 fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
-    // Within-cell parallelism (chunked transaction classification and
-    // per-shard commits inside `Ledger::process_epoch`) must be
+    // Within-cell parallelism (the per-shard commits inside
+    // `Ledger::process_epoch`) must be
     // invisible in the output: for every registry strategy the CSV
     // series, aggregates and migration totals are byte-identical to a
     // sequential run of the same cell.
