@@ -1,6 +1,6 @@
 //! Sequential vs parallel execution of the effectiveness grid (25
 //! independent experiment cells) on the quick synthetic trace — the
-//! speedup the order-stable worker pool buys on a multicore host.
+//! speedup running whole cells on scoped threads buys on a multicore host.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mosaic_sim::experiments::run_scenario;

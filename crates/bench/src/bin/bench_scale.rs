@@ -43,7 +43,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mosaic_sim::engine::RunSummary;
-use mosaic_sim::{Parallelism, Scenario, Simulation};
+use mosaic_sim::{Scenario, Simulation};
 use mosaic_types::Transaction;
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
@@ -103,8 +103,6 @@ fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, 
             .unwrap_or_else(|e| fail(format!("scaled tau invalid: {e}"))),
         grid: Vec::new(),
         strategies: vec![scenario.strategies[0]],
-        // The curve measures the pipeline, not the pool's threads.
-        cell_parallelism: Parallelism::Sequential,
         ..scenario.clone()
     };
     (w, cell)

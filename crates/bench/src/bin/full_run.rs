@@ -4,24 +4,19 @@
 //! The run is described by a declarative scenario: either a checked-in
 //! spec (`--scenario scenarios/quick.scenario`) or the
 //! [`Scenario::full_protocol`] preset at the `MOSAIC_SCALE` scale. The
-//! session materialises the trace once, runs every cell with
-//! within-cell parallelism as specified, and each per-epoch metric row
-//! is written to `<dir>/<cell>.csv` the moment it is computed — no
-//! per-epoch vector is held in memory, so the paper's 200-epoch
-//! protocol (`scenarios/full.scenario`) runs in bounded memory at
-//! hardware speed.
+//! session materialises the trace once, runs every cell, and each
+//! per-epoch metric row is written to `<dir>/<cell>.csv` the moment it
+//! is computed — no per-epoch vector is held in memory, so the paper's
+//! 200-epoch protocol (`scenarios/full.scenario`) runs in bounded
+//! memory at hardware speed.
 //!
 //! With `--check-determinism` no files are written: every cell runs
-//! through [`Simulation::stream_cell`] at a worker matrix —
-//! `cell_parallelism` 1 vs 2 vs a thread count beyond the machine's
-//! cores — and the CSV byte streams are compared. The same matrix then
-//! re-runs with a process-wide telemetry recorder installed, so the
-//! gate also enforces the observability invariant: instrumentation
-//! must never perturb a result byte. Any difference exits non-zero;
-//! this is the end-to-end enforcement of the parallel-equals-sequential
-//! contract of the within-cell pool path (the per-shard ledger commit),
-//! exercised through the scenario parser and session path CI actually
-//! ships.
+//! twice through [`Simulation::stream_cell`], once with telemetry off
+//! and once with a live process-wide recorder installed, and the two
+//! CSV byte streams are compared. This enforces the observability
+//! invariant end to end — instrumentation must never perturb a result
+//! byte — through the scenario parser and session path CI actually
+//! ships. Any difference exits non-zero.
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario
@@ -31,95 +26,56 @@
 //!     --scenario scenarios/quick.scenario --check-determinism
 //! ```
 
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use mosaic_bench::{print_header, scenario_path_from_args};
 use mosaic_sim::engine::RunSummary;
 use mosaic_sim::scenario::CellSpec;
-use mosaic_sim::{ObserverSpec, Parallelism, RunObserver, Scale, Scenario, Simulation, Strategy};
+use mosaic_sim::{ObserverSpec, RunObserver, Scale, Scenario, Simulation, Strategy};
 use mosaic_telemetry::Recorder;
 
-/// Runs every cell through the session at a matrix of worker counts
-/// (`cell_parallelism` 1 vs 2 vs max), both with telemetry disabled and
-/// with a live recorder installed, and fails on any CSV byte
+/// Runs every cell through the session with telemetry disabled, then
+/// again with a live recorder installed, and fails on any CSV byte
 /// difference. Returns `(checked, divergent)` cell counts — a gate that
 /// compared nothing must not pass.
 fn check_determinism(sim: &Simulation) -> (usize, usize) {
-    // Strictly more workers than the machine has cores (2x, minimum 4),
-    // so the threaded code paths engage even on single-core runners AND
-    // the oversubscribed-scheduling case is exercised on every runner.
-    // The intermediate 2-worker level catches bugs that only show up
-    // when lane boundaries move (e.g. chunk-splitting off-by-ones that
-    // max-worker runs happen to mask).
-    let max_workers = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .saturating_mul(2)
-        .max(4);
-    // (workers, instrumented): the telemetry-off baseline matrix, then
-    // the same worker levels with a live recorder installed. Telemetry
-    // events go to `io::sink()` — the recorder still takes every hot
-    // path (counters, spans, clock reads), only the bytes vanish.
-    let variants = [
-        (2usize, false),
-        (max_workers, false),
-        (1, true),
-        (2, true),
-        (max_workers, true),
-    ];
     let mut checked = 0usize;
     let mut divergent = 0usize;
     for cell in sim.cells() {
         checked += 1;
         let name = format!("{} / {}", cell.label, cell.config.strategy.name());
-        let stream_at = |parallelism: Parallelism, instrumented: bool| {
-            let recorder = if instrumented {
-                Recorder::with_sink(Box::new(std::io::sink()))
-            } else {
-                Recorder::disabled()
-            };
+        let stream_with = |recorder: Recorder| {
             mosaic_telemetry::install_global(recorder);
-            mosaic_metrics::parallel::thread_pool_reset();
-            let mut variant = cell.clone();
-            variant.config.cell_parallelism = parallelism;
             let mut bytes: Vec<u8> = Vec::new();
-            sim.stream_cell(&variant, &mut bytes)
+            sim.stream_cell(cell, &mut bytes)
                 .expect("vec sink cannot fail");
             bytes
         };
-        let sequential = stream_at(Parallelism::Threads(1), false);
-        let mut cell_ok = true;
-        for (workers, instrumented) in variants {
-            let candidate = stream_at(Parallelism::Threads(workers), instrumented);
-            if sequential != candidate {
-                cell_ok = false;
-                divergent += 1;
-                let first_diff = sequential
-                    .iter()
-                    .zip(&candidate)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or_else(|| sequential.len().min(candidate.len()));
-                eprintln!(
-                    "{name:<20} DIVERGED at {workers} workers (telemetry {}): first \
-                     differing byte at offset {first_diff} ({} vs {} bytes total)",
-                    if instrumented { "on" } else { "off" },
-                    sequential.len(),
-                    candidate.len(),
-                );
-                break;
-            }
-        }
-        if cell_ok {
+        let plain = stream_with(Recorder::disabled());
+        // Events go to `io::sink()`: the recorder still takes every hot
+        // path (counters, spans, clock reads), only the bytes vanish.
+        let instrumented = stream_with(Recorder::with_sink(Box::new(std::io::sink())));
+        if plain == instrumented {
             println!(
-                "{name:<20} OK: {} CSV bytes identical at 1 vs 2 vs {max_workers} workers, \
-                 telemetry on and off",
-                sequential.len(),
+                "{name:<20} OK: {} CSV bytes identical, telemetry on and off",
+                plain.len(),
+            );
+        } else {
+            divergent += 1;
+            let first_diff = plain
+                .iter()
+                .zip(&instrumented)
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| plain.len().min(instrumented.len()));
+            eprintln!(
+                "{name:<20} DIVERGED with telemetry on: first differing byte at offset \
+                 {first_diff} ({} vs {} bytes total)",
+                plain.len(),
+                instrumented.len(),
             );
         }
     }
     mosaic_telemetry::install_global(Recorder::disabled());
-    mosaic_metrics::parallel::thread_pool_reset();
     (checked, divergent)
 }
 
@@ -187,7 +143,7 @@ fn main() {
     }
     print_header(
         if check {
-            "Determinism gate (cell_parallelism 1 vs 2 vs max, telemetry on/off, byte-compared CSVs)"
+            "Determinism gate (telemetry off vs on, byte-compared CSVs)"
         } else {
             "Full-protocol streaming run (per-epoch CSV per cell)"
         },

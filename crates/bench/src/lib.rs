@@ -23,6 +23,7 @@
 //! All binaries accept `--scenario <file>` and honour
 //! `MOSAIC_SCALE=quick|default|full` as the preset fallback.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

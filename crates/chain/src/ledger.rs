@@ -1,6 +1,5 @@
 //! The complete sharded ledger `L = (S₁, …, S_k, BC)`.
 
-use mosaic_metrics::parallel::{for_each_indexed_mut, Parallelism};
 use mosaic_metrics::{EpochLoad, LoadParams};
 use mosaic_types::{
     AccountShardMap, EpochId, Error, MigrationRequest, Result, ShardId, SystemParams, Transaction,
@@ -11,10 +10,6 @@ use crate::miner::MinerSet;
 use crate::network::NetworkMeter;
 use crate::reconfig::{self, ReconfigReport};
 use crate::shard::ShardChain;
-
-/// Per-shard block commits only fan out on at least this many shards;
-/// below it one thread finishes before a pool could even spawn.
-const MIN_PARALLEL_SHARDS: usize = 64;
 
 /// Everything that happened in one processed epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,11 +54,6 @@ pub struct Ledger {
     /// Per-epoch migration-commit cap override; `None` = the paper's
     /// `λ` bound. Used by the capacity ablation.
     migration_capacity: Option<usize>,
-    /// Worker-pool sizing for the phase-3 per-shard block commits. The
-    /// outcome is byte-identical at every level; `Sequential` by default
-    /// so grid runs that already parallelise across cells don't
-    /// oversubscribe.
-    parallelism: Parallelism,
 }
 
 impl Ledger {
@@ -91,7 +81,6 @@ impl Ledger {
             meter: NetworkMeter::new(),
             epoch: EpochId::new(0),
             migration_capacity: None,
-            parallelism: Parallelism::Sequential,
             params,
         })
     }
@@ -147,22 +136,6 @@ impl Ledger {
         self.migration_capacity
     }
 
-    /// Sets the worker-pool sizing for the phase-3 per-shard block
-    /// commits (on at least 64 shards; fewer commit on one thread).
-    ///
-    /// Epoch outcomes are byte-identical at every parallelism level
-    /// (asserted by `mosaic-sim`'s engine tests): the commits are
-    /// independent, and transaction classification is one sequential
-    /// pass ([`Ledger::classify`]) at every level.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The worker-pool sizing used for the phase-3 per-shard commits.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Miner-driven wholesale replacement of ϕ (graph-based baselines).
     ///
     /// # Errors
@@ -216,22 +189,13 @@ impl Ledger {
             accounts_per_shard,
         );
 
-        // Phase 3: transaction processing under the updated ϕ. The
-        // per-shard block commits are independent work items on the
-        // pool, byte-identical to a sequential run.
+        // Phase 3: transaction processing under the updated ϕ, then one
+        // summary block per shard.
         let load = self.classify(txs);
-        let (intra, cross) = (load.intra_counts(), load.cross_counts());
-        // A commit is one small hash: below MIN_PARALLEL_SHARDS the
-        // spawn/join cost of the pool exceeds the work, so small shard
-        // counts (including every paper configuration) stay sequential.
-        let commit_parallelism = if self.shards.len() >= MIN_PARALLEL_SHARDS {
-            self.parallelism
-        } else {
-            Parallelism::Sequential
-        };
-        for_each_indexed_mut(&mut self.shards, commit_parallelism, |i, chain| {
-            chain.commit_epoch(epoch, intra[i] as u32, cross[i] as u32);
-        });
+        let counts = load.intra_counts().iter().zip(load.cross_counts());
+        for (chain, (&intra, &cross)) in self.shards.iter_mut().zip(counts) {
+            chain.commit_epoch(epoch, intra as u32, cross as u32);
+        }
         self.meter.record_txs(txs.len());
 
         self.epoch = epoch.next();
@@ -371,33 +335,6 @@ mod tests {
         assert_eq!(ledger.phi().shard_of(AccountId::new(0)), ShardId::new(1));
         assert_eq!(ledger.beacon().committed_len(), 0);
         assert!(ledger.set_allocation(AccountShardMap::new(3)).is_err());
-    }
-
-    #[test]
-    fn parallel_epoch_processing_matches_sequential() {
-        // k = 128 ≥ MIN_PARALLEL_SHARDS exercises the parallel
-        // per-shard commit branch.
-        let k = 128u16;
-        assert!(usize::from(k) >= MIN_PARALLEL_SHARDS);
-        let run = |parallelism: Parallelism| {
-            let mut ledger = Ledger::new(params(k), assigned_phi(k, 600), 256).unwrap();
-            ledger.set_parallelism(parallelism);
-            let txs: Vec<Transaction> = (0..20_000)
-                .map(|i| tx(i, i % 531, (i * 11) % 479))
-                .collect();
-            let mut outs = Vec::new();
-            for chunk in txs.chunks(5_000) {
-                outs.push(ledger.process_epoch(chunk));
-            }
-            assert!(ledger.verify_chains());
-            (outs, ledger.meter().total())
-        };
-        let (seq, seq_meter) = run(Parallelism::Sequential);
-        for parallelism in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let (par, par_meter) = run(parallelism);
-            assert_eq!(seq, par, "{parallelism:?} diverged");
-            assert_eq!(seq_meter, par_meter);
-        }
     }
 
     /// ϕ's table is invisible to the ledger: windows over ids on both

@@ -34,12 +34,12 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod beacon;
 pub mod block;
-pub mod consensus;
 pub mod fee_market;
 pub mod ledger;
 pub mod miner;
@@ -49,7 +49,6 @@ pub mod shard;
 
 pub use beacon::BeaconChain;
 pub use block::{Block, BlockBody};
-pub use consensus::ConsensusModel;
 pub use fee_market::MigrationFeeMarket;
 pub use ledger::{EpochOutcome, Ledger};
 pub use miner::{Miner, MinerSet};

@@ -61,6 +61,7 @@
 //! assert!(decision.gain > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

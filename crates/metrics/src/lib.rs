@@ -21,16 +21,14 @@
 //! [`report::EpochCsvWriter`] streams per-epoch rows to disk so
 //! arbitrarily long protocols run in bounded memory.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod data_size;
-pub mod fairness;
 pub mod load;
-pub mod parallel;
 pub mod report;
 pub mod timing;
 
 pub use load::{EpochLoad, LoadParams};
-pub use parallel::{for_each_indexed_mut, ordered_map, Parallelism, WorkerPool};
 pub use report::{Aggregate, AggregateBuilder, EpochCsvWriter, EpochMetrics, TextTable};

@@ -29,8 +29,7 @@
 //! * [`stats`] — [`ServerStats`], the per-session telemetry recorders
 //!   and the server-wide aggregate behind `STATS`;
 //! * [`server`] — [`serve`]: one thread per connection, which decodes,
-//!   applies to its own session and replies (per-shard work
-//!   parallelises inside the ledger's worker pool);
+//!   applies to its own session and replies;
 //! * [`client`] — [`MosaicClient`], the typed, codec-generic client
 //!   library;
 //! * [`replay`] — the replay driver ([`replay()`](replay::replay) /
@@ -46,6 +45,7 @@
 //!                    --wire binary --sessions 4 --out node-results
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

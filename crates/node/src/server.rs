@@ -70,8 +70,8 @@ pub fn serve(listener: TcpListener, scenario: Scenario) -> Result<()> {
 
 /// [`serve`] with an explicit telemetry switch (`mosaic-node serve
 /// --telemetry off`). When on, the server-wide recorder is installed as
-/// the process-wide default so worker-pool lane counters are captured;
-/// when off, every recorder is a no-op and `STATS` replies say so.
+/// the process-wide default; when off, every recorder is a no-op and
+/// `STATS` replies say so.
 ///
 /// # Errors
 ///

@@ -11,9 +11,9 @@
 //!
 //! The session is single-threaded by design: the server builds, drives
 //! and drops every connection's session on that connection's handler
-//! thread (per-shard parallelism lives *inside* the ledger's worker
-//! pool), so ordering is the arrival order on the socket and no locking
-//! is needed here.
+//! thread, and the core it drives runs no threads of its own, so
+//! ordering is the arrival order on the socket and no locking is needed
+//! here.
 
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //!
 //! One [`ServerStats`] lives for the whole `serve` lifetime. It owns
 //! the server-wide [`Recorder`] (installed process-wide when telemetry
-//! is on, so worker-pool lane counters land here) and hands every
+//! is on) and hands every
 //! session its own private recorder at registration — per-session
 //! counters therefore never contend with each other, and a `STATS`
 //! reply can show *this* connection's numbers next to the server-wide
@@ -48,7 +48,7 @@ impl ServerStats {
     }
 
     /// The server-wide recorder (counters not attributable to one
-    /// session — worker-pool lanes, connection bookkeeping).
+    /// session — connection bookkeeping).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }

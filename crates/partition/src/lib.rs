@@ -33,6 +33,7 @@
 //! assert_eq!(phi.shard_of(AccountId::new(3)), phi.shard_of(AccountId::new(4)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

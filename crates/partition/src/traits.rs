@@ -19,9 +19,8 @@ use mosaic_types::AccountShardMap;
 /// history each epoch, so implementing this trait is all a new
 /// miner-driven algorithm needs to appear in the evaluation.
 ///
-/// An allocation is one sequential, deterministic computation: the
-/// engine's `cell_parallelism` knob never reaches an allocator, so ϕ
-/// cannot depend on a worker count.
+/// An allocation is one sequential, deterministic computation on the
+/// cell's thread, so ϕ cannot depend on a worker count.
 pub trait GlobalAllocator {
     /// Human-readable name used in reports ("Metis", "Random", …).
     fn name(&self) -> &'static str;

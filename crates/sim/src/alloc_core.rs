@@ -555,7 +555,6 @@ impl AllocationCore {
             self.config.resolved_miner_count(),
         )?;
         ledger.set_migration_capacity(self.config.migration_capacity);
-        ledger.set_parallelism(self.config.cell_parallelism);
         self.ledger = Some(ledger);
         if !strategy.consumes_history() {
             self.history.release();

@@ -26,9 +26,8 @@
 //!   to the caller, so rows can go straight to a sink and the paper's
 //!   `full` 200-epoch protocol runs in bounded memory.
 //!
-//! Within a cell, the ledger's per-shard commits parallelise over the
-//! order-stable pool ([`mosaic_metrics::parallel`]) with byte-identical
-//! output ([`crate::runner::ExperimentConfig::cell_parallelism`]).
+//! A cell runs on one thread from its first window to its last row;
+//! only whole cells run in parallel ([`crate::Simulation::run`]).
 
 use std::marker::PhantomData;
 use std::time::Duration;

@@ -10,7 +10,7 @@
 //! a base scenario — all executed by a
 //! [`Simulation`](crate::session::Simulation) session that materialises
 //! the trace once, shares it across cells behind an `Arc`, and runs the
-//! independent cells on the order-stable worker pool. Results are
+//! independent cells on the scenario's `grid_parallelism` lanes. Results are
 //! order-stable and — the engine being deterministic — byte-identical
 //! to a sequential run on the same seed.
 
@@ -18,6 +18,7 @@ use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
 use mosaic_types::{AccountId, DefaultRule, SystemParams};
 
+use crate::parallel::ordered_map;
 use crate::radar::RadarAxis;
 use crate::runner::ExperimentResult;
 use crate::scale::Scale;
@@ -25,7 +26,6 @@ use crate::scenario::{Capacity, GridAxis, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
 use crate::strategy::Strategy;
-use crate::Parallelism;
 
 /// The parameter rows of Tables I–IV: `k ∈ {4, 16, 32}` at `η = 2`, then
 /// `η ∈ {5, 10}` at `k = 16` (§V-A). Identical to the points
@@ -433,7 +433,8 @@ pub fn ablation_base(scale: &Scale) -> Scenario {
 /// on the base point of the `session`'s scenario. Each policy runs
 /// through a sibling session over the *same* `Arc`'d trace — four
 /// strategy variants, zero trace regenerations (pass the session you
-/// already built for the other ablations to share its trace too).
+/// already built for the other ablations to share its trace too). The
+/// four sessions run on the scenario's `grid_parallelism` lanes.
 pub fn policy_ablation(session: &Simulation) -> TextTable {
     use crate::engine::{EpochStrategy, MosaicStrategy};
     use mosaic_core::policy::{
@@ -451,7 +452,7 @@ pub fn policy_ablation(session: &Simulation) -> TextTable {
     let trace = session.trace();
 
     let policies = ["Pilot", "InteractionOnly", "WorkloadOnly", "Sticky"];
-    let results = mosaic_metrics::parallel::ordered_map(&policies, Parallelism::Auto, |&name| {
+    let results = ordered_map(&policies, base.grid_parallelism, |&name| {
         let session = Simulation::with_trace(base.clone(), trace.clone())
             .expect("validated scenario stays valid");
         let report = session
@@ -604,6 +605,7 @@ pub fn churn_ablation(scenario: &Scenario) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Parallelism;
 
     /// One shared quick grid for all table tests (the grid is the
     /// expensive part).

@@ -9,13 +9,13 @@
 //!
 //! * [`scenario`] — the declarative experiment spec: a [`Scenario`]
 //!   names a trace source, a parameter grid ([`GridAxis`] over
-//!   `k`/`η`/`τ`/`β`/`λ`/capacity), the strategy set, parallelism and
-//!   observers, and round-trips through a text format so studies live
-//!   as checked-in `.scenario` files;
+//!   `k`/`η`/`τ`/`β`/`λ`/capacity), the strategy set, grid parallelism
+//!   and observers, and round-trips through a text format so studies
+//!   live as checked-in `.scenario` files;
 //! * [`session`] — [`Simulation`], the runnable form of a scenario: it
-//!   expands the grid into cells, shares one trace across them, runs
-//!   them on the order-stable pool and fans every epoch row to the
-//!   observer stack;
+//!   expands the grid into cells, shares one trace across them, maps
+//!   the cells over [`Parallelism`] lanes in input order and fans every
+//!   epoch row to the observer stack;
 //! * [`engine`] — [`engine::run_cell`], the offline driver that reads a
 //!   window stream into the core, and the [`EpochStrategy`] trait every
 //!   allocation mechanism implements;
@@ -48,9 +48,10 @@
 //! Out of scope: producing transactions (`mosaic-workload`), the
 //! allocation algorithms (`mosaic-partition`, `mosaic-txallo`,
 //! `mosaic-core`), chain state and the migration commit rules
-//! (`mosaic-chain`), metric definitions, CSV encoding and the worker
-//! pool (`mosaic-metrics`; only [`Parallelism`] is re-exported here),
-//! and sockets, codecs and per-connection sessions (`mosaic-node`).
+//! (`mosaic-chain`), metric definitions and CSV encoding
+//! (`mosaic-metrics`), and sockets, codecs and per-connection sessions
+//! (`mosaic-node`). A cell is one sequential computation; only whole
+//! cells run in parallel.
 //!
 //! # Example
 //!
@@ -64,12 +65,14 @@
 //! println!("{}", experiments::table1(&report.cells));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod alloc_core;
 pub mod engine;
 pub mod experiments;
+mod parallel;
 pub mod radar;
 pub mod runner;
 pub mod scale;
@@ -79,7 +82,7 @@ pub mod strategy;
 
 pub use alloc_core::{AllocationCore, LoadReport, ShardLoad};
 pub use engine::{EpochCtx, EpochDecision, EpochStrategy, MigrationCount, MosaicStrategy};
-pub use mosaic_metrics::parallel::Parallelism;
+pub use parallel::Parallelism;
 pub use runner::{ExperimentConfig, ExperimentResult};
 pub use scale::Scale;
 pub use scenario::{Capacity, GridAxis, ObserverSpec, RunTarget, Scenario};

@@ -16,7 +16,6 @@ use mosaic_types::SystemParams;
 
 use crate::engine::RunSummary;
 use crate::strategy::Strategy;
-use crate::Parallelism;
 
 /// Configuration of one experiment cell (one strategy × one parameter
 /// set × one trace).
@@ -38,12 +37,6 @@ pub struct ExperimentConfig {
     /// Migration-commit cap override (`None` = the paper's `λ` bound).
     /// Only meaningful for the client-driven strategy.
     pub migration_capacity: Option<usize>,
-    /// Worker-pool sizing for **within-cell** epoch processing
-    /// (transaction classification chunks, per-shard commits). Output
-    /// is byte-identical at every level; defaults to `Sequential` so
-    /// grids that already parallelise across cells don't oversubscribe
-    /// — single-cell runs of big traces should set `Auto`.
-    pub cell_parallelism: Parallelism,
 }
 
 impl ExperimentConfig {
@@ -57,14 +50,7 @@ impl ExperimentConfig {
             eval_epochs,
             miner_count: None,
             migration_capacity: None,
-            cell_parallelism: Parallelism::Sequential,
         }
-    }
-
-    /// Returns the config with within-cell parallelism set.
-    pub fn with_cell_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.cell_parallelism = parallelism;
-        self
     }
 
     /// Returns the config with an explicit miner population, overriding
@@ -304,24 +290,5 @@ mod tests {
             matches!(&err, mosaic_types::Error::Io { path, .. } if path == "<stream sink>"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn cell_parallelism_does_not_change_results() {
-        let trace = quick_trace();
-        for strategy in Strategy::ALL {
-            let config = quick_config(strategy, 4);
-            let sequential = run(&config, &trace);
-            let parallel = run(
-                &config.with_cell_parallelism(Parallelism::Threads(4)),
-                &trace,
-            );
-            assert_eq!(
-                sequential.to_csv(),
-                parallel.to_csv(),
-                "{strategy}: within-cell parallel run diverged"
-            );
-            assert_eq!(sequential.total_migrations, parallel.total_migrations);
-        }
     }
 }

@@ -3,8 +3,8 @@
 //! A [`Scenario`] is the *data* form of an experiment: it names a trace
 //! source (synthetic [`WorkloadConfig`] or CSV file), a base parameter
 //! point, a one-at-a-time parameter grid ([`GridAxis`] over `k`, `η`,
-//! `τ`, `β`, `λ`, migration capacity), the strategy set, parallelism at
-//! both levels, and an observer stack. A
+//! `τ`, `β`, `λ`, migration capacity), the strategy set, how many cells
+//! run at once, and an observer stack. A
 //! [`Simulation`](crate::session::Simulation) session materialises the
 //! trace once and runs every cell of the grid.
 //!
@@ -462,10 +462,12 @@ pub struct Scenario {
     pub grid: Vec<GridAxis>,
     /// The strategies to run at every parameter point, in report order.
     pub strategies: Vec<Strategy>,
-    /// Worker-pool sizing across grid cells.
+    /// How many grid cells run at once.
     pub grid_parallelism: Parallelism,
-    /// Worker-pool sizing within each cell (the per-shard ledger
-    /// commits). Allocators never see it.
+    /// Has no effect: a cell always runs on one thread. The
+    /// `cell_parallelism` key is still parsed, validated and written
+    /// back byte for byte, so existing `.scenario` files keep their
+    /// canonical text.
     pub cell_parallelism: Parallelism,
     /// The observer stack applied to every cell.
     pub observers: Vec<ObserverSpec>,
@@ -515,13 +517,14 @@ impl Scenario {
         self
     }
 
-    /// Sets cross-cell worker-pool sizing.
+    /// Sets how many grid cells run at once.
     pub fn with_grid_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.grid_parallelism = parallelism;
         self
     }
 
-    /// Sets within-cell worker-pool sizing.
+    /// Sets the `cell_parallelism` key, which has no effect on a run
+    /// (see [`Scenario::cell_parallelism`]).
     pub fn with_cell_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.cell_parallelism = parallelism;
         self
@@ -567,8 +570,7 @@ impl Scenario {
 
     /// The streamed full-protocol run behind the `full_run` binary: the
     /// default parameter point (`k = 16`, `η = 2`), every strategy,
-    /// within-cell parallelism on, per-epoch rows streamed to
-    /// `results/`.
+    /// one cell at a time, per-epoch rows streamed to `results/`.
     pub fn full_protocol(scale: &Scale) -> Self {
         Scenario::new(
             scale.label,
@@ -683,7 +685,6 @@ impl Scenario {
                         eval_epochs: self.eval_epochs,
                         miner_count: self.miner_count,
                         migration_capacity: point.capacity.to_config(),
-                        cell_parallelism: self.cell_parallelism,
                     },
                 });
             }
@@ -1138,7 +1139,15 @@ fn parse_parallelism(value: &str, line: usize) -> Result<Parallelism> {
     match value {
         "sequential" => Ok(Parallelism::Sequential),
         "auto" => Ok(Parallelism::Auto),
-        n => Ok(Parallelism::Threads(parse_num(n, "parallelism", line)?)),
+        n => match n.parse::<usize>() {
+            Ok(threads) if threads >= 1 => Ok(Parallelism::Threads(threads)),
+            _ => Err(parse_error(
+                line,
+                format!(
+                    "invalid parallelism {n:?}: expected sequential, auto or a thread count ≥ 1"
+                ),
+            )),
+        },
     }
 }
 
@@ -1432,6 +1441,21 @@ mod tests {
         let err = Scenario::parse(&text.replace("strategies = Pilot,", "strategies = Pilot2,"))
             .unwrap_err();
         assert!(err.to_string().contains("unknown strategy"));
+
+        // Zero lanes is not a lane count: refused, not run as one lane.
+        let zero = text.replace("grid_parallelism = auto", "grid_parallelism = 0");
+        let line = 1 + zero
+            .lines()
+            .position(|l| l == "grid_parallelism = 0")
+            .unwrap();
+        let err = Scenario::parse(&zero).unwrap_err();
+        assert!(
+            matches!(err, Error::ParseScenario { line: l, .. } if l == line),
+            "{err}"
+        );
+        for word in ["\"0\"", "sequential", "auto", "≥ 1"] {
+            assert!(err.to_string().contains(word), "{err}");
+        }
     }
 
     #[test]

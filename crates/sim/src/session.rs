@@ -2,10 +2,11 @@
 //!
 //! A [`Simulation`] is the runnable form of a [`Scenario`]:
 //! [`Simulation::from_scenario`] validates the spec and expands its
-//! grid into cells; [`Simulation::run`] drives them over the
-//! order-stable worker pool. Each cell opens an [`EpochWindowStream`]
-//! on the session's trace and runs through [`engine::run_cell`],
-//! fanning every epoch's metric row to the scenario's observer stack.
+//! grid into cells; [`Simulation::run`] maps them over the scenario's
+//! `grid_parallelism` lanes, results in cell order. Each cell opens an
+//! [`EpochWindowStream`] on the session's trace and runs through
+//! [`engine::run_cell`], fanning every epoch's metric row to the
+//! scenario's observer stack.
 //!
 //! Source kinds differ only in where the windows come from. A resident
 //! source (`generated`, `csv`) is materialised **once** and shared
@@ -21,7 +22,6 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mosaic_metrics::parallel::{ordered_map, thread_pool_reset};
 use mosaic_metrics::{EpochCsvWriter, EpochMetrics};
 use mosaic_telemetry::{json_f64, Recorder};
 use mosaic_types::{BlockHeight, Error, Result};
@@ -29,6 +29,7 @@ use mosaic_workload::csv::block_span_overflow;
 use mosaic_workload::{EpochWindowStream, TransactionTrace};
 
 use crate::engine::{self, EpochStrategy, RunSummary};
+use crate::parallel::ordered_map;
 use crate::runner::ExperimentResult;
 use crate::scenario::{CellSpec, ObserverSpec, Scenario};
 use crate::strategy::Strategy;
@@ -78,7 +79,7 @@ impl SimulationReport {
 /// scenario observer stack, attached via [`Simulation::with_observer`].
 ///
 /// Implementations must be `Sync`: cells run concurrently across the
-/// grid pool, so callbacks for *different* cells may arrive from
+/// grid's lanes, so callbacks for *different* cells may arrive from
 /// different threads at once (rows *within* one cell always arrive in
 /// epoch order).
 pub trait RunObserver: Sync {
@@ -239,7 +240,7 @@ impl Simulation {
     }
 
     /// Runs every cell with its registry strategy
-    /// ([`Strategy::build`]) across the scenario's grid pool.
+    /// ([`Strategy::build`]) across the scenario's grid lanes.
     ///
     /// # Errors
     ///
@@ -291,9 +292,7 @@ impl Simulation {
 
     /// Installs the process-wide telemetry recorder for a
     /// `telemetry=jsonl:<path>` observer, if the scenario carries one.
-    /// Worker pools capture the recorder when they spawn, so the
-    /// calling thread's persistent pools are reset here; cores capture
-    /// it at construction inside [`engine::run_cell`].
+    /// Cores capture it at construction inside [`engine::run_cell`].
     fn install_telemetry(&self) -> Result<Option<Recorder>> {
         let Some(path) = self.scenario.observers.iter().find_map(|o| match o {
             ObserverSpec::Telemetry(path) => Some(path),
@@ -309,7 +308,6 @@ impl Simulation {
         let file = fs::File::create(path).map_err(|e| io_error(path.display(), &e))?;
         let recorder = Recorder::with_sink(Box::new(io::BufWriter::new(file)));
         mosaic_telemetry::install_global(recorder.clone());
-        thread_pool_reset();
         Ok(Some(recorder))
     }
 
@@ -322,10 +320,7 @@ impl Simulation {
     }
 
     /// Streams one cell's per-epoch CSV rows to `out`, byte-identical
-    /// to what the `stream-csv` observer writes for the same cell. The
-    /// cell's [`crate::runner::ExperimentConfig`] — including
-    /// `cell_parallelism` overrides — is honoured as given, which is
-    /// what the determinism gate uses to byte-compare worker counts.
+    /// to what the `stream-csv` observer writes for the same cell.
     ///
     /// # Errors
     ///

@@ -13,8 +13,7 @@
 //! updates are relaxed atomics on pre-registered cells, clocks are
 //! only read inside `is_enabled` guards, and the JSONL sink is
 //! best-effort (write errors are swallowed). Result CSVs are
-//! byte-identical with telemetry on or off at any worker count; CI
-//! enforces this.
+//! byte-identical with telemetry on or off; CI enforces this.
 //!
 //! ```
 //! use mosaic_telemetry::Recorder;
@@ -33,10 +32,11 @@
 //! ```
 //!
 //! Process-wide wiring goes through [`install_global`] / [`global`]:
-//! the simulation installs an enabled recorder before worker pools
-//! spawn, and every `AllocationCore` captures the global at
-//! construction (or is handed a session-scoped clone by the node).
+//! the simulation installs an enabled recorder before its cells start,
+//! and every `AllocationCore` captures the global at construction (or
+//! is handed a session-scoped clone by the node).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod export;
@@ -57,8 +57,7 @@ fn global_cell() -> &'static Mutex<Recorder> {
 }
 
 /// Makes `recorder` the process-wide default returned by [`global`].
-/// Call before spawning worker pools so their lanes capture the right
-/// handle; cores constructed afterwards pick it up automatically.
+/// Cores constructed afterwards pick it up automatically.
 pub fn install_global(recorder: Recorder) {
     *global_cell().lock().unwrap() = recorder;
 }

@@ -45,6 +45,7 @@
 //! assert_eq!(phi.shard_of(AccountId::new(1)), phi.shard_of(AccountId::new(2)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -41,6 +41,7 @@
 //! assert_eq!(graph.edge_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -34,6 +34,7 @@
 //! assert!(train.len() >= eval.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

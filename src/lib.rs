@@ -67,14 +67,15 @@
 //! to put it in every table. Experiments themselves are declarative,
 //! serializable [`sim::Scenario`] specs (checked in as `.scenario`
 //! files under `scenarios/`): a scenario names the trace source, the
-//! parameter grid, the strategy set, both parallelism levels and the
-//! observer stack; the session materialises a resident trace **once**,
-//! shares it across every grid cell behind an `Arc`, and runs the
-//! independent cells on an order-stable worker pool
-//! ([`metrics::parallel`]). Every cell goes through one epoch loop —
-//! [`sim::engine::run_cell`] feeding [`sim::AllocationCore`], the same
-//! core a [`node`] session feeds from a socket. Results are
-//! deterministic and identical at every parallelism level.
+//! parameter grid, the strategy set, how many cells run at once
+//! ([`sim::Parallelism`]) and the observer stack; the session
+//! materialises a resident trace **once**, shares it across every grid
+//! cell behind an `Arc`, and runs the independent cells on scoped
+//! threads, results in cell order. Every cell goes through one
+//! sequential epoch loop — [`sim::engine::run_cell`] feeding
+//! [`sim::AllocationCore`], the same core a [`node`] session feeds from
+//! a socket. Results are deterministic and identical however many
+//! cells run at once.
 //!
 //! ```
 //! use mosaic::prelude::*;
@@ -104,6 +105,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -13,11 +13,7 @@ use mosaic::workload::{EpochWindowStream, TraceSource};
 
 /// A one-cell session: `strategy` at `k = 4` on the quick scale, rows
 /// collected, over the shared `trace`.
-fn quick_cell(
-    strategy: Strategy,
-    trace: &Arc<TransactionTrace>,
-    cell_parallelism: Parallelism,
-) -> Simulation {
+fn quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> Simulation {
     let scale = Scale::quick();
     let params = SystemParams::builder()
         .shards(4)
@@ -31,17 +27,12 @@ fn quick_cell(
         scale.eval_epochs,
     )
     .with_base(params)
-    .with_strategies([strategy])
-    .with_cell_parallelism(cell_parallelism);
+    .with_strategies([strategy]);
     Simulation::with_trace(scenario, Arc::clone(trace)).unwrap()
 }
 
-fn run_quick_cell(
-    strategy: Strategy,
-    trace: &Arc<TransactionTrace>,
-    cell_parallelism: Parallelism,
-) -> ExperimentResult {
-    let report = quick_cell(strategy, trace, cell_parallelism).run().unwrap();
+fn run_quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> ExperimentResult {
+    let report = quick_cell(strategy, trace).run().unwrap();
     report.cells.into_iter().next().unwrap().result
 }
 
@@ -84,37 +75,11 @@ fn full_runs_stay_within_shard_bounds_for_every_strategy() {
     let scale = Scale::quick();
     let trace = Arc::new(generate(&scale.workload).into_trace());
     for strategy in Strategy::ALL {
-        let result = run_quick_cell(strategy, &trace, Parallelism::Sequential);
+        let result = run_quick_cell(strategy, &trace);
         assert_eq!(result.strategy, strategy);
         assert_eq!(result.per_epoch.len(), scale.eval_epochs);
         for epoch in &result.per_epoch {
             assert!(epoch.cross_ratio >= 0.0 && epoch.cross_ratio <= 1.0);
-        }
-    }
-}
-
-#[test]
-fn within_cell_parallel_epochs_are_byte_identical_to_sequential() {
-    // Within-cell parallelism (the per-shard commits inside
-    // `Ledger::process_epoch`) must be
-    // invisible in the output: for every registry strategy the CSV
-    // series, aggregates and migration totals are byte-identical to a
-    // sequential run of the same cell.
-    let trace = Arc::new(generate(&Scale::quick().workload).into_trace());
-    for strategy in Strategy::ALL {
-        let sequential = run_quick_cell(strategy, &trace, Parallelism::Sequential);
-        for parallelism in [Parallelism::Auto, Parallelism::Threads(3)] {
-            let parallel = run_quick_cell(strategy, &trace, parallelism);
-            assert_eq!(
-                sequential.to_csv(),
-                parallel.to_csv(),
-                "{strategy}: {parallelism:?} within-cell run diverged from sequential"
-            );
-            assert_eq!(sequential.aggregate, parallel.aggregate, "{strategy}");
-            assert_eq!(
-                sequential.total_migrations, parallel.total_migrations,
-                "{strategy}"
-            );
         }
     }
 }
@@ -126,7 +91,7 @@ fn streamed_cell_matches_collected_cell() {
     // collected rows, and report a bit-identical aggregate.
     let trace = Arc::new(generate(&Scale::quick().workload).into_trace());
     for strategy in Strategy::ALL {
-        let sim = quick_cell(strategy, &trace, Parallelism::Sequential);
+        let sim = quick_cell(strategy, &trace);
         let collected = sim.run().unwrap().cells.remove(0).result;
         let mut bytes: Vec<u8> = Vec::new();
         let summary = sim.stream_cell(&sim.cells()[0], &mut bytes).unwrap();

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use mosaic::metrics::EpochCsvWriter;
 use mosaic::prelude::*;
 use mosaic::sim::engine::{self, RunSummary};
-use mosaic::sim::{experiments, ObserverSpec, Parallelism, Scenario, Simulation};
+use mosaic::sim::{experiments, ObserverSpec, Scenario, Simulation};
 use mosaic::workload::{EpochWindowStream, TraceSource, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -113,8 +113,7 @@ fn beta_sweep_reproduces_the_golden_csvs() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-    /// For *any* workload shape, epoch length, worker count and
-    /// strategy, a generator stream and the resident trace it would
+    /// For *any* workload shape, epoch length and strategy, a generator stream and the resident trace it would
     /// materialise to drive exactly the same bytes out of the engine,
     /// with a bit-identical aggregate.
     #[test]
@@ -124,7 +123,6 @@ proptest! {
         blocks in 30u64..120,
         txs_per_block in 1usize..6,
         tau in 1u32..40,
-        workers in 1usize..5,
         churn in 0u8..3,
         strategy_idx in 0usize..Strategy::ALL.len(),
     ) {
@@ -140,8 +138,7 @@ proptest! {
             .tau(tau)
             .build()
             .unwrap();
-        let config = ExperimentConfig::new(params, strategy, 200)
-            .with_cell_parallelism(Parallelism::Threads(workers));
+        let config = ExperimentConfig::new(params, strategy, 200);
 
         let trace = Arc::new(generate(&workload).into_trace());
         let (resident, collected) = csv_of(&config, EpochWindowStream::resident(trace));
@@ -150,8 +147,8 @@ proptest! {
         prop_assert_eq!(
             String::from_utf8(streamed).unwrap(),
             String::from_utf8(resident).unwrap(),
-            "{} @ tau={} workers={}: streamed CSV diverged",
-            strategy, tau, workers
+            "{} @ tau={}: streamed CSV diverged",
+            strategy, tau
         );
         prop_assert_eq!(summary.aggregate, collected.aggregate);
         prop_assert_eq!(summary.epochs, collected.epochs);
