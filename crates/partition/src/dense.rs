@@ -1,14 +1,14 @@
-//! Reusable dense scratch for the per-node histograms of the graph
-//! allocators.
+//! Reusable dense scratch for the per-node histograms of G-TxAllo's
+//! community sweep.
 
 use std::ops::AddAssign;
 
 /// A weighted histogram over ids `< n`, accumulated into one `Vec`
 /// indexed by id plus the list of ids touched since the last drain.
 ///
-/// The allocator sweeps build one small histogram per node (connectivity
-/// per neighbouring community, merged adjacency of a coarse node) tens of
-/// thousands of times per allocation, and every key is a node-derived id
+/// G-TxAllo's community detection builds one small histogram per node
+/// (connectivity per neighbouring community) tens of thousands of times
+/// per allocation, and every key is a community id, i.e. a node id
 /// below the node count. Indexing replaces hashing, and
 /// [`DenseHistogram::drain_into`] re-zeroes only the slots it reads out,
 /// so one instance serves a whole sweep with no clearing pass and no

@@ -39,12 +39,10 @@
 
 pub mod dense;
 pub mod hash_alloc;
-pub mod labelprop;
 pub mod metis;
 mod traits;
 
 pub use dense::DenseHistogram;
 pub use hash_alloc::HashAllocator;
-pub use labelprop::LabelPropagation;
 pub use metis::{MetisConfig, MetisPartitioner};
 pub use traits::GlobalAllocator;

@@ -25,8 +25,11 @@
 //! its adjacency in flat CSR lanes ([`WorkGraph`]: contiguous `u32`
 //! neighbour ids and `u64` weights), so the scoring loops stream
 //! branch-light over contiguous memory instead of chasing one `Vec` per
-//! node, and the contraction accumulates each coarse row in dense
-//! reused scratch ([`DenseHistogram`]) rather than a hash map.
+//! node. Both halves of a level cost what can change, exactly: the
+//! contraction is O(E) with no sort — coarse rows accumulate unsorted
+//! in place, and one counting-sort transpose orders them
+//! (`finish_coarsen`) — and refinement re-scores only the nodes that
+//! can still move (`refine`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +38,6 @@ use mosaic_txgraph::TxGraph;
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountShardMap, ShardId};
 
-use crate::dense::DenseHistogram;
 use crate::traits::GlobalAllocator;
 
 /// Tuning knobs for [`MetisPartitioner`].
@@ -287,76 +289,84 @@ fn commit_match(mate: &mut [u32], v: usize, best: Option<(u32, u64)>) {
     }
 }
 
-/// Contracts a computed matching into the coarse graph.
+/// Contracts a computed matching into the coarse graph in O(E), with no
+/// sort, in two passes over flat lanes:
+///
+/// 1. each coarse row is built unsorted, in first-touch order, straight
+///    into one pair of lanes. `pos[d]` is one past the slot of coarse
+///    neighbour `d`'s latest entry, so a value past the current row's
+///    start means `d` is already in this row and its weight is added in
+///    place. A zero-weight fine edge adds no entry: a coarse edge exists
+///    iff its weight is positive;
+/// 2. one counting-sort transpose appends `c` to row `d` for every
+///    entry `d` of row `c`, for ascending `c`. The fine graph is
+///    symmetric, so the coarse graph is too: w(c→d) = w(d→c), and row
+///    `d` of the transpose has row `d`'s length. So every row comes out
+///    in ascending neighbour order with the same weights — by
+///    construction, the lanes a per-row sort would produce.
 fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph, Vec<u32>) {
-    let n = graph.len();
-    // Assign coarse ids in visit order (pair owner = first visited).
-    let mut coarse_of = vec![UNMATCHED; n];
-    let mut next = 0u32;
+    // Assign coarse ids in visit order (pair owner = first visited; a
+    // singleton is its own mate).
+    let mut coarse_of = vec![UNMATCHED; graph.len()];
+    let mut owner: Vec<u32> = Vec::new();
     for &v in order {
-        let v = v as usize;
-        if coarse_of[v] != UNMATCHED {
+        if coarse_of[v as usize] != UNMATCHED {
             continue;
         }
-        coarse_of[v] = next;
-        let m = mate[v] as usize;
-        if m != v {
-            coarse_of[m] = next;
-        }
-        next += 1;
+        let c = owner.len() as u32;
+        coarse_of[v as usize] = c;
+        coarse_of[mate[v as usize] as usize] = c;
+        owner.push(v);
     }
+    let cn = owner.len();
 
-    let cn = next as usize;
-    let mut vwgt = vec![0u64; cn];
-    for v in 0..n {
-        vwgt[coarse_of[v] as usize] += graph.vwgt[v];
-    }
-    // Fine nodes grouped by coarse owner, as a flat CSR (ascending
-    // fine id within each group — the same order a per-group push
-    // over `0..n` would produce).
-    let mut mxadj = vec![0usize; cn + 1];
-    for &c in &coarse_of {
-        mxadj[c as usize + 1] += 1;
-    }
-    for c in 0..cn {
-        mxadj[c + 1] += mxadj[c];
-    }
-    let mut members = vec![0u32; n];
-    let mut cursor = mxadj.clone();
-    for (v, &c) in coarse_of.iter().enumerate() {
-        let c = c as usize;
-        members[cursor[c]] = v as u32;
-        cursor[c] += 1;
-    }
-
-    // Build the coarse CSR row by row: merge the members' adjacency per
-    // coarse neighbour (coarse ids are `< cn`, so the histogram is
-    // dense), then sort the row by neighbour id — the histogram's
-    // first-touch order never reaches the layout.
+    // Pass 1: unsorted rows, merged in place.
+    let mut vwgt = Vec::with_capacity(cn);
     let mut xadj = Vec::with_capacity(cn + 1);
     xadj.push(0usize);
-    let mut anbr: Vec<u32> = Vec::new();
-    let mut awgt: Vec<u64> = Vec::new();
-    let mut hist = DenseHistogram::new(cn);
-    let mut row: Vec<(u32, u64)> = Vec::new();
-    for c in 0..cn {
-        for &v in &members[mxadj[c]..mxadj[c + 1]] {
-            for (nb, w) in graph.nbrs(v as usize) {
-                let cnb = coarse_of[nb as usize];
-                if cnb as usize != c {
-                    hist.add(cnb, w);
+    // A fine entry yields at most one coarse entry, so the lanes never
+    // reallocate.
+    let mut row_nbr: Vec<u32> = Vec::with_capacity(graph.anbr.len());
+    let mut row_wgt: Vec<u64> = Vec::with_capacity(graph.anbr.len());
+    let mut pos = vec![0usize; cn];
+    for (c, &v) in owner.iter().enumerate() {
+        let m = mate[v as usize];
+        let row_start = row_nbr.len();
+        let mut weight = 0u64;
+        for &u in &[v, m][..1 + usize::from(m != v)] {
+            weight += graph.vwgt[u as usize];
+            for (nb, w) in graph.nbrs(u as usize) {
+                let d = coarse_of[nb as usize];
+                if d as usize == c || w == 0 {
+                    continue;
+                }
+                let slot = &mut pos[d as usize];
+                if *slot > row_start {
+                    row_wgt[*slot - 1] += w;
+                } else {
+                    row_nbr.push(d);
+                    row_wgt.push(w);
+                    *slot = row_nbr.len();
                 }
             }
         }
-        row.clear();
-        hist.drain_into(&mut row);
-        row.sort_unstable_by_key(|&(cnb, _)| cnb);
-        for &(cnb, w) in &row {
-            anbr.push(cnb);
-            awgt.push(w);
-        }
-        xadj.push(anbr.len());
+        vwgt.push(weight);
+        xadj.push(row_nbr.len());
     }
+
+    // Pass 2: the transpose, which sorts every row.
+    let mut anbr = vec![0u32; row_nbr.len()];
+    let mut awgt = vec![0u64; row_wgt.len()];
+    let mut cursor = xadj[..cn].to_vec();
+    for c in 0..cn {
+        for i in xadj[c]..xadj[c + 1] {
+            let d = row_nbr[i] as usize;
+            anbr[cursor[d]] = c as u32;
+            awgt[cursor[d]] = row_wgt[i];
+            cursor[d] += 1;
+        }
+    }
+    assert_eq!(cursor[..], xadj[1..], "the coarse graph is symmetric");
 
     (
         WorkGraph {
@@ -504,53 +514,24 @@ fn fill_conn(graph: &WorkGraph, parts: &[u16], v: usize, conn: &mut [u64]) {
     }
 }
 
-/// The move decision: pick the most-connected other part (ties to the
-/// lighter one) and move when the gain is positive, or zero-gain but
-/// balance-improving, under the balance bound. Returns `true` on a move.
-fn refine_commit_move(
-    graph: &WorkGraph,
-    v: usize,
-    conn: &[u64],
-    parts: &mut [u16],
-    part_weight: &mut [u64],
-    max_allowed: u64,
-) -> bool {
-    let cur = usize::from(parts[v]);
-    let kk = part_weight.len();
-    // Candidate: the part with max connectivity (≠ cur), ties to
-    // the lighter part.
-    let mut best_p = cur;
-    let mut best_conn = 0u64;
-    for p in 0..kk {
-        if p == cur {
-            continue;
-        }
-        if conn[p] > best_conn
-            || (conn[p] == best_conn && best_p != cur && part_weight[p] < part_weight[best_p])
-        {
-            best_p = p;
-            best_conn = conn[p];
-        }
-    }
-    if best_p == cur {
-        return false;
-    }
-    let gain = best_conn as i64 - conn[cur] as i64;
-    let fits = part_weight[best_p] + graph.vwgt[v] <= max_allowed;
-    let balance_improves = part_weight[best_p] + graph.vwgt[v] < part_weight[cur];
-    if fits && (gain > 0 || (gain == 0 && balance_improves)) {
-        part_weight[cur] -= graph.vwgt[v];
-        part_weight[best_p] += graph.vwgt[v];
-        parts[v] = best_p as u16;
-        true
-    } else {
-        false
-    }
-}
-
-/// FM-style greedy boundary refinement: repeatedly move nodes to the part
-/// they are most connected to, when the move has positive cut gain (or
-/// zero gain but improves balance) and respects the balance bound.
+/// FM-style greedy boundary refinement: repeatedly move each node to the
+/// part it is most connected to (ties to the lighter part), when the
+/// move has positive cut gain (or zero gain but improves balance) and
+/// respects the balance bound.
+///
+/// The first pass moves most of what will move and the passes after it
+/// a shrinking handful, so a node is re-scored only while it can still
+/// move — exactly, not heuristically. Call a node *settled* once an
+/// evaluation found its own part strictly better connected than every
+/// other part (`conn[cur] > conn[p]` for all `p ≠ cur`). Every move open
+/// to it then has negative gain, which is refused whatever the part
+/// weights are, so other nodes' moves can change the verdict only
+/// through its `conn`. That depends only on its neighbours' parts (its
+/// own part stays while it does not move), so it stays what the
+/// evaluation saw until a neighbour moves. Re-scoring a settled node
+/// would therefore return "no move": skipping it changes no move, no
+/// per-pass move count and no pass count. A move un-settles the mover's
+/// neighbours — its own row, since the graph is symmetric.
 fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes: usize) {
     let n = graph.len();
     let kk = usize::from(k);
@@ -560,15 +541,51 @@ fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes
     }
 
     let mut conn = vec![0u64; kk];
+    let mut settled = vec![false; n];
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
-            if graph.degree(v) == 0 {
+            if settled[v] || graph.degree(v) == 0 {
                 continue;
             }
             fill_conn(graph, parts, v, &mut conn);
-            if refine_commit_move(graph, v, &conn, parts, &mut part_weight, max_allowed) {
+            let cur = usize::from(parts[v]);
+            // Candidate: the part with max connectivity (≠ cur), ties to
+            // the lighter part.
+            let mut best_p = cur;
+            let mut best_conn = 0u64;
+            for p in 0..kk {
+                if p == cur {
+                    continue;
+                }
+                if conn[p] > best_conn
+                    || (conn[p] == best_conn
+                        && best_p != cur
+                        && part_weight[p] < part_weight[best_p])
+                {
+                    best_p = p;
+                    best_conn = conn[p];
+                }
+            }
+            // `best_conn` is the largest other connectivity.
+            if conn[cur] > best_conn {
+                settled[v] = true;
+                continue;
+            }
+            if best_p == cur {
+                continue;
+            }
+            let gain = best_conn as i64 - conn[cur] as i64;
+            let fits = part_weight[best_p] + graph.vwgt[v] <= max_allowed;
+            let balance_improves = part_weight[best_p] + graph.vwgt[v] < part_weight[cur];
+            if fits && (gain > 0 || (gain == 0 && balance_improves)) {
+                part_weight[cur] -= graph.vwgt[v];
+                part_weight[best_p] += graph.vwgt[v];
+                parts[v] = best_p as u16;
                 moved += 1;
+                for (nb, _) in graph.nbrs(v) {
+                    settled[nb as usize] = false;
+                }
             }
         }
         if moved == 0 {
@@ -581,8 +598,10 @@ fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes
 mod tests {
     use super::*;
     use mosaic_txgraph::{analysis, GraphBuilder};
+    use mosaic_types::hash::FnvHasher;
     use mosaic_types::AccountId;
     use proptest::prelude::*;
+    use std::hash::Hasher;
 
     fn acct(i: u64) -> AccountId {
         AccountId::new(i)
@@ -725,6 +744,193 @@ mod tests {
             weights[usize::from(hub_part)] <= hub_weight + 60,
             "hub part overloaded: {weights:?}"
         );
+    }
+
+    /// 4000 accounts in 40 communities, a quarter of them also trading
+    /// with one of 8 hubs: deep enough that k = 2 coarsens six levels
+    /// (4000 → 109 nodes), where the quick golden only reaches a few.
+    fn hub_graph() -> TxGraph {
+        let mut rng = StdRng::seed_from_u64(0x6465_6570);
+        let mut b = GraphBuilder::new();
+        let (n, hubs, communities) = (4000u64, 8u64, 40u64);
+        for v in hubs..n {
+            let community = v % communities;
+            for _ in 0..3 {
+                let peer =
+                    rand::Rng::gen_range(&mut rng, 0..n / communities) * communities + community;
+                if peer != v {
+                    b.add_edge(acct(v), acct(peer), rand::Rng::gen_range(&mut rng, 1..4));
+                }
+            }
+            if rand::Rng::gen_range(&mut rng, 0..4u64) == 0 {
+                b.add_edge(acct(v), acct(rand::Rng::gen_range(&mut rng, 0..hubs)), 1);
+            }
+        }
+        b.build()
+    }
+
+    /// FNV-1a over the little-endian part ids.
+    fn digest(parts: &[u16]) -> u64 {
+        let mut h = FnvHasher::default();
+        for &p in parts {
+            h.write(&p.to_le_bytes());
+        }
+        h.finish()
+    }
+
+    /// The partitions of [`hub_graph`] as the sorting contraction and
+    /// the re-score-every-node refinement produced them.
+    #[test]
+    fn partitions_match_pinned_parent_digests() {
+        let g = hub_graph();
+        for (k, pinned) in [
+            (2, 0xdef2_f333_c212_2954),
+            (16, 0xfbba_e07b_8451_5ca0),
+            (48, 0x1e3a_01b9_267f_9516),
+        ] {
+            let parts = MetisPartitioner::default().partition(&g, k);
+            assert_eq!(digest(&parts), pinned, "k = {k}");
+        }
+    }
+
+    fn part_weights(graph: &WorkGraph, parts: &[u16], k: u16) -> Vec<u64> {
+        let mut weights = vec![0u64; usize::from(k)];
+        for (v, &p) in parts.iter().enumerate() {
+            weights[usize::from(p)] += graph.vwgt[v];
+        }
+        weights
+    }
+
+    /// What [`refine`] must equal: the loop it replaced, which
+    /// re-scores every node in every pass. Returns its final part
+    /// weights, the passes it ran and whether the balance bound ever
+    /// refused a move it wanted, so tests can tell which regime they
+    /// hit.
+    fn reference_refine(
+        graph: &WorkGraph,
+        parts: &mut [u16],
+        k: u16,
+        max_allowed: u64,
+        passes: usize,
+    ) -> (Vec<u64>, usize, bool) {
+        let mut part_weight = part_weights(graph, parts, k);
+        let mut conn = vec![0u64; usize::from(k)];
+        let (mut passes_run, mut bound_refused) = (0, false);
+        for _ in 0..passes {
+            passes_run += 1;
+            let mut moved = 0usize;
+            for v in 0..graph.len() {
+                if graph.degree(v) == 0 {
+                    continue;
+                }
+                fill_conn(graph, parts, v, &mut conn);
+                let cur = usize::from(parts[v]);
+                let mut best_p = cur;
+                let mut best_conn = 0u64;
+                for p in 0..usize::from(k) {
+                    if p == cur {
+                        continue;
+                    }
+                    if conn[p] > best_conn
+                        || (conn[p] == best_conn
+                            && best_p != cur
+                            && part_weight[p] < part_weight[best_p])
+                    {
+                        best_p = p;
+                        best_conn = conn[p];
+                    }
+                }
+                if best_p == cur {
+                    continue;
+                }
+                let gain = best_conn as i64 - conn[cur] as i64;
+                let fits = part_weight[best_p] + graph.vwgt[v] <= max_allowed;
+                let balance_improves = part_weight[best_p] + graph.vwgt[v] < part_weight[cur];
+                let wants = gain > 0 || (gain == 0 && balance_improves);
+                if fits && wants {
+                    part_weight[cur] -= graph.vwgt[v];
+                    part_weight[best_p] += graph.vwgt[v];
+                    parts[v] = best_p as u16;
+                    moved += 1;
+                } else if wants {
+                    bound_refused = true;
+                }
+            }
+            if moved == 0 {
+                break;
+            }
+        }
+        (part_weight, passes_run, bound_refused)
+    }
+
+    /// Runs [`refine`] and [`reference_refine`] from the same parts and
+    /// asserts equal parts and part weights; returns the reference's
+    /// parts, passes run and bound verdict.
+    fn refine_against_reference(
+        graph: &WorkGraph,
+        parts: &[u16],
+        k: u16,
+        max_allowed: u64,
+        passes: usize,
+    ) -> (Vec<u16>, usize, bool) {
+        let mut expected = parts.to_vec();
+        let (weights, passes_run, bound_refused) =
+            reference_refine(graph, &mut expected, k, max_allowed, passes);
+        let mut got = parts.to_vec();
+        refine(graph, &mut got, k, max_allowed, passes);
+        assert_eq!(got, expected);
+        assert_eq!(part_weights(graph, &got, k), weights);
+        (expected, passes_run, bound_refused)
+    }
+
+    /// The three regimes by construction — fixed point under a loose
+    /// bound, the balance bound refusing moves, `passes` cutting the
+    /// refinement short — each checked to be the regime it claims.
+    #[test]
+    fn refine_skip_matches_reference_in_every_regime() {
+        let g = WorkGraph::from_tx_graph(&hub_graph());
+        let k = 4;
+        let mut rng = StdRng::seed_from_u64(7);
+        let parts: Vec<u16> = (0..g.len())
+            .map(|_| rand::Rng::gen_range(&mut rng, 0..k))
+            .collect();
+        let total = g.total_weight();
+
+        let (free, free_passes, free_refused) = refine_against_reference(&g, &parts, k, total, 30);
+        assert!(!free_refused && free_passes < 30, "{free_passes}");
+
+        let tight = max_part_weight(total, k, 1.01);
+        let (bound, _, bound_refused) = refine_against_reference(&g, &parts, k, tight, 30);
+        assert!(bound_refused);
+        assert_ne!(bound, free);
+
+        let (cut, cut_passes, _) = refine_against_reference(&g, &parts, k, total, 2);
+        assert_eq!(cut_passes, 2);
+        assert_ne!(cut, free, "two passes must not reach the fixed point");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Node for node, on arbitrary graphs and initial parts, balance
+        /// bounds (from "the bound bites" to "everything fits") and pass
+        /// limits.
+        #[test]
+        fn prop_refine_equals_every_node_reference(
+            edges in proptest::collection::vec((0u64..40, 0u64..40, 1u64..4), 1..300),
+            part_keys in proptest::collection::vec(any::<u16>(), 40),
+            k in 2u16..6,
+            bound_pct in 50u64..400,
+            passes in 0usize..=8,
+        ) {
+            let mut b = GraphBuilder::new();
+            for (x, y, w) in edges {
+                b.add_edge(acct(x), acct(y), w);
+            }
+            let g = WorkGraph::from_tx_graph(&b.build());
+            let parts: Vec<u16> = part_keys[..g.len()].iter().map(|p| p % k).collect();
+            let max_allowed = g.total_weight() * bound_pct / (100 * u64::from(k));
+            refine_against_reference(&g, &parts, k, max_allowed, passes);
+        }
     }
 
     /// The contraction by definition, written the slow obvious way:
