@@ -7,12 +7,15 @@ use std::ops::AddAssign;
 /// indexed by id plus the list of ids touched since the last drain.
 ///
 /// G-TxAllo's community detection builds one small histogram per node
-/// (connectivity per neighbouring community) tens of thousands of times
-/// per allocation, and every key is a community id, i.e. a node id
-/// below the node count. Indexing replaces hashing, and
-/// [`DenseHistogram::drain_into`] re-zeroes only the slots it reads out,
-/// so one instance serves a whole sweep with no clearing pass and no
-/// allocation.
+/// (connectivity per neighbouring community, as `u64` edge-weight sums)
+/// tens of thousands of times per allocation, and every key is a
+/// community id, i.e. a node id below the node count. Indexing replaces
+/// hashing, and [`DenseHistogram::drain_into`] re-zeroes only the slots
+/// it reads out, so one instance serves a whole sweep with no clearing
+/// pass and no allocation. Integer totals do not depend on the order of
+/// the `add` calls, and the entries come out in first-touch order, so a
+/// caller that must not depend on its neighbours' order compares
+/// entries under a total order, not by position.
 ///
 /// A slot equal to `W::default()` (zero) *means* untouched, so weights
 /// must not be negative, and an id that only ever received zero weights

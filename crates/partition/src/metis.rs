@@ -26,10 +26,13 @@
 //! neighbour ids and `u64` weights), so the scoring loops stream
 //! branch-light over contiguous memory instead of chasing one `Vec` per
 //! node. Both halves of a level cost what can change, exactly: the
-//! contraction is O(E) with no sort — coarse rows accumulate unsorted
-//! in place, and one counting-sort transpose orders them
-//! (`finish_coarsen`) — and refinement re-scores only the nodes that
-//! can still move (`refine`).
+//! contraction is one O(E) pass that merges each coarse row in place
+//! and keeps it in first-touch order (`finish_coarsen`), and refinement
+//! re-scores only the nodes that can still move (`refine`). Rows are in
+//! ascending neighbour order only at level 0, the copy of the
+//! [`TxGraph`]; no phase depends on row order, because every tie is
+//! broken by an explicit id or part-weight rule and every score is an
+//! integer sum.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,7 +100,12 @@ impl MetisPartitioner {
     /// Panics if `k == 0`.
     pub fn partition(&self, graph: &TxGraph, k: u16) -> Vec<u16> {
         assert!(k > 0, "cannot partition into zero parts");
-        let n = graph.node_count();
+        self.partition_work(WorkGraph::from_tx_graph(graph), k)
+    }
+
+    /// [`Self::partition`] from the level-0 [`WorkGraph`] on.
+    fn partition_work(&self, base: WorkGraph, k: u16) -> Vec<u16> {
+        let n = base.len();
         if n == 0 {
             return Vec::new();
         }
@@ -112,7 +120,6 @@ impl MetisPartitioner {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // --- Phase 1: coarsen -------------------------------------------
-        let base = WorkGraph::from_tx_graph(graph);
         let stop_at =
             (self.config.coarsen_per_part * usize::from(k)).max(self.config.min_coarse_nodes);
         let mut levels: Vec<WorkGraph> = vec![base];
@@ -187,7 +194,8 @@ struct WorkGraph {
     vwgt: Vec<u64>,
     /// Row index: node `v`'s neighbours occupy `xadj[v]..xadj[v + 1]`.
     xadj: Vec<usize>,
-    /// Neighbour ids, sorted ascending within each row; no self-loops.
+    /// Neighbour ids; no self-loops. Ascending within each row at level
+    /// 0 (the [`TxGraph`]'s order), first-touch order at coarser levels.
     anbr: Vec<u32>,
     /// Edge weights, parallel to `anbr`.
     awgt: Vec<u64>,
@@ -289,21 +297,18 @@ fn commit_match(mate: &mut [u32], v: usize, best: Option<(u32, u64)>) {
     }
 }
 
-/// Contracts a computed matching into the coarse graph in O(E), with no
-/// sort, in two passes over flat lanes:
+/// Contracts a computed matching into the coarse graph in O(E), in one
+/// pass with no sort: each coarse row is built in first-touch order
+/// straight into the final lanes. `pos[d]` is one past the slot of
+/// coarse neighbour `d`'s latest entry, so a value past the current
+/// row's start means `d` is already in this row and its weight is added
+/// in place. A zero-weight fine edge adds no entry: a coarse edge exists
+/// iff its weight is positive.
 ///
-/// 1. each coarse row is built unsorted, in first-touch order, straight
-///    into one pair of lanes. `pos[d]` is one past the slot of coarse
-///    neighbour `d`'s latest entry, so a value past the current row's
-///    start means `d` is already in this row and its weight is added in
-///    place. A zero-weight fine edge adds no entry: a coarse edge exists
-///    iff its weight is positive;
-/// 2. one counting-sort transpose appends `c` to row `d` for every
-///    entry `d` of row `c`, for ascending `c`. The fine graph is
-///    symmetric, so the coarse graph is too: w(c→d) = w(d→c), and row
-///    `d` of the transpose has row `d`'s length. So every row comes out
-///    in ascending neighbour order with the same weights — by
-///    construction, the lanes a per-row sort would produce.
+/// The rows stay in first-touch order because no reader needs them
+/// sorted: matching breaks weight ties to the lower id explicitly;
+/// `fill_conn`, `rebalance`, `refine` and region growing sum integer
+/// weights; and the region-growing frontier's argmax is a total order.
 fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph, Vec<u32>) {
     // Assign coarse ids in visit order (pair owner = first visited; a
     // singleton is its own mate).
@@ -320,18 +325,17 @@ fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph,
     }
     let cn = owner.len();
 
-    // Pass 1: unsorted rows, merged in place.
     let mut vwgt = Vec::with_capacity(cn);
     let mut xadj = Vec::with_capacity(cn + 1);
     xadj.push(0usize);
     // A fine entry yields at most one coarse entry, so the lanes never
     // reallocate.
-    let mut row_nbr: Vec<u32> = Vec::with_capacity(graph.anbr.len());
-    let mut row_wgt: Vec<u64> = Vec::with_capacity(graph.anbr.len());
+    let mut anbr: Vec<u32> = Vec::with_capacity(graph.anbr.len());
+    let mut awgt: Vec<u64> = Vec::with_capacity(graph.anbr.len());
     let mut pos = vec![0usize; cn];
     for (c, &v) in owner.iter().enumerate() {
         let m = mate[v as usize];
-        let row_start = row_nbr.len();
+        let row_start = anbr.len();
         let mut weight = 0u64;
         for &u in &[v, m][..1 + usize::from(m != v)] {
             weight += graph.vwgt[u as usize];
@@ -342,31 +346,17 @@ fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph,
                 }
                 let slot = &mut pos[d as usize];
                 if *slot > row_start {
-                    row_wgt[*slot - 1] += w;
+                    awgt[*slot - 1] += w;
                 } else {
-                    row_nbr.push(d);
-                    row_wgt.push(w);
-                    *slot = row_nbr.len();
+                    anbr.push(d);
+                    awgt.push(w);
+                    *slot = anbr.len();
                 }
             }
         }
         vwgt.push(weight);
-        xadj.push(row_nbr.len());
+        xadj.push(anbr.len());
     }
-
-    // Pass 2: the transpose, which sorts every row.
-    let mut anbr = vec![0u32; row_nbr.len()];
-    let mut awgt = vec![0u64; row_wgt.len()];
-    let mut cursor = xadj[..cn].to_vec();
-    for c in 0..cn {
-        for i in xadj[c]..xadj[c + 1] {
-            let d = row_nbr[i] as usize;
-            anbr[cursor[d]] = c as u32;
-            awgt[cursor[d]] = row_wgt[i];
-            cursor[d] += 1;
-        }
-    }
-    assert_eq!(cursor[..], xadj[1..], "the coarse graph is symmetric");
 
     (
         WorkGraph {
@@ -964,22 +954,34 @@ mod tests {
         coarse
     }
 
+    /// Row `v` as a `(neighbour, weight)` list sorted by neighbour.
+    fn sorted_row(graph: &WorkGraph, v: usize) -> Vec<(u32, u64)> {
+        let mut row: Vec<(u32, u64)> = graph.nbrs(v).collect();
+        row.sort_unstable();
+        row
+    }
+
+    /// A small arbitrary graph as a [`WorkGraph`].
+    fn work_graph(edges: &[(u64, u64, u64)]) -> WorkGraph {
+        let mut b = GraphBuilder::new();
+        for &(x, y, w) in edges {
+            b.add_edge(acct(x), acct(y), w);
+        }
+        WorkGraph::from_tx_graph(&b.build())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// One coarsening step on arbitrary graphs: the fine→coarse map
         /// is a matching (groups of one node, or of two adjacent ones,
-        /// densely numbered) and the dense-scratch contraction equals
-        /// the ordered-map contraction lane for lane.
+        /// densely numbered) and the contraction equals the ordered-map
+        /// contraction row for row, up to the order within each row.
         #[test]
         fn prop_contraction_equals_ordered_map_reference(
             edges in proptest::collection::vec((0u64..80, 0u64..80, 1u64..6), 1..400),
             seed in any::<u64>(),
         ) {
-            let mut b = GraphBuilder::new();
-            for (x, y, w) in edges {
-                b.add_edge(acct(x), acct(y), w);
-            }
-            let fine = WorkGraph::from_tx_graph(&b.build());
+            let fine = work_graph(&edges);
             let (coarse, coarse_of) = coarsen_once(&fine, &mut StdRng::seed_from_u64(seed));
 
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); coarse.len()];
@@ -997,8 +999,36 @@ mod tests {
             let expected = reference_contraction(&fine, &coarse_of);
             prop_assert_eq!(&coarse.vwgt, &expected.vwgt);
             prop_assert_eq!(&coarse.xadj, &expected.xadj);
-            prop_assert_eq!(&coarse.anbr, &expected.anbr);
-            prop_assert_eq!(&coarse.awgt, &expected.awgt);
+            for c in 0..coarse.len() {
+                prop_assert_eq!(sorted_row(&coarse, c), sorted_row(&expected, c), "row {}", c);
+            }
+        }
+
+        /// No phase reads row order: shuffling every row of the level-0
+        /// graph, neighbour and weight lanes in unison, leaves the
+        /// partition unchanged.
+        #[test]
+        fn prop_row_order_never_changes_the_partition(
+            edges in proptest::collection::vec((0u64..300, 0u64..300, 1u64..6), 1..1500),
+            k in 2u16..9,
+            seed in any::<u64>(),
+        ) {
+            let graph = work_graph(&edges);
+            let mut shuffled = graph.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for v in 0..shuffled.len() {
+                let (start, end) = (shuffled.xadj[v], shuffled.xadj[v + 1]);
+                for i in (start + 1..end).rev() {
+                    let j = rand::Rng::gen_range(&mut rng, start..=i);
+                    shuffled.anbr.swap(i, j);
+                    shuffled.awgt.swap(i, j);
+                }
+            }
+            let partitioner = MetisPartitioner::default();
+            prop_assert_eq!(
+                partitioner.partition_work(shuffled, k),
+                partitioner.partition_work(graph, k)
+            );
         }
     }
 

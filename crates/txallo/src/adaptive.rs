@@ -76,17 +76,9 @@ impl ATxAllo {
         }
 
         // Busiest-first order, then greedy passes.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            dv[b as usize]
-                .partial_cmp(&dv[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-
         sweep::objective_refine(
             &graph,
-            &order,
+            &sweep::busiest_first(&graph),
             &dv,
             &objective,
             &mut parts,

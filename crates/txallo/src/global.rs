@@ -72,13 +72,7 @@ impl GTxAllo {
         let objective = AlloObjective::new(self.config.eta, capacity);
 
         // Busiest accounts first (shared by phases 1 and 3).
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            dv[b as usize]
-                .partial_cmp(&dv[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let order = sweep::busiest_first(graph);
 
         // --- Phase 1: community detection ---------------------------------
         let communities =

@@ -1,20 +1,38 @@
 //! The shared greedy-sweep kernels of both TxAllo variants.
 //!
 //! G-TxAllo's community detection and account-level refinement and
-//! A-TxAllo's window update are all the same shape: visit accounts in a
-//! fixed order, score each account's connectivity to its candidate
-//! targets, commit the best admissible move, repeat until a fixed point.
-//! Every committed move shifts the loads and labels later decisions
-//! read, so each kernel is one sequential sweep; what keeps it fast is
-//! that the per-account histogram lives in dense reused scratch
-//! ([`DenseHistogram`]) and that community detection re-scores only the
-//! accounts whose decision can have changed (see
-//! [`detect_communities`]).
+//! A-TxAllo's window update are all the same shape: visit accounts in
+//! one fixed order ([`busiest_first`]), score each account's
+//! connectivity to its candidate targets, commit the best admissible
+//! move, repeat until a fixed point. Every committed move shifts the
+//! loads and labels later decisions read, so each kernel is one
+//! sequential sweep. What keeps it fast is that the per-account
+//! histogram lives in dense reused scratch ([`DenseHistogram`]) and that
+//! both kernels re-score only the accounts whose decision can have
+//! changed, each by an exact rule:
+//!
+//! - community detection parks an account the cap turned away on each
+//!   community that turned it away, until that community loses a member
+//!   or a neighbour moves ([`detect_communities`]);
+//! - refinement skips a *glued* account, one whose shard strictly
+//!   out-connects every other shard and is not overloaded, until a
+//!   neighbour moves ([`objective_refine`]).
+
+use std::cmp::Reverse;
 
 use mosaic_partition::DenseHistogram;
 use mosaic_txgraph::{NodeId, TxGraph};
 
 use crate::objective::AlloObjective;
+
+/// The visit order both kernels share: busiest accounts first (node
+/// weight, at least 1), ties to the lower node id.
+pub(crate) fn busiest_first(graph: &TxGraph) -> Vec<u32> {
+    let vwgt = graph.vwgt();
+    let mut order: Vec<u32> = (0..vwgt.len() as u32).collect();
+    order.sort_unstable_by_key(|&v| (Reverse(vwgt[v as usize].max(1)), v));
+    order
+}
 
 /// Accumulates `v`'s connectivity per shard into `conn`.
 fn fill_shard_conn(graph: &TxGraph, parts: &[u16], v: usize, conn: &mut [f64]) {
@@ -62,6 +80,22 @@ fn commit_objective_move(
 /// Visits `order` repeatedly (at most `rounds` sweeps, stopping at a
 /// fixed point), moving each account to the shard with the best positive
 /// objective delta. `parts` and `load` are updated in place.
+///
+/// Nearly every account ends its first evaluation in a shard that
+/// strictly out-connects every other one, and such an account is
+/// re-scored only while its decision can still change — exactly, not
+/// heuristically. Call an account *glued* once an evaluation left it in
+/// place with `conn[cur] > conn[p]` for every other shard `p`. While its
+/// shard's load is at most the capacity, no move can win, whatever the
+/// loads: both overload terms of the source shard are 0 before and
+/// after the move, the target's can only grow, and the colocation term
+/// is at most `−(2η − 1) ≤ −1` (the `conn` values are integer sums), so
+/// every [`AlloObjective::move_delta`] is below the `1e-9` threshold.
+/// Its `conn` depends only on its neighbours' shards, so it stays what
+/// the evaluation saw until a neighbour moves. Skipping a glued account
+/// in a shard at or under capacity therefore changes no move, no round's
+/// move count and no result. A move un-glues the mover's neighbours; an
+/// account in an overloaded shard is always re-scored.
 pub(crate) fn objective_refine(
     graph: &TxGraph,
     order: &[u32],
@@ -71,15 +105,30 @@ pub(crate) fn objective_refine(
     load: &mut [f64],
     rounds: usize,
 ) {
+    let capacity = objective.capacity();
     // One conn buffer reused throughout.
     let mut conn = vec![0.0f64; load.len()];
+    let mut glued = vec![false; graph.node_count()];
     for _ in 0..rounds {
         let mut moves = 0usize;
         for &v in order {
             let v = v as usize;
+            if glued[v] && load[usize::from(parts[v])] <= capacity {
+                continue;
+            }
             fill_shard_conn(graph, parts, v, &mut conn);
             if commit_objective_move(v, &conn, objective, dv, parts, load) {
                 moves += 1;
+                glued[v] = false;
+                for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
+                    glued[nb.index()] = false;
+                }
+            } else {
+                let cur = usize::from(parts[v]);
+                glued[v] = conn
+                    .iter()
+                    .enumerate()
+                    .all(|(p, &c)| p == cur || conn[cur] > c);
             }
         }
         if moves == 0 {
@@ -89,54 +138,85 @@ pub(crate) fn objective_refine(
 }
 
 /// Scores `v`'s connectivity per neighbouring community into `entries`
-/// (first-touch order; per community the weights sum in neighbour
-/// order). Community ids are node ids, so the histogram is dense.
+/// (first-touch order). Community ids are node ids, so the histogram is
+/// dense; weights sum as integers, so entry order never matters.
 fn score_communities(
     graph: &TxGraph,
     comm: &[u32],
     v: usize,
-    hist: &mut DenseHistogram<f64>,
-    entries: &mut Vec<(u32, f64)>,
+    hist: &mut DenseHistogram<u64>,
+    entries: &mut Vec<(u32, u64)>,
 ) {
     for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
-        hist.add(comm[nb.index()], w as f64);
+        hist.add(comm[nb.index()], w);
     }
     entries.clear();
     hist.drain_into(entries);
 }
 
-/// What one community-join evaluation did.
-struct JoinOutcome {
-    /// The node changed community.
-    moved: bool,
-    /// Some other community was passed over only because it was full.
-    capped: bool,
+/// End of a [`Parked`] list.
+const NIL: u32 = u32::MAX;
+
+/// The nodes parked on each community, as flat singly linked lists: one
+/// head per community and one `(node, next)` arena shared by all lists.
+/// A woken list's slots are not reused: the arena only grows, by at most
+/// one slot per capped entry evaluated (a few slots per node in
+/// practice).
+struct Parked {
+    head: Vec<u32>,
+    arena: Vec<(u32, u32)>,
+}
+
+impl Parked {
+    fn new(communities: usize) -> Self {
+        Parked {
+            head: vec![NIL; communities],
+            arena: Vec::new(),
+        }
+    }
+
+    /// Parks `v` on community `c`.
+    fn park(&mut self, c: u32, v: u32) {
+        self.arena.push((v, self.head[c as usize]));
+        self.head[c as usize] = (self.arena.len() - 1) as u32;
+    }
+
+    /// Un-settles every node parked on `c` and empties its list.
+    fn wake(&mut self, c: u32, settled: &mut [bool]) {
+        let mut slot = std::mem::replace(&mut self.head[c as usize], NIL);
+        while slot != NIL {
+            let (v, next) = self.arena[slot as usize];
+            settled[v as usize] = false;
+            slot = next;
+        }
+    }
 }
 
 /// The community-join decision: adopt the most-connected other
 /// community that fits under the cap (ties to the lower community id),
-/// when better-connected than the current one beyond the float
-/// tolerance. Order-independent over `entries` (total order comparator),
+/// when strictly better-connected than the current one, and park `v` on
+/// every community the cap excluded. Returns the community `v` left, if
+/// it moved. Order-independent over `entries` (total order comparator),
 /// so the histogram's entry order never leaks into the result.
 fn commit_community_move(
     v: usize,
-    entries: &[(u32, f64)],
+    entries: &[(u32, u64)],
     dv: &[f64],
     capacity: f64,
     comm: &mut [u32],
     comm_weight: &mut [f64],
-) -> JoinOutcome {
+    parked: &mut Parked,
+) -> Option<u32> {
     let own = comm[v];
-    let mut own_conn = 0.0f64;
-    let mut best: Option<(u32, f64)> = None;
-    let mut capped = false;
+    let mut own_conn = 0u64;
+    let mut best: Option<(u32, u64)> = None;
     for &(c, cw) in entries {
         if c == own {
             own_conn = cw;
             continue;
         }
         if comm_weight[c as usize] + dv[v] > capacity {
-            capped = true;
+            parked.park(c, v as u32);
             continue;
         }
         match best {
@@ -144,16 +224,14 @@ fn commit_community_move(
             _ => best = Some((c, cw)),
         }
     }
-    let mut moved = false;
-    if let Some((c, cw)) = best {
-        if cw > own_conn + 1e-9 {
-            comm_weight[own as usize] -= dv[v];
-            comm_weight[c as usize] += dv[v];
-            comm[v] = c;
-            moved = true;
-        }
+    let (c, cw) = best?;
+    if cw <= own_conn {
+        return None;
     }
-    JoinOutcome { moved, capped }
+    comm_weight[own as usize] -= dv[v];
+    comm_weight[c as usize] += dv[v];
+    comm[v] = c;
+    Some(own)
 }
 
 /// Greedy capped label propagation (G-TxAllo phase 1). Returns a
@@ -161,18 +239,21 @@ fn commit_community_move(
 ///
 /// Round 1 moves most nodes and the rounds after it move a shrinking
 /// handful, so a node is re-scored only while its decision can still
-/// change — exactly, not heuristically. Call a node *settled* once an
-/// evaluation of it passed over no community at the cap: every entry
-/// was a candidate, so the node now sits in its best-connected
-/// community (it stayed because no entry beat its own, or it moved to
-/// the best one). Its entries depend only on its neighbours'
-/// communities, so they stay what that evaluation saw until a neighbour
-/// moves, and meanwhile the candidates can only shrink (a community may
-/// fill up). Re-scoring it would therefore find nothing
-/// better-connected and return "no move": skipping it changes no move,
-/// no round count and no result. A neighbour's move un-settles a node;
-/// a node that was capped is never settled, because the community it
-/// passed over may drain.
+/// change — exactly, not heuristically. Every evaluation *settles* the
+/// node: it now sits in the best-connected community among those the
+/// cap let it consider (it stayed because none beat its own, or it
+/// moved to the best one, so none beats its new one either). Its
+/// entries depend only on its neighbours' communities, so they stay
+/// what that evaluation saw until a neighbour moves. Meanwhile a
+/// candidate can only drop out, by filling up; a community the cap
+/// excluded can come back only by losing weight, since `comm_weight` is
+/// an exact integer sum and only a member's departure lowers it. So the
+/// evaluation parks the node on every community that excluded it, and
+/// until a neighbour moves or one of those communities loses a member,
+/// re-scoring it would find nothing better-connected and return "no
+/// move": skipping it changes no move, no round count and no result. A
+/// move un-settles the mover's neighbours and wakes every node parked
+/// on the community it left.
 pub(crate) fn detect_communities(
     graph: &TxGraph,
     dv: &[f64],
@@ -184,10 +265,11 @@ pub(crate) fn detect_communities(
     let mut comm: Vec<u32> = (0..n as u32).collect();
     let mut comm_weight: Vec<f64> = dv.to_vec();
     let mut settled = vec![false; n];
+    let mut parked = Parked::new(n);
 
     // One histogram + one entry buffer reused across nodes and rounds.
     let mut hist = DenseHistogram::new(n);
-    let mut entries: Vec<(u32, f64)> = Vec::new();
+    let mut entries: Vec<(u32, u64)> = Vec::new();
     for _ in 0..rounds.max(1) {
         let mut moves = 0usize;
         for &v in order {
@@ -196,11 +278,19 @@ pub(crate) fn detect_communities(
                 continue;
             }
             score_communities(graph, &comm, v, &mut hist, &mut entries);
-            let outcome =
-                commit_community_move(v, &entries, dv, capacity, &mut comm, &mut comm_weight);
-            settled[v] = !outcome.capped;
-            if outcome.moved {
+            settled[v] = true;
+            let left = commit_community_move(
+                v,
+                &entries,
+                dv,
+                capacity,
+                &mut comm,
+                &mut comm_weight,
+                &mut parked,
+            );
+            if let Some(left) = left {
                 moves += 1;
+                parked.wake(left, &mut settled);
                 for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
                     settled[nb.index()] = false;
                 }
@@ -223,22 +313,32 @@ mod tests {
 
     use super::*;
 
+    /// One evaluation the community reference made.
+    #[derive(Debug)]
+    struct Eval {
+        node: u32,
+        /// The communities the cap excluded, ascending.
+        capped_by: Vec<u32>,
+        /// `(from, to)` communities, when the node moved.
+        moved: Option<(u32, u32)>,
+    }
+
     /// What [`detect_communities`] must equal, written the slow obvious
     /// way: every node is re-scored in every round, into an ordered
-    /// map. Also reports the rounds run and whether the cap ever
-    /// excluded a community, so tests can tell which regime they hit.
-    fn reference_communities(
+    /// map. Also returns the rounds run and every evaluation in order,
+    /// so tests can tell which regime they hit.
+    fn reference_log(
         graph: &TxGraph,
         dv: &[f64],
         order: &[u32],
         capacity: f64,
         rounds: usize,
-    ) -> (Vec<u32>, usize, bool) {
+    ) -> (Vec<u32>, usize, Vec<Eval>) {
         let n = graph.node_count();
         let mut comm: Vec<u32> = (0..n as u32).collect();
         let mut comm_weight = dv.to_vec();
         let mut rounds_run = 0;
-        let mut capped = false;
+        let mut log = Vec::new();
         for _ in 0..rounds.max(1) {
             rounds_run += 1;
             let mut moves = 0;
@@ -252,9 +352,14 @@ mod tests {
                 let own_conn = hist.remove(&own).unwrap_or(0.0);
                 // Ascending ids + strict `>` = ties to the lower id.
                 let mut best: Option<(u32, f64)> = None;
+                let mut eval = Eval {
+                    node: v as u32,
+                    capped_by: Vec::new(),
+                    moved: None,
+                };
                 for (c, cw) in hist {
                     if comm_weight[c as usize] + dv[v] > capacity {
-                        capped = true;
+                        eval.capped_by.push(c);
                     } else if best.is_none_or(|(_, bw)| cw > bw) {
                         best = Some((c, cw));
                     }
@@ -265,13 +370,29 @@ mod tests {
                         comm_weight[c as usize] += dv[v];
                         comm[v] = c;
                         moves += 1;
+                        eval.moved = Some((own, c));
                     }
                 }
+                log.push(eval);
             }
             if moves == 0 {
                 break;
             }
         }
+        (comm, rounds_run, log)
+    }
+
+    /// [`reference_log`] summarised: the communities, the rounds run and
+    /// whether the cap ever excluded a community.
+    fn reference_communities(
+        graph: &TxGraph,
+        dv: &[f64],
+        order: &[u32],
+        capacity: f64,
+        rounds: usize,
+    ) -> (Vec<u32>, usize, bool) {
+        let (comm, rounds_run, log) = reference_log(graph, dv, order, capacity, rounds);
+        let capped = log.iter().any(|e| !e.capped_by.is_empty());
         (comm, rounds_run, capped)
     }
 
@@ -334,6 +455,187 @@ mod tests {
         assert_eq!(cut_rounds, 1);
         assert_ne!(cut, free, "one round must not reach the fixed point");
         assert_eq!(detect_communities(&g, &dv, &order, total, 1), cut);
+
+        // Parked, then woken by a drain. Unit weights and room for three
+        // members per community. Round 1: `a` and `d` join `b`, so `x`
+        // (whose one neighbour is `a`) finds `b` full and stays put;
+        // `e` joins `f`. Round 2: `d` leaves `b` for `f`, and `x` —
+        // whose neighbour has not moved — joins `b`.
+        let [a, b, d, x, e, f] = [0u64, 1, 2, 3, 4, 5];
+        let g = graph_from_edges(&[
+            (a, b, 5),
+            (a, d, 3),
+            (b, d, 3),
+            (a, x, 1),
+            (d, e, 4),
+            (d, f, 4),
+            (e, f, 2),
+        ]);
+        let node = |acct: u64| g.node_of(AccountId::new(acct)).unwrap().index() as u32;
+        let order: Vec<u32> = [a, b, d, x, e, f].map(node).to_vec();
+        let dv = vec![1.0; g.node_count()];
+        let (woken, _, log) = reference_log(&g, &dv, &order, 3.0, 10);
+        let x_evals: Vec<usize> = (0..log.len()).filter(|&i| log[i].node == node(x)).collect();
+        let (parked, joined) = (x_evals[0], x_evals[1]);
+        assert_eq!(log[parked].capped_by, [node(b)]);
+        assert_eq!(log[parked].moved, None);
+        let drained = (parked..joined)
+            .find(|&i| log[i].moved.is_some_and(|(from, _)| from == node(b)))
+            .expect("b loses a member between x's evaluations");
+        assert_eq!(log[drained].node, node(d));
+        let x_nbrs: Vec<u32> = g
+            .neighbors(NodeId::new(node(x)))
+            .map(|(nb, _)| nb.index() as u32)
+            .collect();
+        assert_eq!(x_nbrs, [node(a)]);
+        assert!(
+            log[parked..joined]
+                .iter()
+                .all(|e| e.moved.is_none() || e.node != node(a)),
+            "x's only neighbour stays put"
+        );
+        assert_eq!(log[joined].moved, Some((node(x), node(b))));
+        assert_eq!(detect_communities(&g, &dv, &order, 3.0, 10), woken);
+    }
+
+    /// What one run of [`reference_refine`] went through.
+    #[derive(Debug, Default)]
+    struct RefineRun {
+        rounds_run: usize,
+        /// Moves made by an account the glue rule would have been
+        /// skipping had its shard not been overloaded.
+        glued_moves: usize,
+    }
+
+    /// What [`objective_refine`] must equal: the loop it replaced, which
+    /// re-scores every account in every round. It keeps the glue flags
+    /// without skipping on them and checks the rule's premise at every
+    /// glued move — the account's shard was overloaded — so tests can
+    /// tell which regime they hit.
+    fn reference_refine(
+        graph: &TxGraph,
+        order: &[u32],
+        dv: &[f64],
+        objective: &AlloObjective,
+        parts: &mut [u16],
+        load: &mut [f64],
+        rounds: usize,
+    ) -> RefineRun {
+        let mut conn = vec![0.0f64; load.len()];
+        let mut glued = vec![false; graph.node_count()];
+        let mut run = RefineRun::default();
+        for _ in 0..rounds {
+            run.rounds_run += 1;
+            let mut moves = 0;
+            for &v in order {
+                let v = v as usize;
+                let cur = usize::from(parts[v]);
+                let overloaded = load[cur] > objective.capacity();
+                fill_shard_conn(graph, parts, v, &mut conn);
+                if commit_objective_move(v, &conn, objective, dv, parts, load) {
+                    moves += 1;
+                    if glued[v] {
+                        assert!(overloaded, "a glued account left a shard under capacity");
+                        run.glued_moves += 1;
+                    }
+                    glued[v] = false;
+                    for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
+                        glued[nb.index()] = false;
+                    }
+                } else {
+                    glued[v] = (0..conn.len()).all(|p| p == cur || conn[cur] > conn[p]);
+                }
+            }
+            if moves == 0 {
+                break;
+            }
+        }
+        run
+    }
+
+    /// Runs [`objective_refine`] and [`reference_refine`] from the same
+    /// parts and asserts bit-identical parts and loads; returns the
+    /// reference's parts, loads and run.
+    fn refine_against_reference(
+        graph: &TxGraph,
+        order: &[u32],
+        dv: &[f64],
+        objective: &AlloObjective,
+        parts: &[u16],
+        k: usize,
+        rounds: usize,
+    ) -> (Vec<u16>, Vec<f64>, RefineRun) {
+        let mut load = vec![0.0f64; k];
+        for (v, &p) in parts.iter().enumerate() {
+            load[usize::from(p)] += dv[v];
+        }
+        let (mut expected, mut expected_load) = (parts.to_vec(), load.clone());
+        let run = reference_refine(
+            graph,
+            order,
+            dv,
+            objective,
+            &mut expected,
+            &mut expected_load,
+            rounds,
+        );
+        let (mut got, mut got_load) = (parts.to_vec(), load);
+        objective_refine(graph, order, dv, objective, &mut got, &mut got_load, rounds);
+        assert_eq!(got, expected);
+        assert_eq!(
+            got_load.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+            expected_load
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>()
+        );
+        (expected, expected_load, run)
+    }
+
+    /// The three regimes of the glue rule by construction — a fixed
+    /// point with every shard under capacity, an overloaded shard
+    /// pushing out a glued account, `rounds` cutting the sweep short —
+    /// each checked to be the regime it claims to be.
+    #[test]
+    fn glue_rule_matches_reference_in_every_regime() {
+        let g = clique_ring(12, 9);
+        let dv = node_weights(&g);
+        let total: f64 = dv.iter().sum();
+        let order = busiest_first(&g);
+        let k = 4;
+        let spread: Vec<u16> = (0..g.node_count()).map(|v| (v % k) as u16).collect();
+
+        let loose = AlloObjective::new(2.0, total);
+        let (_, free_load, free_run) =
+            refine_against_reference(&g, &order, &dv, &loose, &spread, k, 10);
+        assert!(free_run.rounds_run < 10, "{free_run:?}");
+        assert!(free_load.iter().all(|&l| l <= loose.capacity()));
+
+        let tight = AlloObjective::new(2.0, 1.1 * total / k as f64);
+        let (pushed, _, pushed_run) =
+            refine_against_reference(&g, &order, &dv, &tight, &spread, k, 10);
+        assert!(pushed_run.glued_moves > 0, "{pushed_run:?}");
+        assert!(pushed_run.rounds_run < 10, "{pushed_run:?}");
+
+        let (cut, _, cut_run) = refine_against_reference(&g, &order, &dv, &tight, &spread, k, 1);
+        assert_eq!(cut_run.rounds_run, 1);
+        assert_ne!(cut, pushed, "one round must not reach the fixed point");
+    }
+
+    /// Busiest first, ties to the lower id: the order the `f64`
+    /// comparator over node weights gave.
+    #[test]
+    fn busiest_first_orders_by_weight_then_id() {
+        let g = clique_ring(4, 5);
+        let dv = node_weights(&g);
+        let mut expected: Vec<u32> = (0..g.node_count() as u32).collect();
+        expected.sort_by(|&a, &b| {
+            dv[b as usize]
+                .partial_cmp(&dv[a as usize])
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        assert_eq!(busiest_first(&g), expected);
     }
 
     proptest! {
@@ -355,6 +657,34 @@ mod tests {
             let capacity = cap_share * dv.iter().sum::<f64>();
             let (expected, _, _) = reference_communities(&g, &dv, &order, capacity, rounds);
             prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds), expected);
+        }
+
+        /// Account for account, on arbitrary graphs, visit orders and
+        /// starting shards, for k ∈ {2, 4, 16}, capacities from "every
+        /// shard overloaded" to "none overloaded" and 1–6 rounds.
+        #[test]
+        fn objective_refine_equals_rescore_everything_reference(
+            edges in proptest::collection::vec((0u64..60, 0u64..60, 1u64..6), 1..300),
+            order_keys in proptest::collection::vec(any::<u32>(), 60),
+            part_keys in proptest::collection::vec(any::<u16>(), 60),
+            k_idx in 0usize..3,
+            cap_share in 0.05f64..1.5,
+            eta in 1.0f64..4.0,
+            rounds in 1usize..=6,
+        ) {
+            let g = graph_from_edges(&edges);
+            let dv = node_weights(&g);
+            let k = [2usize, 4, 16][k_idx];
+            let mut order: Vec<u32> = (0..g.node_count() as u32).collect();
+            order.sort_unstable_by_key(|&v| (order_keys[v as usize], v));
+            let parts: Vec<u16> = part_keys[..g.node_count()]
+                .iter()
+                .map(|&p| p % k as u16)
+                .collect();
+            // cap_share of the whole load per shard: below 1/k every
+            // shard is overloaded, at 1 none can be.
+            let objective = AlloObjective::new(eta, cap_share * dv.iter().sum::<f64>());
+            refine_against_reference(&g, &order, &dv, &objective, &parts, k, rounds);
         }
     }
 }

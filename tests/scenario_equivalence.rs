@@ -1,8 +1,9 @@
 //! Fixed points of the one epoch loop: the checked-in `quick` scenario
 //! reproduces its golden CSVs from a resident and from a streamed
-//! source; every window source (resident, generated, CSV file) drives
-//! the same bytes out of `engine::run_cell` on arbitrary workloads; and
-//! the checked-in `scenarios/` files are exactly their presets.
+//! source, and `beta-sweep-quick` and `miner-quick` theirs; every
+//! window source (resident, generated, CSV file) drives the same bytes
+//! out of `engine::run_cell` on arbitrary workloads; and the checked-in
+//! `scenarios/` files are exactly their presets.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -109,6 +110,19 @@ fn quick_scenario_reproduces_the_golden_csvs() {
 fn beta_sweep_reproduces_the_golden_csvs() {
     let scenario = Scenario::load(scenarios_dir().join("beta-sweep-quick.scenario")).unwrap();
     assert_reproduces_golden(scenario, "beta-sweep-quick", 5);
+}
+
+/// The miner-driven fixed point, at a shape where the allocators' cap
+/// and overload rules bite (`quick`'s 800 accounts cannot be relied on
+/// for that): `tests/golden/miner-quick/` holds the three CSVs
+/// `full_run` wrote for `scenarios/miner-quick.scenario` — the
+/// `miner-recompute` benchmark workload cut to four epochs, plus
+/// A-TxAllo — while G-TxAllo re-scored every capped and every glued
+/// account and Metis sorted each coarse row.
+#[test]
+fn miner_quick_reproduces_the_golden_csvs() {
+    let scenario = Scenario::load(scenarios_dir().join("miner-quick.scenario")).unwrap();
+    assert_reproduces_golden(scenario, "miner-quick", 3);
 }
 
 proptest! {
@@ -248,6 +262,15 @@ fn checked_in_scenario_files_are_canonical_presets() {
         ObserverSpec::StreamCsv(PathBuf::from("results-telemetry")),
         ObserverSpec::Telemetry(PathBuf::from("telemetry/quick.jsonl")),
     ]);
+    // The miner-recompute benchmark workload, cut to four epochs, plus
+    // A-TxAllo.
+    let mut miner_quick = Scenario::load(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/workloads/miner-recompute.scenario"),
+    )
+    .unwrap();
+    miner_quick.name = "miner-quick".to_string();
+    miner_quick.eval_epochs = 4;
+    miner_quick.strategies = vec![Strategy::GTxAllo, Strategy::ATxAllo, Strategy::Metis];
     let pinned = [
         ("quick.scenario", Scenario::full_protocol(&Scale::quick())),
         ("quick-telemetry.scenario", quick_telemetry),
@@ -273,6 +296,7 @@ fn checked_in_scenario_files_are_canonical_presets() {
             experiments::ablation_base(&Scale::default_scale()),
         ),
         ("huge.scenario", Scenario::huge()),
+        ("miner-quick.scenario", miner_quick),
     ];
     for (file, preset) in &pinned {
         let text = std::fs::read_to_string(scenarios_dir().join(file)).unwrap();
