@@ -29,12 +29,17 @@
 //! [`MosaicFramework::set_expectations`] / [`MosaicFramework::propose`] /
 //! [`MosaicFramework::observe_epoch`] hooks so that ledger processing
 //! stays inside the strategy-agnostic epoch pipeline.
+//!
+//! The population graph is a [`GrowingGraph`]: the training prefix goes
+//! in through [`MosaicFramework::preload`], which merges on a geometric
+//! schedule instead of once per chunk, and every reader of the graph
+//! completes the pending fold before it reads.
 
 use std::time::{Duration, Instant};
 
 use mosaic_chain::{EpochOutcome, Ledger};
 use mosaic_metrics::data_size::client_input_bytes;
-use mosaic_txgraph::{GraphBuilder, TxGraph};
+use mosaic_txgraph::{GrowingGraph, TxGraph};
 use mosaic_types::hash::{sha256_prefix_u64, FnvHashMap};
 use mosaic_types::{AccountId, MigrationRequest, ShardId, SystemParams, Transaction};
 
@@ -81,11 +86,9 @@ pub struct FrameworkReport {
 #[derive(Debug, Clone)]
 pub struct MosaicFramework<P = PilotPolicy> {
     params: SystemParams,
-    /// Accumulates one call's updates; drained into `graph` before the
-    /// call returns, so it never holds more than one window.
-    delta: GraphBuilder,
-    /// The population: node ν is client ν, row ν its `T^ν_h`.
-    graph: TxGraph,
+    /// The population: node ν is client ν, row ν its `T^ν_h` — once
+    /// the pending fold is complete.
+    graph: GrowingGraph,
     /// `T^ν_e` of the accounts β-sampled for the upcoming epoch only.
     expected: FnvHashMap<AccountId, CounterpartySet>,
     expectation_seed: u64,
@@ -106,8 +109,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     pub fn with_policy(params: SystemParams, policy: P) -> Self {
         MosaicFramework {
             params,
-            delta: GraphBuilder::new(),
-            graph: TxGraph::default(),
+            graph: GrowingGraph::new(),
             expected: FnvHashMap::default(),
             expectation_seed: 0x6d6f_7361_6963, // "mosaic"
             policy,
@@ -119,57 +121,65 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         &self.policy
     }
 
-    /// Number of known clients.
-    pub fn client_count(&self) -> usize {
-        self.graph.node_count()
+    /// Number of known clients (completes any pending fold).
+    pub fn client_count(&mut self) -> usize {
+        self.graph().node_count()
     }
 
-    /// The population's interaction graph: every observed transaction,
-    /// one node per client (what a miner-side allocator would build from
-    /// the same history).
-    pub fn graph(&self) -> &TxGraph {
-        &self.graph
+    /// The population's interaction graph: every observed or preloaded
+    /// transaction, one node per client (what a miner-side allocator
+    /// would build from the same history). Completes any pending
+    /// [`MosaicFramework::preload`] fold first.
+    pub fn graph(&mut self) -> &TxGraph {
+        self.graph.graph()
     }
 
-    /// Materialises a client's state as the wallet-side [`Client`].
+    /// Materialises a client's state as the wallet-side [`Client`]
+    /// (completes any pending fold).
     ///
     /// # Panics
     ///
     /// Panics if the client transacted with one counterparty more than
     /// `u32::MAX` times (the wallet-side multiset counts in `u32`).
-    pub fn client(&self, account: AccountId) -> Option<Client> {
-        let node = self.graph.node_of(account)?;
-        let history = self
-            .graph
+    pub fn client(&mut self, account: AccountId) -> Option<Client> {
+        let graph = self.graph.graph();
+        let node = graph.node_of(account)?;
+        let history = graph
             .neighbors(node)
             .map(|(other, weight)| {
                 let count = u32::try_from(weight).expect("interaction count fits u32");
-                (self.graph.account_of(other), count)
+                (graph.account_of(other), count)
             })
             .collect();
         let expected = self.expected.get(&account).cloned().unwrap_or_default();
         Some(Client::with_knowledge(account, history, expected))
     }
 
-    /// Feeds committed transactions into the affected clients' histories
-    /// (both endpoints), creating clients on first sight.
-    pub fn observe_epoch(&mut self, txs: &[Transaction]) {
-        self.delta.add_transactions(txs);
-        self.merge_delta();
+    /// Preloads clients' histories from training transactions (§V-B):
+    /// the same fold as [`MosaicFramework::observe_epoch`], but merged
+    /// into the population graph only on [`GrowingGraph::absorb`]'s
+    /// geometric schedule, so a training prefix fed in many chunks costs
+    /// O(log E) merges. [`MosaicFramework::graph`],
+    /// [`MosaicFramework::set_expectations`] and
+    /// [`MosaicFramework::propose`] complete the fold before they read.
+    pub fn preload(&mut self, txs: &[Transaction]) {
+        self.graph.absorb(txs);
     }
 
-    /// Folds the accumulated delta into the population graph.
-    fn merge_delta(&mut self) {
-        if self.delta.vertex_count() > 0 {
-            let delta = self.delta.drain_delta();
-            self.graph.merge_delta(&delta);
-        }
+    /// Feeds committed transactions into the affected clients' histories
+    /// (both endpoints), creating clients on first sight: every endpoint
+    /// is a client in the merged graph when this returns.
+    pub fn observe_epoch(&mut self, txs: &[Transaction]) {
+        self.graph.absorb(txs);
+        self.graph.graph();
     }
 
     /// Distributes expected-future knowledge for the upcoming epoch: each
     /// client learns an (approximately) β-fraction sample of its own
     /// upcoming transactions, selected deterministically per transaction.
-    /// With `β = 0` this clears all expectations.
+    /// With `β = 0` this clears all expectations. Completes any pending
+    /// fold before reading the population; the accounts it makes clients
+    /// are merged by the next reader.
     pub fn set_expectations(&mut self, future: &[Transaction]) {
         self.expected.clear();
         let beta = self.params.beta();
@@ -177,6 +187,8 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             return;
         }
         let threshold = (beta * u64::MAX as f64) as u64;
+        let graph = self.graph.graph();
+        let mut newcomers = Vec::new();
         for tx in future {
             if tx.is_self_transfer() {
                 continue;
@@ -189,22 +201,25 @@ impl<P: ClientPolicy> MosaicFramework<P> {
                 self.expected.entry(tx.from).or_default().add(tx.to, 1);
                 self.expected.entry(tx.to).or_default().add(tx.from, 1);
                 // New accounts with plans become clients.
-                for account in [tx.from, tx.to] {
-                    if self.graph.node_of(account).is_none() {
-                        self.delta.touch(account);
-                    }
-                }
+                newcomers.extend(
+                    [tx.from, tx.to]
+                        .into_iter()
+                        .filter(|&a| graph.node_of(a).is_none()),
+                );
             }
         }
-        self.merge_delta();
+        for account in newcomers {
+            self.graph.touch(account);
+        }
     }
 
     /// Runs every client's Pilot against the current ϕ and the published
     /// `Ω`, submitting the resulting migration requests to the ledger's
     /// beacon chain. Returns the framework report.
     ///
-    /// One streaming pass over the population graph: ϕ is resolved once
-    /// per client into a snapshot, then each row is scored against it.
+    /// One streaming pass over the population graph (after completing
+    /// any pending fold): ϕ is resolved once per client into a snapshot,
+    /// then each row is scored against it.
     ///
     /// # Panics
     ///
@@ -218,7 +233,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             "beta must be in [0,1], got {beta}"
         );
         let epoch = ledger.current_epoch();
-        let graph = &self.graph;
+        let graph = self.graph.graph();
         let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
         let decisions = graph.node_count();
         let mut proposed = 0usize;

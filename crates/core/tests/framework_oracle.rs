@@ -3,7 +3,9 @@
 //! wallet scores itself from its own [`Client`]. For arbitrary traces,
 //! allocations and workload vectors the two must submit the same
 //! migration requests — gain bits included — and report the same
-//! Table IV numbers.
+//! Table IV numbers. The training prefix goes in through `preload` in
+//! arbitrary chunks, whose geometric merge schedule must build the same
+//! graph as one `observe_epoch` per chunk.
 
 use std::collections::BTreeMap;
 
@@ -79,6 +81,7 @@ proptest! {
         k in 2u16..=16,
         beta_idx in 0usize..3,
         accounts in 3u64..30,
+        training_len in 0u64..200,
         window_len in 0u64..60,
         epochs in 3u64..6,
     ) {
@@ -106,6 +109,38 @@ proptest! {
         let mut framework = MosaicFramework::new(params);
         let mut wallets = Wallets::default();
         let mut next_tx = 0u64;
+
+        // Training prefix, cut into random chunks (empty ones included):
+        // `framework` preloads them, `per_chunk` observes one each.
+        let training: Vec<Transaction> = (0..training_len)
+            .map(|_| {
+                let from = rng.next_u64() % (accounts + 8);
+                let to = rng.next_u64() % (accounts + 8);
+                next_tx += 1;
+                Transaction::new(
+                    TxId::new(next_tx),
+                    AccountId::new(from),
+                    AccountId::new(to),
+                    BlockHeight::new(0),
+                )
+            })
+            .collect();
+        let mut per_chunk = MosaicFramework::new(params);
+        let mut rest = training.as_slice();
+        loop {
+            let cut = (rng.next_u64() % 16).min(rest.len() as u64) as usize;
+            let (chunk, tail) = rest.split_at(cut);
+            framework.preload(chunk);
+            per_chunk.observe_epoch(chunk);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        wallets.observe(&training);
+        // Read through a clone, so that the epochs below still start
+        // with the preload fold pending.
+        prop_assert_eq!(framework.clone().graph(), per_chunk.graph());
 
         for epoch in 0..epochs {
             // Self-transfers and repeated pairs come from the small id

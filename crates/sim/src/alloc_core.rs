@@ -185,8 +185,8 @@ pub struct AllocationCore {
     feed: Option<Feed>,
     recorder: Recorder,
     metrics: CoreMetrics,
-    /// Training-graph edge total at the last merge telemetry observed
-    /// (to turn cumulative counts into per-merge deltas).
+    /// Merged training-graph edges at the last absorb telemetry
+    /// observed (to turn cumulative counts into per-chunk growth).
     edges_seen: usize,
 }
 
@@ -511,20 +511,18 @@ impl AllocationCore {
             // The graph is never read: keep only the count.
             self.history.record_unretained(feed.buf.len());
         } else {
+            // The history merges on its own geometric schedule, so the
+            // pending delta stays below max(one chunk, CSR / 8) edges;
+            // the initial allocation's `graph()` merges the rest. The
+            // counter reads the merged CSR without forcing a merge, so
+            // telemetry never changes when merges run.
             self.history.absorb(&feed.buf);
-            if !at_cut {
-                // Merge each chunk into the maintained CSR as it
-                // arrives, so the un-merged delta (a hash map over
-                // edges) stays bounded by one chunk instead of growing
-                // to the whole training prefix. The last chunk is left
-                // for the initial allocation to merge.
-                let total = self.history.graph().edge_count();
-                if self.metrics.edges_merged.is_enabled() {
-                    self.metrics
-                        .edges_merged
-                        .add(total.saturating_sub(self.edges_seen) as u64);
-                    self.edges_seen = total;
-                }
+            if self.metrics.edges_merged.is_enabled() {
+                let total = self.history.merged_edge_count();
+                self.metrics
+                    .edges_merged
+                    .add(total.saturating_sub(self.edges_seen) as u64);
+                self.edges_seen = total;
             }
         }
         span.finish();

@@ -14,11 +14,12 @@
 //!   client-driven [`MosaicFramework`]. Adding a sixth strategy is a new
 //!   impl plus a registry entry ([`crate::Strategy::build`]);
 //! * [`History`] is the transaction history strategies see: windows are
-//!   absorbed into a per-window delta and [`History::graph`] sort-merges
-//!   it into a maintained CSR via [`TxGraph::merge_delta`], so per-epoch
-//!   work is proportional to the window, never a full
-//!   `GraphBuilder::build` of the whole history (which stays in
-//!   `mosaic-txgraph` as the reference oracle the delta path is
+//!   absorbed into a [`GrowingGraph`], which merges its pending delta
+//!   into the CSR only on a geometric schedule or when
+//!   [`History::graph`] asks for the whole graph — so the training
+//!   prefix costs O(log E) merges, not one per τ-chunk, and nothing ever
+//!   runs a full `GraphBuilder::build` of the whole history (which stays
+//!   in `mosaic-txgraph` as the reference oracle the delta path is
 //!   proptested against);
 //! * [`run_cell`] is the offline driver: it reads an
 //!   [`EpochWindowStream`] — resident trace, generator or CSV file, all
@@ -39,7 +40,7 @@ use mosaic_metrics::timing::time_it;
 use mosaic_metrics::{Aggregate, EpochMetrics};
 use mosaic_partition::GlobalAllocator;
 use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
-use mosaic_txgraph::{GraphBuilder, TxGraph};
+use mosaic_txgraph::{GrowingGraph, TxGraph};
 use mosaic_types::{AccountShardMap, Result, SystemParams, Transaction};
 use mosaic_workload::EpochWindowStream;
 
@@ -48,22 +49,21 @@ use crate::runner::ExperimentConfig;
 
 /// Incrementally accreted transaction history.
 ///
-/// Committed windows are folded into a per-window delta builder as they
-/// arrive; the interaction graph is maintained as a long-lived CSR, and
-/// when a strategy asks for it the accumulated delta is sort-merged into
-/// the existing buffers ([`TxGraph::merge_delta`]) — O(window + touched
-/// adjacency) per epoch instead of an O(V + E) full rebuild. Strategies
-/// that never ask (Mosaic, Random, A-TxAllo) pay nothing.
+/// Committed windows are absorbed into a [`GrowingGraph`]: a long-lived
+/// CSR plus the delta pending since its last merge. Absorbing merges
+/// only once the pending edges reach an eighth of the CSR's, and
+/// [`History::graph`] merges the rest — at most one O(V + E) merge per
+/// read, and O(log E) over a stream of windows nobody reads (the
+/// training prefix). Strategies that never ask after the initial
+/// allocation (A-TxAllo) stop absorbing there, and those that never ask
+/// at all (Mosaic, Random) only count transactions.
 ///
 /// The history owns everything it keeps. The lifetime parameter is
 /// unused: the end-to-end benchmark crate, which a PR may not edit,
 /// names the type as `History<'_>`.
 #[derive(Debug, Default)]
 pub struct History<'t> {
-    /// Accumulates only the not-yet-merged windows (drained each merge).
-    delta: GraphBuilder,
-    /// The maintained full-history CSR, grown in place.
-    graph: TxGraph,
+    graph: GrowingGraph,
     txs: usize,
     _lifetime: PhantomData<&'t ()>,
 }
@@ -85,16 +85,16 @@ impl History<'_> {
         self.txs == 0
     }
 
-    /// Folds `txs` into the delta builder (hash-map accumulation, the
+    /// Folds `txs` into the pending delta (hash-map accumulation, the
     /// part a miner amortises while blocks commit) without retaining
-    /// the slice; the CSR merge is deferred until [`History::graph`].
-    /// Accumulation order equals slice order, so chunked absorption
-    /// builds the same graph as one monolithic call.
+    /// the slice, merging into the CSR on [`GrowingGraph::absorb`]'s
+    /// schedule. Accumulation order equals slice order, so chunked
+    /// absorption builds the same graph as one monolithic call.
     pub fn absorb(&mut self, txs: &[Transaction]) {
         if txs.is_empty() {
             return;
         }
-        self.delta.add_transactions(txs);
+        self.graph.absorb(txs);
         self.txs += txs.len();
     }
 
@@ -107,25 +107,26 @@ impl History<'_> {
         self.txs += n;
     }
 
-    /// Frees the graph state (maintained CSR, delta builder) while
-    /// keeping the transaction count. The core calls this right after
-    /// the initial allocation when the strategy will never consult the
+    /// Frees the graph state (merged CSR, pending delta) while keeping
+    /// the transaction count. The core calls this right after the
+    /// initial allocation when the strategy will never consult the
     /// history again — from then on the cell's footprint is bounded by
     /// the current + recent window alone.
     pub fn release(&mut self) {
-        self.delta = GraphBuilder::default();
-        self.graph = TxGraph::default();
+        self.graph = GrowingGraph::default();
     }
 
-    /// The full-history interaction graph, maintained incrementally:
-    /// sort-merges the accumulated delta into the long-lived CSR; with
-    /// nothing absorbed since the last call this is a cache hit.
+    /// Edges of the merged CSR, not counting pending ones; never forces
+    /// a merge.
+    pub fn merged_edge_count(&self) -> usize {
+        self.graph.merged_edge_count()
+    }
+
+    /// The full-history interaction graph: merges whatever is pending
+    /// into the long-lived CSR; with nothing absorbed since the last
+    /// merge this is a cache hit.
     pub fn graph(&mut self) -> &TxGraph {
-        if self.delta.vertex_count() > 0 {
-            let delta = self.delta.drain_delta();
-            self.graph.merge_delta(&delta);
-        }
-        &self.graph
+        self.graph.graph()
     }
 }
 
@@ -292,10 +293,11 @@ impl<A: GlobalAllocator> EpochStrategy for A {
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
         let input_bytes = miner_input_bytes(ctx.history.len()) as f64;
         // Hash-map accumulation already happened as windows were
-        // absorbed (a miner folds blocks in as they commit); the delta
-        // merge into the maintained CSR + the allocation is the
-        // per-epoch recomputation Table IV measures, so both run inside
-        // `time_it`.
+        // absorbed (a miner folds blocks in as they commit, and merges
+        // there when a window reaches an eighth of the CSR); the
+        // remaining delta merge into the maintained CSR + the
+        // allocation is the per-epoch recomputation Table IV measures,
+        // so both run inside `time_it`.
         let (phi, elapsed) = time_it(|| self.allocate(ctx.history.graph(), ctx.params.shards()));
         let moved = allocation_diff(ledger.phi(), &phi);
         EpochDecision {
@@ -444,9 +446,11 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
 
     fn observe_training(&mut self, chunk: &[Transaction]) {
         // §V-B: clients preload their histories from the training
-        // transactions. `observe_epoch` is a per-transaction fold in
-        // slice order, so chunked ingestion is chunking-invariant.
-        self.framework.observe_epoch(chunk);
+        // transactions. `preload` is a per-transaction fold in slice
+        // order that merges on a geometric schedule, so chunked
+        // ingestion is chunking-invariant; `initial_allocation`'s
+        // `graph()` completes the fold.
+        self.framework.preload(chunk);
     }
 
     fn initial_allocation(

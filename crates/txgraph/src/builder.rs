@@ -134,20 +134,6 @@ impl GraphBuilder {
         self.vertex_weight.entry(account).or_default();
     }
 
-    /// Halves every weight, dropping edges that reach zero — an exponential
-    /// decay step for sliding-window graphs (used by adaptive allocators to
-    /// privilege recent interactions).
-    pub fn decay(&mut self) {
-        self.edges.retain(|_, w| {
-            *w /= 2;
-            *w > 0
-        });
-        self.vertex_weight.retain(|_, w| {
-            *w /= 2;
-            *w > 0
-        });
-    }
-
     /// Number of distinct vertices so far.
     pub fn vertex_count(&self) -> usize {
         self.vertex_weight.len()
@@ -244,18 +230,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.degree(g.node_of(AccountId::new(9)).unwrap()), 0);
-    }
-
-    #[test]
-    fn decay_halves_and_prunes() {
-        let mut b = GraphBuilder::new();
-        b.add_edge(AccountId::new(1), AccountId::new(2), 4);
-        b.add_edge(AccountId::new(2), AccountId::new(3), 1);
-        b.decay();
-        let g = b.build();
-        // 4 -> 2 survives; 1 -> 0 pruned.
-        assert_eq!(g.total_edge_weight(), 2);
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! The crate provides:
 //!
 //! * [`GraphBuilder`] — accumulates transactions (or raw weighted edges)
-//!   into an adjacency map; supports weight decay for sliding-window
-//!   updates;
+//!   into an adjacency map;
 //! * [`TxGraph`] — a compressed-sparse-row (CSR) snapshot with
 //!   deterministic neighbour ordering, the format consumed by the
 //!   partitioners;
@@ -20,6 +19,10 @@
 //!   maintaining a growing history costs per-epoch work proportional to
 //!   the delta instead of a full rebuild (the full
 //!   [`GraphBuilder::build`] path remains as the reference oracle);
+//! * [`GrowingGraph`] — the one owner of a CSR plus its pending delta:
+//!   it merges on a geometric schedule (when the pending edges reach an
+//!   eighth of the CSR's) or when a reader asks for the whole graph, so
+//!   a stream of small batches costs O(log E) merges, not one per batch;
 //! * [`analysis`] — edge-cut, balance, and modularity measures over a
 //!   partition vector.
 //!
@@ -48,6 +51,8 @@
 pub mod analysis;
 pub mod builder;
 pub mod csr;
+pub mod growing;
 
 pub use builder::{GraphBuilder, GraphDelta};
 pub use csr::{NodeId, TxGraph};
+pub use growing::GrowingGraph;

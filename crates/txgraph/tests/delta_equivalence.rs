@@ -3,11 +3,13 @@
 //! produces exactly the graph a single cumulative `GraphBuilder::build`
 //! (the full-rebuild reference oracle) produces from the whole stream —
 //! same accounts, vertex weights, `xadj`, `adjncy`, `adjwgt`, and total
-//! edge weight.
+//! edge weight. The same holds for `GrowingGraph`, whatever its merge
+//! schedule merged when — and that schedule keeps the pending delta
+//! under an eighth of the CSR while taking O(log E) merges.
 
 use proptest::prelude::*;
 
-use mosaic_txgraph::{GraphBuilder, TxGraph};
+use mosaic_txgraph::{GraphBuilder, GrowingGraph, TxGraph};
 use mosaic_types::{AccountId, BlockHeight, Transaction, TxId};
 
 fn tx(id: u64, from: u64, to: u64) -> Transaction {
@@ -35,6 +37,18 @@ fn windows<'t>(txs: &'t [Transaction], cuts: &[usize]) -> Vec<&'t [Transaction]>
         .map(|w| &txs[w[0]..w[1]])
         .filter(|w| !w.is_empty())
         .collect()
+}
+
+/// Absorbs `chunk` into both sides, then checks the schedule's bound:
+/// no edge pending, or fewer than an eighth of the merged CSR's.
+fn absorb_checked(growing: &mut GrowingGraph, oracle: &mut GraphBuilder, chunk: &[Transaction]) {
+    growing.absorb(chunk);
+    oracle.add_transactions(chunk);
+    let (pending, merged) = (growing.pending_edge_count(), growing.merged_edge_count());
+    assert!(
+        pending == 0 || pending * 8 < merged,
+        "{pending} edges pending over {merged} merged"
+    );
 }
 
 proptest! {
@@ -97,4 +111,64 @@ proptest! {
         prop_assert_eq!(builder.vertex_count(), 0);
         prop_assert_eq!(builder.edge_count(), 0);
     }
+
+    #[test]
+    fn growing_graph_equals_full_rebuild(
+        endpoints in proptest::collection::vec((0u64..40, 0u64..40), 0..400),
+        // (op, n): op 0..=5 absorbs the next n transactions (n = 0 is an
+        // empty chunk), 6 touches account n, 7 reads the graph.
+        ops in proptest::collection::vec((0u8..8, 0usize..48), 1..40),
+    ) {
+        let txs: Vec<Transaction> = endpoints
+            .iter()
+            .enumerate()
+            .map(|(i, &(from, to))| tx(i as u64, from, to))
+            .collect();
+        let mut growing = GrowingGraph::new();
+        let mut oracle = GraphBuilder::new();
+        let mut fed = 0;
+        for &(op, n) in &ops {
+            match op {
+                0..=5 => {
+                    let end = (fed + n).min(txs.len());
+                    absorb_checked(&mut growing, &mut oracle, &txs[fed..end]);
+                    fed = end;
+                }
+                6 => {
+                    growing.touch(AccountId::new(n as u64));
+                    oracle.touch(AccountId::new(n as u64));
+                }
+                _ => prop_assert_eq!(growing.graph(), &oracle.build()),
+            }
+        }
+        absorb_checked(&mut growing, &mut oracle, &txs[fed..]);
+        prop_assert_eq!(growing.graph(), &oracle.build());
+        prop_assert_eq!(growing.pending_edge_count(), 0);
+    }
+}
+
+#[test]
+fn one_edge_chunks_take_logarithmically_many_merges() {
+    // Each chunk adds one new edge to a path. Merging every chunk as it
+    // arrives takes 4096 merges; the geometric schedule grows the CSR by
+    // ≥ 1/8 per merge once it has 8 edges: ≈ 8 + log_{9/8}(512) ≈ 61.
+    const CHUNKS: u64 = 4096;
+    let mut growing = GrowingGraph::new();
+    let mut oracle = GraphBuilder::new();
+    let mut merges = 0;
+    for i in 0..CHUNKS {
+        let chunk = [tx(i, i, i + 1)];
+        let before = growing.merged_edge_count();
+        growing.absorb(&chunk);
+        oracle.add_transactions(&chunk);
+        if growing.merged_edge_count() != before {
+            merges += 1;
+        }
+    }
+    assert!(
+        merges <= 100,
+        "{merges} merges for {CHUNKS} one-edge chunks"
+    );
+    assert_eq!(growing.graph(), &oracle.build());
+    assert_eq!(growing.merged_edge_count(), CHUNKS as usize);
 }
