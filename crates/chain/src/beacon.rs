@@ -8,8 +8,7 @@
 //! become the authoritative ϕ update that every miner applies during
 //! reconfiguration.
 
-use mosaic_types::hash::FnvHashMap;
-use mosaic_types::{AccountId, EpochId, MigrationRequest};
+use mosaic_types::{EpochId, MigrationRequest};
 
 use crate::block::{Block, BlockBody};
 
@@ -76,27 +75,32 @@ impl BeaconChain {
     /// dropped — clients re-evaluate and resubmit next epoch, as Mosaic
     /// clients naturally do when Pilot still favours a move.
     pub fn commit_epoch(&mut self, epoch: EpochId, capacity: usize) -> Vec<MigrationRequest> {
-        // Dedup by account, keeping the highest-gain request.
-        let mut best: FnvHashMap<AccountId, MigrationRequest> = FnvHashMap::default();
-        for mr in self.pending.drain(..) {
-            match best.get(&mr.account) {
-                Some(prev) if prev.gain >= mr.gain => {}
-                _ => {
-                    best.insert(mr.account, mr);
-                }
+        // Dedup by account, keeping the first of its highest-gain
+        // requests (gains are finite: `MigrationRequest::new` zeroes the
+        // rest). The stable sort groups each account's requests in
+        // submission order — one run-detecting pass over Pilot's
+        // ascending stream — and the fold keeps each group's winner, all
+        // inside the pool's own allocation.
+        self.pending.sort_by_key(|mr| mr.account);
+        self.pending.dedup_by(|later, kept| {
+            let same = later.account == kept.account;
+            if same && kept.gain < later.gain {
+                *kept = *later;
             }
-        }
+            same
+        });
         // Accounts are unique now, so `priority_cmp` is a total order:
         // partitioning off the top `capacity` and sorting only those
         // commits exactly what sorting everything would.
-        let mut requests: Vec<MigrationRequest> = best.into_values().collect();
-        if capacity < requests.len() {
+        if capacity < self.pending.len() {
             if capacity > 0 {
-                requests.select_nth_unstable_by(capacity - 1, MigrationRequest::priority_cmp);
+                self.pending
+                    .select_nth_unstable_by(capacity - 1, MigrationRequest::priority_cmp);
             }
-            requests.truncate(capacity);
+            self.pending.truncate(capacity);
         }
-        requests.sort_by(MigrationRequest::priority_cmp);
+        self.pending.sort_by(MigrationRequest::priority_cmp);
+        let requests: Vec<MigrationRequest> = self.pending.drain(..).collect();
 
         let block = self.tip().child(
             epoch,
@@ -130,7 +134,7 @@ impl BeaconChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_types::ShardId;
+    use mosaic_types::{AccountId, ShardId};
     use proptest::prelude::*;
 
     fn mr(account: u64, gain: f64) -> MigrationRequest {
@@ -196,16 +200,32 @@ mod tests {
 
     proptest! {
         /// Selecting the top `capacity` commits exactly what sorting
-        /// every deduplicated request and truncating would — same
-        /// requests, same order, same gain bits — under tied gains,
-        /// signed zeros, repeated accounts and every boundary capacity.
+        /// every deduplicated request and truncating would — the same
+        /// requests, down to which of an account's equal-gain requests
+        /// won, in the same order with the same gain bits — under tied
+        /// gains, signed zeros, repeated accounts in any order and every
+        /// boundary capacity.
         #[test]
         fn prop_commit_equals_full_sort_then_truncate(
             draws in proptest::collection::vec((0u64..12, 0usize..6), 0..40),
         ) {
             const GAINS: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.0, 2.5];
-            let pending: Vec<MigrationRequest> =
-                draws.iter().map(|&(account, g)| mr(account, GAINS[g])).collect();
+            // A distinct `to` and `proposed_at` per request tell apart
+            // two requests of one account with the same gain.
+            let pending: Vec<MigrationRequest> = draws
+                .iter()
+                .zip(1u16..)
+                .map(|(&(account, g), i)| {
+                    MigrationRequest::new(
+                        AccountId::new(account),
+                        ShardId::new(0),
+                        ShardId::new(i),
+                        EpochId::new(u64::from(i)),
+                        GAINS[g],
+                    )
+                    .unwrap()
+                })
+                .collect();
 
             // The highest-gain request per account, first one on ties.
             let mut deduped: Vec<MigrationRequest> = Vec::new();
@@ -223,7 +243,9 @@ mod tests {
                 let mut bc = BeaconChain::new();
                 pending.iter().for_each(|&request| bc.submit(request));
                 let committed = bc.commit_epoch(EpochId::new(0), capacity);
-                let key = |m: &MigrationRequest| (m.account, m.gain.to_bits());
+                let key = |m: &MigrationRequest| {
+                    (m.account, m.from, m.to, m.proposed_at, m.gain.to_bits())
+                };
                 prop_assert_eq!(
                     committed.iter().map(key).collect::<Vec<_>>(),
                     deduped.iter().take(capacity).map(key).collect::<Vec<_>>(),

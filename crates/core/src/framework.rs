@@ -35,6 +35,11 @@
 //! schedule instead of once per chunk, and every reader of the graph
 //! completes the pending fold before it reads.
 
+use std::iter;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use mosaic_chain::{EpochOutcome, Ledger};
@@ -48,6 +53,19 @@ use crate::fusion::fuse_in_place;
 use crate::interaction::CounterpartySet;
 use crate::policy::{ClientPolicy, PilotPolicy, PolicyContext};
 
+/// Fewest clients a scoring lane is given. Below twice this a population
+/// is scored on the calling thread: a lane costs a thread spawn, which a
+/// few thousand ≈ 150 ns decisions do not repay.
+const MIN_CLIENTS_PER_LANE: usize = 4096;
+
+/// One scoring lane's output: its requests in node order, the input bytes
+/// of its clients, and the wall-clock time the lane spent scoring.
+struct Lane {
+    requests: Vec<MigrationRequest>,
+    input_bytes: usize,
+    elapsed: Duration,
+}
+
 /// Per-epoch framework statistics (the client-side half of Table IV).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkReport {
@@ -55,10 +73,12 @@ pub struct FrameworkReport {
     pub decisions: usize,
     /// Migration requests proposed to the beacon chain.
     pub proposed: usize,
-    /// Mean wall-clock time of one client decision: the whole scoring
-    /// pass — the per-epoch ϕ snapshot included — timed with one clock
-    /// pair and divided by `decisions`, so no clock read is counted as
-    /// decision time. Zero for an empty population.
+    /// Mean compute time of one client decision (Table IV's per-client
+    /// cost): the per-epoch ϕ snapshot plus every scoring lane's
+    /// wall-clock time, summed and divided by `decisions`. Lanes run at
+    /// once but their times add, so scoring on more cores does not shrink
+    /// this figure. Each span is timed with one clock pair, so no
+    /// per-client clock read is counted. Zero for an empty population.
     pub mean_decision_time: Duration,
     /// Mean bytes of input per deciding client (counterparty sets + Ω).
     pub mean_input_bytes: f64,
@@ -219,77 +239,142 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     ///
     /// One streaming pass over the population graph (after completing
     /// any pending fold): ϕ is resolved once per client into a snapshot,
-    /// then each row is scored against it.
+    /// then each row is scored against it. No decision reads another
+    /// client's decision (§V-A), so a large population is scored in
+    /// contiguous node-range lanes, one per available core, at least
+    /// `MIN_CLIENTS_PER_LANE` clients each. Lanes are submitted in node
+    /// order, so the beacon pool — and every result byte — is the same
+    /// for any lane count.
     ///
     /// # Panics
     ///
     /// Panics if `omega.len()` is not the shard count or `β ∉ [0, 1]`.
     pub fn propose(&mut self, ledger: &mut Ledger, omega: &[f64]) -> FrameworkReport {
+        let clients = self.client_count();
+        let lanes = if clients < 2 * MIN_CLIENTS_PER_LANE {
+            1
+        } else {
+            thread::available_parallelism()
+                .map_or(1, NonZeroUsize::get)
+                .min(clients / MIN_CLIENTS_PER_LANE)
+        };
+        self.propose_in_lanes(ledger, omega, lanes)
+    }
+
+    /// [`MosaicFramework::propose`] on exactly `lanes` lanes; lane `i`
+    /// scores nodes `[n·i/lanes, n·(i+1)/lanes)`, and lane 0 runs on the
+    /// calling thread.
+    fn propose_in_lanes(
+        &mut self,
+        ledger: &mut Ledger,
+        omega: &[f64],
+        lanes: usize,
+    ) -> FrameworkReport {
         let shards = self.params.shards();
         let beta = self.params.beta();
+        let eta = self.params.eta();
         assert_eq!(omega.len(), usize::from(shards), "one Ω entry per shard");
         assert!(
             (0.0..=1.0).contains(&beta),
             "beta must be in [0,1], got {beta}"
         );
+        assert!(lanes > 0, "at least one scoring lane");
         let epoch = ledger.current_epoch();
         let graph = self.graph.graph();
         let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
         let decisions = graph.node_count();
-        let mut proposed = 0usize;
-        let mut input_bytes = 0usize;
-        let mut psi = vec![0.0f64; usize::from(shards)];
-        let mut psi_e_buf = vec![0.0f64; usize::from(shards)];
 
         let start = Instant::now();
         let phi = ledger.phi();
         let shard_now: Vec<ShardId> = graph.accounts().iter().map(|&a| phi.shard_of(a)).collect();
-        // Ascending account order, so the submission order is deterministic.
-        for (node, &account) in graph.accounts().iter().enumerate() {
-            // Equation 1 over row ν. Interaction counts are integers, so
-            // the sums are exact in any order.
-            let row = xadj[node]..xadj[node + 1];
-            psi.fill(0.0);
-            for j in row.clone() {
-                psi[shard_now[adjncy[j].index()].index()] += adjwgt[j] as f64;
-            }
-            let (psi_e, expected_len) = match self.expected.get(&account) {
-                Some(expected) => {
-                    psi_e_buf.fill(0.0);
-                    for (other, count) in expected.iter() {
-                        // `set_expectations` made every sampled endpoint
-                        // a client, so the snapshot covers it.
-                        let other = graph.node_of(other).expect("sampled account is a client");
-                        psi_e_buf[shard_now[other.index()].index()] += f64::from(count);
-                    }
-                    (Some(psi_e_buf.as_slice()), expected.distinct())
-                }
-                None => (None, 0),
-            };
-            fuse_in_place(&mut psi, psi_e, beta);
+        let snapshot = start.elapsed();
 
-            let current = shard_now[node];
-            let (target, gain) = self.policy.choose(&PolicyContext {
-                psi: &psi,
-                omega,
-                current,
-                eta: self.params.eta(),
-            });
-            if target != current {
-                ledger.submit_migration(
-                    MigrationRequest::new(account, current, target, epoch, gain)
-                        .expect("target differs from current"),
-                );
-                proposed += 1;
+        let (expected, policy) = (&self.expected, &self.policy);
+        let score = |nodes: Range<usize>| -> Lane {
+            let start = Instant::now();
+            let mut requests = Vec::new();
+            let mut input_bytes = 0usize;
+            let mut psi = vec![0.0f64; usize::from(shards)];
+            let mut psi_e_buf = vec![0.0f64; usize::from(shards)];
+            for node in nodes {
+                let account = graph.accounts()[node];
+                // Equation 1 over row ν. Interaction counts are integers,
+                // so the sums are exact in any order.
+                let row = xadj[node]..xadj[node + 1];
+                psi.fill(0.0);
+                for j in row.clone() {
+                    psi[shard_now[adjncy[j].index()].index()] += adjwgt[j] as f64;
+                }
+                let (psi_e, expected_len) = match expected.get(&account) {
+                    Some(expected) => {
+                        psi_e_buf.fill(0.0);
+                        for (other, count) in expected.iter() {
+                            // `set_expectations` made every sampled
+                            // endpoint a client, so the snapshot covers it.
+                            let other = graph.node_of(other).expect("sampled account is a client");
+                            psi_e_buf[shard_now[other.index()].index()] += f64::from(count);
+                        }
+                        (Some(psi_e_buf.as_slice()), expected.distinct())
+                    }
+                    None => (None, 0),
+                };
+                fuse_in_place(&mut psi, psi_e, beta);
+
+                let current = shard_now[node];
+                let (target, gain) = policy.choose(&PolicyContext {
+                    psi: &psi,
+                    omega,
+                    current,
+                    eta,
+                });
+                if target != current {
+                    requests.push(
+                        MigrationRequest::new(account, current, target, epoch, gain)
+                            .expect("target differs from current"),
+                    );
+                }
+                input_bytes += client_input_bytes(row.len() + expected_len, shards);
             }
-            input_bytes += client_input_bytes(row.len() + expected_len, shards);
+            Lane {
+                requests,
+                input_bytes,
+                elapsed: start.elapsed(),
+            }
+        };
+        let bound = |lane: usize| decisions * lane / lanes;
+        let scored: Vec<Lane> = thread::scope(|scope| {
+            let score = &score;
+            let others: Vec<_> = (1..lanes)
+                .map(|lane| scope.spawn(move || score(bound(lane)..bound(lane + 1))))
+                .collect();
+            let first = score(0..bound(1));
+            iter::once(first)
+                .chain(
+                    others
+                        .into_iter()
+                        .map(|lane| lane.join().unwrap_or_else(|panic| resume_unwind(panic))),
+                )
+                .collect()
+        });
+
+        // Lanes are node ranges in order, so requests reach the beacon in
+        // ascending account order, as from a single lane.
+        let mut proposed = 0usize;
+        let mut input_bytes = 0usize;
+        let mut compute = snapshot;
+        for lane in scored {
+            proposed += lane.requests.len();
+            input_bytes += lane.input_bytes;
+            compute += lane.elapsed;
+            for request in lane.requests {
+                ledger.submit_migration(request);
+            }
         }
-        let elapsed = start.elapsed();
 
         FrameworkReport {
             decisions,
             proposed,
-            mean_decision_time: elapsed
+            mean_decision_time: compute
                 .checked_div(u32::try_from(decisions).expect("TxGraph node ids are u32"))
                 .unwrap_or_default(),
             mean_input_bytes: if decisions == 0 {
@@ -464,6 +549,68 @@ mod tests {
         // Header (16) + 1 counterparty (12) + omega (2*8) = 44 per client.
         assert!((rep.mean_input_bytes - 44.0).abs() < 1e-9);
         assert!(rep.mean_decision_time > Duration::ZERO);
+    }
+
+    /// Any lane count submits exactly the one-lane pool — every field,
+    /// gain bits included, in the same order — and reports the same
+    /// counts and input bytes: with and without β-sampled expectations,
+    /// with expectation-only newcomers and clients whose only history is
+    /// a self-transfer, and with more lanes than clients.
+    #[test]
+    fn lanes_submit_what_one_lane_submits() {
+        let k = 4;
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let history: Vec<Transaction> = (0..400)
+            .map(|i| tx(i, next(40), next(40)))
+            .chain((40..45).map(|a| tx(400 + a, a, a)))
+            .collect();
+        // Accounts 100.. are new: with β > 0 the sampled ones become
+        // clients that have expectations and no history.
+        let future: Vec<Transaction> = (0..120)
+            .map(|i| tx(1000 + i, next(40), 100 + next(12)))
+            .collect();
+        let pairs: Vec<(u64, u16)> = (0..30).map(|a| (a, (a % 3) as u16)).collect();
+        let omega = [40.0, 25.0, 10.0, 1.0];
+
+        for beta in [0.0, 0.5] {
+            let p = params(k).with_beta(beta).unwrap();
+            let mut population = MosaicFramework::new(p);
+            population.observe_epoch(&history);
+            population.set_expectations(&future);
+            let clients = population.client_count();
+            assert_eq!(clients > 45, beta > 0.0, "newcomers only with β > 0");
+
+            let run = |lanes: usize| {
+                let mut ledger = ledger_with(k, &pairs);
+                let report = population
+                    .clone()
+                    .propose_in_lanes(&mut ledger, &omega, lanes);
+                let pool: Vec<_> = ledger
+                    .beacon()
+                    .pending()
+                    .iter()
+                    .map(|m| (m.account, m.from, m.to, m.proposed_at, m.gain.to_bits()))
+                    .collect();
+                (
+                    pool,
+                    report.decisions,
+                    report.proposed,
+                    report.mean_input_bytes.to_bits(),
+                )
+            };
+            let one = run(1);
+            assert!(!one.0.is_empty(), "β = {beta}: the skewed Ω moves someone");
+            assert_eq!(one.1, clients);
+            for lanes in [2, 3, 8, clients + 3] {
+                assert_eq!(run(lanes), one, "β = {beta}, {lanes} lanes");
+            }
+        }
     }
 
     #[test]

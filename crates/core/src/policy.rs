@@ -28,7 +28,12 @@ pub struct PolicyContext<'a> {
 ///
 /// Implementations must be deterministic in the context (clients decide
 /// independently; reproducibility of the simulation depends on it).
-pub trait ClientPolicy {
+///
+/// `Sync` because [`crate::MosaicFramework::propose`] scores a large
+/// population in lanes on several threads, all calling one shared
+/// policy. A policy holds configuration, not per-client state, so this
+/// costs nothing: every policy here is a unit struct.
+pub trait ClientPolicy: Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 

@@ -27,8 +27,10 @@
 //!   to the caller, so rows can go straight to a sink and the paper's
 //!   `full` 200-epoch protocol runs in bounded memory.
 //!
-//! A cell runs on one thread from its first window to its last row;
-//! only whole cells run in parallel ([`crate::Simulation::run`]).
+//! One thread drives a cell from its first window to its last row. Only
+//! whole cells ([`crate::Simulation::run`]) and, inside a Pilot cell,
+//! the clients' scoring pass (node-range lanes submitted in order, see
+//! [`MosaicFramework::propose`]) run in parallel.
 
 use std::marker::PhantomData;
 use std::time::Duration;

@@ -50,8 +50,9 @@
 //! `mosaic-core`), chain state and the migration commit rules
 //! (`mosaic-chain`), metric definitions and CSV encoding
 //! (`mosaic-metrics`), and sockets, codecs and per-connection sessions
-//! (`mosaic-node`). A cell is one sequential computation; only whole
-//! cells run in parallel.
+//! (`mosaic-node`). One thread drives a cell; only whole cells and
+//! Pilot's scoring pass (`MosaicFramework::propose`) run in parallel,
+//! and neither changes an output byte.
 //!
 //! # Example
 //!

@@ -7,7 +7,9 @@
 //! spawned per call. Results come back in input order whichever lane
 //! finishes first, so a parallel grid is byte-identical to a sequential
 //! one. Nothing inside a cell runs here: the allocators, transaction
-//! classification and the per-shard commits are one sequential pass each.
+//! classification and the per-shard commits are one sequential pass each,
+//! and Pilot's scoring pass sizes its own lanes
+//! (`mosaic_core::MosaicFramework::propose`).
 
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;

@@ -464,10 +464,11 @@ pub struct Scenario {
     pub strategies: Vec<Strategy>,
     /// How many grid cells run at once.
     pub grid_parallelism: Parallelism,
-    /// Has no effect: a cell always runs on one thread. The
-    /// `cell_parallelism` key is still parsed, validated and written
-    /// back byte for byte, so existing `.scenario` files keep their
-    /// canonical text.
+    /// Has no effect: one thread drives a cell, and the only lanes
+    /// inside it — Pilot's scoring lanes — size themselves from the
+    /// cores available. The `cell_parallelism` key is still parsed,
+    /// validated and written back byte for byte, so existing
+    /// `.scenario` files keep their canonical text.
     pub cell_parallelism: Parallelism,
     /// The observer stack applied to every cell.
     pub observers: Vec<ObserverSpec>,
