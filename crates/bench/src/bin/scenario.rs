@@ -7,7 +7,8 @@
 //!     print effectiveness quick > scenarios/effectiveness-quick.scenario
 //!
 //! # CI: every spec parses, validates, and is in canonical form
-//! cargo run -p mosaic-bench --release --bin scenario -- validate scenarios/*.scenario
+//! cargo run -p mosaic-bench --release --bin scenario -- \
+//!     validate scenarios/*.scenario bench/workloads/*.scenario
 //! ```
 //!
 //! `validate` additionally rejects files that are not byte-identical to

@@ -40,7 +40,6 @@
 
 pub mod beacon;
 pub mod block;
-pub mod fee_market;
 pub mod ledger;
 pub mod miner;
 pub mod network;
@@ -49,7 +48,6 @@ pub mod shard;
 
 pub use beacon::BeaconChain;
 pub use block::{Block, BlockBody};
-pub use fee_market::MigrationFeeMarket;
 pub use ledger::{EpochOutcome, Ledger};
 pub use miner::{Miner, MinerSet};
 pub use network::NetworkMeter;

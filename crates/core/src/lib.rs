@@ -11,8 +11,9 @@
 //! 2. derives its interaction distribution `Ψ` across shards (Equation 1,
 //!    [`interaction`]), fusing history with expectations by the
 //!    future-knowledge ratio `β` (Equation 2, [`fusion`]);
-//! 3. downloads the public workload distribution `Ω`
-//!    ([`WorkloadOracle`], the Etherscan-like mempool analyser);
+//! 3. downloads the public workload distribution `Ω` (published by an
+//!    Etherscan-like mempool analyser; the simulation computes it from
+//!    the upcoming epoch's transactions);
 //! 4. picks the shard maximising its Potential `P^ν_i` (Equation 4,
 //!    [`potential`] — provably equivalent to minimising the full cost
 //!    `u^ν_i` of Equation 3, see [`cost`]);
@@ -67,19 +68,15 @@
 
 pub mod client;
 pub mod cost;
-pub mod fees;
 pub mod framework;
 pub mod fusion;
 pub mod interaction;
-pub mod oracle;
 pub mod pilot;
 pub mod policy;
 pub mod potential;
 
 pub use client::Client;
-pub use fees::FeeSchedule;
 pub use framework::{FrameworkReport, MosaicFramework};
 pub use interaction::CounterpartySet;
-pub use oracle::WorkloadOracle;
 pub use pilot::{Pilot, PilotDecision, PilotInput};
 pub use policy::{ClientPolicy, PolicyContext};

@@ -26,10 +26,13 @@
 //! strategies = Pilot, G-TxAllo, A-TxAllo, Metis, Random
 //! ```
 //!
-//! The presets that used to hide behind `MOSAIC_SCALE` env parsing are
-//! plain constructors here ([`Scenario::effectiveness`],
-//! [`Scenario::full_protocol`], [`Scenario::beta_sweep`]) and live as
-//! checked-in files under `scenarios/` at the repository root.
+//! Each top-level key is declared once, in a private table holding its
+//! name, how to print it (or omit it) and how to apply one `key = value`
+//! line: [`Scenario::to_text`] walks the table, [`Scenario::parse`] looks
+//! keys up in it, and an unknown key is refused with the valid ones. The
+//! grid axes have a table of their own (key and row-label symbol). The
+//! presets are plain constructors ([`Scenario::effectiveness`], …), also
+//! checked in as files under `scenarios/` at the repository root.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -79,11 +82,12 @@ impl Capacity {
         }
     }
 
-    fn label(self) -> String {
+    /// The value as a row label shows it (`"capacity = ∞"`).
+    fn label_value(self) -> String {
         match self {
-            Capacity::Lambda => "capacity = λ".to_string(),
-            Capacity::Unbounded => "capacity = ∞".to_string(),
-            Capacity::Fixed(n) => format!("capacity = {n}"),
+            Capacity::Lambda => "λ".to_string(),
+            Capacity::Unbounded => "∞".to_string(),
+            Capacity::Fixed(n) => n.to_string(),
         }
     }
 }
@@ -109,140 +113,107 @@ pub enum GridAxis {
     MigrationCapacity(Vec<Capacity>),
 }
 
+/// The prefix of every grid-axis key (`axis.k = 4, 16, 32`).
+const AXIS_PREFIX: &str = "axis.";
+
+/// One grid axis of the text format.
+struct AxisSpec {
+    /// The key after [`AXIS_PREFIX`].
+    key: &'static str,
+    /// The parameter's symbol in row labels; [`slug`] maps it back to
+    /// `key` in file names.
+    symbol: &'static str,
+    parse: fn(&Field<'_>) -> Result<GridAxis>,
+}
+
+/// Every grid axis, in [`GridAxis`] variant order ([`GridAxis::spec`]
+/// indexes it).
+#[rustfmt::skip]
+const AXES: [AxisSpec; 6] = [
+    AxisSpec { key: "k", symbol: "k", parse: |f| f.nums().map(GridAxis::Shards) },
+    AxisSpec { key: "eta", symbol: "η", parse: |f| f.nums().map(GridAxis::Eta) },
+    AxisSpec { key: "tau", symbol: "τ", parse: |f| f.nums().map(GridAxis::Tau) },
+    AxisSpec { key: "beta", symbol: "β", parse: |f| f.nums().map(GridAxis::Beta) },
+    AxisSpec { key: "lambda", symbol: "λ", parse: |f| f.nums().map(GridAxis::Lambda) },
+    AxisSpec { key: "capacity", symbol: "capacity",
+               parse: |f| f.list(|t| Capacity::parse_token(t, f.line)).map(GridAxis::MigrationCapacity) },
+];
+
 impl GridAxis {
-    fn key(&self) -> &'static str {
-        match self {
-            GridAxis::Shards(_) => "k",
-            GridAxis::Eta(_) => "eta",
-            GridAxis::Tau(_) => "tau",
-            GridAxis::Beta(_) => "beta",
-            GridAxis::Lambda(_) => "lambda",
-            GridAxis::MigrationCapacity(_) => "capacity",
-        }
+    fn spec(&self) -> &'static AxisSpec {
+        &AXES[match self {
+            GridAxis::Shards(_) => 0,
+            GridAxis::Eta(_) => 1,
+            GridAxis::Tau(_) => 2,
+            GridAxis::Beta(_) => 3,
+            GridAxis::Lambda(_) => 4,
+            GridAxis::MigrationCapacity(_) => 5,
+        }]
     }
 
     fn values_text(&self) -> String {
-        fn join<T: ToString>(values: &[T]) -> String {
-            values
-                .iter()
-                .map(T::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        }
         match self {
-            GridAxis::Shards(v) => join(v),
-            GridAxis::Eta(v) | GridAxis::Beta(v) | GridAxis::Lambda(v) => join(v),
-            GridAxis::Tau(v) => join(v),
-            GridAxis::MigrationCapacity(v) => v
-                .iter()
-                .map(|c| c.to_token())
-                .collect::<Vec<_>>()
-                .join(", "),
+            GridAxis::Shards(v) => join(v, ToString::to_string),
+            GridAxis::Eta(v) | GridAxis::Beta(v) | GridAxis::Lambda(v) => {
+                join(v, ToString::to_string)
+            }
+            GridAxis::Tau(v) => join(v, ToString::to_string),
+            GridAxis::MigrationCapacity(v) => join(v, |c| c.to_token()),
         }
     }
 
-    fn parse(key: &str, value: &str, line: usize) -> Result<Self> {
-        let tokens: Vec<&str> = value
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .collect();
-        if tokens.is_empty() {
-            return Err(parse_error(line, format!("axis.{key} has no values")));
-        }
-        let floats = |what: &str| -> Result<Vec<f64>> {
-            tokens.iter().map(|t| parse_num(t, what, line)).collect()
+    fn parse(field: &Field<'_>) -> Result<Self> {
+        let key = &field.key[AXIS_PREFIX.len()..];
+        let Some(spec) = AXES.iter().find(|axis| axis.key == key) else {
+            let valid = join(&AXES, |axis| axis.key.to_string());
+            return Err(field.error(format!("unknown grid axis {key:?}; valid: {valid}")));
         };
-        match key {
-            "k" => Ok(GridAxis::Shards(
-                tokens
-                    .iter()
-                    .map(|t| parse_num(t, "shard count", line))
-                    .collect::<Result<_>>()?,
-            )),
-            "eta" => Ok(GridAxis::Eta(floats("eta")?)),
-            "tau" => Ok(GridAxis::Tau(
-                tokens
-                    .iter()
-                    .map(|t| parse_num(t, "tau", line))
-                    .collect::<Result<_>>()?,
-            )),
-            "beta" => Ok(GridAxis::Beta(floats("beta")?)),
-            "lambda" => Ok(GridAxis::Lambda(floats("lambda")?)),
-            "capacity" => Ok(GridAxis::MigrationCapacity(
-                tokens
-                    .iter()
-                    .map(|t| Capacity::parse_token(t, line))
-                    .collect::<Result<_>>()?,
-            )),
-            other => Err(parse_error(
-                line,
-                format!("unknown grid axis {other:?}; valid: k, eta, tau, beta, lambda, capacity"),
-            )),
+        if field.value.split(',').all(|t| t.trim().is_empty()) {
+            return Err(field.error(format!("{} has no values", field.key)));
         }
+        (spec.parse)(field)
     }
 
     /// Expands this axis around `base`: one labelled parameter point per
     /// value, every other parameter untouched.
     fn points(&self, base: SystemParams, base_capacity: Capacity) -> Result<Vec<CellPoint>> {
-        let mut points = Vec::new();
+        let symbol = self.spec().symbol;
+        let point = |value: String, params: Result<SystemParams>, capacity| {
+            params.map(|params| CellPoint {
+                label: format!("{symbol} = {value}"),
+                params,
+                capacity,
+            })
+        };
         match self {
-            GridAxis::Shards(values) => {
-                for &k in values {
-                    points.push(CellPoint {
-                        label: format!("k = {k}"),
-                        params: base.with_shards(k)?,
-                        capacity: base_capacity,
-                    });
-                }
-            }
-            GridAxis::Eta(values) => {
-                for &eta in values {
-                    points.push(CellPoint {
-                        label: format!("η = {eta}"),
-                        params: base.with_eta(eta)?,
-                        capacity: base_capacity,
-                    });
-                }
-            }
-            GridAxis::Tau(values) => {
-                for &tau in values {
-                    points.push(CellPoint {
-                        label: format!("τ = {tau}"),
-                        params: base.with_tau(tau)?,
-                        capacity: base_capacity,
-                    });
-                }
-            }
-            GridAxis::Beta(values) => {
-                for &beta in values {
-                    points.push(CellPoint {
-                        label: format!("β = {beta}"),
-                        params: base.with_beta(beta)?,
-                        capacity: base_capacity,
-                    });
-                }
-            }
-            GridAxis::Lambda(values) => {
-                for &lambda in values {
-                    points.push(CellPoint {
-                        label: format!("λ = {lambda}"),
-                        params: base.with_lambda_policy(LambdaPolicy::Fixed(lambda))?,
-                        capacity: base_capacity,
-                    });
-                }
-            }
-            GridAxis::MigrationCapacity(values) => {
-                for &capacity in values {
-                    points.push(CellPoint {
-                        label: capacity.label(),
-                        params: base,
-                        capacity,
-                    });
-                }
-            }
+            GridAxis::Shards(values) => values
+                .iter()
+                .map(|&k| point(k.to_string(), base.with_shards(k), base_capacity))
+                .collect(),
+            GridAxis::Eta(values) => values
+                .iter()
+                .map(|&eta| point(eta.to_string(), base.with_eta(eta), base_capacity))
+                .collect(),
+            GridAxis::Tau(values) => values
+                .iter()
+                .map(|&tau| point(tau.to_string(), base.with_tau(tau), base_capacity))
+                .collect(),
+            GridAxis::Beta(values) => values
+                .iter()
+                .map(|&beta| point(beta.to_string(), base.with_beta(beta), base_capacity))
+                .collect(),
+            GridAxis::Lambda(values) => values
+                .iter()
+                .map(|&lambda| {
+                    let params = base.with_lambda_policy(LambdaPolicy::Fixed(lambda));
+                    point(lambda.to_string(), params, base_capacity)
+                })
+                .collect(),
+            GridAxis::MigrationCapacity(values) => values
+                .iter()
+                .map(|&capacity| point(capacity.label_value(), Ok(base), capacity))
+                .collect(),
         }
-        Ok(points)
     }
 }
 
@@ -278,51 +249,38 @@ impl ObserverSpec {
     }
 
     fn parse_token(token: &str, line: usize) -> Result<Self> {
+        let invalid = |problem: &str| {
+            parse_error(
+                line,
+                format!("{problem}; valid observers: {OBSERVER_FORMS}"),
+            )
+        };
         if token == "collect" {
             return Ok(ObserverSpec::Collect);
         }
         if let Some(dir) = token.strip_prefix("stream-csv:") {
             if dir.is_empty() {
-                return Err(parse_error(
-                    line,
-                    format!(
-                        "stream-csv observer needs a directory; valid observers: {OBSERVER_FORMS}"
-                    ),
-                ));
+                return Err(invalid("stream-csv observer needs a directory"));
             }
             return Ok(ObserverSpec::StreamCsv(PathBuf::from(dir)));
         }
         if let Some(rest) = token.strip_prefix("telemetry") {
             let Some(spec) = rest.trim_start().strip_prefix('=') else {
-                return Err(parse_error(
-                    line,
-                    format!(
-                        "telemetry observer must be written telemetry=jsonl:<path>; \
-                         valid observers: {OBSERVER_FORMS}"
-                    ),
+                return Err(invalid(
+                    "telemetry observer must be written telemetry=jsonl:<path>",
                 ));
             };
             let Some(path) = spec.trim_start().strip_prefix("jsonl:") else {
-                return Err(parse_error(
-                    line,
-                    format!(
-                        "telemetry observer only supports the jsonl:<path> sink; \
-                         valid observers: {OBSERVER_FORMS}"
-                    ),
+                return Err(invalid(
+                    "telemetry observer only supports the jsonl:<path> sink",
                 ));
             };
             if path.is_empty() {
-                return Err(parse_error(
-                    line,
-                    format!("telemetry=jsonl observer needs a file path; valid observers: {OBSERVER_FORMS}"),
-                ));
+                return Err(invalid("telemetry=jsonl observer needs a file path"));
             }
             return Ok(ObserverSpec::Telemetry(PathBuf::from(path)));
         }
-        Err(parse_error(
-            line,
-            format!("unknown observer {token:?}; valid observers: {OBSERVER_FORMS}"),
-        ))
+        Err(invalid(&format!("unknown observer {token:?}")))
     }
 }
 
@@ -361,25 +319,29 @@ impl CellSpec {
     }
 }
 
-/// Lowercases and maps the label's Greek parameter symbols to ASCII,
-/// collapsing everything else to single dashes: `"k = 4"` → `"k-4"`,
-/// `"η = 5"` → `"eta-5"`, `"capacity = ∞"` → `"capacity-unbounded"`.
+/// Lowercases and maps the label's parameter symbols back to their axis
+/// keys, collapsing everything else to single dashes: `"k = 4"` →
+/// `"k-4"`, `"η = 5"` → `"eta-5"`, `"capacity = ∞"` →
+/// `"capacity-unbounded"`.
 fn slug(label: &str) -> String {
     let mut out = String::new();
     for c in label.chars() {
+        let mut utf8 = [0; 4];
         match c {
-            'η' => out.push_str("eta"),
-            'τ' => out.push_str("tau"),
-            'β' => out.push_str("beta"),
-            'λ' => out.push_str("lambda"),
-            '∞' => out.push_str("unbounded"),
-            c if c.is_ascii_alphanumeric() => out.push(c.to_ascii_lowercase()),
+            '∞' => out.push_str(&Capacity::Unbounded.to_token()),
             '.' => out.push('.'),
-            _ => {
-                if !out.ends_with('-') && !out.is_empty() {
-                    out.push('-');
+            c if c.is_ascii_alphanumeric() => out.push(c.to_ascii_lowercase()),
+            c => match AXES
+                .iter()
+                .find(|axis| axis.symbol == c.encode_utf8(&mut utf8))
+            {
+                Some(axis) => out.push_str(axis.key),
+                None => {
+                    if !out.ends_with('-') && !out.is_empty() {
+                        out.push('-');
+                    }
                 }
-            }
+            },
         }
     }
     out.trim_end_matches('-').to_string()
@@ -475,6 +437,252 @@ pub struct Scenario {
     /// The driver this spec is destined for (offline simulator vs live
     /// `mosaic-node` service).
     pub target: RunTarget,
+}
+
+/// One `key = value` line of the text being parsed, trimmed.
+struct Field<'a> {
+    key: &'a str,
+    value: &'a str,
+    /// 1-based.
+    line: usize,
+}
+
+impl Field<'_> {
+    fn error(&self, message: impl Into<String>) -> Error {
+        parse_error(self.line, message)
+    }
+
+    fn num<T: std::str::FromStr>(&self) -> Result<T> {
+        parse_num(self.value, self.key, self.line)
+    }
+
+    /// Parses each non-empty token of a comma-separated value.
+    fn list<T>(&self, parse: impl FnMut(&str) -> Result<T>) -> Result<Vec<T>> {
+        self.value
+            .split(',')
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+            .map(parse)
+            .collect()
+    }
+
+    fn nums<T: std::str::FromStr>(&self) -> Result<Vec<T>> {
+        self.list(|t| parse_num(t, self.key, self.line))
+    }
+}
+
+/// A scenario under construction by [`Scenario::parse`].
+struct Draft {
+    /// [`Scenario::new`]'s defaults, overwritten key by key; its `trace`
+    /// is a placeholder until [`Draft::finish`].
+    scenario: Scenario,
+    /// The `trace` value and its line, resolved after the last line
+    /// because `workload.*` keys may come before it.
+    trace: (String, usize),
+    workload: WorkloadConfig,
+    /// The first `workload.*` key and its line.
+    first_workload_key: Option<(String, usize)>,
+}
+
+impl Draft {
+    fn workload(&mut self, field: &Field<'_>) -> &mut WorkloadConfig {
+        self.first_workload_key
+            .get_or_insert_with(|| (field.key.to_string(), field.line));
+        &mut self.workload
+    }
+
+    /// Resolves the trace source (the inverse of [`trace_token`]).
+    fn finish(mut self) -> Result<Scenario> {
+        let (kind, line) = (self.trace.0.as_str(), self.trace.1);
+        self.scenario.trace = match kind.split_once(':') {
+            None if kind == "generated" => TraceSource::Generated(self.workload),
+            None if kind == "streamed" => TraceSource::StreamedGenerated(self.workload),
+            Some(("csv", path)) if !path.is_empty() => TraceSource::csv(path),
+            Some(("streamed-csv", path)) if !path.is_empty() => TraceSource::streamed_csv(path),
+            Some((form @ ("csv" | "streamed-csv"), _)) => {
+                return Err(parse_error(line, format!("{form} trace needs a path")))
+            }
+            _ => {
+                return Err(parse_error(
+                    line,
+                    format!(
+                        "unknown trace source {kind:?}; valid: generated, streamed, \
+                         csv:<path>, streamed-csv:<path>"
+                    ),
+                ))
+            }
+        };
+        // A file trace has no generator to configure: refuse the keys
+        // rather than drop them.
+        if let (None, Some((key, key_line))) = (self.scenario.workload(), self.first_workload_key) {
+            return Err(parse_error(
+                key_line,
+                format!("{key} configures a generated or streamed trace, not {kind:?}"),
+            ));
+        }
+        Ok(self.scenario)
+    }
+}
+
+fn trace_token(trace: &TraceSource) -> String {
+    match trace {
+        TraceSource::Generated(_) => "generated".to_string(),
+        TraceSource::StreamedGenerated(_) => "streamed".to_string(),
+        TraceSource::Csv(path) => format!("csv:{}", path.display()),
+        TraceSource::StreamedCsv(path) => format!("streamed-csv:{}", path.display()),
+    }
+}
+
+/// How a key prints its value from a scenario (`None`: omit the line).
+type Print = fn(&Scenario) -> Option<String>;
+
+/// How a key applies its line to a draft.
+type Apply = fn(&mut Draft, &Field<'_>) -> Result<()>;
+
+/// One top-level key of the text format.
+struct Key {
+    name: &'static str,
+    /// [`Scenario::new`] has no default for it.
+    required: bool,
+    print: Print,
+    apply: Apply,
+}
+
+/// One entry of [`LINES`].
+enum Line {
+    Key(Key),
+    /// The `axis.<key>` lines, one per grid axis, in grid order.
+    Axes,
+}
+
+const fn required(name: &'static str, print: Print, apply: Apply) -> Line {
+    Line::Key(Key {
+        name,
+        required: true,
+        print,
+        apply,
+    })
+}
+
+const fn optional(name: &'static str, print: Print, apply: Apply) -> Line {
+    Line::Key(Key {
+        name,
+        required: false,
+        print,
+        apply,
+    })
+}
+
+/// Every line of the text format, in the order [`Scenario::to_text`]
+/// writes them (one entry per two lines, kept as a table).
+#[rustfmt::skip]
+const LINES: &[Line] = &[
+    required("name", |s| Some(s.name.clone()),
+             |d, f| { d.scenario.name = f.value.to_string(); Ok(()) }),
+    required("trace", |s| Some(trace_token(&s.trace)),
+             |d, f| { d.trace = (f.value.to_string(), f.line); Ok(()) }),
+    optional("workload.initial_accounts", |s| s.workload().map(|w| w.initial_accounts.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).initial_accounts = v)),
+    optional("workload.blocks", |s| s.workload().map(|w| w.blocks.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).blocks = v)),
+    optional("workload.txs_per_block", |s| s.workload().map(|w| w.txs_per_block.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).txs_per_block = v)),
+    optional("workload.activity_exponent", |s| s.workload().map(|w| w.activity_exponent.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).activity_exponent = v)),
+    optional("workload.communities", |s| s.workload().map(|w| w.communities.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).communities = v)),
+    optional("workload.intra_community_bias", |s| s.workload().map(|w| w.intra_community_bias.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).intra_community_bias = v)),
+    optional("workload.hub_fraction", |s| s.workload().map(|w| w.hub_fraction.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).hub_fraction = v)),
+    optional("workload.hub_traffic_share", |s| s.workload().map(|w| w.hub_traffic_share.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).hub_traffic_share = v)),
+    optional("workload.new_accounts_per_block", |s| s.workload().map(|w| w.new_accounts_per_block.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).new_accounts_per_block = v)),
+    optional("workload.drift_per_block", |s| s.workload().map(|w| w.drift_per_block.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).drift_per_block = v)),
+    optional("workload.seed", |s| s.workload().map(|w| w.seed.to_string()),
+             |d, f| f.num().map(|v| d.workload(f).seed = v)),
+    optional("params.shards", |s| Some(s.base.shards().to_string()),
+             |d, f| d.scenario.base.with_shards(f.num()?).map(|v| d.scenario.base = v)),
+    optional("params.eta", |s| Some(s.base.eta().to_string()),
+             |d, f| d.scenario.base.with_eta(f.num()?).map(|v| d.scenario.base = v)),
+    optional("params.tau", |s| Some(s.base.tau().to_string()),
+             |d, f| d.scenario.base.with_tau(f.num()?).map(|v| d.scenario.base = v)),
+    optional("params.beta", |s| Some(s.base.beta().to_string()),
+             |d, f| d.scenario.base.with_beta(f.num()?).map(|v| d.scenario.base = v)),
+    optional("params.lambda", |s| Some(lambda_token(s.base.lambda_policy())),
+             |d, f| d.scenario.base.with_lambda_policy(parse_lambda(f)?).map(|v| d.scenario.base = v)),
+    optional("train_fraction", |s| Some(s.train_fraction.to_string()),
+             |d, f| f.num().map(|v| d.scenario.train_fraction = v)),
+    required("eval_epochs", |s| Some(s.eval_epochs.to_string()),
+             |d, f| f.num().map(|v| d.scenario.eval_epochs = v)),
+    optional("miner_count", |s| Some(s.miner_count.map_or("auto".to_string(), |m| m.to_string())),
+             |d, f| {
+                 d.scenario.miner_count = if f.value == "auto" { None } else { Some(f.num()?) };
+                 Ok(())
+             }),
+    optional("migration_capacity", |s| Some(s.capacity.to_token()),
+             |d, f| Capacity::parse_token(f.value, f.line).map(|v| d.scenario.capacity = v)),
+    optional("strategies", |s| Some(join(&s.strategies, |s| s.name().to_string())),
+             |d, f| f.list(|t| parse_strategy(t, f.line)).map(|v| d.scenario.strategies = v)),
+    Line::Axes,
+    optional("grid_parallelism", |s| Some(parallelism_to_token(s.grid_parallelism)),
+             |d, f| parse_parallelism(f.value, f.line).map(|v| d.scenario.grid_parallelism = v)),
+    optional("cell_parallelism", |s| Some(parallelism_to_token(s.cell_parallelism)),
+             |d, f| parse_parallelism(f.value, f.line).map(|v| d.scenario.cell_parallelism = v)),
+    optional("observers", |s| Some(join(&s.observers, ObserverSpec::to_token)),
+             |d, f| f.list(|t| ObserverSpec::parse_token(t, f.line)).map(|v| d.scenario.observers = v)),
+    // Written only for the node target, so offline files stay byte-stable.
+    optional("target", |s| (s.target == RunTarget::Node).then(|| "node".to_string()),
+             |d, f| parse_target(f).map(|v| d.scenario.target = v)),
+];
+
+fn keys() -> impl Iterator<Item = &'static Key> {
+    LINES.iter().filter_map(|line| match line {
+        Line::Key(key) => Some(key),
+        Line::Axes => None,
+    })
+}
+
+/// Every key the text format accepts.
+fn valid_keys() -> String {
+    let axes = AXES.iter().map(|axis| format!("{AXIS_PREFIX}{}", axis.key));
+    let names: Vec<String> = keys().map(|key| key.name.to_string()).chain(axes).collect();
+    names.join(", ")
+}
+
+fn lambda_token(policy: LambdaPolicy) -> String {
+    match policy {
+        LambdaPolicy::EpochAverage => "epoch-average".to_string(),
+        LambdaPolicy::Fixed(l) => l.to_string(),
+    }
+}
+
+fn parse_lambda(field: &Field<'_>) -> Result<LambdaPolicy> {
+    match field.value {
+        "epoch-average" => Ok(LambdaPolicy::EpochAverage),
+        _ => field.num().map(LambdaPolicy::Fixed),
+    }
+}
+
+fn parse_strategy(token: &str, line: usize) -> Result<Strategy> {
+    token.parse().map_err(|e| match e {
+        Error::ParseScenario { message, .. } => parse_error(line, message),
+        other => other,
+    })
+}
+
+fn parse_target(field: &Field<'_>) -> Result<RunTarget> {
+    match field.value {
+        "offline" => Ok(RunTarget::Offline),
+        "node" => Ok(RunTarget::Node),
+        other => Err(field.error(format!("unknown target {other:?}; valid: offline, node"))),
+    }
+}
+
+fn join<T>(items: &[T], token: impl Fn(&T) -> String) -> String {
+    items.iter().map(token).collect::<Vec<_>>().join(", ")
 }
 
 impl Scenario {
@@ -634,12 +842,7 @@ impl Scenario {
 
     /// `true` if the grid collapses to a single parameter point.
     pub fn is_single_point(&self) -> bool {
-        self.grid.iter().all(|axis| match axis {
-            GridAxis::Shards(v) => v.is_empty(),
-            GridAxis::Eta(v) | GridAxis::Beta(v) | GridAxis::Lambda(v) => v.is_empty(),
-            GridAxis::Tau(v) => v.is_empty(),
-            GridAxis::MigrationCapacity(v) => v.is_empty(),
-        })
+        self.grid.is_empty()
     }
 
     /// Expands the grid into labelled parameter points, in axis order.
@@ -648,7 +851,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the parameter-validation error of the first invalid axis
-    /// value ([`Error::InvalidShardCount`], [`Error::InvalidEta`], …).
+    /// value ([`Error::InvalidShardCount`], [`Error::InvalidEta`], …),
+    /// and [`Error::ParseScenario`] (line 0) for an axis with no values.
     pub fn points(&self) -> Result<Vec<CellPoint>> {
         if self.is_single_point() {
             return Ok(vec![CellPoint {
@@ -659,7 +863,12 @@ impl Scenario {
         }
         let mut points = Vec::new();
         for axis in &self.grid {
-            points.extend(axis.points(self.base, self.capacity)?);
+            let axis_points = axis.points(self.base, self.capacity)?;
+            if axis_points.is_empty() {
+                let key = axis.spec().key;
+                return Err(parse_error(0, format!("{AXIS_PREFIX}{key} has no values")));
+            }
+            points.extend(axis_points);
         }
         Ok(points)
     }
@@ -799,134 +1008,44 @@ impl Scenario {
     /// [`Scenario::parse`] back to an equal scenario.
     pub fn to_text(&self) -> String {
         let mut out = String::from("# mosaic scenario v1\n");
-        let mut kv = |k: &str, v: String| {
-            let _ = writeln!(out, "{k} = {v}");
-        };
-        kv("name", self.name.clone());
-        fn workload_kv(kv: &mut impl FnMut(&str, String), w: &WorkloadConfig) {
-            kv("workload.initial_accounts", w.initial_accounts.to_string());
-            kv("workload.blocks", w.blocks.to_string());
-            kv("workload.txs_per_block", w.txs_per_block.to_string());
-            kv(
-                "workload.activity_exponent",
-                w.activity_exponent.to_string(),
-            );
-            kv("workload.communities", w.communities.to_string());
-            kv(
-                "workload.intra_community_bias",
-                w.intra_community_bias.to_string(),
-            );
-            kv("workload.hub_fraction", w.hub_fraction.to_string());
-            kv(
-                "workload.hub_traffic_share",
-                w.hub_traffic_share.to_string(),
-            );
-            kv(
-                "workload.new_accounts_per_block",
-                w.new_accounts_per_block.to_string(),
-            );
-            kv("workload.drift_per_block", w.drift_per_block.to_string());
-            kv("workload.seed", w.seed.to_string());
-        }
-        match &self.trace {
-            TraceSource::Generated(w) => {
-                kv("trace", "generated".to_string());
-                workload_kv(&mut kv, w);
+        for line in LINES {
+            match line {
+                Line::Key(key) => {
+                    if let Some(value) = (key.print)(self) {
+                        let _ = writeln!(out, "{} = {value}", key.name);
+                    }
+                }
+                Line::Axes => {
+                    for axis in &self.grid {
+                        let key = axis.spec().key;
+                        let _ = writeln!(out, "{AXIS_PREFIX}{key} = {}", axis.values_text());
+                    }
+                }
             }
-            TraceSource::StreamedGenerated(w) => {
-                kv("trace", "streamed".to_string());
-                workload_kv(&mut kv, w);
-            }
-            TraceSource::Csv(path) => kv("trace", format!("csv:{}", path.display())),
-            TraceSource::StreamedCsv(path) => {
-                kv("trace", format!("streamed-csv:{}", path.display()))
-            }
-        }
-        kv("params.shards", self.base.shards().to_string());
-        kv("params.eta", self.base.eta().to_string());
-        kv("params.tau", self.base.tau().to_string());
-        kv("params.beta", self.base.beta().to_string());
-        kv(
-            "params.lambda",
-            match self.base.lambda_policy() {
-                LambdaPolicy::EpochAverage => "epoch-average".to_string(),
-                LambdaPolicy::Fixed(l) => l.to_string(),
-            },
-        );
-        kv("train_fraction", self.train_fraction.to_string());
-        kv("eval_epochs", self.eval_epochs.to_string());
-        kv(
-            "miner_count",
-            self.miner_count
-                .map_or_else(|| "auto".to_string(), |m| m.to_string()),
-        );
-        kv("migration_capacity", self.capacity.to_token());
-        kv(
-            "strategies",
-            self.strategies
-                .iter()
-                .map(|s| s.name().to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        for axis in &self.grid {
-            kv(&format!("axis.{}", axis.key()), axis.values_text());
-        }
-        kv(
-            "grid_parallelism",
-            parallelism_to_token(self.grid_parallelism),
-        );
-        kv(
-            "cell_parallelism",
-            parallelism_to_token(self.cell_parallelism),
-        );
-        kv(
-            "observers",
-            self.observers
-                .iter()
-                .map(ObserverSpec::to_token)
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        // Emitted only for the non-default node target so every existing
-        // offline `.scenario` file stays byte-stable.
-        if self.target == RunTarget::Node {
-            kv("target", "node".to_string());
         }
         out
     }
 
     /// Parses the text format: `key = value` lines, `#` comments and
     /// blank lines ignored, later keys overriding earlier ones (except
-    /// `axis.*`, which append in order). Unspecified optional keys take
-    /// the [`Scenario::new`] defaults; `name`, `trace` and `eval_epochs`
-    /// are required.
+    /// `axis.*`, which append in order). Unspecified keys take the
+    /// [`Scenario::new`] defaults; the three values it takes as
+    /// arguments are required.
     ///
     /// # Errors
     ///
     /// Returns [`Error::ParseScenario`] with a 1-based line number on
-    /// malformed input, and scenario-level validation errors
-    /// ([`Scenario::validate`]) on a well-formed but inconsistent spec.
+    /// malformed input (an unknown key's error lists the valid ones),
+    /// and scenario-level validation errors ([`Scenario::validate`]) on
+    /// a well-formed but inconsistent spec.
     pub fn parse(text: &str) -> Result<Self> {
-        let mut name: Option<String> = None;
-        let mut trace_kind: Option<(String, usize)> = None;
-        let mut workload = WorkloadConfig::paper_scaled(0);
-        let mut shards: u16 = SystemParams::default().shards();
-        let mut eta: f64 = SystemParams::default().eta();
-        let mut tau: u32 = SystemParams::default().tau();
-        let mut beta: f64 = 0.0;
-        let mut lambda = LambdaPolicy::EpochAverage;
-        let mut train_fraction = 0.9f64;
-        let mut eval_epochs: Option<usize> = None;
-        let mut miner_count: Option<usize> = None;
-        let mut capacity = Capacity::Lambda;
-        let mut grid: Vec<GridAxis> = Vec::new();
-        let mut strategies: Option<Vec<Strategy>> = None;
-        let mut grid_parallelism = Parallelism::Auto;
-        let mut cell_parallelism = Parallelism::Sequential;
-        let mut observers: Option<Vec<ObserverSpec>> = None;
-        let mut target = RunTarget::Offline;
-
+        let mut draft = Draft {
+            scenario: Scenario::new(String::new(), TraceSource::csv(""), 0),
+            trace: (String::new(), 0),
+            workload: WorkloadConfig::paper_scaled(0),
+            first_workload_key: None,
+        };
+        let mut seen = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let trimmed = raw.trim();
@@ -939,151 +1058,29 @@ impl Scenario {
                     format!("expected 'key = value', got {trimmed:?}"),
                 ));
             };
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "name" => name = Some(value.to_string()),
-                "trace" => trace_kind = Some((value.to_string(), line)),
-                "workload.initial_accounts" => {
-                    workload.initial_accounts = parse_num(value, key, line)?
-                }
-                "workload.blocks" => workload.blocks = parse_num(value, key, line)?,
-                "workload.txs_per_block" => workload.txs_per_block = parse_num(value, key, line)?,
-                "workload.activity_exponent" => {
-                    workload.activity_exponent = parse_num(value, key, line)?
-                }
-                "workload.communities" => workload.communities = parse_num(value, key, line)?,
-                "workload.intra_community_bias" => {
-                    workload.intra_community_bias = parse_num(value, key, line)?
-                }
-                "workload.hub_fraction" => workload.hub_fraction = parse_num(value, key, line)?,
-                "workload.hub_traffic_share" => {
-                    workload.hub_traffic_share = parse_num(value, key, line)?
-                }
-                "workload.new_accounts_per_block" => {
-                    workload.new_accounts_per_block = parse_num(value, key, line)?
-                }
-                "workload.drift_per_block" => {
-                    workload.drift_per_block = parse_num(value, key, line)?
-                }
-                "workload.seed" => workload.seed = parse_num(value, key, line)?,
-                "params.shards" => shards = parse_num(value, key, line)?,
-                "params.eta" => eta = parse_num(value, key, line)?,
-                "params.tau" => tau = parse_num(value, key, line)?,
-                "params.beta" => beta = parse_num(value, key, line)?,
-                "params.lambda" => {
-                    lambda = if value == "epoch-average" {
-                        LambdaPolicy::EpochAverage
-                    } else {
-                        LambdaPolicy::Fixed(parse_num(value, key, line)?)
-                    }
-                }
-                "train_fraction" => train_fraction = parse_num(value, key, line)?,
-                "eval_epochs" => eval_epochs = Some(parse_num(value, key, line)?),
-                "miner_count" => {
-                    miner_count = if value == "auto" {
-                        None
-                    } else {
-                        Some(parse_num(value, key, line)?)
-                    }
-                }
-                "migration_capacity" => capacity = Capacity::parse_token(value, line)?,
-                "strategies" => {
-                    let parsed: Result<Vec<Strategy>> = value
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|t| !t.is_empty())
-                        .map(|t| {
-                            t.parse::<Strategy>().map_err(|e| match e {
-                                Error::ParseScenario { message, .. } => parse_error(line, message),
-                                other => other,
-                            })
-                        })
-                        .collect();
-                    strategies = Some(parsed?);
-                }
-                "grid_parallelism" => grid_parallelism = parse_parallelism(value, line)?,
-                "cell_parallelism" => cell_parallelism = parse_parallelism(value, line)?,
-                "observers" => {
-                    let parsed: Result<Vec<ObserverSpec>> = value
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|t| !t.is_empty())
-                        .map(|t| ObserverSpec::parse_token(t, line))
-                        .collect();
-                    observers = Some(parsed?);
-                }
-                "target" => {
-                    target = match value {
-                        "offline" => RunTarget::Offline,
-                        "node" => RunTarget::Node,
-                        other => {
-                            return Err(parse_error(
-                                line,
-                                format!("unknown target {other:?}; valid: offline, node"),
-                            ))
-                        }
-                    }
-                }
-                axis if axis.starts_with("axis.") => {
-                    grid.push(GridAxis::parse(&axis["axis.".len()..], value, line)?);
-                }
-                other => {
-                    return Err(parse_error(line, format!("unknown key {other:?}")));
-                }
+            let field = Field {
+                key: key.trim(),
+                value: value.trim(),
+                line,
+            };
+            if field.key.starts_with(AXIS_PREFIX) {
+                draft.scenario.grid.push(GridAxis::parse(&field)?);
+                continue;
             }
+            let Some(key) = keys().find(|k| k.name == field.key) else {
+                let valid = valid_keys();
+                return Err(field.error(format!("unknown key {:?}; valid: {valid}", field.key)));
+            };
+            (key.apply)(&mut draft, &field)?;
+            seen.push(key.name);
         }
-
-        let name = name.ok_or_else(|| parse_error(0, "missing required key 'name'"))?;
-        let (trace_kind, trace_line) =
-            trace_kind.ok_or_else(|| parse_error(0, "missing required key 'trace'"))?;
-        let trace = if trace_kind == "generated" {
-            TraceSource::Generated(workload)
-        } else if trace_kind == "streamed" {
-            TraceSource::StreamedGenerated(workload)
-        } else if let Some(path) = trace_kind.strip_prefix("streamed-csv:") {
-            if path.is_empty() {
-                return Err(parse_error(trace_line, "streamed-csv trace needs a path"));
-            }
-            TraceSource::streamed_csv(path)
-        } else if let Some(path) = trace_kind.strip_prefix("csv:") {
-            if path.is_empty() {
-                return Err(parse_error(trace_line, "csv trace needs a path"));
-            }
-            TraceSource::csv(path)
-        } else {
+        if let Some(missing) = keys().find(|k| k.required && !seen.contains(&k.name)) {
             return Err(parse_error(
-                trace_line,
-                format!(
-                    "unknown trace source {trace_kind:?}; valid: generated, streamed, \
-                     csv:<path>, streamed-csv:<path>"
-                ),
+                0,
+                format!("missing required key '{}'", missing.name),
             ));
-        };
-        let eval_epochs =
-            eval_epochs.ok_or_else(|| parse_error(0, "missing required key 'eval_epochs'"))?;
-
-        let base = SystemParams::builder()
-            .shards(shards)
-            .eta(eta)
-            .tau(tau)
-            .beta(beta)
-            .lambda_policy(lambda)
-            .build()?;
-        let scenario = Scenario {
-            name,
-            trace,
-            base,
-            capacity,
-            train_fraction,
-            eval_epochs,
-            miner_count,
-            grid,
-            strategies: strategies.unwrap_or_else(|| Strategy::ALL.to_vec()),
-            grid_parallelism,
-            cell_parallelism,
-            observers: observers.unwrap_or_else(|| vec![ObserverSpec::Collect]),
-            target,
-        };
+        }
+        let scenario = draft.finish()?;
         scenario.validate()?;
         Ok(scenario)
     }
@@ -1227,9 +1224,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_covers_every_axis_and_observer_kind() {
-        let scenario = Scenario::new("kitchen-sink", TraceSource::csv("data/eth.csv"), 7)
+    /// Every axis kind, observer kind and non-default protocol field.
+    fn kitchen_sink() -> Scenario {
+        Scenario::new("kitchen-sink", TraceSource::csv("data/eth.csv"), 7)
             .with_base(
                 SystemParams::builder()
                     .shards(8)
@@ -1259,9 +1256,85 @@ mod tests {
                 ObserverSpec::Collect,
                 ObserverSpec::StreamCsv(PathBuf::from("out/csv")),
                 ObserverSpec::Telemetry(PathBuf::from("telemetry/run.jsonl")),
-            ]);
+            ])
+    }
+
+    #[test]
+    fn roundtrip_covers_every_axis_and_observer_kind() {
+        let scenario = kitchen_sink();
         let back = Scenario::parse(&scenario.to_text()).unwrap();
         assert_eq!(back, scenario);
+    }
+
+    #[test]
+    fn the_key_table_drives_print_parse_and_the_valid_key_list() {
+        let names: Vec<&str> = keys().map(|key| key.name).collect();
+        assert_eq!(names.len(), 27);
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "key {name} declared twice");
+        }
+        // Each axis entry parses to the variant that indexes it back.
+        for axis in &AXES {
+            let key = format!("{AXIS_PREFIX}{}", axis.key);
+            let field = Field {
+                key: &key,
+                value: "1",
+                line: 1,
+            };
+            assert_eq!((axis.parse)(&field).unwrap().spec().key, axis.key);
+        }
+
+        // to_text writes the keys in table order, the axis lines where
+        // the table puts them; the csv trace omits the workload keys and
+        // the offline target omits its own.
+        let scenario = kitchen_sink();
+        let mut expected = Vec::new();
+        for line in LINES {
+            match line {
+                Line::Key(key) => expected.push(key.name.to_string()),
+                Line::Axes => expected.extend(
+                    scenario
+                        .grid
+                        .iter()
+                        .map(|axis| format!("{AXIS_PREFIX}{}", axis.spec().key)),
+                ),
+            }
+        }
+        let omitted: Vec<String> = expected
+            .iter()
+            .filter(|k| k.starts_with("workload.") || *k == "target")
+            .cloned()
+            .collect();
+        assert_eq!(omitted.len(), 12, "{omitted:?}");
+        expected.retain(|k| !omitted.contains(k));
+        let text = scenario.to_text();
+        let written: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split_once(" = ").unwrap().0)
+            .collect();
+        assert_eq!(written, expected);
+
+        // An unknown key is refused with every key the table holds.
+        let err = Scenario::parse("name = x\nbogus = 1\n").unwrap_err();
+        assert!(matches!(err, Error::ParseScenario { line: 2, .. }), "{err}");
+        let message = err.to_string();
+        let listed: Vec<&str> = message
+            .split_once("valid: ")
+            .unwrap()
+            .1
+            .split(", ")
+            .collect();
+        for name in &names {
+            assert!(listed.contains(name), "{name} missing from {message}");
+        }
+        for axis in &AXES {
+            let key = format!("{AXIS_PREFIX}{}", axis.key);
+            assert!(
+                listed.contains(&key.as_str()),
+                "{key} missing from {message}"
+            );
+        }
     }
 
     #[test]
@@ -1439,6 +1512,15 @@ mod tests {
             Scenario::parse("name = x\ntrace = streamed-csv:\neval_epochs = 1\n").unwrap_err();
         assert!(err.to_string().contains("streamed-csv trace needs a path"));
 
+        // Workload keys under a file trace are refused, not dropped: the
+        // error carries the line of the first one.
+        let err = Scenario::parse(
+            "name = x\nworkload.seed = 1\ntrace = csv:t.csv\nworkload.blocks = 9\neval_epochs = 1\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::ParseScenario { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("workload.seed"), "{err}");
+
         let err = Scenario::parse(&text.replace("strategies = Pilot,", "strategies = Pilot2,"))
             .unwrap_err();
         assert!(err.to_string().contains("unknown strategy"));
@@ -1477,6 +1559,14 @@ mod tests {
         let mut s = base.clone();
         s.grid.push(GridAxis::Shards(vec![0]));
         assert!(s.validate().is_err());
+        // An empty axis would be saved as a file that does not load.
+        let mut s = base.clone();
+        s.grid.push(GridAxis::Tau(vec![]));
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("axis.tau has no values"));
         // Duplicate strategies and duplicate grid points would race on
         // one stream-csv path; both are spec mistakes.
         let mut s = base.clone();
@@ -1517,7 +1607,11 @@ mod tests {
             capacity: Capacity::Unbounded,
         };
         assert_eq!(slug(&greek.label), "eta-5");
-        assert_eq!(slug(&Capacity::Unbounded.label()), "capacity-unbounded");
+        let unbounded = GridAxis::MigrationCapacity(vec![Capacity::Unbounded])
+            .points(SystemParams::default(), Capacity::Lambda)
+            .unwrap();
+        assert_eq!(unbounded[0].label, "capacity = ∞");
+        assert_eq!(slug(&unbounded[0].label), "capacity-unbounded");
         assert_eq!(slug("β = 0.25"), "beta-0.25");
     }
 

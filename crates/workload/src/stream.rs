@@ -17,8 +17,7 @@
 //!   the exact materialised trace lazily; memory is O(accounts).
 //! * **CSV** — [`read_trace`](crate::csv::read_trace)'s dialect, parsed
 //!   through a bounded chunk buffer (at most [`DEFAULT_CSV_CHUNK_TXS`]
-//!   transactions of lookahead, tunable via the `MOSAIC_STREAM_CHUNK`
-//!   environment variable); memory is O(chunk). Streaming cannot sort,
+//!   transactions of lookahead); memory is O(chunk). Streaming cannot sort,
 //!   so the file must be block-ordered — out-of-order input is a
 //!   [`Error::ParseTrace`] with the offending line, where the
 //!   materialising reader would have silently sorted. Both passes over
@@ -47,7 +46,7 @@ use crate::generator::GeneratedStream;
 use crate::trace::TransactionTrace;
 
 /// Default bounded-buffer size (transactions of lookahead) for the
-/// streaming CSV reader. Override per process with `MOSAIC_STREAM_CHUNK`.
+/// streaming CSV reader.
 pub const DEFAULT_CSV_CHUNK_TXS: usize = 8192;
 
 /// A forward-only stream of epoch windows over a trace in block order.
@@ -116,8 +115,7 @@ impl EpochWindowStream {
     }
 
     /// Streams a block-ordered `block,from,to[,kind]` CSV file through a
-    /// bounded buffer (size from `MOSAIC_STREAM_CHUNK`, default
-    /// [`DEFAULT_CSV_CHUNK_TXS`]).
+    /// bounded buffer of [`DEFAULT_CSV_CHUNK_TXS`] transactions.
     ///
     /// # Errors
     ///
@@ -127,7 +125,7 @@ impl EpochWindowStream {
     /// waste hours of simulation) or `u64::MAX` (the block span would
     /// not fit), or a line is longer than 4096 bytes.
     pub fn csv(path: impl AsRef<Path>) -> Result<Self> {
-        Self::csv_with_chunk_size(path, csv_chunk_from_env())
+        Self::csv_with_chunk_size(path, DEFAULT_CSV_CHUNK_TXS)
     }
 
     /// [`EpochWindowStream::csv`] with an explicit bounded-buffer size
@@ -207,14 +205,6 @@ impl std::fmt::Debug for EpochWindowStream {
             .field("position", &self.position())
             .finish()
     }
-}
-
-fn csv_chunk_from_env() -> usize {
-    std::env::var("MOSAIC_STREAM_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CSV_CHUNK_TXS)
 }
 
 /// Streaming CSV backend: two passes over the file. The opening pass

@@ -125,7 +125,7 @@ pub use mosaic_workload as workload;
 pub mod prelude {
     pub use mosaic_chain::{BeaconChain, Ledger, MinerSet, ShardChain};
     pub use mosaic_core::{
-        Client, CounterpartySet, MosaicFramework, Pilot, PilotDecision, PilotInput, WorkloadOracle,
+        Client, CounterpartySet, MosaicFramework, Pilot, PilotDecision, PilotInput,
     };
     pub use mosaic_metrics::{Aggregate, EpochLoad, EpochMetrics, LoadParams, TextTable};
     pub use mosaic_node::{MosaicClient, Request, Response, Wire};
