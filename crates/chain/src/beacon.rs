@@ -78,9 +78,10 @@ impl BeaconChain {
         // Dedup by account, keeping the first of its highest-gain
         // requests (gains are finite: `MigrationRequest::new` zeroes the
         // rest). The stable sort groups each account's requests in
-        // submission order — one run-detecting pass over Pilot's
-        // ascending stream — and the fold keeps each group's winner, all
-        // inside the pool's own allocation.
+        // submission order, and the fold keeps each group's winner, all
+        // inside the pool's own allocation. With one request per account,
+        // as Pilot's clients submit, what is committed does not depend on
+        // the submission order at all.
         self.pending.sort_by_key(|mr| mr.account);
         self.pending.dedup_by(|later, kept| {
             let same = later.account == kept.account;
@@ -249,6 +250,50 @@ mod tests {
                 prop_assert_eq!(
                     committed.iter().map(key).collect::<Vec<_>>(),
                     deduped.iter().take(capacity).map(key).collect::<Vec<_>>(),
+                    "capacity {} of {}", capacity, len
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// With at most one request per account, the submission order
+        /// is invisible: any permutation of the pool commits the same
+        /// requests, in the same order, at every capacity.
+        #[test]
+        fn prop_one_request_per_account_commits_the_same_in_any_order(
+            gains in proptest::collection::vec(0usize..6, 0..40),
+            swaps in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..60),
+        ) {
+            const GAINS: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.0, 2.5];
+            let pending: Vec<MigrationRequest> = gains
+                .iter()
+                .zip(0u64..)
+                .map(|(&g, account)| mr(account * 7 % 41, GAINS[g]))
+                .collect();
+            let mut permuted = pending.clone();
+            for &(i, j) in &swaps {
+                if !permuted.is_empty() {
+                    let len = permuted.len();
+                    permuted.swap(i % len, j % len);
+                }
+            }
+            let key = |m: &MigrationRequest| {
+                (m.account, m.from, m.to, m.proposed_at, m.gain.to_bits())
+            };
+            let len = pending.len();
+            for capacity in [0, 1, len / 2, len.saturating_sub(1), len, len + 1] {
+                let commit = |pool: &[MigrationRequest]| {
+                    let mut bc = BeaconChain::new();
+                    pool.iter().for_each(|&request| bc.submit(request));
+                    bc.commit_epoch(EpochId::new(0), capacity)
+                        .iter()
+                        .map(key)
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(
+                    commit(&permuted),
+                    commit(&pending),
                     "capacity {} of {}", capacity, len
                 );
             }

@@ -7,12 +7,13 @@
 //! beacon commits the best `λ`, and reconfiguration applies them.
 //!
 //! In scope: simulating a *population* of clients. It is stored as one
-//! interaction graph — row ν of the [`TxGraph`] CSR *is* client ν's
-//! historical counterparty multiset `T^ν_h` — plus a sparse map holding
-//! the expectations `T^ν_e` of the accounts β-sampled this epoch. The
-//! scoring step for ν reads only row ν, the public allocation ϕ and the
-//! public workload vector `Ω` — the paper's information boundary — so a
-//! decision is still `O(deg(ν) + k)` on
+//! interaction graph — row ν (of the training [`TxGraph`] CSR, plus the
+//! edges ν gained since) *is* client ν's historical counterparty
+//! multiset `T^ν_h` — plus a sparse map holding the expectations `T^ν_e`
+//! of the accounts β-sampled this epoch. The scoring step for ν reads
+//! only row ν, the public allocation ϕ and the public workload vector
+//! `Ω` — the paper's information boundary — so a decision is still
+//! `O(deg(ν) + k)` on
 //! `16 + 12·deg(ν) + 12·|T^ν_e| + 8k` bytes (Table IV), whatever the
 //! population size. Sharing one graph is a property of the simulator,
 //! not of the protocol.
@@ -30,10 +31,15 @@
 //! [`MosaicFramework::observe_epoch`] hooks so that ledger processing
 //! stays inside the strategy-agnostic epoch pipeline.
 //!
-//! The population graph is a [`GrowingGraph`]: the training prefix goes
-//! in through [`MosaicFramework::preload`], which merges on a geometric
-//! schedule instead of once per chunk, and every reader of the graph
-//! completes the pending fold before it reads.
+//! The population graph is a [`GrowingGraph`] while the training prefix
+//! goes in through [`MosaicFramework::preload`], which merges on a
+//! geometric schedule instead of once per chunk. The first epoch hook
+//! hands its sorted CSR over to the population, which from then on
+//! patches the CSR's weights in place and keeps edges and clients first
+//! seen after training in per-row overflow blocks next to it
+//! (`population.rs`). An epoch costs O(window · log deg) to learn; the
+//! only other whole-graph passes are `propose`'s scoring pass and a fold
+//! of the overflow into the CSR each time it reaches an eighth of it.
 
 use std::iter;
 use std::num::NonZeroUsize;
@@ -52,6 +58,7 @@ use crate::client::Client;
 use crate::fusion::fuse_in_place;
 use crate::interaction::CounterpartySet;
 use crate::policy::{ClientPolicy, PilotPolicy, PolicyContext};
+use crate::population::Population;
 
 /// Fewest clients a scoring lane is given. Below twice this a population
 /// is scored on the calling thread: a lane costs a thread spawn, which a
@@ -106,13 +113,49 @@ pub struct FrameworkReport {
 #[derive(Debug, Clone)]
 pub struct MosaicFramework<P = PilotPolicy> {
     params: SystemParams,
-    /// The population: node ν is client ν, row ν its `T^ν_h` — once
-    /// the pending fold is complete.
-    graph: GrowingGraph,
+    /// The population: node ν is client ν, row ν its `T^ν_h`.
+    graph: Histories,
     /// `T^ν_e` of the accounts β-sampled for the upcoming epoch only.
     expected: FnvHashMap<AccountId, CounterpartySet>,
     expectation_seed: u64,
     policy: P,
+}
+
+/// The population's interaction graph in its two phases.
+#[derive(Debug, Clone)]
+enum Histories {
+    /// Before the first epoch hook, and after [`MosaicFramework::graph`]
+    /// rebuilt the population sorted: merged on a geometric schedule,
+    /// nodes in ascending account order.
+    Training(GrowingGraph),
+    /// From the first epoch on: the training CSR, updated in place.
+    Live(Population),
+}
+
+impl Histories {
+    /// The sorted graph (see [`MosaicFramework::graph`]).
+    fn graph(&mut self) -> &TxGraph {
+        if let Histories::Live(population) = self {
+            *self = Histories::Training(GrowingGraph::from(population.to_graph()));
+        }
+        match self {
+            Histories::Training(graph) => graph.graph(),
+            Histories::Live(_) => unreachable!("rebuilt above"),
+        }
+    }
+
+    /// The population after the training handover: the first call takes
+    /// over the training CSR's buffers, copying nothing.
+    fn live(&mut self) -> &mut Population {
+        if let Histories::Training(graph) = self {
+            let graph = std::mem::take(graph).into_graph();
+            *self = Histories::Live(Population::new(graph));
+        }
+        match self {
+            Histories::Live(population) => population,
+            Histories::Training(_) => unreachable!("handed over above"),
+        }
+    }
 }
 
 impl MosaicFramework<PilotPolicy> {
@@ -129,7 +172,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     pub fn with_policy(params: SystemParams, policy: P) -> Self {
         MosaicFramework {
             params,
-            graph: GrowingGraph::new(),
+            graph: Histories::Training(GrowingGraph::new()),
             expected: FnvHashMap::default(),
             expectation_seed: 0x6d6f_7361_6963, // "mosaic"
             policy,
@@ -141,65 +184,67 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         &self.policy
     }
 
-    /// Number of known clients (completes any pending fold).
+    /// Number of known clients.
     pub fn client_count(&mut self) -> usize {
-        self.graph().node_count()
+        self.graph.live().node_count()
     }
 
     /// The population's interaction graph: every observed or preloaded
     /// transaction, one node per client (what a miner-side allocator
-    /// would build from the same history). Completes any pending
-    /// [`MosaicFramework::preload`] fold first.
+    /// would build from the same history), nodes in account order.
+    /// Before the first epoch hook this completes any pending
+    /// [`MosaicFramework::preload`] fold; after it, the graph is rebuilt
+    /// sorted, one pass over the whole graph, which only tests pay.
     pub fn graph(&mut self) -> &TxGraph {
         self.graph.graph()
     }
 
-    /// Materialises a client's state as the wallet-side [`Client`]
-    /// (completes any pending fold).
+    /// Materialises a client's state as the wallet-side [`Client`].
     ///
     /// # Panics
     ///
     /// Panics if the client transacted with one counterparty more than
     /// `u32::MAX` times (the wallet-side multiset counts in `u32`).
     pub fn client(&mut self, account: AccountId) -> Option<Client> {
-        let graph = self.graph.graph();
-        let node = graph.node_of(account)?;
-        let history = graph
-            .neighbors(node)
-            .map(|(other, weight)| {
-                let count = u32::try_from(weight).expect("interaction count fits u32");
-                (graph.account_of(other), count)
-            })
-            .collect();
+        let population = self.graph.live();
+        let node = population.node_of(account)?;
+        let mut history = CounterpartySet::new();
+        population.visit(node.index(), |other, weight| {
+            let count = u32::try_from(weight).expect("interaction count fits u32");
+            history.add(population.accounts()[other.index()], count);
+        });
         let expected = self.expected.get(&account).cloned().unwrap_or_default();
         Some(Client::with_knowledge(account, history, expected))
     }
 
     /// Preloads clients' histories from training transactions (§V-B):
-    /// the same fold as [`MosaicFramework::observe_epoch`], but merged
-    /// into the population graph only on [`GrowingGraph::absorb`]'s
-    /// geometric schedule, so a training prefix fed in many chunks costs
-    /// O(log E) merges. [`MosaicFramework::graph`],
-    /// [`MosaicFramework::set_expectations`] and
-    /// [`MosaicFramework::propose`] complete the fold before they read.
+    /// the same fold as [`MosaicFramework::observe_epoch`], but before
+    /// the first epoch hook it merges into the training CSR only on
+    /// [`GrowingGraph::absorb`]'s geometric schedule, so a training
+    /// prefix fed in many chunks costs O(log E) merges.
+    /// [`MosaicFramework::graph`] completes the fold, and the first
+    /// epoch hook hands the CSR to the population.
     pub fn preload(&mut self, txs: &[Transaction]) {
-        self.graph.absorb(txs);
+        match &mut self.graph {
+            Histories::Training(graph) => graph.absorb(txs),
+            Histories::Live(population) => population.absorb(txs),
+        }
     }
 
     /// Feeds committed transactions into the affected clients' histories
-    /// (both endpoints), creating clients on first sight: every endpoint
-    /// is a client in the merged graph when this returns.
+    /// (both endpoints), creating clients on first sight, in
+    /// O(txs · log deg): an edge the CSR holds is patched in place, and
+    /// any other edge, or client, is added next to it. Once those reach
+    /// an eighth of the CSR, one pass folds them into it.
     pub fn observe_epoch(&mut self, txs: &[Transaction]) {
-        self.graph.absorb(txs);
-        self.graph.graph();
+        self.graph.live().absorb(txs);
     }
 
     /// Distributes expected-future knowledge for the upcoming epoch: each
     /// client learns an (approximately) β-fraction sample of its own
     /// upcoming transactions, selected deterministically per transaction.
-    /// With `β = 0` this clears all expectations. Completes any pending
-    /// fold before reading the population; the accounts it makes clients
-    /// are merged by the next reader.
+    /// With `β = 0` this clears all expectations. A sampled account that
+    /// is not a client yet becomes one, with an empty history.
     pub fn set_expectations(&mut self, future: &[Transaction]) {
         self.expected.clear();
         let beta = self.params.beta();
@@ -207,8 +252,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             return;
         }
         let threshold = (beta * u64::MAX as f64) as u64;
-        let graph = self.graph.graph();
-        let mut newcomers = Vec::new();
+        let population = self.graph.live();
         for tx in future {
             if tx.is_self_transfer() {
                 continue;
@@ -221,15 +265,9 @@ impl<P: ClientPolicy> MosaicFramework<P> {
                 self.expected.entry(tx.from).or_default().add(tx.to, 1);
                 self.expected.entry(tx.to).or_default().add(tx.from, 1);
                 // New accounts with plans become clients.
-                newcomers.extend(
-                    [tx.from, tx.to]
-                        .into_iter()
-                        .filter(|&a| graph.node_of(a).is_none()),
-                );
+                population.add_client(tx.from);
+                population.add_client(tx.to);
             }
-        }
-        for account in newcomers {
-            self.graph.touch(account);
         }
     }
 
@@ -237,14 +275,13 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     /// `Ω`, submitting the resulting migration requests to the ledger's
     /// beacon chain. Returns the framework report.
     ///
-    /// One streaming pass over the population graph (after completing
-    /// any pending fold): ϕ is resolved once per client into a snapshot,
-    /// then each row is scored against it. No decision reads another
-    /// client's decision (§V-A), so a large population is scored in
-    /// contiguous node-range lanes, one per available core, at least
-    /// `MIN_CLIENTS_PER_LANE` clients each. Lanes are submitted in node
-    /// order, so the beacon pool — and every result byte — is the same
-    /// for any lane count.
+    /// One streaming pass over the population: ϕ is resolved once per
+    /// client into a snapshot, then each row is scored against it. No
+    /// decision reads another client's decision (§V-A), so a large
+    /// population is scored in contiguous node-range lanes, one per
+    /// available core, at least `MIN_CLIENTS_PER_LANE` clients each.
+    /// Lanes are submitted in node order, so the beacon pool — and every
+    /// result byte — is the same for any lane count.
     ///
     /// # Panics
     ///
@@ -280,16 +317,19 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         );
         assert!(lanes > 0, "at least one scoring lane");
         let epoch = ledger.current_epoch();
-        let graph = self.graph.graph();
-        let (xadj, adjncy, adjwgt) = (graph.xadj(), graph.adjncy(), graph.adjwgt());
-        let decisions = graph.node_count();
+        let (expected, policy) = (&self.expected, &self.policy);
+        let population = &*self.graph.live();
+        let decisions = population.node_count();
 
         let start = Instant::now();
         let phi = ledger.phi();
-        let shard_now: Vec<ShardId> = graph.accounts().iter().map(|&a| phi.shard_of(a)).collect();
+        let shard_now: Vec<ShardId> = population
+            .accounts()
+            .iter()
+            .map(|&a| phi.shard_of(a))
+            .collect();
         let snapshot = start.elapsed();
 
-        let (expected, policy) = (&self.expected, &self.policy);
         let score = |nodes: Range<usize>| -> Lane {
             let start = Instant::now();
             let mut requests = Vec::new();
@@ -297,21 +337,22 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             let mut psi = vec![0.0f64; usize::from(shards)];
             let mut psi_e_buf = vec![0.0f64; usize::from(shards)];
             for node in nodes {
-                let account = graph.accounts()[node];
+                let account = population.accounts()[node];
                 // Equation 1 over row ν. Interaction counts are integers,
                 // so the sums are exact in any order.
-                let row = xadj[node]..xadj[node + 1];
                 psi.fill(0.0);
-                for j in row.clone() {
-                    psi[shard_now[adjncy[j].index()].index()] += adjwgt[j] as f64;
-                }
+                let degree = population.visit(node, |other, weight| {
+                    psi[shard_now[other.index()].index()] += weight as f64;
+                });
                 let (psi_e, expected_len) = match expected.get(&account) {
                     Some(expected) => {
                         psi_e_buf.fill(0.0);
                         for (other, count) in expected.iter() {
                             // `set_expectations` made every sampled
                             // endpoint a client, so the snapshot covers it.
-                            let other = graph.node_of(other).expect("sampled account is a client");
+                            let other = population
+                                .node_of(other)
+                                .expect("sampled account is a client");
                             psi_e_buf[shard_now[other.index()].index()] += f64::from(count);
                         }
                         (Some(psi_e_buf.as_slice()), expected.distinct())
@@ -333,7 +374,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
                             .expect("target differs from current"),
                     );
                 }
-                input_bytes += client_input_bytes(row.len() + expected_len, shards);
+                input_bytes += client_input_bytes(degree + expected_len, shards);
             }
             Lane {
                 requests,
@@ -358,7 +399,9 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         });
 
         // Lanes are node ranges in order, so requests reach the beacon in
-        // ascending account order, as from a single lane.
+        // node order, as from a single lane. Node order is not account
+        // order once newcomers join, and need not be: each client submits
+        // at most one request, and the beacon sorts the pool by account.
         let mut proposed = 0usize;
         let mut input_bytes = 0usize;
         let mut compute = snapshot;

@@ -30,8 +30,9 @@
 //! [`CounterpartySet`], [`fusion`], [`potential`], [`Pilot`],
 //! [`policy`]), and simulating a *population* of such clients
 //! ([`MosaicFramework`]). The population is stored as one interaction
-//! graph (a `mosaic-txgraph` CSR whose row ν is client ν's `T^ν_h`)
-//! instead of one hash map per client, but a scoring step for ν reads
+//! graph (the training `mosaic-txgraph` CSR, kept in place, plus the
+//! edges and clients seen since; row ν is client ν's `T^ν_h`) instead
+//! of one hash map per client, but a scoring step for ν reads
 //! only row ν, the public ϕ and the public `Ω` — the paper's information
 //! boundary — and Table IV's input size is still
 //! `16 + 12·deg(ν) + 12·|T^ν_e| + 8k` bytes per decision. [`Client`]
@@ -73,6 +74,7 @@ pub mod fusion;
 pub mod interaction;
 pub mod pilot;
 pub mod policy;
+mod population;
 pub mod potential;
 
 pub use client::Client;

@@ -5,12 +5,17 @@
 //! migration requests — gain bits included — and report the same
 //! Table IV numbers. The training prefix goes in through `preload` in
 //! arbitrary chunks, whose geometric merge schedule must build the same
-//! graph as one `observe_epoch` per chunk.
+//! graph as one `observe_epoch` per chunk. After every epoch the
+//! population, materialised, must be the graph a `GraphBuilder` builds
+//! from everything observed plus the expectation-only clients: that pins
+//! the vertex weights, which no wallet sees, across the boundary between
+//! the training CSR and the edges and clients added after it.
 
 use std::collections::BTreeMap;
 
 use mosaic_chain::Ledger;
 use mosaic_core::{Client, CounterpartySet, MosaicFramework};
+use mosaic_txgraph::GraphBuilder;
 use mosaic_types::hash::sha256_prefix_u64;
 use mosaic_types::{
     AccountId, AccountShardMap, BlockHeight, MigrationRequest, ShardId, SystemParams, Transaction,
@@ -40,7 +45,9 @@ impl Wallets {
             .or_insert_with(|| Client::new(account))
     }
 
-    fn set_expectations(&mut self, future: &[Transaction], beta: f64) {
+    /// Hands each sampled account its expectations and returns those
+    /// accounts, which become clients.
+    fn set_expectations(&mut self, future: &[Transaction], beta: f64) -> Vec<AccountId> {
         self.0.values_mut().for_each(Client::clear_expected);
         let mut sampled: BTreeMap<AccountId, CounterpartySet> = BTreeMap::new();
         for tx in future {
@@ -49,9 +56,11 @@ impl Wallets {
                 sampled.entry(tx.to).or_default().add(tx.from, 1);
             }
         }
+        let accounts = sampled.keys().copied().collect();
         for (account, expected) in sampled {
             self.wallet(account).set_expected(expected);
         }
+        accounts
     }
 
     fn observe(&mut self, txs: &[Transaction]) {
@@ -138,9 +147,12 @@ proptest! {
             }
         }
         wallets.observe(&training);
+        let mut oracle = GraphBuilder::new();
+        oracle.add_transactions(&training);
         // Read through a clone, so that the epochs below still start
         // with the preload fold pending.
         prop_assert_eq!(framework.clone().graph(), per_chunk.graph());
+        prop_assert_eq!(per_chunk.graph(), &oracle.build());
 
         for epoch in 0..epochs {
             // Self-transfers and repeated pairs come from the small id
@@ -164,7 +176,9 @@ proptest! {
             let omega: Vec<f64> = (0..k).map(|_| rng.next_unit_f64() * 100.0).collect();
 
             framework.set_expectations(&window);
-            wallets.set_expectations(&window, beta);
+            for account in wallets.set_expectations(&window, beta) {
+                oracle.touch(account);
+            }
 
             prop_assert!(ledger.beacon().pending().is_empty());
             let report = framework.propose(&mut ledger, &omega);
@@ -208,6 +222,8 @@ proptest! {
             let observed = &window[..window.len() * 3 / 4];
             framework.observe_epoch(observed);
             wallets.observe(observed);
+            oracle.add_transactions(observed);
+            prop_assert_eq!(framework.clone().graph(), &oracle.build(), "after epoch {}", epoch);
         }
     }
 }

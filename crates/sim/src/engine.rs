@@ -418,7 +418,10 @@ impl EpochStrategy for AdaptiveTxAllo {
 /// The strategy owns the cell's only interaction graph: the framework's
 /// population graph, preloaded from the training prefix, is also what
 /// G-TxAllo reads for the initial ϕ, so [`History`] stays empty (count
-/// only) for a Pilot cell.
+/// only) for a Pilot cell. From the first epoch on, the framework keeps
+/// that sorted CSR in place and adds each window's new edges and clients
+/// next to it, so learning an epoch costs O(window · log deg) and no
+/// Pilot epoch merges or rewrites the graph.
 #[derive(Debug, Clone)]
 pub struct MosaicStrategy<P> {
     params: SystemParams,

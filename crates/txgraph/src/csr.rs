@@ -4,10 +4,13 @@
 //! mutation: [`TxGraph::merge_delta`] sort-merges a drained batch of
 //! weight increments ([`GraphDelta`]) into the existing
 //! `xadj`/`adjncy`/`adjwgt` buffers **in place** (back-to-front, so the
-//! grown buffers are reused rather than reallocated). Maintaining the
-//! evaluation's full-history graph this way costs work proportional to
-//! the delta and the touched adjacency — not a from-scratch rebuild of
-//! the whole history every epoch.
+//! grown buffers are reused rather than reallocated). A delta that only
+//! adds weight to existing accounts and edges is patched in
+//! O(Δ log deg); one that adds an account or an edge rewrites every row
+//! once, O(V + E + Δ log Δ), which beats a from-scratch rebuild but is
+//! still a whole-graph pass — hence [`crate::GrowingGraph`]'s geometric
+//! schedule. [`TxGraph::into_parts`] hands the buffers to an owner that
+//! keeps them up to date some other way.
 
 use std::fmt;
 
@@ -39,6 +42,30 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
+}
+
+/// The buffers of a [`TxGraph`], moved out by [`TxGraph::into_parts`].
+///
+/// Node `i` is `accounts[i]` (ascending), of weight `vwgt[i]`; its
+/// adjacency is `xadj[i]..xadj[i + 1]` in `adjncy` (neighbours
+/// ascending) and `adjwgt`, every undirected edge stored once per
+/// direction.
+#[derive(Debug, Clone)]
+pub struct CsrParts {
+    /// Node → account, ascending.
+    pub accounts: Vec<AccountId>,
+    /// Account → node, the inverse of `accounts`.
+    pub index: FnvHashMap<AccountId, NodeId>,
+    /// Vertex weight per node.
+    pub vwgt: Vec<u64>,
+    /// Row starts, `node_count + 1` entries.
+    pub xadj: Vec<usize>,
+    /// Neighbour ids, ascending within each row.
+    pub adjncy: Vec<NodeId>,
+    /// Edge weights, parallel to `adjncy`.
+    pub adjwgt: Vec<u64>,
+    /// Sum of the undirected edge weights.
+    pub total_edge_weight: u64,
 }
 
 /// Immutable undirected weighted graph in CSR form.
@@ -504,6 +531,19 @@ impl TxGraph {
     /// Raw vertex weights, indexed by node.
     pub fn vwgt(&self) -> &[u64] {
         &self.vwgt
+    }
+
+    /// Moves the buffers out, copying nothing.
+    pub fn into_parts(self) -> CsrParts {
+        CsrParts {
+            accounts: self.accounts,
+            index: self.index,
+            vwgt: self.vwgt,
+            xadj: self.xadj,
+            adjncy: self.adjncy,
+            adjwgt: self.adjwgt,
+            total_edge_weight: self.total_edge_weight,
+        }
     }
 }
 

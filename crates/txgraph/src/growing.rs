@@ -9,7 +9,7 @@
 //! O(1) adjacency rewrites per edge — or when a reader asks for the
 //! whole graph.
 
-use mosaic_types::{AccountId, Transaction};
+use mosaic_types::Transaction;
 
 use crate::builder::GraphBuilder;
 use crate::csr::TxGraph;
@@ -23,8 +23,8 @@ const MERGE_FRACTION: usize = 8;
 ///
 /// Merging deltas yields the same graph however the stream is split
 /// (`tests/delta_equivalence.rs`), so every CSR [`GrowingGraph::graph`]
-/// returns equals a [`GraphBuilder::build`] of everything absorbed and
-/// touched so far, whatever the schedule merged when.
+/// returns equals a [`GraphBuilder::build`] of everything absorbed so
+/// far, whatever the schedule merged when.
 ///
 /// # Example
 ///
@@ -67,16 +67,16 @@ impl GrowingGraph {
         }
     }
 
-    /// Adds `account` as a vertex without edges (pending until the next
-    /// merge).
-    pub fn touch(&mut self, account: AccountId) {
-        self.pending.touch(account);
-    }
-
     /// Merges whatever is pending, then returns the whole graph.
     pub fn graph(&mut self) -> &TxGraph {
         self.merge();
         &self.csr
+    }
+
+    /// Merges whatever is pending, then gives up the whole graph.
+    pub fn into_graph(mut self) -> TxGraph {
+        self.merge();
+        self.csr
     }
 
     /// Edges of the merged CSR, not counting pending ones — a read that
@@ -94,6 +94,16 @@ impl GrowingGraph {
     fn merge(&mut self) {
         if self.pending.vertex_count() > 0 {
             self.csr.merge_delta(&self.pending.drain_delta());
+        }
+    }
+}
+
+impl From<TxGraph> for GrowingGraph {
+    /// A graph that grows from `csr`, nothing pending.
+    fn from(csr: TxGraph) -> Self {
+        GrowingGraph {
+            csr,
+            pending: GraphBuilder::new(),
         }
     }
 }

@@ -54,5 +54,5 @@ pub mod csr;
 pub mod growing;
 
 pub use builder::{GraphBuilder, GraphDelta};
-pub use csr::{NodeId, TxGraph};
+pub use csr::{CsrParts, NodeId, TxGraph};
 pub use growing::GrowingGraph;
