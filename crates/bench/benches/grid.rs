@@ -4,11 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mosaic_sim::experiments::run_scenario;
-use mosaic_sim::{Parallelism, Scale, Scenario};
+use mosaic_sim::{Parallelism, Scenario};
 
 fn bench_grid_execution(c: &mut Criterion) {
-    let grid =
-        |parallelism| Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism);
+    let quick = Scenario::parse(include_str!(
+        "../../../scenarios/effectiveness-quick.scenario"
+    ))
+    .expect("checked-in spec parses");
+    let grid = |parallelism| quick.clone().with_grid_parallelism(parallelism);
     let mut group = c.benchmark_group("effectiveness");
     group.sample_size(3);
     group.bench_function("sequential", |b| {

@@ -8,7 +8,7 @@ use mosaic_bench::scenario_from_args;
 use mosaic_sim::{experiments, Simulation};
 
 fn main() {
-    let scenario = scenario_from_args("Ablations (k = 16)", experiments::ablation_base);
+    let scenario = scenario_from_args("Ablations (k = 16)", "ablation-default");
     let session = Simulation::from_scenario(scenario.clone()).unwrap_or_else(|e| {
         eprintln!("failed to materialise scenario: {e}");
         std::process::exit(2);

@@ -11,7 +11,7 @@ use mosaic_sim::{experiments, GridAxis, Scenario, Simulation, Strategy};
 fn main() {
     let scenario = scenario_from_args(
         "All experiments (Tables I-VI, Figure 1)",
-        Scenario::effectiveness,
+        "effectiveness-default",
     );
     let session = Simulation::from_scenario(scenario.clone()).unwrap_or_else(|e| {
         eprintln!("failed to materialise scenario: {e}");
@@ -24,7 +24,7 @@ fn main() {
             std::process::exit(1);
         })
         .cells;
-    let beta_sweep = Scenario {
+    let sweep = Scenario {
         name: format!("{}-beta-sweep", scenario.name),
         base: scenario
             .base
@@ -34,7 +34,7 @@ fn main() {
         strategies: vec![Strategy::Mosaic],
         ..scenario.clone()
     };
-    let beta_cells = Simulation::with_trace(beta_sweep, session.trace())
+    let beta_cells = Simulation::with_trace(sweep, session.trace())
         .expect("the derived beta sweep stays valid")
         .run()
         .unwrap_or_else(|e| {

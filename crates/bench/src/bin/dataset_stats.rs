@@ -4,13 +4,12 @@
 
 use mosaic_bench::scenario_from_args;
 use mosaic_metrics::TextTable;
-use mosaic_sim::Scenario;
 use mosaic_workload::{generate, TraceStats};
 
 fn main() {
     let scenario = scenario_from_args(
         "Dataset statistics (synthetic Ethereum analogue)",
-        Scenario::full_protocol,
+        "default",
     );
     let Some(config) = scenario.workload() else {
         eprintln!("dataset_stats needs a generated trace source (CSV traces carry no generator description)");

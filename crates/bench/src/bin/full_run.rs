@@ -1,9 +1,9 @@
 //! Streams one full-protocol run per scenario cell to disk — and
 //! doubles as the CI determinism gate.
 //!
-//! The run is described by a declarative scenario: either a checked-in
-//! spec (`--scenario scenarios/quick.scenario`) or the
-//! [`Scenario::full_protocol`] preset at the `MOSAIC_SCALE` scale. The
+//! The run is described by a declarative scenario: the spec given with
+//! `--scenario`, or else `scenarios/default.scenario` with its CSVs sent
+//! to `results/` at the repository root. An invalid spec exits 2. The
 //! session materialises the trace once, runs every cell, and each
 //! per-epoch metric row is written to `<dir>/<cell>.csv` the moment it
 //! is computed — no per-epoch vector is held in memory, so the paper's
@@ -20,7 +20,6 @@
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario
-//! MOSAIC_SCALE=full cargo run -p mosaic-bench --release --bin full_run
 //! MOSAIC_STRATEGY=Pilot cargo run -p mosaic-bench --release --bin full_run
 //! cargo run -p mosaic-bench --release --bin full_run -- \
 //!     --scenario scenarios/quick.scenario --check-determinism
@@ -28,10 +27,10 @@
 
 use std::path::{Path, PathBuf};
 
-use mosaic_bench::{print_header, scenario_path_from_args};
+use mosaic_bench::{load_or_exit, preset_path, print_header, scenario_path_from_args};
 use mosaic_sim::engine::RunSummary;
 use mosaic_sim::scenario::CellSpec;
-use mosaic_sim::{ObserverSpec, RunObserver, Scale, Scenario, Simulation, Strategy};
+use mosaic_sim::{ObserverSpec, RunObserver, Simulation, Strategy};
 use mosaic_telemetry::Recorder;
 
 /// Runs every cell through the session with telemetry disabled, then
@@ -115,17 +114,13 @@ impl RunObserver for PrintSummary {
 fn main() {
     let check = std::env::args().any(|a| a == "--check-determinism");
     let mut scenario = match scenario_path_from_args() {
-        Some(path) => Scenario::load(&path).unwrap_or_else(|e| {
-            eprintln!("failed to load scenario {path}: {e}");
-            std::process::exit(2);
-        }),
+        Some(path) => load_or_exit(path),
         None => {
-            // Preset fallback: repo root resolved from this crate's
-            // manifest dir so the output lands in the gitignored
-            // /results regardless of invocation cwd.
+            // Repo root resolved from this crate's manifest dir so the
+            // output lands in the gitignored /results regardless of
+            // invocation cwd.
             let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-            Scenario::full_protocol(&Scale::from_env())
-                .with_observers([ObserverSpec::StreamCsv(results)])
+            load_or_exit(preset_path("default")).with_observers([ObserverSpec::StreamCsv(results)])
         }
     };
     // Fail fast on a typo'd filter: silently matching nothing would let

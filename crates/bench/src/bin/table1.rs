@@ -1,12 +1,12 @@
 //! Regenerates Table I: average cross-shard transaction ratios.
 
 use mosaic_bench::scenario_from_args;
-use mosaic_sim::{experiments, Scenario};
+use mosaic_sim::experiments;
 
 fn main() {
     let scenario = scenario_from_args(
         "Table I: cross-shard transaction ratio",
-        Scenario::effectiveness,
+        "effectiveness-default",
     );
     let cells = experiments::run_scenario(&scenario);
     println!("{}", experiments::table1(&cells));

@@ -1,10 +1,12 @@
 //! Shared plumbing for the report binaries and criterion benches.
 //!
 //! Every table and figure of the paper has a dedicated binary, and every
-//! binary is driven by a declarative [`Scenario`] — either a checked-in
-//! spec file (`--scenario scenarios/effectiveness-default.scenario`) or,
-//! when no file is given, the binary's preset at the `MOSAIC_SCALE`
-//! scale:
+//! binary is driven by a declarative [`Scenario`] file: the one given
+//! with `--scenario <file>`, or else the binary's default under the
+//! workspace's `scenarios/` (`effectiveness-default` for the tables,
+//! figure and `all_experiments`, `beta-sweep-default` for Table V,
+//! `ablation-default` for `ablation`, `default` for `dataset_stats` and
+//! `full_run`):
 //!
 //! ```text
 //! cargo run -p mosaic-bench --release --bin table1   # cross-shard ratio
@@ -17,17 +19,17 @@
 //! cargo run -p mosaic-bench --release --bin all_experiments
 //! cargo run -p mosaic-bench --release --bin ablation # policy ablation
 //! cargo run -p mosaic-bench --release --bin full_run # streamed per-epoch CSVs
-//! cargo run -p mosaic-bench --release --bin scenario -- print effectiveness quick
+//! cargo run -p mosaic-bench --release --bin table1 -- \
+//!     --scenario scenarios/effectiveness-quick.scenario   # seconds, not minutes
 //! ```
-//!
-//! All binaries accept `--scenario <file>` and honour
-//! `MOSAIC_SCALE=quick|default|full` as the preset fallback.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use mosaic_sim::{Scale, Scenario};
+use std::path::{Path, PathBuf};
+
+use mosaic_sim::Scenario;
 
 /// Extracts the `--scenario <path>` (or `--scenario=<path>`) argument,
 /// if present.
@@ -47,22 +49,32 @@ pub fn scenario_path_from_args() -> Option<String> {
     None
 }
 
-/// Resolves the scenario driving a report binary: `--scenario <file>`
-/// loads a checked-in spec; otherwise `preset` is applied to the
-/// `MOSAIC_SCALE` scale. Prints the standard experiment header.
+/// The checked-in spec `scenarios/<stem>.scenario` at the workspace
+/// root, wherever the binary runs from.
+pub fn preset_path(stem: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(format!("{stem}.scenario"))
+}
+
+/// Loads a scenario file, exiting with status 2 if it is unreadable,
+/// malformed or invalid.
+pub fn load_or_exit(path: impl AsRef<Path>) -> Scenario {
+    let path = path.as_ref();
+    Scenario::load(path).unwrap_or_else(|e| {
+        eprintln!("failed to load scenario {}: {e}", path.display());
+        std::process::exit(2);
+    })
+}
+
+/// Resolves the scenario driving a report binary: the `--scenario
+/// <file>` argument, or else the checked-in `scenarios/<default>.scenario`
+/// ([`preset_path`]). Prints the standard experiment header.
 ///
 /// Exits with status 2 on an unreadable or malformed scenario file.
-pub fn scenario_from_args(experiment: &str, preset: impl FnOnce(&Scale) -> Scenario) -> Scenario {
-    let scenario = match scenario_path_from_args() {
-        Some(path) => match Scenario::load(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("failed to load scenario {path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => preset(&Scale::from_env()),
-    };
+pub fn scenario_from_args(experiment: &str, default: &str) -> Scenario {
+    let scenario =
+        load_or_exit(scenario_path_from_args().map_or_else(|| preset_path(default), PathBuf::from));
     print_header(experiment, &scenario);
     scenario
 }

@@ -64,3 +64,9 @@ pub use server::{serve, serve_with_telemetry};
 pub use session::NodeSession;
 pub use stats::ServerStats;
 pub use wire::{Incoming, Wire};
+
+/// `scenarios/quick.scenario`, the spec the unit tests serve.
+#[cfg(test)]
+fn quick() -> mosaic_sim::Scenario {
+    mosaic_sim::Scenario::parse(include_str!("../../../scenarios/quick.scenario")).unwrap()
+}

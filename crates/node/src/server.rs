@@ -219,7 +219,6 @@ fn io_error(path: &str, e: &io::Error) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_sim::Scale;
     use mosaic_types::{AccountId, BlockHeight, Transaction, TxId};
     use Wire::{Binary, Line};
 
@@ -288,7 +287,7 @@ mod tests {
         ];
         for (case, wire, bytes, peer_reads, outcome, started, ingested) in table {
             let server = Server {
-                scenario: Scenario::full_protocol(&Scale::quick()),
+                scenario: crate::quick(),
                 stats: ServerStats::new(true),
                 stop: AtomicBool::new(false),
                 addr: ([127, 0, 0, 1], 0).into(),

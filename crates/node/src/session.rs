@@ -254,11 +254,11 @@ fn load_lines(report: &LoadReport) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::wire::{Incoming, Wire};
-    use mosaic_sim::{Scale, Scenario};
+    use mosaic_sim::Scenario;
     use mosaic_types::AccountId;
 
     fn session() -> NodeSession {
-        NodeSession::new(Scenario::full_protocol(&Scale::quick())).unwrap()
+        NodeSession::new(crate::quick()).unwrap()
     }
 
     /// Decodes `text` with the line codec and feeds it to `s` the way
@@ -283,7 +283,10 @@ mod tests {
     fn collect_observer_scenarios_are_rejected() {
         // Scenario::new defaults to the collect observer, which the node
         // target forbids.
-        let scenario = Scenario::effectiveness(&Scale::quick());
+        let scenario = Scenario::parse(include_str!(
+            "../../../scenarios/effectiveness-quick.scenario"
+        ))
+        .unwrap();
         let err = NodeSession::new(scenario).err().expect("must be rejected");
         assert!(err.to_string().contains("node/replay target"), "{err}");
     }

@@ -2,51 +2,30 @@
 //!
 //! Every function returns a [`TextTable`] shaped like the paper's
 //! original so the report binaries (`crates/bench/src/bin/table*.rs`)
-//! can print them directly. See `EXPERIMENTS.md` at the repository root
-//! for the paper-vs-measured record.
+//! can print them directly.
 //!
-//! Every grid here is *data*: the effectiveness grid is [`Scenario::effectiveness`], the β sweep is
-//! [`Scenario::beta_sweep`], and the ablations derive their grids from
-//! a base scenario — all executed by a
-//! [`Simulation`](crate::session::Simulation) session that materialises
-//! the trace once, shares it across cells behind an `Arc`, and runs the
-//! independent cells on the scenario's `grid_parallelism` lanes. Results are
-//! order-stable and — the engine being deterministic — byte-identical
-//! to a sequential run on the same seed.
+//! Every grid here is *data*: the effectiveness grid is
+//! `scenarios/effectiveness-*.scenario`, the β sweep is
+//! `scenarios/beta-sweep-*.scenario`, and the ablations derive their
+//! grids from a base scenario (`scenarios/ablation-*.scenario`) — all
+//! executed by a [`Simulation`] session
+//! that materialises the trace once, shares it across cells behind an
+//! `Arc`, and runs the independent cells on the scenario's
+//! `grid_parallelism` lanes. Results are order-stable and — the engine
+//! being deterministic — byte-identical to a sequential run on the same
+//! seed.
 
 use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
-use mosaic_types::{AccountId, DefaultRule, SystemParams};
+use mosaic_types::{AccountId, DefaultRule};
 
 use crate::parallel::ordered_map;
 use crate::radar::RadarAxis;
 use crate::runner::ExperimentResult;
-use crate::scale::Scale;
 use crate::scenario::{Capacity, GridAxis, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
 use crate::strategy::Strategy;
-
-/// The parameter rows of Tables I–IV: `k ∈ {4, 16, 32}` at `η = 2`, then
-/// `η ∈ {5, 10}` at `k = 16` (§V-A). Identical to the points
-/// [`Scenario::effectiveness`] expands to.
-pub fn parameter_sets(tau: u32) -> Vec<(String, SystemParams)> {
-    let build = |k: u16, eta: f64| {
-        SystemParams::builder()
-            .shards(k)
-            .eta(eta)
-            .tau(tau)
-            .build()
-            .expect("valid parameter grid")
-    };
-    vec![
-        ("k = 4".to_string(), build(4, 2.0)),
-        ("k = 16".to_string(), build(16, 2.0)),
-        ("k = 32".to_string(), build(32, 2.0)),
-        ("η = 5".to_string(), build(16, 5.0)),
-        ("η = 10".to_string(), build(16, 10.0)),
-    ]
-}
 
 /// Materialises and runs `scenario`, panicking on failure — the
 /// convenience every table function uses for presets known to be valid.
@@ -216,7 +195,7 @@ pub fn table4(cells: &[GridCell]) -> TextTable {
 }
 
 /// **Table V** — impact of future knowledge: the `scenario`'s β axis
-/// run with Mosaic (the [`Scenario::beta_sweep`] preset reproduces the
+/// run with Mosaic (`scenarios/beta-sweep-*.scenario` reproduce the
 /// paper: `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
 pub fn table5(scenario: &Scenario) -> TextTable {
     table5_from(&run_scenario(scenario))
@@ -409,25 +388,6 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     t
 }
 
-/// The base scenario of the ablation studies: the default parameter
-/// point (`k = 16`, `η = 2`) on the scale's workload, no grid. Each
-/// ablation derives its own grid/strategies from this.
-pub fn ablation_base(scale: &Scale) -> Scenario {
-    Scenario::new(
-        format!("ablation-{}", scale.label),
-        mosaic_workload::TraceSource::Generated(scale.workload.clone()),
-        scale.eval_epochs,
-    )
-    .with_base(
-        SystemParams::builder()
-            .shards(16)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()
-            .expect("valid ablation params"),
-    )
-}
-
 /// **Ablation (beyond the paper)** — Pilot versus policies that use only
 /// one of its two signals (interactions / workload) or none (sticky),
 /// on the base point of the `session`'s scenario. Each policy runs
@@ -605,12 +565,13 @@ pub fn churn_ablation(scenario: &Scenario) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::specs::{beta_quick, effectiveness_quick};
     use crate::Parallelism;
 
     /// One shared quick grid for all table tests (the grid is the
     /// expensive part).
     fn quick_cells() -> Vec<GridCell> {
-        run_scenario(&Scenario::effectiveness(&Scale::quick()))
+        run_scenario(&effectiveness_quick())
     }
 
     #[test]
@@ -619,7 +580,7 @@ mod tests {
         assert_eq!(cells.len(), 5 * Strategy::ALL.len());
         assert_eq!(row_labels(&cells).len(), 5);
         // Tables render without panicking and have the right row counts.
-        let scenario = Scenario::effectiveness(&Scale::quick());
+        let scenario = effectiveness_quick();
         assert_eq!(table1(&cells).row_count(), 5);
         assert_eq!(table2(&cells).row_count(), 5);
         assert_eq!(table3(&cells).row_count(), 5);
@@ -645,7 +606,7 @@ mod tests {
         // Same seed ⇒ byte-identical CSV series and identical cell
         // order, regardless of scheduling.
         let grid = |parallelism| {
-            let scenario = Scenario::effectiveness(&Scale::quick());
+            let scenario = effectiveness_quick();
             run_scenario(&scenario.with_grid_parallelism(parallelism))
         };
         let (sequential, parallel) = (grid(Parallelism::Sequential), grid(Parallelism::Auto));
@@ -662,33 +623,7 @@ mod tests {
     fn table5_is_monotonic_in_shape() {
         // Smoke test: the sweep runs and produces 5 rows; monotonicity is
         // asserted loosely (β=1 may regress slightly, as in the paper).
-        let t = table5(&Scenario::beta_sweep(&Scale::quick()));
+        let t = table5(&beta_quick());
         assert_eq!(t.row_count(), 5);
-    }
-
-    #[test]
-    fn parameter_sets_match_paper_grid() {
-        let sets = parameter_sets(300);
-        assert_eq!(sets.len(), 5);
-        assert_eq!(sets[0].1.shards(), 4);
-        assert_eq!(sets[2].1.shards(), 32);
-        assert_eq!(sets[3].1.eta(), 5.0);
-        assert_eq!(sets[4].1.eta(), 10.0);
-    }
-
-    #[test]
-    fn grid_specs_agree_with_parameter_sets() {
-        // The scenario expansion and the hand-written paper grid are the
-        // same data.
-        let scale = Scale::quick();
-        let cells = Scenario::effectiveness(&scale).cells().unwrap();
-        let sets = parameter_sets(scale.tau);
-        assert_eq!(cells.len(), sets.len() * Strategy::ALL.len());
-        for (i, cell) in cells.iter().enumerate() {
-            let (expected_label, expected_params) = &sets[i / Strategy::ALL.len()];
-            assert_eq!(&cell.label, expected_label);
-            assert_eq!(cell.config.params, *expected_params);
-            assert_eq!(cell.config.strategy, Strategy::ALL[i % Strategy::ALL.len()]);
-        }
     }
 }

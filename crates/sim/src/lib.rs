@@ -10,8 +10,11 @@
 //! * [`scenario`] — the declarative experiment spec: a [`Scenario`]
 //!   names a trace source, a parameter grid ([`GridAxis`] over
 //!   `k`/`η`/`τ`/`β`/`λ`/capacity), the strategy set, grid parallelism
-//!   and observers, and round-trips through a text format so studies
-//!   live as checked-in `.scenario` files;
+//!   and observers, and round-trips through a text format. The
+//!   experiment presets are the checked-in `scenarios/*.scenario` files
+//!   (`quick` for tests, `default` for commodity hardware, `full` for
+//!   the paper's 200-epoch protocol, `effectiveness-*`, `beta-sweep-*`
+//!   and `ablation-*` for the report binaries);
 //! * [`session`] — [`Simulation`], the runnable form of a scenario: it
 //!   expands the grid into cells, shares one trace across them, maps
 //!   the cells over [`Parallelism`] lanes in input order and fans every
@@ -30,9 +33,6 @@
 //!   its [`EpochStrategy`] implementation;
 //! * [`runner`] — [`ExperimentConfig`] and [`ExperimentResult`], one
 //!   cell and its measured outcome;
-//! * [`Scale`] — workload/epoch presets (`quick` for tests, `default`
-//!   for commodity-hardware runs, `full` for the paper's 200-epoch
-//!   protocol);
 //! * [`experiments`] — one function per paper table/figure (Tables I–VI,
 //!   Figure 1), each returning a [`mosaic_metrics::TextTable`] shaped
 //!   like the original.
@@ -57,11 +57,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use mosaic_sim::{experiments, Scale, Scenario, Simulation};
+//! use mosaic_sim::{experiments, Scenario, Simulation};
 //!
 //! // The paper's Tables I–IV grid as data: materialise the trace once,
 //! // run every cell, render Table I.
-//! let scenario = Scenario::effectiveness(&Scale::quick());
+//! let scenario = Scenario::load("scenarios/effectiveness-quick.scenario").unwrap();
 //! let report = Simulation::from_scenario(scenario).unwrap().run().unwrap();
 //! println!("{}", experiments::table1(&report.cells));
 //! ```
@@ -76,7 +76,6 @@ pub mod experiments;
 mod parallel;
 pub mod radar;
 pub mod runner;
-pub mod scale;
 pub mod scenario;
 pub mod session;
 pub mod strategy;
@@ -85,7 +84,109 @@ pub use alloc_core::{AllocationCore, LoadReport, ShardLoad};
 pub use engine::{EpochCtx, EpochDecision, EpochStrategy, MigrationCount, MosaicStrategy};
 pub use parallel::Parallelism;
 pub use runner::{ExperimentConfig, ExperimentResult};
-pub use scale::Scale;
 pub use scenario::{Capacity, GridAxis, ObserverSpec, RunTarget, Scenario};
 pub use session::{GridCell, RunObserver, Simulation, SimulationReport};
 pub use strategy::Strategy;
+
+/// The checked-in specs the unit tests run.
+#[cfg(test)]
+mod specs {
+    use crate::Scenario;
+
+    fn parse(text: &str) -> Scenario {
+        Scenario::parse(text).expect("checked-in specs parse")
+    }
+
+    /// `scenarios/quick.scenario`: the base point, every strategy.
+    pub(crate) fn quick() -> Scenario {
+        parse(SCALES[0].1)
+    }
+
+    /// `scenarios/effectiveness-quick.scenario`: Tables I–IV's grid.
+    pub(crate) fn effectiveness_quick() -> Scenario {
+        parse(include_str!(
+            "../../../scenarios/effectiveness-quick.scenario"
+        ))
+    }
+
+    /// `scenarios/beta-sweep-quick.scenario`: Table V's β axis.
+    pub(crate) fn beta_quick() -> Scenario {
+        parse(include_str!("../../../scenarios/beta-sweep-quick.scenario"))
+    }
+
+    /// The scale ladder, smallest first: `scenarios/quick.scenario`,
+    /// `default.scenario` and `full.scenario`, as (file, text).
+    pub(crate) const SCALES: [(&str, &str); 3] = [
+        ("quick", include_str!("../../../scenarios/quick.scenario")),
+        (
+            "default",
+            include_str!("../../../scenarios/default.scenario"),
+        ),
+        ("full", include_str!("../../../scenarios/full.scenario")),
+    ];
+
+    /// The experiment presets, as (file, text): the scale ladder, the
+    /// per-table grids at both sizes, and the 10M-account scenario.
+    pub(crate) const PRESETS: [(&str, &str); 10] = [
+        SCALES[0],
+        SCALES[1],
+        SCALES[2],
+        (
+            "effectiveness-quick",
+            include_str!("../../../scenarios/effectiveness-quick.scenario"),
+        ),
+        (
+            "effectiveness-default",
+            include_str!("../../../scenarios/effectiveness-default.scenario"),
+        ),
+        (
+            "beta-sweep-quick",
+            include_str!("../../../scenarios/beta-sweep-quick.scenario"),
+        ),
+        (
+            "beta-sweep-default",
+            include_str!("../../../scenarios/beta-sweep-default.scenario"),
+        ),
+        (
+            "ablation-quick",
+            include_str!("../../../scenarios/ablation-quick.scenario"),
+        ),
+        (
+            "ablation-default",
+            include_str!("../../../scenarios/ablation-default.scenario"),
+        ),
+        ("huge", include_str!("../../../scenarios/huge.scenario")),
+    ];
+}
+
+/// The scale ladder — quick, default, full — is the three files in
+/// [`specs::SCALES`]; these tests hold it to the shape every report
+/// assumes.
+#[cfg(test)]
+mod scale {
+    mod tests {
+        use crate::specs::SCALES;
+        use crate::Scenario;
+
+        #[test]
+        fn presets_are_internally_consistent() {
+            let mut previous_txs = 0;
+            for (file, text) in SCALES {
+                let scenario = Scenario::parse(text).unwrap();
+                let workload = scenario.workload().expect("a scale generates its trace");
+                workload.validate().unwrap();
+                let tau = u64::from(scenario.base.tau());
+                assert!(tau > 0 && scenario.eval_epochs > 0, "{file}");
+                // Every evaluated epoch fits in the tail after the training cut.
+                let cut = (workload.blocks as f64 * scenario.train_fraction).floor() as u64;
+                assert!(
+                    workload.blocks - cut >= scenario.eval_epochs as u64 * tau,
+                    "{file}: {} eval epochs of {tau} blocks overrun the tail",
+                    scenario.eval_epochs
+                );
+                assert!(workload.total_txs() > previous_txs, "{file} is not larger");
+                previous_txs = workload.total_txs();
+            }
+        }
+    }
+}

@@ -138,12 +138,12 @@ impl ExperimentResult {
 mod tests {
     use super::*;
     use crate::engine;
-    use crate::scale::Scale;
+    use crate::specs::quick;
     use mosaic_workload::{generate, EpochWindowStream, TransactionTrace};
     use std::sync::Arc;
 
     fn quick_trace() -> Arc<TransactionTrace> {
-        Arc::new(generate(&Scale::quick().workload).into_trace())
+        Arc::new(generate(quick().workload().unwrap()).into_trace())
     }
 
     /// One registry cell over a resident trace, rows collected.
@@ -160,14 +160,9 @@ mod tests {
     }
 
     fn quick_config(strategy: Strategy, k: u16) -> ExperimentConfig {
-        let scale = Scale::quick();
-        let params = SystemParams::builder()
-            .shards(k)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()
-            .unwrap();
-        ExperimentConfig::new(params, strategy, scale.eval_epochs)
+        let quick = quick();
+        let params = quick.base.with_shards(k).unwrap();
+        ExperimentConfig::new(params, strategy, quick.eval_epochs)
     }
 
     #[test]
@@ -175,7 +170,7 @@ mod tests {
         let trace = quick_trace();
         for strategy in Strategy::ALL {
             let result = run(&quick_config(strategy, 4), &trace);
-            assert_eq!(result.per_epoch.len(), Scale::quick().eval_epochs);
+            assert_eq!(result.per_epoch.len(), quick().eval_epochs);
             assert!(result.aggregate.cross_ratio >= 0.0);
             assert!(result.aggregate.cross_ratio <= 1.0);
             assert!(
@@ -226,9 +221,10 @@ mod tests {
     fn mosaic_migrations_bounded_by_lambda_per_epoch() {
         let trace = quick_trace();
         let result = run(&quick_config(Strategy::Mosaic, 4), &trace);
-        let scale = Scale::quick();
+        let quick = quick();
         // λ = |T_epoch|/k; epochs have tau × txs_per_block transactions.
-        let lambda = (u64::from(scale.tau) as usize * scale.workload.txs_per_block) as f64 / 4.0;
+        let epoch_txs = quick.base.tau() as usize * quick.workload().unwrap().txs_per_block;
+        let lambda = epoch_txs as f64 / 4.0;
         for epoch in &result.per_epoch {
             assert!(
                 (epoch.migrations as f64) <= lambda + 1.0,
@@ -281,8 +277,7 @@ mod tests {
     fn streaming_run_aborts_on_sink_failure() {
         // A sink with room for the header and roughly one row: the
         // cell stops at the failing epoch with the sink's error.
-        let sim = crate::Simulation::from_scenario(crate::Scenario::full_protocol(&Scale::quick()));
-        let sim = sim.unwrap();
+        let sim = crate::Simulation::from_scenario(quick()).unwrap();
         let mut room = [0u8; mosaic_metrics::report::EPOCH_CSV_HEADER.len() + 40];
         let mut sink = &mut room[..];
         let err = sim.stream_cell(&sim.cells()[0], &mut sink).unwrap_err();

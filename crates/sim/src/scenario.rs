@@ -31,8 +31,8 @@
 //! line: [`Scenario::to_text`] walks the table, [`Scenario::parse`] looks
 //! keys up in it, and an unknown key is refused with the valid ones. The
 //! grid axes have a table of their own (key and row-label symbol). The
-//! presets are plain constructors ([`Scenario::effectiveness`], …), also
-//! checked in as files under `scenarios/` at the repository root.
+//! experiment presets are the files under `scenarios/` at the
+//! repository root.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -41,7 +41,6 @@ use mosaic_types::{Error, LambdaPolicy, Result, SystemParams};
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
 use crate::runner::ExperimentConfig;
-use crate::scale::Scale;
 use crate::strategy::Strategy;
 use crate::Parallelism;
 
@@ -398,10 +397,9 @@ impl RunTarget {
 
 /// A complete, serializable experiment specification.
 ///
-/// Construct with [`Scenario::new`] + `with_*` helpers, a preset
-/// ([`Scenario::effectiveness`], [`Scenario::full_protocol`],
-/// [`Scenario::beta_sweep`]), or [`Scenario::parse`] /
-/// [`Scenario::load`] from the text format. Run it with
+/// Load a preset from `scenarios/` with [`Scenario::load`], parse one
+/// with [`Scenario::parse`], or build one with [`Scenario::new`] and the
+/// `with_*` helpers. Run it with
 /// [`Simulation::from_scenario`](crate::session::Simulation::from_scenario).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -732,13 +730,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the `cell_parallelism` key, which has no effect on a run
-    /// (see [`Scenario::cell_parallelism`]).
-    pub fn with_cell_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.cell_parallelism = parallelism;
-        self
-    }
-
     /// Replaces the observer stack.
     pub fn with_observers(mut self, observers: impl Into<Vec<ObserverSpec>>) -> Self {
         self.observers = observers.into();
@@ -761,78 +752,6 @@ impl Scenario {
     pub fn with_miner_count(mut self, miners: usize) -> Self {
         self.miner_count = Some(miners);
         self
-    }
-
-    /// The paper's effectiveness grid (§V-A, Tables I–IV): `k ∈ {4, 16,
-    /// 32}` at `η = 2`, then `η ∈ {5, 10}` at `k = 16`, every strategy,
-    /// on the scale's workload.
-    pub fn effectiveness(scale: &Scale) -> Self {
-        Scenario::new(
-            format!("effectiveness-{}", scale.label),
-            TraceSource::Generated(scale.workload.clone()),
-            scale.eval_epochs,
-        )
-        .with_base(paper_base(scale))
-        .with_axis(GridAxis::Shards(vec![4, 16, 32]))
-        .with_axis(GridAxis::Eta(vec![5.0, 10.0]))
-    }
-
-    /// The streamed full-protocol run behind the `full_run` binary: the
-    /// default parameter point (`k = 16`, `η = 2`), every strategy,
-    /// one cell at a time, per-epoch rows streamed to `results/`.
-    pub fn full_protocol(scale: &Scale) -> Self {
-        Scenario::new(
-            scale.label,
-            TraceSource::Generated(scale.workload.clone()),
-            scale.eval_epochs,
-        )
-        .with_base(paper_base(scale))
-        .with_grid_parallelism(Parallelism::Sequential)
-        .with_cell_parallelism(Parallelism::Auto)
-        .with_observers([ObserverSpec::StreamCsv(PathBuf::from("results"))])
-    }
-
-    /// The Table V future-knowledge sweep: Mosaic at `k = 4`, `η = 2`
-    /// with `β ∈ {0, 0.25, 0.5, 0.75, 1}`.
-    pub fn beta_sweep(scale: &Scale) -> Self {
-        Scenario::new(
-            format!("beta-sweep-{}", scale.label),
-            TraceSource::Generated(scale.workload.clone()),
-            scale.eval_epochs,
-        )
-        .with_base(paper_base(scale).with_shards(4).expect("valid k"))
-        .with_axis(GridAxis::Beta(vec![0.0, 0.25, 0.5, 0.75, 1.0]))
-        .with_strategies([Strategy::Mosaic])
-    }
-
-    /// The ROADMAP's 10M-account scale proof: a streamed synthetic
-    /// workload (40M transactions — never materialised) driven through
-    /// the full epoch protocol at the paper's parameter point, with
-    /// per-epoch rows streamed to `results/`. The hash-based Random
-    /// strategy frees the accreted graph right after the initial
-    /// allocation ([`crate::engine::EpochStrategy::consumes_history`]),
-    /// so steady-state memory is the current + recent window plus
-    /// O(accounts) generator and ledger state. `bench_scale` runs this
-    /// scenario proportionally scaled down to chart the epochs/sec +
-    /// peak-RSS curve vs account count.
-    pub fn huge() -> Self {
-        let mut workload = WorkloadConfig::paper_scaled(0xB16);
-        workload.initial_accounts = 10_000_000;
-        workload.blocks = 50_000;
-        workload.txs_per_block = 800;
-        Scenario::new("huge", TraceSource::StreamedGenerated(workload), 5)
-            .with_base(
-                SystemParams::builder()
-                    .shards(16)
-                    .eta(2.0)
-                    .tau(500)
-                    .build()
-                    .expect("valid params"),
-            )
-            .with_strategies([Strategy::Random])
-            .with_grid_parallelism(Parallelism::Sequential)
-            .with_cell_parallelism(Parallelism::Auto)
-            .with_observers([ObserverSpec::StreamCsv(PathBuf::from("results"))])
     }
 
     /// The workload config behind a generated trace source, if any.
@@ -923,13 +842,14 @@ impl Scenario {
     }
 
     /// Checks scenario-level invariants (strategy set, protocol fields,
-    /// axis values). Workload fields are validated by the generator at
-    /// materialisation time ([`WorkloadConfig::validate`]).
+    /// axis values) and a generated source's workload ranges
+    /// ([`WorkloadConfig::validate`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::ParseScenario`] (line 0) describing the first
-    /// violated invariant.
+    /// violated invariant, or [`Error::InvalidWorkload`] naming the
+    /// first workload field out of range.
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(parse_error(0, "scenario needs a name"));
@@ -948,6 +868,9 @@ impl Scenario {
         }
         if self.eval_epochs == 0 {
             return Err(parse_error(0, "eval_epochs must be at least 1"));
+        }
+        if let Some(workload) = self.workload() {
+            workload.validate()?;
         }
         if self.observers.is_empty() {
             return Err(parse_error(0, "scenario needs at least one observer"));
@@ -1114,17 +1037,6 @@ impl Scenario {
     }
 }
 
-/// The paper's default parameter point at a scale's epoch length:
-/// `k = 16`, `η = 2`, `τ = scale.tau`, `β = 0`.
-fn paper_base(scale: &Scale) -> SystemParams {
-    SystemParams::builder()
-        .shards(16)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .expect("paper defaults are valid")
-}
-
 fn parallelism_to_token(p: Parallelism) -> String {
     match p {
         Parallelism::Sequential => "sequential".to_string(),
@@ -1164,14 +1076,11 @@ fn parse_num<T: std::str::FromStr>(raw: &str, what: &str, line: usize) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick_effectiveness() -> Scenario {
-        Scenario::effectiveness(&Scale::quick())
-    }
+    use crate::specs::{beta_quick, effectiveness_quick, quick};
 
     #[test]
     fn effectiveness_points_match_the_paper_grid() {
-        let points = quick_effectiveness().points().unwrap();
+        let points = effectiveness_quick().points().unwrap();
         let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, ["k = 4", "k = 16", "k = 32", "η = 5", "η = 10"]);
         assert_eq!(points[0].params.shards(), 4);
@@ -1179,14 +1088,14 @@ mod tests {
         assert_eq!(points[3].params.shards(), 16);
         assert_eq!(points[3].params.eta(), 5.0);
         for p in &points {
-            assert_eq!(p.params.tau(), Scale::quick().tau);
+            assert_eq!(p.params.tau(), 50);
             assert_eq!(p.capacity, Capacity::Lambda);
         }
     }
 
     #[test]
     fn cells_nest_strategies_inside_points() {
-        let cells = quick_effectiveness().cells().unwrap();
+        let cells = effectiveness_quick().cells().unwrap();
         assert_eq!(cells.len(), 5 * Strategy::ALL.len());
         assert_eq!(cells[0].label, "k = 4");
         assert_eq!(cells[0].config.strategy, Strategy::Mosaic);
@@ -1199,7 +1108,7 @@ mod tests {
 
     #[test]
     fn single_point_scenario_labels_by_base_shards() {
-        let scenario = Scenario::full_protocol(&Scale::quick());
+        let scenario = quick();
         assert!(scenario.is_single_point());
         let points = scenario.points().unwrap();
         assert_eq!(points.len(), 1);
@@ -1208,25 +1117,21 @@ mod tests {
 
     #[test]
     fn text_roundtrip_is_exact_for_presets() {
-        for scenario in [
-            quick_effectiveness(),
-            Scenario::effectiveness(&Scale::default_scale()),
-            Scenario::full_protocol(&Scale::quick()),
-            Scenario::full_protocol(&Scale::full()),
-            Scenario::beta_sweep(&Scale::quick()),
-            Scenario::huge(),
-        ] {
-            let text = scenario.to_text();
-            let back = Scenario::parse(&text).unwrap();
-            assert_eq!(back, scenario, "round-trip diverged:\n{text}");
-            // Serialisation is canonical: a second trip is byte-stable.
-            assert_eq!(back.to_text(), text);
+        for (file, text) in crate::specs::PRESETS {
+            let scenario = Scenario::parse(text).unwrap();
+            // The file is canonical, and text → spec → text → spec is stable.
+            assert_eq!(scenario.to_text(), text, "{file}.scenario is not canonical");
+            assert_eq!(
+                Scenario::parse(&scenario.to_text()).unwrap(),
+                scenario,
+                "{file}"
+            );
         }
     }
 
     /// Every axis kind, observer kind and non-default protocol field.
     fn kitchen_sink() -> Scenario {
-        Scenario::new("kitchen-sink", TraceSource::csv("data/eth.csv"), 7)
+        let scenario = Scenario::new("kitchen-sink", TraceSource::csv("data/eth.csv"), 7)
             .with_base(
                 SystemParams::builder()
                     .shards(8)
@@ -1251,12 +1156,15 @@ mod tests {
             ]))
             .with_strategies([Strategy::Mosaic, Strategy::Random])
             .with_grid_parallelism(Parallelism::Threads(3))
-            .with_cell_parallelism(Parallelism::Auto)
             .with_observers([
                 ObserverSpec::Collect,
                 ObserverSpec::StreamCsv(PathBuf::from("out/csv")),
                 ObserverSpec::Telemetry(PathBuf::from("telemetry/run.jsonl")),
-            ])
+            ]);
+        Scenario {
+            cell_parallelism: Parallelism::Auto,
+            ..scenario
+        }
     }
 
     #[test]
@@ -1375,7 +1283,7 @@ mod tests {
 
         // streamed generator: the full WorkloadConfig rides along as
         // workload.* keys so the spec stays self-contained.
-        let workload = Scale::quick().workload;
+        let workload = quick().workload().unwrap().clone();
         let generated = Scenario::new("big", TraceSource::StreamedGenerated(workload.clone()), 3)
             .with_observers([ObserverSpec::StreamCsv(PathBuf::from("out"))]);
         let text = generated.to_text();
@@ -1394,7 +1302,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_streamed_source_with_collect_observer() {
-        let workload = Scale::quick().workload;
+        let workload = quick().workload().unwrap().clone();
         let streamed = Scenario::new("s", TraceSource::StreamedGenerated(workload), 3);
         // Default observers are [collect]: incompatible with a source
         // that promises bounded memory.
@@ -1410,7 +1318,7 @@ mod tests {
 
     #[test]
     fn node_target_roundtrips_and_rejects_collect() {
-        let node = Scenario::full_protocol(&Scale::quick()).with_target(RunTarget::Node);
+        let node = quick().with_target(RunTarget::Node);
         let text = node.to_text();
         assert!(text.contains("target = node"), "{text}");
         let back = Scenario::parse(&text).unwrap();
@@ -1418,7 +1326,7 @@ mod tests {
         assert_eq!(back.target, RunTarget::Node);
         // Offline scenarios never emit the key, so checked-in files are
         // byte-stable across the target's introduction.
-        let offline = Scenario::full_protocol(&Scale::quick());
+        let offline = quick();
         assert!(
             !offline.to_text().contains("target"),
             "{}",
@@ -1431,7 +1339,7 @@ mod tests {
 
         // Node target + collect observer: rows live on the service, so
         // there is nothing for collect to fill.
-        let bad = quick_effectiveness().with_target(RunTarget::Node);
+        let bad = effectiveness_quick().with_target(RunTarget::Node);
         let err = bad.validate().unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("node/replay target"), "{err}");
@@ -1446,9 +1354,9 @@ mod tests {
     fn run_target_check_accepts_offline_specs_unconditionally() {
         // The offline arm imposes no target rules: collect observers,
         // streaming observers and grids are all the simulator's business.
-        let collect = quick_effectiveness();
+        let collect = effectiveness_quick();
         assert!(RunTarget::Offline.validate(&collect).is_ok());
-        let streaming = Scenario::full_protocol(&Scale::quick());
+        let streaming = quick();
         assert!(RunTarget::Offline.validate(&streaming).is_ok());
     }
 
@@ -1456,7 +1364,7 @@ mod tests {
     fn run_target_check_rejects_collect_observer_for_node() {
         // Node rejection arm: rows live on the service, so an observer
         // that fills an in-memory result set has nothing to fill.
-        let collect = quick_effectiveness();
+        let collect = effectiveness_quick();
         let err = RunTarget::Node.validate(&collect).unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("node/replay target"), "{err}");
@@ -1467,7 +1375,7 @@ mod tests {
     fn run_target_check_accepts_streaming_observers_for_node() {
         // The node arm only rejects in-process accumulation; stream-csv
         // specs (every checked-in node scenario) pass untouched.
-        let streaming = Scenario::full_protocol(&Scale::quick());
+        let streaming = quick();
         assert!(RunTarget::Node.validate(&streaming).is_ok());
     }
 
@@ -1475,22 +1383,22 @@ mod tests {
     fn cells_for_retags_without_mutating_the_spec() {
         // An offline spec with streaming observers expands fine for a
         // node driver and yields the same cells as the offline view.
-        let scenario = Scenario::full_protocol(&Scale::quick());
+        let scenario = quick();
         let node_cells = scenario.cells_for(RunTarget::Node).unwrap();
         assert_eq!(node_cells, scenario.cells().unwrap());
         assert_eq!(scenario.target, RunTarget::Offline);
         // A collect spec is rejected through the same path...
-        let err = quick_effectiveness()
+        let err = effectiveness_quick()
             .cells_for(RunTarget::Node)
             .unwrap_err();
         assert!(err.to_string().contains("node/replay target"), "{err}");
         // ...but stays valid for its declared offline target.
-        assert!(quick_effectiveness().cells_for(RunTarget::Offline).is_ok());
+        assert!(effectiveness_quick().cells_for(RunTarget::Offline).is_ok());
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let text = quick_effectiveness().to_text();
+        let text = effectiveness_quick().to_text();
         let broken = text.replace("axis.k = 4, 16, 32", "axis.k = 4, banana");
         let err = Scenario::parse(&broken).unwrap_err();
         assert!(
@@ -1543,7 +1451,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_inconsistent_scenarios() {
-        let base = quick_effectiveness();
+        let base = effectiveness_quick();
         let mut s = base.clone();
         s.strategies.clear();
         assert!(s.validate().is_err());
@@ -1597,8 +1505,44 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_workload_values_are_typed_errors() {
+        // One value per range rule; a later key overrides an earlier
+        // one, so appending the line replaces the file's value.
+        let cases = [
+            ("initial_accounts", "1"),
+            ("blocks", "0"),
+            ("txs_per_block", "0"),
+            ("activity_exponent", "-0.5"),
+            ("activity_exponent", "inf"),
+            ("communities", "0"),
+            ("intra_community_bias", "1.5"),
+            ("hub_fraction", "0.6"),
+            ("hub_traffic_share", "-0.1"),
+            ("new_accounts_per_block", "-1"),
+            ("drift_per_block", "2"),
+        ];
+        for trace in ["generated", "streamed"] {
+            for (key, bad) in cases {
+                let text = format!(
+                    "{}trace = {trace}\nworkload.{key} = {bad}\n",
+                    quick().to_text()
+                );
+                let err = Scenario::parse(&text).unwrap_err();
+                assert!(
+                    matches!(err, Error::InvalidWorkload { field, .. } if field == key),
+                    "{trace} {key} = {bad}: {err}"
+                );
+                assert!(
+                    err.to_string().contains(&format!("workload.{key} = ")),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn file_stems_are_filesystem_safe() {
-        let cells = quick_effectiveness().cells().unwrap();
+        let cells = effectiveness_quick().cells().unwrap();
         assert_eq!(cells[0].file_stem(false), "k-4-pilot");
         assert_eq!(cells[0].file_stem(true), "pilot");
         let greek = CellPoint {
@@ -1617,7 +1561,7 @@ mod tests {
 
     #[test]
     fn save_and_load_roundtrip_through_disk() {
-        let scenario = Scenario::beta_sweep(&Scale::quick());
+        let scenario = beta_quick();
         let dir = std::env::temp_dir().join("mosaic-scenario-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("beta.scenario");

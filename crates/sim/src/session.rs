@@ -422,27 +422,17 @@ fn io_error(path: impl std::fmt::Display, e: &dyn std::fmt::Display) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
     use crate::scenario::GridAxis;
+    use crate::specs::quick;
     use crate::Parallelism;
     use mosaic_workload::TraceSource;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn quick_scenario() -> Scenario {
-        Scenario::new(
-            "session-test",
-            TraceSource::Generated(Scale::quick().workload),
-            Scale::quick().eval_epochs,
-        )
-        .with_base(
-            mosaic_types::SystemParams::builder()
-                .shards(4)
-                .eta(2.0)
-                .tau(Scale::quick().tau)
-                .build()
-                .unwrap(),
-        )
-        .with_strategies([Strategy::Mosaic, Strategy::Random])
+        let quick = quick();
+        Scenario::new("session-test", quick.trace, quick.eval_epochs)
+            .with_base(quick.base.with_shards(4).unwrap())
+            .with_strategies([Strategy::Mosaic, Strategy::Random])
     }
 
     /// `quick_scenario` with the source flipped to its streamed
@@ -450,7 +440,7 @@ mod tests {
     /// observer becomes `stream-csv` into `dir`).
     fn streamed_quick_scenario(dir: &std::path::Path) -> Scenario {
         let mut scenario = quick_scenario();
-        scenario.trace = TraceSource::StreamedGenerated(Scale::quick().workload);
+        scenario.trace = TraceSource::StreamedGenerated(quick().workload().unwrap().clone());
         scenario.with_observers([ObserverSpec::StreamCsv(dir.to_path_buf())])
     }
 
@@ -599,7 +589,7 @@ mod tests {
         assert_eq!(observer.cells.load(Ordering::Relaxed), 2);
         assert_eq!(
             observer.epochs.load(Ordering::Relaxed),
-            2 * Scale::quick().eval_epochs
+            2 * quick().eval_epochs
         );
     }
 

@@ -76,7 +76,7 @@ impl DefaultRule {
         match self {
             DefaultRule::Sha256Mod => ShardId::new((prefix % u64::from(k)) as u16),
             DefaultRule::Sha256FirstBits => {
-                // Scale the 64-bit prefix into [0, k): equivalent to taking
+                // Map the 64-bit prefix into [0, k): equivalent to taking
                 // the first log2(k) bits when k is a power of two.
                 let shard = ((u128::from(prefix) * u128::from(k)) >> 64) as u16;
                 ShardId::new(shard.min(k - 1))

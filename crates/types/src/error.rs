@@ -28,6 +28,15 @@ pub enum Error {
     InvalidTau(u32),
     /// A fixed capacity `λ` must be positive and finite.
     InvalidLambda(f64),
+    /// A synthetic-workload field is out of range.
+    InvalidWorkload {
+        /// The field, named as its `workload.<field>` scenario key.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The accepted range.
+        expected: &'static str,
+    },
     /// A migration request must actually move the account.
     SelfMigration(AccountId),
     /// A trace or epoch window was empty where data was required.
@@ -69,6 +78,11 @@ impl fmt::Display for Error {
             Error::InvalidBeta(beta) => write!(f, "invalid beta = {beta}, need 0 <= beta <= 1"),
             Error::InvalidTau(tau) => write!(f, "invalid epoch length tau = {tau}"),
             Error::InvalidLambda(l) => write!(f, "invalid capacity lambda = {l}"),
+            Error::InvalidWorkload {
+                field,
+                value,
+                expected,
+            } => write!(f, "invalid workload.{field} = {value}, need {expected}"),
             Error::SelfMigration(acct) => {
                 write!(f, "migration request for {acct} does not change shard")
             }

@@ -1,5 +1,6 @@
 //! Workload generator configuration.
 
+use mosaic_types::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic Ethereum-like trace generator.
@@ -154,42 +155,80 @@ impl WorkloadConfig {
         self.blocks as usize * self.txs_per_block
     }
 
-    /// Validates ranges; called by the generator.
+    /// Checks every field's range; the generator and
+    /// `Scenario::validate` call it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range fields — configs are developer input, not
-    /// user input, so a panic with a precise message is the right failure
-    /// mode (C-VALIDATE, dynamic enforcement).
-    pub fn validate(&self) {
-        assert!(self.initial_accounts >= 2, "need at least two accounts");
-        assert!(self.blocks > 0, "need at least one block");
-        assert!(self.txs_per_block > 0, "need at least one tx per block");
-        assert!(
-            self.activity_exponent.is_finite() && self.activity_exponent >= 0.0,
-            "activity exponent must be >= 0"
-        );
-        assert!(self.communities >= 1, "need at least one community");
-        assert!(
-            (0.0..=1.0).contains(&self.intra_community_bias),
-            "intra-community bias must be in [0,1]"
-        );
-        assert!(
-            (0.0..=0.5).contains(&self.hub_fraction),
-            "hub fraction must be in [0,0.5]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.hub_traffic_share),
-            "hub traffic share must be in [0,1]"
-        );
-        assert!(
-            self.new_accounts_per_block >= 0.0,
-            "churn rate must be >= 0"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.drift_per_block),
-            "drift must be in [0,1]"
-        );
+    /// Returns [`Error::InvalidWorkload`] naming the first field out of
+    /// range.
+    pub fn validate(&self) -> Result<()> {
+        let unit = 0.0..=1.0;
+        let rules = [
+            (
+                "initial_accounts",
+                self.initial_accounts as f64,
+                self.initial_accounts >= 2,
+                "at least 2",
+            ),
+            ("blocks", self.blocks as f64, self.blocks > 0, "at least 1"),
+            (
+                "txs_per_block",
+                self.txs_per_block as f64,
+                self.txs_per_block > 0,
+                "at least 1",
+            ),
+            (
+                "activity_exponent",
+                self.activity_exponent,
+                self.activity_exponent.is_finite() && self.activity_exponent >= 0.0,
+                "a finite value >= 0",
+            ),
+            (
+                "communities",
+                self.communities as f64,
+                self.communities >= 1,
+                "at least 1",
+            ),
+            (
+                "intra_community_bias",
+                self.intra_community_bias,
+                unit.contains(&self.intra_community_bias),
+                "a value in [0, 1]",
+            ),
+            (
+                "hub_fraction",
+                self.hub_fraction,
+                (0.0..=0.5).contains(&self.hub_fraction),
+                "a value in [0, 0.5]",
+            ),
+            (
+                "hub_traffic_share",
+                self.hub_traffic_share,
+                unit.contains(&self.hub_traffic_share),
+                "a value in [0, 1]",
+            ),
+            (
+                "new_accounts_per_block",
+                self.new_accounts_per_block,
+                self.new_accounts_per_block >= 0.0,
+                "a value >= 0",
+            ),
+            (
+                "drift_per_block",
+                self.drift_per_block,
+                unit.contains(&self.drift_per_block),
+                "a value in [0, 1]",
+            ),
+        ];
+        match rules.into_iter().find(|rule| !rule.2) {
+            Some((field, value, _, expected)) => Err(Error::InvalidWorkload {
+                field,
+                value,
+                expected,
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -205,9 +244,9 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        WorkloadConfig::paper_scaled(1).validate();
-        WorkloadConfig::small_test(1).validate();
-        WorkloadConfig::default().validate();
+        WorkloadConfig::paper_scaled(1).validate().unwrap();
+        WorkloadConfig::small_test(1).validate().unwrap();
+        WorkloadConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -230,17 +269,17 @@ mod tests {
         assert_eq!(cfg.total_txs(), 20);
     }
 
+    // The generator refuses an invalid config with the typed error's
+    // message.
     #[test]
-    #[should_panic(expected = "two accounts")]
+    #[should_panic(expected = "invalid workload.initial_accounts = 1, need at least 2")]
     fn rejects_single_account() {
-        WorkloadConfig::small_test(0).with_accounts(1).validate();
+        crate::generate(&WorkloadConfig::small_test(0).with_accounts(1));
     }
 
     #[test]
-    #[should_panic(expected = "bias")]
+    #[should_panic(expected = "invalid workload.intra_community_bias = 1.5")]
     fn rejects_bad_bias() {
-        WorkloadConfig::small_test(0)
-            .with_intra_community_bias(1.5)
-            .validate();
+        crate::generate(&WorkloadConfig::small_test(0).with_intra_community_bias(1.5));
     }
 }

@@ -240,7 +240,9 @@ impl GeneratedStream {
     /// Panics if the configuration is invalid (see
     /// [`WorkloadConfig::validate`]).
     pub fn new(cfg: &WorkloadConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         GeneratedStream {
             cfg: cfg.clone(),
             state: GenState::new(cfg),

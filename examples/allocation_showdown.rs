@@ -4,33 +4,24 @@
 //!
 //! ```text
 //! cargo run --release --example allocation_showdown
-//! MOSAIC_SCALE=default cargo run --release --example allocation_showdown
-//! cargo run --release --example allocation_showdown -- scenarios/quick.scenario
+//! cargo run --release --example allocation_showdown -- scenarios/default.scenario
 //! ```
 
 use mosaic::prelude::*;
 use mosaic::sim::{ObserverSpec, Scenario, Simulation};
-use mosaic::workload::TraceSource;
 
 fn main() -> Result<(), mosaic::types::Error> {
     // The experiment as data: either a .scenario file from the command
-    // line, or an 8-shard single-point spec at the MOSAIC_SCALE scale.
+    // line, or an 8-shard single-point spec on the quick workload.
     let scenario = match std::env::args().nth(1) {
         Some(path) => Scenario::load(path)?.with_observers([ObserverSpec::Collect]),
         None => {
-            let scale = Scale::from_env();
-            Scenario::new(
-                "allocation-showdown",
-                TraceSource::Generated(scale.workload.clone()),
-                scale.eval_epochs,
-            )
-            .with_base(
-                SystemParams::builder()
-                    .shards(8)
-                    .eta(2.0)
-                    .tau(scale.tau)
-                    .build()?,
-            )
+            let quick = Scenario::load(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/scenarios/quick.scenario"
+            ))?;
+            Scenario::new("allocation-showdown", quick.trace, quick.eval_epochs)
+                .with_base(quick.base.with_shards(8)?)
         }
     };
     let workload = scenario.workload().cloned();

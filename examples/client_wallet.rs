@@ -9,7 +9,6 @@
 
 use mosaic::prelude::*;
 use mosaic::sim::{Scenario, Simulation};
-use mosaic::workload::TraceSource;
 
 fn main() -> Result<(), mosaic::types::Error> {
     let params = SystemParams::builder().shards(4).eta(2.0).build()?;
@@ -85,20 +84,13 @@ fn main() -> Result<(), mosaic::types::Error> {
 
     // Zoom out: every client on a synthetic network running this exact
     // wallet logic — one single-point scenario, Mosaic only.
-    let scale = Scale::quick();
-    let scenario = Scenario::new(
-        "client-wallet-network",
-        TraceSource::Generated(scale.workload.clone()),
-        scale.eval_epochs,
-    )
-    .with_base(
-        SystemParams::builder()
-            .shards(4)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()?,
-    )
-    .with_strategies([Strategy::Mosaic]);
+    let quick = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))?;
+    let scenario = Scenario::new("client-wallet-network", quick.trace, quick.eval_epochs)
+        .with_base(quick.base.with_shards(4)?)
+        .with_strategies([Strategy::Mosaic]);
     let report = Simulation::from_scenario(scenario)?.run()?;
     let r = &report.cells[0].result;
     println!(

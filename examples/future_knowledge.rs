@@ -1,32 +1,21 @@
 //! The Table V experiment as a demo: how much does knowing a fraction β
 //! of your future transactions improve your allocation? One scenario
-//! with a β grid axis — the trace is generated once and shared across
-//! all five cells by the [`Simulation`] session.
+//! with a β grid axis (`scenarios/beta-sweep-quick.scenario`) — the
+//! trace is generated once and shared across all five cells by the
+//! [`Simulation`] session.
 //!
 //! ```text
 //! cargo run --release --example future_knowledge
 //! ```
 
 use mosaic::prelude::*;
-use mosaic::sim::{GridAxis, Scenario, Simulation};
-use mosaic::workload::TraceSource;
+use mosaic::sim::{Scenario, Simulation};
 
 fn main() -> Result<(), mosaic::types::Error> {
-    let scale = Scale::quick();
-    let scenario = Scenario::new(
-        "future-knowledge",
-        TraceSource::Generated(scale.workload.clone()),
-        scale.eval_epochs,
-    )
-    .with_base(
-        SystemParams::builder()
-            .shards(4)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()?,
-    )
-    .with_axis(GridAxis::Beta(vec![0.0, 0.25, 0.5, 0.75, 1.0]))
-    .with_strategies([Strategy::Mosaic]);
+    let scenario = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/beta-sweep-quick.scenario"
+    ))?;
 
     let report = Simulation::from_scenario(scenario)?.run()?;
 

@@ -67,19 +67,19 @@ fn main() -> Result<(), mosaic::types::Error> {
     // and compare uninformed newcomers (β = 0) against newcomers that
     // self-place from their plans (β = 1) — one scenario, one shared
     // trace, two cells.
-    let scale = Scale::quick();
+    let quick = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))?;
+    let churned = quick
+        .workload()
+        .expect("quick.scenario generates its trace");
     let scenario = Scenario::new(
         "onboarding-under-churn",
-        TraceSource::Generated(scale.workload.clone().with_churn(4.0)),
-        scale.eval_epochs,
+        TraceSource::Generated(churned.clone().with_churn(4.0)),
+        quick.eval_epochs,
     )
-    .with_base(
-        SystemParams::builder()
-            .shards(4)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()?,
-    )
+    .with_base(quick.base.with_shards(4)?)
     .with_axis(GridAxis::Beta(vec![0.0, 1.0]))
     .with_strategies([Strategy::Mosaic]);
     let report = Simulation::from_scenario(scenario)?.run()?;

@@ -8,7 +8,6 @@
 
 use mosaic::prelude::*;
 use mosaic::sim::{Scenario, Simulation};
-use mosaic::workload::TraceSource;
 
 fn main() -> Result<(), mosaic::types::Error> {
     // A 4-shard system with the paper's default difficulty η = 2 and
@@ -79,26 +78,19 @@ fn main() -> Result<(), mosaic::types::Error> {
     // trace generation, the 90/10 split, initial allocation, the epoch
     // loop, and metric collection. Save it with `scenario.save(path)`
     // and replay it from any binary with `--scenario <path>`.
-    let scale = Scale::quick();
-    let scenario = Scenario::new(
-        "quickstart",
-        TraceSource::Generated(scale.workload.clone()),
-        scale.eval_epochs,
-    )
-    .with_base(
-        SystemParams::builder()
-            .shards(4)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()?,
-    )
-    .with_strategies([Strategy::Mosaic]);
+    let quick = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))?;
+    let scenario = Scenario::new("quickstart", quick.trace, quick.eval_epochs)
+        .with_base(quick.base.with_shards(4)?)
+        .with_strategies([Strategy::Mosaic]);
     let report = Simulation::from_scenario(scenario)?.run()?;
     let r = &report.cells[0].result;
     println!(
         "\nthe same experiment as data ({} eval epochs via Scenario/Simulation):\n\
          cross-ratio {:.2}%, throughput {:.2}, deviation {:.2}, {} migrations",
-        scale.eval_epochs,
+        quick.eval_epochs,
         r.aggregate.cross_ratio * 100.0,
         r.aggregate.normalized_throughput,
         r.aggregate.workload_deviation,

@@ -80,17 +80,13 @@
 //! ```
 //! use mosaic::prelude::*;
 //! use mosaic::sim::{MosaicStrategy, Simulation};
-//! use mosaic::workload::TraceSource;
 //!
 //! # fn main() -> Result<(), mosaic::types::Error> {
-//! let scale = Scale::quick();
-//! let scenario = Scenario::new(
-//!     "custom-policy",
-//!     TraceSource::Generated(scale.workload.clone()),
-//!     scale.eval_epochs,
-//! )
-//! .with_base(SystemParams::builder().shards(4).tau(scale.tau).build()?)
-//! .with_strategies([Strategy::Mosaic]);
+//! // The checked-in quick preset, cut to one strategy at k = 4.
+//! let quick = Scenario::load("scenarios/quick.scenario")?;
+//! let scenario = Scenario::new("custom-policy", quick.trace, quick.eval_epochs)
+//!     .with_base(quick.base.with_shards(4)?)
+//!     .with_strategies([Strategy::Mosaic]);
 //!
 //! // Any ClientPolicy slots into the client-driven wrapper; any custom
 //! // EpochStrategy impl can be driven the same way.
@@ -100,7 +96,7 @@
 //!         mosaic::core::policy::PilotPolicy,
 //!     ))
 //! })?;
-//! assert_eq!(report.cells[0].result.per_epoch.len(), scale.eval_epochs);
+//! assert_eq!(report.cells[0].result.per_epoch.len(), quick.eval_epochs);
 //! # Ok(())
 //! # }
 //! ```
@@ -131,8 +127,8 @@ pub mod prelude {
     pub use mosaic_node::{MosaicClient, Request, Response, Wire};
     pub use mosaic_partition::{GlobalAllocator, HashAllocator, MetisPartitioner};
     pub use mosaic_sim::{
-        EpochStrategy, ExperimentConfig, ExperimentResult, Parallelism, Scale, Scenario,
-        Simulation, Strategy,
+        EpochStrategy, ExperimentConfig, ExperimentResult, Parallelism, Scenario, Simulation,
+        Strategy,
     };
     pub use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
     pub use mosaic_txgraph::{GraphBuilder, TxGraph};

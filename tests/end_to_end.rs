@@ -4,19 +4,23 @@
 use std::sync::Arc;
 
 use mosaic::prelude::*;
-use mosaic::workload::TraceSource;
+
+/// `scenarios/quick.scenario`: the workload, τ and epoch count the
+/// tests here run.
+fn quick() -> Scenario {
+    Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))
+    .unwrap()
+}
 
 /// One `strategy` cell at `k = 4` on the quick scale over `trace`, rows
 /// collected.
 fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) -> ExperimentResult {
-    let scale = Scale::quick();
-    let params = SystemParams::builder()
-        .shards(4)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
-    let scenario = Scenario::new("end-to-end", TraceSource::Generated(scale.workload), epochs)
-        .with_base(params)
+    let quick = quick();
+    let scenario = Scenario::new("end-to-end", quick.trace, epochs)
+        .with_base(quick.base.with_shards(4).unwrap())
         .with_strategies([strategy]);
     let report = Simulation::with_trace(scenario, Arc::new(trace))
         .unwrap()
@@ -28,14 +32,9 @@ fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) ->
 /// Runs the Mosaic strategy on the quick scale and returns everything
 /// needed for invariant checks.
 fn run_mosaic_pipeline(k: u16) -> (Ledger, MosaicFramework, TransactionTrace, SystemParams) {
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let params = SystemParams::builder()
-        .shards(k)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    let quick = quick();
+    let trace = generate(quick.workload().unwrap()).into_trace();
+    let params = quick.base.with_shards(k).unwrap();
     let (train, _) = trace.split_at_fraction(0.9);
     let mut builder = GraphBuilder::new();
     builder.add_transactions(train);
@@ -82,9 +81,9 @@ fn chains_verify_after_full_run() {
 
 #[test]
 fn committed_migrations_never_exceed_lambda() {
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let result = run_quick_cell(Strategy::Mosaic, scale.eval_epochs, trace);
+    let quick = quick();
+    let trace = generate(quick.workload().unwrap()).into_trace();
+    let result = run_quick_cell(Strategy::Mosaic, quick.eval_epochs, trace);
     for epoch in &result.per_epoch {
         let lambda = epoch.total_txs as f64 / 4.0;
         assert!(
@@ -123,9 +122,9 @@ fn mosaic_converges_not_thrashes() {
     // Cross-shard ratio in the last epoch should not be dramatically
     // worse than in the first: client-driven migration must not cause
     // systemic thrash.
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
-    let result = run_quick_cell(Strategy::Mosaic, scale.eval_epochs, trace);
+    let quick = quick();
+    let trace = generate(quick.workload().unwrap()).into_trace();
+    let result = run_quick_cell(Strategy::Mosaic, quick.eval_epochs, trace);
     let first = result.per_epoch.first().unwrap().cross_ratio;
     let last = result.per_epoch.last().unwrap().cross_ratio;
     assert!(
@@ -137,8 +136,7 @@ fn mosaic_converges_not_thrashes() {
 #[test]
 fn csv_roundtrip_preserves_experiment_results() {
     // A trace exported and re-imported must produce identical metrics.
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let trace = generate(quick().workload().unwrap()).into_trace();
     let mut buf = Vec::new();
     mosaic::workload::csv::write_trace(&trace, &mut buf).unwrap();
     let reloaded = mosaic::workload::csv::read_trace(buf.as_slice()).unwrap();

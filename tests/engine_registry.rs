@@ -9,25 +9,25 @@ use mosaic::prelude::*;
 use mosaic::sim::engine::{self, History};
 use mosaic::sim::experiments;
 use mosaic::types::Error;
-use mosaic::workload::{EpochWindowStream, TraceSource};
+use mosaic::workload::EpochWindowStream;
+
+/// `scenarios/quick.scenario`: the workload, τ and epoch count the
+/// tests here run.
+fn quick() -> Scenario {
+    Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))
+    .unwrap()
+}
 
 /// A one-cell session: `strategy` at `k = 4` on the quick scale, rows
 /// collected, over the shared `trace`.
 fn quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> Simulation {
-    let scale = Scale::quick();
-    let params = SystemParams::builder()
-        .shards(4)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
-    let scenario = Scenario::new(
-        "engine-registry",
-        TraceSource::Generated(scale.workload),
-        scale.eval_epochs,
-    )
-    .with_base(params)
-    .with_strategies([strategy]);
+    let quick = quick();
+    let scenario = Scenario::new("engine-registry", quick.trace, quick.eval_epochs)
+        .with_base(quick.base.with_shards(4).unwrap())
+        .with_strategies([strategy]);
     Simulation::with_trace(scenario, Arc::clone(trace)).unwrap()
 }
 
@@ -38,15 +38,10 @@ fn run_quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> Experime
 
 #[test]
 fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
-    let scale = Scale::quick();
-    let trace = generate(&scale.workload).into_trace();
+    let quick = quick();
+    let trace = generate(quick.workload().unwrap()).into_trace();
     let k = 8u16;
-    let params = SystemParams::builder()
-        .shards(k)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    let params = quick.base.with_shards(k).unwrap();
     let (train, _eval) = trace.split_at_fraction(0.9);
 
     for strategy in Strategy::ALL {
@@ -72,12 +67,12 @@ fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
 
 #[test]
 fn full_runs_stay_within_shard_bounds_for_every_strategy() {
-    let scale = Scale::quick();
-    let trace = Arc::new(generate(&scale.workload).into_trace());
+    let quick = quick();
+    let trace = Arc::new(generate(quick.workload().unwrap()).into_trace());
     for strategy in Strategy::ALL {
         let result = run_quick_cell(strategy, &trace);
         assert_eq!(result.strategy, strategy);
-        assert_eq!(result.per_epoch.len(), scale.eval_epochs);
+        assert_eq!(result.per_epoch.len(), quick.eval_epochs);
         for epoch in &result.per_epoch {
             assert!(epoch.cross_ratio >= 0.0 && epoch.cross_ratio <= 1.0);
         }
@@ -89,7 +84,7 @@ fn streamed_cell_matches_collected_cell() {
     // `Simulation::stream_cell` (rows straight to a sink) must write
     // exactly the bytes `ExperimentResult::to_csv` renders from the
     // collected rows, and report a bit-identical aggregate.
-    let trace = Arc::new(generate(&Scale::quick().workload).into_trace());
+    let trace = Arc::new(generate(quick().workload().unwrap()).into_trace());
     for strategy in Strategy::ALL {
         let sim = quick_cell(strategy, &trace);
         let collected = sim.run().unwrap().cells.remove(0).result;
@@ -115,10 +110,13 @@ fn empty_resident_trace_is_an_error_not_a_panic() {
 
 #[test]
 fn parallel_grid_output_is_byte_identical_to_sequential() {
+    let effectiveness = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/effectiveness-quick.scenario"
+    ))
+    .unwrap();
     let grid = |parallelism| {
-        experiments::run_scenario(
-            &Scenario::effectiveness(&Scale::quick()).with_grid_parallelism(parallelism),
-        )
+        experiments::run_scenario(&effectiveness.clone().with_grid_parallelism(parallelism))
     };
     let sequential = grid(Parallelism::Sequential);
     let parallel = grid(Parallelism::Auto);

@@ -2,8 +2,8 @@
 //! reproduces its golden CSVs from a resident and from a streamed
 //! source, and `beta-sweep-quick` and `miner-quick` theirs; every
 //! window source (resident, generated, CSV file) drives the same bytes
-//! out of `engine::run_cell` on arbitrary workloads; and the checked-in
-//! `scenarios/` files are exactly their presets.
+//! out of `engine::run_cell` on arbitrary workloads; and every
+//! checked-in spec parses, expands and is in canonical form.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,14 +30,32 @@ fn csv_of(config: &ExperimentConfig, mut stream: EpochWindowStream) -> (Vec<u8>,
     (writer.finish().unwrap(), summary)
 }
 
-/// The hand-wired oracle for the effectiveness grid: the paper's
-/// parameter sets × every strategy, each cell straight through
-/// `engine::run_cell` with no scenario expansion in between.
-fn manual_grid(scale: &Scale, trace: &Arc<TransactionTrace>) -> Vec<experiments::GridCell> {
+/// The hand-wired oracle for the effectiveness grid: the paper's five
+/// parameter points (§V-A: `k ∈ {4, 16, 32}` at `η = 2`, then
+/// `η ∈ {5, 10}` at `k = 16`) × every strategy, each cell straight
+/// through `engine::run_cell` with no scenario expansion in between.
+fn manual_grid(
+    tau: u32,
+    eval_epochs: usize,
+    trace: &Arc<TransactionTrace>,
+) -> Vec<experiments::GridCell> {
+    let points = [
+        ("k = 4", 4, 2.0),
+        ("k = 16", 16, 2.0),
+        ("k = 32", 32, 2.0),
+        ("η = 5", 16, 5.0),
+        ("η = 10", 16, 10.0),
+    ];
     let mut cells = Vec::new();
-    for (label, params) in experiments::parameter_sets(scale.tau) {
+    for (label, k, eta) in points {
+        let params = SystemParams::builder()
+            .shards(k)
+            .eta(eta)
+            .tau(tau)
+            .build()
+            .unwrap();
         for strategy in Strategy::ALL {
-            let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
+            let config = ExperimentConfig::new(params, strategy, eval_epochs);
             let mut built = strategy.build(params);
             let mut per_epoch = Vec::new();
             let summary = engine::run_cell(
@@ -51,7 +69,7 @@ fn manual_grid(scale: &Scale, trace: &Arc<TransactionTrace>) -> Vec<experiments:
             )
             .unwrap();
             cells.push(experiments::GridCell {
-                param_label: label.clone(),
+                param_label: label.to_string(),
                 result: ExperimentResult::new(&config, per_epoch, &summary),
             });
         }
@@ -178,8 +196,8 @@ fn streamed_csv_source_matches_materialised_run() {
     // The second file is the same trace with `\r\n` endings and no final
     // newline; both are far larger than the reader's 8 KiB buffer, so the
     // in-place head and the straddling-line fallback both run.
-    let scale = Scale::quick();
-    let trace = Arc::new(generate(&scale.workload).into_trace());
+    let quick = Scenario::load(scenarios_dir().join("quick.scenario")).unwrap();
+    let trace = Arc::new(generate(quick.workload().unwrap()).into_trace());
     let dir = std::env::temp_dir().join("mosaic-streamed-csv-equivalence");
     std::fs::create_dir_all(&dir).unwrap();
     let mut bytes = Vec::new();
@@ -195,14 +213,9 @@ fn streamed_csv_source_matches_materialised_run() {
     std::fs::write(&paths[0], bytes).unwrap();
     std::fs::write(&paths[1], crlf).unwrap();
 
-    let params = SystemParams::builder()
-        .shards(4)
-        .eta(2.0)
-        .tau(scale.tau)
-        .build()
-        .unwrap();
+    let params = quick.base.with_shards(4).unwrap();
     for strategy in Strategy::ALL {
-        let config = ExperimentConfig::new(params, strategy, scale.eval_epochs);
+        let config = ExperimentConfig::new(params, strategy, quick.eval_epochs);
         let (resident, _) = csv_of(&config, EpochWindowStream::resident(Arc::clone(&trace)));
         for path in &paths {
             let stream = TraceSource::streamed_csv(path).window_stream().unwrap();
@@ -228,13 +241,10 @@ fn scenarios_dir() -> PathBuf {
 /// same seed.
 #[test]
 fn checked_in_effectiveness_scenario_reproduces_the_table1_grid() {
-    let scale = Scale::quick();
     let scenario = Scenario::load(scenarios_dir().join("effectiveness-quick.scenario")).unwrap();
-    assert_eq!(scenario, Scenario::effectiveness(&scale));
-
+    let trace = Arc::new(generate(scenario.workload().unwrap()).into_trace());
+    let manual = manual_grid(scenario.base.tau(), scenario.eval_epochs, &trace);
     let report = Simulation::from_scenario(scenario).unwrap().run().unwrap();
-    let trace = Arc::new(generate(&scale.workload).into_trace());
-    let manual = manual_grid(&scale, &trace);
 
     assert_eq!(report.cells.len(), manual.len());
     for (cell, oracle) in report.cells.iter().zip(&manual) {
@@ -251,72 +261,59 @@ fn checked_in_effectiveness_scenario_reproduces_the_table1_grid() {
     );
 }
 
+/// Every checked-in spec — the presets under `scenarios/` and the
+/// benchmark's frozen `bench/workloads/` — parses, expands into cells
+/// and is byte-for-byte its canonical text; a generated trace leaves at
+/// least one τ-block epoch after the training cut. Two presets are
+/// derived from other files and must stay so.
 #[test]
 fn checked_in_scenario_files_are_canonical_presets() {
-    // quick.scenario with the telemetry observer attached: same
-    // workload and seed, CSVs to results-telemetry so CI can
-    // byte-compare against a plain quick run.
-    let mut quick_telemetry = Scenario::full_protocol(&Scale::quick());
-    quick_telemetry.name = "quick-telemetry".to_string();
-    quick_telemetry = quick_telemetry.with_observers([
-        ObserverSpec::StreamCsv(PathBuf::from("results-telemetry")),
-        ObserverSpec::Telemetry(PathBuf::from("telemetry/quick.jsonl")),
-    ]);
-    // The miner-recompute benchmark workload, cut to four epochs, plus
-    // A-TxAllo.
-    let mut miner_quick = Scenario::load(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/workloads/miner-recompute.scenario"),
-    )
-    .unwrap();
-    miner_quick.name = "miner-quick".to_string();
-    miner_quick.eval_epochs = 4;
-    miner_quick.strategies = vec![Strategy::GTxAllo, Strategy::ATxAllo, Strategy::Metis];
-    let pinned = [
-        ("quick.scenario", Scenario::full_protocol(&Scale::quick())),
-        ("quick-telemetry.scenario", quick_telemetry),
-        (
-            "default.scenario",
-            Scenario::full_protocol(&Scale::default_scale()),
-        ),
-        ("full.scenario", Scenario::full_protocol(&Scale::full())),
-        (
-            "effectiveness-quick.scenario",
-            Scenario::effectiveness(&Scale::quick()),
-        ),
-        (
-            "effectiveness-default.scenario",
-            Scenario::effectiveness(&Scale::default_scale()),
-        ),
-        (
-            "beta-sweep-quick.scenario",
-            Scenario::beta_sweep(&Scale::quick()),
-        ),
-        (
-            "ablation-default.scenario",
-            experiments::ablation_base(&Scale::default_scale()),
-        ),
-        ("huge.scenario", Scenario::huge()),
-        ("miner-quick.scenario", miner_quick),
-    ];
-    for (file, preset) in &pinned {
-        let text = std::fs::read_to_string(scenarios_dir().join(file)).unwrap();
-        assert_eq!(
-            text,
-            preset.to_text(),
-            "{file} drifted from its preset; regenerate with the `scenario print` tool"
-        );
-        assert_eq!(&Scenario::parse(&text).unwrap(), preset);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for dir in [root.join("scenarios"), root.join("bench/workloads")] {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|ext| ext != "scenario") {
+                continue;
+            }
+            let name = path.display();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let scenario = Scenario::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            scenario.cells().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(scenario.to_text(), text, "{name} is not in canonical form");
+            if let Some(workload) = scenario.workload() {
+                workload.validate().unwrap();
+                let train_blocks =
+                    (workload.blocks as f64 * scenario.train_fraction).floor() as u64;
+                assert!(
+                    workload.blocks - train_blocks >= u64::from(scenario.base.tau()),
+                    "{name}: evaluation tail shorter than one epoch"
+                );
+            }
+            checked += 1;
+        }
     }
-    // Every checked-in spec is pinned — a new file must come with a pin.
-    let mut found: Vec<String> = std::fs::read_dir(scenarios_dir())
-        .unwrap()
-        .filter_map(|e| {
-            let name = e.unwrap().file_name().into_string().unwrap();
-            name.ends_with(".scenario").then_some(name)
-        })
-        .collect();
-    found.sort();
-    let mut expected: Vec<String> = pinned.iter().map(|(f, _)| f.to_string()).collect();
-    expected.sort();
-    assert_eq!(found, expected);
+    assert!(checked >= 16, "found only {checked} specs");
+
+    let load = |file: &str| Scenario::load(root.join(file)).unwrap();
+    // quick-telemetry = quick with the telemetry observer attached, CSVs
+    // to results-telemetry so CI can byte-compare against a plain run.
+    let quick_telemetry = Scenario {
+        name: "quick-telemetry".to_string(),
+        observers: vec![
+            ObserverSpec::StreamCsv(PathBuf::from("results-telemetry")),
+            ObserverSpec::Telemetry(PathBuf::from("telemetry/quick.jsonl")),
+        ],
+        ..load("scenarios/quick.scenario")
+    };
+    assert_eq!(load("scenarios/quick-telemetry.scenario"), quick_telemetry);
+    // miner-quick = the miner-recompute benchmark workload cut to four
+    // epochs, plus A-TxAllo.
+    let miner_quick = Scenario {
+        name: "miner-quick".to_string(),
+        eval_epochs: 4,
+        strategies: vec![Strategy::GTxAllo, Strategy::ATxAllo, Strategy::Metis],
+        ..load("bench/workloads/miner-recompute.scenario")
+    };
+    assert_eq!(load("scenarios/miner-quick.scenario"), miner_quick);
 }

@@ -10,23 +10,19 @@
 
 use mosaic::prelude::*;
 use mosaic::sim::Simulation;
-use mosaic::workload::TraceSource;
 
 fn quick_results(k: u16) -> Vec<ExperimentResult> {
-    let scale = Scale::quick();
+    let quick = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/quick.scenario"
+    ))
+    .unwrap();
     let scenario = Scenario::new(
         format!("strategy-shape-k{k}"),
-        TraceSource::Generated(scale.workload.clone()),
-        scale.eval_epochs,
+        quick.trace,
+        quick.eval_epochs,
     )
-    .with_base(
-        SystemParams::builder()
-            .shards(k)
-            .eta(2.0)
-            .tau(scale.tau)
-            .build()
-            .unwrap(),
-    );
+    .with_base(quick.base.with_shards(k).unwrap());
     Simulation::from_scenario(scenario)
         .unwrap()
         .run()
