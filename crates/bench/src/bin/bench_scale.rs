@@ -1,10 +1,11 @@
 //! Scaling curve of the streamed epoch pipeline: epochs/sec and peak
-//! RSS versus account count, recorded to `BENCH_scale.json`.
+//! RSS versus account count, printed as one JSON document on stdout
+//! (progress goes to stderr).
 //!
 //! ```text
 //! bench_scale [--scenario scenarios/huge.scenario]
 //!             [--accounts 100000,300000,1000000] [--depth 4]
-//!             [--out BENCH_scale.json] [--max-rss-mb <ceiling>]
+//!             [--max-rss-mb <ceiling>]
 //! ```
 //!
 //! The default scenario, `scenarios/huge.scenario`, is the 10M-account
@@ -36,10 +37,8 @@
 //! roughly flat, and along the *depth* axis (`--depth` multiplies the
 //! block count at fixed accounts) the trace grows while RSS does not —
 //! the entry that directly witnesses "bounded by window, not trace
-//! length". `bench_check` gates the curve against the committed
-//! baseline like any other `BENCH_*.json`. The file pins `"cpus": 0`:
-//! the ratio is memory-only and machine-independent, so the regression
-//! gate stays armed across runner classes.
+//! length". `--max-rss-mb` turns the curve into a gate: any size that
+//! peaks above the ceiling fails the run.
 //!
 //! At the smallest requested size the parent additionally materialises
 //! the scaled trace and byte-compares the streamed CSV against the
@@ -47,9 +46,9 @@
 //! pipeline computes the same experiment.
 //!
 //! Exit status: 0 ok, 1 RSS ceiling exceeded or verification failed,
-//! 2 usage/run error.
+//! 2 usage/run error — an unknown argument or a value that does not
+//! parse included, so a mistyped ceiling never switches the gate off.
 
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -58,12 +57,65 @@ use mosaic_sim::{Scenario, Simulation};
 use mosaic_types::Transaction;
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_scale [--scenario <file>] [--accounts <n,n,...>] \
-         [--depth <mult>] [--out <file.json>] [--max-rss-mb <mb>]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: bench_scale [--scenario <file>] [--accounts <n,n,...>] \
+                     [--depth <mult>] [--max-rss-mb <mb>]";
+
+/// What one invocation measures.
+#[derive(Debug)]
+struct Options {
+    scenario: String,
+    /// Account counts, ascending.
+    accounts: Vec<usize>,
+    depth: u64,
+    max_rss_mb: Option<f64>,
+    /// Child mode (internal): measure this one account count.
+    one: Option<usize>,
+}
+
+/// Parses the arguments (without the program name). Every value must
+/// parse: a malformed one is an error, never a default.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .trim()
+            .parse()
+            .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+    }
+    let mut options = Options {
+        scenario: "scenarios/huge.scenario".to_string(),
+        accounts: vec![100_000, 300_000, 1_000_000],
+        depth: 4,
+        max_rss_mb: None,
+        one: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--scenario" => options.scenario = value?.clone(),
+            "--accounts" => {
+                options.accounts = value?
+                    .split(',')
+                    .map(|n| number(flag, n))
+                    .collect::<Result<_, _>>()?;
+            }
+            "--depth" => options.depth = number(flag, value?)?,
+            "--max-rss-mb" => {
+                let ceiling: f64 = number(flag, value?)?;
+                if !(ceiling.is_finite() && ceiling > 0.0) {
+                    return Err(format!("{flag}: {ceiling} is not a positive size"));
+                }
+                options.max_rss_mb = Some(ceiling);
+            }
+            "--one" => options.one = Some(number(flag, value?)?),
+            _ => return Err(format!("unknown argument {flag:?}")),
+        }
+    }
+    if options.accounts.is_empty() {
+        return Err("--accounts needs at least one count".into());
+    }
+    options.accounts.sort_unstable();
+    Ok(options)
 }
 
 fn fail(message: impl std::fmt::Display) -> ! {
@@ -172,7 +224,7 @@ fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
             "streamed CSV diverged from materialised path at {accounts} accounts"
         ));
     }
-    println!(
+    eprintln!(
         "bench_scale: streamed == materialised at {accounts} accounts ({} bytes)",
         streamed.len()
     );
@@ -181,40 +233,22 @@ fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scenario_path = "scenarios/huge.scenario".to_string();
-    let mut accounts: Vec<usize> = vec![100_000, 300_000, 1_000_000];
-    let mut out = "BENCH_scale.json".to_string();
-    let mut max_rss_mb: Option<f64> = None;
-    let mut one: Option<usize> = None;
-    let mut depth: u64 = 4;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--scenario" => scenario_path = value(),
-            "--accounts" => {
-                accounts = value()
-                    .split(',')
-                    .map(|n| n.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--depth" => depth = value().parse().unwrap_or_else(|_| usage()),
-            "--out" => out = value(),
-            "--max-rss-mb" => max_rss_mb = value().parse().ok(),
-            "--one" => one = value().parse().ok(),
-            _ => usage(),
-        }
-    }
-    if accounts.is_empty() {
-        usage();
-    }
+    let Options {
+        scenario: scenario_path,
+        accounts,
+        depth,
+        max_rss_mb,
+        one,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("bench_scale: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     if let Some(n) = one {
         return run_one(&scenario_path, n, depth);
     }
 
     let scenario =
         Scenario::load(&scenario_path).unwrap_or_else(|e| fail(format!("{scenario_path}: {e}")));
-    accounts.sort_unstable();
     if let Err(e) = verify(&scenario, accounts[0]) {
         eprintln!("bench_scale: FAIL: {e}");
         return ExitCode::FAILURE;
@@ -255,7 +289,7 @@ fn main() -> ExitCode {
             .and_then(|r| r.trim().split(',').next())
             .and_then(|v| v.trim().parse::<f64>().ok())
             .unwrap_or_else(|| fail(format!("child printed no peak_rss_mb: {entry}")));
-        println!("bench_scale: {entry}");
+        eprintln!("bench_scale: {entry}");
         if let Some(ceiling) = max_rss_mb {
             if rss > ceiling {
                 eprintln!(
@@ -268,23 +302,54 @@ fn main() -> ExitCode {
         entries.push(entry);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"scale_streaming\",\n");
-    json.push_str("  \"unit\": \"MB and epochs/sec; speedup = trace_mb / peak_rss_mb\",\n");
-    json.push_str("  \"cpus\": 0,\n");
-    json.push_str(&format!("  \"scenario\": \"{scenario_path}\",\n"));
-    json.push_str("  \"results\": [\n");
+    println!("{{");
+    println!("  \"bench\": \"scale_streaming\",");
+    println!("  \"unit\": \"MB and epochs/sec; speedup = trace_mb / peak_rss_mb\",");
+    println!("  \"scenario\": \"{scenario_path}\",");
+    println!("  \"results\": [");
     for (i, entry) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
-        json.push_str(&format!("    {entry}{comma}\n"));
+        println!("    {entry}{comma}");
     }
-    json.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(&out).unwrap_or_else(|e| fail(format!("{out}: {e}")));
-    file.write_all(json.as_bytes())
-        .unwrap_or_else(|e| fail(format!("{out}: {e}")));
-    println!("bench_scale: wrote {out}");
+    println!("  ]");
+    println!("}}");
     if over_ceiling {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn malformed_rss_ceilings_are_refused_not_dropped() {
+        assert_eq!(
+            parse(&["--max-rss-mb", "80"]).unwrap().max_rss_mb,
+            Some(80.0)
+        );
+        assert_eq!(parse(&[]).unwrap().max_rss_mb, None);
+        for bad in ["1MB", "-", "NaN", "0"] {
+            let err = parse(&["--max-rss-mb", bad]).unwrap_err();
+            assert!(err.contains("--max-rss-mb"), "{bad}: {err}");
+        }
+        assert!(parse(&["--max-rss-mb"]).is_err());
+    }
+
+    #[test]
+    fn every_value_must_parse() {
+        let o = parse(&["--accounts", "1000000,300000", "--depth", "2", "--one", "7"]).unwrap();
+        assert_eq!(o.accounts, [300_000, 1_000_000]);
+        assert_eq!((o.depth, o.one), (2, Some(7)));
+        assert!(parse(&["--one", "x"]).is_err());
+        assert!(parse(&["--accounts", "10,,20"]).is_err());
+        assert!(parse(&["--depth", "-1"]).is_err());
+        assert!(parse(&["--out", "scale.json"]).is_err());
+    }
 }

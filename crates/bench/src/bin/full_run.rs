@@ -3,8 +3,9 @@
 //!
 //! The run is described by a declarative scenario: the spec given with
 //! `--scenario`, or else `scenarios/default.scenario` with its CSVs sent
-//! to `results/` at the repository root. An invalid spec exits 2. The
-//! session materialises the trace once, runs every cell, and each
+//! to `results/` at the repository root. An invalid spec, or any
+//! argument other than `--scenario` and `--check-determinism`, exits 2.
+//! The session materialises the trace once, runs every cell, and each
 //! per-epoch metric row is written to `<dir>/<cell>.csv` the moment it
 //! is computed — no per-epoch vector is held in memory, so the paper's
 //! 200-epoch protocol (`scenarios/full.scenario`) runs in bounded
@@ -27,7 +28,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mosaic_bench::{load_or_exit, preset_path, print_header, scenario_path_from_args};
+use mosaic_bench::{args_or_exit, load_or_exit, preset_path, print_header};
 use mosaic_sim::engine::RunSummary;
 use mosaic_sim::scenario::CellSpec;
 use mosaic_sim::{ObserverSpec, RunObserver, Simulation, Strategy};
@@ -112,8 +113,9 @@ impl RunObserver for PrintSummary {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check-determinism");
-    let mut scenario = match scenario_path_from_args() {
+    let args = args_or_exit(&["--check-determinism"]);
+    let check = args.has("--check-determinism");
+    let mut scenario = match args.scenario {
         Some(path) => load_or_exit(path),
         None => {
             // Repo root resolved from this crate's manifest dir so the

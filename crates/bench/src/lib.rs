@@ -1,4 +1,4 @@
-//! Shared plumbing for the report binaries and criterion benches.
+//! Shared plumbing for the report binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary, and every
 //! binary is driven by a declarative [`Scenario`] file: the one given
@@ -31,22 +31,60 @@ use std::path::{Path, PathBuf};
 
 use mosaic_sim::Scenario;
 
-/// Extracts the `--scenario <path>` (or `--scenario=<path>`) argument,
-/// if present.
-pub fn scenario_path_from_args() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+/// A report binary's command line: the `--scenario` file, if one was
+/// given, and which of the caller's own flags were set.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// The file given with `--scenario <file>` or `--scenario=<file>`.
+    pub scenario: Option<PathBuf>,
+    flags: Vec<String>,
+}
+
+impl Args {
+    /// Whether `flag` (one of the flags passed to [`parse_args`]) was
+    /// given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f == flag)
+    }
+}
+
+/// Parses a report binary's arguments (without the program name). It
+/// knows `--scenario <file>`, `--scenario=<file>` and the bare `flags`
+/// its caller names; anything else — a typo'd flag, a stray positional,
+/// `--scenario` without a file — is an error, so a mistyped gate never
+/// silently runs as something else.
+pub fn parse_args(args: &[String], flags: &[&str]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
         if arg == "--scenario" {
-            return args.next().or_else(|| {
-                eprintln!("--scenario needs a file path");
-                std::process::exit(2);
-            });
-        }
-        if let Some(path) = arg.strip_prefix("--scenario=") {
-            return Some(path.to_string());
+            let path = it.next().ok_or("--scenario needs a file path")?;
+            parsed.scenario = Some(PathBuf::from(path));
+        } else if let Some(path) = arg.strip_prefix("--scenario=") {
+            parsed.scenario = Some(PathBuf::from(path));
+        } else if flags.contains(&arg.as_str()) {
+            parsed.flags.push(arg.clone());
+        } else {
+            return Err(format!("unknown argument {arg:?}"));
         }
     }
-    None
+    Ok(parsed)
+}
+
+/// [`parse_args`] over this process's arguments; prints the error and
+/// a usage line and exits with status 2 when they do not parse.
+pub fn args_or_exit(flags: &[&str]) -> Args {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    parse_args(&args, flags).unwrap_or_else(|e| {
+        let program = Path::new(&program)
+            .file_name()
+            .map_or(program.clone(), |n| n.to_string_lossy().into_owned());
+        let flags: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("{program}: {e}\nusage: {program} [--scenario <file>]{flags}");
+        std::process::exit(2);
+    })
 }
 
 /// The checked-in spec `scenarios/<stem>.scenario` at the workspace
@@ -71,10 +109,14 @@ pub fn load_or_exit(path: impl AsRef<Path>) -> Scenario {
 /// <file>` argument, or else the checked-in `scenarios/<default>.scenario`
 /// ([`preset_path`]). Prints the standard experiment header.
 ///
-/// Exits with status 2 on an unreadable or malformed scenario file.
+/// Exits with status 2 on any other argument ([`args_or_exit`]) and on
+/// an unreadable or malformed scenario file.
 pub fn scenario_from_args(experiment: &str, default: &str) -> Scenario {
-    let scenario =
-        load_or_exit(scenario_path_from_args().map_or_else(|| preset_path(default), PathBuf::from));
+    let scenario = load_or_exit(
+        args_or_exit(&[])
+            .scenario
+            .unwrap_or_else(|| preset_path(default)),
+    );
     print_header(experiment, &scenario);
     scenario
 }
@@ -99,4 +141,50 @@ pub fn print_header(experiment: &str, scenario: &Scenario) {
         ),
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], flags: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args, flags)
+    }
+
+    #[test]
+    fn scenario_forms_and_named_flags_are_accepted() {
+        let none = parse(&[], &[]).unwrap();
+        assert_eq!(none.scenario, None);
+        for args in [
+            &["--scenario", "q.scenario"][..],
+            &["--scenario=q.scenario"][..],
+        ] {
+            let parsed = parse(args, &[]).unwrap();
+            assert_eq!(parsed.scenario, Some(PathBuf::from("q.scenario")));
+        }
+        let gate = ["--scenario", "q.scenario", "--check-determinism"];
+        let parsed = parse(&gate, &["--check-determinism"]).unwrap();
+        assert!(parsed.has("--check-determinism"));
+        assert_eq!(parsed.scenario, Some(PathBuf::from("q.scenario")));
+        assert!(!parse(&gate[..2], &["--check-determinism"])
+            .unwrap()
+            .has("--check-determinism"));
+    }
+
+    #[test]
+    fn typos_strays_and_missing_values_are_refused() {
+        // A typo'd gate flag must not run the scenario ungated.
+        let typo = parse(
+            &["--scenario", "q.scenario", "--check-determinsm"],
+            &["--check-determinism"],
+        );
+        assert!(typo.unwrap_err().contains("--check-determinsm"));
+        // A file without --scenario must not fall back to the default grid.
+        let stray = parse(&["scenarios/effectiveness-quick.scenario"], &[]);
+        assert!(stray.unwrap_err().contains("effectiveness-quick"));
+        assert!(parse(&["--scenario"], &[]).is_err());
+        // A caller's flag is only known to that caller.
+        assert!(parse(&["--check-determinism"], &[]).is_err());
+    }
 }

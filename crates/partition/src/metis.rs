@@ -22,7 +22,7 @@
 //!
 //! Every phase is one sequential pass — each committed match or move
 //! changes what the next decision reads. Every coarsening level stores
-//! its adjacency in flat CSR lanes ([`WorkGraph`]: contiguous `u32`
+//! its adjacency in flat CSR lanes (`WorkGraph`: contiguous `u32`
 //! neighbour ids and `u64` weights), so the scoring loops stream
 //! branch-light over contiguous memory instead of chasing one `Vec` per
 //! node. Both halves of a level cost what can change, exactly: the
