@@ -37,7 +37,9 @@ impl BlockBody {
 /// A block of a shard chain or the beacon chain.
 ///
 /// Headers are hashed with the in-repo SHA-256; `parent` links make each
-/// chain verifiable ([`crate::ShardChain::verify`]).
+/// chain verifiable ([`crate::ShardChain::verify`],
+/// [`crate::BeaconChain::verify`]), and
+/// [`crate::Ledger::check_invariants`] verifies them all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Chain this block belongs to; `None` for the beacon chain.

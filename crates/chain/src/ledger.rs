@@ -2,12 +2,13 @@
 
 use mosaic_metrics::{EpochLoad, LoadParams};
 use mosaic_types::{
-    AccountShardMap, EpochId, Error, MigrationRequest, Result, ShardId, SystemParams, Transaction,
+    ensure, AccountShardMap, EpochId, Error, MigrationRequest, Result, ShardId, SystemParams,
+    Transaction,
 };
 
 use crate::beacon::BeaconChain;
 use crate::miner::MinerSet;
-use crate::network::NetworkMeter;
+use crate::network::{NetworkMeter, ACCOUNT_STATE_BYTES};
 use crate::reconfig::{self, ReconfigReport};
 use crate::shard::ShardChain;
 
@@ -208,9 +209,26 @@ impl Ledger {
         }
     }
 
-    /// Verifies every chain's integrity (parent links, heights, tags).
-    pub fn verify_chains(&self) -> bool {
-        self.beacon.verify() && self.shards.iter().all(ShardChain::verify)
+    /// Checks ϕ ([`AccountShardMap::check_invariants`]), that the beacon
+    /// and every shard chain verify and hold one block per epoch past
+    /// genesis, and that one account's state was metered per committed
+    /// migration; else [`Error::Inconsistent`].
+    pub fn check_invariants(&self) -> Result<()> {
+        self.phi.check_invariants()?;
+        let blocks = self.epoch.as_u64() as usize + 1;
+        let len = self.beacon.len();
+        let beacon = self.beacon.verify() && len == blocks;
+        ensure!(beacon, "ledger", "beacon of {len} blocks, not {blocks}");
+        for chain in &self.shards {
+            let (id, len) = (chain.id(), chain.len());
+            let shard = chain.verify() && len == blocks;
+            ensure!(shard, "ledger", "{id} of {len} blocks, not {blocks}");
+        }
+        let commits = self.beacon.committed_len() as u64;
+        let bytes = self.meter.migration_state;
+        let metered = bytes == commits * ACCOUNT_STATE_BYTES;
+        ensure!(metered, "ledger", "{bytes} B for {commits} migrations");
+        Ok(())
     }
 }
 
@@ -257,7 +275,7 @@ mod tests {
         assert_eq!(ledger.current_epoch(), EpochId::new(1));
         // One block per shard appended on top of genesis.
         assert!(ledger.shards().iter().all(|s| s.len() == 2));
-        assert!(ledger.verify_chains());
+        ledger.check_invariants().unwrap();
         assert!(ledger.meter().total() > 0);
     }
 

@@ -17,7 +17,8 @@
 //!   concurrently with reshuffling (byte costs accounted by
 //!   [`NetworkMeter`]);
 //! * [`Ledger`] — ties everything together: an epoch-at-a-time state
-//!   machine the experiment runner drives.
+//!   machine the experiment runner drives, with one
+//!   [`Ledger::check_invariants`] over ϕ, every chain and the meter.
 //!
 //! # Example
 //!
@@ -30,6 +31,7 @@
 //! let mut ledger = Ledger::new(params, AccountShardMap::new(2), 8)?;
 //! let outcome = ledger.process_epoch(&[]);
 //! assert_eq!(outcome.load.total_txs(), 0);
+//! ledger.check_invariants()?;
 //! # Ok(())
 //! # }
 //! ```

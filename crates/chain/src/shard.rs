@@ -9,7 +9,8 @@ use crate::block::{Block, BlockBody};
 /// The simulation appends one block per epoch summarising the committed
 /// transaction counts (the trace is the canonical transaction store). The
 /// parent-hash links are real, so a chain can be integrity-checked with
-/// [`ShardChain::verify`].
+/// [`ShardChain::verify`], which [`crate::Ledger::check_invariants`] runs
+/// on every shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardChain {
     id: ShardId,

@@ -184,6 +184,15 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         &self.policy
     }
 
+    /// Checks the population graph once the epochs run (`Ok` during
+    /// training); see `population.rs`.
+    pub fn check_invariants(&self) -> mosaic_types::Result<()> {
+        match &self.graph {
+            Histories::Training(_) => Ok(()),
+            Histories::Live(population) => population.check_invariants(),
+        }
+    }
+
     /// Number of known clients.
     pub fn client_count(&mut self) -> usize {
         self.graph.live().node_count()

@@ -28,7 +28,7 @@
 //! pays O(log E) folds, not one per epoch.
 
 use mosaic_txgraph::{CsrParts, NodeId, TxGraph};
-use mosaic_types::{AccountId, Transaction};
+use mosaic_types::{ensure, AccountId, Result, Transaction};
 
 /// log2 of the slots per page: blocks up to a page share pages; a
 /// larger block gets a page of its own.
@@ -38,6 +38,9 @@ const PAGE_BITS: u32 = 10;
 /// `1 / FOLD_FRACTION` of the CSR's. A fixed constant, as in
 /// [`mosaic_txgraph::GrowingGraph`].
 const FOLD_FRACTION: usize = 8;
+
+/// The component [`Population::check_invariants`] names.
+const WHO: &str = "population";
 
 /// Marks the end of a pool's free list.
 const NO_BLOCK: u32 = u32::MAX;
@@ -311,9 +314,6 @@ impl Population {
         if self.overflow.entries * FOLD_FRACTION >= self.csr.adjncy.len().max(1) {
             self.fold();
         }
-        if cfg!(debug_assertions) {
-            self.assert_consistent();
-        }
     }
 
     /// Adds one to the weight of directed edge `row → nbr`.
@@ -420,56 +420,48 @@ impl Population {
         }
     }
 
-    /// Panics unless the population is one undirected graph of the
+    /// Checks that the population is one undirected graph of the
     /// transactions absorbed: the account ↔ node index is a bijection,
     /// no row holds a neighbour twice (CSR and overflow together),
     /// w(a, b) = w(b, a), the directed weights sum to twice the
     /// non-self transactions, and the vertex weights to that plus the
-    /// self-transfers. One pass over the whole graph.
-    pub(crate) fn assert_consistent(&self) {
+    /// self-transfers; else [`mosaic_types::Error::Inconsistent`]. One
+    /// pass over the whole graph.
+    pub(crate) fn check_invariants(&self) -> Result<()> {
         let csr = &self.csr;
         let n = csr.accounts.len();
-        assert_eq!(csr.index.len(), n, "one index entry per node");
-        assert_eq!(csr.vwgt.len(), n, "one vertex weight per node");
+        let lens = [csr.index.len(), csr.vwgt.len()];
+        ensure!(lens == [n; 2], WHO, "{lens:?} ids, weights, {n} nodes");
         for (node, account) in csr.accounts.iter().enumerate() {
-            assert_eq!(
-                csr.index.get(account).map(|n| n.index()),
-                Some(node),
-                "{account} ↔ node {node}"
-            );
+            let id = csr.index.get(account).map(|n| n.index());
+            ensure!(id == Some(node), WHO, "{account} ↔ {id:?}, not {node}");
         }
-        assert!(
-            self.overflow.rows.len() <= n,
-            "overflow row past the last node"
-        );
+        let rows = self.overflow.rows.len();
+        ensure!(rows <= n, WHO, "{rows} overflow rows, {n} nodes");
         let mut directed = 0u64;
+        let mut edges = Vec::new();
         for node in 0..n {
             let row = NodeId::new(node as u32);
-            let mut seen = Vec::new();
-            self.visit(node, |nbr, weight| {
-                assert!(nbr.index() < n && nbr != row, "{row} → {nbr}");
-                assert!(weight > 0, "{row} → {nbr} has weight 0");
-                assert_eq!(self.weight(nbr, row), Some(weight), "w({row}, {nbr})");
-                seen.push(nbr);
-                directed += weight;
-            });
-            let overflow = self.overflow.row(node).0;
-            assert!(
-                overflow.windows(2).all(|pair| pair[0] < pair[1]),
-                "{row}'s overflow is not ascending"
-            );
-            seen.sort_unstable();
-            assert!(
-                seen.windows(2).all(|pair| pair[0] < pair[1]),
-                "{row} holds a neighbour twice"
-            );
+            edges.clear();
+            self.visit(node, |nbr, weight| edges.push((nbr, weight)));
+            for &(nbr, w) in &edges {
+                let edge = nbr.index() < n && nbr != row && w > 0;
+                ensure!(edge, WHO, "{row} → {nbr} of weight {w}");
+                let back = self.weight(nbr, row);
+                ensure!(back == Some(w), WHO, "w({row}, {nbr}) = {w}, back {back:?}");
+                directed += w;
+            }
+            let sorted = self.overflow.row(node).0.windows(2).all(|p| p[0] < p[1]);
+            ensure!(sorted, WHO, "{row}'s overflow is not ascending");
+            edges.sort_unstable();
+            let twice = edges.windows(2).any(|p| p[0].0 == p[1].0);
+            ensure!(!twice, WHO, "{row} holds a neighbour twice");
         }
-        assert_eq!(directed, 2 * csr.total_edge_weight, "Σ edge weight");
-        assert_eq!(
-            csr.vwgt.iter().sum::<u64>(),
-            2 * csr.total_edge_weight + self.self_transfers,
-            "Σ vertex weight"
-        );
+        let (edge, selfs) = (csr.total_edge_weight, self.self_transfers);
+        let vertex: u64 = csr.vwgt.iter().sum();
+        ensure!(directed == 2 * edge, WHO, "Σ w {directed}, {edge} edges");
+        ensure!(vertex == 2 * edge + selfs, WHO, "Σ vertex w {vertex}");
+        Ok(())
     }
 }
 
@@ -477,7 +469,7 @@ impl Population {
 mod tests {
     use super::*;
     use mosaic_txgraph::GraphBuilder;
-    use mosaic_types::{BlockHeight, TxId};
+    use mosaic_types::{BlockHeight, Error, TxId};
 
     fn tx(id: u64, from: u64, to: u64) -> Transaction {
         Transaction::new(
@@ -517,6 +509,36 @@ mod tests {
         assert_eq!(population.overflow.entries, 0);
         assert_eq!(population.csr.xadj.len(), population.node_count() + 1);
         assert_eq!(population.to_graph(), oracle.build());
-        population.assert_consistent();
+        population.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_catches_an_asymmetric_weight() {
+        let training: Vec<Transaction> = (0..100).map(|i| tx(i, i, i + 1)).collect();
+        let mut oracle = GraphBuilder::new();
+        oracle.add_transactions(&training);
+        let mut population = Population::new(oracle.build());
+        population.absorb(&[tx(100, 0, 50), tx(101, 7, 7)]);
+        population.check_invariants().unwrap();
+
+        // w(0, 1) += 1 in the CSR, w(1, 0) untouched.
+        let slot = population.csr_slot(NodeId::new(0), NodeId::new(1)).unwrap();
+        population.csr.adjwgt[slot] += 1;
+        let err = population.check_invariants().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Inconsistent {
+                    component: "population",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        population.csr.adjwgt[slot] -= 1;
+        population.check_invariants().unwrap();
+        // The same break in an overflow row.
+        population.overflow.bump(50, NodeId::new(0));
+        assert!(population.check_invariants().is_err());
     }
 }

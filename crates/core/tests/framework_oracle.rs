@@ -9,7 +9,8 @@
 //! population, materialised, must be the graph a `GraphBuilder` builds
 //! from everything observed plus the expectation-only clients: that pins
 //! the vertex weights, which no wallet sees, across the boundary between
-//! the training CSR and the edges and clients added after it.
+//! the training CSR and the edges and clients added after it, and its
+//! `check_invariants` must hold.
 
 use std::collections::BTreeMap;
 
@@ -223,6 +224,8 @@ proptest! {
             framework.observe_epoch(observed);
             wallets.observe(observed);
             oracle.add_transactions(observed);
+            framework.check_invariants().unwrap();
+            ledger.check_invariants().unwrap();
             prop_assert_eq!(framework.clone().graph(), &oracle.build(), "after epoch {}", epoch);
         }
     }

@@ -6,7 +6,7 @@
 //! table is warm a pass is a few ns per transaction, too little to split
 //! across threads.
 
-use mosaic_types::{AccountId, ShardId, Transaction};
+use mosaic_types::{ensure, AccountId, Result, ShardId, Transaction};
 
 /// Parameters of the load model for one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,6 +193,29 @@ impl EpochLoad {
     pub fn cross_counts(&self) -> &[usize] {
         &self.cross
     }
+
+    /// Checks that the counts add up to the window: one entry per shard
+    /// in every vector, `Σ intra + cross_txs = total_txs`,
+    /// `Σ cross = 2 · cross_txs`, `processed ≤ total_txs` and each
+    /// residual in `[0, λ]`; else [`mosaic_types::Error::Inconsistent`].
+    pub fn check_invariants(&self) -> Result<()> {
+        let (k, lambda) = (usize::from(self.params.shards), self.params.lambda);
+        let (total, crossing, done) = (self.total_txs, self.cross_txs, self.processed);
+        let lens = [self.intra.len(), self.cross.len(), self.residual.len()];
+        ensure!(lens == [k; 3], "load", "lengths {lens:?}, k = {k}");
+        let intra: usize = self.intra.iter().sum();
+        let sums = intra + crossing == total;
+        ensure!(sums, "load", "Σ intra {intra} + {crossing} ≠ {total}");
+        let cross: usize = self.cross.iter().sum();
+        let twice = cross == 2 * crossing;
+        ensure!(twice, "load", "Σ cross {cross} ≠ 2 · {crossing}");
+        ensure!(done <= total, "load", "{done} of {total} processed");
+        for (shard, &r) in (1..).zip(&self.residual) {
+            let holds = (0.0..=lambda).contains(&r);
+            ensure!(holds, "load", "S{shard} residual {r} ∉ [0, {lambda}]");
+        }
+        Ok(())
+    }
 }
 
 /// The paper's workload-deviation statistic over an arbitrary workload
@@ -213,7 +236,7 @@ pub fn deviation(workloads: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_types::{BlockHeight, TxId};
+    use mosaic_types::{BlockHeight, Error, TxId};
 
     fn tx(id: u64, from: u64, to: u64) -> Transaction {
         Transaction::new(
@@ -309,6 +332,33 @@ mod tests {
         // in shard 0 succeeds with full budget available.
         assert_eq!(load.processed(), 5);
         assert_eq!(load.residual_budget()[0], 3.0);
+    }
+
+    #[test]
+    fn check_invariants_catches_a_double_counted_intra_tx() {
+        let txs = [tx(0, 0, 2), tx(1, 0, 1), tx(2, 1, 3)];
+        let params = LoadParams {
+            shards: 2,
+            eta: 2.0,
+            lambda: 3.0,
+        };
+        let mut load = EpochLoad::compute(&txs, params, modk(2));
+        load.check_invariants().unwrap();
+        load.intra[0] += 1;
+        let err = load.check_invariants().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Inconsistent {
+                    component: "load",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        load.intra[0] -= 1;
+        load.residual[1] = -1.0;
+        assert!(load.check_invariants().is_err());
     }
 
     #[test]

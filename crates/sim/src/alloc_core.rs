@@ -26,12 +26,13 @@
 //! ingestion and epoch processing are folds in block order, so the rows
 //! do not depend on how the sequence was cut into batches.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use mosaic_chain::{EpochOutcome, Ledger};
 use mosaic_metrics::{AggregateBuilder, EpochMetrics};
 use mosaic_telemetry::{Counter, DurationStats, Gauge, Recorder};
-use mosaic_types::{AccountId, Error, Result, ShardId, Transaction};
+use mosaic_types::{ensure, AccountId, Error, MigrationRequest, Result, ShardId, Transaction};
 
 use crate::engine::{EpochCtx, EpochStrategy, History, MigrationCount, RunSummary};
 use crate::runner::ExperimentConfig;
@@ -246,6 +247,67 @@ impl AllocationCore {
             },
             total_migrations: self.total_migrations,
         }
+    }
+
+    /// The one consistency check over a cell: the ledger's (which runs
+    /// ϕ's), `strategy`'s and the last [`mosaic_metrics::EpochLoad`]'s,
+    /// then the protocol across them. The last epoch committed distinct
+    /// accounts, at most the capacity (`⌊λ⌋` unless overridden), applied
+    /// all and flagged at most all stale, and each now resolves to its
+    /// request's `to`. A client-driven strategy counted exactly the
+    /// beacon's commits, any other left it empty. A ledger exists once
+    /// the feed is past the training cut, its clock equals the rows
+    /// emitted, the window starts at `cut + epochs · τ`, and the buffer
+    /// holds only the window's blocks. Debug builds run this after every
+    /// training chunk and epoch the core closes.
+    pub fn check_invariants(&self, strategy: &dyn EpochStrategy) -> Result<()> {
+        self.check(strategy, self.feed.as_ref())
+    }
+
+    /// [`AllocationCore::check_invariants`] against `feed`, which the
+    /// closing helpers hold outside `self`.
+    fn check(&self, strategy: &dyn EpochStrategy, feed: Option<&Feed>) -> Result<()> {
+        const CORE: &str = "core";
+        strategy.check_invariants()?;
+        let rows = self.aggregate.epochs() as u64;
+        let built = self.ledger.is_some();
+        let cut = feed.is_some_and(|f| f.phase != Phase::Training);
+        ensure!(built == cut, CORE, "ledger built {built}, past cut {cut}");
+        if let Some(ledger) = &self.ledger {
+            ledger.check_invariants()?;
+            let clock = ledger.current_epoch().as_u64();
+            ensure!(clock == rows, CORE, "ledger epoch {clock}, {rows} rows");
+            let commits = ledger.beacon().committed_len();
+            let client = strategy.is_client_driven();
+            let counted = if client { self.total_migrations } else { 0 };
+            ensure!(commits == counted, CORE, "{commits} commits ≠ {counted}");
+        }
+        if let (Some(ledger), Some(last)) = (&self.ledger, &self.last_epoch) {
+            last.load.check_invariants()?;
+            let n = last.committed.len();
+            let cap = ledger.migration_capacity();
+            let cap = cap.unwrap_or(last.lambda.floor() as usize);
+            ensure!(n <= cap, CORE, "{n} commits, capacity {cap}");
+            let applied = last.reconfig.migrations_applied;
+            let stale = last.reconfig.migrations_stale;
+            let all = applied == n && stale <= n;
+            ensure!(all, CORE, "{n} commits, {applied} applied, {stale} stale");
+            let mut seen = HashSet::with_capacity(n);
+            for &MigrationRequest { account, to, .. } in &last.committed {
+                ensure!(seen.insert(account), CORE, "{account} committed twice");
+                let now = ledger.phi().shard_of(account);
+                ensure!(now == to, CORE, "{account} committed to {to}, in {now}");
+            }
+        }
+        if let Some(feed) = feed {
+            let (start, tau) = (feed.window_start, feed.tau);
+            let grid = !cut || start == feed.cut_block + rows * tau;
+            ensure!(grid, CORE, "window at block {start}, {rows} rows");
+            let window = start..feed.boundary().unwrap_or(start);
+            let inside = feed.buf.iter().all(|t| window.contains(&t.block.as_u64()));
+            ensure!(inside, CORE, "a buffered tx lies outside {window:?}");
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -533,7 +595,16 @@ impl AllocationCore {
         }
         feed.buf.clear();
         feed.window_start = end;
+        self.debug_check(strategy, feed);
         Ok(())
+    }
+
+    /// The debug hook at the end of every close; release builds skip it.
+    fn debug_check(&self, strategy: &dyn EpochStrategy, feed: &Feed) {
+        if cfg!(debug_assertions) {
+            self.check(strategy, Some(feed))
+                .expect("cell state is consistent after every close");
+        }
     }
 
     /// Runs the strategy's initial allocation on the training history
@@ -583,6 +654,7 @@ impl AllocationCore {
         if self.aggregate.epochs() >= self.config.eval_epochs {
             feed.phase = Phase::Done;
         }
+        self.debug_check(strategy, feed);
     }
 
     /// One evaluation window through the epoch protocol: strategy
@@ -644,5 +716,61 @@ impl AllocationCore {
         self.metrics.cross_ratio.set(metrics.cross_ratio);
         self.last_epoch = Some(outcome);
         metrics
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Strategy;
+    use mosaic_types::SystemParams;
+    use mosaic_workload::{generate, WorkloadConfig};
+
+    /// The owner sees across components: a committed migration undone
+    /// behind the beacon's back leaves ϕ, the chains and the load each
+    /// consistent on its own, and only the core's check fails.
+    #[test]
+    fn check_invariants_catches_a_committed_account_moved_back() {
+        let workload = WorkloadConfig::small_test(7);
+        let trace = generate(&workload).into_trace();
+        let txs: Vec<Transaction> = trace.iter().copied().collect();
+        let params = SystemParams::builder().shards(4).tau(50).build().unwrap();
+        let config = ExperimentConfig::new(params, Strategy::Mosaic, 4);
+        let mut core = AllocationCore::new(config);
+        let mut strategy = config.strategy.build(params);
+        let mut rows = Vec::new();
+        core.begin(workload.blocks).unwrap();
+        let mut rest = &txs[..];
+        let committed = loop {
+            let boundary = core.next_boundary().expect("an epoch commits a migration");
+            let n = rest.partition_point(|tx| tx.block.as_u64() < boundary);
+            core.ingest_block(strategy.as_mut(), &rest[..n], &mut rows)
+                .unwrap();
+            core.advance_to(strategy.as_mut(), boundary, &mut rows)
+                .unwrap();
+            rest = &rest[n..];
+            match core.last_epoch.as_ref().and_then(|e| e.committed.first()) {
+                Some(&mr) => break mr,
+                None => continue,
+            }
+        };
+        core.check_invariants(strategy.as_ref()).unwrap();
+
+        let ledger = core.ledger.as_mut().unwrap();
+        let mut phi = ledger.phi().clone();
+        phi.assign(committed.account, committed.from).unwrap();
+        ledger.set_allocation(phi).unwrap();
+        ledger.check_invariants().unwrap();
+        let err = core.check_invariants(strategy.as_ref()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Inconsistent {
+                    component: "core",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }

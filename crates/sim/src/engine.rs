@@ -263,6 +263,12 @@ pub trait EpochStrategy {
     fn after_epoch(&mut self, window: &[Transaction]) {
         let _ = window;
     }
+
+    /// Checks the strategy's own state for
+    /// [`AllocationCore::check_invariants`]. Default: nothing to check.
+    fn check_invariants(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// Counts accounts whose shard differs between `old` and `new` (the
@@ -507,6 +513,10 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
 
     fn after_epoch(&mut self, window: &[Transaction]) {
         self.framework.observe_epoch(window);
+    }
+
+    fn check_invariants(&self) -> Result<()> {
+        self.framework.check_invariants()
     }
 }
 

@@ -315,30 +315,26 @@ impl AccountShardMap {
         inv
     }
 
-    /// Verifies Definition 1 on a universe of accounts: every account
-    /// resolves to a valid shard and (tautologically, but checked anyway)
-    /// resolves to only one. Returns the per-shard member counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShardOutOfRange`] if any resolution escapes
-    /// `[0, k)` — which would indicate internal corruption.
-    pub fn check_partition<I>(&self, universe: I) -> Result<Vec<usize>>
-    where
-        I: IntoIterator<Item = AccountId>,
-    {
-        let mut counts = vec![0usize; usize::from(self.shards)];
-        for account in universe {
-            let s = self.shard_of(account);
-            if s.index() >= counts.len() {
-                return Err(Error::ShardOutOfRange {
-                    shard: s,
-                    shards: self.shards,
-                });
-            }
-            counts[s.index()] += 1;
+    /// Checks Definition 1 where state could break it, else
+    /// [`Error::Inconsistent`]: every explicit assignment is in `[0, k)`,
+    /// and every filled table slot holds what the explicit map, else the
+    /// rule, says. Uniqueness is structural. Fills no slot.
+    pub fn check_invariants(&self) -> Result<()> {
+        let k = self.shards;
+        for (&account, &shard) in &self.assigned {
+            crate::ensure!(shard.as_u16() < k, "phi", "{account} in {shard}, k = {k}");
         }
-        Ok(counts)
+        let filled = self
+            .table
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != UNRESOLVED);
+        for (id, &slot) in filled {
+            let (account, slot) = (AccountId::new(id as u64), ShardId::new(slot));
+            let shard = self.uncached_shard_of(account);
+            crate::ensure!(slot == shard, "phi", "{account}: slot {slot}, ϕ {shard}");
+        }
+        Ok(())
     }
 
     /// Bulk-loads assignments, replacing existing ones.
@@ -476,12 +472,39 @@ mod tests {
     }
 
     #[test]
-    fn check_partition_counts_universe() {
-        let mut phi = AccountShardMap::new(2);
-        phi.assign(AccountId::new(0), ShardId::new(0)).unwrap();
-        phi.assign(AccountId::new(1), ShardId::new(1)).unwrap();
-        let counts = phi.check_partition((0..100).map(AccountId::new)).unwrap();
-        assert_eq!(counts.iter().sum::<usize>(), 100);
+    fn check_invariants_flags_a_stale_table_slot() {
+        let mut phi = AccountShardMap::new(4);
+        let (a, b) = (AccountId::new(0), AccountId::new(1));
+        phi.assign(a, ShardId::new(3)).unwrap();
+        for i in 0..100 {
+            phi.resolve(AccountId::new(i));
+        }
+        phi.check_invariants().unwrap();
+
+        // A slot the write-through missed: ϕ says S4, the table S1.
+        phi.table[0] = 0;
+        let err = phi.check_invariants().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Inconsistent {
+                    component: "phi",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        phi.table[0] = 3;
+        // A cached rule answer that no longer matches the rule.
+        let wrong = (phi.shard_of(b).as_u16() + 1) % 4;
+        phi.table[1] = wrong;
+        assert!(phi.check_invariants().is_err());
+        phi.unassign(b);
+        phi.check_invariants().unwrap();
+        // An explicit assignment out of range.
+        phi.assigned
+            .insert(AccountId::new(1 << 40), ShardId::new(4));
+        assert!(phi.check_invariants().is_err());
     }
 
     #[test]
@@ -752,7 +775,7 @@ mod tests {
     proptest! {
         /// Uniqueness + completeness: any sequence of assignments over a
         /// random universe still yields a valid partition whose counts sum
-        /// to the universe size.
+        /// to the universe size, and the table the reads fill agrees.
         #[test]
         fn prop_partition_invariants(
             assignments in proptest::collection::vec((0u64..500, 0u16..8), 0..300),
@@ -762,9 +785,11 @@ mod tests {
             for (a, s) in assignments {
                 phi.assign(AccountId::new(a), ShardId::new(s)).unwrap();
             }
-            let counts = phi
-                .check_partition((0..universe_size).map(AccountId::new))
-                .unwrap();
+            let mut counts = [0usize; 8];
+            for a in 0..universe_size {
+                counts[phi.resolve(AccountId::new(a)).index()] += 1;
+            }
+            prop_assert!(phi.check_invariants().is_ok());
             prop_assert_eq!(counts.iter().sum::<usize>(), universe_size as usize);
         }
 

@@ -65,6 +65,27 @@ pub enum Error {
     },
     /// A component was used before required initialisation.
     NotInitialized(&'static str),
+    /// A `check_invariants` method found broken state.
+    Inconsistent {
+        /// The component checked, e.g. `"ledger"`.
+        component: &'static str,
+        /// The invariant that failed, with the values that broke it.
+        detail: String,
+    },
+}
+
+/// Returns [`Error::Inconsistent`] naming `$component`, with a
+/// `format!` detail, unless `$holds`.
+#[macro_export]
+macro_rules! ensure {
+    ($holds:expr, $component:expr, $($detail:tt)+) => {
+        if !$holds {
+            return Err($crate::Error::Inconsistent {
+                component: $component,
+                detail: format!($($detail)+),
+            });
+        }
+    };
 }
 
 impl fmt::Display for Error {
@@ -99,6 +120,9 @@ impl fmt::Display for Error {
             }
             Error::Io { path, message } => write!(f, "io error on {path}: {message}"),
             Error::NotInitialized(what) => write!(f, "component not initialised: {what}"),
+            Error::Inconsistent { component, detail } => {
+                write!(f, "inconsistent {component}: {detail}")
+            }
         }
     }
 }

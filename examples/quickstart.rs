@@ -70,8 +70,8 @@ fn main() -> Result<(), mosaic::types::Error> {
         ledger.beacon().committed_len(),
     );
     println!(
-        "all chains verify: {}",
-        if ledger.verify_chains() { "yes" } else { "NO" }
+        "chains verify, ϕ and the meter agree: {:?}",
+        ledger.check_invariants()
     );
 
     // The same protocol, declaratively: one serializable spec drives

@@ -31,7 +31,7 @@ fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) ->
 
 /// Runs the Mosaic strategy on the quick scale and returns everything
 /// needed for invariant checks.
-fn run_mosaic_pipeline(k: u16) -> (Ledger, MosaicFramework, TransactionTrace, SystemParams) {
+fn run_mosaic_pipeline(k: u16) -> (Ledger, MosaicFramework) {
     let quick = quick();
     let trace = generate(quick.workload().unwrap()).into_trace();
     let params = quick.base.with_shards(k).unwrap();
@@ -52,26 +52,22 @@ fn run_mosaic_pipeline(k: u16) -> (Ledger, MosaicFramework, TransactionTrace, Sy
     for window in &windows {
         let (_outcome, _report) = mosaic.run_epoch(&mut ledger, window);
     }
-    (ledger, mosaic, trace, params)
+    (ledger, mosaic)
 }
 
 #[test]
 fn phi_remains_a_valid_partition_through_migrations() {
-    let (ledger, _mosaic, trace, params) = run_mosaic_pipeline(4);
-    // Definition 1: every account resolves to exactly one in-range shard.
-    let counts = ledger.phi().check_partition(trace.accounts()).unwrap();
-    assert_eq!(counts.len(), usize::from(params.shards()));
-    assert_eq!(
-        counts.iter().sum::<usize>(),
-        trace.account_count(),
-        "completeness: every account placed exactly once"
-    );
+    let (ledger, mosaic) = run_mosaic_pipeline(4);
+    // Definition 1 over every account the windows resolved, committed
+    // migrations included; the clients' graph stays one undirected graph.
+    ledger.check_invariants().unwrap();
+    mosaic.check_invariants().unwrap();
 }
 
 #[test]
 fn chains_verify_after_full_run() {
-    let (ledger, _, _, _) = run_mosaic_pipeline(4);
-    assert!(ledger.verify_chains());
+    let (ledger, _) = run_mosaic_pipeline(4);
+    ledger.check_invariants().unwrap();
     // One block per processed epoch on every chain.
     for shard in ledger.shards() {
         assert_eq!(shard.len(), 5); // genesis + 4 epochs
@@ -97,7 +93,7 @@ fn committed_migrations_never_exceed_lambda() {
 #[test]
 fn full_pipeline_is_deterministic_across_runs() {
     let collect = || {
-        let (ledger, mut mosaic, _, _) = run_mosaic_pipeline(4);
+        let (ledger, mut mosaic) = run_mosaic_pipeline(4);
         (
             ledger.beacon().committed_len(),
             ledger.meter().total(),
@@ -109,12 +105,10 @@ fn full_pipeline_is_deterministic_across_runs() {
 
 #[test]
 fn migration_state_bytes_track_committed_migrations() {
-    let (ledger, _, _, _) = run_mosaic_pipeline(4);
-    let committed = ledger.beacon().committed_len() as u64;
-    assert_eq!(
-        ledger.meter().migration_state,
-        committed * mosaic::chain::network::ACCOUNT_STATE_BYTES
-    );
+    let (ledger, _) = run_mosaic_pipeline(4);
+    // One account's state metered per committed migration.
+    assert!(ledger.beacon().committed_len() > 0);
+    ledger.check_invariants().unwrap();
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use mosaic::metrics::EpochMetrics;
 use mosaic::prelude::*;
-use mosaic::sim::engine::RunSummary;
+use mosaic::sim::engine::{EpochStrategy, RunSummary};
 use mosaic::sim::AllocationCore;
 use mosaic::types::Error;
 use mosaic::workload::WorkloadConfig;
@@ -17,6 +17,70 @@ use proptest::prelude::*;
 use mosaic::sim::Strategy;
 
 type Outcome = (Vec<EpochMetrics>, RunSummary);
+
+/// A core and its strategy, checked after every event: the owner's
+/// `check_invariants` holds, and `next_boundary` never moves back —
+/// `Some` values do not decrease, and once `None` it stays `None`.
+struct Checked {
+    core: AllocationCore,
+    strategy: Box<dyn EpochStrategy>,
+    rows: Vec<EpochMetrics>,
+    boundary: Option<u64>,
+}
+
+impl Checked {
+    fn begin(config: &ExperimentConfig, blocks: u64) -> Self {
+        let mut core = AllocationCore::new(*config);
+        core.begin(blocks).unwrap();
+        let mut checked = Checked {
+            core,
+            strategy: config.strategy.build(config.params),
+            rows: Vec::new(),
+            boundary: Some(0),
+        };
+        checked.check();
+        checked
+    }
+
+    fn check(&mut self) {
+        self.core.check_invariants(self.strategy.as_ref()).unwrap();
+        let next = self.core.next_boundary();
+        let monotone = match (self.boundary, next) {
+            (Some(before), Some(now)) => now >= before,
+            (None, Some(_)) => false,
+            (_, None) => true,
+        };
+        assert!(
+            monotone,
+            "next_boundary went {:?} -> {next:?}",
+            self.boundary
+        );
+        self.boundary = next;
+    }
+
+    fn ingest_block(&mut self, txs: &[Transaction]) -> Result<(), Error> {
+        let result = self
+            .core
+            .ingest_block(self.strategy.as_mut(), txs, &mut self.rows);
+        self.check();
+        result
+    }
+
+    fn advance_to(&mut self, block: u64) {
+        self.core
+            .advance_to(self.strategy.as_mut(), block, &mut self.rows)
+            .unwrap();
+        self.check();
+    }
+
+    fn end_stream(mut self) -> Outcome {
+        self.core
+            .end_stream(self.strategy.as_mut(), &mut self.rows)
+            .unwrap();
+        self.check();
+        (self.rows, self.core.summary())
+    }
+}
 
 /// The wall-clock-free part of a summary.
 fn counted(summary: &RunSummary) -> (Aggregate, usize, usize, u64) {
@@ -32,24 +96,18 @@ fn counted(summary: &RunSummary) -> (Aggregate, usize, usize, u64) {
 /// window, cut at the core's own boundaries, stopping once the core
 /// wants no more.
 fn feed_per_window(config: &ExperimentConfig, blocks: u64, txs: &[Transaction]) -> Outcome {
-    let mut core = AllocationCore::new(*config);
-    let mut strategy = config.strategy.build(config.params);
-    let mut rows = Vec::new();
-    core.begin(blocks).unwrap();
+    let mut feed = Checked::begin(config, blocks);
     let mut rest = txs;
-    while let Some(boundary) = core.next_boundary() {
+    while let Some(boundary) = feed.core.next_boundary() {
         if rest.is_empty() {
             break;
         }
         let n = rest.partition_point(|tx| tx.block.as_u64() < boundary);
-        core.ingest_block(strategy.as_mut(), &rest[..n], &mut rows)
-            .unwrap();
-        core.advance_to(strategy.as_mut(), boundary, &mut rows)
-            .unwrap();
+        feed.ingest_block(&rest[..n]).unwrap();
+        feed.advance_to(boundary);
         rest = &rest[n..];
     }
-    core.end_stream(strategy.as_mut(), &mut rows).unwrap();
-    (rows, core.summary())
+    feed.end_stream()
 }
 
 /// Feeds *all* of `txs` in batches of the cycled `sizes`; after batch
@@ -62,26 +120,21 @@ fn feed_split(
     sizes: &[usize],
     marks: &[bool],
 ) -> Outcome {
-    let mut core = AllocationCore::new(*config);
-    let mut strategy = config.strategy.build(config.params);
-    let mut rows = Vec::new();
-    core.begin(blocks).unwrap();
+    let mut feed = Checked::begin(config, blocks);
     let mut rest = txs;
     for i in 0.. {
         if rest.is_empty() {
             break;
         }
         let n = sizes[i % sizes.len()].min(rest.len());
-        core.ingest_block(strategy.as_mut(), &rest[..n], &mut rows)
-            .unwrap();
+        feed.ingest_block(&rest[..n]).unwrap();
         rest = &rest[n..];
         if marks[i % marks.len()] {
             let mark = rest.first().map_or(blocks, |tx| tx.block.as_u64());
-            core.advance_to(strategy.as_mut(), mark, &mut rows).unwrap();
+            feed.advance_to(mark);
         }
     }
-    core.end_stream(strategy.as_mut(), &mut rows).unwrap();
-    (rows, core.summary())
+    feed.end_stream()
 }
 
 fn tx_at(block: u64) -> Transaction {
@@ -160,16 +213,13 @@ proptest! {
             batch.push(bad);
             batch.extend_from_slice(&txs[at..]);
 
-            let mut core = AllocationCore::new(config);
-            let mut strategy = config.strategy.build(config.params);
-            let mut r = Vec::new();
-            core.begin(blocks).unwrap();
-            let err = core.ingest_block(strategy.as_mut(), &batch, &mut r).unwrap_err();
+            let mut feed = Checked::begin(&config, blocks);
+            let err = feed.ingest_block(&batch).unwrap_err();
             prop_assert!(matches!(err, Error::ParseTrace { .. }), "{}", err);
-            core.ingest_block(strategy.as_mut(), &txs[at..], &mut r).unwrap();
-            core.end_stream(strategy.as_mut(), &mut r).unwrap();
+            feed.ingest_block(&txs[at..]).unwrap();
+            let (r, s) = feed.end_stream();
             prop_assert_eq!(&r, &rows);
-            prop_assert_eq!(counted(&core.summary()), counted(&summary));
+            prop_assert_eq!(counted(&s), counted(&summary));
         }
     }
 }
@@ -195,6 +245,7 @@ fn the_feed_is_checked_at_every_entry() {
         );
     }
     assert_eq!(core.begin(0), Err(Error::EmptyTrace));
+    core.check_invariants(strategy.as_ref()).unwrap();
 
     // 40 blocks: training [0, 36) in chunks [0, 5) … [30, 31), [31, 36).
     core.begin(40).unwrap();
@@ -225,7 +276,6 @@ fn the_feed_is_checked_at_every_entry() {
     assert_eq!(rows.len(), 1);
     assert_eq!(core.next_boundary(), None);
     assert_eq!(core.epochs_processed(), 1);
-    let ledger = core.ledger().unwrap();
-    assert!(ledger.verify_chains());
-    assert_eq!(ledger.beacon().len(), 2); // genesis + 1 epoch
+    core.check_invariants(strategy.as_ref()).unwrap();
+    assert_eq!(core.ledger().unwrap().beacon().len(), 2); // genesis + 1 epoch
 }

@@ -159,5 +159,5 @@ fn epoch_reconfiguration_fires_every_tau_blocks_regardless_of_traffic() {
         assert!(outcome.reconfig.miners_moved > 0 || ledger.miners().len() < 2);
     }
     assert_eq!(ledger.beacon().len(), 4); // genesis + 3 epochs
-    assert!(ledger.verify_chains());
+    ledger.check_invariants().unwrap();
 }

@@ -88,15 +88,23 @@ fn pilot_within_striking_distance_of_graph_methods() {
 
 #[test]
 fn pilot_is_orders_of_magnitude_cheaper() {
-    let results = quick_results(8);
-    let pilot = result(&results, Strategy::Mosaic);
-    let g = result(&results, Strategy::GTxAllo);
-    let a = result(&results, Strategy::ATxAllo);
-    let metis = result(&results, Strategy::Metis);
+    let runs: Vec<Vec<ExperimentResult>> = (0..3).map(|_| quick_results(8)).collect();
+    let results = &runs[0];
+    // A wall clock only reads high under load, so each strategy's cost
+    // is its fastest of the three runs.
+    let seconds = |s: Strategy| {
+        runs.iter()
+            .map(|results| result(results, s).mean_alloc_seconds)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let pilot = result(results, Strategy::Mosaic);
+    let g = result(results, Strategy::GTxAllo);
+    let a = result(results, Strategy::ATxAllo);
     // Runtime: Pilot per decision vs miner-driven per epoch.
-    assert!(pilot.mean_alloc_seconds * 50.0 < a.mean_alloc_seconds);
-    assert!(pilot.mean_alloc_seconds * 1000.0 < g.mean_alloc_seconds);
-    assert!(pilot.mean_alloc_seconds * 1000.0 < metis.mean_alloc_seconds);
+    let pilot_s = seconds(Strategy::Mosaic);
+    assert!(pilot_s * 50.0 < seconds(Strategy::ATxAllo));
+    assert!(pilot_s * 1000.0 < seconds(Strategy::GTxAllo));
+    assert!(pilot_s * 1000.0 < seconds(Strategy::Metis));
     // Input size: hundreds of bytes vs kilo/megabytes.
     assert!(pilot.mean_input_bytes < 1000.0);
     assert!(g.mean_input_bytes > 10_000.0);
