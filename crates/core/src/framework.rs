@@ -7,13 +7,13 @@
 //! beacon commits the best `λ`, and reconfiguration applies them.
 //!
 //! In scope: simulating a *population* of clients. It is stored as one
-//! interaction graph — row ν (of the training [`TxGraph`] CSR, plus the
-//! edges ν gained since) *is* client ν's historical counterparty
-//! multiset `T^ν_h` — plus a sparse map holding the expectations `T^ν_e`
-//! of the accounts β-sampled this epoch. The scoring step for ν reads
-//! only row ν, the public allocation ϕ and the public workload vector
-//! `Ω` — the paper's information boundary — so a decision is still
-//! `O(deg(ν) + k)` on
+//! interaction graph — row ν (of a [`TxGraph`] CSR grown in place, plus
+//! the edges ν gained since its last fold) *is* client ν's historical
+//! counterparty multiset `T^ν_h` — plus a sparse map holding the
+//! expectations `T^ν_e` of the accounts β-sampled this epoch. The
+//! scoring step for ν reads only row ν, the public allocation ϕ and the
+//! public workload vector `Ω` — the paper's information boundary — so a
+//! decision is still `O(deg(ν) + k)` on
 //! `16 + 12·deg(ν) + 12·|T^ν_e| + 8k` bytes (Table IV), whatever the
 //! population size. Sharing one graph is a property of the simulator,
 //! not of the protocol.
@@ -31,15 +31,14 @@
 //! [`MosaicFramework::observe_epoch`] hooks so that ledger processing
 //! stays inside the strategy-agnostic epoch pipeline.
 //!
-//! The population graph is a [`GrowingGraph`] while the training prefix
-//! goes in through [`MosaicFramework::preload`], which merges on a
-//! geometric schedule instead of once per chunk. The first epoch hook
-//! hands its sorted CSR over to the population, which from then on
-//! patches the CSR's weights in place and keeps edges and clients first
-//! seen after training in per-row overflow blocks next to it
-//! (`population.rs`). An epoch costs O(window · log deg) to learn; the
-//! only other whole-graph passes are `propose`'s scoring pass and a fold
-//! of the overflow into the CSR each time it reaches an eighth of it.
+//! The population graph is one [`GrowingGraph`] from construction on:
+//! the training prefix and every epoch go in through
+//! [`MosaicFramework::observe_epoch`], which patches the CSR's weights in
+//! place and keeps edges and clients first seen since the last fold in
+//! per-row overflow blocks next to it. An epoch costs O(window · log deg)
+//! to learn; the only whole-graph passes are `propose`'s scoring pass, a
+//! fold each time the overflow reaches an eighth of the CSR, and
+//! [`MosaicFramework::graph`], which G-TxAllo's initial allocation reads.
 
 use std::iter;
 use std::num::NonZeroUsize;
@@ -58,7 +57,6 @@ use crate::client::Client;
 use crate::fusion::fuse_in_place;
 use crate::interaction::CounterpartySet;
 use crate::policy::{ClientPolicy, PilotPolicy, PolicyContext};
-use crate::population::Population;
 
 /// Fewest clients a scoring lane is given. Below twice this a population
 /// is scored on the calling thread: a lane costs a thread spawn, which a
@@ -114,48 +112,11 @@ pub struct FrameworkReport {
 pub struct MosaicFramework<P = PilotPolicy> {
     params: SystemParams,
     /// The population: node ν is client ν, row ν its `T^ν_h`.
-    graph: Histories,
+    graph: GrowingGraph,
     /// `T^ν_e` of the accounts β-sampled for the upcoming epoch only.
     expected: FnvHashMap<AccountId, CounterpartySet>,
     expectation_seed: u64,
     policy: P,
-}
-
-/// The population's interaction graph in its two phases.
-#[derive(Debug, Clone)]
-enum Histories {
-    /// Before the first epoch hook, and after [`MosaicFramework::graph`]
-    /// rebuilt the population sorted: merged on a geometric schedule,
-    /// nodes in ascending account order.
-    Training(GrowingGraph),
-    /// From the first epoch on: the training CSR, updated in place.
-    Live(Population),
-}
-
-impl Histories {
-    /// The sorted graph (see [`MosaicFramework::graph`]).
-    fn graph(&mut self) -> &TxGraph {
-        if let Histories::Live(population) = self {
-            *self = Histories::Training(GrowingGraph::from(population.to_graph()));
-        }
-        match self {
-            Histories::Training(graph) => graph.graph(),
-            Histories::Live(_) => unreachable!("rebuilt above"),
-        }
-    }
-
-    /// The population after the training handover: the first call takes
-    /// over the training CSR's buffers, copying nothing.
-    fn live(&mut self) -> &mut Population {
-        if let Histories::Training(graph) = self {
-            let graph = std::mem::take(graph).into_graph();
-            *self = Histories::Live(Population::new(graph));
-        }
-        match self {
-            Histories::Live(population) => population,
-            Histories::Training(_) => unreachable!("handed over above"),
-        }
-    }
 }
 
 impl MosaicFramework<PilotPolicy> {
@@ -172,7 +133,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     pub fn with_policy(params: SystemParams, policy: P) -> Self {
         MosaicFramework {
             params,
-            graph: Histories::Training(GrowingGraph::new()),
+            graph: GrowingGraph::new(),
             expected: FnvHashMap::default(),
             expectation_seed: 0x6d6f_7361_6963, // "mosaic"
             policy,
@@ -184,26 +145,21 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         &self.policy
     }
 
-    /// Checks the population graph once the epochs run (`Ok` during
-    /// training); see `population.rs`.
+    /// Checks the population graph; see [`GrowingGraph::check_invariants`].
     pub fn check_invariants(&self) -> mosaic_types::Result<()> {
-        match &self.graph {
-            Histories::Training(_) => Ok(()),
-            Histories::Live(population) => population.check_invariants(),
-        }
+        self.graph.check_invariants()
     }
 
     /// Number of known clients.
-    pub fn client_count(&mut self) -> usize {
-        self.graph.live().node_count()
+    pub fn client_count(&self) -> usize {
+        self.graph.node_count()
     }
 
-    /// The population's interaction graph: every observed or preloaded
-    /// transaction, one node per client (what a miner-side allocator
-    /// would build from the same history), nodes in account order.
-    /// Before the first epoch hook this completes any pending
-    /// [`MosaicFramework::preload`] fold; after it, the graph is rebuilt
-    /// sorted, one pass over the whole graph, which only tests pay.
+    /// The population's interaction graph: every observed transaction,
+    /// one node per client (what a miner-side allocator would build from
+    /// the same history), nodes in account order. Folds whatever the
+    /// population added since the last fold, one pass over the whole
+    /// graph; G-TxAllo's initial allocation reads it once.
     pub fn graph(&mut self) -> &TxGraph {
         self.graph.graph()
     }
@@ -214,8 +170,8 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     ///
     /// Panics if the client transacted with one counterparty more than
     /// `u32::MAX` times (the wallet-side multiset counts in `u32`).
-    pub fn client(&mut self, account: AccountId) -> Option<Client> {
-        let population = self.graph.live();
+    pub fn client(&self, account: AccountId) -> Option<Client> {
+        let population = &self.graph;
         let node = population.node_of(account)?;
         let mut history = CounterpartySet::new();
         population.visit(node.index(), |other, weight| {
@@ -226,27 +182,15 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         Some(Client::with_knowledge(account, history, expected))
     }
 
-    /// Preloads clients' histories from training transactions (§V-B):
-    /// the same fold as [`MosaicFramework::observe_epoch`], but before
-    /// the first epoch hook it merges into the training CSR only on
-    /// [`GrowingGraph::absorb`]'s geometric schedule, so a training
-    /// prefix fed in many chunks costs O(log E) merges.
-    /// [`MosaicFramework::graph`] completes the fold, and the first
-    /// epoch hook hands the CSR to the population.
-    pub fn preload(&mut self, txs: &[Transaction]) {
-        match &mut self.graph {
-            Histories::Training(graph) => graph.absorb(txs),
-            Histories::Live(population) => population.absorb(txs),
-        }
-    }
-
     /// Feeds committed transactions into the affected clients' histories
     /// (both endpoints), creating clients on first sight, in
     /// O(txs · log deg): an edge the CSR holds is patched in place, and
     /// any other edge, or client, is added next to it. Once those reach
-    /// an eighth of the CSR, one pass folds them into it.
+    /// an eighth of the CSR, one pass folds them into it. A
+    /// per-transaction fold in slice order, so feeding a prefix in any
+    /// chunks builds the same graph as one call.
     pub fn observe_epoch(&mut self, txs: &[Transaction]) {
-        self.graph.live().absorb(txs);
+        self.graph.absorb(txs);
     }
 
     /// Distributes expected-future knowledge for the upcoming epoch: each
@@ -261,7 +205,6 @@ impl<P: ClientPolicy> MosaicFramework<P> {
             return;
         }
         let threshold = (beta * u64::MAX as f64) as u64;
-        let population = self.graph.live();
         for tx in future {
             if tx.is_self_transfer() {
                 continue;
@@ -274,8 +217,8 @@ impl<P: ClientPolicy> MosaicFramework<P> {
                 self.expected.entry(tx.from).or_default().add(tx.to, 1);
                 self.expected.entry(tx.to).or_default().add(tx.from, 1);
                 // New accounts with plans become clients.
-                population.add_client(tx.from);
-                population.add_client(tx.to);
+                self.graph.touch(tx.from);
+                self.graph.touch(tx.to);
             }
         }
     }
@@ -327,7 +270,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         assert!(lanes > 0, "at least one scoring lane");
         let epoch = ledger.current_epoch();
         let (expected, policy) = (&self.expected, &self.policy);
-        let population = &*self.graph.live();
+        let population = &self.graph;
         let decisions = population.node_count();
 
         let start = Instant::now();

@@ -30,8 +30,9 @@
 //! [`CounterpartySet`], [`fusion`], [`potential`], [`Pilot`],
 //! [`policy`]), and simulating a *population* of such clients
 //! ([`MosaicFramework`]). The population is stored as one interaction
-//! graph (the training `mosaic-txgraph` CSR, kept in place, plus the
-//! edges and clients seen since; row ν is client ν's `T^ν_h`) instead
+//! graph (a `mosaic-txgraph` `GrowingGraph`: a CSR grown in place, plus
+//! the edges and clients seen since its last fold; row ν is client ν's
+//! `T^ν_h`) instead
 //! of one hash map per client, but a scoring step for ν reads
 //! only row ν, the public ϕ and the public `Ω` — the paper's information
 //! boundary — and Table IV's input size is still
@@ -74,7 +75,6 @@ pub mod fusion;
 pub mod interaction;
 pub mod pilot;
 pub mod policy;
-mod population;
 pub mod potential;
 
 pub use client::Client;

@@ -3,14 +3,17 @@
 //! wallet scores itself from its own [`Client`]. For arbitrary traces,
 //! allocations and workload vectors the two must submit the same
 //! migration requests — gain bits included — and report the same
-//! Table IV numbers. The training prefix goes in through `preload` in
-//! arbitrary chunks, whose geometric merge schedule must build the same
-//! graph as one `observe_epoch` per chunk. After every epoch the
-//! population, materialised, must be the graph a `GraphBuilder` builds
-//! from everything observed plus the expectation-only clients: that pins
-//! the vertex weights, which no wallet sees, across the boundary between
-//! the training CSR and the edges and clients added after it, and its
-//! `check_invariants` must hold.
+//! Table IV numbers. The training prefix goes in through `observe_epoch`
+//! in arbitrary chunks, which must build the same graph as one call on
+//! the whole prefix. At arbitrary epochs the test reads the whole graph
+//! from the live framework once the expectation-only clients joined,
+//! which folds and renumbers the population just before it is scored.
+//! After every epoch the population, materialised, must be the graph a
+//! `GraphBuilder` builds from everything observed plus the
+//! expectation-only clients: that pins the vertex weights, which no
+//! wallet sees, across the boundary between the CSR and the edges and
+//! clients added after its last fold, and its `check_invariants` must
+//! hold.
 
 use std::collections::BTreeMap;
 
@@ -94,6 +97,9 @@ proptest! {
         training_len in 0u64..200,
         window_len in 0u64..60,
         epochs in 3u64..6,
+        // Bit e: read the graph from the live framework before epoch
+        // e's scoring pass; bit 7: right after training.
+        live_reads in any::<u8>(),
     ) {
         let mut rng = TestRng::deterministic(seed);
         let beta = [0.0, 0.3, 1.0][beta_idx];
@@ -121,7 +127,7 @@ proptest! {
         let mut next_tx = 0u64;
 
         // Training prefix, cut into random chunks (empty ones included):
-        // `framework` preloads them, `per_chunk` observes one each.
+        // `framework` observes them one by one, `whole` all at once.
         let training: Vec<Transaction> = (0..training_len)
             .map(|_| {
                 let from = rng.next_u64() % (accounts + 8);
@@ -135,25 +141,27 @@ proptest! {
                 )
             })
             .collect();
-        let mut per_chunk = MosaicFramework::new(params);
         let mut rest = training.as_slice();
         loop {
             let cut = (rng.next_u64() % 16).min(rest.len() as u64) as usize;
             let (chunk, tail) = rest.split_at(cut);
-            framework.preload(chunk);
-            per_chunk.observe_epoch(chunk);
+            framework.observe_epoch(chunk);
             rest = tail;
             if rest.is_empty() {
                 break;
             }
         }
+        let mut whole = MosaicFramework::new(params);
+        whole.observe_epoch(&training);
         wallets.observe(&training);
         let mut oracle = GraphBuilder::new();
         oracle.add_transactions(&training);
-        // Read through a clone, so that the epochs below still start
-        // with the preload fold pending.
-        prop_assert_eq!(framework.clone().graph(), per_chunk.graph());
-        prop_assert_eq!(per_chunk.graph(), &oracle.build());
+        prop_assert_eq!(whole.graph(), &oracle.build());
+        if live_reads & 0x80 != 0 {
+            prop_assert_eq!(framework.graph(), &oracle.build());
+        } else {
+            prop_assert_eq!(framework.clone().graph(), &oracle.build());
+        }
 
         for epoch in 0..epochs {
             // Self-transfers and repeated pairs come from the small id
@@ -179,6 +187,9 @@ proptest! {
             framework.set_expectations(&window);
             for account in wallets.set_expectations(&window, beta) {
                 oracle.touch(account);
+            }
+            if live_reads & (1 << epoch) != 0 {
+                prop_assert_eq!(framework.graph(), &oracle.build(), "before epoch {}", epoch);
             }
 
             prop_assert!(ledger.beacon().pending().is_empty());

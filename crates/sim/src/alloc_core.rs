@@ -250,11 +250,15 @@ impl AllocationCore {
     }
 
     /// The one consistency check over a cell: the ledger's (which runs
-    /// ϕ's), `strategy`'s and the last [`mosaic_metrics::EpochLoad`]'s,
-    /// then the protocol across them. The last epoch committed distinct
-    /// accounts, at most the capacity (`⌊λ⌋` unless overridden), applied
-    /// all and flagged at most all stale, and each now resolves to its
-    /// request's `to`. A client-driven strategy counted exactly the
+    /// ϕ's), `strategy`'s, the history's and the last
+    /// [`mosaic_metrics::EpochLoad`]'s, then the protocol across them.
+    /// While the strategy retains the history's graph (before the cut if
+    /// it needs the training graph or consumes the history, after it if
+    /// it consumes the history) the graph holds every transaction the
+    /// history counts, and otherwise it is empty. The last epoch
+    /// committed distinct accounts, at most the capacity (`⌊λ⌋` unless
+    /// overridden), applied all and flagged at most all stale, and each
+    /// now resolves to its request's `to`. A client-driven strategy counted exactly the
     /// beacon's commits, any other left it empty. A ledger exists once
     /// the feed is past the training cut, its clock equals the rows
     /// emitted, the window starts at `cut + epochs · τ`, and the buffer
@@ -269,10 +273,20 @@ impl AllocationCore {
     fn check(&self, strategy: &dyn EpochStrategy, feed: Option<&Feed>) -> Result<()> {
         const CORE: &str = "core";
         strategy.check_invariants()?;
+        self.history.check_invariants()?;
         let rows = self.aggregate.epochs() as u64;
         let built = self.ledger.is_some();
         let cut = feed.is_some_and(|f| f.phase != Phase::Training);
         ensure!(built == cut, CORE, "ledger built {built}, past cut {cut}");
+        let retains = strategy.consumes_history() || !built && strategy.needs_training_graph();
+        let (kept, nodes) = self.history.retained();
+        let len = self.history.len() as u64;
+        if retains {
+            ensure!(kept == len, CORE, "graph of {kept} txs, history of {len}");
+        } else {
+            let empty = kept == 0 && nodes == 0;
+            ensure!(empty, CORE, "{kept} txs, {nodes} nodes in a released graph");
+        }
         if let Some(ledger) = &self.ledger {
             ledger.check_invariants()?;
             let clock = ledger.current_epoch().as_u64();
@@ -573,11 +587,11 @@ impl AllocationCore {
             // The graph is never read: keep only the count.
             self.history.record_unretained(feed.buf.len());
         } else {
-            // The history merges on its own geometric schedule, so the
-            // pending delta stays below max(one chunk, CSR / 8) edges;
-            // the initial allocation's `graph()` merges the rest. The
-            // counter reads the merged CSR without forcing a merge, so
-            // telemetry never changes when merges run.
+            // The history folds on its own geometric schedule, so its
+            // overflow stays below max(one chunk, CSR / 8) entries; the
+            // initial allocation's `graph()` folds the rest. The counter
+            // reads the folded CSR without forcing a fold, so telemetry
+            // never changes when folds run.
             self.history.absorb(&feed.buf);
             if self.metrics.edges_merged.is_enabled() {
                 let total = self.history.merged_edge_count();
@@ -761,6 +775,40 @@ mod tests {
         phi.assign(committed.account, committed.from).unwrap();
         ledger.set_allocation(phi).unwrap();
         ledger.check_invariants().unwrap();
+        let err = core.check_invariants(strategy.as_ref()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Inconsistent {
+                    component: "core",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    /// A strategy that consumes the history keeps every transaction in
+    /// its graph: one counted but not kept fails only the core's check.
+    #[test]
+    fn check_invariants_catches_a_history_that_dropped_a_transaction() {
+        let workload = WorkloadConfig::small_test(7);
+        let trace = generate(&workload).into_trace();
+        let txs: Vec<Transaction> = trace.iter().copied().collect();
+        let params = SystemParams::builder().shards(4).tau(50).build().unwrap();
+        let config = ExperimentConfig::new(params, Strategy::GTxAllo, 4);
+        let mut core = AllocationCore::new(config);
+        let mut strategy = config.strategy.build(params);
+        let mut rows = Vec::new();
+        core.begin(workload.blocks).unwrap();
+        let n = txs.len() / 2;
+        core.ingest_block(strategy.as_mut(), &txs[..n], &mut rows)
+            .unwrap();
+        assert!(strategy.consumes_history() && !core.history.is_empty());
+        core.check_invariants(strategy.as_ref()).unwrap();
+
+        core.history.record_unretained(1);
+        core.history.check_invariants().unwrap();
         let err = core.check_invariants(strategy.as_ref()).unwrap_err();
         assert!(
             matches!(

@@ -14,12 +14,13 @@
 //!   client-driven [`MosaicFramework`]. Adding a sixth strategy is a new
 //!   impl plus a registry entry ([`crate::Strategy::build`]);
 //! * [`History`] is the transaction history strategies see: windows are
-//!   absorbed into a [`GrowingGraph`], which merges its pending delta
-//!   into the CSR only on a geometric schedule or when
+//!   absorbed into a [`GrowingGraph`], the same type that holds Pilot's
+//!   client population, which patches its CSR in place and folds new
+//!   edges and accounts into it only on a geometric schedule or when
 //!   [`History::graph`] asks for the whole graph — so the training
-//!   prefix costs O(log E) merges, not one per τ-chunk, and nothing ever
+//!   prefix costs O(log E) folds, not one per τ-chunk, and nothing ever
 //!   runs a full `GraphBuilder::build` of the whole history (which stays
-//!   in `mosaic-txgraph` as the reference oracle the delta path is
+//!   in `mosaic-txgraph` as the reference oracle the growing graph is
 //!   proptested against);
 //! * [`run_cell`] is the offline driver: it reads an
 //!   [`EpochWindowStream`] — resident trace, generator or CSV file, all
@@ -52,13 +53,13 @@ use crate::runner::ExperimentConfig;
 /// Incrementally accreted transaction history.
 ///
 /// Committed windows are absorbed into a [`GrowingGraph`]: a long-lived
-/// CSR plus the delta pending since its last merge. Absorbing merges
-/// only once the pending edges reach an eighth of the CSR's, and
-/// [`History::graph`] merges the rest — at most one O(V + E) merge per
-/// read, and O(log E) over a stream of windows nobody reads (the
-/// training prefix). Strategies that never ask after the initial
-/// allocation (A-TxAllo) stop absorbing there, and those that never ask
-/// at all (Mosaic, Random) only count transactions.
+/// CSR, patched in place, plus the edges and accounts first seen since
+/// its last fold. Absorbing folds only once those reach an eighth of
+/// the CSR, and [`History::graph`] folds the rest — at most one
+/// O(V + E) fold per read, and O(log E) over a stream of windows nobody
+/// reads (the training prefix). Strategies that never ask after the
+/// initial allocation (A-TxAllo) stop absorbing there, and those that
+/// never ask at all (Mosaic, Random) only count transactions.
 ///
 /// The history owns everything it keeps. The lifetime parameter is
 /// unused: the end-to-end benchmark crate, which a PR may not edit,
@@ -76,8 +77,8 @@ impl History<'_> {
         History::default()
     }
 
-    /// Total transactions in the history (including not-yet-merged
-    /// windows).
+    /// Total transactions in the history (including not-yet-folded and
+    /// unretained windows).
     pub fn len(&self) -> usize {
         self.txs
     }
@@ -87,11 +88,11 @@ impl History<'_> {
         self.txs == 0
     }
 
-    /// Folds `txs` into the pending delta (hash-map accumulation, the
-    /// part a miner amortises while blocks commit) without retaining
-    /// the slice, merging into the CSR on [`GrowingGraph::absorb`]'s
-    /// schedule. Accumulation order equals slice order, so chunked
-    /// absorption builds the same graph as one monolithic call.
+    /// Folds `txs` into the graph (the part a miner amortises while
+    /// blocks commit) without retaining the slice, folding into the CSR
+    /// on [`GrowingGraph::absorb`]'s schedule. Accumulation order equals
+    /// slice order, so chunked absorption builds the same graph as one
+    /// monolithic call.
     pub fn absorb(&mut self, txs: &[Transaction]) {
         if txs.is_empty() {
             return;
@@ -109,26 +110,37 @@ impl History<'_> {
         self.txs += n;
     }
 
-    /// Frees the graph state (merged CSR, pending delta) while keeping
-    /// the transaction count. The core calls this right after the
-    /// initial allocation when the strategy will never consult the
-    /// history again — from then on the cell's footprint is bounded by
-    /// the current + recent window alone.
+    /// Frees the graph (CSR and overflow) while keeping the transaction
+    /// count. The core calls this right after the initial allocation
+    /// when the strategy will never consult the history again — from
+    /// then on the cell's footprint is bounded by the current + recent
+    /// window alone.
     pub fn release(&mut self) {
         self.graph = GrowingGraph::default();
     }
 
-    /// Edges of the merged CSR, not counting pending ones; never forces
-    /// a merge.
+    /// Edges of the folded CSR, not counting the overflow's; never
+    /// forces a fold.
     pub fn merged_edge_count(&self) -> usize {
         self.graph.merged_edge_count()
     }
 
-    /// The full-history interaction graph: merges whatever is pending
-    /// into the long-lived CSR; with nothing absorbed since the last
-    /// merge this is a cache hit.
+    /// The full-history interaction graph: folds whatever is new into
+    /// the long-lived CSR; with nothing absorbed since the last fold
+    /// this is a cache hit.
     pub fn graph(&mut self) -> &TxGraph {
         self.graph.graph()
+    }
+
+    /// Checks the graph; see [`GrowingGraph::check_invariants`].
+    pub fn check_invariants(&self) -> Result<()> {
+        self.graph.check_invariants()
+    }
+
+    /// Transactions the graph holds and its node count: what
+    /// [`AllocationCore`] cross-checks against [`History::len`].
+    pub(crate) fn retained(&self) -> (u64, usize) {
+        (self.graph.transaction_count(), self.graph.node_count())
     }
 }
 
@@ -243,11 +255,11 @@ pub trait EpochStrategy {
     /// `false` promise an identical initial ϕ for *any* graph content —
     /// including the empty graph — which, combined with
     /// [`EpochStrategy::consumes_history`] `= false`, lets the core skip
-    /// training-graph edge accumulation entirely: no delta builder, no
-    /// CSR, just the transaction count. The rule-only hash baseline
-    /// qualifies, and so does [`MosaicStrategy`], which reads the graph
-    /// its own clients built in [`EpochStrategy::observe_training`]; the
-    /// default is conservative.
+    /// training-graph edge accumulation entirely: no graph at all, just
+    /// the transaction count. The rule-only hash baseline qualifies, and
+    /// so does [`MosaicStrategy`], which reads the graph its own clients
+    /// built in [`EpochStrategy::observe_training`]; the default is
+    /// conservative.
     fn needs_training_graph(&self) -> bool {
         true
     }
@@ -300,12 +312,12 @@ impl<A: GlobalAllocator> EpochStrategy for A {
 
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
         let input_bytes = miner_input_bytes(ctx.history.len()) as f64;
-        // Hash-map accumulation already happened as windows were
-        // absorbed (a miner folds blocks in as they commit, and merges
-        // there when a window reaches an eighth of the CSR); the
-        // remaining delta merge into the maintained CSR + the
-        // allocation is the per-epoch recomputation Table IV measures,
-        // so both run inside `time_it`.
+        // In-place accumulation already happened as windows were
+        // absorbed (a miner folds blocks in as they commit, and folds
+        // the overflow into the CSR when it reaches an eighth of it);
+        // the remaining fold into the maintained CSR + the allocation is
+        // the per-epoch recomputation Table IV measures, so both run
+        // inside `time_it`.
         let (phi, elapsed) = time_it(|| self.allocate(ctx.history.graph(), ctx.params.shards()));
         let moved = allocation_diff(ledger.phi(), &phi);
         EpochDecision {
@@ -422,12 +434,13 @@ impl EpochStrategy for AdaptiveTxAllo {
 /// window, and clients observe the committed transactions.
 ///
 /// The strategy owns the cell's only interaction graph: the framework's
-/// population graph, preloaded from the training prefix, is also what
-/// G-TxAllo reads for the initial ϕ, so [`History`] stays empty (count
-/// only) for a Pilot cell. From the first epoch on, the framework keeps
-/// that sorted CSR in place and adds each window's new edges and clients
-/// next to it, so learning an epoch costs O(window · log deg) and no
-/// Pilot epoch merges or rewrites the graph.
+/// population graph, a [`GrowingGraph`] like [`History`]'s, is fed the
+/// training prefix and is also what G-TxAllo reads for the initial ϕ,
+/// so [`History`] stays empty (count only) for a Pilot cell. The
+/// framework keeps that CSR in place and adds each window's new edges
+/// and clients next to it, so learning an epoch costs
+/// O(window · log deg) and the graph is rewritten only by a fold once
+/// the additions reach an eighth of it.
 #[derive(Debug, Clone)]
 pub struct MosaicStrategy<P> {
     params: SystemParams,
@@ -457,11 +470,10 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
 
     fn observe_training(&mut self, chunk: &[Transaction]) {
         // §V-B: clients preload their histories from the training
-        // transactions. `preload` is a per-transaction fold in slice
-        // order that merges on a geometric schedule, so chunked
-        // ingestion is chunking-invariant; `initial_allocation`'s
-        // `graph()` completes the fold.
-        self.framework.preload(chunk);
+        // transactions. `observe_epoch` is a per-transaction fold in
+        // slice order, so chunked ingestion is chunking-invariant;
+        // `initial_allocation`'s `graph()` completes the fold.
+        self.framework.observe_epoch(chunk);
     }
 
     fn initial_allocation(

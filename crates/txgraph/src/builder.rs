@@ -1,52 +1,15 @@
-//! Incremental construction of account-interaction graphs.
+//! Full construction of account-interaction graphs.
 //!
-//! Two consumption patterns:
-//!
-//! * **full rebuild** — accumulate everything, snapshot with
-//!   [`GraphBuilder::build`]; O(V + E) per snapshot. Kept as the
-//!   reference oracle the delta path is proptested against.
-//! * **delta merge** — accumulate only the latest window, drain it with
-//!   [`GraphBuilder::drain_delta`] and fold it into a maintained CSR
-//!   with [`TxGraph::merge_delta`]; per-epoch work is proportional to
-//!   the delta, not to the accumulated history.
+//! [`GraphBuilder`] accumulates everything in hash maps and snapshots it
+//! with [`GraphBuilder::build`], O(V + E) per snapshot. It is the
+//! reference oracle [`crate::GrowingGraph`] is proptested against, and
+//! what a consumer that rebuilds a small graph from scratch uses
+//! (A-TxAllo's per-window graph).
 
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountId, Transaction};
 
 use crate::csr::TxGraph;
-
-/// A drained batch of graph updates — sorted, deduplicated weight
-/// *increments* ready for [`TxGraph::merge_delta`].
-///
-/// Invariants (guaranteed by [`GraphBuilder::drain_delta`], relied upon
-/// by the merge):
-///
-/// * `vertices` is ascending by account and duplicate-free, and contains
-///   **every** account mentioned by `edges`;
-/// * `edges` is ascending by `(low, high)` pair, duplicate-free, with
-///   `low < high` and strictly positive weights.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GraphDelta {
-    vertices: Vec<(AccountId, u64)>,
-    edges: Vec<(AccountId, AccountId, u64)>,
-}
-
-impl GraphDelta {
-    /// `true` if the delta carries no updates at all.
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty() && self.edges.is_empty()
-    }
-
-    /// Vertex-weight increments, ascending by account.
-    pub fn vertices(&self) -> &[(AccountId, u64)] {
-        &self.vertices
-    }
-
-    /// Edge-weight increments, ascending by `(low, high)` pair.
-    pub fn edges(&self) -> &[(AccountId, AccountId, u64)] {
-        &self.edges
-    }
-}
 
 /// Accumulates transactions into an undirected weighted multigraph and
 /// snapshots it as a [`TxGraph`].
@@ -147,31 +110,12 @@ impl GraphBuilder {
     /// Snapshots the accumulated multigraph as a CSR [`TxGraph`].
     ///
     /// Vertices are ordered by account id, neighbours sorted by node index
-    /// — the snapshot is fully deterministic. This is the full-rebuild
-    /// reference path; the per-epoch hot path uses
-    /// [`GraphBuilder::drain_delta`] + [`TxGraph::merge_delta`] instead.
+    /// — the snapshot is fully deterministic.
     pub fn build(&self) -> TxGraph {
         TxGraph::from_weighted_edges(
             self.vertex_weight.iter().map(|(&a, &w)| (a, w)),
             self.edges.iter().map(|(&(a, b), &w)| (a, b, w)),
         )
-    }
-
-    /// Drains everything accumulated so far into a sorted [`GraphDelta`]
-    /// and resets the builder (map allocations are kept for the next
-    /// window).
-    ///
-    /// The drained weights are *increments*: merging successive deltas
-    /// into a [`TxGraph`] accretes exactly the graph a single cumulative
-    /// builder would [`GraphBuilder::build`] (proptested in
-    /// `tests/delta_equivalence.rs`).
-    pub fn drain_delta(&mut self) -> GraphDelta {
-        let mut vertices: Vec<(AccountId, u64)> = self.vertex_weight.drain().collect();
-        vertices.sort_unstable_by_key(|&(a, _)| a);
-        let mut edges: Vec<(AccountId, AccountId, u64)> =
-            self.edges.drain().map(|((a, b), w)| (a, b, w)).collect();
-        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        GraphDelta { vertices, edges }
     }
 }
 

@@ -8,21 +8,18 @@
 //!
 //! The crate provides:
 //!
-//! * [`GraphBuilder`] — accumulates transactions (or raw weighted edges)
-//!   into an adjacency map;
 //! * [`TxGraph`] — a compressed-sparse-row (CSR) snapshot with
-//!   deterministic neighbour ordering, the format consumed by the
-//!   partitioners;
-//! * the **delta path** — [`GraphBuilder::drain_delta`] drains a window
-//!   of updates as a sorted [`GraphDelta`] and [`TxGraph::merge_delta`]
-//!   sort-merges it into the existing CSR buffers in place, so
-//!   maintaining a growing history costs per-epoch work proportional to
-//!   the delta instead of a full rebuild (the full
-//!   [`GraphBuilder::build`] path remains as the reference oracle);
-//! * [`GrowingGraph`] — the one owner of a CSR plus its pending delta:
-//!   it merges on a geometric schedule (when the pending edges reach an
-//!   eighth of the CSR's) or when a reader asks for the whole graph, so
-//!   a stream of small batches costs O(log E) merges, not one per batch;
+//!   deterministic node and neighbour ordering, the format consumed by
+//!   the partitioners;
+//! * [`GrowingGraph`] — the one graph that grows: it patches a
+//!   [`TxGraph`] in place per transaction, keeps new edges in per-row
+//!   overflow blocks and new accounts past the last node, and folds
+//!   both into the CSR, in account order, on a geometric schedule or
+//!   when a reader asks for the whole graph. The miners' history and
+//!   Pilot's client population are both one;
+//! * [`GraphBuilder`] — accumulates transactions (or raw weighted edges)
+//!   into an adjacency map and builds a [`TxGraph`] from scratch: the
+//!   reference oracle of [`GrowingGraph`];
 //! * [`analysis`] — edge-cut, balance, and modularity measures over a
 //!   partition vector.
 //!
@@ -53,6 +50,6 @@ pub mod builder;
 pub mod csr;
 pub mod growing;
 
-pub use builder::{GraphBuilder, GraphDelta};
-pub use csr::{CsrParts, NodeId, TxGraph};
+pub use builder::GraphBuilder;
+pub use csr::{NodeId, TxGraph};
 pub use growing::GrowingGraph;

@@ -93,7 +93,7 @@ fn committed_migrations_never_exceed_lambda() {
 #[test]
 fn full_pipeline_is_deterministic_across_runs() {
     let collect = || {
-        let (ledger, mut mosaic) = run_mosaic_pipeline(4);
+        let (ledger, mosaic) = run_mosaic_pipeline(4);
         (
             ledger.beacon().committed_len(),
             ledger.meter().total(),
