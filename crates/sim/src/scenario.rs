@@ -1519,7 +1519,11 @@ mod tests {
             ("hub_fraction", "0.6"),
             ("hub_traffic_share", "-0.1"),
             ("new_accounts_per_block", "-1"),
+            ("new_accounts_per_block", "inf"),
             ("drift_per_block", "2"),
+            // Account ids past u32::MAX: the population alone, then churn.
+            ("initial_accounts", "4294967296"),
+            ("new_accounts_per_block", "1e9"),
         ];
         for trace in ["generated", "streamed"] {
             for (key, bad) in cases {

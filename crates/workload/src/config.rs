@@ -161,7 +161,10 @@ impl WorkloadConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidWorkload`] naming the first field out of
-    /// range.
+    /// range, or the field that pushes the account count
+    /// (`initial_accounts + blocks × new_accounts_per_block`) past
+    /// `u32::MAX`: `initial_accounts` if it alone does, else
+    /// `new_accounts_per_block`.
     pub fn validate(&self) -> Result<()> {
         let unit = 0.0..=1.0;
         let rules = [
@@ -211,8 +214,8 @@ impl WorkloadConfig {
             (
                 "new_accounts_per_block",
                 self.new_accounts_per_block,
-                self.new_accounts_per_block >= 0.0,
-                "a value >= 0",
+                self.new_accounts_per_block.is_finite() && self.new_accounts_per_block >= 0.0,
+                "a finite value >= 0",
             ),
             (
                 "drift_per_block",
@@ -221,14 +224,29 @@ impl WorkloadConfig {
                 "a value in [0, 1]",
             ),
         ];
-        match rules.into_iter().find(|rule| !rule.2) {
-            Some((field, value, _, expected)) => Err(Error::InvalidWorkload {
+        if let Some((field, value, _, expected)) = rules.into_iter().find(|rule| !rule.2) {
+            return Err(Error::InvalidWorkload {
                 field,
                 value,
                 expected,
-            }),
-            None => Ok(()),
+            });
         }
+        // The generator keeps raw account ids as `u32`: the initial
+        // population plus every account churn can create must fit.
+        let id_space = f64::from(u32::MAX);
+        let initial = self.initial_accounts as f64;
+        let (field, value) = if initial > id_space {
+            ("initial_accounts", initial)
+        } else if initial + self.blocks as f64 * self.new_accounts_per_block > id_space {
+            ("new_accounts_per_block", self.new_accounts_per_block)
+        } else {
+            return Ok(());
+        };
+        Err(Error::InvalidWorkload {
+            field,
+            value,
+            expected: "initial_accounts + blocks × new_accounts_per_block <= 4294967295",
+        })
     }
 }
 
@@ -275,6 +293,27 @@ mod tests {
     #[should_panic(expected = "invalid workload.initial_accounts = 1, need at least 2")]
     fn rejects_single_account() {
         crate::generate(&WorkloadConfig::small_test(0).with_accounts(1));
+    }
+
+    #[test]
+    fn account_ids_must_fit_u32() {
+        let cfg = WorkloadConfig::small_test(0);
+        let field_of = |cfg: WorkloadConfig| match cfg.validate() {
+            Err(Error::InvalidWorkload { field, .. }) => Some(field),
+            Ok(()) => None,
+            Err(e) => panic!("{e}"),
+        };
+        // 2_000 blocks: the last whole debut rate that fits, and the next.
+        let fits = (u64::from(u32::MAX) - 800) / 2_000;
+        assert_eq!(field_of(cfg.clone().with_churn(fits as f64)), None);
+        assert_eq!(
+            field_of(cfg.clone().with_churn(fits as f64 + 1.0)),
+            Some("new_accounts_per_block")
+        );
+        assert_eq!(
+            field_of(cfg.with_accounts(u32::MAX as usize).with_churn(0.0)),
+            None
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mosaic_telemetry::{Counter, Recorder};
 use mosaic_types::{AccountId, BlockHeight, Transaction, TxId, TxKind};
 
 use crate::config::WorkloadConfig;
@@ -53,29 +54,36 @@ impl GeneratedWorkload {
 }
 
 /// Internal mutable generator state.
+///
+/// Raw account ids are `u32` inside the state (half the bytes of
+/// [`AccountId`] in the two tables every transaction reads at random);
+/// [`WorkloadConfig::validate`] guarantees every id the config can create
+/// fits, and ids widen to [`AccountId`] only when a transaction is
+/// emitted.
 struct GenState {
     rng: StdRng,
     /// Community of each account, indexed by raw id.
     community: Vec<u32>,
-    /// Members of each community (kept in sync with `community`).
-    members: Vec<Vec<AccountId>>,
-    /// Hub account ids.
-    hubs: Vec<AccountId>,
-    /// Popularity over hubs: mildly Zipfian, so the busiest hub carries
-    /// a small single-digit share of hub traffic (like a busy Ethereum
-    /// contract), never a dominating share.
+    /// Raw ids of each community's members (kept in sync with
+    /// `community`).
+    members: Vec<Vec<u32>>,
+    /// Popularity over the hubs, accounts `0..hub_count`: mildly
+    /// Zipfian, so the busiest hub carries a small single-digit share of
+    /// hub traffic (like a busy Ethereum contract), never a dominating
+    /// share.
     hub_popularity: Option<ZipfSampler>,
     /// Activity sampler over the *initial* population; churned accounts get
     /// traffic through the explicit new-account hook instead.
     activity: ZipfSampler,
-    /// Permutation mapping activity rank -> account id, so that activity is
-    /// independent of community layout.
-    rank_to_account: Vec<AccountId>,
+    /// Permutation mapping activity rank -> raw account id, so that
+    /// activity is independent of community layout.
+    rank_to_account: Vec<u32>,
     /// Fractional accumulator for expected-new-accounts-per-block.
     churn_accumulator: f64,
-    /// Newly created accounts that must send their first transaction soon,
-    /// so churned accounts actually appear in the eval window.
-    pending_debut: Vec<AccountId>,
+    /// Raw ids of newly created accounts that must send their first
+    /// transaction soon, so churned accounts actually appear in the eval
+    /// window.
+    pending_debut: Vec<u32>,
 }
 
 impl GenState {
@@ -86,20 +94,21 @@ impl GenState {
         // Community assignment for the initial population.
         let communities = cfg.communities.max(1) as u32;
         let mut community = Vec::with_capacity(n);
-        let mut members: Vec<Vec<AccountId>> = vec![Vec::new(); communities as usize];
-        for i in 0..n {
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); communities as usize];
+        let ids = u32::try_from(n).expect("validate bounds the account ids to u32");
+        for i in 0..ids {
             let c = rng.gen_range(0..communities);
             community.push(c);
-            members[c as usize].push(AccountId::new(i as u64));
+            members[c as usize].push(i);
         }
         // Guarantee no community is empty (receiver sampling needs members).
         for c in 0..communities as usize {
             if members[c].is_empty() {
-                let donor = AccountId::new(rng.gen_range(0..n as u64));
-                let old = community[donor.as_u64() as usize] as usize;
+                let donor = rng.gen_range(0..n as u64) as u32;
+                let old = community[donor as usize] as usize;
                 if members[old].len() > 1 {
                     members[old].retain(|&a| a != donor);
-                    community[donor.as_u64() as usize] = c as u32;
+                    community[donor as usize] = c as u32;
                     members[c].push(donor);
                 }
             }
@@ -107,12 +116,11 @@ impl GenState {
 
         // Hubs: dedicated high-traffic accounts drawn from the population.
         let hub_count = ((n as f64) * cfg.hub_fraction).round().max(0.0) as usize;
-        let hubs: Vec<AccountId> = (0..hub_count).map(|i| AccountId::new(i as u64)).collect();
         let hub_popularity = (hub_count > 0).then(|| ZipfSampler::new(hub_count, 0.5));
 
         // Rank->account permutation (Fisher-Yates) decorrelates activity
         // from ids/communities/hubs.
-        let mut rank_to_account: Vec<AccountId> = (0..n as u64).map(AccountId::new).collect();
+        let mut rank_to_account: Vec<u32> = (0..ids).collect();
         for i in (1..rank_to_account.len()).rev() {
             let j = rng.gen_range(0..=i);
             rank_to_account.swap(i, j);
@@ -122,7 +130,6 @@ impl GenState {
             rng,
             community,
             members,
-            hubs,
             hub_popularity,
             activity: ZipfSampler::new(n, cfg.activity_exponent),
             rank_to_account,
@@ -131,7 +138,13 @@ impl GenState {
         }
     }
 
-    fn sample_sender(&mut self) -> AccountId {
+    /// The hub accounts, `0..hub_count`.
+    fn hubs(&self) -> Vec<AccountId> {
+        let hub_count = self.hub_popularity.as_ref().map_or(0, ZipfSampler::len);
+        (0..hub_count as u64).map(AccountId::new).collect()
+    }
+
+    fn sample_sender(&mut self) -> u32 {
         // Churned accounts debut with priority so they show up in the trace.
         if let Some(a) = self.pending_debut.pop() {
             return a;
@@ -140,18 +153,19 @@ impl GenState {
         self.rank_to_account[rank]
     }
 
-    fn sample_receiver(&mut self, cfg: &WorkloadConfig, sender: AccountId) -> (AccountId, TxKind) {
+    fn sample_receiver(&mut self, cfg: &WorkloadConfig, sender: u32) -> (u32, TxKind) {
         // Hub traffic first.
         if let Some(popularity) = &self.hub_popularity {
             if self.rng.gen::<f64>() < cfg.hub_traffic_share {
-                let hub = self.hubs[popularity.sample(&mut self.rng)];
+                // Hub rank r is account r.
+                let hub = popularity.sample(&mut self.rng) as u32;
                 if hub != sender {
                     return (hub, TxKind::ContractCall);
                 }
             }
         }
         // Community-local or global.
-        let c = self.community[sender.as_u64() as usize] as usize;
+        let c = self.community[sender as usize] as usize;
         let local = self.rng.gen::<f64>() < cfg.intra_community_bias;
         for _ in 0..8 {
             let candidate = if local && self.members[c].len() > 1 {
@@ -166,15 +180,16 @@ impl GenState {
             }
         }
         // Fallback: deterministic distinct receiver.
-        let fallback = AccountId::new((sender.as_u64() + 1) % self.community.len() as u64);
-        (fallback, TxKind::Transfer)
+        let fallback = (u64::from(sender) + 1) % self.community.len() as u64;
+        (fallback as u32, TxKind::Transfer)
     }
 
     fn apply_churn(&mut self, cfg: &WorkloadConfig) {
         self.churn_accumulator += cfg.new_accounts_per_block;
         while self.churn_accumulator >= 1.0 {
             self.churn_accumulator -= 1.0;
-            let id = AccountId::new(self.community.len() as u64);
+            let id = u32::try_from(self.community.len())
+                .expect("validate bounds the account ids to u32");
             let c = self.rng.gen_range(0..self.members.len() as u32);
             self.community.push(c);
             self.members[c as usize].push(id);
@@ -184,15 +199,15 @@ impl GenState {
 
     fn apply_drift(&mut self, cfg: &WorkloadConfig) {
         if self.members.len() > 1 && self.rng.gen::<f64>() < cfg.drift_per_block {
-            let account = AccountId::new(self.rng.gen_range(0..self.community.len() as u64));
-            let old = self.community[account.as_u64() as usize] as usize;
+            let account = self.rng.gen_range(0..self.community.len() as u64) as u32;
+            let old = self.community[account as usize] as usize;
             if self.members[old].len() > 1 {
                 let mut new = self.rng.gen_range(0..self.members.len());
                 if new == old {
                     new = (new + 1) % self.members.len();
                 }
                 self.members[old].retain(|&a| a != account);
-                self.community[account.as_u64() as usize] = new as u32;
+                self.community[account as usize] = new as u32;
                 self.members[new].push(account);
             }
         }
@@ -212,6 +227,11 @@ impl GenState {
 /// The cursor is forward-only: [`GeneratedStream::emit_through`] appends
 /// all transactions of blocks `[position, to)` and advances.
 ///
+/// The stream takes [`mosaic_telemetry::global`] at construction: each
+/// call that emits at least one block records a `workload.generate` span
+/// and adds its transactions to the `workload.generated_txs` counter
+/// (one branch each when telemetry is off).
+///
 /// # Example
 ///
 /// ```
@@ -230,6 +250,8 @@ pub struct GeneratedStream {
     state: GenState,
     next_block: u64,
     next_id: u64,
+    recorder: Recorder,
+    generated_txs: Counter,
 }
 
 impl GeneratedStream {
@@ -240,6 +262,10 @@ impl GeneratedStream {
     /// Panics if the configuration is invalid (see
     /// [`WorkloadConfig::validate`]).
     pub fn new(cfg: &WorkloadConfig) -> Self {
+        Self::with_recorder(cfg, mosaic_telemetry::global())
+    }
+
+    fn with_recorder(cfg: &WorkloadConfig, recorder: Recorder) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
@@ -248,6 +274,8 @@ impl GeneratedStream {
             state: GenState::new(cfg),
             next_block: 0,
             next_id: 0,
+            generated_txs: recorder.counter("workload.generated_txs"),
+            recorder,
         }
     }
 
@@ -266,6 +294,11 @@ impl GeneratedStream {
     /// `to` (the cursor never rewinds).
     pub fn emit_through(&mut self, to: u64, buf: &mut Vec<Transaction>) {
         let to = to.min(self.cfg.blocks);
+        if self.next_block >= to {
+            return;
+        }
+        let _span = self.recorder.span("workload.generate");
+        let first_id = self.next_id;
         while self.next_block < to {
             self.state.apply_churn(&self.cfg);
             self.state.apply_drift(&self.cfg);
@@ -274,8 +307,8 @@ impl GeneratedStream {
                 let (receiver, kind) = self.state.sample_receiver(&self.cfg, from);
                 buf.push(Transaction::with_kind(
                     TxId::new(self.next_id),
-                    from,
-                    receiver,
+                    AccountId::new(u64::from(from)),
+                    AccountId::new(u64::from(receiver)),
                     BlockHeight::new(self.next_block),
                     kind,
                 ));
@@ -283,6 +316,7 @@ impl GeneratedStream {
             }
             self.next_block += 1;
         }
+        self.generated_txs.add(self.next_id - first_id);
     }
 }
 
@@ -309,7 +343,7 @@ pub fn generate(cfg: &WorkloadConfig) -> GeneratedWorkload {
     let total_accounts = state.community.len();
     GeneratedWorkload {
         trace: TransactionTrace::from_sorted(txs),
-        hubs: state.hubs,
+        hubs: state.hubs(),
         communities: state.community,
         total_accounts,
     }
@@ -346,6 +380,62 @@ mod tests {
                 "chunk size {chunk} diverged"
             );
         }
+    }
+
+    #[test]
+    fn telemetry_counts_every_emitting_call() {
+        let recorder = Recorder::enabled();
+        let cfg = WorkloadConfig::small_test(29).with_blocks(50);
+        let mut stream = GeneratedStream::with_recorder(&cfg, recorder.clone());
+        let mut txs = Vec::new();
+        let mut emitting_calls = 0;
+        for to in [0, 7, 7, 3, 20, 21, 49, 50, 50, 90] {
+            let before = txs.len();
+            stream.emit_through(to, &mut txs);
+            emitting_calls += u64::from(txs.len() > before);
+        }
+        assert_eq!(txs.len(), cfg.total_txs());
+        let snapshot = recorder.snapshot();
+        assert_eq!(
+            snapshot.counters,
+            vec![("workload.generated_txs".to_string(), txs.len() as u64)]
+        );
+        let spans: Vec<_> = snapshot
+            .histograms
+            .iter()
+            .map(|(name, h)| (name.as_str(), h.count))
+            .collect();
+        assert_eq!(spans, [("workload.generate", emitting_calls)]);
+        assert_eq!(emitting_calls, 5);
+    }
+
+    /// Pins the trace at a population far past every golden's (the
+    /// goldens run 800 accounts): 300k accounts, 3 debuts a block and
+    /// drift, digested over the first 200k transactions.
+    #[test]
+    fn large_population_trace_is_pinned() {
+        use std::hash::Hasher;
+        let cfg = WorkloadConfig::paper_scaled(4242)
+            .with_accounts(300_000)
+            .with_blocks(8_000)
+            .with_churn(3.0);
+        let mut txs = Vec::new();
+        GeneratedStream::new(&cfg).emit_through(cfg.blocks, &mut txs);
+        assert_eq!(txs.len(), 200_000);
+        let mut h = mosaic_types::hash::FnvHasher::default();
+        for tx in &txs {
+            h.write(&tx.id.as_u64().to_le_bytes());
+            h.write(&tx.from.as_u64().to_le_bytes());
+            h.write(&tx.to.as_u64().to_le_bytes());
+            h.write(&tx.block.as_u64().to_le_bytes());
+            h.write(&[tx.kind as u8]);
+        }
+        assert_eq!(
+            h.finish(),
+            0xaf64_c98a_1d24_2393,
+            "digest {:#018x}",
+            h.finish()
+        );
     }
 
     #[test]
