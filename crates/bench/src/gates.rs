@@ -1,32 +1,35 @@
-//! CI gate over the node-replay speedups `mosaic-node replay
-//! --bench-out` records (the `node_replay` shape of `BENCH_node.json`)
-//! — no dependencies, no JSON crate.
+//! The two CI gates over files other programs write.
 //!
-//! ```text
-//! bench_check <baseline.json> <current.json> [--min-ratio 0.9]
-//!             [--wire line|binary] [--summary <file.md>]
-//! ```
+//! `bench-check <baseline.json> <current.json>` gates the node-replay
+//! speedups `mosaic-node replay --bench-out` records (the
+//! `node_replay` shape of `BENCH_node.json`). Every baseline entry's
+//! speedup must be matched positionally by a current entry with
+//! `current / baseline >= --min-ratio` (default 0.9, any finite value
+//! above 0). Both files are written by the same replay code, so
+//! positional matching is exact; the labels are printed for every row.
+//! A file that records `"cpus"` only compares against a baseline from
+//! the same cpu count. `--wire <token>` restricts both files to the
+//! entries recorded for that wire codec before any gate runs — CI
+//! checks the line and binary codecs at different floors, but the
+//! committed baseline holds both in one file. `--summary <file.md>`
+//! also renders the speedup table as GitHub-flavoured markdown (CI
+//! appends it to `$GITHUB_STEP_SUMMARY`).
 //!
-//! The gate is the **regression ratio**: every baseline entry's speedup
-//! must be matched positionally by a current entry with
-//! `current / baseline >= min-ratio` (default 0.9×). Both files are
-//! written by the same replay code, so positional matching is exact;
-//! the labels are printed for every row. A file that records `"cpus"`
-//! only compares against a baseline from the same cpu count.
-//!
-//! `--wire <token>` restricts both files to the `node_replay` entries
-//! recorded for that wire codec before any gate runs — CI checks the
-//! line and binary codecs at different floors, but the committed
-//! baseline holds both in one file.
-//!
-//! `--summary <file.md>` additionally renders the speedup table as
-//! GitHub-flavoured markdown (CI appends it to `$GITHUB_STEP_SUMMARY`).
-//!
-//! Exit status: 0 pass, 1 gate failed, 2 usage/parse error.
+//! `telemetry-check <file.jsonl>...` gates the telemetry event stream:
+//! every line of every file must parse as a standalone JSON object, and
+//! the run must have produced at least one event — an empty file would
+//! mean the observer silently never engaged. `--require <kind>`
+//! (repeatable) also fails unless an event with that `"kind"` appears
+//! across the files: how the telemetry-smoke job asserts the epoch
+//! pipeline emitted its phase spans, per-epoch records and counters,
+//! not just *some* bytes.
 
-use std::process::ExitCode;
+use std::collections::BTreeMap;
 
-/// One `{...}` entry of a bench file's `"results"` array.
+use crate::json::{parse_json, Json};
+use crate::{positive, Args, Failure};
+
+/// One entry of a bench file's `"results"` array.
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
     /// `"accounts"` the replayed scenario holds (0 when absent).
@@ -38,7 +41,7 @@ struct Entry {
     speedup: f64,
 }
 
-/// The parsed skeleton of one bench JSON file.
+/// The parts of one bench JSON file the gate reads.
 #[derive(Debug, Clone, PartialEq)]
 struct BenchFile {
     bench: String,
@@ -46,50 +49,34 @@ struct BenchFile {
     entries: Vec<Entry>,
 }
 
-/// Extracts the number following `"key":` in `text`, if any.
-fn find_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the string following `"key":` in `text`, if any.
-fn find_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 fn parse(content: &str) -> Result<BenchFile, String> {
-    let bench = find_string(content, "bench").ok_or("missing \"bench\" field")?;
-    let results_at = content
-        .find("\"results\"")
-        .ok_or("missing \"results\" array")?;
-    let body = &content[results_at..];
-    let mut entries = Vec::new();
-    // Entries are flat objects: split on '{' after the array opens.
-    for chunk in body.split('{').skip(1) {
-        let entry = &chunk[..chunk.find('}').ok_or("unterminated results entry")?];
-        let speedup = find_number(entry, "speedup")
-            .ok_or_else(|| format!("entry without a speedup: {entry:?}"))?;
-        entries.push(Entry {
-            accounts: find_number(entry, "accounts").unwrap_or(0.0),
-            wire: find_string(entry, "wire"),
-            sessions: find_number(entry, "sessions"),
-            speedup,
-        });
-    }
+    let json = parse_json(content)?;
+    let bench = json
+        .get("bench")
+        .and_then(Json::as_str)
+        .ok_or("missing \"bench\" field")?;
+    let Some(Json::Array(results)) = json.get("results") else {
+        return Err("missing \"results\" array".into());
+    };
+    let entries = results
+        .iter()
+        .map(|entry| {
+            let number = |key| entry.get(key).and_then(Json::as_f64);
+            Ok(Entry {
+                accounts: number("accounts").unwrap_or(0.0),
+                wire: entry.get("wire").and_then(Json::as_str).map(String::from),
+                sessions: number("sessions"),
+                speedup: number("speedup")
+                    .ok_or_else(|| format!("entry without a speedup: {entry:?}"))?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if entries.is_empty() {
         return Err("no results entries".into());
     }
     Ok(BenchFile {
-        bench,
-        cpus: find_number(content, "cpus"),
+        bench: bench.to_string(),
+        cpus: json.get("cpus").and_then(Json::as_f64),
         entries,
     })
 }
@@ -165,9 +152,7 @@ fn check(baseline: &BenchFile, current: &BenchFile, min_ratio: f64) -> Vec<Strin
     failures
 }
 
-/// Renders the speedup table as GitHub-flavoured markdown — CI appends
-/// this to `$GITHUB_STEP_SUMMARY` so the speedups are readable without
-/// digging through the job log.
+/// Renders the speedup table as GitHub-flavoured markdown.
 fn summary_markdown(baseline: &BenchFile, current: &BenchFile) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -196,67 +181,96 @@ fn filter_wire(file: &mut BenchFile, wire: &str, path: &str) -> Result<(), Strin
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<Vec<String>, String> {
-    let mut paths = Vec::new();
-    let mut min_ratio = 0.9f64;
-    let mut summary_path: Option<String> = None;
-    let mut wire_filter: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-ratio needs a number")?;
-            }
-            "--wire" => {
-                wire_filter = Some(it.next().ok_or("--wire needs a codec token")?.clone());
-            }
-            "--summary" => {
-                summary_path = Some(it.next().ok_or("--summary needs a file path")?.clone());
-            }
-            _ => paths.push(arg.clone()),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        return Err("usage: bench_check <baseline.json> <current.json> \
-                    [--min-ratio 0.9] [--wire line|binary] \
-                    [--summary <file.md>]"
-            .into());
-    };
-    let read = |p: &String| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"));
-    let mut baseline = parse(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let mut current = parse(&read(current_path)?).map_err(|e| format!("{current_path}: {e}"))?;
-    if let Some(wire) = &wire_filter {
-        filter_wire(&mut baseline, wire, baseline_path)?;
-        filter_wire(&mut current, wire, current_path)?;
-    }
-    if let Some(path) = summary_path {
-        std::fs::write(&path, summary_markdown(&baseline, &current))
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    Ok(check(&baseline, &current, min_ratio))
+/// `--min-ratio`: a finite floor above 0, since 0 or a negative floor
+/// would pass every ratio and so switch the gate off.
+fn min_ratio(args: &Args) -> Result<f64, String> {
+    let floor = args.number("--min-ratio", "a finite ratio above 0", positive)?;
+    Ok(floor.unwrap_or(0.9))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(failures) if failures.is_empty() => {
-            println!("bench_check: all gates passed");
-            ExitCode::SUCCESS
-        }
-        Ok(failures) => {
-            for f in &failures {
-                eprintln!("bench_check: FAIL: {f}");
+pub(crate) fn bench_check(args: &Args) -> Result<(), Failure> {
+    let [baseline_path, current_path] = args.positionals.as_slice() else {
+        return Err(Failure::Usage(
+            "needs a baseline and a current bench file".into(),
+        ));
+    };
+    let min_ratio = min_ratio(args).map_err(Failure::Usage)?;
+    let read = |path: &String| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse(&text))
+            .map_err(|e| Failure::Usage(format!("{path}: {e}")))
+    };
+    let mut baseline = read(baseline_path)?;
+    let mut current = read(current_path)?;
+    if let Some(wire) = args.value("--wire") {
+        filter_wire(&mut baseline, wire, baseline_path).map_err(Failure::Usage)?;
+        filter_wire(&mut current, wire, current_path).map_err(Failure::Usage)?;
+    }
+    if let Some(path) = args.value("--summary") {
+        std::fs::write(path, summary_markdown(&baseline, &current))
+            .map_err(|e| Failure::Usage(format!("{path}: {e}")))?;
+    }
+    let failures = check(&baseline, &current, min_ratio);
+    if !failures.is_empty() {
+        return Err(Failure::Failed(failures.join("; ")));
+    }
+    println!("bench-check: all gates passed");
+    Ok(())
+}
+
+pub(crate) fn telemetry_check(args: &Args) -> Result<(), Failure> {
+    let paths = &args.positionals;
+    if paths.is_empty() {
+        return Err(Failure::Usage("needs at least one .jsonl file".into()));
+    }
+    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
+    let mut total = 0usize;
+    for path in paths {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| Failure::Failed(format!("{path}: {e}")))?;
+        for (index, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
             }
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            ExitCode::from(2)
+            let at = format!("{path}:{}", index + 1);
+            let value = parse_json(line)
+                .map_err(|e| Failure::Failed(format!("{at}: not valid JSON: {e}\n  {line}")))?;
+            if !matches!(value, Json::Object(_)) {
+                return Err(Failure::Failed(format!(
+                    "{at}: line is not a JSON object\n  {line}"
+                )));
+            }
+            total += 1;
+            let kind = value
+                .get("kind")
+                .and_then(Json::as_str)
+                .unwrap_or("<no kind>");
+            *kinds.entry(kind.to_string()).or_insert(0) += 1;
         }
     }
+    if total == 0 {
+        return Err(Failure::Failed(format!(
+            "no events in {} — the telemetry observer never engaged",
+            paths.join(", ")
+        )));
+    }
+    for (kind, count) in &kinds {
+        println!("telemetry-check: {count:>6} {kind}");
+    }
+    println!(
+        "telemetry-check: {total} events OK across {} file(s)",
+        paths.len()
+    );
+    for kind in args.values("--require") {
+        if !kinds.contains_key(kind) {
+            return Err(Failure::Failed(format!(
+                "no {kind:?} events found (kinds present: {:?})",
+                kinds.keys().collect::<Vec<_>>()
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -361,5 +375,35 @@ mod tests {
         let other = parse(&NODE.replace("node_replay", "scale_streaming")).unwrap();
         let failures = check(&base, &other, 0.9);
         assert!(failures[0].contains("bench mismatch"), "{failures:?}");
+    }
+
+    #[test]
+    fn malformed_ratio_floors_are_refused_not_dropped() {
+        let floor = |extra: &[&str]| {
+            let args = [&["base.json", "cur.json"][..], extra].concat();
+            crate::parse_as("bench-check", &args).and_then(|a| min_ratio(&a))
+        };
+        assert_eq!(floor(&["--min-ratio", "0.25"]), Ok(0.25));
+        assert_eq!(floor(&[]), Ok(0.9));
+        for bad in ["0", "-1", "nan", "inf", "x"] {
+            let err = floor(&["--min-ratio", bad]).unwrap_err();
+            assert!(err.contains("--min-ratio"), "{bad}: {err}");
+        }
+        assert!(floor(&["--min-ratio"]).is_err());
+    }
+
+    #[test]
+    fn telemetry_usage_errors_name_the_argument() {
+        // A typo'd option is refused, not opened as a file path.
+        let typo = crate::parse_as("telemetry-check", &["--requir", "span", "t.jsonl"]);
+        assert!(typo.unwrap_err().contains("--requir"));
+        let bare = crate::parse_as("telemetry-check", &["t.jsonl", "--require"]);
+        assert!(bare.unwrap_err().contains("--require"));
+        // No file is a usage error (exit 2), not a failed gate (exit 1).
+        let no_file = crate::parse_as("telemetry-check", &["--require", "span"]).unwrap();
+        match telemetry_check(&no_file) {
+            Err(Failure::Usage(message)) => assert!(message.contains(".jsonl"), "{message}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 }

@@ -1,107 +1,54 @@
-//! CI gate for the telemetry JSONL event stream: every line of every
-//! given file must parse as a standalone JSON object, and the run must
-//! have produced at least one event — an empty file would mean the
-//! observer silently never engaged.
-//!
-//! ```text
-//! telemetry_check <file.jsonl>... [--require <kind>]...
-//! ```
-//!
-//! `--require span` (repeatable) additionally fails unless at least one
-//! event with `"kind": "span"` appears across the files — how the
-//! telemetry-smoke job asserts the epoch pipeline actually emitted its
-//! phase spans, per-epoch records, and snapshot lines, not just *some*
-//! bytes. Dependency-free like `bench_check`: the JSON parser below is
-//! the few dozen lines the check needs, not a crate.
+//! The one JSON reader of the gates: `telemetry-check` parses each
+//! JSONL event with it, `bench-check` the bench files `mosaic-node
+//! replay --bench-out` writes. No dependency: the parser is the few
+//! dozen lines the checks need, not a crate.
 
-use std::collections::BTreeMap;
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("telemetry_check: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let mut paths = Vec::new();
-    let mut required: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--require" => required.push(it.next().ok_or("--require needs an event kind")?.clone()),
-            _ => paths.push(arg.clone()),
-        }
-    }
-    if paths.is_empty() {
-        return Err("usage: telemetry_check <file.jsonl>... [--require <kind>]...".into());
-    }
-
-    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
-    let mut total = 0usize;
-    for path in &paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        for (index, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = parse_json(line)
-                .map_err(|e| format!("{path}:{}: not valid JSON: {e}\n  {line}", index + 1))?;
-            let Json::Object(fields) = value else {
-                return Err(format!(
-                    "{path}:{}: line is not a JSON object\n  {line}",
-                    index + 1
-                ));
-            };
-            total += 1;
-            let kind = match fields.iter().find(|(k, _)| k == "kind") {
-                Some((_, Json::String(kind))) => kind.clone(),
-                _ => "<no kind>".to_string(),
-            };
-            *kinds.entry(kind).or_insert(0) += 1;
-        }
-    }
-    if total == 0 {
-        return Err(format!(
-            "no events in {} — the telemetry observer never engaged",
-            paths.join(", ")
-        ));
-    }
-    for (kind, count) in &kinds {
-        println!("telemetry_check: {count:>6} {kind}");
-    }
-    println!(
-        "telemetry_check: {total} events OK across {} file(s)",
-        paths.len()
-    );
-    for kind in &required {
-        if !kinds.contains_key(kind) {
-            return Err(format!(
-                "no {kind:?} events found (kinds present: {:?})",
-                kinds.keys().collect::<Vec<_>>()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The minimal JSON value tree the check needs — objects keep insertion
-/// order as (key, value) pairs; numbers stay unparsed beyond syntax.
-enum Json {
+/// A JSON value tree; objects keep insertion order as (key, value)
+/// pairs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
     Null,
-    Bool(#[allow(dead_code)] bool),
-    Number,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number.
+    Number(f64),
+    /// A string, escapes resolved.
     String(String),
-    Array(#[allow(dead_code)] Vec<Json>),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object's fields in source order.
     Object(Vec<(String, Json)>),
 }
 
-fn parse_json(text: &str) -> Result<Json, String> {
+impl Json {
+    /// The value of an object's first field named `key`.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::String(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses one complete JSON document; trailing content is an error.
+pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let value = parse_value(bytes, &mut pos)?;
@@ -154,7 +101,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
     text.parse::<f64>()
-        .map(|_| Json::Number)
+        .map(Json::Number)
         .map_err(|_| format!("malformed number {text:?} at byte {start}"))
 }
 

@@ -1,11 +1,11 @@
-//! Streams one full-protocol run per scenario cell to disk — and
-//! doubles as the CI determinism gate.
+//! `run` streams one full-protocol run per scenario cell to disk and
+//! doubles as the CI determinism gate; `validate` checks spec files.
 //!
-//! The run is described by a declarative scenario: the spec given with
-//! `--scenario`, or else `scenarios/default.scenario` with its CSVs sent
-//! to `results/` at the repository root. An invalid spec, or any
-//! argument other than `--scenario` and `--check-determinism`, exits 2.
-//! The session materialises the trace once, runs every cell, and each
+//! `run` reads the spec given with `--scenario`, or else
+//! `scenarios/default.scenario` with its CSVs sent to `results/` at the
+//! repository root. `--strategy <name>` keeps only that strategy's
+//! cells; a name that is unknown or not in the scenario exits 2. The
+//! session materialises the trace once, runs every cell, and each
 //! per-epoch metric row is written to `<dir>/<cell>.csv` the moment it
 //! is computed — no per-epoch vector is held in memory, so the paper's
 //! 200-epoch protocol (`scenarios/full.scenario`) runs in bounded
@@ -17,32 +17,28 @@
 //! CSV byte streams are compared. This enforces the observability
 //! invariant end to end — instrumentation must never perturb a result
 //! byte — through the scenario parser and session path CI actually
-//! ships. Any difference exits non-zero.
+//! ships. Any difference exits 1.
 //!
-//! ```text
-//! cargo run -p mosaic-bench --release --bin full_run -- --scenario scenarios/full.scenario
-//! MOSAIC_STRATEGY=Pilot cargo run -p mosaic-bench --release --bin full_run
-//! cargo run -p mosaic-bench --release --bin full_run -- \
-//!     --scenario scenarios/quick.scenario --check-determinism
-//! ```
+//! `validate <file>...` loads every spec and also rejects a file that
+//! is not byte-identical to its canonical serialisation
+//! ([`Scenario::to_text`]), so checked-in specs never drift from the
+//! format [`Scenario::save`] writes.
 
 use std::path::{Path, PathBuf};
 
-use mosaic_bench::{args_or_exit, load_or_exit, preset_path, print_header};
 use mosaic_sim::engine::RunSummary;
 use mosaic_sim::scenario::CellSpec;
-use mosaic_sim::{ObserverSpec, RunObserver, Simulation, Strategy};
+use mosaic_sim::{ObserverSpec, RunObserver, Scenario, Simulation, Strategy};
 use mosaic_telemetry::Recorder;
+
+use crate::{load_scenario, print_header, Args, Failure};
 
 /// Runs every cell through the session with telemetry disabled, then
 /// again with a live recorder installed, and fails on any CSV byte
-/// difference. Returns `(checked, divergent)` cell counts — a gate that
-/// compared nothing must not pass.
-fn check_determinism(sim: &Simulation) -> (usize, usize) {
-    let mut checked = 0usize;
+/// difference. Returns the number of divergent cells.
+fn check_determinism(sim: &Simulation) -> usize {
     let mut divergent = 0usize;
     for cell in sim.cells() {
-        checked += 1;
         let name = format!("{} / {}", cell.label, cell.config.strategy.name());
         let stream_with = |recorder: Recorder| {
             mosaic_telemetry::install_global(recorder);
@@ -76,7 +72,7 @@ fn check_determinism(sim: &Simulation) -> (usize, usize) {
         }
     }
     mosaic_telemetry::install_global(Recorder::disabled());
-    (checked, divergent)
+    divergent
 }
 
 /// Prints one summary line per finished cell, as cells complete.
@@ -112,30 +108,27 @@ impl RunObserver for PrintSummary {
     }
 }
 
-fn main() {
-    let args = args_or_exit(&["--check-determinism"]);
+pub(crate) fn run(args: &Args) -> Result<(), Failure> {
     let check = args.has("--check-determinism");
-    let mut scenario = match args.scenario {
-        Some(path) => load_or_exit(path),
-        None => {
-            // Repo root resolved from this crate's manifest dir so the
-            // output lands in the gitignored /results regardless of
-            // invocation cwd.
-            let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-            load_or_exit(preset_path("default")).with_observers([ObserverSpec::StreamCsv(results)])
-        }
-    };
+    let mut scenario = load_scenario(args, "default")?;
+    if args.value("--scenario").is_none() {
+        // Repo root resolved from this crate's manifest dir so the
+        // output lands in the gitignored /results regardless of
+        // invocation cwd.
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        scenario = scenario.with_observers([ObserverSpec::StreamCsv(results)]);
+    }
     // Fail fast on a typo'd filter: silently matching nothing would let
     // an overnight run exit 0 with no data.
-    if let Ok(name) = std::env::var("MOSAIC_STRATEGY") {
-        let strategy: Strategy = name.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    if let Some(name) = args.value("--strategy") {
+        let strategy: Strategy = name
+            .parse()
+            .map_err(|e| Failure::Usage(format!("--strategy: {e}")))?;
         scenario.strategies.retain(|s| *s == strategy);
         if scenario.strategies.is_empty() {
-            eprintln!("MOSAIC_STRATEGY {name:?} is not in the scenario's strategy set");
-            std::process::exit(2);
+            return Err(Failure::Usage(format!(
+                "--strategy {name:?} is not in the scenario's strategy set"
+            )));
         }
     }
     print_header(
@@ -146,27 +139,6 @@ fn main() {
         },
         &scenario,
     );
-
-    if check {
-        let sim = Simulation::from_scenario(scenario).unwrap_or_else(|e| {
-            eprintln!("failed to materialise scenario: {e}");
-            std::process::exit(2);
-        });
-        let (checked, divergent) = check_determinism(&sim);
-        if divergent > 0 {
-            eprintln!("determinism check FAILED for {divergent} cells");
-            std::process::exit(1);
-        }
-        // Belt and braces: validation guarantees at least one strategy,
-        // but a gate that compared nothing must never report success.
-        if checked == 0 {
-            eprintln!("determinism check matched no cells");
-            std::process::exit(1);
-        }
-        println!("determinism check passed for all {checked} cells");
-        return;
-    }
-
     let printer = PrintSummary {
         single_point: scenario.is_single_point(),
         dir: scenario.observers.iter().find_map(|o| match o {
@@ -175,13 +147,67 @@ fn main() {
         }),
     };
     let sim = Simulation::from_scenario(scenario)
-        .unwrap_or_else(|e| {
-            eprintln!("failed to materialise scenario: {e}");
-            std::process::exit(2);
-        })
-        .with_observer(Box::new(printer));
-    if let Err(e) = sim.run() {
-        eprintln!("scenario run failed: {e}");
-        std::process::exit(1);
+        .map_err(|e| Failure::Usage(format!("failed to materialise scenario: {e}")))?;
+
+    if check {
+        let (checked, divergent) = (sim.cells().len(), check_determinism(&sim));
+        if divergent > 0 {
+            return Err(Failure::Failed(format!(
+                "determinism check failed for {divergent} cells"
+            )));
+        }
+        // Belt and braces: validation guarantees at least one strategy,
+        // but a gate that compared nothing must never report success.
+        if checked == 0 {
+            return Err(Failure::Failed("determinism check matched no cells".into()));
+        }
+        println!("determinism check passed for all {checked} cells");
+        return Ok(());
     }
+    sim.with_observer(Box::new(printer))
+        .run()
+        .map(drop)
+        .map_err(|e| Failure::Failed(format!("scenario run failed: {e}")))
+}
+
+pub(crate) fn validate(args: &Args) -> Result<(), Failure> {
+    if args.positionals.is_empty() {
+        return Err(Failure::Usage("needs at least one scenario file".into()));
+    }
+    let mut invalid = 0usize;
+    for path in &args.positionals {
+        match Scenario::load(path) {
+            Ok(scenario) => {
+                let on_disk = std::fs::read_to_string(path).expect("load() just read it");
+                if on_disk != scenario.to_text() {
+                    eprintln!(
+                        "{path}: NOT CANONICAL — rewrite it in canonical form \
+                         with Scenario::save"
+                    );
+                    invalid += 1;
+                    continue;
+                }
+                let cells = scenario.cells().expect("load() validated the scenario");
+                println!(
+                    "{path}: ok — '{}', {} cells ({} points x {} strategies), \
+                     {} eval epochs",
+                    scenario.name,
+                    cells.len(),
+                    cells.len() / scenario.strategies.len(),
+                    scenario.strategies.len(),
+                    scenario.eval_epochs,
+                );
+            }
+            Err(e) => {
+                eprintln!("{path}: INVALID — {e}");
+                invalid += 1;
+            }
+        }
+    }
+    if invalid > 0 {
+        return Err(Failure::Failed(format!(
+            "{invalid} invalid scenario file(s)"
+        )));
+    }
+    Ok(())
 }

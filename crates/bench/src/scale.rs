@@ -1,12 +1,6 @@
-//! Scaling curve of the streamed epoch pipeline: epochs/sec and peak
-//! RSS versus account count, printed as one JSON document on stdout
-//! (progress goes to stderr).
-//!
-//! ```text
-//! bench_scale [--scenario scenarios/huge.scenario]
-//!             [--accounts 100000,300000,1000000] [--depth 4]
-//!             [--max-rss-mb <ceiling>]
-//! ```
+//! `scale`: the scaling curve of the streamed epoch pipeline —
+//! epochs/sec and peak RSS versus account count, printed as one JSON
+//! document on stdout (progress goes to stderr).
 //!
 //! The default scenario, `scenarios/huge.scenario`, is the 10M-account
 //! scale proof: 10M accounts is the order of the paper's Ethereum
@@ -20,7 +14,7 @@
 //! state, which is what this curve measures.
 //!
 //! Each account count is measured in a **fresh child process** (the
-//! parent re-execs itself with the internal `--one` flag): `VmHWM` in
+//! parent re-execs itself as `scale ... --one <n>`): `VmHWM` in
 //! `/proc/self/status` is a process-lifetime high-water mark, so two
 //! sizes measured in one process would share one peak and the curve
 //! would be the largest size repeated. The child scales the scenario's
@@ -44,12 +38,7 @@
 //! the scaled trace and byte-compares the streamed CSV against the
 //! resident path — the scale curve is only meaningful if the streamed
 //! pipeline computes the same experiment.
-//!
-//! Exit status: 0 ok, 1 RSS ceiling exceeded or verification failed,
-//! 2 usage/run error — an unknown argument or a value that does not
-//! parse included, so a mistyped ceiling never switches the gate off.
 
-use std::process::ExitCode;
 use std::time::Instant;
 
 use mosaic_sim::engine::RunSummary;
@@ -57,8 +46,8 @@ use mosaic_sim::{Scenario, Simulation};
 use mosaic_types::Transaction;
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
-const USAGE: &str = "usage: bench_scale [--scenario <file>] [--accounts <n,n,...>] \
-                     [--depth <mult>] [--max-rss-mb <mb>]";
+use crate::json::parse_json;
+use crate::{number, positive, Args, Failure};
 
 /// What one invocation measures.
 #[derive(Debug)]
@@ -72,55 +61,46 @@ struct Options {
     one: Option<usize>,
 }
 
-/// Parses the arguments (without the program name). Every value must
-/// parse: a malformed one is an error, never a default.
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-        value
-            .trim()
-            .parse()
-            .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+impl Options {
+    fn from_args(args: &Args) -> Result<Options, String> {
+        let mut accounts = match args.value("--accounts") {
+            Some(list) => list
+                .split(',')
+                .map(|n| number("--accounts", n, "an account count", |_| true))
+                .collect::<Result<Vec<usize>, _>>()?,
+            None => vec![100_000, 300_000, 1_000_000],
+        };
+        accounts.sort_unstable();
+        Ok(Options {
+            scenario: args
+                .value("--scenario")
+                .unwrap_or("scenarios/huge.scenario")
+                .to_string(),
+            accounts,
+            depth: args
+                .number("--depth", "a block-count multiplier", |_| true)?
+                .unwrap_or(4),
+            max_rss_mb: args.number("--max-rss-mb", "a positive size", positive)?,
+            one: args.number("--one", "an account count", |_| true)?,
+        })
     }
-    let mut options = Options {
-        scenario: "scenarios/huge.scenario".to_string(),
-        accounts: vec![100_000, 300_000, 1_000_000],
-        depth: 4,
-        max_rss_mb: None,
-        one: None,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--scenario" => options.scenario = value?.clone(),
-            "--accounts" => {
-                options.accounts = value?
-                    .split(',')
-                    .map(|n| number(flag, n))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--depth" => options.depth = number(flag, value?)?,
-            "--max-rss-mb" => {
-                let ceiling: f64 = number(flag, value?)?;
-                if !(ceiling.is_finite() && ceiling > 0.0) {
-                    return Err(format!("{flag}: {ceiling} is not a positive size"));
-                }
-                options.max_rss_mb = Some(ceiling);
-            }
-            "--one" => options.one = Some(number(flag, value?)?),
-            _ => return Err(format!("unknown argument {flag:?}")),
-        }
-    }
-    if options.accounts.is_empty() {
-        return Err("--accounts needs at least one count".into());
-    }
-    options.accounts.sort_unstable();
-    Ok(options)
 }
 
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("bench_scale: {message}");
-    std::process::exit(2);
+/// The arguments of the child process that measures one size: it runs
+/// this same binary, so they start with the `scale` command.
+fn child_args(scenario: &str, accounts: usize, depth: u64) -> Vec<String> {
+    let (accounts, depth) = (accounts.to_string(), depth.to_string());
+    [
+        "scale",
+        "--scenario",
+        scenario,
+        "--one",
+        &accounts,
+        "--depth",
+        &depth,
+    ]
+    .map(String::from)
+    .to_vec()
 }
 
 /// Peak resident set size of this process in MB (`VmHWM`, linux only);
@@ -149,9 +129,15 @@ fn peak_rss_mb() -> f64 {
 /// proportional. `depth` then multiplies the block count at fixed
 /// accounts — the axis along which the streamed pipeline's memory must
 /// stay flat while the trace grows.
-fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, Scenario) {
+fn scaled(
+    scenario: &Scenario,
+    accounts: usize,
+    depth: u64,
+) -> Result<(WorkloadConfig, Scenario), Failure> {
     let Some(workload) = scenario.trace.workload() else {
-        fail("scenario's trace source is not generated; bench_scale needs workload.* to scale");
+        return Err(Failure::Usage(
+            "scenario's trace source is not generated; scale needs workload.* to scale".into(),
+        ));
     };
     let factor = accounts as f64 / workload.initial_accounts as f64;
     let mut w = workload.clone();
@@ -163,32 +149,29 @@ fn scaled(scenario: &Scenario, accounts: usize, depth: u64) -> (WorkloadConfig, 
         base: scenario
             .base
             .with_tau(tau)
-            .unwrap_or_else(|e| fail(format!("scaled tau invalid: {e}"))),
+            .map_err(|e| Failure::Usage(format!("scaled tau invalid: {e}")))?,
         grid: Vec::new(),
         strategies: vec![scenario.strategies[0]],
         ..scenario.clone()
     };
-    (w, cell)
+    Ok((w, cell))
 }
 
 /// Runs the scenario's one cell, writing its per-epoch CSV to `out`.
-fn stream_csv(cell: Scenario, out: &mut dyn std::io::Write) -> Result<RunSummary, String> {
-    let sim = Simulation::from_scenario(cell).map_err(|e| e.to_string())?;
-    sim.stream_cell(&sim.cells()[0], out)
-        .map_err(|e| e.to_string())
+fn stream_csv(cell: Scenario, out: &mut dyn std::io::Write) -> Result<RunSummary, Failure> {
+    let run_error = |e: mosaic_types::Error| Failure::Failed(format!("streamed run failed: {e}"));
+    let sim = Simulation::from_scenario(cell).map_err(run_error)?;
+    sim.stream_cell(&sim.cells()[0], out).map_err(run_error)
 }
 
 /// Child mode: measure one account count, print one JSON entry line.
-fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
-    let scenario =
-        Scenario::load(scenario_path).unwrap_or_else(|e| fail(format!("{scenario_path}: {e}")));
-    let (workload, cell) = scaled(&scenario, accounts, depth);
+fn run_one(scenario: &Scenario, accounts: usize, depth: u64) -> Result<(), Failure> {
+    let (workload, cell) = scaled(scenario, accounts, depth)?;
     let txs = workload.blocks as u128 * workload.txs_per_block as u128;
     let trace_mb = (txs as f64 * std::mem::size_of::<Transaction>() as f64) / (1024.0 * 1024.0);
 
     let started = Instant::now();
-    let summary = stream_csv(cell, &mut std::io::sink())
-        .unwrap_or_else(|e| fail(format!("streamed run failed: {e}")));
+    let summary = stream_csv(cell, &mut std::io::sink())?;
     let seconds = started.elapsed().as_secs_f64();
     let rss = peak_rss_mb();
     println!(
@@ -204,13 +187,13 @@ fn run_one(scenario_path: &str, accounts: usize, depth: u64) -> ExitCode {
         summary.epochs as f64 / seconds.max(1e-9),
         trace_mb / rss.max(1e-9),
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Byte-compares the streamed CSV against the materialised path at the
 /// given size (must be small enough to fit in memory).
-fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
-    let (workload, cell) = scaled(scenario, accounts, 1);
+fn verify(scenario: &Scenario, accounts: usize) -> Result<(), Failure> {
+    let (workload, cell) = scaled(scenario, accounts, 1)?;
     let mut streamed: Vec<u8> = Vec::new();
     stream_csv(cell.clone(), &mut streamed)?;
     let mut resident: Vec<u8> = Vec::new();
@@ -220,39 +203,26 @@ fn verify(scenario: &Scenario, accounts: usize) -> Result<(), String> {
     };
     stream_csv(cell, &mut resident)?;
     if streamed != resident {
-        return Err(format!(
+        return Err(Failure::Failed(format!(
             "streamed CSV diverged from materialised path at {accounts} accounts"
-        ));
+        )));
     }
     eprintln!(
-        "bench_scale: streamed == materialised at {accounts} accounts ({} bytes)",
+        "scale: streamed == materialised at {accounts} accounts ({} bytes)",
         streamed.len()
     );
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Options {
-        scenario: scenario_path,
-        accounts,
-        depth,
-        max_rss_mb,
-        one,
-    } = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("bench_scale: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    if let Some(n) = one {
-        return run_one(&scenario_path, n, depth);
+pub(crate) fn scale(args: &Args) -> Result<(), Failure> {
+    let options = Options::from_args(args).map_err(Failure::Usage)?;
+    let (accounts, depth, scenario_path) = (&options.accounts, options.depth, &options.scenario);
+    let scenario = Scenario::load(scenario_path)
+        .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
+    if let Some(n) = options.one {
+        return run_one(&scenario, n, depth);
     }
-
-    let scenario =
-        Scenario::load(&scenario_path).unwrap_or_else(|e| fail(format!("{scenario_path}: {e}")));
-    if let Err(e) = verify(&scenario, accounts[0]) {
-        eprintln!("bench_scale: FAIL: {e}");
-        return ExitCode::FAILURE;
-    }
+    verify(&scenario, accounts[0])?;
 
     // One (accounts, depth) measurement per child process: every size
     // at natural depth, plus — when --depth > 1 — the middle size with
@@ -263,41 +233,31 @@ fn main() -> ExitCode {
         plan.push((accounts[accounts.len() / 2], depth));
     }
 
-    let exe = std::env::current_exe().unwrap_or_else(|e| fail(format!("current_exe: {e}")));
+    let exe = std::env::current_exe().map_err(|e| Failure::Failed(format!("current_exe: {e}")))?;
     let mut entries = Vec::new();
-    let mut over_ceiling = false;
+    let mut over_ceiling = Vec::new();
     for &(n, d) in &plan {
         let output = std::process::Command::new(&exe)
-            .args([
-                "--scenario",
-                &scenario_path,
-                "--one",
-                &n.to_string(),
-                "--depth",
-                &d.to_string(),
-            ])
+            .args(child_args(scenario_path, n, d))
             .output()
-            .unwrap_or_else(|e| fail(format!("spawning child: {e}")));
+            .map_err(|e| Failure::Failed(format!("spawning child: {e}")))?;
         if !output.status.success() {
             eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-            fail(format!("child for {n} accounts failed: {}", output.status));
+            return Err(Failure::Failed(format!(
+                "child for {n} accounts failed: {}",
+                output.status
+            )));
         }
         let entry = String::from_utf8_lossy(&output.stdout).trim().to_string();
-        let rss = entry
-            .split("\"peak_rss_mb\":")
-            .nth(1)
-            .and_then(|r| r.trim().split(',').next())
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .unwrap_or_else(|| fail(format!("child printed no peak_rss_mb: {entry}")));
-        eprintln!("bench_scale: {entry}");
-        if let Some(ceiling) = max_rss_mb {
-            if rss > ceiling {
-                eprintln!(
-                    "bench_scale: FAIL: {n} accounts peaked at {rss:.1} MB \
-                     (ceiling {ceiling} MB)"
-                );
-                over_ceiling = true;
-            }
+        let rss = parse_json(&entry)
+            .ok()
+            .and_then(|json| json.get("peak_rss_mb")?.as_f64())
+            .ok_or_else(|| Failure::Failed(format!("child printed no peak_rss_mb: {entry}")))?;
+        eprintln!("scale: {entry}");
+        if let Some(ceiling) = options.max_rss_mb.filter(|&ceiling| rss > ceiling) {
+            over_ceiling.push(format!(
+                "{n} accounts peaked at {rss:.1} MB (ceiling {ceiling} MB)"
+            ));
         }
         entries.push(entry);
     }
@@ -313,10 +273,10 @@ fn main() -> ExitCode {
     }
     println!("  ]");
     println!("}}");
-    if over_ceiling {
-        return ExitCode::FAILURE;
+    if !over_ceiling.is_empty() {
+        return Err(Failure::Failed(over_ceiling.join("; ")));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -324,8 +284,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_args(&args)
+        crate::parse_as("scale", args).and_then(|a| Options::from_args(&a))
     }
 
     #[test]
@@ -351,5 +310,15 @@ mod tests {
         assert!(parse(&["--accounts", "10,,20"]).is_err());
         assert!(parse(&["--depth", "-1"]).is_err());
         assert!(parse(&["--out", "scale.json"]).is_err());
+        // The re-exec'd child's arguments name the command first, then
+        // parse back to the one size it measures.
+        let child = child_args("h.scenario", 300_000, 4);
+        assert_eq!(child[0], "scale");
+        let child: Vec<&str> = child[1..].iter().map(String::as_str).collect();
+        let o = parse(&child).unwrap();
+        assert_eq!(
+            (o.scenario.as_str(), o.one, o.depth),
+            ("h.scenario", Some(300_000), 4)
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's Table VI compares per-miner replication storage and
 //! communication across frameworks (`|T|` for graph-based methods,
 //! `|T|/k + |MR|` for Mosaic, `|T|/k` for hash-based). The simulator
-//! meters actual bytes moved so the report binaries can fill that table
+//! meters actual bytes moved so the `mosaic-bench` report can fill that table
 //! with measured values.
 
 /// Bytes to ship one account's state during migration or shard sync

@@ -190,7 +190,8 @@ fn cmd_replay(
         let offline_tx_s = session_txs as f64 / offline_seconds.max(1e-9);
         let speedup = node_tx_s / offline_tx_s.max(1e-9);
         // Sized by accounts for generated traces (epochs otherwise) so
-        // bench_check can pair entries with the committed baseline.
+        // `mosaic-bench bench-check` can pair entries with the committed
+        // baseline.
         let size_field = match scenario.workload() {
             Some(w) => format!("\"accounts\": {}", w.initial_accounts),
             None => format!("\"epochs\": {}", scenario.eval_epochs),

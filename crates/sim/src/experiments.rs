@@ -1,8 +1,10 @@
-//! One function per paper table/figure.
+//! One function per paper table/figure, and the report that prints
+//! them all.
 //!
-//! Every function returns a [`TextTable`] shaped like the paper's
-//! original so the report binaries (`crates/bench/src/bin/table*.rs`)
-//! can print them directly.
+//! Every table function returns a [`TextTable`] shaped like the
+//! paper's original; [`report`] renders Tables I–VI and Figure 1 from
+//! one run of a grid, and [`ablations`] the studies beyond the paper.
+//! `mosaic-bench report` and `mosaic-bench ablation` print them.
 //!
 //! Every grid here is *data*: the effectiveness grid is
 //! `scenarios/effectiveness-*.scenario`, the β sweep is
@@ -17,7 +19,7 @@
 
 use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
-use mosaic_types::{AccountId, DefaultRule};
+use mosaic_types::{AccountId, DefaultRule, Result};
 
 use crate::parallel::ordered_map;
 use crate::radar::RadarAxis;
@@ -194,17 +196,10 @@ pub fn table4(cells: &[GridCell]) -> TextTable {
     t
 }
 
-/// **Table V** — impact of future knowledge: the `scenario`'s β axis
-/// run with Mosaic (`scenarios/beta-sweep-*.scenario` reproduce the
-/// paper: `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
-pub fn table5(scenario: &Scenario) -> TextTable {
-    table5_from(&run_scenario(scenario))
-}
-
-/// [`table5`] over already-run cells — for callers that executed the β
-/// sweep through their own session (e.g. sharing a trace with the main
-/// grid).
-pub fn table5_from(cells: &[GridCell]) -> TextTable {
+/// **Table V** — impact of future knowledge: the Mosaic cells of a β
+/// sweep ([`report`] derives one; `scenarios/beta-sweep-*.scenario`
+/// reproduce the paper: `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
+pub fn table5(cells: &[GridCell]) -> TextTable {
     let mut t = TextTable::new(["Metrics", "Ratio", "Throughput", "Workload"]);
     for cell in cells
         .iter()
@@ -386,6 +381,86 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
         ]);
     }
     t
+}
+
+/// Renders each table under a `--- title ---` line.
+fn sections<const N: usize>(sections: [(&str, TextTable); N]) -> String {
+    sections
+        .iter()
+        .map(|(title, table)| format!("--- {title} ---\n{table}\n"))
+        .collect()
+}
+
+/// **The report** — Tables I–VI and Figure 1 from one run of the
+/// `session`'s grid; Table V's β sweep (`k = 4`, Mosaic only) is
+/// derived from the same scenario and shares its resident trace (a
+/// streamed one is streamed again).
+///
+/// # Errors
+///
+/// The first cell failure of either run, or the sweep's validation
+/// error.
+///
+/// # Panics
+///
+/// As [`table6`] and [`fig1`].
+pub fn report(session: &Simulation) -> Result<String> {
+    let scenario = session.scenario();
+    let cells = session.run()?.cells;
+    let sweep = Scenario {
+        name: format!("{}-beta-sweep", scenario.name),
+        base: scenario.base.with_shards(4)?,
+        grid: vec![GridAxis::Beta(vec![0.0, 0.25, 0.5, 0.75, 1.0])],
+        strategies: vec![Strategy::Mosaic],
+        ..scenario.clone()
+    };
+    let beta_cells = match session.try_trace() {
+        Some(trace) => Simulation::with_trace(sweep, trace)?,
+        None => Simulation::from_scenario(sweep)?,
+    }
+    .run()?
+    .cells;
+    Ok(sections([
+        ("Table I: cross-shard transaction ratio", table1(&cells)),
+        (
+            "Table II: normalized throughput (Lambda/lambda)",
+            table2(&cells),
+        ),
+        ("Table III: workload deviation", table3(&cells)),
+        (
+            "Table IV: running time (s) and input data size",
+            table4(&cells),
+        ),
+        (
+            "Table V: future knowledge (beta sweep, k = 4)",
+            table5(&beta_cells),
+        ),
+        (
+            "Table VI: framework comparison (measured)",
+            table6(&cells, scenario),
+        ),
+        (
+            "Figure 1: radar series (normalised 1..5)",
+            fig1(&cells, scenario),
+        ),
+    ]))
+}
+
+/// **The ablations (beyond the paper)** — [`policy_ablation`] and
+/// [`capacity_ablation`] over the `session`'s trace, then
+/// [`churn_ablation`] on fresh traces of its scenario.
+pub fn ablations(session: &Simulation) -> String {
+    sections([
+        ("Client policy components", policy_ablation(session)),
+        (
+            "Beacon migration-capacity bound",
+            capacity_ablation(session),
+        ),
+        (
+            "Churn sensitivity (new-account arrival rate)",
+            churn_ablation(session.scenario()),
+        ),
+    ])
 }
 
 /// **Ablation (beyond the paper)** — Pilot versus policies that use only
@@ -623,7 +698,7 @@ mod tests {
     fn table5_is_monotonic_in_shape() {
         // Smoke test: the sweep runs and produces 5 rows; monotonicity is
         // asserted loosely (β=1 may regress slightly, as in the paper).
-        let t = table5(&beta_quick());
+        let t = table5(&run_scenario(&beta_quick()));
         assert_eq!(t.row_count(), 5);
     }
 }

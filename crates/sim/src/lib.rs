@@ -14,7 +14,7 @@
 //!   experiment presets are the checked-in `scenarios/*.scenario` files
 //!   (`quick` for tests, `default` for commodity hardware, `full` for
 //!   the paper's 200-epoch protocol, `effectiveness-*`, `beta-sweep-*`
-//!   and `ablation-*` for the report binaries);
+//!   and `ablation-*` for the `mosaic-bench` reports);
 //! * [`session`] — [`Simulation`], the runnable form of a scenario: it
 //!   expands the grid into cells, shares one trace across them, maps
 //!   the cells over [`Parallelism`] lanes in input order and fans every

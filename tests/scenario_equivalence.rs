@@ -100,7 +100,7 @@ fn assert_reproduces_golden(scenario: Scenario, dir: &str, cells: usize) {
 }
 
 /// The fixed point: `tests/golden/quick/` holds the five CSVs
-/// `full_run --scenario scenarios/quick.scenario` wrote before the
+/// `mosaic-bench run --scenario scenarios/quick.scenario` wrote before the
 /// driver stack collapsed onto `AllocationCore`'s event API. The same
 /// spec must reproduce them byte-for-byte whether its trace is resident
 /// or streamed.
@@ -120,7 +120,7 @@ fn quick_scenario_reproduces_the_golden_csvs() {
 }
 
 /// The β > 0 fixed point (`quick` runs Pilot at β = 0 only):
-/// `tests/golden/beta-sweep-quick/` holds the five CSVs `full_run` wrote
+/// `tests/golden/beta-sweep-quick/` holds the five CSVs `mosaic-bench run` wrote
 /// for `scenarios/beta-sweep-quick.scenario` while every client was its
 /// own pair of hash maps — future-knowledge fusion and expectation-only
 /// clients included.
@@ -133,7 +133,7 @@ fn beta_sweep_reproduces_the_golden_csvs() {
 /// The miner-driven fixed point, at a shape where the allocators' cap
 /// and overload rules bite (`quick`'s 800 accounts cannot be relied on
 /// for that): `tests/golden/miner-quick/` holds the three CSVs
-/// `full_run` wrote for `scenarios/miner-quick.scenario` — the
+/// `mosaic-bench run` wrote for `scenarios/miner-quick.scenario` — the
 /// `miner-recompute` benchmark workload cut to four epochs, plus
 /// A-TxAllo — while G-TxAllo re-scored every capped and every glued
 /// account and Metis sorted each coarse row.
