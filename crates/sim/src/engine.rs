@@ -42,9 +42,10 @@ use mosaic_metrics::data_size::miner_input_bytes;
 use mosaic_metrics::timing::time_it;
 use mosaic_metrics::{Aggregate, EpochMetrics};
 use mosaic_partition::GlobalAllocator;
-use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
+use mosaic_telemetry::Recorder;
+use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig, WindowRefinement};
 use mosaic_txgraph::{GrowingGraph, TxGraph};
-use mosaic_types::{AccountShardMap, Result, SystemParams, Transaction};
+use mosaic_types::{ensure, AccountShardMap, Result, SystemParams, Transaction};
 use mosaic_workload::EpochWindowStream;
 
 use crate::alloc_core::AllocationCore;
@@ -376,18 +377,35 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
 /// Adapter for the incremental A-TxAllo baseline: the initial ϕ is
 /// G-TxAllo's result on the training prefix (§V-B), then each epoch only
 /// the accounts active in the recent window are re-placed.
+///
+/// The adapter keeps the last update's window graph and parts, moved
+/// out of [`ATxAllo::update`] rather than copied, and
+/// [`EpochStrategy::check_invariants`] certifies them against TxAllo's
+/// score ([`WindowRefinement::improving_moves`]): after a converged
+/// sweep no single-account move may still raise it; after a sweep the
+/// round limit cut short, the count of moves that would is exported as
+/// the `txallo.improving_moves` gauge, the distance from the local
+/// optimum.
 #[derive(Debug, Clone)]
 pub struct AdaptiveTxAllo {
     init: GTxAllo,
-    update: ATxAllo,
+    adaptive: ATxAllo,
+    last: Option<WindowRefinement>,
+    recorder: Recorder,
 }
 
 impl AdaptiveTxAllo {
     /// Builds the adapter from a shared TxAllo configuration.
     pub fn new(config: TxAlloConfig) -> Self {
+        AdaptiveTxAllo::with_recorder(config, mosaic_telemetry::global())
+    }
+
+    fn with_recorder(config: TxAlloConfig, recorder: Recorder) -> Self {
         AdaptiveTxAllo {
-            init: GTxAllo::new(config),
-            update: ATxAllo::new(config),
+            init: GTxAllo::with_recorder(config, recorder.clone()),
+            adaptive: ATxAllo::with_recorder(config, recorder.clone()),
+            last: None,
+            recorder,
         }
     }
 }
@@ -412,13 +430,44 @@ impl EpochStrategy for AdaptiveTxAllo {
 
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
         let mut phi = ledger.phi().clone();
-        let (moved, elapsed) = time_it(|| self.update.update(&mut phi, ctx.recent_window));
+        let (refined, elapsed) = time_it(|| self.adaptive.update(&mut phi, ctx.recent_window));
+        let moved = refined.moved;
+        self.last = Some(refined);
         EpochDecision {
             new_phi: Some(phi),
             migrations: MigrationCount::Moves(moved),
             alloc_time: Some(elapsed),
             input_bytes: Some(miner_input_bytes(ctx.recent_window.len()) as f64),
         }
+    }
+
+    fn check_invariants(&self) -> Result<()> {
+        let Some(last) = &self.last else {
+            return Ok(());
+        };
+        ensure!(
+            last.parts.len() == last.graph.node_count()
+                && last.parts.iter().all(|&p| p < last.shards),
+            "txallo",
+            "{} parts for {} window accounts, k = {}",
+            last.parts.len(),
+            last.graph.node_count(),
+            last.shards
+        );
+        let improving = last.improving_moves();
+        if !last.converged {
+            self.recorder
+                .set_gauge("txallo.improving_moves", improving as f64);
+            return Ok(());
+        }
+        ensure!(
+            improving == 0,
+            "txallo",
+            "{improving} single-account moves still raise the objective after a converged \
+             sweep over {} window accounts",
+            last.graph.node_count()
+        );
+        Ok(())
     }
 }
 
@@ -649,6 +698,74 @@ mod tests {
         let g: &dyn EpochStrategy = &GTxAllo::new(TxAlloConfig::with_eta(2.0));
         assert_eq!(g.name(), "G-TxAllo");
         assert!(!g.is_client_driven());
+    }
+
+    /// Two groups of six accounts that trade only among themselves: a
+    /// window A-TxAllo's default round limit sweeps to a fixed point.
+    fn grouped_window() -> Vec<Transaction> {
+        (0..120)
+            .map(|i| {
+                let group = 10 * (i % 2);
+                tx(i, group + i % 5, group + (i / 2) % 5 + 1, 0)
+            })
+            .collect()
+    }
+
+    /// The certificate after a converged sweep: it holds, and one planted
+    /// improving move — an account pulled away from its neighbours —
+    /// makes the owner hook fail under the `txallo` component.
+    #[test]
+    fn adaptive_txallo_certifies_a_converged_sweep() {
+        let config = TxAlloConfig {
+            capacity_slack: 100.0,
+            ..TxAlloConfig::default()
+        };
+        let mut adaptive = AdaptiveTxAllo::with_recorder(config, Recorder::enabled());
+        adaptive.check_invariants().unwrap();
+        let mut phi = AccountShardMap::new(4);
+        let refined = adaptive.adaptive.update(&mut phi, &grouped_window());
+        assert!(refined.converged && refined.moved > 0, "{refined:?}");
+        adaptive.last = Some(refined);
+        adaptive.check_invariants().unwrap();
+
+        let last = adaptive.last.as_mut().unwrap();
+        let v = 0;
+        assert!(last.graph.neighbors(mosaic_txgraph::NodeId::new(v)).count() > 0);
+        last.parts[v as usize] = (last.parts[v as usize] + 1) % last.shards;
+        assert!(last.improving_moves() > 0);
+        let err = adaptive.check_invariants().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                mosaic_types::Error::Inconsistent {
+                    component: "txallo",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    /// After a sweep the round limit cut short, the hook reports the
+    /// improving moves left as a gauge instead of failing.
+    #[test]
+    fn adaptive_txallo_gauges_a_cut_short_sweep() {
+        let config = TxAlloConfig {
+            rounds: 1,
+            ..TxAlloConfig::default()
+        };
+        let recorder = Recorder::enabled();
+        let mut adaptive = AdaptiveTxAllo::with_recorder(config, recorder.clone());
+        let mut phi = AccountShardMap::new(4);
+        let refined = adaptive.adaptive.update(&mut phi, &grouped_window());
+        assert!(!refined.converged, "one round cannot reach the fixed point");
+        let left = refined.improving_moves();
+        adaptive.last = Some(refined);
+        adaptive.check_invariants().unwrap();
+        assert_eq!(
+            recorder.snapshot().gauges,
+            vec![("txallo.improving_moves".to_string(), left as f64)]
+        );
     }
 
     #[test]

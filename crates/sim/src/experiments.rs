@@ -24,7 +24,7 @@ use mosaic_types::{AccountId, DefaultRule, Result};
 use crate::parallel::ordered_map;
 use crate::radar::RadarAxis;
 use crate::runner::ExperimentResult;
-use crate::scenario::{Capacity, GridAxis, Scenario};
+use crate::scenario::{Capacity, GridAxis, ObserverSpec, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
 use crate::strategy::Strategy;
@@ -394,7 +394,8 @@ fn sections<const N: usize>(sections: [(&str, TextTable); N]) -> String {
 /// **The report** — Tables I–VI and Figure 1 from one run of the
 /// `session`'s grid; Table V's β sweep (`k = 4`, Mosaic only) is
 /// derived from the same scenario and shares its resident trace (a
-/// streamed one is streamed again).
+/// streamed one is streamed again). The sweep keeps only its
+/// aggregates: the scenario's observers see the grid alone.
 ///
 /// # Errors
 ///
@@ -414,12 +415,32 @@ pub fn report(session: &Simulation) -> Result<String> {
         strategies: vec![Strategy::Mosaic],
         ..scenario.clone()
     };
+    // Table V reads only each cell's aggregate, so the sweep must not
+    // write the scenario's row CSVs or restart its telemetry stream.
     let beta_cells = match session.try_trace() {
-        Some(trace) => Simulation::with_trace(sweep, trace)?,
-        None => Simulation::from_scenario(sweep)?,
-    }
-    .run()?
-    .cells;
+        // Collect only, as the ablations do.
+        Some(trace) => {
+            let sweep = Scenario {
+                observers: vec![ObserverSpec::Collect],
+                ..sweep
+            };
+            Simulation::with_trace(sweep, trace)?.run()?.cells
+        }
+        // A streamed source may not collect: each cell streams again
+        // into a sink that drops its rows, and only its summary is kept.
+        None => {
+            let sweep = Simulation::from_scenario(sweep)?;
+            let mut cells = Vec::new();
+            for cell in sweep.cells() {
+                let summary = sweep.stream_cell(cell, &mut std::io::sink())?;
+                cells.push(GridCell {
+                    param_label: cell.label.clone(),
+                    result: ExperimentResult::new(&cell.config, Vec::new(), &summary),
+                });
+            }
+            cells
+        }
+    };
     Ok(sections([
         ("Table I: cross-shard transaction ratio", table1(&cells)),
         (
@@ -481,7 +502,7 @@ pub fn policy_ablation(session: &Simulation) -> TextTable {
         strategies: vec![Strategy::Mosaic],
         // Collect only: the four policy sessions run concurrently and
         // would otherwise race on one stream-csv path per cell.
-        observers: vec![crate::scenario::ObserverSpec::Collect],
+        observers: vec![ObserverSpec::Collect],
         ..session.scenario().clone()
     };
     let trace = session.trace();
@@ -535,7 +556,7 @@ pub fn capacity_ablation(session: &Simulation) -> TextTable {
         strategies: vec![Strategy::Mosaic],
         // Collect only: a stream-csv observer inherited from the caller
         // would clobber files written by other studies in the same dir.
-        observers: vec![crate::scenario::ObserverSpec::Collect],
+        observers: vec![ObserverSpec::Collect],
         ..session.scenario().clone()
     };
     let cells = Simulation::with_trace(derived, session.trace())
@@ -605,7 +626,7 @@ pub fn churn_ablation(scenario: &Scenario) -> TextTable {
             // Collect only: every churn rate expands to the same cell
             // labels, so an inherited stream-csv observer would leave
             // only the last rate's files on disk.
-            observers: vec![crate::scenario::ObserverSpec::Collect],
+            observers: vec![ObserverSpec::Collect],
             ..scenario.clone()
         };
         let pilots = Simulation::from_scenario(churned.clone())
@@ -691,6 +712,40 @@ mod tests {
             assert_eq!(s.result.strategy, p.result.strategy);
             assert_eq!(s.result.to_csv(), p.result.to_csv(), "{}", s.param_label);
             assert_eq!(s.result.total_migrations, p.result.total_migrations);
+        }
+    }
+
+    /// A report on a `stream-csv` spec, over a resident and over a
+    /// streamed trace, leaves exactly the grid's CSVs in the directory.
+    #[test]
+    fn report_writes_only_the_grid_csvs() {
+        let resident = effectiveness_quick();
+        let mut streamed = resident.clone();
+        streamed.trace =
+            mosaic_workload::TraceSource::StreamedGenerated(resident.workload().unwrap().clone());
+        for (name, scenario) in [("resident", resident), ("streamed", streamed)] {
+            let dir = std::env::temp_dir().join(format!("mosaic-report-observers-{name}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let session = Simulation::from_scenario(
+                scenario.with_observers([ObserverSpec::StreamCsv(dir.clone())]),
+            )
+            .unwrap();
+            let text = report(&session).unwrap();
+            assert!(text.contains("Table V"), "{name}");
+            let single_point = session.scenario().is_single_point();
+            let mut expected: Vec<String> = session
+                .cells()
+                .iter()
+                .map(|cell| format!("{}.csv", cell.file_stem(single_point)))
+                .collect();
+            let mut written: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            expected.sort();
+            written.sort();
+            assert_eq!(written, expected, "{name}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 

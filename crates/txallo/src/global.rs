@@ -1,6 +1,7 @@
 //! G-TxAllo: the complete (global) deterministic allocation algorithm.
 
 use mosaic_partition::GlobalAllocator;
+use mosaic_telemetry::Recorder;
 use mosaic_txgraph::TxGraph;
 use mosaic_types::{AccountShardMap, ShardId};
 
@@ -30,15 +31,31 @@ use crate::sweep;
 /// without extra consensus, as the Mosaic paper requires of miner-driven
 /// methods. Complexity is `O(rounds · (Σ_v deg(v) + n·k))` — linear in
 /// the full ledger, the cost Table VI charges as `O(|T|)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+///
+/// It takes [`mosaic_telemetry::global`] at construction: each
+/// [`GlobalAllocator::allocate`] records a `txallo.allocate` span (one
+/// branch when telemetry is off).
+#[derive(Debug, Clone)]
 pub struct GTxAllo {
     config: TxAlloConfig,
+    recorder: Recorder,
+}
+
+impl Default for GTxAllo {
+    fn default() -> Self {
+        GTxAllo::new(TxAlloConfig::default())
+    }
 }
 
 impl GTxAllo {
     /// Creates the algorithm with an explicit config.
     pub fn new(config: TxAlloConfig) -> Self {
-        GTxAllo { config }
+        GTxAllo::with_recorder(config, mosaic_telemetry::global())
+    }
+
+    /// Creates the algorithm recording its span into `recorder`.
+    pub fn with_recorder(config: TxAlloConfig, recorder: Recorder) -> Self {
+        GTxAllo { config, recorder }
     }
 
     /// The active configuration.
@@ -148,6 +165,7 @@ impl GlobalAllocator for GTxAllo {
     }
 
     fn allocate(&self, graph: &TxGraph, k: u16) -> AccountShardMap {
+        let _span = self.recorder.span("txallo.allocate");
         let parts = self.partition(graph, k);
         let mut phi = AccountShardMap::new(k);
         for node in graph.nodes() {
@@ -189,6 +207,24 @@ mod tests {
         // And balanced: one clique per shard.
         let w = analysis::part_weights(&g, &parts, 2);
         assert!((w[0] as i64 - w[1] as i64).abs() <= 2, "{w:?}");
+    }
+
+    /// One `txallo.allocate` span per allocation, whatever the graph.
+    #[test]
+    fn telemetry_counts_every_allocation() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let allo = GTxAllo::with_recorder(TxAlloConfig::default(), recorder.clone());
+        allo.allocate(&two_cliques(), 2);
+        allo.allocate(&TxGraph::default(), 4);
+        allo.allocate(&two_cliques(), 1);
+        allo.partition(&two_cliques(), 2);
+        let spans: Vec<_> = recorder
+            .snapshot()
+            .histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), h.count))
+            .collect();
+        assert_eq!(spans, [("txallo.allocate".to_string(), 3)]);
     }
 
     #[test]

@@ -50,12 +50,14 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod adaptive;
+pub mod certificate;
 pub mod config;
 pub mod global;
 pub mod objective;
 mod sweep;
 
-pub use adaptive::ATxAllo;
+pub use adaptive::{ATxAllo, WindowRefinement};
+pub use certificate::improving_moves;
 pub use config::TxAlloConfig;
 pub use global::GTxAllo;
 pub use objective::AlloObjective;

@@ -8,15 +8,22 @@
 //! loads and labels later decisions read, so each kernel is one
 //! sequential sweep. What keeps it fast is that the per-account
 //! histogram lives in dense reused scratch ([`DenseHistogram`]) and that
-//! both kernels re-score only the accounts whose decision can have
-//! changed, each by an exact rule:
+//! both kernels score only what can change a decision, each by an exact
+//! rule:
 //!
 //! - community detection parks an account the cap turned away on each
 //!   community that turned it away, until that community loses a member
 //!   or a neighbour moves ([`detect_communities`]);
 //! - refinement skips a *glued* account, one whose shard strictly
 //!   out-connects every other shard and is not overloaded, until a
-//!   neighbour moves ([`objective_refine`]).
+//!   neighbour moves ([`objective_refine`]);
+//! - refinement scores an account whose shard is not overloaded only
+//!   against the shards that out-connect it, the only ones a move to
+//!   can raise the objective (the candidate rule,
+//!   [`commit_objective_move`]). Those are shards it has a neighbour
+//!   in, so an account with fewer neighbours than shards reads only its
+//!   neighbours' shards ([`ShardConn`]); an overloaded account is scored
+//!   against every shard.
 
 use std::cmp::Reverse;
 
@@ -27,51 +34,147 @@ use crate::objective::AlloObjective;
 
 /// The visit order both kernels share: busiest accounts first (node
 /// weight, at least 1), ties to the lower node id.
+///
+/// While every weight fits in 32 bits, that order is the ascending order
+/// of the keys `(u32::MAX − weight) << 32 | node`, so it is one sort of
+/// plain `u64`s; a heavier graph sorts the nodes by descending weight,
+/// then ascending id.
 pub(crate) fn busiest_first(graph: &TxGraph) -> Vec<u32> {
     let vwgt = graph.vwgt();
+    if let Ok(weights) = vwgt
+        .iter()
+        .map(|&w| u32::try_from(w.max(1)))
+        .collect::<Result<Vec<u32>, _>>()
+    {
+        let mut keys: Vec<u64> = (0u32..)
+            .zip(weights)
+            .map(|(v, w)| u64::from(u32::MAX - w) << 32 | u64::from(v))
+            .collect();
+        keys.sort_unstable();
+        return keys.into_iter().map(|key| key as u32).collect();
+    }
     let mut order: Vec<u32> = (0..vwgt.len() as u32).collect();
     order.sort_unstable_by_key(|&v| (Reverse(vwgt[v as usize].max(1)), v));
     order
 }
 
-/// Accumulates `v`'s connectivity per shard into `conn`.
-fn fill_shard_conn(graph: &TxGraph, parts: &[u16], v: usize, conn: &mut [f64]) {
-    conn.iter_mut().for_each(|c| *c = 0.0);
-    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
-        conn[usize::from(parts[nb.index()])] += w as f64;
+/// One account's connectivity per shard, in reused scratch: `conn` over
+/// all `k` shards, 0 except at the shards the account has a neighbour
+/// in. While it has at most `k` neighbours, `reached` lists their
+/// shards (repeats and all); past that it is cut off at `k + 1` entries
+/// and [`ShardConn::shards`] is every shard.
+struct ShardConn {
+    conn: Vec<f64>,
+    reached: Vec<usize>,
+    every: Vec<usize>,
+}
+
+impl ShardConn {
+    fn new(shards: usize) -> Self {
+        ShardConn {
+            conn: vec![0.0; shards],
+            reached: Vec::with_capacity(shards + 1),
+            every: (0..shards).collect(),
+        }
+    }
+
+    /// `true` while `reached` lists every shard a neighbour is in.
+    fn is_sparse(&self) -> bool {
+        self.reached.len() <= self.conn.len()
+    }
+
+    /// The shards outside which `conn` is 0: those the account's
+    /// neighbours are in, or every shard for a well-connected account.
+    fn shards(&self) -> &[usize] {
+        if self.is_sparse() {
+            &self.reached
+        } else {
+            &self.every
+        }
+    }
+
+    /// Accumulates `v`'s connectivity per shard, clearing the last
+    /// account's.
+    fn fill(&mut self, graph: &TxGraph, parts: &[u16], v: usize) {
+        if self.is_sparse() {
+            for &p in &self.reached {
+                self.conn[p] = 0.0;
+            }
+        } else {
+            self.conn.fill(0.0);
+        }
+        self.reached.clear();
+        for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+            let p = usize::from(parts[nb.index()]);
+            self.conn[p] += w as f64;
+            if self.is_sparse() {
+                self.reached.push(p);
+            }
+        }
+    }
+
+    /// `true` if shard `cur` strictly out-connects every other shard
+    /// (with `k ≥ 2`, a shard no neighbour is in has connectivity 0, so
+    /// that takes `conn[cur] > 0`).
+    fn strictly_best(&self, cur: usize) -> bool {
+        let conn = &self.conn;
+        conn[cur] > 0.0
+            && self
+                .shards()
+                .iter()
+                .all(|&p| p == cur || conn[cur] > conn[p])
     }
 }
 
 /// The objective-walk move decision: move `v` to the shard with the
-/// best positive [`AlloObjective::move_delta`]. Returns `true` on a move.
+/// best positive [`AlloObjective::move_delta`], ties to the lower shard.
+/// Returns `true` on a move.
+///
+/// While `v`'s shard is at most the capacity, only the shards that
+/// out-connect it are scored, all of them among [`ShardConn::shards`]
+/// (a repeat scores the same delta again and changes nothing): for any
+/// other `p`, both overload terms of the source are 0 before and after
+/// the move and the target's can only grow, so
+/// `delta ≤ (2η − 1)(conn[p] − conn[cur]) ≤ 0`, never above the `1e-9`
+/// threshold. An account in an overloaded shard is scored against every
+/// shard. Either way the winner is the largest delta, ties to the lower
+/// shard: the one an ascending scan of every shard keeps.
 fn commit_objective_move(
     v: usize,
-    conn: &[f64],
+    sc: &ShardConn,
     objective: &AlloObjective,
     dv: &[f64],
     parts: &mut [u16],
     load: &mut [f64],
 ) -> bool {
     let cur = usize::from(parts[v]);
-    let kk = load.len();
+    let conn = &sc.conn;
     let mut best: Option<(usize, f64)> = None;
-    for p in 0..kk {
-        if p == cur {
-            continue;
-        }
+    let mut score = |p: usize| {
         let delta = objective.move_delta(conn[cur], conn[p], load[cur], load[p], dv[v]);
-        if delta > 1e-9 && best.is_none_or(|(_, bd)| delta > bd) {
+        let wins = best.is_none_or(|(bp, bd)| delta > bd || (delta == bd && p < bp));
+        if delta > 1e-9 && wins {
             best = Some((p, delta));
         }
-    }
-    if let Some((p, _)) = best {
-        load[cur] -= dv[v];
-        load[p] += dv[v];
-        parts[v] = p as u16;
-        true
+    };
+    if load[cur] <= objective.capacity() {
+        for &p in sc.shards() {
+            if conn[p] > conn[cur] {
+                score(p);
+            }
+        }
     } else {
-        false
+        for p in (0..conn.len()).filter(|&p| p != cur) {
+            score(p);
+        }
     }
+    let Some((p, _)) = best else {
+        return false;
+    };
+    load[cur] -= dv[v];
+    load[p] += dv[v];
+    parts[v] = p as u16;
+    true
 }
 
 /// Greedy account-level refinement against the throughput objective —
@@ -79,7 +182,9 @@ fn commit_objective_move(
 ///
 /// Visits `order` repeatedly (at most `rounds` sweeps, stopping at a
 /// fixed point), moving each account to the shard with the best positive
-/// objective delta. `parts` and `load` are updated in place.
+/// objective delta. `parts` and `load` are updated in place. Returns
+/// `true` if a round moved nothing (a fixed point), `false` if `rounds`
+/// cut the sweep short.
 ///
 /// Nearly every account ends its first evaluation in a shard that
 /// strictly out-connects every other one, and such an account is
@@ -104,10 +209,9 @@ pub(crate) fn objective_refine(
     parts: &mut [u16],
     load: &mut [f64],
     rounds: usize,
-) {
+) -> bool {
     let capacity = objective.capacity();
-    // One conn buffer reused throughout.
-    let mut conn = vec![0.0f64; load.len()];
+    let mut sc = ShardConn::new(load.len());
     let mut glued = vec![false; graph.node_count()];
     for _ in 0..rounds {
         let mut moves = 0usize;
@@ -116,25 +220,22 @@ pub(crate) fn objective_refine(
             if glued[v] && load[usize::from(parts[v])] <= capacity {
                 continue;
             }
-            fill_shard_conn(graph, parts, v, &mut conn);
-            if commit_objective_move(v, &conn, objective, dv, parts, load) {
+            sc.fill(graph, parts, v);
+            if commit_objective_move(v, &sc, objective, dv, parts, load) {
                 moves += 1;
                 glued[v] = false;
                 for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
                     glued[nb.index()] = false;
                 }
             } else {
-                let cur = usize::from(parts[v]);
-                glued[v] = conn
-                    .iter()
-                    .enumerate()
-                    .all(|(p, &c)| p == cur || conn[cur] > c);
+                glued[v] = sc.strictly_best(usize::from(parts[v]));
             }
         }
         if moves == 0 {
-            break;
+            return true;
         }
     }
+    false
 }
 
 /// Scores `v`'s connectivity per neighbouring community into `entries`
@@ -312,6 +413,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::certificate::improving_moves;
 
     /// One evaluation the community reference made.
     #[derive(Debug)]
@@ -505,13 +607,51 @@ mod tests {
         /// Moves made by an account the glue rule would have been
         /// skipping had its shard not been overloaded.
         glued_moves: usize,
+        /// Whether a round moved nothing before `rounds` ran out.
+        converged: bool,
+    }
+
+    /// Accumulates `v`'s connectivity over every shard into `conn`.
+    fn fill_shard_conn(graph: &TxGraph, parts: &[u16], v: usize, conn: &mut [f64]) {
+        conn.iter_mut().for_each(|c| *c = 0.0);
+        for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+            conn[usize::from(parts[nb.index()])] += w as f64;
+        }
+    }
+
+    /// The move decision [`commit_objective_move`] must equal, written
+    /// the slow obvious way: score every other shard, keep the first
+    /// strictly best delta above the threshold.
+    fn reference_move(
+        v: usize,
+        conn: &[f64],
+        objective: &AlloObjective,
+        dv: &[f64],
+        parts: &mut [u16],
+        load: &mut [f64],
+    ) -> bool {
+        let cur = usize::from(parts[v]);
+        let mut best: Option<(usize, f64)> = None;
+        for p in (0..load.len()).filter(|&p| p != cur) {
+            let delta = objective.move_delta(conn[cur], conn[p], load[cur], load[p], dv[v]);
+            if delta > 1e-9 && best.is_none_or(|(_, bd)| delta > bd) {
+                best = Some((p, delta));
+            }
+        }
+        let Some((p, _)) = best else {
+            return false;
+        };
+        load[cur] -= dv[v];
+        load[p] += dv[v];
+        parts[v] = p as u16;
+        true
     }
 
     /// What [`objective_refine`] must equal: the loop it replaced, which
-    /// re-scores every account in every round. It keeps the glue flags
-    /// without skipping on them and checks the rule's premise at every
-    /// glued move — the account's shard was overloaded — so tests can
-    /// tell which regime they hit.
+    /// re-scores every account against every shard in every round. It
+    /// keeps the glue flags without skipping on them and checks the
+    /// rule's premise at every glued move — the account's shard was
+    /// overloaded — so tests can tell which regime they hit.
     fn reference_refine(
         graph: &TxGraph,
         order: &[u32],
@@ -532,7 +672,7 @@ mod tests {
                 let cur = usize::from(parts[v]);
                 let overloaded = load[cur] > objective.capacity();
                 fill_shard_conn(graph, parts, v, &mut conn);
-                if commit_objective_move(v, &conn, objective, dv, parts, load) {
+                if reference_move(v, &conn, objective, dv, parts, load) {
                     moves += 1;
                     if glued[v] {
                         assert!(overloaded, "a glued account left a shard under capacity");
@@ -547,6 +687,7 @@ mod tests {
                 }
             }
             if moves == 0 {
+                run.converged = true;
                 break;
             }
         }
@@ -554,8 +695,8 @@ mod tests {
     }
 
     /// Runs [`objective_refine`] and [`reference_refine`] from the same
-    /// parts and asserts bit-identical parts and loads; returns the
-    /// reference's parts, loads and run.
+    /// parts and asserts bit-identical parts and loads and the same
+    /// fixed-point verdict; returns the reference's parts, loads and run.
     fn refine_against_reference(
         graph: &TxGraph,
         order: &[u32],
@@ -580,7 +721,9 @@ mod tests {
             rounds,
         );
         let (mut got, mut got_load) = (parts.to_vec(), load);
-        objective_refine(graph, order, dv, objective, &mut got, &mut got_load, rounds);
+        let converged =
+            objective_refine(graph, order, dv, objective, &mut got, &mut got_load, rounds);
+        assert_eq!(converged, run.converged);
         assert_eq!(got, expected);
         assert_eq!(
             got_load.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
@@ -622,20 +765,23 @@ mod tests {
         assert_ne!(cut, pushed, "one round must not reach the fixed point");
     }
 
-    /// Busiest first, ties to the lower id: the order the `f64`
-    /// comparator over node weights gave.
+    /// Busiest first, ties to the lower id: the order a comparator over
+    /// the node weights gives, for weights within 32 bits (the packed
+    /// keys) and past them (the fallback sort).
     #[test]
     fn busiest_first_orders_by_weight_then_id() {
-        let g = clique_ring(4, 5);
-        let dv = node_weights(&g);
-        let mut expected: Vec<u32> = (0..g.node_count() as u32).collect();
-        expected.sort_by(|&a, &b| {
-            dv[b as usize]
-                .partial_cmp(&dv[a as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        assert_eq!(busiest_first(&g), expected);
+        let mut heavy = GraphBuilder::new();
+        for (account, weight) in [(5u64, 1u64 << 33), (2, 7), (9, 1 << 33), (4, 7), (1, 1)] {
+            heavy.add_edge(AccountId::new(account), AccountId::new(account), weight);
+            heavy.add_edge(AccountId::new(account), AccountId::new(100), 1);
+        }
+        heavy.touch(AccountId::new(50));
+        for g in [clique_ring(4, 5), heavy.build()] {
+            let weight = |v: u32| g.node_weight(NodeId::new(v)).max(1);
+            let mut expected: Vec<u32> = (0..g.node_count() as u32).collect();
+            expected.sort_by(|&a, &b| weight(b).cmp(&weight(a)).then(a.cmp(&b)));
+            assert_eq!(busiest_first(&g), expected);
+        }
     }
 
     proptest! {
@@ -684,7 +830,12 @@ mod tests {
             // cap_share of the whole load per shard: below 1/k every
             // shard is overloaded, at 1 none can be.
             let objective = AlloObjective::new(eta, cap_share * dv.iter().sum::<f64>());
-            refine_against_reference(&g, &order, &dv, &objective, &parts, k, rounds);
+            let (refined, _, run) =
+                refine_against_reference(&g, &order, &dv, &objective, &parts, k, rounds);
+            // A fixed point is one to the paper's score too.
+            if run.converged {
+                prop_assert_eq!(improving_moves(&g, &refined, k as u16, &objective), 0);
+            }
         }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! [`GraphBuilder`] accumulates everything in hash maps and snapshots it
 //! with [`GraphBuilder::build`], O(V + E) per snapshot. It is the
-//! reference oracle [`crate::GrowingGraph`] is proptested against, and
-//! what a consumer that rebuilds a small graph from scratch uses
-//! (A-TxAllo's per-window graph).
+//! weighted, incremental builder tests use, and the reference oracle
+//! [`crate::GrowingGraph`] and [`TxGraph::from_transactions`] are
+//! proptested against. No production path builds through it: a graph
+//! of one slice of transactions (A-TxAllo's per-window graph) is
+//! [`TxGraph::from_transactions`], which sorts instead of hashing.
 
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountId, Transaction};

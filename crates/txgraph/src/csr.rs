@@ -6,7 +6,7 @@
 use std::fmt;
 
 use mosaic_types::hash::FnvHashMap;
-use mosaic_types::AccountId;
+use mosaic_types::{AccountId, Transaction};
 
 /// Dense index of a vertex inside a [`TxGraph`].
 ///
@@ -31,6 +31,11 @@ impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
     }
+}
+
+/// The node id of `account` in the ascending, deduplicated `accounts`.
+fn node_in(accounts: &[AccountId], account: AccountId) -> u32 {
+    accounts.partition_point(|&a| a < account) as u32
 }
 
 /// Immutable undirected weighted graph in CSR form.
@@ -79,65 +84,98 @@ impl TxGraph {
         V: IntoIterator<Item = (AccountId, u64)>,
         E: IntoIterator<Item = (AccountId, AccountId, u64)>,
     {
-        let mut vweights: FnvHashMap<AccountId, u64> = FnvHashMap::default();
-        for (a, w) in vertices {
-            *vweights.entry(a).or_default() += w;
-        }
         let edge_list: Vec<(AccountId, AccountId, u64)> = edges.into_iter().collect();
-        for &(a, b, _) in &edge_list {
-            vweights.entry(a).or_default();
-            vweights.entry(b).or_default();
-        }
+        let mut vertices: Vec<(AccountId, u64)> = vertices.into_iter().collect();
+        vertices.extend(edge_list.iter().flat_map(|&(a, b, _)| [(a, 0), (b, 0)]));
+        vertices.sort_unstable_by_key(|&(a, _)| a);
+        let (accounts, vwgt): (Vec<AccountId>, Vec<u64>) = vertices
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, w)| w).sum::<u64>()))
+            .unzip();
+        let mut edges: Vec<(u32, u32, u64)> = edge_list
+            .iter()
+            .map(|&(a, b, w)| {
+                let (a, b) = (node_in(&accounts, a), node_in(&accounts, b));
+                (a.min(b), a.max(b), w)
+            })
+            .collect();
+        edges.sort_unstable();
+        Self::from_sorted_edges(accounts, vwgt, &edges)
+    }
 
-        let mut accounts: Vec<AccountId> = vweights.keys().copied().collect();
+    /// Builds the interaction graph of `txs`: the graph
+    /// [`crate::GraphBuilder`] builds from the same transactions (edge
+    /// weight = transactions between the pair, vertex weight =
+    /// endpoints at the account, a self-transfer adds one unit of vertex
+    /// weight and no edge), assembled by sorting instead of hashing.
+    ///
+    /// The sorted, deduplicated endpoints are the node ids, so nodes come
+    /// out in account order; the normalised `(low, high)` node pairs are
+    /// sorted, and each run of equal pairs is one edge whose weight is the
+    /// run's length. Only [`TxGraph::node_of`]'s index is hashed.
+    pub fn from_transactions(txs: &[Transaction]) -> Self {
+        let mut accounts: Vec<AccountId> = txs.iter().flat_map(|tx| [tx.from, tx.to]).collect();
         accounts.sort_unstable();
+        accounts.dedup();
+        let mut vwgt = vec![0u64; accounts.len()];
+        let mut pairs: Vec<u64> = Vec::with_capacity(txs.len());
+        for tx in txs {
+            let from = node_in(&accounts, tx.from);
+            vwgt[from as usize] += 1;
+            if tx.is_self_transfer() {
+                continue;
+            }
+            let to = node_in(&accounts, tx.to);
+            vwgt[to as usize] += 1;
+            pairs.push(u64::from(from.min(to)) << 32 | u64::from(from.max(to)));
+        }
+        pairs.sort_unstable();
+        let edges: Vec<(u32, u32, u64)> = pairs
+            .chunk_by(|a, b| a == b)
+            .map(|run| ((run[0] >> 32) as u32, run[0] as u32, run.len() as u64))
+            .collect();
+        Self::from_sorted_edges(accounts, vwgt, &edges)
+    }
+
+    /// The one CSR fill: `accounts` ascending with their vertex weights,
+    /// `edges` as `(low, high, weight)` node pairs sorted ascending.
+    /// Each row takes its lower neighbours in a first pass over `edges`
+    /// and its higher ones in a second; both passes meet a row's
+    /// neighbours in ascending order, so every row comes out sorted.
+    fn from_sorted_edges(
+        accounts: Vec<AccountId>,
+        vwgt: Vec<u64>,
+        edges: &[(u32, u32, u64)],
+    ) -> Self {
+        let n = accounts.len();
+        let mut xadj = vec![0usize; n + 1];
+        for &(lo, hi, _) in edges {
+            xadj[lo as usize + 1] += 1;
+            xadj[hi as usize + 1] += 1;
+        }
+        for i in 0..n {
+            xadj[i + 1] += xadj[i];
+        }
+        let mut adjncy = vec![NodeId::new(0); xadj[n]];
+        let mut adjwgt = vec![0u64; xadj[n]];
+        let mut cursor = xadj[..n].to_vec();
+        let mut place = |row: u32, nb: u32, w: u64| {
+            let slot = &mut cursor[row as usize];
+            adjncy[*slot] = NodeId::new(nb);
+            adjwgt[*slot] = w;
+            *slot += 1;
+        };
+        for &(lo, hi, w) in edges {
+            place(hi, lo, w);
+        }
+        for &(lo, hi, w) in edges {
+            place(lo, hi, w);
+        }
         let index: FnvHashMap<AccountId, NodeId> = accounts
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, NodeId::new(i as u32)))
             .collect();
-        let vwgt: Vec<u64> = accounts.iter().map(|a| vweights[a]).collect();
-
-        // Degree counting, then CSR fill.
-        let n = accounts.len();
-        let mut degree = vec![0usize; n];
-        for &(a, b, _) in &edge_list {
-            degree[index[&a].index()] += 1;
-            degree[index[&b].index()] += 1;
-        }
-        let mut xadj = Vec::with_capacity(n + 1);
-        xadj.push(0usize);
-        for d in &degree {
-            let last = *xadj.last().expect("xadj nonempty");
-            xadj.push(last + d);
-        }
-        let m2 = xadj[n];
-        let mut adjncy = vec![NodeId::new(0); m2];
-        let mut adjwgt = vec![0u64; m2];
-        let mut cursor = xadj.clone();
-        let mut total = 0u64;
-        for &(a, b, w) in &edge_list {
-            let (na, nb) = (index[&a], index[&b]);
-            adjncy[cursor[na.index()]] = nb;
-            adjwgt[cursor[na.index()]] = w;
-            cursor[na.index()] += 1;
-            adjncy[cursor[nb.index()]] = na;
-            adjwgt[cursor[nb.index()]] = w;
-            cursor[nb.index()] += 1;
-            total += w;
-        }
-        // Sort each adjacency range by neighbour id for determinism.
-        for i in 0..n {
-            let range = xadj[i]..xadj[i + 1];
-            let mut pairs: Vec<(NodeId, u64)> =
-                range.clone().map(|j| (adjncy[j], adjwgt[j])).collect();
-            pairs.sort_unstable_by_key(|&(n, _)| n);
-            for (offset, (nid, w)) in pairs.into_iter().enumerate() {
-                adjncy[range.start + offset] = nid;
-                adjwgt[range.start + offset] = w;
-            }
-        }
-
         TxGraph {
             accounts,
             index,
@@ -145,7 +183,7 @@ impl TxGraph {
             xadj,
             adjncy,
             adjwgt,
-            total_edge_weight: total,
+            total_edge_weight: edges.iter().map(|&(_, _, w)| w).sum(),
         }
     }
 

@@ -10,7 +10,8 @@
 //!
 //! * [`TxGraph`] — a compressed-sparse-row (CSR) snapshot with
 //!   deterministic node and neighbour ordering, the format consumed by
-//!   the partitioners;
+//!   the partitioners; [`TxGraph::from_transactions`] builds one from a
+//!   slice of transactions by sorting (A-TxAllo's window graph);
 //! * [`GrowingGraph`] — the one graph that grows: it patches a
 //!   [`TxGraph`] in place per transaction, keeps new edges in per-row
 //!   overflow blocks and new accounts past the last node, and folds
@@ -19,7 +20,8 @@
 //!   Pilot's client population are both one;
 //! * [`GraphBuilder`] — accumulates transactions (or raw weighted edges)
 //!   into an adjacency map and builds a [`TxGraph`] from scratch: the
-//!   reference oracle of [`GrowingGraph`];
+//!   reference oracle of [`GrowingGraph`] and of
+//!   [`TxGraph::from_transactions`];
 //! * [`analysis`] — edge-cut, balance, and modularity measures over a
 //!   partition vector.
 //!
