@@ -151,7 +151,8 @@ impl NodeSession {
         };
         let mut core = AllocationCore::new(spec.config);
         core.set_recorder(self.recorder.clone());
-        let strategy = spec.config.strategy.build(spec.config.params);
+        let mut strategy = spec.config.strategy.build(spec.config.params);
+        strategy.scope_telemetry(&self.recorder);
         match core.begin(blocks) {
             Ok(()) => {
                 self.active = Some(ActiveRun {

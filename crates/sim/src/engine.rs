@@ -277,6 +277,14 @@ pub trait EpochStrategy {
         let _ = window;
     }
 
+    /// Hands the strategy the recorder scoped to its cell (or node
+    /// session), for gauges that describe that cell alone and that
+    /// concurrent cells would otherwise overwrite. Called before the
+    /// cell runs. Default: ignore.
+    fn scope_telemetry(&mut self, recorder: &Recorder) {
+        let _ = recorder;
+    }
+
     /// Checks the strategy's own state for
     /// [`AllocationCore::check_invariants`]. Default: nothing to check.
     fn check_invariants(&self) -> Result<()> {
@@ -378,20 +386,24 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
 /// G-TxAllo's result on the training prefix (§V-B), then each epoch only
 /// the accounts active in the recent window are re-placed.
 ///
-/// The adapter keeps the last update's window graph and parts, moved
+/// Debug builds keep the last update's window graph and parts, moved
 /// out of [`ATxAllo::update`] rather than copied, and
 /// [`EpochStrategy::check_invariants`] certifies them against TxAllo's
 /// score ([`WindowRefinement::improving_moves`]): after a converged
-/// sweep no single-account move may still raise it; after a sweep the
-/// round limit cut short, the count of moves that would is exported as
-/// the `txallo.improving_moves` gauge, the distance from the local
-/// optimum.
+/// sweep no single-account move may still raise it. Every check sets
+/// the cell's `txallo.improving_moves` gauge to the count of moves that
+/// would, so it reads the latest window's distance from the local
+/// optimum: 0 after a converged sweep, possibly more after one the
+/// round limit cut short. Release builds drop the window at once.
 #[derive(Debug, Clone)]
 pub struct AdaptiveTxAllo {
     init: GTxAllo,
     adaptive: ATxAllo,
     last: Option<WindowRefinement>,
-    recorder: Recorder,
+    /// Where the certificate's gauge goes: the recorder the adapter was
+    /// built with, until [`EpochStrategy::scope_telemetry`] scopes it to
+    /// the cell.
+    certificate: Recorder,
 }
 
 impl AdaptiveTxAllo {
@@ -405,7 +417,7 @@ impl AdaptiveTxAllo {
             init: GTxAllo::with_recorder(config, recorder.clone()),
             adaptive: ATxAllo::with_recorder(config, recorder.clone()),
             last: None,
-            recorder,
+            certificate: recorder,
         }
     }
 }
@@ -432,13 +444,19 @@ impl EpochStrategy for AdaptiveTxAllo {
         let mut phi = ledger.phi().clone();
         let (refined, elapsed) = time_it(|| self.adaptive.update(&mut phi, ctx.recent_window));
         let moved = refined.moved;
-        self.last = Some(refined);
+        if cfg!(debug_assertions) {
+            self.last = Some(refined);
+        }
         EpochDecision {
             new_phi: Some(phi),
             migrations: MigrationCount::Moves(moved),
             alloc_time: Some(elapsed),
             input_bytes: Some(miner_input_bytes(ctx.recent_window.len()) as f64),
         }
+    }
+
+    fn scope_telemetry(&mut self, recorder: &Recorder) {
+        self.certificate = recorder.clone();
     }
 
     fn check_invariants(&self) -> Result<()> {
@@ -455,13 +473,10 @@ impl EpochStrategy for AdaptiveTxAllo {
             last.shards
         );
         let improving = last.improving_moves();
-        if !last.converged {
-            self.recorder
-                .set_gauge("txallo.improving_moves", improving as f64);
-            return Ok(());
-        }
+        self.certificate
+            .set_gauge("txallo.improving_moves", improving as f64);
         ensure!(
-            improving == 0,
+            improving == 0 || !last.converged,
             "txallo",
             "{improving} single-account moves still raise the objective after a converged \
              sweep over {} window accounts",
@@ -746,26 +761,55 @@ mod tests {
         );
     }
 
-    /// After a sweep the round limit cut short, the hook reports the
-    /// improving moves left as a gauge instead of failing.
+    /// Every check sets the cell's gauge to the improving moves the
+    /// latest window left: a sweep the round limit cut short may leave
+    /// some without failing the hook, and a converged one sets the gauge
+    /// back to 0.
     #[test]
-    fn adaptive_txallo_gauges_a_cut_short_sweep() {
+    fn adaptive_txallo_gauges_the_latest_window_per_cell() {
+        let recorder = Recorder::enabled();
+        let gauge = || match recorder.snapshot().gauges.as_slice() {
+            [(name, value)] if name == "k4.txallo.improving_moves" => *value as usize,
+            other => panic!("{other:?}"),
+        };
+        let update = |config| {
+            let mut phi = AccountShardMap::new(4);
+            ATxAllo::new(config).update(&mut phi, &grouped_window())
+        };
         let config = TxAlloConfig {
-            rounds: 1,
+            capacity_slack: 100.0,
             ..TxAlloConfig::default()
         };
-        let recorder = Recorder::enabled();
-        let mut adaptive = AdaptiveTxAllo::with_recorder(config, recorder.clone());
-        let mut phi = AccountShardMap::new(4);
-        let refined = adaptive.adaptive.update(&mut phi, &grouped_window());
-        assert!(!refined.converged, "one round cannot reach the fixed point");
-        let left = refined.improving_moves();
-        adaptive.last = Some(refined);
-        adaptive.check_invariants().unwrap();
-        assert_eq!(
-            recorder.snapshot().gauges,
-            vec![("txallo.improving_moves".to_string(), left as f64)]
+        let mut adaptive = AdaptiveTxAllo::with_recorder(config, Recorder::disabled());
+        adaptive.scope_telemetry(&recorder.scoped("k4"));
+
+        let one_round = update(TxAlloConfig {
+            rounds: 1,
+            ..config
+        });
+        assert!(
+            !one_round.converged,
+            "one round cannot reach the fixed point"
         );
+        let left = one_round.improving_moves();
+        adaptive.last = Some(one_round);
+        adaptive.check_invariants().unwrap();
+        assert_eq!(gauge(), left);
+
+        let converged = update(config);
+        assert!(converged.converged, "{converged:?}");
+        let mut cut_short = converged.clone();
+        cut_short.converged = false;
+        cut_short.parts[0] = (cut_short.parts[0] + 1) % cut_short.shards;
+        let left = cut_short.improving_moves();
+        assert!(left > 0);
+        adaptive.last = Some(cut_short);
+        adaptive.check_invariants().unwrap();
+        assert_eq!(gauge(), left);
+
+        adaptive.last = Some(converged);
+        adaptive.check_invariants().unwrap();
+        assert_eq!(gauge(), 0);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! being deterministic — byte-identical to a sequential run on the same
 //! seed.
 
+use std::io;
+
 use mosaic_metrics::data_size::human_bytes;
 use mosaic_metrics::TextTable;
 use mosaic_types::{AccountId, DefaultRule, Result};
@@ -415,32 +417,22 @@ pub fn report(session: &Simulation) -> Result<String> {
         strategies: vec![Strategy::Mosaic],
         ..scenario.clone()
     };
-    // Table V reads only each cell's aggregate, so the sweep must not
-    // write the scenario's row CSVs or restart its telemetry stream.
-    let beta_cells = match session.try_trace() {
-        // Collect only, as the ablations do.
-        Some(trace) => {
-            let sweep = Scenario {
-                observers: vec![ObserverSpec::Collect],
-                ..sweep
-            };
-            Simulation::with_trace(sweep, trace)?.run()?.cells
-        }
-        // A streamed source may not collect: each cell streams again
-        // into a sink that drops its rows, and only its summary is kept.
-        None => {
-            let sweep = Simulation::from_scenario(sweep)?;
-            let mut cells = Vec::new();
-            for cell in sweep.cells() {
-                let summary = sweep.stream_cell(cell, &mut std::io::sink())?;
-                cells.push(GridCell {
-                    param_label: cell.label.clone(),
-                    result: ExperimentResult::new(&cell.config, Vec::new(), &summary),
-                });
-            }
-            cells
-        }
+    let sweep = match session.try_trace() {
+        Some(trace) => Simulation::with_trace(sweep, trace)?,
+        None => Simulation::from_scenario(sweep)?,
     };
+    // Table V reads only each cell's aggregate, so each cell streams into
+    // a sink that drops its rows: the sweep writes none of the scenario's
+    // row CSVs and does not restart its telemetry stream.
+    let beta_cells = ordered_map(sweep.cells(), scenario.grid_parallelism, |cell| {
+        let summary = sweep.stream_cell(cell, &mut io::sink())?;
+        Ok(GridCell {
+            param_label: cell.label.clone(),
+            result: ExperimentResult::new(&cell.config, Vec::new(), &summary),
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     Ok(sections([
         ("Table I: cross-shard transaction ratio", table1(&cells)),
         (

@@ -366,10 +366,12 @@ impl Simulation {
 
         let mut per_epoch = Vec::new();
         let mut io_failure: Option<Error> = None;
-        // Scoped per cell so concurrent cells' epoch events stay
-        // distinguishable in the shared JSONL stream (disabled — one
-        // branch per epoch — unless a telemetry observer is installed).
+        // Scoped per cell so concurrent cells' epoch events and the
+        // strategy's gauges stay distinguishable in the shared JSONL
+        // stream (disabled — one branch per epoch — unless a telemetry
+        // observer is installed).
         let recorder = mosaic_telemetry::global().scoped(&cell.file_stem(single_point));
+        strategy.scope_telemetry(&recorder);
         let mut on_epoch = |epoch: usize, metrics: &EpochMetrics| {
             if collect {
                 per_epoch.push(*metrics);

@@ -34,25 +34,8 @@ use crate::objective::AlloObjective;
 
 /// The visit order both kernels share: busiest accounts first (node
 /// weight, at least 1), ties to the lower node id.
-///
-/// While every weight fits in 32 bits, that order is the ascending order
-/// of the keys `(u32::MAX − weight) << 32 | node`, so it is one sort of
-/// plain `u64`s; a heavier graph sorts the nodes by descending weight,
-/// then ascending id.
 pub(crate) fn busiest_first(graph: &TxGraph) -> Vec<u32> {
     let vwgt = graph.vwgt();
-    if let Ok(weights) = vwgt
-        .iter()
-        .map(|&w| u32::try_from(w.max(1)))
-        .collect::<Result<Vec<u32>, _>>()
-    {
-        let mut keys: Vec<u64> = (0u32..)
-            .zip(weights)
-            .map(|(v, w)| u64::from(u32::MAX - w) << 32 | u64::from(v))
-            .collect();
-        keys.sort_unstable();
-        return keys.into_iter().map(|key| key as u32).collect();
-    }
     let mut order: Vec<u32> = (0..vwgt.len() as u32).collect();
     order.sort_unstable_by_key(|&v| (Reverse(vwgt[v as usize].max(1)), v));
     order
@@ -765,23 +748,20 @@ mod tests {
         assert_ne!(cut, pushed, "one round must not reach the fixed point");
     }
 
-    /// Busiest first, ties to the lower id: the order a comparator over
-    /// the node weights gives, for weights within 32 bits (the packed
-    /// keys) and past them (the fallback sort).
+    /// Busiest first, ties to the lower id: the order the `f64`
+    /// comparator over node weights gave.
     #[test]
     fn busiest_first_orders_by_weight_then_id() {
-        let mut heavy = GraphBuilder::new();
-        for (account, weight) in [(5u64, 1u64 << 33), (2, 7), (9, 1 << 33), (4, 7), (1, 1)] {
-            heavy.add_edge(AccountId::new(account), AccountId::new(account), weight);
-            heavy.add_edge(AccountId::new(account), AccountId::new(100), 1);
-        }
-        heavy.touch(AccountId::new(50));
-        for g in [clique_ring(4, 5), heavy.build()] {
-            let weight = |v: u32| g.node_weight(NodeId::new(v)).max(1);
-            let mut expected: Vec<u32> = (0..g.node_count() as u32).collect();
-            expected.sort_by(|&a, &b| weight(b).cmp(&weight(a)).then(a.cmp(&b)));
-            assert_eq!(busiest_first(&g), expected);
-        }
+        let g = clique_ring(4, 5);
+        let dv = node_weights(&g);
+        let mut expected: Vec<u32> = (0..g.node_count() as u32).collect();
+        expected.sort_by(|&a, &b| {
+            dv[b as usize]
+                .partial_cmp(&dv[a as usize])
+                .unwrap()
+                .then(a.cmp(&b))
+        });
+        assert_eq!(busiest_first(&g), expected);
     }
 
     proptest! {
