@@ -7,9 +7,6 @@ use mosaic_types::{
 };
 
 use crate::beacon::BeaconChain;
-use crate::miner::MinerSet;
-use crate::network::{NetworkMeter, ACCOUNT_STATE_BYTES};
-use crate::reconfig::{self, ReconfigReport};
 use crate::shard::ShardChain;
 
 /// Everything that happened in one processed epoch.
@@ -20,8 +17,10 @@ pub struct EpochOutcome {
     /// Migration requests committed on the beacon chain at the epoch
     /// boundary (before this epoch's transactions were processed).
     pub committed: Vec<MigrationRequest>,
-    /// Reconfiguration summary (ϕ updates + miner reshuffle).
-    pub reconfig: ReconfigReport,
+    /// Committed migrations whose `from` shard no longer matched ϕ (the
+    /// account had moved since the proposal); they are still applied to
+    /// their requested destination, but flagged here for diagnostics.
+    pub migrations_stale: usize,
     /// Workload classification and capacity-constrained throughput.
     pub load: EpochLoad,
     /// The per-shard capacity `λ` used this epoch.
@@ -34,8 +33,8 @@ pub struct EpochOutcome {
 ///
 /// 1. **commit** — the beacon chain commits up to `λ` pending migration
 ///    requests (highest gain first);
-/// 2. **reconfigure** — miners sync the beacon chain, update ϕ, reshuffle,
-///    and migrate account state;
+/// 2. **reconfigure** — every committed request moves its account in ϕ
+///    (§III-B1: miners sync the beacon chain and update their local ϕ);
 /// 3. **process** — the epoch's transactions execute under the updated ϕ,
 ///    one summary block per shard is appended, and workload/throughput
 ///    metrics are computed.
@@ -49,8 +48,6 @@ pub struct Ledger {
     phi: AccountShardMap,
     shards: Vec<ShardChain>,
     beacon: BeaconChain,
-    miners: MinerSet,
-    meter: NetworkMeter,
     epoch: EpochId,
     /// Per-epoch migration-commit cap override; `None` = the paper's
     /// `λ` bound. Used by the capacity ablation.
@@ -58,18 +55,13 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Creates a ledger with an initial allocation and `miner_count`
-    /// miners (spread evenly over shards).
+    /// Creates a ledger with an initial allocation.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidShardCount`] if `initial_phi` disagrees
     /// with `params` on the shard count.
-    pub fn new(
-        params: SystemParams,
-        initial_phi: AccountShardMap,
-        miner_count: usize,
-    ) -> Result<Self> {
+    pub fn new(params: SystemParams, initial_phi: AccountShardMap) -> Result<Self> {
         if initial_phi.shards() != params.shards() {
             return Err(Error::InvalidShardCount(initial_phi.shards()));
         }
@@ -78,8 +70,6 @@ impl Ledger {
             phi: initial_phi,
             shards,
             beacon: BeaconChain::new(),
-            miners: MinerSet::new(miner_count, params.shards(), 0xbeac0),
-            meter: NetworkMeter::new(),
             epoch: EpochId::new(0),
             migration_capacity: None,
             params,
@@ -96,6 +86,13 @@ impl Ledger {
         &self.phi
     }
 
+    /// Miner-driven update of ϕ in place (A-TxAllo's window refinement):
+    /// like [`Ledger::set_allocation`], it bypasses the beacon, but it
+    /// touches only the accounts the caller moves.
+    pub fn phi_mut(&mut self) -> &mut AccountShardMap {
+        &mut self.phi
+    }
+
     /// The beacon chain.
     pub fn beacon(&self) -> &BeaconChain {
         &self.beacon
@@ -104,16 +101,6 @@ impl Ledger {
     /// The per-shard chains.
     pub fn shards(&self) -> &[ShardChain] {
         &self.shards
-    }
-
-    /// The miner population.
-    pub fn miners(&self) -> &MinerSet {
-        &self.miners
-    }
-
-    /// Accumulated synchronisation traffic.
-    pub fn meter(&self) -> &NetworkMeter {
-        &self.meter
     }
 
     /// The next epoch to be processed.
@@ -178,17 +165,15 @@ impl Ledger {
         let capacity = self.migration_capacity.unwrap_or(lambda.floor() as usize);
         let committed = self.beacon.commit_epoch(epoch, capacity);
 
-        // Phase 2: reconfiguration.
-        let accounts_per_shard =
-            (self.phi.assigned_len() as u64) / u64::from(self.params.shards().max(1));
-        let reconfig = reconfig::apply(
-            &mut self.phi,
-            &committed,
-            &mut self.miners,
-            epoch,
-            &mut self.meter,
-            accounts_per_shard,
-        );
+        // Phase 2: reconfiguration — ϕ takes every committed move.
+        let mut migrations_stale = 0;
+        for mr in &committed {
+            let from = self
+                .phi
+                .migrate(mr.account, mr.to)
+                .expect("beacon committed an in-range destination");
+            migrations_stale += usize::from(from != mr.from);
+        }
 
         // Phase 3: transaction processing under the updated ϕ, then one
         // summary block per shard.
@@ -197,22 +182,20 @@ impl Ledger {
         for (chain, (&intra, &cross)) in self.shards.iter_mut().zip(counts) {
             chain.commit_epoch(epoch, intra as u32, cross as u32);
         }
-        self.meter.record_txs(txs.len());
 
         self.epoch = epoch.next();
         EpochOutcome {
             epoch,
             committed,
-            reconfig,
+            migrations_stale,
             load,
             lambda,
         }
     }
 
-    /// Checks ϕ ([`AccountShardMap::check_invariants`]), that the beacon
-    /// and every shard chain verify and hold one block per epoch past
-    /// genesis, and that one account's state was metered per committed
-    /// migration; else [`Error::Inconsistent`].
+    /// Checks ϕ ([`AccountShardMap::check_invariants`]) and that the
+    /// beacon and every shard chain verify and hold one block per epoch
+    /// past genesis; else [`Error::Inconsistent`].
     pub fn check_invariants(&self) -> Result<()> {
         self.phi.check_invariants()?;
         let blocks = self.epoch.as_u64() as usize + 1;
@@ -224,10 +207,6 @@ impl Ledger {
             let shard = chain.verify() && len == blocks;
             ensure!(shard, "ledger", "{id} of {len} blocks, not {blocks}");
         }
-        let commits = self.beacon.committed_len() as u64;
-        let bytes = self.meter.migration_state;
-        let metered = bytes == commits * ACCOUNT_STATE_BYTES;
-        ensure!(metered, "ledger", "{bytes} B for {commits} migrations");
         Ok(())
     }
 }
@@ -261,13 +240,13 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_phi() {
-        let err = Ledger::new(params(4), AccountShardMap::new(2), 8).unwrap_err();
+        let err = Ledger::new(params(4), AccountShardMap::new(2)).unwrap_err();
         assert_eq!(err, Error::InvalidShardCount(2));
     }
 
     #[test]
     fn epoch_processing_advances_chains() {
-        let mut ledger = Ledger::new(params(2), assigned_phi(2, 10), 4).unwrap();
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 10)).unwrap();
         let txs = vec![tx(0, 0, 2), tx(1, 0, 1), tx(2, 1, 3)];
         let out = ledger.process_epoch(&txs);
         assert_eq!(out.epoch, EpochId::new(0));
@@ -276,12 +255,11 @@ mod tests {
         // One block per shard appended on top of genesis.
         assert!(ledger.shards().iter().all(|s| s.len() == 2));
         ledger.check_invariants().unwrap();
-        assert!(ledger.meter().total() > 0);
     }
 
     #[test]
     fn migration_commits_before_processing() {
-        let mut ledger = Ledger::new(params(2), assigned_phi(2, 4), 4).unwrap();
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 4)).unwrap();
         // Account 0 lives in shard 0; request a move to shard 1, then send
         // a tx between 0 and 1 (1 lives in shard 1): after migration the
         // tx must be intra-shard.
@@ -301,13 +279,36 @@ mod tests {
         let txs = vec![tx(0, 0, 1), tx(1, 1, 3), tx(2, 0, 3), tx(3, 3, 1)];
         let out = ledger.process_epoch(&txs);
         assert_eq!(out.committed.len(), 1);
+        assert_eq!(out.migrations_stale, 0);
         assert_eq!(out.load.cross_txs(), 0, "migration must precede processing");
         assert_eq!(ledger.phi().shard_of(AccountId::new(0)), ShardId::new(1));
     }
 
     #[test]
+    fn stale_migrations_are_flagged_but_applied() {
+        let mut ledger = Ledger::new(params(4), assigned_phi(4, 8)).unwrap();
+        // Account 5 lives in shard 1; the request claims it is in shard 0.
+        ledger.submit_migration(
+            MigrationRequest::new(
+                AccountId::new(5),
+                ShardId::new(0),
+                ShardId::new(3),
+                EpochId::new(0),
+                1.0,
+            )
+            .unwrap(),
+        );
+        // Four transactions over four shards -> lambda = 1.
+        let txs: Vec<Transaction> = (0..4).map(|i| tx(i, i, i + 4)).collect();
+        let out = ledger.process_epoch(&txs);
+        assert_eq!(out.committed.len(), 1);
+        assert_eq!(out.migrations_stale, 1);
+        assert_eq!(ledger.phi().shard_of(AccountId::new(5)), ShardId::new(3));
+    }
+
+    #[test]
     fn migration_capacity_bounded_by_lambda() {
-        let mut ledger = Ledger::new(params(2), assigned_phi(2, 100), 4).unwrap();
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 100)).unwrap();
         for a in 0..50u64 {
             let from = ledger.phi().shard_of(AccountId::new(a));
             let to = ShardId::new(1 - from.as_u16());
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn migration_capacity_override_lifts_lambda_bound() {
-        let mut ledger = Ledger::new(params(2), assigned_phi(2, 100), 4).unwrap();
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 100)).unwrap();
         ledger.set_migration_capacity(Some(usize::MAX));
         assert_eq!(ledger.migration_capacity(), Some(usize::MAX));
         for a in 0..50u64 {
@@ -346,7 +347,7 @@ mod tests {
 
     #[test]
     fn set_allocation_bypasses_beacon() {
-        let mut ledger = Ledger::new(params(2), assigned_phi(2, 4), 4).unwrap();
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 4)).unwrap();
         let mut phi = AccountShardMap::new(2);
         phi.assign(AccountId::new(0), ShardId::new(1)).unwrap();
         ledger.set_allocation(phi).unwrap();
@@ -405,7 +406,7 @@ mod tests {
         };
 
         let mut model = explicit(0);
-        let mut ledger = Ledger::new(params(k), to_phi(&model), 8).unwrap();
+        let mut ledger = Ledger::new(params(k), to_phi(&model)).unwrap();
         let mut state = 0x5eed_u64;
         let mut pick = || {
             state = state
@@ -449,17 +450,17 @@ mod tests {
     #[test]
     fn deterministic_replay() {
         let run = || {
-            let mut ledger = Ledger::new(params(4), assigned_phi(4, 40), 8).unwrap();
+            let mut ledger = Ledger::new(params(4), assigned_phi(4, 40)).unwrap();
             let txs: Vec<Transaction> = (0..100).map(|i| tx(i, i % 17, (i * 7) % 23)).collect();
             let mut outs = Vec::new();
             for chunk in txs.chunks(25) {
                 outs.push(ledger.process_epoch(chunk));
             }
-            (outs, ledger.meter().total())
+            (outs, ledger.phi().clone())
         };
-        let (a, ma) = run();
-        let (b, mb) = run();
+        let (a, phi_a) = run();
+        let (b, phi_b) = run();
         assert_eq!(a, b);
-        assert_eq!(ma, mb);
+        assert_eq!(phi_a, phi_b);
     }
 }

@@ -100,7 +100,7 @@ pub struct FrameworkReport {
 ///
 /// # fn main() -> Result<(), mosaic_types::Error> {
 /// let params = SystemParams::builder().shards(2).tau(10).build()?;
-/// let mut ledger = Ledger::new(params, AccountShardMap::new(2), 4)?;
+/// let mut ledger = Ledger::new(params, AccountShardMap::new(2))?;
 /// let mut mosaic = MosaicFramework::new(params);
 /// let (outcome, report) = mosaic.run_epoch(&mut ledger, &[]);
 /// assert_eq!(outcome.load.total_txs(), 0);
@@ -436,7 +436,7 @@ mod tests {
         for &(a, s) in pairs {
             phi.assign(AccountId::new(a), ShardId::new(s)).unwrap();
         }
-        Ledger::new(params(k), phi, usize::from(k) * 2).unwrap()
+        Ledger::new(params(k), phi).unwrap()
     }
 
     #[test]

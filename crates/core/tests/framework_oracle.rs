@@ -119,7 +119,7 @@ proptest! {
                 phi.assign(AccountId::new(a), shard).unwrap();
             }
         }
-        let mut ledger = Ledger::new(params, phi, usize::from(k) * 2).unwrap();
+        let mut ledger = Ledger::new(params, phi).unwrap();
         ledger.set_migration_capacity(Some(5));
 
         let mut framework = MosaicFramework::new(params);

@@ -1,16 +1,27 @@
-//! Input-data-size accounting (Table IV, bottom row).
+//! The one byte-cost model: input-data sizes (Table IV, bottom row) and
+//! the replication model behind Table VI and Figure 1.
 //!
 //! The paper compares the bytes of input each allocation algorithm
 //! consumes: the full ledger for graph-based methods (1.44 GB), the recent
 //! window for A-TxAllo (721 KB), and only the client's own transactions
-//! plus the workload vector for Pilot (228.66 B on average). This module
-//! fixes a single byte-cost model so all algorithms are measured with the
-//! same ruler.
+//! plus the workload vector for Pilot (228.66 B on average). Table VI
+//! compares per-miner replication in closed form: `|T|` for graph-based,
+//! `|T|/k + |MR|` for Mosaic, `|T|/k` for hash-based. Every byte count
+//! the reports print is built from the constants here, so all
+//! algorithms are measured with the same ruler.
 
 /// Bytes to store one transaction edge in an algorithm's input: two 8-byte
 /// account ids. (The paper's 1.44 GB over ~91 M transactions likewise
 /// works out to ~16 B/tx.)
 pub const TX_RECORD_BYTES: usize = 16;
+
+/// Bytes of one migration request on the beacon chain (account, from,
+/// to, epoch, gain, signature): the `|MR|` term of Table VI.
+pub const MIGRATION_REQUEST_BYTES: usize = 64;
+
+/// Bytes of one account address: all a hash-based allocation reads
+/// (Figure 1's storage axis).
+pub const ADDRESS_BYTES: usize = 20;
 
 /// Bytes per entry of a client's counterparty multiset: an 8-byte account
 /// id plus a 4-byte interaction count.

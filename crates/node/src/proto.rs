@@ -57,8 +57,10 @@ pub enum Request {
     End,
     /// `LOOKUP <account>` — which shard currently holds the account.
     Lookup(AccountId),
-    /// `LOAD` — per-shard load and migration-protocol state after the
-    /// last processed epoch.
+    /// `LOAD` — the migration-protocol state after the last processed
+    /// epoch (`epoch`, `epochs_processed`, `lambda`,
+    /// `committed_migrations`, `migrations_stale`, `total_migrations`,
+    /// `beacon_blocks`), then its per-shard load.
     Load,
     /// `CSV` — the per-epoch metric rows produced so far, as CSV lines
     /// (header included), byte-identical to the offline runner's files.

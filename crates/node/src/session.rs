@@ -235,12 +235,9 @@ fn load_lines(report: &LoadReport) -> Vec<String> {
         format!("epochs_processed {}", report.epochs_processed),
         format!("lambda {}", report.lambda),
         format!("committed_migrations {}", report.committed_migrations),
-        format!("migrations_applied {}", report.migrations_applied),
         format!("migrations_stale {}", report.migrations_stale),
-        format!("miners_moved {}", report.miners_moved),
         format!("total_migrations {}", report.total_migrations),
         format!("beacon_blocks {}", report.beacon_blocks),
-        format!("network_bytes {}", report.network_bytes),
     ];
     for shard in &report.shards {
         lines.push(format!(

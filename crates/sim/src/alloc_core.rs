@@ -50,7 +50,7 @@ pub struct ShardLoad {
 
 /// A queryable snapshot of the chain state after the last processed
 /// epoch — what a live node serves for "per-shard load metrics",
-/// assembled from `chain::{beacon, ledger, reconfig}` state.
+/// assembled from `chain::{beacon, ledger}` state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
     /// Identifier of the last processed epoch.
@@ -61,19 +61,13 @@ pub struct LoadReport {
     pub lambda: f64,
     /// Migration requests the beacon committed at the last boundary.
     pub committed_migrations: usize,
-    /// Committed migrations applied to ϕ last epoch
-    /// ([`mosaic_chain::ReconfigReport`]).
-    pub migrations_applied: usize,
-    /// Committed migrations whose `from` shard was stale.
+    /// Committed migrations whose `from` shard was stale
+    /// ([`mosaic_chain::EpochOutcome::migrations_stale`]).
     pub migrations_stale: usize,
-    /// Miners reshuffled last epoch.
-    pub miners_moved: usize,
     /// Migrations counted over the whole run so far.
     pub total_migrations: usize,
     /// Blocks on the beacon chain.
     pub beacon_blocks: usize,
-    /// Total network bytes metered since the run started.
-    pub network_bytes: u64,
     /// Last epoch's per-shard intra/cross transaction counts.
     pub shards: Vec<ShardLoad>,
 }
@@ -137,7 +131,6 @@ struct CoreMetrics {
     epochs: Counter,
     committed: Counter,
     stale: Counter,
-    miners_moved: Counter,
     edges_merged: Counter,
     cross_ratio: Gauge,
     queue_depth: Gauge,
@@ -150,7 +143,6 @@ impl CoreMetrics {
             epochs: recorder.counter("core.epochs_processed"),
             committed: recorder.counter("core.migrations_committed"),
             stale: recorder.counter("core.migrations_aborted"),
-            miners_moved: recorder.counter("core.miners_moved"),
             edges_merged: recorder.counter("core.edges_merged"),
             cross_ratio: recorder.gauge("core.cross_shard_ratio"),
             queue_depth: recorder.gauge("core.queue_depth"),
@@ -302,10 +294,8 @@ impl AllocationCore {
             let cap = ledger.migration_capacity();
             let cap = cap.unwrap_or(last.lambda.floor() as usize);
             ensure!(n <= cap, CORE, "{n} commits, capacity {cap}");
-            let applied = last.reconfig.migrations_applied;
-            let stale = last.reconfig.migrations_stale;
-            let all = applied == n && stale <= n;
-            ensure!(all, CORE, "{n} commits, {applied} applied, {stale} stale");
+            let stale = last.migrations_stale;
+            ensure!(stale <= n, CORE, "{n} commits, {stale} stale");
             let mut seen = HashSet::with_capacity(n);
             for &MigrationRequest { account, to, .. } in &last.committed {
                 ensure!(seen.insert(account), CORE, "{account} committed twice");
@@ -357,12 +347,9 @@ impl AllocationCore {
             epochs_processed: self.aggregate.epochs(),
             lambda: last.lambda,
             committed_migrations: last.committed.len(),
-            migrations_applied: last.reconfig.migrations_applied,
-            migrations_stale: last.reconfig.migrations_stale,
-            miners_moved: last.reconfig.miners_moved,
+            migrations_stale: last.migrations_stale,
             total_migrations: self.total_migrations,
             beacon_blocks: ledger.beacon().len(),
-            network_bytes: ledger.meter().total(),
             shards,
         })
     }
@@ -622,7 +609,7 @@ impl AllocationCore {
     }
 
     /// Runs the strategy's initial allocation on the training history
-    /// and builds the chain state (ledger, beacon, miners) around the
+    /// and builds the chain state (ledger, beacon, shard chains) around the
     /// resulting ϕ; from here on [`AllocationCore::lookup`] answers.
     /// The training graph is freed if the strategy will never consult
     /// the history again — the memory bound large scenarios rely on.
@@ -632,11 +619,7 @@ impl AllocationCore {
             strategy.initial_allocation(&mut self.history, self.config.params.shards());
         span.finish();
         self.init_time = init_time;
-        let mut ledger = Ledger::new(
-            self.config.params,
-            initial_phi,
-            self.config.resolved_miner_count(),
-        )?;
+        let mut ledger = Ledger::new(self.config.params, initial_phi)?;
         ledger.set_migration_capacity(self.config.migration_capacity);
         self.ledger = Some(ledger);
         if !strategy.consumes_history() {
@@ -721,12 +704,7 @@ impl AllocationCore {
         self.aggregate.push(&metrics);
         self.metrics.epochs.incr();
         self.metrics.committed.add(outcome.committed.len() as u64);
-        self.metrics
-            .stale
-            .add(outcome.reconfig.migrations_stale as u64);
-        self.metrics
-            .miners_moved
-            .add(outcome.reconfig.miners_moved as u64);
+        self.metrics.stale.add(outcome.migrations_stale as u64);
         self.metrics.cross_ratio.set(metrics.cross_ratio);
         self.last_epoch = Some(outcome);
         metrics
@@ -771,9 +749,8 @@ mod tests {
         core.check_invariants(strategy.as_ref()).unwrap();
 
         let ledger = core.ledger.as_mut().unwrap();
-        let mut phi = ledger.phi().clone();
+        let phi = ledger.phi_mut();
         phi.assign(committed.account, committed.from).unwrap();
-        ledger.set_allocation(phi).unwrap();
         ledger.check_invariants().unwrap();
         let err = core.check_invariants(strategy.as_ref()).unwrap_err();
         assert!(

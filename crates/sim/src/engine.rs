@@ -178,7 +178,8 @@ pub enum MigrationCount {
 pub struct EpochDecision {
     /// A full replacement ϕ to install before processing (miner-driven
     /// recomputation), or `None` if the allocation evolves through the
-    /// beacon chain or not at all.
+    /// beacon chain, in place through [`Ledger::phi_mut`], or not at
+    /// all.
     pub new_phi: Option<AccountShardMap>,
     /// How this epoch's migrations are counted.
     pub migrations: MigrationCount,
@@ -440,15 +441,18 @@ impl EpochStrategy for AdaptiveTxAllo {
         false
     }
 
+    /// Refines the window's accounts in the ledger's ϕ in place: a
+    /// miner-driven move that bypasses the beacon, at the cost of the
+    /// window, not of the population.
     fn before_epoch(&mut self, ledger: &mut Ledger, ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
-        let mut phi = ledger.phi().clone();
-        let (refined, elapsed) = time_it(|| self.adaptive.update(&mut phi, ctx.recent_window));
+        let phi = ledger.phi_mut();
+        let (refined, elapsed) = time_it(|| self.adaptive.update(phi, ctx.recent_window));
         let moved = refined.moved;
         if cfg!(debug_assertions) {
             self.last = Some(refined);
         }
         EpochDecision {
-            new_phi: Some(phi),
+            new_phi: None,
             migrations: MigrationCount::Moves(moved),
             alloc_time: Some(elapsed),
             input_bytes: Some(miner_input_bytes(ctx.recent_window.len()) as f64),

@@ -19,7 +19,9 @@
 
 use std::io;
 
-use mosaic_metrics::data_size::human_bytes;
+use mosaic_metrics::data_size::{
+    human_bytes, ADDRESS_BYTES, MIGRATION_REQUEST_BYTES, TX_RECORD_BYTES,
+};
 use mosaic_metrics::TextTable;
 use mosaic_types::{AccountId, DefaultRule, Result};
 
@@ -217,9 +219,11 @@ pub fn table5(cells: &[GridCell]) -> TextTable {
     t
 }
 
-/// **Table VI** — the framework comparison, filled with values measured
-/// on the paper's default parameter set (`k = 16`) when the grid
-/// contains it, otherwise the grid's first point.
+/// **Table VI** — the framework comparison on the paper's default
+/// parameter set (`k = 16`) when the grid contains it, otherwise the
+/// grid's first point. The replication rows are the paper's closed
+/// forms priced by [`mosaic_metrics::data_size`]'s byte model, with
+/// `|T|`, `k`, τ and Mosaic's migration count taken from the run.
 ///
 /// # Panics
 ///
@@ -239,8 +243,8 @@ pub fn table6(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     let window_txs = u64::from(tau) * workload.txs_per_block as u64;
     let mr_total = mosaic.total_migrations as u64;
 
-    let tx_bytes = 16u64; // TX_RECORD_BYTES
-    let mr_bytes = 64u64; // MIGRATION_REQUEST_BYTES
+    let tx_bytes = TX_RECORD_BYTES as u64;
+    let mr_bytes = MIGRATION_REQUEST_BYTES as u64;
     let t_per_account = 2 * total_txs / accounts.max(1);
 
     let mut t = TextTable::new(["Property", "Graph-based", "Mosaic", "Hash-based"]);
@@ -334,12 +338,13 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     let storage = [
         txallo.mean_input_bytes.max(1.0),
         mosaic.mean_input_bytes.max(1.0),
-        20.0, // an address
+        ADDRESS_BYTES as f64,
     ];
+    let (tx_bytes, mr_bytes) = (TX_RECORD_BYTES as f64, MIGRATION_REQUEST_BYTES as f64);
     let communication = [
-        window_txs * 16.0,
-        window_txs / k * 16.0 + mr_per_epoch * 64.0,
-        window_txs / k * 16.0,
+        window_txs * tx_bytes,
+        window_txs / k * tx_bytes + mr_per_epoch * mr_bytes,
+        window_txs / k * tx_bytes,
     ];
 
     let axes = vec![
@@ -449,7 +454,7 @@ pub fn report(session: &Simulation) -> Result<String> {
             table5(&beta_cells),
         ),
         (
-            "Table VI: framework comparison (measured)",
+            "Table VI: framework comparison (model)",
             table6(&cells, scenario),
         ),
         (
@@ -675,6 +680,35 @@ mod tests {
         assert_eq!(table4(&cells).row_count(), 6); // 5 params + input row
         assert!(fig1(&cells, &scenario).row_count() == 6);
         assert!(table6(&cells, &scenario).row_count() >= 8);
+    }
+
+    /// Table VI prices replication with `data_size`'s constants, so a
+    /// changed constant moves the table and this test together.
+    #[test]
+    fn table6_prices_replication_with_the_byte_model() {
+        let cells = quick_cells();
+        let scenario = effectiveness_quick();
+        let markdown = table6(&cells, &scenario).to_markdown();
+        // ["", "Replication storage", graph-based, Mosaic, hash-based, ""]
+        let storage: Vec<&str> = markdown
+            .lines()
+            .find(|line| line.starts_with("| Replication storage |"))
+            .expect("a replication storage row")
+            .split('|')
+            .map(str::trim)
+            .collect();
+        let mosaic = find(&cells, &default_label(&cells), Strategy::Mosaic);
+        let k = u64::from(mosaic.params.shards());
+        let total_txs = scenario.workload().unwrap().total_txs() as u64;
+        let sharded = human_bytes((total_txs / k * TX_RECORD_BYTES as u64) as f64);
+        assert_eq!(storage[4], sharded, "hash-based: |T|/k");
+        assert!(mosaic.total_migrations > 0);
+        let mr = human_bytes((mosaic.total_migrations * MIGRATION_REQUEST_BYTES) as f64);
+        assert_eq!(
+            storage[3],
+            format!("{sharded} + {mr} (MR)"),
+            "Mosaic: |T|/k + |MR|"
+        );
     }
 
     #[test]

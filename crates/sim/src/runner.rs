@@ -30,45 +30,21 @@ pub struct ExperimentConfig {
     pub train_fraction: f64,
     /// Maximum evaluation epochs to run (paper: 200).
     pub eval_epochs: usize,
-    /// Miner population size; `None` derives the paper's `4k` at run
-    /// time from the cell's *actual* shard count, so a grid axis that
-    /// changes `k` never runs with a stale population.
-    pub miner_count: Option<usize>,
     /// Migration-commit cap override (`None` = the paper's `λ` bound).
     /// Only meaningful for the client-driven strategy.
     pub migration_capacity: Option<usize>,
 }
 
 impl ExperimentConfig {
-    /// Builds a config with the paper's protocol defaults (90/10 split)
-    /// and the miner population derived at run time (`4k`).
+    /// Builds a config with the paper's protocol defaults (90/10 split).
     pub fn new(params: SystemParams, strategy: Strategy, eval_epochs: usize) -> Self {
         ExperimentConfig {
             params,
             strategy,
             train_fraction: 0.9,
             eval_epochs,
-            miner_count: None,
             migration_capacity: None,
         }
-    }
-
-    /// Returns the config with an explicit miner population, overriding
-    /// the run-time `4k` derivation.
-    pub fn with_miner_count(mut self, miners: usize) -> Self {
-        self.miner_count = Some(miners);
-        self
-    }
-
-    /// The miner population this cell runs with: the explicit override
-    /// if one was set, otherwise the paper's `4k` derived from the
-    /// cell's current shard count. The derivation happens here — at run
-    /// time — rather than at construction, so editing `params` after
-    /// `new` (or expanding a grid axis over `k`) can never leave a
-    /// stale population behind.
-    pub fn resolved_miner_count(&self) -> usize {
-        self.miner_count
-            .unwrap_or(usize::from(self.params.shards()) * 4)
     }
 }
 
@@ -232,19 +208,6 @@ mod tests {
                 epoch.migrations
             );
         }
-    }
-
-    #[test]
-    fn miner_count_tracks_shard_count_at_run_time() {
-        let config = quick_config(Strategy::Random, 4);
-        assert_eq!(config.resolved_miner_count(), 16);
-        // Editing k after construction (what a grid axis does) moves the
-        // derived population with it — no stale 4k snapshot.
-        let mut edited = config;
-        edited.params = edited.params.with_shards(8).unwrap();
-        assert_eq!(edited.resolved_miner_count(), 32);
-        // An explicit override wins regardless of k.
-        assert_eq!(edited.with_miner_count(10).resolved_miner_count(), 10);
     }
 
     #[test]

@@ -415,9 +415,6 @@ pub struct Scenario {
     pub train_fraction: f64,
     /// Maximum evaluation epochs per cell (paper: 200).
     pub eval_epochs: usize,
-    /// Explicit miner population; `None` derives `4k` per cell at run
-    /// time.
-    pub miner_count: Option<usize>,
     /// The one-at-a-time parameter grid; empty = run the base point only.
     pub grid: Vec<GridAxis>,
     /// The strategies to run at every parameter point, in report order.
@@ -615,10 +612,12 @@ const LINES: &[Line] = &[
              |d, f| f.num().map(|v| d.scenario.train_fraction = v)),
     required("eval_epochs", |s| Some(s.eval_epochs.to_string()),
              |d, f| f.num().map(|v| d.scenario.eval_epochs = v)),
-    optional("miner_count", |s| Some(s.miner_count.map_or("auto".to_string(), |m| m.to_string())),
-             |d, f| {
-                 d.scenario.miner_count = if f.value == "auto" { None } else { Some(f.num()?) };
-                 Ok(())
+    // The ledger models no miner population. The line stays, always
+    // `auto`, so existing files keep their canonical text.
+    optional("miner_count", |_| Some("auto".to_string()),
+             |_, f| match f.value {
+                 "auto" => Ok(()),
+                 other => Err(f.error(format!("miner_count {other:?}: the only value is auto"))),
              }),
     optional("migration_capacity", |s| Some(s.capacity.to_token()),
              |d, f| Capacity::parse_token(f.value, f.line).map(|v| d.scenario.capacity = v)),
@@ -696,7 +695,6 @@ impl Scenario {
             capacity: Capacity::Lambda,
             train_fraction: 0.9,
             eval_epochs,
-            miner_count: None,
             grid: Vec::new(),
             strategies: Strategy::ALL.to_vec(),
             grid_parallelism: Parallelism::Auto,
@@ -745,12 +743,6 @@ impl Scenario {
     /// Sets the base migration-commit bound.
     pub fn with_capacity(mut self, capacity: Capacity) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Sets an explicit miner population (default: `4k` per cell).
-    pub fn with_miner_count(mut self, miners: usize) -> Self {
-        self.miner_count = Some(miners);
         self
     }
 
@@ -812,7 +804,6 @@ impl Scenario {
                         strategy,
                         train_fraction: self.train_fraction,
                         eval_epochs: self.eval_epochs,
-                        miner_count: self.miner_count,
                         migration_capacity: point.capacity.to_config(),
                     },
                 });
@@ -1101,9 +1092,7 @@ mod tests {
         assert_eq!(cells[0].config.strategy, Strategy::Mosaic);
         assert_eq!(cells[4].config.strategy, Strategy::Random);
         assert_eq!(cells[5].label, "k = 16");
-        // Run-time miner derivation: no stale 4k from the base point.
-        assert_eq!(cells[0].config.resolved_miner_count(), 16);
-        assert_eq!(cells[5].config.resolved_miner_count(), 64);
+        assert_eq!(cells[5].config.params.shards(), 16);
     }
 
     #[test]
@@ -1143,7 +1132,6 @@ mod tests {
                     .unwrap(),
             )
             .with_capacity(Capacity::Fixed(12))
-            .with_miner_count(99)
             .with_axis(GridAxis::Shards(vec![2, 4]))
             .with_axis(GridAxis::Eta(vec![1.5, 2.25]))
             .with_axis(GridAxis::Tau(vec![60, 600]))
@@ -1445,6 +1433,22 @@ mod tests {
             "{err}"
         );
         for word in ["\"0\"", "sequential", "auto", "≥ 1"] {
+            assert!(err.to_string().contains(word), "{err}");
+        }
+
+        // `miner_count` takes only `auto`: any other value is refused
+        // with its key and line, not dropped.
+        let miners = text.replace("miner_count = auto", "miner_count = 64");
+        let line = 1 + miners
+            .lines()
+            .position(|l| l == "miner_count = 64")
+            .unwrap();
+        let err = Scenario::parse(&miners).unwrap_err();
+        assert!(
+            matches!(err, Error::ParseScenario { line: l, .. } if l == line),
+            "{err}"
+        );
+        for word in ["miner_count", "\"64\"", "auto"] {
             assert!(err.to_string().contains(word), "{err}");
         }
     }

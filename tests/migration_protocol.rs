@@ -14,7 +14,7 @@ fn ledger(k: u16, accounts: u64) -> Ledger {
         phi.assign(AccountId::new(a), ShardId::new((a % u64::from(k)) as u16))
             .unwrap();
     }
-    Ledger::new(params(k), phi, usize::from(k) * 2).unwrap()
+    Ledger::new(params(k), phi).unwrap()
 }
 
 fn mr(account: u64, from: u16, to: u16, gain: f64) -> MigrationRequest {
@@ -93,14 +93,14 @@ fn losers_are_dropped_and_may_resubmit() {
 }
 
 #[test]
-fn migrations_and_reshuffle_share_the_reconfiguration() {
+fn committed_migrations_update_phi_at_the_reconfiguration() {
     let mut l = ledger(4, 40);
     l.submit_migration(mr(0, 0, 2, 9.0));
     let outcome = l.process_epoch(&filler_txs(4, 10));
-    // One reconfiguration carried both the ϕ update and the reshuffle.
-    assert_eq!(outcome.reconfig.migrations_applied, 1);
-    assert!(outcome.reconfig.miners_moved > 0);
-    assert_eq!(outcome.reconfig.epoch, outcome.epoch);
+    // The epoch's reconfiguration applied the fresh request to ϕ.
+    assert_eq!(outcome.committed.len(), 1);
+    assert_eq!(outcome.migrations_stale, 0);
+    assert_eq!(l.phi().shard_of(AccountId::new(0)), ShardId::new(2));
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn framework_end_to_end_reduces_cross_traffic_for_a_community() {
         phi.assign(AccountId::new(a as u64), ShardId::new(s))
             .unwrap();
     }
-    let mut l = Ledger::new(p, phi, 8).unwrap();
+    let mut l = Ledger::new(p, phi).unwrap();
     let mut mosaic = MosaicFramework::new(p);
 
     // Star traffic: everyone talks to account 0 (the community anchor).

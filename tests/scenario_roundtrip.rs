@@ -58,8 +58,6 @@ proptest! {
         lambda in 0.5f64..1000.0,
         train in 0.05f64..0.95,
         eval_epochs in 1usize..300,
-        has_miners in 0u8..2,
-        miners in 1usize..200,
         capacity_kind in 0u8..3,
         capacity_n in 1usize..10_000,
         strategy_mask in 1u8..32,
@@ -124,7 +122,6 @@ proptest! {
             },
             train_fraction: train,
             eval_epochs,
-            miner_count: (has_miners == 1).then_some(miners),
             // One axis per kind: two k axes (say) could expand to the
             // same grid point, which validate() rejects as a spec error.
             grid: {
