@@ -31,7 +31,9 @@ pub(crate) fn report(args: &Args) -> Result<(), Failure> {
 /// `ablation`: the policy, beacon-capacity and churn ablations.
 pub(crate) fn ablation(args: &Args) -> Result<(), Failure> {
     let session = session(args, "Ablations (k = 16)", "ablation-default")?;
-    print!("{}", experiments::ablations(&session));
+    let ablations = experiments::ablations(&session)
+        .map_err(|e| Failure::Failed(format!("ablation run failed: {e}")))?;
+    print!("{ablations}");
     Ok(())
 }
 

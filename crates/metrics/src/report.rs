@@ -62,7 +62,7 @@ impl EpochMetrics {
 /// Streams per-epoch metric rows to an [`io::Write`] sink as they are
 /// produced, so a run of any length holds no per-epoch vector in memory.
 ///
-/// The output is byte-identical to `ExperimentResult::to_csv` in
+/// The output is byte-identical to `GridCell::to_csv` in
 /// `mosaic-sim` (header + one [`EpochMetrics::csv_row`] per epoch).
 #[derive(Debug)]
 pub struct EpochCsvWriter<W: io::Write> {

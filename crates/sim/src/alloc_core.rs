@@ -34,8 +34,7 @@ use mosaic_metrics::{AggregateBuilder, EpochMetrics};
 use mosaic_telemetry::{Counter, DurationStats, Gauge, Recorder};
 use mosaic_types::{ensure, AccountId, Error, MigrationRequest, Result, ShardId, Transaction};
 
-use crate::engine::{EpochCtx, EpochStrategy, History, MigrationCount, RunSummary};
-use crate::runner::ExperimentConfig;
+use crate::engine::{EpochCtx, EpochStrategy, ExperimentConfig, History, RunSummary};
 
 /// Per-shard slice of the last processed epoch's load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -695,10 +694,7 @@ impl AllocationCore {
         let commit_span = self.recorder.span("epoch.commit");
         let outcome = ledger.process_epoch(window);
         commit_span.finish();
-        let migrations = match decision.migrations {
-            MigrationCount::Moves(n) => n,
-            MigrationCount::CommittedRequests => outcome.committed.len(),
-        };
+        let migrations = decision.moved + outcome.committed.len();
         self.total_migrations += migrations;
         let metrics = EpochMetrics::from_load(&outcome.load, migrations);
         self.aggregate.push(&metrics);

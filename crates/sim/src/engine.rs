@@ -49,7 +49,40 @@ use mosaic_types::{ensure, AccountShardMap, Result, SystemParams, Transaction};
 use mosaic_workload::EpochWindowStream;
 
 use crate::alloc_core::AllocationCore;
-use crate::runner::ExperimentConfig;
+use crate::strategy::Strategy;
+
+/// One experiment cell of the §V-A protocol: one strategy × one
+/// parameter set × one trace. "The first 90% of the dataset is used for
+/// the initial allocation, while the remaining 10% is reserved for
+/// evaluation."
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExperimentConfig {
+    /// System parameters (k, η, τ, λ policy, β).
+    pub params: SystemParams,
+    /// The allocation strategy under test.
+    pub strategy: Strategy,
+    /// Fraction of trace *blocks* used for initial allocation (paper:
+    /// 0.9).
+    pub train_fraction: f64,
+    /// Maximum evaluation epochs to run (paper: 200).
+    pub eval_epochs: usize,
+    /// Migration-commit cap override (`None` = the paper's `λ` bound).
+    /// Only meaningful for the client-driven strategy.
+    pub migration_capacity: Option<usize>,
+}
+
+impl ExperimentConfig {
+    /// Builds a config with the paper's protocol defaults (90/10 split).
+    pub fn new(params: SystemParams, strategy: Strategy, eval_epochs: usize) -> Self {
+        ExperimentConfig {
+            params,
+            strategy,
+            train_fraction: 0.9,
+            eval_epochs,
+            migration_capacity: None,
+        }
+    }
+}
 
 /// Incrementally accreted transaction history.
 ///
@@ -162,17 +195,6 @@ pub struct EpochCtx<'e, 'w, 't> {
     pub params: SystemParams,
 }
 
-/// How an epoch's account moves are counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationCount {
-    /// The strategy moved accounts itself (allocation-diff moves of a
-    /// miner-driven update); the engine records this number.
-    Moves(usize),
-    /// The strategy submitted migration requests to the beacon chain; the
-    /// engine counts the requests the ledger actually commits.
-    CommittedRequests,
-}
-
 /// What a strategy decided for the upcoming epoch.
 #[derive(Debug)]
 pub struct EpochDecision {
@@ -181,8 +203,11 @@ pub struct EpochDecision {
     /// beacon chain, in place through [`Ledger::phi_mut`], or not at
     /// all.
     pub new_phi: Option<AccountShardMap>,
-    /// How this epoch's migrations are counted.
-    pub migrations: MigrationCount,
+    /// Accounts the strategy moved itself (the allocation diff of a
+    /// miner-driven update). The epoch's migration count is this plus
+    /// the requests the beacon commits, which only a client-driven
+    /// strategy submits.
+    pub moved: usize,
     /// Wall-clock cost of this epoch's allocation work: the full
     /// recomputation for miner-driven strategies, the *mean per-client*
     /// decision time for client-driven ones (the quantity Table IV
@@ -193,31 +218,21 @@ pub struct EpochDecision {
     pub input_bytes: Option<f64>,
 }
 
-impl EpochDecision {
-    /// A decision that changes nothing and records a zero-cost sample
-    /// (static strategies).
-    pub fn unchanged() -> Self {
-        EpochDecision {
-            new_phi: None,
-            migrations: MigrationCount::Moves(0),
-            alloc_time: Some(Duration::ZERO),
-            input_bytes: None,
-        }
-    }
-}
-
 /// One allocation mechanism under the §V-A evaluation protocol.
 ///
 /// Implementations must be deterministic: the parallel experiment grid
 /// relies on every cell producing identical results regardless of
-/// scheduling (see `experiments::tests::parallel_grid_matches_sequential`).
+/// scheduling (see the `parallel_grid_output_is_byte_identical_to_sequential`
+/// integration test).
 pub trait EpochStrategy {
     /// Display name for reports.
     fn name(&self) -> &'static str;
 
-    /// `true` for client-driven strategies (allocation evolves through
-    /// migration requests on the beacon chain; migrations are counted
-    /// from beacon commits rather than reported by the strategy).
+    /// `true` for client-driven strategies: the allocation evolves only
+    /// through migration requests the strategy submits to the beacon
+    /// chain. [`AllocationCore::check_invariants`] holds the beacon's
+    /// commits to the cell's migration count for these strategies and to
+    /// zero for every other one.
     fn is_client_driven(&self) -> bool {
         false
     }
@@ -332,7 +347,7 @@ impl<A: GlobalAllocator> EpochStrategy for A {
         let moved = allocation_diff(ledger.phi(), &phi);
         EpochDecision {
             new_phi: Some(phi),
-            migrations: MigrationCount::Moves(moved),
+            moved,
             alloc_time: Some(elapsed),
             input_bytes: Some(input_bytes),
         }
@@ -379,7 +394,12 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
     }
 
     fn before_epoch(&mut self, _ledger: &mut Ledger, _ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
-        EpochDecision::unchanged()
+        EpochDecision {
+            new_phi: None,
+            moved: 0,
+            alloc_time: Some(Duration::ZERO),
+            input_bytes: None,
+        }
     }
 }
 
@@ -453,7 +473,7 @@ impl EpochStrategy for AdaptiveTxAllo {
         }
         EpochDecision {
             new_phi: None,
-            migrations: MigrationCount::Moves(moved),
+            moved,
             alloc_time: Some(elapsed),
             input_bytes: Some(miner_input_bytes(ctx.recent_window.len()) as f64),
         }
@@ -585,7 +605,7 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
 
         EpochDecision {
             new_phi: None,
-            migrations: MigrationCount::CommittedRequests,
+            moved: 0,
             alloc_time: Some(report.mean_decision_time),
             input_bytes: Some(report.mean_input_bytes),
         }
@@ -600,9 +620,8 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
     }
 }
 
-/// The aggregated outcome of one cell — everything
-/// [`crate::runner::ExperimentResult`] carries except the row vector,
-/// which goes to the caller's observer as it is produced.
+/// The aggregated outcome of one cell: everything but the per-epoch rows,
+/// which go to the caller's observer as they are produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Means over the evaluation epochs (bit-identical to
@@ -612,11 +631,15 @@ pub struct RunSummary {
     pub epochs: usize,
     /// Wall-clock seconds of the initial (training-prefix) allocation.
     pub init_seconds: f64,
-    /// Mean per-epoch allocation runtime in seconds.
+    /// Mean per-epoch allocation runtime in seconds. For miner-driven
+    /// strategies this is the full recomputation; for Mosaic it is the
+    /// mean *per-client* Pilot execution time — the quantity Table IV
+    /// compares.
     pub mean_alloc_seconds: f64,
-    /// Mean bytes of input per allocation run.
+    /// Mean bytes of input per allocation run (per client for Mosaic).
     pub mean_input_bytes: f64,
-    /// Total account moves over the evaluation.
+    /// Total account moves over the evaluation (committed migration
+    /// requests for Mosaic; allocation-diff moves for miner-driven).
     pub total_migrations: usize,
 }
 
@@ -675,8 +698,6 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_core::policy::PilotPolicy;
-    use mosaic_partition::HashAllocator;
     use mosaic_types::{AccountId, BlockHeight, TxId};
 
     fn tx(id: u64, from: u64, to: u64, block: u64) -> Transaction {
@@ -701,22 +722,6 @@ mod tests {
         assert_eq!(edge_count, 2);
         // Cached: a second call cheaply returns the same snapshot.
         assert_eq!(h.graph().edge_count(), edge_count);
-    }
-
-    #[test]
-    fn strategies_report_their_kind() {
-        let params = SystemParams::builder().shards(4).tau(10).build().unwrap();
-        let mosaic = MosaicStrategy::new(params, PilotPolicy);
-        assert!(mosaic.is_client_driven());
-        assert_eq!(mosaic.name(), "Pilot");
-        let adaptive = AdaptiveTxAllo::new(TxAlloConfig::with_eta(2.0));
-        assert!(!adaptive.is_client_driven());
-        let hash = StaticStrategy::new(HashAllocator::chainspace());
-        assert_eq!(hash.name(), "Random");
-        // The blanket impl adapts any GlobalAllocator.
-        let g: &dyn EpochStrategy = &GTxAllo::new(TxAlloConfig::with_eta(2.0));
-        assert_eq!(g.name(), "G-TxAllo");
-        assert!(!g.is_client_driven());
     }
 
     /// Two groups of six accounts that trade only among themselves: a
@@ -814,14 +819,5 @@ mod tests {
         adaptive.last = Some(converged);
         adaptive.check_invariants().unwrap();
         assert_eq!(gauge(), 0);
-    }
-
-    #[test]
-    fn unchanged_decision_is_truly_inert() {
-        let d = EpochDecision::unchanged();
-        assert!(d.new_phi.is_none());
-        assert_eq!(d.migrations, MigrationCount::Moves(0));
-        assert_eq!(d.alloc_time, Some(Duration::ZERO));
-        assert!(d.input_bytes.is_none());
     }
 }

@@ -7,67 +7,37 @@
 //! `mosaic-bench report` and `mosaic-bench ablation` print them.
 //!
 //! Every grid here is *data*: the effectiveness grid is
-//! `scenarios/effectiveness-*.scenario`, the β sweep is
-//! `scenarios/beta-sweep-*.scenario`, and the ablations derive their
-//! grids from a base scenario (`scenarios/ablation-*.scenario`) — all
-//! executed by a [`Simulation`] session
-//! that materialises the trace once, shares it across cells behind an
-//! `Arc`, and runs the independent cells on the scenario's
-//! `grid_parallelism` lanes. Results are order-stable and — the engine
-//! being deterministic — byte-identical to a sequential run on the same
-//! seed.
+//! `scenarios/effectiveness-*.scenario`, and Table V's β sweep and the
+//! ablations are studies derived from the session's scenario
+//! (`scenarios/ablation-*.scenario` for the latter). The grid runs
+//! through [`Simulation::run`] and its observer stack; a derived study
+//! runs aggregate-only through one private helper, on the scenario's
+//! `grid_parallelism` lanes, over the session's resident trace or a
+//! re-opened streamed source. Results are order-stable and — the
+//! engine being deterministic — byte-identical to a sequential run on
+//! the same seed.
 
-use std::io;
-
+use mosaic_core::policy::{InteractionOnlyPolicy, PilotPolicy, StickyPolicy, WorkloadOnlyPolicy};
+use mosaic_core::ClientPolicy;
 use mosaic_metrics::data_size::{
     human_bytes, ADDRESS_BYTES, MIGRATION_REQUEST_BYTES, TX_RECORD_BYTES,
 };
-use mosaic_metrics::TextTable;
-use mosaic_types::{AccountId, DefaultRule, Result};
+use mosaic_metrics::{Aggregate, TextTable};
+use mosaic_types::{AccountId, DefaultRule, Error, Result};
+use mosaic_workload::TraceSource;
 
+use crate::engine::{self, EpochStrategy, MosaicStrategy};
 use crate::parallel::ordered_map;
-use crate::radar::RadarAxis;
-use crate::runner::ExperimentResult;
-use crate::scenario::{Capacity, GridAxis, ObserverSpec, Scenario};
+use crate::scenario::{Capacity, CellSpec, GridAxis, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
 use crate::strategy::Strategy;
-
-/// Materialises and runs `scenario`, panicking on failure — the
-/// convenience every table function uses for presets known to be valid.
-/// Fallible callers (scenario files from disk) should drive
-/// [`Simulation`] directly.
-pub fn run_scenario(scenario: &Scenario) -> Vec<GridCell> {
-    Simulation::from_scenario(scenario.clone())
-        .unwrap_or_else(|e| panic!("scenario '{}' failed to materialise: {e}", scenario.name))
-        .run()
-        .unwrap_or_else(|e| panic!("scenario '{}' failed to run: {e}", scenario.name))
-        .cells
-}
-
-fn find<'a>(cells: &'a [GridCell], label: &str, strategy: Strategy) -> &'a ExperimentResult {
-    cells
-        .iter()
-        .find(|c| c.param_label == label && c.result.strategy == strategy)
-        .map(|c| &c.result)
-        .unwrap_or_else(|| panic!("missing grid cell {label} / {strategy}"))
-}
-
-fn row_labels(cells: &[GridCell]) -> Vec<String> {
-    let mut labels = Vec::new();
-    for cell in cells {
-        if !labels.contains(&cell.param_label) {
-            labels.push(cell.param_label.clone());
-        }
-    }
-    labels
-}
 
 /// The grid point the single-point comparisons (Table VI, Figure 1, the
 /// Table IV input row) report on: the paper's default `k = 16` when the
 /// grid contains it, otherwise the first grid point.
 fn default_label(cells: &[GridCell]) -> String {
-    let labels = row_labels(cells);
+    let labels = GridCell::labels(cells);
     labels
         .iter()
         .find(|l| l.as_str() == "k = 16")
@@ -75,94 +45,65 @@ fn default_label(cells: &[GridCell]) -> String {
         .clone()
 }
 
-/// **Table I** — average cross-shard transaction ratios. Pilot carries a
-/// parenthetical loss relative to the best miner-driven baseline, as in
-/// the paper.
-pub fn table1(cells: &[GridCell]) -> TextTable {
-    let mut t = TextTable::new(["Parameters", "Pilot", "TxAllo", "Metis", "Random"]);
-    for label in row_labels(cells) {
-        let pilot = find(cells, &label, Strategy::Mosaic).aggregate.cross_ratio;
-        let txallo = find(cells, &label, Strategy::GTxAllo).aggregate.cross_ratio;
-        let metis = find(cells, &label, Strategy::Metis).aggregate.cross_ratio;
-        let random = find(cells, &label, Strategy::Random).aggregate.cross_ratio;
-        let best = txallo.min(metis);
-        let loss = if best > 0.0 {
-            (pilot - best) / best * 100.0
-        } else {
-            0.0
-        };
-        t.push_row([
-            label,
-            format!("{:.2}% ({:+.2}%)", pilot * 100.0, loss),
-            format!("{:.2}%", txallo * 100.0),
-            format!("{:.2}%", metis * 100.0),
-            format!("{:.2}%", random * 100.0),
-        ]);
-    }
-    t
+/// The metric of one effectiveness table (Tables I–III).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effectiveness {
+    /// **Table I** — average cross-shard transaction ratio; best is the
+    /// lower of TxAllo and Metis.
+    CrossRatio,
+    /// **Table II** — average normalised throughput improvement `Λ/λ`;
+    /// best is the higher of TxAllo and Metis.
+    Throughput,
+    /// **Table III** — average workload deviation; best is the lowest
+    /// of Random, TxAllo and Metis.
+    WorkloadDeviation,
 }
 
-/// **Table II** — average normalised throughput improvement `Λ/λ`.
-pub fn table2(cells: &[GridCell]) -> TextTable {
+/// **Tables I–III** — one effectiveness metric per parameter point and
+/// strategy. Pilot carries a parenthetical loss relative to the best
+/// baseline, as in the paper.
+pub fn effectiveness(cells: &[GridCell], table: Effectiveness) -> TextTable {
+    type Read = fn(&Aggregate) -> f64;
+    type Best = fn([f64; 3]) -> f64;
+    type Show = fn(f64) -> String;
+    let (read, best, show): (Read, Best, Show) = match table {
+        Effectiveness::CrossRatio => (
+            |a| a.cross_ratio,
+            |[txallo, metis, _]| txallo.min(metis),
+            |v| format!("{:.2}%", v * 100.0),
+        ),
+        Effectiveness::Throughput => (
+            |a| a.normalized_throughput,
+            |[txallo, metis, _]| txallo.max(metis),
+            |v| format!("{v:.2}"),
+        ),
+        Effectiveness::WorkloadDeviation => (
+            |a| a.workload_deviation,
+            |[txallo, metis, random]| random.min(txallo).min(metis),
+            |v| format!("{v:.2}"),
+        ),
+    };
     let mut t = TextTable::new(["Parameters", "Pilot", "TxAllo", "Metis", "Random"]);
-    for label in row_labels(cells) {
-        let pilot = find(cells, &label, Strategy::Mosaic)
-            .aggregate
-            .normalized_throughput;
-        let txallo = find(cells, &label, Strategy::GTxAllo)
-            .aggregate
-            .normalized_throughput;
-        let metis = find(cells, &label, Strategy::Metis)
-            .aggregate
-            .normalized_throughput;
-        let random = find(cells, &label, Strategy::Random)
-            .aggregate
-            .normalized_throughput;
-        let best = txallo.max(metis);
+    for label in GridCell::labels(cells) {
+        let value = |strategy| {
+            let cell = GridCell::find(cells, &label, strategy).expect("a cell per strategy");
+            read(&cell.summary.aggregate)
+        };
+        let pilot = value(Strategy::Mosaic);
+        let baselines = [Strategy::GTxAllo, Strategy::Metis, Strategy::Random].map(value);
+        let best = best(baselines);
         let loss = if best > 0.0 {
             (pilot - best) / best * 100.0
         } else {
             0.0
         };
+        let [txallo, metis, random] = baselines.map(show);
         t.push_row([
             label,
-            format!("{pilot:.2} ({loss:+.2}%)"),
-            format!("{txallo:.2}"),
-            format!("{metis:.2}"),
-            format!("{random:.2}"),
-        ]);
-    }
-    t
-}
-
-/// **Table III** — average workload deviation.
-pub fn table3(cells: &[GridCell]) -> TextTable {
-    let mut t = TextTable::new(["Parameters", "Pilot", "TxAllo", "Metis", "Random"]);
-    for label in row_labels(cells) {
-        let pilot = find(cells, &label, Strategy::Mosaic)
-            .aggregate
-            .workload_deviation;
-        let txallo = find(cells, &label, Strategy::GTxAllo)
-            .aggregate
-            .workload_deviation;
-        let metis = find(cells, &label, Strategy::Metis)
-            .aggregate
-            .workload_deviation;
-        let random = find(cells, &label, Strategy::Random)
-            .aggregate
-            .workload_deviation;
-        let best = random.min(txallo).min(metis);
-        let loss = if best > 0.0 {
-            (pilot - best) / best * 100.0
-        } else {
-            0.0
-        };
-        t.push_row([
-            label,
-            format!("{pilot:.2} ({loss:+.2}%)"),
-            format!("{txallo:.2}"),
-            format!("{metis:.2}"),
-            format!("{random:.2}"),
+            format!("{} ({loss:+.2}%)", show(pilot)),
+            txallo,
+            metis,
+            random,
         ]);
     }
     t
@@ -172,12 +113,22 @@ pub fn table3(cells: &[GridCell]) -> TextTable {
 /// input data size. The TxAllo column is reported `A \ G` as in the
 /// paper.
 pub fn table4(cells: &[GridCell]) -> TextTable {
+    let summaries = |label: &str| {
+        [
+            Strategy::Mosaic,
+            Strategy::ATxAllo,
+            Strategy::GTxAllo,
+            Strategy::Metis,
+        ]
+        .map(|s| {
+            &GridCell::find(cells, label, s)
+                .expect("a cell per strategy")
+                .summary
+        })
+    };
     let mut t = TextTable::new(["Parameters", "Pilot", "TxAllo (A \\ G)", "Metis"]);
-    for label in row_labels(cells) {
-        let pilot = find(cells, &label, Strategy::Mosaic).mean_alloc_seconds;
-        let a = find(cells, &label, Strategy::ATxAllo).mean_alloc_seconds;
-        let g = find(cells, &label, Strategy::GTxAllo).mean_alloc_seconds;
-        let metis = find(cells, &label, Strategy::Metis).mean_alloc_seconds;
+    for label in GridCell::labels(cells) {
+        let [pilot, a, g, metis] = summaries(&label).map(|s| s.mean_alloc_seconds);
         t.push_row([
             label,
             format!("{pilot:.2e}"),
@@ -186,11 +137,7 @@ pub fn table4(cells: &[GridCell]) -> TextTable {
         ]);
     }
     // Input data row (any parameter set; the paper reports one line).
-    let label = default_label(cells);
-    let pilot = find(cells, &label, Strategy::Mosaic).mean_input_bytes;
-    let a = find(cells, &label, Strategy::ATxAllo).mean_input_bytes;
-    let g = find(cells, &label, Strategy::GTxAllo).mean_input_bytes;
-    let metis = find(cells, &label, Strategy::Metis).mean_input_bytes;
+    let [pilot, a, g, metis] = summaries(&default_label(cells)).map(|s| s.mean_input_bytes);
     t.push_row([
         "Input Data".to_string(),
         human_bytes(pilot),
@@ -207,13 +154,14 @@ pub fn table5(cells: &[GridCell]) -> TextTable {
     let mut t = TextTable::new(["Metrics", "Ratio", "Throughput", "Workload"]);
     for cell in cells
         .iter()
-        .filter(|c| c.result.strategy == Strategy::Mosaic)
+        .filter(|c| c.config.strategy == Strategy::Mosaic)
     {
+        let a = &cell.summary.aggregate;
         t.push_row([
             cell.param_label.clone(),
-            format!("{:.2}%", cell.result.aggregate.cross_ratio * 100.0),
-            format!("{:.2}", cell.result.aggregate.normalized_throughput),
-            format!("{:.2}", cell.result.aggregate.workload_deviation),
+            format!("{:.2}%", a.cross_ratio * 100.0),
+            format!("{:.2}", a.normalized_throughput),
+            format!("{:.2}", a.workload_deviation),
         ]);
     }
     t
@@ -236,12 +184,12 @@ pub fn table6(cells: &[GridCell], scenario: &Scenario) -> TextTable {
         .expect("table6 needs a generated workload description");
     let tau = scenario.base.tau();
     let label = default_label(cells);
-    let mosaic = find(cells, &label, Strategy::Mosaic);
-    let k = u64::from(mosaic.params.shards());
+    let mosaic = GridCell::find(cells, &label, Strategy::Mosaic).expect("a Mosaic cell");
+    let k = u64::from(mosaic.config.params.shards());
     let total_txs = workload.total_txs() as u64;
     let accounts = workload.initial_accounts as u64;
     let window_txs = u64::from(tau) * workload.txs_per_block as u64;
-    let mr_total = mosaic.total_migrations as u64;
+    let mr_total = mosaic.summary.total_migrations as u64;
 
     let tx_bytes = TX_RECORD_BYTES as u64;
     let mr_bytes = MIGRATION_REQUEST_BYTES as u64;
@@ -280,7 +228,9 @@ pub fn table6(cells: &[GridCell], scenario: &Scenario) -> TextTable {
             human_bytes((window_txs / k * tx_bytes) as f64),
             // aggregate.epochs, not per_epoch.len(): collect-free
             // observer stacks leave per_epoch empty.
-            human_bytes((mr_total / (mosaic.aggregate.epochs.max(1) as u64) * mr_bytes) as f64)
+            human_bytes(
+                (mr_total / (mosaic.summary.aggregate.epochs.max(1) as u64) * mr_bytes) as f64
+            )
         ),
         human_bytes((window_txs / k * tx_bytes) as f64),
     ]);
@@ -291,9 +241,24 @@ pub fn table6(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     t
 }
 
+/// Maps raw *higher-is-better* values to Figure 1's `[1, 5]` scale:
+/// "the maximum and minimum values across all dimensions are normalized
+/// to 5 and 1, respectively", linear in between; all-equal values map
+/// to 3.
+fn normalise(values: [f64; 3]) -> [f64; 3] {
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max <= min {
+        return [3.0; 3];
+    }
+    values.map(|v| 1.0 + 4.0 * (v - min) / (max - min))
+}
+
 /// **Figure 1** — the six-axis radar comparison of TxAllo vs Mosaic vs
 /// hash-based, on the default parameter set. Returns the normalised
-/// `[1, 5]` series (one row per axis).
+/// `[1, 5]` series (one row per axis). Efficiency is the reciprocal of
+/// overhead and the workload balance index the reciprocal of deviation
+/// (the paper's footnote 3).
 ///
 /// # Panics
 ///
@@ -305,10 +270,11 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
         .workload()
         .expect("fig1 needs a generated workload description");
     let label = default_label(cells);
-    let mosaic = find(cells, &label, Strategy::Mosaic);
-    let txallo = find(cells, &label, Strategy::GTxAllo);
-    let random = find(cells, &label, Strategy::Random);
-    let k = f64::from(mosaic.params.shards());
+    let cell = |s| GridCell::find(cells, &label, s).expect("a cell per strategy");
+    let shards = cell(Strategy::Mosaic).config.params.shards();
+    let [txallo, mosaic, random] =
+        [Strategy::GTxAllo, Strategy::Mosaic, Strategy::Random].map(|s| &cell(s).summary);
+    let k = f64::from(shards);
     let window_txs = (u64::from(scenario.base.tau()) * workload.txs_per_block as u64) as f64;
     // aggregate.epochs, not per_epoch.len(): collect-free observer
     // stacks leave per_epoch empty.
@@ -317,7 +283,6 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
 
     // Hash-based per-account work, measured directly: the rule the Random
     // cell runs — SHA-256 of the 20-byte address, reduced mod k.
-    let shards = mosaic.params.shards();
     let (_, hash_time) = mosaic_metrics::timing::time_it(|| {
         let mut acc = 0u16;
         for i in 0..1000u64 {
@@ -329,63 +294,52 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     });
     let hash_seconds = (hash_time.as_secs_f64() / 1000.0).max(1e-12);
 
-    // Overheads (lower is better), converted to efficiencies by the axis.
-    let computation = [
-        txallo.mean_alloc_seconds.max(1e-12),
-        mosaic.mean_alloc_seconds.max(1e-12),
-        hash_seconds,
-    ];
-    let storage = [
-        txallo.mean_input_bytes.max(1.0),
-        mosaic.mean_input_bytes.max(1.0),
-        ADDRESS_BYTES as f64,
-    ];
+    // Overheads (lower is better), inverted into efficiencies.
+    let efficiency = |overheads: [f64; 3]| overheads.map(|v| 1.0 / v);
     let (tx_bytes, mr_bytes) = (TX_RECORD_BYTES as f64, MIGRATION_REQUEST_BYTES as f64);
-    let communication = [
-        window_txs * tx_bytes,
-        window_txs / k * tx_bytes + mr_per_epoch * mr_bytes,
-        window_txs / k * tx_bytes,
-    ];
-
-    let axes = vec![
-        RadarAxis::from_overheads("Computation Efficiency", &computation),
-        RadarAxis::from_overheads("Storage Efficiency", &storage),
-        RadarAxis::from_overheads("Communication Efficiency", &communication),
-        RadarAxis::new(
+    let axes = [
+        (
+            "Computation Efficiency",
+            efficiency([
+                txallo.mean_alloc_seconds.max(1e-12),
+                mosaic.mean_alloc_seconds.max(1e-12),
+                hash_seconds,
+            ]),
+        ),
+        (
+            "Storage Efficiency",
+            efficiency([
+                txallo.mean_input_bytes.max(1.0),
+                mosaic.mean_input_bytes.max(1.0),
+                ADDRESS_BYTES as f64,
+            ]),
+        ),
+        (
+            "Communication Efficiency",
+            efficiency([
+                window_txs * tx_bytes,
+                window_txs / k * tx_bytes + mr_per_epoch * mr_bytes,
+                window_txs / k * tx_bytes,
+            ]),
+        ),
+        (
             "Throughput",
-            vec![
-                txallo.aggregate.normalized_throughput,
-                mosaic.aggregate.normalized_throughput,
-                random.aggregate.normalized_throughput,
-            ],
+            [txallo, mosaic, random].map(|s| s.aggregate.normalized_throughput),
         ),
-        RadarAxis::new(
+        (
             "Intra-shard Ratio",
-            vec![
-                1.0 - txallo.aggregate.cross_ratio,
-                1.0 - mosaic.aggregate.cross_ratio,
-                1.0 - random.aggregate.cross_ratio,
-            ],
+            [txallo, mosaic, random].map(|s| 1.0 - s.aggregate.cross_ratio),
         ),
-        RadarAxis::from_overheads(
+        (
             "Workload Balance Index (1/dev)",
-            &[
-                txallo.aggregate.workload_deviation.max(1e-9),
-                mosaic.aggregate.workload_deviation.max(1e-9),
-                random.aggregate.workload_deviation.max(1e-9),
-            ],
+            efficiency([txallo, mosaic, random].map(|s| s.aggregate.workload_deviation.max(1e-9))),
         ),
     ];
 
     let mut t = TextTable::new(["Axis", "TxAllo", "Mosaic", "Hash-based"]);
-    for axis in axes {
-        let n = axis.normalized();
-        t.push_row([
-            axis.label.clone(),
-            format!("{:.2}", n[0]),
-            format!("{:.2}", n[1]),
-            format!("{:.2}", n[2]),
-        ]);
+    for (label, values) in axes {
+        let [a, b, c] = normalise(values).map(|v| format!("{v:.2}"));
+        t.push_row([label.to_string(), a, b, c]);
     }
     t
 }
@@ -398,11 +352,64 @@ fn sections<const N: usize>(sections: [(&str, TextTable); N]) -> String {
         .collect()
 }
 
+/// Builds the strategy a derived-study cell runs.
+type Build = fn(&CellSpec) -> Box<dyn EpochStrategy>;
+
+/// The registry strategy of the cell ([`Strategy::build`]).
+fn registry(cell: &CellSpec) -> Box<dyn EpochStrategy> {
+    cell.config.strategy.build(cell.config.params)
+}
+
+/// Every client of the cell running policy `P`.
+fn mosaic<P: ClientPolicy + Default + 'static>(cell: &CellSpec) -> Box<dyn EpochStrategy> {
+    Box::new(MosaicStrategy::new(cell.config.params, P::default()))
+}
+
+/// Runs `study`, a scenario derived from `session`'s, aggregate-only:
+/// every cell × every `build`, in that order, on the study's
+/// `grid_parallelism` lanes, each through [`engine::run_cell`] with its
+/// rows dropped — no observer sees them, so the study writes none of
+/// the scenario's CSVs and leaves its telemetry stream alone. The study
+/// shares the session's resident trace when it runs the same source,
+/// and otherwise opens its own (a streamed source is re-opened per
+/// cell).
+fn derived(session: &Simulation, study: Scenario, builds: &[Build]) -> Result<Vec<GridCell>> {
+    let study = match session.trace() {
+        Some(trace) if study.trace == session.scenario().trace => {
+            Simulation::with_trace(study, trace)?
+        }
+        _ => Simulation::from_scenario(study)?,
+    };
+    let runs: Vec<(&CellSpec, Build)> = study
+        .cells()
+        .iter()
+        .flat_map(|cell| builds.iter().map(move |&build| (cell, build)))
+        .collect();
+    ordered_map(
+        &runs,
+        study.scenario().grid_parallelism,
+        |&(cell, build)| {
+            let mut stream = study.open_stream()?;
+            let mut strategy = build(cell);
+            let summary =
+                engine::run_cell(&cell.config, &mut stream, strategy.as_mut(), &mut |_, _| {
+                    true
+                })?;
+            Ok(GridCell {
+                param_label: cell.label.clone(),
+                config: cell.config,
+                per_epoch: Vec::new(),
+                summary,
+            })
+        },
+    )
+    .into_iter()
+    .collect()
+}
+
 /// **The report** — Tables I–VI and Figure 1 from one run of the
-/// `session`'s grid; Table V's β sweep (`k = 4`, Mosaic only) is
-/// derived from the same scenario and shares its resident trace (a
-/// streamed one is streamed again). The sweep keeps only its
-/// aggregates: the scenario's observers see the grid alone.
+/// `session`'s grid, plus Table V's β sweep (`k = 4`, Mosaic only),
+/// derived from the same scenario and run aggregate-only.
 ///
 /// # Errors
 ///
@@ -414,7 +421,7 @@ fn sections<const N: usize>(sections: [(&str, TextTable); N]) -> String {
 /// As [`table6`] and [`fig1`].
 pub fn report(session: &Simulation) -> Result<String> {
     let scenario = session.scenario();
-    let cells = session.run()?.cells;
+    let cells = session.run()?;
     let sweep = Scenario {
         name: format!("{}-beta-sweep", scenario.name),
         base: scenario.base.with_shards(4)?,
@@ -422,29 +429,20 @@ pub fn report(session: &Simulation) -> Result<String> {
         strategies: vec![Strategy::Mosaic],
         ..scenario.clone()
     };
-    let sweep = match session.try_trace() {
-        Some(trace) => Simulation::with_trace(sweep, trace)?,
-        None => Simulation::from_scenario(sweep)?,
-    };
-    // Table V reads only each cell's aggregate, so each cell streams into
-    // a sink that drops its rows: the sweep writes none of the scenario's
-    // row CSVs and does not restart its telemetry stream.
-    let beta_cells = ordered_map(sweep.cells(), scenario.grid_parallelism, |cell| {
-        let summary = sweep.stream_cell(cell, &mut io::sink())?;
-        Ok(GridCell {
-            param_label: cell.label.clone(),
-            result: ExperimentResult::new(&cell.config, Vec::new(), &summary),
-        })
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>>>()?;
+    let beta_cells = derived(session, sweep, &[registry])?;
     Ok(sections([
-        ("Table I: cross-shard transaction ratio", table1(&cells)),
+        (
+            "Table I: cross-shard transaction ratio",
+            effectiveness(&cells, Effectiveness::CrossRatio),
+        ),
         (
             "Table II: normalized throughput (Lambda/lambda)",
-            table2(&cells),
+            effectiveness(&cells, Effectiveness::Throughput),
         ),
-        ("Table III: workload deviation", table3(&cells)),
+        (
+            "Table III: workload deviation",
+            effectiveness(&cells, Effectiveness::WorkloadDeviation),
+        ),
         (
             "Table IV: running time (s) and input data size",
             table4(&cells),
@@ -466,102 +464,83 @@ pub fn report(session: &Simulation) -> Result<String> {
 
 /// **The ablations (beyond the paper)** — [`policy_ablation`] and
 /// [`capacity_ablation`] over the `session`'s trace, then
-/// [`churn_ablation`] on fresh traces of its scenario.
-pub fn ablations(session: &Simulation) -> String {
-    sections([
-        ("Client policy components", policy_ablation(session)),
+/// [`churn_ablation`] on churned variants of its workload.
+///
+/// # Errors
+///
+/// The first error of any of the three studies.
+pub fn ablations(session: &Simulation) -> Result<String> {
+    Ok(sections([
+        ("Client policy components", policy_ablation(session)?),
         (
             "Beacon migration-capacity bound",
-            capacity_ablation(session),
+            capacity_ablation(session)?,
         ),
         (
             "Churn sensitivity (new-account arrival rate)",
-            churn_ablation(session.scenario()),
+            churn_ablation(session)?,
         ),
-    ])
+    ]))
+}
+
+/// One ablation row: a name and the cell's ratio, throughput, workload
+/// deviation and migration count.
+fn ablation_row(name: &str, cell: &GridCell) -> [String; 5] {
+    let summary = &cell.summary;
+    [
+        name.to_string(),
+        format!("{:.2}%", summary.aggregate.cross_ratio * 100.0),
+        format!("{:.2}", summary.aggregate.normalized_throughput),
+        format!("{:.2}", summary.aggregate.workload_deviation),
+        format!("{}", summary.total_migrations),
+    ]
 }
 
 /// **Ablation (beyond the paper)** — Pilot versus policies that use only
 /// one of its two signals (interactions / workload) or none (sticky),
-/// on the base point of the `session`'s scenario. Each policy runs
-/// through a sibling session over the *same* `Arc`'d trace — four
-/// strategy variants, zero trace regenerations (pass the session you
-/// already built for the other ablations to share its trace too). The
-/// four sessions run on the scenario's `grid_parallelism` lanes.
-pub fn policy_ablation(session: &Simulation) -> TextTable {
-    use crate::engine::{EpochStrategy, MosaicStrategy};
-    use mosaic_core::policy::{
-        InteractionOnlyPolicy, PilotPolicy, StickyPolicy, WorkloadOnlyPolicy,
-    };
-
+/// on the base point of the `session`'s scenario.
+///
+/// # Errors
+///
+/// A cell's trace-read error.
+pub fn policy_ablation(session: &Simulation) -> Result<TextTable> {
+    const POLICIES: [(&str, Build); 4] = [
+        ("Pilot", mosaic::<PilotPolicy>),
+        ("InteractionOnly", mosaic::<InteractionOnlyPolicy>),
+        ("WorkloadOnly", mosaic::<WorkloadOnlyPolicy>),
+        ("Sticky", mosaic::<StickyPolicy>),
+    ];
     let base = Scenario {
         grid: Vec::new(),
         strategies: vec![Strategy::Mosaic],
-        // Collect only: the four policy sessions run concurrently and
-        // would otherwise race on one stream-csv path per cell.
-        observers: vec![ObserverSpec::Collect],
         ..session.scenario().clone()
     };
-    let trace = session.trace();
-
-    let policies = ["Pilot", "InteractionOnly", "WorkloadOnly", "Sticky"];
-    let results = ordered_map(&policies, base.grid_parallelism, |&name| {
-        let session = Simulation::with_trace(base.clone(), trace.clone())
-            .expect("validated scenario stays valid");
-        let report = session
-            .run_with_factory(|cell| {
-                let params = cell.config.params;
-                let strategy: Box<dyn EpochStrategy> = match name {
-                    "Pilot" => Box::new(MosaicStrategy::new(params, PilotPolicy)),
-                    "InteractionOnly" => {
-                        Box::new(MosaicStrategy::new(params, InteractionOnlyPolicy))
-                    }
-                    "WorkloadOnly" => Box::new(MosaicStrategy::new(params, WorkloadOnlyPolicy)),
-                    "Sticky" => Box::new(MosaicStrategy::new(params, StickyPolicy)),
-                    other => unreachable!("unknown ablation policy {other}"),
-                };
-                strategy
-            })
-            .expect("in-memory session cannot hit an io error");
-        report.cells.into_iter().next().expect("one cell").result
-    });
-
+    let cells = derived(session, base, &POLICIES.map(|(_, build)| build))?;
     let mut t = TextTable::new(["Policy", "Ratio", "Throughput", "Workload", "Migrations"]);
-    for (name, r) in policies.iter().zip(&results) {
-        t.push_row([
-            name.to_string(),
-            format!("{:.2}%", r.aggregate.cross_ratio * 100.0),
-            format!("{:.2}", r.aggregate.normalized_throughput),
-            format!("{:.2}", r.aggregate.workload_deviation),
-            format!("{}", r.total_migrations),
-        ]);
+    for ((name, _), cell) in POLICIES.iter().zip(&cells) {
+        t.push_row(ablation_row(name, cell));
     }
-    t
+    Ok(t)
 }
 
 /// **Ablation (beyond the paper)** — the beacon-chain capacity bound:
 /// the paper commits at most `λ` migration requests per epoch; this
 /// compares that against an unbounded beacon on the base point of the
-/// `session`'s scenario — expressed as a capacity grid axis over the
-/// session's already-materialised trace, not hand-wired configs.
-pub fn capacity_ablation(session: &Simulation) -> TextTable {
-    let derived = Scenario {
+/// `session`'s scenario, as a capacity grid axis over its trace.
+///
+/// # Errors
+///
+/// A cell's trace-read error.
+pub fn capacity_ablation(session: &Simulation) -> Result<TextTable> {
+    let study = Scenario {
         grid: vec![GridAxis::MigrationCapacity(vec![
             Capacity::Lambda,
             Capacity::Unbounded,
         ])],
         strategies: vec![Strategy::Mosaic],
-        // Collect only: a stream-csv observer inherited from the caller
-        // would clobber files written by other studies in the same dir.
-        observers: vec![ObserverSpec::Collect],
         ..session.scenario().clone()
     };
-    let cells = Simulation::with_trace(derived, session.trace())
-        .expect("a derived single-axis scenario stays valid")
-        .run()
-        .expect("collect-only session cannot hit an io error")
-        .cells;
-
+    let cells = derived(session, study, &[registry])?;
     let mut t = TextTable::new([
         "Beacon capacity",
         "Ratio",
@@ -570,16 +549,9 @@ pub fn capacity_ablation(session: &Simulation) -> TextTable {
         "Migrations",
     ]);
     for (name, cell) in ["λ-bounded (paper)", "unbounded"].iter().zip(&cells) {
-        let r = &cell.result;
-        t.push_row([
-            name.to_string(),
-            format!("{:.2}%", r.aggregate.cross_ratio * 100.0),
-            format!("{:.2}", r.aggregate.normalized_throughput),
-            format!("{:.2}", r.aggregate.workload_deviation),
-            format!("{}", r.total_migrations),
-        ]);
+        t.push_row(ablation_row(name, cell));
     }
-    t
+    Ok(t)
 }
 
 /// **Ablation (beyond the paper)** — churn sensitivity: how allocation
@@ -593,21 +565,26 @@ pub fn capacity_ablation(session: &Simulation) -> TextTable {
 /// any history exists. The table therefore compares G-TxAllo against
 /// Pilot with and without future knowledge as churn grows.
 ///
-/// Each churn rate is one workload variant; the Pilot β sweep and the
-/// G-TxAllo baseline run as two sessions over the *same* materialised
-/// trace.
+/// Each churn rate is one workload variant, resident or streamed as the
+/// session's source is; the Pilot β sweep and the G-TxAllo baseline
+/// run over the same variant.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `scenario` does not use a generated trace source (churn is
-/// a generator knob).
-pub fn churn_ablation(scenario: &Scenario) -> TextTable {
-    let workload = scenario
-        .workload()
-        .expect("churn ablation needs a generated workload")
-        .clone();
-    let rates = [0.0, 1.0, 4.0];
-
+/// [`Error::ParseScenario`] if the session's trace is not generated
+/// (churn is a generator knob), and a cell's trace-read error.
+pub fn churn_ablation(session: &Simulation) -> Result<TextTable> {
+    let scenario = session.scenario();
+    let Some(workload) = scenario.workload() else {
+        return Err(Error::ParseScenario {
+            line: 0,
+            message: format!(
+                "the churn ablation needs a generated or streamed trace source; \
+                 scenario '{}' reads a file",
+                scenario.name
+            ),
+        });
+    };
     let mut t = TextTable::new([
         "New accounts/block",
         "Pilot β=0",
@@ -615,68 +592,74 @@ pub fn churn_ablation(scenario: &Scenario) -> TextTable {
         "G-TxAllo",
         "Informed-Pilot advantage",
     ]);
-    for &rate in &rates {
-        let churned = Scenario {
-            trace: mosaic_workload::TraceSource::Generated(workload.clone().with_churn(rate)),
-            grid: vec![GridAxis::Beta(vec![0.0, 0.5])],
-            strategies: vec![Strategy::Mosaic],
-            // Collect only: every churn rate expands to the same cell
-            // labels, so an inherited stream-csv observer would leave
-            // only the last rate's files on disk.
-            observers: vec![ObserverSpec::Collect],
-            ..scenario.clone()
+    for rate in [0.0, 1.0, 4.0] {
+        let churned = workload.clone().with_churn(rate);
+        let trace = if scenario.trace.is_streamed() {
+            TraceSource::StreamedGenerated(churned)
+        } else {
+            TraceSource::Generated(churned)
         };
-        let pilots = Simulation::from_scenario(churned.clone())
-            .unwrap_or_else(|e| panic!("churn scenario failed: {e}"));
-        let baseline = Simulation::with_trace(
-            Scenario {
-                grid: Vec::new(),
-                strategies: vec![Strategy::GTxAllo],
-                ..churned
-            },
-            pilots.trace(),
-        )
-        .expect("validated scenario stays valid");
-        let pilot_cells = pilots.run().expect("in-memory session").cells;
-        let baseline_cells = baseline.run().expect("in-memory session").cells;
-        let (pilot, pilot_informed) = (&pilot_cells[0].result, &pilot_cells[1].result);
-        let gtxallo = &baseline_cells[0].result;
+        let variant = Simulation::from_scenario(Scenario {
+            trace,
+            ..scenario.clone()
+        })?;
+        let study = |grid, strategy| Scenario {
+            grid,
+            strategies: vec![strategy],
+            ..variant.scenario().clone()
+        };
+        let pilots = derived(
+            &variant,
+            study(vec![GridAxis::Beta(vec![0.0, 0.5])], Strategy::Mosaic),
+            &[registry],
+        )?;
+        let baseline = derived(&variant, study(Vec::new(), Strategy::GTxAllo), &[registry])?;
+        let [pilot, informed, gtxallo] =
+            [&pilots[0], &pilots[1], &baseline[0]].map(|cell| cell.summary.aggregate.cross_ratio);
         t.push_row([
             format!("{rate}"),
-            format!("{:.2}%", pilot.aggregate.cross_ratio * 100.0),
-            format!("{:.2}%", pilot_informed.aggregate.cross_ratio * 100.0),
-            format!("{:.2}%", gtxallo.aggregate.cross_ratio * 100.0),
-            format!(
-                "{:+.2} pp",
-                (gtxallo.aggregate.cross_ratio - pilot_informed.aggregate.cross_ratio) * 100.0
-            ),
+            format!("{:.2}%", pilot * 100.0),
+            format!("{:.2}%", informed * 100.0),
+            format!("{:.2}%", gtxallo * 100.0),
+            format!("{:+.2} pp", (gtxallo - informed) * 100.0),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::specs::{beta_quick, effectiveness_quick};
-    use crate::Parallelism;
+    use crate::scenario::ObserverSpec;
+    use crate::specs::{ablation_quick, beta_quick, effectiveness_quick};
 
-    /// One shared quick grid for all table tests (the grid is the
-    /// expensive part).
-    fn quick_cells() -> Vec<GridCell> {
-        run_scenario(&effectiveness_quick())
+    fn run(scenario: Scenario) -> Vec<GridCell> {
+        Simulation::from_scenario(scenario).unwrap().run().unwrap()
+    }
+
+    /// `scenario` with its generated source flipped to the streamed
+    /// generator, its rows streamed into `dir`.
+    fn streamed(scenario: Scenario, dir: &std::path::Path) -> Scenario {
+        Scenario {
+            trace: TraceSource::StreamedGenerated(scenario.workload().unwrap().clone()),
+            ..scenario.with_observers([ObserverSpec::StreamCsv(dir.to_path_buf())])
+        }
     }
 
     #[test]
     fn grid_covers_all_params_and_strategies() {
-        let cells = quick_cells();
+        let cells = run(effectiveness_quick());
         assert_eq!(cells.len(), 5 * Strategy::ALL.len());
-        assert_eq!(row_labels(&cells).len(), 5);
+        assert_eq!(GridCell::labels(&cells).len(), 5);
         // Tables render without panicking and have the right row counts.
         let scenario = effectiveness_quick();
-        assert_eq!(table1(&cells).row_count(), 5);
-        assert_eq!(table2(&cells).row_count(), 5);
-        assert_eq!(table3(&cells).row_count(), 5);
+        for table in [
+            Effectiveness::CrossRatio,
+            Effectiveness::Throughput,
+            Effectiveness::WorkloadDeviation,
+        ] {
+            assert_eq!(effectiveness(&cells, table).row_count(), 5, "{table:?}");
+        }
         assert_eq!(table4(&cells).row_count(), 6); // 5 params + input row
         assert!(fig1(&cells, &scenario).row_count() == 6);
         assert!(table6(&cells, &scenario).row_count() >= 8);
@@ -686,7 +669,7 @@ mod tests {
     /// changed constant moves the table and this test together.
     #[test]
     fn table6_prices_replication_with_the_byte_model() {
-        let cells = quick_cells();
+        let cells = run(effectiveness_quick());
         let scenario = effectiveness_quick();
         let markdown = table6(&cells, &scenario).to_markdown();
         // ["", "Replication storage", graph-based, Mosaic, hash-based, ""]
@@ -697,13 +680,14 @@ mod tests {
             .split('|')
             .map(str::trim)
             .collect();
-        let mosaic = find(&cells, &default_label(&cells), Strategy::Mosaic);
-        let k = u64::from(mosaic.params.shards());
+        let mosaic = GridCell::find(&cells, &default_label(&cells), Strategy::Mosaic).unwrap();
+        let k = u64::from(mosaic.config.params.shards());
         let total_txs = scenario.workload().unwrap().total_txs() as u64;
         let sharded = human_bytes((total_txs / k * TX_RECORD_BYTES as u64) as f64);
         assert_eq!(storage[4], sharded, "hash-based: |T|/k");
-        assert!(mosaic.total_migrations > 0);
-        let mr = human_bytes((mosaic.total_migrations * MIGRATION_REQUEST_BYTES) as f64);
+        let migrations = mosaic.summary.total_migrations;
+        assert!(migrations > 0);
+        let mr = human_bytes((migrations * MIGRATION_REQUEST_BYTES) as f64);
         assert_eq!(
             storage[3],
             format!("{sharded} + {mr} (MR)"),
@@ -713,49 +697,43 @@ mod tests {
 
     #[test]
     fn random_has_worst_cross_ratio_in_grid() {
-        let cells = quick_cells();
-        for label in row_labels(&cells) {
-            let random = find(&cells, &label, Strategy::Random).aggregate.cross_ratio;
+        let cells = run(effectiveness_quick());
+        let ratio = |label: &str, s| {
+            let cell = GridCell::find(&cells, label, s).unwrap();
+            cell.summary.aggregate.cross_ratio
+        };
+        for label in GridCell::labels(&cells) {
+            let random = ratio(&label, Strategy::Random);
             for s in [Strategy::Mosaic, Strategy::GTxAllo, Strategy::Metis] {
-                let other = find(&cells, &label, s).aggregate.cross_ratio;
+                let other = ratio(&label, s);
                 assert!(other < random, "{label}/{s}: {other} !< random {random}");
             }
         }
     }
 
+    /// Figure 1's scale: max → 5, min → 1, linear in between, all-equal
+    /// → 3; an overhead axis is inverted first, so the cheapest scores 5.
     #[test]
-    fn parallel_grid_matches_sequential() {
-        // Same seed ⇒ byte-identical CSV series and identical cell
-        // order, regardless of scheduling.
-        let grid = |parallelism| {
-            let scenario = effectiveness_quick();
-            run_scenario(&scenario.with_grid_parallelism(parallelism))
-        };
-        let (sequential, parallel) = (grid(Parallelism::Sequential), grid(Parallelism::Auto));
-        assert_eq!(sequential.len(), parallel.len());
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.param_label, p.param_label);
-            assert_eq!(s.result.strategy, p.result.strategy);
-            assert_eq!(s.result.to_csv(), p.result.to_csv(), "{}", s.param_label);
-            assert_eq!(s.result.total_migrations, p.result.total_migrations);
-        }
+    fn fig1_normalises_each_axis_to_1_5() {
+        assert_eq!(normalise([10.0, 20.0, 30.0]), [1.0, 3.0, 5.0]);
+        assert_eq!(normalise([7.0, 7.0, 7.0]), [3.0; 3]);
+        assert_eq!(normalise([1.0, 4.0, 4.0].map(|v| 1.0 / v)), [5.0, 1.0, 1.0]);
     }
 
     /// A report on a `stream-csv` spec, over a resident and over a
     /// streamed trace, leaves exactly the grid's CSVs in the directory.
     #[test]
     fn report_writes_only_the_grid_csvs() {
-        let resident = effectiveness_quick();
-        let mut streamed = resident.clone();
-        streamed.trace =
-            mosaic_workload::TraceSource::StreamedGenerated(resident.workload().unwrap().clone());
-        for (name, scenario) in [("resident", resident), ("streamed", streamed)] {
+        for name in ["resident", "streamed"] {
             let dir = std::env::temp_dir().join(format!("mosaic-report-observers-{name}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let session = Simulation::from_scenario(
-                scenario.with_observers([ObserverSpec::StreamCsv(dir.clone())]),
-            )
-            .unwrap();
+            let scenario = match name {
+                "resident" => {
+                    effectiveness_quick().with_observers([ObserverSpec::StreamCsv(dir.clone())])
+                }
+                _ => streamed(effectiveness_quick(), &dir),
+            };
+            let session = Simulation::from_scenario(scenario).unwrap();
             let text = report(&session).unwrap();
             assert!(text.contains("Table V"), "{name}");
             let single_point = session.scenario().is_single_point();
@@ -775,11 +753,35 @@ mod tests {
         }
     }
 
+    /// The ablations run on a streamed spec too, print the same text as
+    /// on its resident twin and write no file; a file trace has no churn
+    /// knob, which is an error, not a panic.
+    #[test]
+    fn ablations_of_a_streamed_spec_match_its_resident_twin() {
+        let dir = std::env::temp_dir().join("mosaic-ablation-streamed");
+        let _ = std::fs::remove_dir_all(&dir);
+        let resident = Simulation::from_scenario(ablation_quick()).unwrap();
+        let twin = Simulation::from_scenario(streamed(ablation_quick(), &dir)).unwrap();
+        assert!(twin.trace().is_none());
+        let text = ablations(&resident).unwrap();
+        assert_eq!(ablations(&twin).unwrap(), text);
+        assert!(!dir.exists(), "a derived study wrote rows");
+
+        let csv = Scenario {
+            trace: TraceSource::csv("unread.csv"),
+            ..ablation_quick()
+        };
+        let session = Simulation::with_trace(csv, resident.trace().unwrap()).unwrap();
+        let err = churn_ablation(&session).unwrap_err();
+        assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
+        assert!(err.to_string().contains("churn"), "{err}");
+    }
+
     #[test]
     fn table5_is_monotonic_in_shape() {
         // Smoke test: the sweep runs and produces 5 rows; monotonicity is
         // asserted loosely (β=1 may regress slightly, as in the paper).
-        let t = table5(&run_scenario(&beta_quick()));
+        let t = table5(&run(beta_quick()));
         assert_eq!(t.row_count(), 5);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Cells of an experiment grid are independent (same trace, different
 //! strategy × parameter pair) and each runs for seconds, so
-//! [`crate::Simulation::run_with_factory`] and
-//! [`crate::experiments::policy_ablation`] map them over scoped threads
-//! spawned per call. Results come back in input order whichever lane
+//! [`crate::Simulation::run_with_factory`] and the derived studies of
+//! [`crate::experiments`] (Table V's β sweep, the ablations) map them
+//! over scoped threads spawned per call, as many as the scenario's
+//! `grid_parallelism` allows. Results come back in input order whichever lane
 //! finishes first, so a parallel grid is byte-identical to a sequential
 //! one. Nothing inside a cell runs here: the allocators, transaction
 //! classification and the per-shard commits are one sequential pass each,

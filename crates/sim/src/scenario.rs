@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use mosaic_types::{Error, LambdaPolicy, Result, SystemParams};
 use mosaic_workload::{TraceSource, WorkloadConfig};
 
-use crate::runner::ExperimentConfig;
+use crate::engine::ExperimentConfig;
 use crate::strategy::Strategy;
 use crate::Parallelism;
 
@@ -220,7 +220,7 @@ impl GridAxis {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObserverSpec {
     /// Keep the rows in memory
-    /// ([`ExperimentResult::per_epoch`](crate::ExperimentResult::per_epoch)).
+    /// ([`GridCell::per_epoch`](crate::GridCell::per_epoch)).
     Collect,
     /// Stream each cell's rows to `<dir>/<cell>.csv` the moment they are
     /// computed (bounded memory — byte-identical to
@@ -346,20 +346,17 @@ fn slug(label: &str) -> String {
     out.trim_end_matches('-').to_string()
 }
 
-/// What kind of driver a scenario is destined for.
+/// What kind of driver a scenario's cells are expanded for
+/// ([`Scenario::cells_for`]).
 ///
-/// The default, [`RunTarget::Offline`], is the batch simulator
-/// ([`Simulation`](crate::session::Simulation)). [`RunTarget::Node`]
-/// marks the spec as driving a live `mosaic-node` service (serve or
-/// replay): per-epoch rows then live on the node, so observers that
-/// accumulate results in the driving process (`collect`) are rejected
-/// by [`Scenario::validate`]. Serialised as `target = node` — omitted
-/// entirely for the offline default, keeping existing `.scenario`
-/// files byte-stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`RunTarget::Offline`] is the batch simulator
+/// ([`Simulation`](crate::session::Simulation)). [`RunTarget::Node`] is
+/// a live `mosaic-node` service (serve or replay): per-epoch rows then
+/// live on the node, so observers that accumulate results in the
+/// driving process (`collect`) are rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunTarget {
-    /// Batch simulator runs (the default).
-    #[default]
+    /// Batch simulator runs.
     Offline,
     /// A live `mosaic-node` service (serve / replay).
     Node,
@@ -368,7 +365,7 @@ pub enum RunTarget {
 impl RunTarget {
     /// Checks the target-specific spec invariants — the single home for
     /// every "this spec cannot drive that kind of driver" rule, called
-    /// by [`Scenario::validate`]. [`RunTarget::Offline`] accepts any
+    /// by [`Scenario::cells_for`]. [`RunTarget::Offline`] accepts any
     /// otherwise-valid spec; [`RunTarget::Node`] rejects observers that
     /// would accumulate rows in the driving process, because a node
     /// run's per-epoch rows live on the service.
@@ -429,9 +426,6 @@ pub struct Scenario {
     pub cell_parallelism: Parallelism,
     /// The observer stack applied to every cell.
     pub observers: Vec<ObserverSpec>,
-    /// The driver this spec is destined for (offline simulator vs live
-    /// `mosaic-node` service).
-    pub target: RunTarget,
 }
 
 /// One `key = value` line of the text being parsed, trimmed.
@@ -630,9 +624,6 @@ const LINES: &[Line] = &[
              |d, f| parse_parallelism(f.value, f.line).map(|v| d.scenario.cell_parallelism = v)),
     optional("observers", |s| Some(join(&s.observers, ObserverSpec::to_token)),
              |d, f| f.list(|t| ObserverSpec::parse_token(t, f.line)).map(|v| d.scenario.observers = v)),
-    // Written only for the node target, so offline files stay byte-stable.
-    optional("target", |s| (s.target == RunTarget::Node).then(|| "node".to_string()),
-             |d, f| parse_target(f).map(|v| d.scenario.target = v)),
 ];
 
 fn keys() -> impl Iterator<Item = &'static Key> {
@@ -670,14 +661,6 @@ fn parse_strategy(token: &str, line: usize) -> Result<Strategy> {
     })
 }
 
-fn parse_target(field: &Field<'_>) -> Result<RunTarget> {
-    match field.value {
-        "offline" => Ok(RunTarget::Offline),
-        "node" => Ok(RunTarget::Node),
-        other => Err(field.error(format!("unknown target {other:?}; valid: offline, node"))),
-    }
-}
-
 fn join<T>(items: &[T], token: impl Fn(&T) -> String) -> String {
     items.iter().map(token).collect::<Vec<_>>().join(", ")
 }
@@ -700,7 +683,6 @@ impl Scenario {
             grid_parallelism: Parallelism::Auto,
             cell_parallelism: Parallelism::Sequential,
             observers: vec![ObserverSpec::Collect],
-            target: RunTarget::Offline,
         }
     }
 
@@ -731,12 +713,6 @@ impl Scenario {
     /// Replaces the observer stack.
     pub fn with_observers(mut self, observers: impl Into<Vec<ObserverSpec>>) -> Self {
         self.observers = observers.into();
-        self
-    }
-
-    /// Sets the run target (offline simulator vs `mosaic-node` service).
-    pub fn with_target(mut self, target: RunTarget) -> Self {
-        self.target = target;
         self
     }
 
@@ -812,24 +788,19 @@ impl Scenario {
         Ok(cells)
     }
 
-    /// [`Scenario::cells`] under an explicit [`RunTarget`]: validates
-    /// and expands the spec as `target` would see it, without the
-    /// caller cloning and re-tagging the scenario by hand. A
-    /// `mosaic-node` service expands with
-    /// `scenario.cells_for(RunTarget::Node)` whatever target the file
-    /// declared, so node-incompatible specs (e.g. a `collect` observer)
-    /// are rejected up front.
+    /// [`Scenario::cells`] for a `target` driver: applies
+    /// [`RunTarget::validate`], then expands. A `mosaic-node` service
+    /// expands with `scenario.cells_for(RunTarget::Node)`, so
+    /// node-incompatible specs (e.g. a `collect` observer) are rejected
+    /// up front.
     ///
     /// # Errors
     ///
-    /// As [`Scenario::cells`], plus the target rules of
-    /// [`RunTarget::validate`] for `target`.
+    /// The target rules of [`RunTarget::validate`], then as
+    /// [`Scenario::cells`].
     pub fn cells_for(&self, target: RunTarget) -> Result<Vec<CellSpec>> {
-        if self.target == target {
-            self.cells()
-        } else {
-            self.clone().with_target(target).cells()
-        }
+        target.validate(self)?;
+        self.cells()
     }
 
     /// Checks scenario-level invariants (strategy set, protocol fields,
@@ -877,9 +848,6 @@ impl Scenario {
                  use stream-csv:<dir> instead",
             ));
         }
-        // Target-specific rules (e.g. node runs keep their rows on the
-        // service) live with the RunTarget type, one arm per target.
-        self.target.validate(self)?;
         if let Some(dup) = self
             .observers
             .iter()
@@ -1104,20 +1072,6 @@ mod tests {
         assert_eq!(points[0].label, "k = 16");
     }
 
-    #[test]
-    fn text_roundtrip_is_exact_for_presets() {
-        for (file, text) in crate::specs::PRESETS {
-            let scenario = Scenario::parse(text).unwrap();
-            // The file is canonical, and text → spec → text → spec is stable.
-            assert_eq!(scenario.to_text(), text, "{file}.scenario is not canonical");
-            assert_eq!(
-                Scenario::parse(&scenario.to_text()).unwrap(),
-                scenario,
-                "{file}"
-            );
-        }
-    }
-
     /// Every axis kind, observer kind and non-default protocol field.
     fn kitchen_sink() -> Scenario {
         let scenario = Scenario::new("kitchen-sink", TraceSource::csv("data/eth.csv"), 7)
@@ -1165,7 +1119,7 @@ mod tests {
     #[test]
     fn the_key_table_drives_print_parse_and_the_valid_key_list() {
         let names: Vec<&str> = keys().map(|key| key.name).collect();
-        assert_eq!(names.len(), 27);
+        assert_eq!(names.len(), 26);
         for (i, name) in names.iter().enumerate() {
             assert!(!names[..i].contains(name), "key {name} declared twice");
         }
@@ -1181,8 +1135,7 @@ mod tests {
         }
 
         // to_text writes the keys in table order, the axis lines where
-        // the table puts them; the csv trace omits the workload keys and
-        // the offline target omits its own.
+        // the table puts them; the csv trace omits the workload keys.
         let scenario = kitchen_sink();
         let mut expected = Vec::new();
         for line in LINES {
@@ -1198,10 +1151,10 @@ mod tests {
         }
         let omitted: Vec<String> = expected
             .iter()
-            .filter(|k| k.starts_with("workload.") || *k == "target")
+            .filter(|k| k.starts_with("workload."))
             .cloned()
             .collect();
-        assert_eq!(omitted.len(), 12, "{omitted:?}");
+        assert_eq!(omitted.len(), 11, "{omitted:?}");
         expected.retain(|k| !omitted.contains(k));
         let text = scenario.to_text();
         let written: Vec<&str> = text
@@ -1304,84 +1257,27 @@ mod tests {
         assert!(fixed.validate().is_ok());
     }
 
+    /// The offline target takes any valid spec; the node target refuses
+    /// a `collect` observer, whose rows would live on the service, and
+    /// expands a streaming spec to the offline cells.
     #[test]
-    fn node_target_roundtrips_and_rejects_collect() {
-        let node = quick().with_target(RunTarget::Node);
-        let text = node.to_text();
-        assert!(text.contains("target = node"), "{text}");
-        let back = Scenario::parse(&text).unwrap();
-        assert_eq!(back, node);
-        assert_eq!(back.target, RunTarget::Node);
-        // Offline scenarios never emit the key, so checked-in files are
-        // byte-stable across the target's introduction.
-        let offline = quick();
-        assert!(
-            !offline.to_text().contains("target"),
-            "{}",
-            offline.to_text()
-        );
+    fn cells_for_applies_the_target_rules() {
+        let (collect, streaming) = (effectiveness_quick(), quick());
+        for spec in [&collect, &streaming] {
+            assert_eq!(spec.cells_for(RunTarget::Offline), spec.cells());
+        }
         assert_eq!(
-            Scenario::parse(&offline.to_text()).unwrap().target,
-            RunTarget::Offline
+            streaming.cells_for(RunTarget::Node).unwrap(),
+            streaming.cells().unwrap()
         );
-
-        // Node target + collect observer: rows live on the service, so
-        // there is nothing for collect to fill.
-        let bad = effectiveness_quick().with_target(RunTarget::Node);
-        let err = bad.validate().unwrap_err();
+        let err = collect.cells_for(RunTarget::Node).unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("node/replay target"), "{err}");
         assert!(err.to_string().contains("collect"), "{err}");
-
-        let err = Scenario::parse("name = x\ntrace = generated\neval_epochs = 1\ntarget = moon\n")
+        // No key names a target: `target` is refused like any unknown key.
+        let err = Scenario::parse("name = x\ntrace = generated\neval_epochs = 1\ntarget = node\n")
             .unwrap_err();
-        assert!(err.to_string().contains("unknown target"), "{err}");
-    }
-
-    #[test]
-    fn run_target_check_accepts_offline_specs_unconditionally() {
-        // The offline arm imposes no target rules: collect observers,
-        // streaming observers and grids are all the simulator's business.
-        let collect = effectiveness_quick();
-        assert!(RunTarget::Offline.validate(&collect).is_ok());
-        let streaming = quick();
-        assert!(RunTarget::Offline.validate(&streaming).is_ok());
-    }
-
-    #[test]
-    fn run_target_check_rejects_collect_observer_for_node() {
-        // Node rejection arm: rows live on the service, so an observer
-        // that fills an in-memory result set has nothing to fill.
-        let collect = effectiveness_quick();
-        let err = RunTarget::Node.validate(&collect).unwrap_err();
-        assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
-        assert!(err.to_string().contains("node/replay target"), "{err}");
-        assert!(err.to_string().contains("collect"), "{err}");
-    }
-
-    #[test]
-    fn run_target_check_accepts_streaming_observers_for_node() {
-        // The node arm only rejects in-process accumulation; stream-csv
-        // specs (every checked-in node scenario) pass untouched.
-        let streaming = quick();
-        assert!(RunTarget::Node.validate(&streaming).is_ok());
-    }
-
-    #[test]
-    fn cells_for_retags_without_mutating_the_spec() {
-        // An offline spec with streaming observers expands fine for a
-        // node driver and yields the same cells as the offline view.
-        let scenario = quick();
-        let node_cells = scenario.cells_for(RunTarget::Node).unwrap();
-        assert_eq!(node_cells, scenario.cells().unwrap());
-        assert_eq!(scenario.target, RunTarget::Offline);
-        // A collect spec is rejected through the same path...
-        let err = effectiveness_quick()
-            .cells_for(RunTarget::Node)
-            .unwrap_err();
-        assert!(err.to_string().contains("node/replay target"), "{err}");
-        // ...but stays valid for its declared offline target.
-        assert!(effectiveness_quick().cells_for(RunTarget::Offline).is_ok());
+        assert!(err.to_string().contains("unknown key \"target\""), "{err}");
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! A [`Simulation`] is the runnable form of a [`Scenario`]:
 //! [`Simulation::from_scenario`] validates the spec and expands its
 //! grid into cells; [`Simulation::run`] maps them over the scenario's
-//! `grid_parallelism` lanes, results in cell order. Each cell opens an
-//! [`EpochWindowStream`] on the session's trace and runs through
-//! [`engine::run_cell`], fanning every epoch's metric row to the
-//! scenario's observer stack.
+//! `grid_parallelism` lanes and returns one [`GridCell`] per cell, in
+//! cell order. Each cell opens an [`EpochWindowStream`] on the session's
+//! trace and runs through [`engine::run_cell`], fanning every epoch's
+//! metric row to the scenario's observer stack.
 //!
 //! Source kinds differ only in where the windows come from. A resident
 //! source (`generated`, `csv`) is materialised **once** and shared
 //! behind an [`Arc`] — [`Simulation::with_trace`] builds further
-//! sessions over the same `Arc`, which is how ablation studies run
-//! several strategy variants against one workload. A streamed source
+//! sessions over the same `Arc`, which is how the derived studies of
+//! [`crate::experiments`] run against one workload. A streamed source
 //! (`TraceSource::Streamed*`) is never materialised: each cell re-opens
 //! it, and session memory is bounded by the window size, not the trace
 //! length. The output bytes are the same either way.
@@ -28,50 +28,57 @@ use mosaic_types::{BlockHeight, Error, Result};
 use mosaic_workload::csv::block_span_overflow;
 use mosaic_workload::{EpochWindowStream, TransactionTrace};
 
-use crate::engine::{self, EpochStrategy, RunSummary};
+use crate::engine::{self, EpochStrategy, ExperimentConfig, RunSummary};
 use crate::parallel::ordered_map;
-use crate::runner::ExperimentResult;
 use crate::scenario::{CellSpec, ObserverSpec, Scenario};
 use crate::strategy::Strategy;
 
-/// One grid cell outcome: a parameter label (the paper's row key) plus
-/// the measured result of one strategy.
+/// One finished grid cell: its parameter label (the paper's row key),
+/// the configuration it ran and what running it measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridCell {
     /// Row label: `"k = 4"`, `"η = 5"`, …
     pub param_label: String,
-    /// The measured experiment.
-    pub result: ExperimentResult,
+    /// The cell's strategy, parameters and protocol fields.
+    pub config: ExperimentConfig,
+    /// Per-epoch metric rows; empty unless the scenario carries a
+    /// `collect` observer.
+    pub per_epoch: Vec<EpochMetrics>,
+    /// Means and totals over the evaluation epochs.
+    pub summary: RunSummary,
 }
 
-/// The outcome of a full scenario run: one [`GridCell`] per cell, in
-/// the scenario's report order (parameter points outermost, strategies
-/// innermost).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulationReport {
-    /// All cell outcomes.
-    pub cells: Vec<GridCell>,
-}
-
-impl SimulationReport {
-    /// Looks up the result of `strategy` at the parameter point
-    /// labelled `label`.
-    pub fn find(&self, label: &str, strategy: Strategy) -> Option<&ExperimentResult> {
-        self.cells
+impl GridCell {
+    /// The cell of `strategy` at the parameter point labelled `label`.
+    pub fn find<'a>(cells: &'a [GridCell], label: &str, strategy: Strategy) -> Option<&'a Self> {
+        cells
             .iter()
-            .find(|c| c.param_label == label && c.result.strategy == strategy)
-            .map(|c| &c.result)
+            .find(|c| c.param_label == label && c.config.strategy == strategy)
     }
 
-    /// The distinct parameter-point labels, in report order.
-    pub fn labels(&self) -> Vec<String> {
+    /// The distinct parameter-point labels of `cells`, in report order.
+    pub fn labels(cells: &[GridCell]) -> Vec<String> {
         let mut labels = Vec::new();
-        for cell in &self.cells {
+        for cell in cells {
             if !labels.contains(&cell.param_label) {
                 labels.push(cell.param_label.clone());
             }
         }
         labels
+    }
+
+    /// Serialises the per-epoch series as CSV
+    /// ([`mosaic_metrics::report::EPOCH_CSV_HEADER`] + one row per
+    /// epoch), byte-identical to what the `stream-csv` observer and
+    /// [`Simulation::stream_cell`] write for the same cell.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from(mosaic_metrics::report::EPOCH_CSV_HEADER);
+        out.push('\n');
+        for (i, m) in self.per_epoch.iter().enumerate() {
+            out.push_str(&m.csv_row(i));
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -217,20 +224,9 @@ impl Simulation {
         &self.scenario
     }
 
-    /// A clone of the shared trace handle (cheap: `Arc` bump, no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session runs a streamed source — there is no
-    /// resident trace to share. Use [`Simulation::try_trace`] when the
-    /// source kind is not statically known.
-    pub fn trace(&self) -> Arc<TransactionTrace> {
-        self.try_trace()
-            .expect("streamed session holds no materialised trace; use try_trace()")
-    }
-
-    /// The shared resident trace, or `None` for a streamed session.
-    pub fn try_trace(&self) -> Option<Arc<TransactionTrace>> {
+    /// A clone of the shared resident trace handle (an `Arc` bump, no
+    /// copy), or `None` for a streamed session.
+    pub fn trace(&self) -> Option<Arc<TransactionTrace>> {
         self.trace.clone()
     }
 
@@ -240,19 +236,20 @@ impl Simulation {
     }
 
     /// Runs every cell with its registry strategy
-    /// ([`Strategy::build`]) across the scenario's grid lanes.
+    /// ([`Strategy::build`]) across the scenario's grid lanes and returns
+    /// one [`GridCell`] per cell, in cell order.
     ///
     /// # Errors
     ///
     /// Returns the first cell failure in report order — an
     /// [`Error::Io`] from a `stream-csv` observer sink.
-    pub fn run(&self) -> Result<SimulationReport> {
+    pub fn run(&self) -> Result<Vec<GridCell>> {
         self.run_with_factory(|cell| cell.config.strategy.build(cell.config.params))
     }
 
     /// [`Simulation::run`] with a caller-supplied strategy factory, for
     /// mechanisms outside the
-    /// [`Strategy`] registry (ablation policies, experimental
+    /// [`Strategy`] registry (other client policies, experimental
     /// allocators). The factory is called once per cell, possibly from
     /// several threads at once; `cell.config.strategy` still labels the
     /// result.
@@ -260,7 +257,7 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns the first cell failure in report order.
-    pub fn run_with_factory<F>(&self, factory: F) -> Result<SimulationReport>
+    pub fn run_with_factory<F>(&self, factory: F) -> Result<Vec<GridCell>>
     where
         F: Fn(&CellSpec) -> Box<dyn EpochStrategy> + Sync,
     {
@@ -283,11 +280,7 @@ impl Simulation {
             recorder.flush();
             mosaic_telemetry::install_global(Recorder::disabled());
         }
-        let mut cells = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            cells.push(outcome?);
-        }
-        Ok(SimulationReport { cells })
+        outcomes.into_iter().collect()
     }
 
     /// Installs the process-wide telemetry recorder for a
@@ -312,7 +305,7 @@ impl Simulation {
     }
 
     /// A fresh window stream over the session's trace.
-    fn open_stream(&self) -> Result<EpochWindowStream> {
+    pub(crate) fn open_stream(&self) -> Result<EpochWindowStream> {
         match &self.trace {
             Some(trace) => Ok(EpochWindowStream::resident(Arc::clone(trace))),
             None => self.scenario.trace.window_stream(),
@@ -409,7 +402,9 @@ impl Simulation {
         }
         Ok(GridCell {
             param_label: cell.label.clone(),
-            result: ExperimentResult::new(&cell.config, per_epoch, &summary),
+            config: cell.config,
+            per_epoch,
+            summary,
         })
     }
 }
@@ -424,9 +419,7 @@ fn io_error(path: impl std::fmt::Display, e: &dyn std::fmt::Display) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::GridAxis;
     use crate::specs::quick;
-    use crate::Parallelism;
     use mosaic_workload::TraceSource;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -450,8 +443,8 @@ mod tests {
     fn with_trace_rejects_streamed_sources() {
         let resident = Simulation::from_scenario(quick_scenario()).unwrap();
         let dir = std::env::temp_dir().join("mosaic-session-reject");
-        let err =
-            Simulation::with_trace(streamed_quick_scenario(&dir), resident.trace()).unwrap_err();
+        let trace = resident.trace().unwrap();
+        let err = Simulation::with_trace(streamed_quick_scenario(&dir), trace).unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("streamed trace source"), "{err}");
     }
@@ -479,7 +472,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mosaic-session-streamed");
         let resident = Simulation::from_scenario(quick_scenario()).unwrap();
         let streamed = Simulation::from_scenario(streamed_quick_scenario(&dir)).unwrap();
-        assert!(streamed.try_trace().is_none());
+        assert!(streamed.trace().is_none());
         assert_eq!(resident.cells().len(), streamed.cells().len());
         // Cell-by-cell: the streamed session's CSV stream matches the
         // resident session's exactly.
@@ -493,10 +486,10 @@ mod tests {
         // And a full run: each stream-csv file the streamed session
         // writes holds those same bytes.
         let report = streamed.run().unwrap();
-        assert_eq!(report.cells.len(), resident.cells().len());
-        for (cell, grid) in streamed.cells().iter().zip(&report.cells) {
+        assert_eq!(report.len(), resident.cells().len());
+        for (cell, grid) in streamed.cells().iter().zip(&report) {
             // No collect observer → nothing accumulated in memory.
-            assert!(grid.result.per_epoch.is_empty());
+            assert!(grid.per_epoch.is_empty());
             let path = dir.join(format!(
                 "{}.csv",
                 cell.file_stem(streamed.scenario().is_single_point())
@@ -511,57 +504,39 @@ mod tests {
     #[test]
     fn sessions_share_one_trace_allocation() {
         let a = Simulation::from_scenario(quick_scenario()).unwrap();
-        let b = Simulation::with_trace(quick_scenario(), a.trace()).unwrap();
-        assert!(Arc::ptr_eq(&a.trace(), &b.trace()));
+        let b = Simulation::with_trace(quick_scenario(), a.trace().unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&a.trace().unwrap(), &b.trace().unwrap()));
         // And grid cells borrow it too: running both sessions never
         // regenerates (pointer equality is the whole test — generation
         // is deterministic so values could never differ).
-        assert_eq!(a.run().unwrap().cells.len(), 2);
-        assert_eq!(b.run().unwrap().cells.len(), 2);
+        assert_eq!(a.run().unwrap().len(), 2);
+        assert_eq!(b.run().unwrap().len(), 2);
     }
 
     #[test]
     fn report_lookup_finds_cells_by_label_and_strategy() {
-        let report = Simulation::from_scenario(quick_scenario())
+        let cells = Simulation::from_scenario(quick_scenario())
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(report.labels(), ["k = 4"]);
-        assert!(report.find("k = 4", Strategy::Mosaic).is_some());
-        assert!(report.find("k = 4", Strategy::Metis).is_none());
-        assert!(report.find("k = 16", Strategy::Mosaic).is_none());
+        assert_eq!(GridCell::labels(&cells), ["k = 4"]);
+        assert!(GridCell::find(&cells, "k = 4", Strategy::Mosaic).is_some());
+        assert!(GridCell::find(&cells, "k = 4", Strategy::Metis).is_none());
+        assert!(GridCell::find(&cells, "k = 16", Strategy::Mosaic).is_none());
     }
 
     #[test]
-    fn grid_parallelism_does_not_change_the_report() {
-        let scenario = quick_scenario().with_axis(GridAxis::Shards(vec![2, 4]));
-        let trace = Simulation::from_scenario(scenario.clone()).unwrap().trace();
-        let sequential = Simulation::with_trace(
-            scenario
-                .clone()
-                .with_grid_parallelism(Parallelism::Sequential),
-            Arc::clone(&trace),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        let parallel = Simulation::with_trace(
-            scenario.with_grid_parallelism(Parallelism::Threads(4)),
-            trace,
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        // Timing fields are wall-clock and run-dependent; everything the
-        // engine computes must be identical.
-        assert_eq!(sequential.cells.len(), parallel.cells.len());
-        for (s, p) in sequential.cells.iter().zip(&parallel.cells) {
-            assert_eq!(s.param_label, p.param_label);
-            assert_eq!(s.result.strategy, p.result.strategy);
-            assert_eq!(s.result.to_csv(), p.result.to_csv());
-            assert_eq!(s.result.aggregate, p.result.aggregate);
-            assert_eq!(s.result.total_migrations, p.result.total_migrations);
-        }
+    fn streaming_run_aborts_on_sink_failure() {
+        // A sink with room for the header and roughly one row: the
+        // cell stops at the failing epoch with the sink's error.
+        let sim = Simulation::from_scenario(quick()).unwrap();
+        let mut room = [0u8; mosaic_metrics::report::EPOCH_CSV_HEADER.len() + 40];
+        let mut sink = &mut room[..];
+        let err = sim.stream_cell(&sim.cells()[0], &mut sink).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io { path, .. } if path == "<stream sink>"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -606,9 +581,8 @@ mod tests {
         let sim = Simulation::from_scenario(quick_scenario())
             .unwrap()
             .with_observer(Box::new(StopAfterOne));
-        let report = sim.run().unwrap();
-        for cell in &report.cells {
-            assert_eq!(cell.result.per_epoch.len(), 2, "{}", cell.param_label);
+        for cell in sim.run().unwrap() {
+            assert_eq!(cell.per_epoch.len(), 2, "{}", cell.param_label);
         }
     }
 
@@ -663,14 +637,14 @@ mod tests {
         use mosaic_core::policy::StickyPolicy;
         let sim = Simulation::from_scenario(quick_scenario().with_strategies([Strategy::Mosaic]))
             .unwrap();
-        let report = sim
+        let cells = sim
             .run_with_factory(|cell| {
                 Box::new(MosaicStrategy::new(cell.config.params, StickyPolicy))
             })
             .unwrap();
         // Sticky never proposes, so the custom strategy is observably
         // different from the registry Pilot while keeping its label.
-        assert_eq!(report.cells[0].result.strategy, Strategy::Mosaic);
-        assert_eq!(report.cells[0].result.total_migrations, 0);
+        assert_eq!(cells[0].config.strategy, Strategy::Mosaic);
+        assert_eq!(cells[0].summary.total_migrations, 0);
     }
 }

@@ -48,17 +48,6 @@ impl Strategy {
         }
     }
 
-    /// `true` for the client-driven strategy (allocation via migration
-    /// requests on the beacon chain rather than miner recomputation).
-    pub fn is_client_driven(&self) -> bool {
-        matches!(self, Strategy::Mosaic)
-    }
-
-    /// `true` for strategies that never react to transaction patterns.
-    pub fn is_static(&self) -> bool {
-        matches!(self, Strategy::Random)
-    }
-
     /// The registry: resolves this strategy to its [`EpochStrategy`]
     /// implementation for one experiment cell. This is the *only* place
     /// the five paper strategies are matched — the epoch protocol itself
@@ -129,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn classification() {
-        assert!(Strategy::Mosaic.is_client_driven());
-        assert!(!Strategy::GTxAllo.is_client_driven());
-        assert!(Strategy::Random.is_static());
-        assert!(!Strategy::Mosaic.is_static());
-        assert_eq!(Strategy::Mosaic.to_string(), "Pilot");
-    }
-
-    #[test]
     fn registry_agrees_with_enum_metadata() {
         let params = mosaic_types::SystemParams::builder()
             .shards(4)
@@ -148,10 +128,11 @@ mod tests {
             let built = strategy.build(params);
             assert_eq!(
                 built.is_client_driven(),
-                strategy.is_client_driven(),
+                strategy == Strategy::Mosaic,
                 "{strategy}: registry kind mismatch"
             );
             assert_eq!(built.name(), strategy.name(), "{strategy}: name mismatch");
+            assert_eq!(built.name(), strategy.to_string());
         }
     }
 }

@@ -29,7 +29,7 @@ fn main() -> Result<(), mosaic::types::Error> {
     if let Some(w) = &workload {
         println!("workload: {} txs over {} blocks", w.total_txs(), w.blocks);
     }
-    let report = session.run()?;
+    let cells = session.run()?;
 
     let mut table = TextTable::new([
         "strategy",
@@ -40,13 +40,17 @@ fn main() -> Result<(), mosaic::types::Error> {
         "input bytes",
         "migrations",
     ]);
-    let label = report.labels().into_iter().next().expect("one point");
+    let label = GridCell::labels(&cells)
+        .into_iter()
+        .next()
+        .expect("one point");
+    let find = |strategy| GridCell::find(&cells, &label, strategy).map(|cell| &cell.summary);
     for strategy in Strategy::ALL {
-        let Some(r) = report.find(&label, strategy) else {
+        let Some(r) = find(strategy) else {
             continue;
         };
         table.push_row([
-            r.strategy.name().to_string(),
+            strategy.name().to_string(),
             format!("{:.2}%", r.aggregate.cross_ratio * 100.0),
             format!("{:.2}", r.aggregate.normalized_throughput),
             format!("{:.2}", r.aggregate.workload_deviation),
@@ -58,10 +62,7 @@ fn main() -> Result<(), mosaic::types::Error> {
     println!("{table}");
 
     // The same speed story as Table IV, phrased as a ratio.
-    if let (Some(pilot), Some(gtxallo)) = (
-        report.find(&label, Strategy::Mosaic),
-        report.find(&label, Strategy::GTxAllo),
-    ) {
+    if let (Some(pilot), Some(gtxallo)) = (find(Strategy::Mosaic), find(Strategy::GTxAllo)) {
         if pilot.mean_alloc_seconds > 0.0 {
             println!(
                 "Pilot is {:.0}x faster per decision than G-TxAllo per epoch \

@@ -91,8 +91,8 @@ fn main() -> Result<(), mosaic::types::Error> {
     let scenario = Scenario::new("client-wallet-network", quick.trace, quick.eval_epochs)
         .with_base(quick.base.with_shards(4)?)
         .with_strategies([Strategy::Mosaic]);
-    let report = Simulation::from_scenario(scenario)?.run()?;
-    let r = &report.cells[0].result;
+    let cells = Simulation::from_scenario(scenario)?.run()?;
+    let r = &cells[0].summary;
     println!(
         "network-wide, every wallet deciding like this one: cross-ratio {:.2}%, \
          mean Pilot input {} per client",

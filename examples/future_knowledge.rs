@@ -17,15 +17,16 @@ fn main() -> Result<(), mosaic::types::Error> {
         "/scenarios/beta-sweep-quick.scenario"
     ))?;
 
-    let report = Simulation::from_scenario(scenario)?.run()?;
+    let cells = Simulation::from_scenario(scenario)?.run()?;
 
     let mut table = TextTable::new(["beta", "cross-ratio", "throughput", "deviation"]);
-    for cell in &report.cells {
+    for cell in &cells {
+        let a = &cell.summary.aggregate;
         table.push_row([
             cell.param_label.clone(),
-            format!("{:.2}%", cell.result.aggregate.cross_ratio * 100.0),
-            format!("{:.2}", cell.result.aggregate.normalized_throughput),
-            format!("{:.2}", cell.result.aggregate.workload_deviation),
+            format!("{:.2}%", a.cross_ratio * 100.0),
+            format!("{:.2}", a.normalized_throughput),
+            format!("{:.2}", a.workload_deviation),
         ]);
     }
     println!("{table}");

@@ -82,8 +82,8 @@ fn main() -> Result<(), mosaic::types::Error> {
     .with_base(quick.base.with_shards(4)?)
     .with_axis(GridAxis::Beta(vec![0.0, 1.0]))
     .with_strategies([Strategy::Mosaic]);
-    let report = Simulation::from_scenario(scenario)?.run()?;
-    let (blind, informed) = (&report.cells[0].result, &report.cells[1].result);
+    let cells = Simulation::from_scenario(scenario)?.run()?;
+    let (blind, informed) = (&cells[0].summary, &cells[1].summary);
     println!(
         "under heavy churn, informed self-placement moves the network-wide \
          cross-ratio from {:.2}% (β = 0) to {:.2}% (β = 1)",

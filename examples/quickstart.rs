@@ -82,8 +82,8 @@ fn main() -> Result<(), mosaic::types::Error> {
     let scenario = Scenario::new("quickstart", quick.trace, quick.eval_epochs)
         .with_base(quick.base.with_shards(4)?)
         .with_strategies([Strategy::Mosaic]);
-    let report = Simulation::from_scenario(scenario)?.run()?;
-    let r = &report.cells[0].result;
+    let cells = Simulation::from_scenario(scenario)?.run()?;
+    let r = &cells[0].summary;
     println!(
         "\nthe same experiment as data ({} eval epochs via Scenario/Simulation):\n\
          cross-ratio {:.2}%, throughput {:.2}, deviation {:.2}, {} migrations",

@@ -90,13 +90,13 @@
 //!
 //! // Any ClientPolicy slots into the client-driven wrapper; any custom
 //! // EpochStrategy impl can be driven the same way.
-//! let report = Simulation::from_scenario(scenario)?.run_with_factory(|cell| {
+//! let cells = Simulation::from_scenario(scenario)?.run_with_factory(|cell| {
 //!     Box::new(MosaicStrategy::new(
 //!         cell.config.params,
 //!         mosaic::core::policy::PilotPolicy,
 //!     ))
 //! })?;
-//! assert_eq!(report.cells[0].result.per_epoch.len(), quick.eval_epochs);
+//! assert_eq!(cells[0].per_epoch.len(), quick.eval_epochs);
 //! # Ok(())
 //! # }
 //! ```
@@ -127,8 +127,7 @@ pub mod prelude {
     pub use mosaic_node::{MosaicClient, Request, Response, Wire};
     pub use mosaic_partition::{GlobalAllocator, HashAllocator, MetisPartitioner};
     pub use mosaic_sim::{
-        EpochStrategy, ExperimentConfig, ExperimentResult, Parallelism, Scenario, Simulation,
-        Strategy,
+        EpochStrategy, ExperimentConfig, GridCell, Parallelism, Scenario, Simulation, Strategy,
     };
     pub use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig};
     pub use mosaic_txgraph::{GraphBuilder, TxGraph};

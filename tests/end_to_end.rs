@@ -17,16 +17,16 @@ fn quick() -> Scenario {
 
 /// One `strategy` cell at `k = 4` on the quick scale over `trace`, rows
 /// collected.
-fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) -> ExperimentResult {
+fn run_quick_cell(strategy: Strategy, epochs: usize, trace: TransactionTrace) -> GridCell {
     let quick = quick();
     let scenario = Scenario::new("end-to-end", quick.trace, epochs)
         .with_base(quick.base.with_shards(4).unwrap())
         .with_strategies([strategy]);
-    let report = Simulation::with_trace(scenario, Arc::new(trace))
+    Simulation::with_trace(scenario, Arc::new(trace))
         .unwrap()
         .run()
-        .unwrap();
-    report.cells.into_iter().next().unwrap().result
+        .unwrap()
+        .remove(0)
 }
 
 /// Runs the Mosaic strategy on the quick scale and returns everything

@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use mosaic::prelude::*;
 use mosaic::sim::engine::{self, History};
-use mosaic::sim::experiments;
 use mosaic::types::Error;
 use mosaic::workload::EpochWindowStream;
 
@@ -31,9 +30,8 @@ fn quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> Simulation {
     Simulation::with_trace(scenario, Arc::clone(trace)).unwrap()
 }
 
-fn run_quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> ExperimentResult {
-    let report = quick_cell(strategy, trace).run().unwrap();
-    report.cells.into_iter().next().unwrap().result
+fn run_quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> GridCell {
+    quick_cell(strategy, trace).run().unwrap().remove(0)
 }
 
 #[test]
@@ -70,24 +68,28 @@ fn full_runs_stay_within_shard_bounds_for_every_strategy() {
     let quick = quick();
     let trace = Arc::new(generate(quick.workload().unwrap()).into_trace());
     for strategy in Strategy::ALL {
-        let result = run_quick_cell(strategy, &trace);
-        assert_eq!(result.strategy, strategy);
-        assert_eq!(result.per_epoch.len(), quick.eval_epochs);
-        for epoch in &result.per_epoch {
+        let cell = run_quick_cell(strategy, &trace);
+        assert_eq!(cell.config.strategy, strategy);
+        assert_eq!(cell.per_epoch.len(), quick.eval_epochs);
+        for epoch in &cell.per_epoch {
             assert!(epoch.cross_ratio >= 0.0 && epoch.cross_ratio <= 1.0);
         }
+        assert!(
+            cell.summary.aggregate.normalized_throughput > 0.0,
+            "{strategy} throughput zero"
+        );
     }
 }
 
 #[test]
 fn streamed_cell_matches_collected_cell() {
     // `Simulation::stream_cell` (rows straight to a sink) must write
-    // exactly the bytes `ExperimentResult::to_csv` renders from the
-    // collected rows, and report a bit-identical aggregate.
+    // exactly the bytes `GridCell::to_csv` renders from the collected
+    // rows, and report a bit-identical aggregate.
     let trace = Arc::new(generate(quick().workload().unwrap()).into_trace());
     for strategy in Strategy::ALL {
         let sim = quick_cell(strategy, &trace);
-        let collected = sim.run().unwrap().cells.remove(0).result;
+        let collected = sim.run().unwrap().remove(0);
         let mut bytes: Vec<u8> = Vec::new();
         let summary = sim.stream_cell(&sim.cells()[0], &mut bytes).unwrap();
         assert_eq!(
@@ -95,7 +97,7 @@ fn streamed_cell_matches_collected_cell() {
             collected.to_csv(),
             "{strategy}"
         );
-        assert_eq!(summary.aggregate, collected.aggregate, "{strategy}");
+        assert_eq!(summary.aggregate, collected.summary.aggregate, "{strategy}");
     }
 }
 
@@ -116,20 +118,25 @@ fn parallel_grid_output_is_byte_identical_to_sequential() {
     ))
     .unwrap();
     let grid = |parallelism| {
-        experiments::run_scenario(&effectiveness.clone().with_grid_parallelism(parallelism))
+        let scenario = effectiveness.clone().with_grid_parallelism(parallelism);
+        Simulation::from_scenario(scenario).unwrap().run().unwrap()
     };
+    // Four real lanes whatever the machine's core count: `Auto` is one
+    // lane on a one-core box, which would compare sequential with
+    // sequential.
     let sequential = grid(Parallelism::Sequential);
-    let parallel = grid(Parallelism::Auto);
+    let parallel = grid(Parallelism::Threads(4));
 
-    let csv = |cells: &[experiments::GridCell]| -> String {
+    let csv = |cells: &[GridCell]| -> String {
         cells
             .iter()
             .map(|c| {
                 format!(
-                    "# {} / {}\n{}",
+                    "# {} / {} / {}\n{}",
                     c.param_label,
-                    c.result.strategy,
-                    c.result.to_csv()
+                    c.config.strategy,
+                    c.summary.total_migrations,
+                    c.to_csv()
                 )
             })
             .collect()

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use mosaic::metrics::EpochCsvWriter;
 use mosaic::prelude::*;
 use mosaic::sim::engine::{self, RunSummary};
-use mosaic::sim::{experiments, ObserverSpec, Scenario, Simulation};
+use mosaic::sim::experiments::{effectiveness, Effectiveness};
+use mosaic::sim::{GridCell, ObserverSpec, Scenario, Simulation};
 use mosaic::workload::{EpochWindowStream, TraceSource, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -34,11 +35,7 @@ fn csv_of(config: &ExperimentConfig, mut stream: EpochWindowStream) -> (Vec<u8>,
 /// parameter points (§V-A: `k ∈ {4, 16, 32}` at `η = 2`, then
 /// `η ∈ {5, 10}` at `k = 16`) × every strategy, each cell straight
 /// through `engine::run_cell` with no scenario expansion in between.
-fn manual_grid(
-    tau: u32,
-    eval_epochs: usize,
-    trace: &Arc<TransactionTrace>,
-) -> Vec<experiments::GridCell> {
+fn manual_grid(tau: u32, eval_epochs: usize, trace: &Arc<TransactionTrace>) -> Vec<GridCell> {
     let points = [
         ("k = 4", 4, 2.0),
         ("k = 16", 16, 2.0),
@@ -68,9 +65,11 @@ fn manual_grid(
                 },
             )
             .unwrap();
-            cells.push(experiments::GridCell {
+            cells.push(GridCell {
                 param_label: label.to_string(),
-                result: ExperimentResult::new(&config, per_epoch, &summary),
+                config,
+                per_epoch,
+                summary,
             });
         }
     }
@@ -244,28 +243,32 @@ fn checked_in_effectiveness_scenario_reproduces_the_table1_grid() {
     let scenario = Scenario::load(scenarios_dir().join("effectiveness-quick.scenario")).unwrap();
     let trace = Arc::new(generate(scenario.workload().unwrap()).into_trace());
     let manual = manual_grid(scenario.base.tau(), scenario.eval_epochs, &trace);
-    let report = Simulation::from_scenario(scenario).unwrap().run().unwrap();
+    let cells = Simulation::from_scenario(scenario).unwrap().run().unwrap();
 
-    assert_eq!(report.cells.len(), manual.len());
-    for (cell, oracle) in report.cells.iter().zip(&manual) {
+    assert_eq!(cells.len(), manual.len());
+    for (cell, oracle) in cells.iter().zip(&manual) {
         assert_eq!(cell.param_label, oracle.param_label);
-        assert_eq!(cell.result.strategy, oracle.result.strategy);
-        assert_eq!(cell.result.to_csv(), oracle.result.to_csv());
-        assert_eq!(cell.result.aggregate, oracle.result.aggregate);
-        assert_eq!(cell.result.total_migrations, oracle.result.total_migrations);
+        assert_eq!(cell.config, oracle.config);
+        assert_eq!(cell.to_csv(), oracle.to_csv());
+        assert_eq!(cell.summary.aggregate, oracle.summary.aggregate);
+        assert_eq!(
+            cell.summary.total_migrations,
+            oracle.summary.total_migrations
+        );
     }
     assert_eq!(
-        experiments::table1(&report.cells).to_string(),
-        experiments::table1(&manual).to_string(),
+        effectiveness(&cells, Effectiveness::CrossRatio).to_string(),
+        effectiveness(&manual, Effectiveness::CrossRatio).to_string(),
         "Table I rendered from the scenario file diverged from the hand-wired grid"
     );
 }
 
 /// Every checked-in spec — the presets under `scenarios/` and the
 /// benchmark's frozen `bench/workloads/` — parses, expands into cells
-/// and is byte-for-byte its canonical text; a generated trace leaves at
-/// least one τ-block epoch after the training cut. Two presets are
-/// derived from other files and must stay so.
+/// and is byte-for-byte its canonical text; a generated trace leaves
+/// room for every evaluation epoch (`eval_epochs × τ` blocks) after the
+/// training cut. Two presets are derived from other files and must stay
+/// so.
 #[test]
 fn checked_in_scenario_files_are_canonical_presets() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -285,9 +288,11 @@ fn checked_in_scenario_files_are_canonical_presets() {
                 workload.validate().unwrap();
                 let train_blocks =
                     (workload.blocks as f64 * scenario.train_fraction).floor() as u64;
+                let eval_blocks = scenario.eval_epochs as u64 * u64::from(scenario.base.tau());
                 assert!(
-                    workload.blocks - train_blocks >= u64::from(scenario.base.tau()),
-                    "{name}: evaluation tail shorter than one epoch"
+                    workload.blocks - train_blocks >= eval_blocks,
+                    "{name}: evaluation tail shorter than {} epochs",
+                    scenario.eval_epochs
                 );
             }
             checked += 1;

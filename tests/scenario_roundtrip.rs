@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use mosaic::sim::scenario::{Capacity, GridAxis, ObserverSpec, RunTarget, Scenario};
+use mosaic::sim::scenario::{Capacity, GridAxis, ObserverSpec, Scenario};
 use mosaic::sim::{Parallelism, Strategy};
 use mosaic::types::{LambdaPolicy, SystemParams};
 use mosaic::workload::{TraceSource, WorkloadConfig};
@@ -70,9 +70,7 @@ proptest! {
         cell_par in 0u8..3,
         workers in 1usize..16,
         trace_kind in 0u8..4,
-        target_kind in 0u8..2,
     ) {
-        let node_target = target_kind == 1;
         let trace = match trace_kind {
             0 => TraceSource::Generated(WorkloadConfig::small_test(seed)),
             1 => TraceSource::csv(format!("data/trace-{seed}.csv")),
@@ -98,10 +96,9 @@ proptest! {
             .map(|(_, s)| s)
             .collect();
         let stream_dir = PathBuf::from(format!("out/run-{seed}"));
-        // Streamed sources and node targets both reject the collect
-        // observer (validate()), so those specs always observe through
-        // stream-csv only.
-        let observers = if trace.is_streamed() || node_target {
+        // Streamed sources reject the collect observer (validate()), so
+        // those specs always observe through stream-csv only.
+        let observers = if trace.is_streamed() {
             vec![ObserverSpec::StreamCsv(stream_dir)]
         } else {
             match observer_kind {
@@ -140,11 +137,6 @@ proptest! {
             grid_parallelism: parallelism(grid_par, workers),
             cell_parallelism: parallelism(cell_par, workers),
             observers,
-            target: if node_target {
-                RunTarget::Node
-            } else {
-                RunTarget::Offline
-            },
         };
         prop_assert!(scenario.validate().is_ok(), "generated scenario invalid");
 

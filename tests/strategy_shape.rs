@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use mosaic::prelude::*;
 use mosaic::sim::Simulation;
 
-fn quick_results(k: u16) -> Vec<ExperimentResult> {
+fn quick_results(k: u16) -> Vec<GridCell> {
     let quick = Scenario::load(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/scenarios/quick.scenario"
@@ -25,40 +25,36 @@ fn quick_results(k: u16) -> Vec<ExperimentResult> {
         quick.eval_epochs,
     )
     .with_base(quick.base.with_shards(k).unwrap());
-    Simulation::from_scenario(scenario)
-        .unwrap()
-        .run()
-        .unwrap()
-        .cells
-        .into_iter()
-        .map(|cell| cell.result)
-        .collect()
+    Simulation::from_scenario(scenario).unwrap().run().unwrap()
 }
 
 /// The quick grid at k = 8, run once per test binary.
-fn at_k8() -> &'static [ExperimentResult] {
-    static RESULTS: OnceLock<Vec<ExperimentResult>> = OnceLock::new();
+fn at_k8() -> &'static [GridCell] {
+    static RESULTS: OnceLock<Vec<GridCell>> = OnceLock::new();
     RESULTS.get_or_init(|| quick_results(8))
 }
 
-fn result(results: &[ExperimentResult], s: Strategy) -> &ExperimentResult {
+fn result(results: &[GridCell], s: Strategy) -> &GridCell {
     results
         .iter()
-        .find(|r| r.strategy == s)
+        .find(|r| r.config.strategy == s)
         .expect("strategy ran")
 }
 
 #[test]
 fn pattern_aware_beats_random_on_cross_ratio_at_k8() {
     let results = at_k8();
-    let random = result(results, Strategy::Random).aggregate.cross_ratio;
+    let random = result(results, Strategy::Random)
+        .summary
+        .aggregate
+        .cross_ratio;
     for s in [
         Strategy::Mosaic,
         Strategy::GTxAllo,
         Strategy::ATxAllo,
         Strategy::Metis,
     ] {
-        let r = result(results, s).aggregate.cross_ratio;
+        let r = result(results, s).summary.aggregate.cross_ratio;
         assert!(r < random, "{s}: {r} !< random {random}");
     }
 }
@@ -69,21 +65,29 @@ fn pilot_within_striking_distance_of_graph_methods() {
     // At quick scale we allow a generous envelope but the order of
     // magnitude must hold.
     let results = at_k8();
-    let pilot = result(results, Strategy::Mosaic).aggregate;
+    let pilot = result(results, Strategy::Mosaic).summary.aggregate;
     let best_ratio = result(results, Strategy::GTxAllo)
+        .summary
         .aggregate
         .cross_ratio
-        .min(result(results, Strategy::Metis).aggregate.cross_ratio);
+        .min(
+            result(results, Strategy::Metis)
+                .summary
+                .aggregate
+                .cross_ratio,
+        );
     assert!(
         pilot.cross_ratio < best_ratio * 1.35 + 0.02,
         "pilot ratio {} vs best graph {best_ratio}",
         pilot.cross_ratio
     );
     let best_tp = result(results, Strategy::GTxAllo)
+        .summary
         .aggregate
         .normalized_throughput
         .max(
             result(results, Strategy::Metis)
+                .summary
                 .aggregate
                 .normalized_throughput,
         );
@@ -96,8 +100,8 @@ fn pilot_within_striking_distance_of_graph_methods() {
 
 #[test]
 fn pilot_is_orders_of_magnitude_cheaper() {
-    let extra: Vec<Vec<ExperimentResult>> = (0..2).map(|_| quick_results(8)).collect();
-    let runs: Vec<&[ExperimentResult]> = [at_k8()]
+    let extra: Vec<Vec<GridCell>> = (0..2).map(|_| quick_results(8)).collect();
+    let runs: Vec<&[GridCell]> = [at_k8()]
         .into_iter()
         .chain(extra.iter().map(Vec::as_slice))
         .collect();
@@ -106,7 +110,7 @@ fn pilot_is_orders_of_magnitude_cheaper() {
     // is its fastest of the three runs.
     let seconds = |s: Strategy| {
         runs.iter()
-            .map(|results| result(results, s).mean_alloc_seconds)
+            .map(|results| result(results, s).summary.mean_alloc_seconds)
             .fold(f64::INFINITY, f64::min)
     };
     let pilot = result(results, Strategy::Mosaic);
@@ -118,9 +122,9 @@ fn pilot_is_orders_of_magnitude_cheaper() {
     assert!(pilot_s * 1000.0 < seconds(Strategy::GTxAllo));
     assert!(pilot_s * 1000.0 < seconds(Strategy::Metis));
     // Input size: hundreds of bytes vs kilo/megabytes.
-    assert!(pilot.mean_input_bytes < 1000.0);
-    assert!(g.mean_input_bytes > 10_000.0);
-    assert!(pilot.mean_input_bytes * 10.0 < a.mean_input_bytes);
+    assert!(pilot.summary.mean_input_bytes < 1000.0);
+    assert!(g.summary.mean_input_bytes > 10_000.0);
+    assert!(pilot.summary.mean_input_bytes * 10.0 < a.summary.mean_input_bytes);
 }
 
 #[test]
@@ -130,29 +134,33 @@ fn throughput_tracks_cross_ratio_inversely() {
     // transactions processes more: compare best and worst.
     let mut sorted: Vec<_> = results.iter().collect();
     sorted.sort_by(|x, y| {
-        x.aggregate
+        x.summary
+            .aggregate
             .cross_ratio
-            .partial_cmp(&y.aggregate.cross_ratio)
+            .partial_cmp(&y.summary.aggregate.cross_ratio)
             .unwrap()
     });
     let best = sorted.first().unwrap();
     let worst = sorted.last().unwrap();
     assert!(
-        best.aggregate.normalized_throughput > worst.aggregate.normalized_throughput,
+        best.summary.aggregate.normalized_throughput
+            > worst.summary.aggregate.normalized_throughput,
         "best-ratio {} ({}) should out-process worst-ratio {} ({})",
-        best.strategy,
-        best.aggregate.normalized_throughput,
-        worst.strategy,
-        worst.aggregate.normalized_throughput
+        best.config.strategy,
+        best.summary.aggregate.normalized_throughput,
+        worst.config.strategy,
+        worst.summary.aggregate.normalized_throughput
     );
 }
 
 #[test]
 fn static_hash_never_migrates_dynamic_strategies_do() {
     let results = at_k8();
-    assert_eq!(result(results, Strategy::Random).total_migrations, 0);
-    assert!(result(results, Strategy::Mosaic).total_migrations > 0);
-    assert!(result(results, Strategy::GTxAllo).total_migrations > 0);
+    let random = &result(results, Strategy::Random).summary;
+    assert_eq!(random.total_migrations, 0);
+    assert_eq!(random.mean_alloc_seconds, 0.0);
+    assert!(result(results, Strategy::Mosaic).summary.total_migrations > 0);
+    assert!(result(results, Strategy::GTxAllo).summary.total_migrations > 0);
 }
 
 #[test]
@@ -162,6 +170,7 @@ fn sharding_scales_throughput_with_k() {
     let at_k = |k: u16| {
         let results = quick_results(k);
         result(&results, Strategy::Mosaic)
+            .summary
             .aggregate
             .normalized_throughput
     };
