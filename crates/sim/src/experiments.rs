@@ -28,6 +28,7 @@ use mosaic_workload::TraceSource;
 
 use crate::engine::{self, EpochStrategy, MosaicStrategy};
 use crate::parallel::ordered_map;
+use crate::radar::{efficiency, normalise};
 use crate::scenario::{Capacity, CellSpec, GridAxis, Scenario};
 pub use crate::session::GridCell;
 use crate::session::Simulation;
@@ -241,19 +242,6 @@ pub fn table6(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     t
 }
 
-/// Maps raw *higher-is-better* values to Figure 1's `[1, 5]` scale:
-/// "the maximum and minimum values across all dimensions are normalized
-/// to 5 and 1, respectively", linear in between; all-equal values map
-/// to 3.
-fn normalise(values: [f64; 3]) -> [f64; 3] {
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max <= min {
-        return [3.0; 3];
-    }
-    values.map(|v| 1.0 + 4.0 * (v - min) / (max - min))
-}
-
 /// **Figure 1** — the six-axis radar comparison of TxAllo vs Mosaic vs
 /// hash-based, on the default parameter set. Returns the normalised
 /// `[1, 5]` series (one row per axis). Efficiency is the reciprocal of
@@ -295,7 +283,6 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     let hash_seconds = (hash_time.as_secs_f64() / 1000.0).max(1e-12);
 
     // Overheads (lower is better), inverted into efficiencies.
-    let efficiency = |overheads: [f64; 3]| overheads.map(|v| 1.0 / v);
     let (tx_bytes, mr_bytes) = (TX_RECORD_BYTES as f64, MIGRATION_REQUEST_BYTES as f64);
     let axes = [
         (
@@ -709,15 +696,6 @@ mod tests {
                 assert!(other < random, "{label}/{s}: {other} !< random {random}");
             }
         }
-    }
-
-    /// Figure 1's scale: max → 5, min → 1, linear in between, all-equal
-    /// → 3; an overhead axis is inverted first, so the cheapest scores 5.
-    #[test]
-    fn fig1_normalises_each_axis_to_1_5() {
-        assert_eq!(normalise([10.0, 20.0, 30.0]), [1.0, 3.0, 5.0]);
-        assert_eq!(normalise([7.0, 7.0, 7.0]), [3.0; 3]);
-        assert_eq!(normalise([1.0, 4.0, 4.0].map(|v| 1.0 / v)), [5.0, 1.0, 1.0]);
     }
 
     /// A report on a `stream-csv` spec, over a resident and over a

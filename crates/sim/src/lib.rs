@@ -76,6 +76,7 @@ pub mod alloc_core;
 pub mod engine;
 pub mod experiments;
 mod parallel;
+mod radar;
 pub mod scenario;
 pub mod session;
 pub mod strategy;

@@ -1,64 +1,29 @@
-//! Figure 1 normalisation.
-//!
-//! The paper's radar chart normalises every axis so that "the maximum
-//! and minimum values across all dimensions are normalized to 5 and 1,
-//! respectively", with efficiency defined as the reciprocal of overhead
-//! and the workload balance index as the reciprocal of deviation
-//! (footnote 3).
+//! Figure 1's `[1, 5]` scale: "the maximum and minimum values across
+//! all dimensions are normalized to 5 and 1, respectively", with
+//! efficiency the reciprocal of overhead (the paper's footnote 3).
 
-/// One radar axis: a label plus the raw *higher-is-better* value per
-/// system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadarAxis {
-    /// Axis label (e.g. "Computation Efficiency").
-    pub label: String,
-    /// Raw oriented values, one per system (same order across axes).
-    pub values: Vec<f64>,
+/// Maps raw *higher-is-better* values linearly to `[1, 5]`: max → 5,
+/// min → 1; all-equal values map to 3.
+pub(crate) fn normalise(values: [f64; 3]) -> [f64; 3] {
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max <= min {
+        return [3.0; 3];
+    }
+    values.map(|v| 1.0 + 4.0 * (v - min) / (max - min))
 }
 
-impl RadarAxis {
-    /// Creates an axis from already-oriented values.
-    pub fn new(label: impl Into<String>, values: Vec<f64>) -> Self {
-        RadarAxis {
-            label: label.into(),
-            values,
-        }
-    }
-
-    /// Creates an axis from overheads (lower-is-better) by taking
-    /// reciprocals, as the paper does for the efficiency axes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any overhead is not strictly positive.
-    pub fn from_overheads(label: impl Into<String>, overheads: &[f64]) -> Self {
-        assert!(
-            overheads.iter().all(|&v| v > 0.0),
-            "overheads must be positive to invert"
-        );
-        RadarAxis {
-            label: label.into(),
-            values: overheads.iter().map(|v| 1.0 / v).collect(),
-        }
-    }
-
-    /// Normalises the axis to `[1, 5]`: max → 5, min → 1, linear in
-    /// between. If all values are equal, everything maps to 3.
-    pub fn normalized(&self) -> Vec<f64> {
-        let min = self.values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = self
-            .values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        if max <= min {
-            return vec![3.0; self.values.len()];
-        }
-        self.values
-            .iter()
-            .map(|v| 1.0 + 4.0 * (v - min) / (max - min))
-            .collect()
-    }
+/// Inverts overheads (lower is better) into efficiencies.
+///
+/// # Panics
+///
+/// Panics if any overhead is not strictly positive.
+pub(crate) fn efficiency(overheads: [f64; 3]) -> [f64; 3] {
+    assert!(
+        overheads.iter().all(|&v| v > 0.0),
+        "overheads must be positive to invert"
+    );
+    overheads.map(|v| 1.0 / v)
 }
 
 #[cfg(test)]
@@ -67,27 +32,23 @@ mod tests {
 
     #[test]
     fn normalizes_to_1_5_range() {
-        let axis = RadarAxis::new("x", vec![10.0, 20.0, 30.0]);
-        let n = axis.normalized();
-        assert_eq!(n, vec![1.0, 3.0, 5.0]);
+        assert_eq!(normalise([10.0, 20.0, 30.0]), [1.0, 3.0, 5.0]);
     }
 
     #[test]
     fn equal_values_map_to_midpoint() {
-        let axis = RadarAxis::new("x", vec![7.0, 7.0]);
-        assert_eq!(axis.normalized(), vec![3.0, 3.0]);
+        assert_eq!(normalise([7.0, 7.0, 7.0]), [3.0; 3]);
     }
 
     #[test]
     fn reciprocal_orientation() {
         // Overheads 1 and 4: efficiencies 1.0 and 0.25 -> 5 and 1.
-        let axis = RadarAxis::from_overheads("eff", &[1.0, 4.0]);
-        assert_eq!(axis.normalized(), vec![5.0, 1.0]);
+        assert_eq!(normalise(efficiency([1.0, 4.0, 4.0])), [5.0, 1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_overhead_panics() {
-        let _ = RadarAxis::from_overheads("eff", &[0.0, 1.0]);
+        let _ = efficiency([0.0, 1.0, 1.0]);
     }
 }

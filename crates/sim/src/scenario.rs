@@ -1257,11 +1257,45 @@ mod tests {
         assert!(fixed.validate().is_ok());
     }
 
-    /// The offline target takes any valid spec; the node target refuses
-    /// a `collect` observer, whose rows would live on the service, and
-    /// expands a streaming spec to the offline cells.
     #[test]
-    fn cells_for_applies_the_target_rules() {
+    fn node_target_roundtrips_and_rejects_collect() {
+        // No key names a target: the text round-trips without one, and
+        // `target` is refused like any unknown key.
+        let text = quick().to_text();
+        assert!(!text.contains("target"), "{text}");
+        assert_eq!(Scenario::parse(&text).unwrap(), quick());
+        let err = Scenario::parse("name = x\ntrace = generated\neval_epochs = 1\ntarget = node\n")
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown key \"target\""), "{err}");
+        // Node target + collect observer: rows live on the service.
+        assert!(effectiveness_quick().cells_for(RunTarget::Node).is_err());
+    }
+
+    #[test]
+    fn run_target_check_accepts_offline_specs_unconditionally() {
+        // The offline arm imposes no target rules.
+        assert!(RunTarget::Offline.validate(&effectiveness_quick()).is_ok());
+        assert!(RunTarget::Offline.validate(&quick()).is_ok());
+    }
+
+    #[test]
+    fn run_target_check_rejects_collect_observer_for_node() {
+        let err = RunTarget::Node
+            .validate(&effectiveness_quick())
+            .unwrap_err();
+        assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
+        assert!(err.to_string().contains("node/replay target"), "{err}");
+        assert!(err.to_string().contains("collect"), "{err}");
+    }
+
+    #[test]
+    fn run_target_check_accepts_streaming_observers_for_node() {
+        // Every checked-in node scenario streams its rows.
+        assert!(RunTarget::Node.validate(&quick()).is_ok());
+    }
+
+    #[test]
+    fn cells_for_retags_without_mutating_the_spec() {
         let (collect, streaming) = (effectiveness_quick(), quick());
         for spec in [&collect, &streaming] {
             assert_eq!(spec.cells_for(RunTarget::Offline), spec.cells());
@@ -1270,14 +1304,7 @@ mod tests {
             streaming.cells_for(RunTarget::Node).unwrap(),
             streaming.cells().unwrap()
         );
-        let err = collect.cells_for(RunTarget::Node).unwrap_err();
-        assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
-        assert!(err.to_string().contains("node/replay target"), "{err}");
-        assert!(err.to_string().contains("collect"), "{err}");
-        // No key names a target: `target` is refused like any unknown key.
-        let err = Scenario::parse("name = x\ntrace = generated\neval_epochs = 1\ntarget = node\n")
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown key \"target\""), "{err}");
+        assert_eq!(streaming, quick());
     }
 
     #[test]
