@@ -49,8 +49,9 @@ pub enum Request {
     /// like [`Request::Tx`]. On the binary wire this is a single frame
     /// (one length check per block); on the line wire it renders as one
     /// `TX` line per transaction, so the bytes are indistinguishable
-    /// from sending them individually and the line form never *parses*
-    /// into this variant.
+    /// from sending them individually. [`Request::parse`] never yields
+    /// it; the line wire's reader does, for a run of canonical `TX`
+    /// lines it finds already buffered.
     TxBatch(Vec<Transaction>),
     /// `END` — close the stream: remaining epochs are processed and the
     /// reply reports the epoch count (or the first deferred `TX` error).
@@ -80,8 +81,8 @@ impl Request {
     pub fn encode(&self) -> String {
         match self {
             Request::Begin { cell, blocks } => format!("BEGIN {cell} {blocks}"),
-            Request::Tx(tx) => tx_line(tx),
-            Request::TxBatch(txs) => txs.iter().map(tx_line).collect::<Vec<_>>().join("\n"),
+            Request::Tx(tx) => tx_lines(std::slice::from_ref(tx)),
+            Request::TxBatch(txs) => tx_lines(txs),
             Request::End => "END".to_string(),
             Request::Lookup(account) => format!("LOOKUP {}", account.as_u64()),
             Request::Load => "LOAD".to_string(),
@@ -165,15 +166,135 @@ impl Request {
     }
 }
 
-fn tx_line(tx: &Transaction) -> String {
-    format!(
-        "TX {} {} {} {} {}",
-        tx.id.as_u64(),
-        tx.block.as_u64(),
-        tx.from.as_u64(),
-        tx.to.as_u64(),
-        tx.kind
-    )
+/// `txs` as `TX` lines joined by newlines, without the last one.
+fn tx_lines(txs: &[Transaction]) -> String {
+    let mut bytes = Vec::with_capacity(txs.len() * TxLine::MAX);
+    for tx in txs {
+        bytes.extend_from_slice(TxLine::new(tx).as_bytes());
+    }
+    bytes.pop();
+    String::from_utf8(bytes).expect("TX lines are ASCII")
+}
+
+/// One `TX <id> <block> <from> <to> <kind>\n` line, rendered on the
+/// stack: the line wire's only `TX` encoder.
+pub(crate) struct TxLine {
+    bytes: [u8; TxLine::MAX],
+    len: usize,
+}
+
+impl TxLine {
+    /// The longest line: `TX `, four 20-digit fields each followed by a
+    /// space, `transfer` and the newline.
+    const MAX: usize = 3 + 4 * 21 + 8 + 1;
+
+    pub(crate) fn new(tx: &Transaction) -> Self {
+        let mut line = TxLine {
+            bytes: [0; TxLine::MAX],
+            len: 0,
+        };
+        line.put(b"TX ");
+        for field in [
+            tx.id.as_u64(),
+            tx.block.as_u64(),
+            tx.from.as_u64(),
+            tx.to.as_u64(),
+        ] {
+            line.put_decimal(field);
+            line.put(b" ");
+        }
+        line.put(match tx.kind {
+            TxKind::Transfer => b"transfer\n",
+            TxKind::ContractCall => b"call\n",
+        });
+        line
+    }
+
+    /// The line, newline included.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Two digits per division, written from the right.
+    fn put_decimal(&mut self, mut value: u64) {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        while value >= 10 {
+            let pair = (value % 100) as usize * 2;
+            value /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if value > 0 || at == digits.len() {
+            at -= 1;
+            digits[at] = b'0' + value as u8;
+        }
+        self.put(&digits[at..]);
+    }
+}
+
+/// Parses the one canonical request line at the head of `bytes` in
+/// place: `TX <id> <block> <from> <to> <transfer|call>` or
+/// `LOOKUP <account>`, single spaces, fields of 1–20 ASCII digits that
+/// fit a `u64`, ending in `\n`. Returns the request with the line's
+/// length, newline included. `None` for every other line and for a
+/// line not yet complete; those take [`Request::parse`], which accepts
+/// every canonical line too, with the same result.
+pub(crate) fn parse_canonical(bytes: &[u8]) -> Option<(Request, usize)> {
+    if let Some(rest) = bytes.strip_prefix(b"TX ") {
+        let (id, at) = decimal(rest, 0, b' ')?;
+        let (block, at) = decimal(rest, at, b' ')?;
+        let (from, at) = decimal(rest, at, b' ')?;
+        let (to, at) = decimal(rest, at, b' ')?;
+        let tail = &rest[at..];
+        let (kind, end) = if tail.starts_with(b"transfer\n") {
+            (TxKind::Transfer, 9)
+        } else if tail.starts_with(b"call\n") {
+            (TxKind::ContractCall, 5)
+        } else {
+            return None;
+        };
+        let tx = Transaction::with_kind(
+            TxId::new(id),
+            AccountId::new(from),
+            AccountId::new(to),
+            BlockHeight::new(block),
+            kind,
+        );
+        Some((Request::Tx(tx), 3 + at + end))
+    } else if let Some(rest) = bytes.strip_prefix(b"LOOKUP ") {
+        let (account, at) = decimal(rest, 0, b'\n')?;
+        Some((Request::Lookup(AccountId::new(account)), 7 + at))
+    } else {
+        None
+    }
+}
+
+/// The 1–20 ASCII digits at `bytes[at..]` and the `end` byte after
+/// them: the value and the index past `end`. `None` if there are no
+/// digits, more than 20, no `end` after them, or the value overflows.
+fn decimal(bytes: &[u8], at: usize, end: u8) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut i = at;
+    while i - at < 20 {
+        let digit = bytes.get(i)?.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+        i += 1;
+    }
+    (i > at && *bytes.get(i)? == end).then_some((value, i + 1))
 }
 
 /// One node reply. Single-line except [`Response::Load`] /
@@ -225,6 +346,16 @@ impl Response {
     /// [`io::ErrorKind::UnexpectedEof`] if the stream ends mid-response
     /// and [`io::ErrorKind::InvalidData`] on a malformed header line.
     pub fn read_from(input: &mut impl BufRead) -> io::Result<Self> {
+        // A `LOOKUP` reply is the one a client waits on per query: read
+        // a canonical `SHARD <n>` line where it lies, without a `String`.
+        if let Some(rest) = input.fill_buf()?.strip_prefix(b"SHARD ") {
+            if let Some((shard, at)) = decimal(rest, 0, b'\n') {
+                if let Ok(shard) = u16::try_from(shard) {
+                    input.consume(6 + at);
+                    return Ok(Response::Shard(shard));
+                }
+            }
+        }
         let line = read_line(input)?;
         if line == "OK" {
             return Ok(Response::Ok(String::new()));
@@ -307,6 +438,7 @@ fn invalid(message: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -423,6 +555,105 @@ mod tests {
             Response::read_from(&mut Cursor::new(bytes)).unwrap(),
             Response::Error("two lines".to_string())
         );
+    }
+
+    /// A canonical `TX` or `LOOKUP` line with each of its parts
+    /// (verb, separators, fields, kind, ending) swapped, one time in
+    /// four, for a near miss: a sign, leading zeros, 21 digits, an
+    /// overflow, a tab, `\r`, a trailing token.
+    fn near_canonical(value: u64, knobs: u64) -> Vec<u8> {
+        let mut knobs = knobs;
+        let mut part = |canonical: String, misses: &[&str]| {
+            let roll = knobs % 4;
+            let pick = (knobs / 4) as usize % misses.len();
+            knobs = knobs.rotate_right(5);
+            if roll == 0 {
+                misses[pick].to_string()
+            } else {
+                canonical
+            }
+        };
+        let fields = ["+1", "007", "", "x", "00000000000000000000001"];
+        let mut field = |shift: u64| {
+            let canonical = (value >> (shift * 13 % 64)).to_string();
+            part(canonical, &fields)
+        };
+        let lookup = value.is_multiple_of(5);
+        let mut line = String::new();
+        if lookup {
+            line += &field(0);
+        } else {
+            for shift in 0..4 {
+                line += &field(shift);
+                line += " ";
+            }
+            line += if value.is_multiple_of(2) {
+                "transfer"
+            } else {
+                "call"
+            };
+        }
+        let verb = if lookup { "LOOKUP " } else { "TX " };
+        let line = part(verb.to_string(), &["TX  ", "TX\t", "LOOKUP ", "TX "]) + &line;
+        let line = part(line, &["TX 18446744073709551616 1 2 3 call", "LOOKUP 1 2"]);
+        let ending = part("\n".to_string(), &["\r\n", " \n", "", " x\n", "\n\n"]);
+        (line + &ending).into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Whatever the in-place parser accepts, `Request::parse` reads
+        /// the same way, and no line is accepted before its newline.
+        #[test]
+        fn canonical_lines_parse_as_request_parse_does(value in any::<u64>(), knobs in any::<u64>()) {
+            let bytes = near_canonical(value, knobs);
+            if let Some((request, used)) = parse_canonical(&bytes) {
+                let line = std::str::from_utf8(&bytes[..used]).unwrap();
+                let line = line.strip_suffix('\n').expect("a whole line");
+                prop_assert_eq!(Request::parse(line), Ok(request));
+                for cut in 0..used {
+                    prop_assert!(parse_canonical(&bytes[..cut]).is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_near_canonical_lines_hit_both_sides() {
+        let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+        let accepted = (0..1024u64)
+            .filter(|&i| parse_canonical(&near_canonical(mix(i), mix(!i))).is_some())
+            .count();
+        assert!(
+            (200..900).contains(&accepted),
+            "{accepted} of 1024 accepted"
+        );
+    }
+
+    /// A `SHARD` reply reads the same whether or not it is canonical,
+    /// and leaves the reader at the next reply.
+    #[test]
+    fn shard_replies_read_alike_canonical_or_not() {
+        for (line, shard) in [
+            ("SHARD 3\n", Some(3)),
+            ("SHARD 007\n", Some(7)),
+            ("SHARD +5\n", Some(5)),
+            ("SHARD 3\r\n", Some(3)),
+            ("SHARD 65535\n", Some(u16::MAX)),
+            ("SHARD 65536\n", None),
+            ("SHARD 99999999999999999999999\n", None),
+            ("SHARD \n", None),
+        ] {
+            let mut input = Cursor::new(format!("{line}OK\n").into_bytes());
+            match (Response::read_from(&mut input), shard) {
+                (Ok(Response::Shard(got)), Some(want)) => assert_eq!(got, want, "{line:?}"),
+                (Err(e), None) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{line:?}"),
+                (other, _) => panic!("{line:?}: {other:?}"),
+            }
+            let next = Response::read_from(&mut input).unwrap();
+            assert_eq!(next, Response::Ok(String::new()), "{line:?}");
+        }
     }
 
     #[test]

@@ -164,11 +164,15 @@ fn run_session(
     // Built lazily at the first request so probe connections (port
     // checks, monitoring dials) never cost a session.
     let mut session: Option<NodeSession> = None;
-    while let Some(incoming) = wire.read_request(&mut reader)? {
+    let timed = server.stats.enabled();
+    while let Some((incoming, decode)) = wire.read_timed(&mut reader, timed)? {
         let session = session.get_or_insert_with(|| {
             NodeSession::with_stats(server.scenario.clone(), &server.stats)
                 .expect("scenario pre-validated by serve")
         });
+        if let Some(elapsed) = decode {
+            session.record_decode(elapsed);
+        }
         let is_shutdown = matches!(incoming, Incoming::Request(Request::Shutdown));
         let reply = match incoming {
             Incoming::Request(request) => {
@@ -234,6 +238,34 @@ mod tests {
         }
     }
 
+    /// `BEGIN` cell 0, then one block of five transactions.
+    fn begin_and_five_txs() -> [Request; 2] {
+        let txs = (0..5)
+            .map(|i| {
+                Transaction::new(
+                    TxId::new(i),
+                    AccountId::new(1),
+                    AccountId::new(2),
+                    BlockHeight::new(0),
+                )
+            })
+            .collect();
+        let begin = Request::Begin {
+            cell: 0,
+            blocks: 2000,
+        };
+        [begin, Request::TxBatch(txs)]
+    }
+
+    fn server() -> Server {
+        Server {
+            scenario: crate::quick(),
+            stats: ServerStats::new(true),
+            stop: AtomicBool::new(false),
+            addr: ([127, 0, 0, 1], 0).into(),
+        }
+    }
+
     fn encode(wire: Wire, requests: &[Request]) -> Vec<u8> {
         let mut bytes = Vec::new();
         for request in requests {
@@ -248,21 +280,7 @@ mod tests {
     /// counters folded into the server aggregate.
     #[test]
     fn a_connection_that_ends_anywhere_leaves_no_session_behind() {
-        let begin = Request::Begin {
-            cell: 0,
-            blocks: 2000,
-        };
-        let txs: Vec<Transaction> = (0..5)
-            .map(|i| {
-                Transaction::new(
-                    TxId::new(i),
-                    AccountId::new(1),
-                    AccountId::new(2),
-                    BlockHeight::new(0),
-                )
-            })
-            .collect();
-        let stream = [begin, Request::TxBatch(txs)];
+        let stream = begin_and_five_txs();
         let (line, binary) = (encode(Line, &stream), encode(Binary, &stream));
         let cut = |bytes: &[u8], by: usize| bytes[..bytes.len() - by].to_vec();
         let eof = Err(io::ErrorKind::UnexpectedEof);
@@ -286,12 +304,7 @@ mod tests {
             ("reply never read", Binary, binary, false, gone, 1, 0),
         ];
         for (case, wire, bytes, peer_reads, outcome, started, ingested) in table {
-            let server = Server {
-                scenario: crate::quick(),
-                stats: ServerStats::new(true),
-                stop: AtomicBool::new(false),
-                addr: ([127, 0, 0, 1], 0).into(),
-            };
+            let server = server();
             let mut replies = Vec::new();
             let result = if peer_reads {
                 run_session(&bytes[..], &mut replies, wire, &server)
@@ -313,5 +326,31 @@ mod tests {
             let counted = format!("server counter core.txs_ingested {ingested}");
             assert!(aggregate.contains(&counted), "{case}: {aggregate:?}");
         }
+    }
+
+    /// Every decoded request is one `node.wire` observation on the
+    /// session's recorder, and `STATS` shows them: here a `BEGIN`, five
+    /// `TX` lines read as one batch, and the `STATS` itself.
+    #[test]
+    fn stats_show_the_sessions_wire_decodes() {
+        let server = server();
+        let mut bytes = encode(Line, &begin_and_five_txs());
+        bytes.extend_from_slice(b"STATS\n");
+        let mut replies = Vec::new();
+        run_session(&bytes[..], &mut replies, Line, &server).unwrap();
+        let mut replies = &replies[..];
+        let begun = Line.read_response(&mut replies).unwrap();
+        assert!(matches!(begun, Response::Ok(_)), "{begun:?}");
+        let Response::Stats(lines) = Line.read_response(&mut replies).unwrap() else {
+            panic!("STATS must answer");
+        };
+        assert!(
+            lines.iter().any(|l| l.starts_with("hist node.wire 3 ")),
+            "{lines:?}"
+        );
+        assert!(
+            lines.contains(&"counter core.txs_ingested 5".to_string()),
+            "{lines:?}"
+        );
     }
 }

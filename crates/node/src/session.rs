@@ -16,12 +16,13 @@
 //! here.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mosaic_metrics::report::EPOCH_CSV_HEADER;
 use mosaic_metrics::EpochMetrics;
 use mosaic_sim::scenario::CellSpec;
 use mosaic_sim::{AllocationCore, EpochStrategy, LoadReport, RunTarget, Scenario};
-use mosaic_telemetry::Recorder;
+use mosaic_telemetry::{Histogram, Recorder};
 use mosaic_types::{Result, Transaction};
 
 use crate::proto::{Request, Response};
@@ -50,6 +51,9 @@ pub struct NodeSession {
     /// The session's private recorder; every core built at `BEGIN` is
     /// rebound to it, so `core.*` counters accumulate per session.
     recorder: Recorder,
+    /// The `node.wire` span: decoding each request off bytes already
+    /// received, recorded by the server's read loop.
+    wire_span: Histogram,
     /// The server-wide stats root answering the `STATS` aggregate.
     server: Arc<ServerStats>,
 }
@@ -84,6 +88,7 @@ impl NodeSession {
             deferred: None,
             rows: Vec::new(),
             id,
+            wire_span: recorder.histogram("node.wire"),
             recorder,
             server: Arc::clone(stats),
         })
@@ -97,6 +102,12 @@ impl NodeSession {
     /// This session's id in the server's stats registry.
     pub(crate) fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Records one request's decode time as the session's `node.wire`
+    /// span.
+    pub(crate) fn record_decode(&self, elapsed: Duration) {
+        self.wire_span.record(elapsed);
     }
 
     /// Applies one parsed request. `None` exactly when

@@ -2,9 +2,18 @@
 //! two interchangeable wire encodings.
 //!
 //! [`Wire::Line`] is the original human-speakable form — one ASCII line
-//! per message, byte-compatible with the PR 8 protocol, still right for
-//! `nc` debugging. [`Wire::Binary`] is a length-prefixed frame format
-//! for ingest-rate traffic: every message is
+//! per message, byte-compatible with the first node protocol, still
+//! right for `nc` debugging. Its hot lines cost no allocation either
+//! way: a `TX` line is rendered on the stack (`TxLine`), and the
+//! reader parses canonical `TX` and `LOOKUP` lines where they lie in
+//! its buffer, handing a buffered run of `TX` lines to the session as
+//! one [`Request::TxBatch`] (one core call per run, not per line). Any
+//! other line — a near miss, a blank, an unknown verb — goes through
+//! [`Request::parse`], so what the wire accepts, and every error it
+//! reports, is defined there alone.
+//!
+//! [`Wire::Binary`] is a length-prefixed frame format for ingest-rate
+//! traffic: every message is
 //!
 //! ```text
 //! [u32 LE frame length] [u8 tag] [payload …]
@@ -14,8 +23,7 @@
 //! strings are `u32` length + UTF-8 bytes; a transaction is a fixed
 //! 33-byte record (`id`, `block`, `from`, `to` as `u64`, kind byte).
 //! The [`Request::TxBatch`] frame carries a whole block of transactions
-//! behind a single length check, which is what closes the per-line
-//! parse gap of the text protocol.
+//! behind a single length check.
 //!
 //! # Version negotiation
 //!
@@ -30,10 +38,11 @@
 
 use std::io::{self, BufRead, Read, Write};
 use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 use mosaic_types::{AccountId, BlockHeight, Transaction, TxId, TxKind};
 
-use crate::proto::{Request, Response};
+use crate::proto::{parse_canonical, Request, Response, TxLine};
 
 /// The binary hello's magic bytes (`"MOSB"`).
 pub const MAGIC: [u8; 4] = *b"MOSB";
@@ -151,7 +160,10 @@ impl Wire {
             return self.write_tx_batch(out, txs);
         }
         match self {
-            Wire::Line => writeln!(out, "{}", request.encode()),
+            Wire::Line => match request {
+                Request::Tx(tx) => out.write_all(TxLine::new(tx).as_bytes()),
+                _ => writeln!(out, "{}", request.encode()),
+            },
             Wire::Binary => {
                 let mut frame = Vec::with_capacity(64);
                 match request {
@@ -191,7 +203,7 @@ impl Wire {
         match self {
             Wire::Line => {
                 for tx in txs {
-                    writeln!(out, "{}", Request::Tx(*tx).encode())?;
+                    out.write_all(TxLine::new(tx).as_bytes())?;
                 }
                 Ok(())
             }
@@ -208,7 +220,11 @@ impl Wire {
     }
 
     /// Reads the next unit of client input. `Ok(None)` is a clean end
-    /// of stream (the peer closed between messages).
+    /// of stream (the peer closed between messages). On the line wire,
+    /// the canonical `TX` lines already buffered behind a first one come
+    /// back together as one [`Request::TxBatch`]; waiting on the peer
+    /// happens only when the buffer is empty, or inside a line that has
+    /// not fully arrived.
     ///
     /// # Errors
     ///
@@ -217,34 +233,55 @@ impl Wire {
     /// (version skew) — the framing can no longer be trusted, so these
     /// are fatal rather than a recoverable [`Incoming::Malformed`].
     pub fn read_request(self, input: &mut impl BufRead) -> io::Result<Option<Incoming>> {
+        Ok(self.read_timed(input, false)?.map(|(incoming, _)| incoming))
+    }
+
+    /// [`Wire::read_request`], also returning — when `timed` — how long
+    /// decoding took: from the last moment the reader held the bytes it
+    /// decoded (after the last read that could wait on the peer) to the
+    /// request. The server records it as the session's `node.wire` span.
+    pub(crate) fn read_timed(
+        self,
+        input: &mut impl BufRead,
+        timed: bool,
+    ) -> io::Result<Option<(Incoming, Option<Duration>)>> {
         match self {
-            Wire::Line => loop {
-                let mut line = String::new();
-                if input.take(MAX_LINE as u64).read_line(&mut line)? == 0 {
-                    return Ok(None);
+            Wire::Line => {
+                if let Some(decoded) = read_buffered_line(input, timed)? {
+                    return Ok(Some(decoded));
                 }
-                if line.len() == MAX_LINE && !line.ends_with('\n') {
-                    return Err(invalid(format!(
-                        "request line exceeds the {MAX_LINE}-byte cap"
-                    )));
+                loop {
+                    let mut line = String::new();
+                    if input.take(MAX_LINE as u64).read_line(&mut line)? == 0 {
+                        return Ok(None);
+                    }
+                    let clock = timed.then(Instant::now);
+                    if line.len() == MAX_LINE && !line.ends_with('\n') {
+                        return Err(invalid(format!(
+                            "request line exceeds the {MAX_LINE}-byte cap"
+                        )));
+                    }
+                    let line = line.trim();
+                    if line.is_empty() {
+                        continue;
+                    }
+                    let incoming = match Request::parse(line) {
+                        Ok(request) => Incoming::Request(request),
+                        Err(message) => Incoming::Malformed {
+                            message,
+                            fire_and_forget: !Request::line_expects_reply(line),
+                        },
+                    };
+                    return Ok(Some((incoming, clock.map(|c| c.elapsed()))));
                 }
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                return Ok(Some(match Request::parse(line) {
-                    Ok(request) => Incoming::Request(request),
-                    Err(message) => Incoming::Malformed {
-                        message,
-                        fire_and_forget: !Request::line_expects_reply(line),
-                    },
-                }));
-            },
+            }
             Wire::Binary => {
                 let Some(frame) = read_frame(input)? else {
                     return Ok(None);
                 };
-                decode_request(&frame).map(Some)
+                let clock = timed.then(Instant::now);
+                let incoming = decode_request(&frame)?;
+                Ok(Some((incoming, clock.map(|c| c.elapsed()))))
             }
         }
     }
@@ -312,6 +349,41 @@ impl Wire {
             }
         }
     }
+}
+
+/// The line wire's fast path: decodes canonical lines
+/// ([`parse_canonical`]) where they lie in `input`'s buffer, after one
+/// `fill_buf` (which waits on the peer only when the buffer is empty).
+/// A `LOOKUP` line comes back alone; a `TX` line comes back with every
+/// canonical `TX` line after it in the buffer, as one
+/// [`Request::TxBatch`], so the session ingests the run in one call.
+/// Stops before the first line it does not accept and never consumes a
+/// partial one. `None` — nothing consumed — when the buffer does not
+/// start with a canonical line; the caller then reads that line the
+/// general way.
+fn read_buffered_line(
+    input: &mut impl BufRead,
+    timed: bool,
+) -> io::Result<Option<(Incoming, Option<Duration>)>> {
+    let buffered = input.fill_buf()?;
+    let clock = timed.then(Instant::now);
+    let (request, used) = match parse_canonical(buffered) {
+        None => return Ok(None),
+        Some((Request::Tx(first), mut used)) => {
+            let mut txs = vec![first];
+            while let Some((Request::Tx(tx), len)) = parse_canonical(&buffered[used..]) {
+                txs.push(tx);
+                used += len;
+            }
+            (Request::TxBatch(txs), used)
+        }
+        Some(lookup) => lookup,
+    };
+    input.consume(used);
+    Ok(Some((
+        Incoming::Request(request),
+        clock.map(|c| c.elapsed()),
+    )))
 }
 
 /// What the server learned from a connection's first bytes.
@@ -860,6 +932,12 @@ mod tests {
             Wire::Line.read_request(&mut input).unwrap(),
             Some(Incoming::Request(Request::End))
         );
+
+        // Leading zeros cannot carry a TX line past the cap by way of
+        // the in-place parser: it takes at most 20 digits a field.
+        let input = format!("TX {}1 0 1 2 transfer\n", "0".repeat(MAX_LINE)).into_bytes();
+        let err = Wire::Line.read_request(&mut &input[..]).unwrap_err();
+        assert!(err.to_string().contains("cap"), "{err}");
     }
 
     #[test]

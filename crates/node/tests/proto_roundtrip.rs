@@ -3,7 +3,9 @@
 //! (`encode`/`parse`, `write_to`/`read_from`) and via the binary frame
 //! wire — for arbitrary field values. Also pins the line rendering of
 //! `TX` batches: a batch flattens to plain `TX` lines, byte-identical
-//! to sending the transactions one at a time.
+//! to sending the transactions one at a time and to the
+//! `format!("TX {} {} {} {} {}")` rendering the line protocol was
+//! defined by.
 
 use std::io::Cursor;
 
@@ -62,9 +64,33 @@ fn response_from(kind: u8, a: u64, b: u64, lines: &[u64]) -> Response {
     }
 }
 
+/// The line a `TX` request has always been on the wire.
+fn format_line(tx: &Transaction) -> String {
+    format!(
+        "TX {} {} {} {} {}",
+        tx.id.as_u64(),
+        tx.block.as_u64(),
+        tx.from.as_u64(),
+        tx.to.as_u64(),
+        tx.kind
+    )
+}
+
+/// The transactions a decoded stream carries, batches flattened.
+fn transactions(requests: &[Request]) -> Vec<Transaction> {
+    let mut txs = Vec::new();
+    for request in requests {
+        match request {
+            Request::Tx(tx) => txs.push(*tx),
+            Request::TxBatch(batch) => txs.extend_from_slice(batch),
+            _ => {}
+        }
+    }
+    txs
+}
+
 /// Round-trips one request through `wire`, collecting every decoded
-/// request it produces (a line-wire `TX` batch decodes back as its
-/// individual transactions).
+/// request it produces.
 fn through(wire: Wire, request: &Request) -> Vec<Request> {
     let mut bytes = Vec::new();
     wire.write_request(&mut bytes, request).unwrap();
@@ -94,13 +120,20 @@ proptest! {
         // Binary wire: every variant is exactly one frame.
         prop_assert_eq!(through(Wire::Binary, &request), vec![request.clone()]);
 
-        // Line wire: batches flatten to their transactions (the bytes
-        // are indistinguishable from sending them one at a time);
-        // everything else round-trips as itself.
+        // Line wire: transaction traffic comes back as the same
+        // transactions, however the reader groups them (a `TX` and a
+        // batch are the same lines on the wire, and the reader returns
+        // a buffered run of them as one batch); everything else
+        // round-trips as itself.
         let line_decoded = through(Wire::Line, &request);
-        if let Request::TxBatch(txs) = &request {
-            let singles: Vec<Request> = txs.iter().map(|tx| Request::Tx(*tx)).collect();
-            prop_assert_eq!(line_decoded, singles);
+        if let Request::Tx(_) | Request::TxBatch(_) = &request {
+            prop_assert_eq!(
+                transactions(&line_decoded),
+                transactions(std::slice::from_ref(&request))
+            );
+            prop_assert!(line_decoded.iter().all(|r| !r.expects_reply()));
+            let lines: Vec<String> = transactions(&line_decoded).iter().map(format_line).collect();
+            prop_assert_eq!(request.encode(), lines.join("\n"));
         } else {
             prop_assert_eq!(&line_decoded, &vec![request.clone()]);
 
@@ -129,13 +162,30 @@ proptest! {
         for tx in &txs {
             Wire::Line.write_request(&mut singles, &Request::Tx(*tx)).unwrap();
         }
-        prop_assert_eq!(batched, singles);
+        prop_assert_eq!(&batched, &singles);
+        let formatted: String = txs.iter().map(|tx| format_line(tx) + "\n").collect();
+        prop_assert_eq!(batched, formatted.into_bytes());
 
         // And the binary frame carries the whole batch intact.
         prop_assert_eq!(
             through(Wire::Binary, &Request::TxBatch(txs.clone())),
             vec![Request::TxBatch(txs)]
         );
+    }
+
+    /// The byte-level `TX` encoder against the `format!` rendering, on
+    /// fields of every decimal width (a shifted `u64` has 1–20 digits).
+    #[test]
+    fn tx_lines_render_as_the_format_rendering(
+        fields in proptest::collection::vec(((0u64..u64::MAX, 0u64..u64::MAX), (0u64..u64::MAX, 0u64..u64::MAX), 0u32..64), 1..16),
+    ) {
+        for &((a, b), (c, d), shift) in &fields {
+            let tx = tx_from(a >> shift, b >> (shift / 2), c >> (63 - shift), d >> (shift % 7));
+            let mut bytes = Vec::new();
+            Wire::Line.write_request(&mut bytes, &Request::Tx(tx)).unwrap();
+            prop_assert_eq!(bytes, (format_line(&tx) + "\n").into_bytes());
+            prop_assert_eq!(Request::Tx(tx).encode(), format_line(&tx));
+        }
     }
 
     #[test]

@@ -415,15 +415,17 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
 /// the cell's `txallo.improving_moves` gauge to the count of moves that
 /// would, so it reads the latest window's distance from the local
 /// optimum: 0 after a converged sweep, possibly more after one the
-/// round limit cut short. Release builds drop the window at once.
+/// round limit cut short. Release builds drop the window at once. In
+/// every build, each epoch whose sweep the round limit cut short adds
+/// one to the cell's `txallo.sweeps_cut_short` counter.
 #[derive(Debug, Clone)]
 pub struct AdaptiveTxAllo {
     init: GTxAllo,
     adaptive: ATxAllo,
     last: Option<WindowRefinement>,
-    /// Where the certificate's gauge goes: the recorder the adapter was
-    /// built with, until [`EpochStrategy::scope_telemetry`] scopes it to
-    /// the cell.
+    /// Where the certificate's gauge and the cut-short counter go: the
+    /// recorder the adapter was built with, until
+    /// [`EpochStrategy::scope_telemetry`] scopes it to the cell.
     certificate: Recorder,
 }
 
@@ -468,6 +470,9 @@ impl EpochStrategy for AdaptiveTxAllo {
         let phi = ledger.phi_mut();
         let (refined, elapsed) = time_it(|| self.adaptive.update(phi, ctx.recent_window));
         let moved = refined.moved;
+        if !refined.converged {
+            self.certificate.add("txallo.sweeps_cut_short", 1);
+        }
         if cfg!(debug_assertions) {
             self.last = Some(refined);
         }
@@ -819,5 +824,49 @@ mod tests {
         adaptive.last = Some(converged);
         adaptive.check_invariants().unwrap();
         assert_eq!(gauge(), 0);
+    }
+
+    /// An epoch whose sweep the round limit cut short counts once in
+    /// the cell's `txallo.sweeps_cut_short`; a converged one counts
+    /// nothing.
+    #[test]
+    fn adaptive_txallo_counts_sweeps_cut_short_per_cell() {
+        let recorder = Recorder::enabled();
+        let counted = || {
+            let snapshot = recorder.snapshot();
+            let counters = snapshot.counters.iter();
+            counters
+                .map(|(name, value)| {
+                    assert_eq!(name, "k4.txallo.sweeps_cut_short");
+                    *value
+                })
+                .sum::<u64>()
+        };
+        let epoch = |rounds| {
+            let config = TxAlloConfig {
+                capacity_slack: 100.0,
+                rounds,
+                ..TxAlloConfig::default()
+            };
+            let mut adaptive = AdaptiveTxAllo::with_recorder(config, Recorder::disabled());
+            adaptive.scope_telemetry(&recorder.scoped("k4"));
+            let params = SystemParams::builder().shards(4).build().unwrap();
+            let mut ledger = Ledger::new(params, AccountShardMap::new(4)).unwrap();
+            let window = grouped_window();
+            let ctx = EpochCtx {
+                window: &window,
+                recent_window: &window,
+                history: &mut History::new(),
+                params,
+            };
+            assert!(adaptive.before_epoch(&mut ledger, ctx).moved > 0);
+        };
+
+        epoch(1);
+        assert_eq!(counted(), 1, "one round cannot reach the fixed point");
+        epoch(TxAlloConfig::default().rounds);
+        assert_eq!(counted(), 1, "a converged sweep counts nothing");
+        epoch(1);
+        assert_eq!(counted(), 2);
     }
 }
