@@ -1,10 +1,10 @@
 //! Hash-based (random) account allocation.
 //!
 //! The conventional baseline: Chainspace allocates an account to
-//! `SHA256(address) mod k`; Monoxide to the shard named by the first bits
-//! of the hash. Both are *static* — allocation never reacts to transaction
-//! patterns, so no migration ever happens — and *pattern-blind* — the
-//! paper measures >90% cross-shard transactions at k = 16.
+//! `SHA256(address) mod k`. The rule is *static* — allocation never
+//! reacts to transaction patterns, so no migration ever happens — and
+//! *pattern-blind* — the paper measures >90% cross-shard transactions at
+//! k = 16.
 
 use mosaic_txgraph::TxGraph;
 use mosaic_types::{AccountShardMap, DefaultRule};
@@ -41,13 +41,6 @@ impl HashAllocator {
         }
     }
 
-    /// Monoxide-style first-bits-of-hash.
-    pub fn monoxide() -> Self {
-        HashAllocator {
-            rule: DefaultRule::Sha256FirstBits,
-        }
-    }
-
     /// The underlying rule.
     pub fn rule(&self) -> DefaultRule {
         self.rule
@@ -56,14 +49,11 @@ impl HashAllocator {
 
 impl GlobalAllocator for HashAllocator {
     fn name(&self) -> &'static str {
-        match self.rule {
-            DefaultRule::Sha256Mod => "Random",
-            DefaultRule::Sha256FirstBits => "Random(first-bits)",
-        }
+        "Random"
     }
 
     fn allocate(&self, _graph: &TxGraph, k: u16) -> AccountShardMap {
-        AccountShardMap::with_rule(k, self.rule)
+        AccountShardMap::new(k)
     }
 
     fn uses_graph(&self) -> bool {
@@ -113,10 +103,7 @@ mod tests {
     #[test]
     fn variants_have_distinct_names() {
         assert_eq!(HashAllocator::chainspace().name(), "Random");
-        assert_ne!(
-            HashAllocator::chainspace().name(),
-            HashAllocator::monoxide().name()
-        );
+        assert_eq!(HashAllocator::default(), HashAllocator::chainspace());
         assert_eq!(HashAllocator::default().rule(), DefaultRule::Sha256Mod);
     }
 }

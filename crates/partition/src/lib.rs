@@ -4,8 +4,8 @@
 //! allocation:
 //!
 //! * **Hash-based** ([`HashAllocator`]) — `SHA256(address) mod k`
-//!   (Chainspace) or first-bits-of-hash (Monoxide). Static, pattern-blind,
-//!   perfectly balanced in expectation.
+//!   (Chainspace). Static, pattern-blind, perfectly balanced in
+//!   expectation.
 //! * **Graph-based** ([`MetisPartitioner`]) — a from-scratch multilevel
 //!   k-way partitioner in the METIS family: heavy-edge-matching
 //!   coarsening, greedy region-growing initial partitioning, and FM-style

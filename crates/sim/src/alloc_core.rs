@@ -11,8 +11,8 @@
 //!
 //! It has one API, driven by events: [`AllocationCore::begin`] declares
 //! the block span, which fixes the training cut and the window grid;
-//! [`AllocationCore::ingest_block`] delivers transactions in block
-//! order, closing every chunk and epoch a batch crosses;
+//! [`AllocationCore::ingest_block`] delivers a batch of one or more
+//! transactions in block order, closing every chunk and epoch it crosses;
 //! [`AllocationCore::advance_to`] says "every block below this has been
 //! delivered", closing windows no later transaction would reveal;
 //! [`AllocationCore::end_stream`] closes what remains. Queries
@@ -20,8 +20,8 @@
 //! [`AllocationCore::summary`]) are answerable at any point.
 //!
 //! The drivers only move transactions: offline,
-//! [`crate::engine::run_cell`] reads an
-//! [`EpochWindowStream`](mosaic_workload::EpochWindowStream) into it;
+//! [`crate::engine::run_cell`], called by the session's cell driver,
+//! reads an [`EpochWindowStream`](mosaic_workload::EpochWindowStream) into it;
 //! live, a `mosaic-node` session hands it each wire batch. Training
 //! ingestion and epoch processing are folds in block order, so the rows
 //! do not depend on how the sequence was cut into batches.
@@ -391,17 +391,6 @@ impl AllocationCore {
     /// rows, and after [`AllocationCore::end_stream`].
     pub fn next_boundary(&self) -> Option<u64> {
         self.feed.as_ref()?.boundary()
-    }
-
-    /// [`AllocationCore::ingest_block`] for a single transaction, with
-    /// the same errors.
-    pub fn ingest_tx(
-        &mut self,
-        strategy: &mut dyn EpochStrategy,
-        tx: Transaction,
-        rows: &mut Vec<EpochMetrics>,
-    ) -> Result<()> {
-        self.ingest_block(strategy, &[tx], rows)
     }
 
     /// Feeds a block-ordered batch — one transaction, one block, or a

@@ -308,14 +308,6 @@ pub trait EpochStrategy {
     }
 }
 
-/// Counts accounts whose shard differs between `old` and `new` (the
-/// implicit migrations a miner-driven update causes).
-pub fn allocation_diff(old: &AccountShardMap, new: &AccountShardMap) -> usize {
-    new.iter()
-        .filter(|&(account, shard)| old.shard_of(account) != shard)
-        .count()
-}
-
 /// Blanket adapter: every miner-driven [`GlobalAllocator`] is an
 /// [`EpochStrategy`] that recomputes ϕ on the full history each epoch
 /// (the paper's "global optimization" row of Table VI). The graph
@@ -344,7 +336,12 @@ impl<A: GlobalAllocator> EpochStrategy for A {
         // the per-epoch recomputation Table IV measures, so both run
         // inside `time_it`.
         let (phi, elapsed) = time_it(|| self.allocate(ctx.history.graph(), ctx.params.shards()));
-        let moved = allocation_diff(ledger.phi(), &phi);
+        // The implicit migrations: accounts whose shard the new ϕ changes.
+        let old = ledger.phi();
+        let moved = phi
+            .iter()
+            .filter(|&(account, shard)| old.shard_of(account) != shard)
+            .count();
         EpochDecision {
             new_phi: Some(phi),
             moved,
@@ -358,20 +355,11 @@ impl<A: GlobalAllocator> EpochStrategy for A {
 /// baseline): the initial allocation runs once, then nothing ever moves
 /// and every epoch records a zero-cost sample.
 #[derive(Debug, Clone)]
-pub struct StaticStrategy<A> {
-    allocator: A,
-}
-
-impl<A: GlobalAllocator> StaticStrategy<A> {
-    /// Wraps `allocator` as a never-recomputing strategy.
-    pub fn new(allocator: A) -> Self {
-        StaticStrategy { allocator }
-    }
-}
+pub struct StaticStrategy<A>(pub A);
 
 impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
     fn name(&self) -> &'static str {
-        self.allocator.name()
+        self.0.name()
     }
 
     fn initial_allocation(
@@ -379,8 +367,7 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
         history: &mut History<'_>,
         k: u16,
     ) -> (AccountShardMap, Duration) {
-        let graph = history.graph();
-        time_it(|| self.allocator.allocate(graph, k))
+        EpochStrategy::initial_allocation(&mut self.0, history, k)
     }
 
     fn consumes_history(&self) -> bool {
@@ -390,7 +377,7 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
     fn needs_training_graph(&self) -> bool {
         // Rule-only allocators (hash-based Random) never read the
         // graph, so the core can skip building it.
-        self.allocator.uses_graph()
+        self.0.uses_graph()
     }
 
     fn before_epoch(&mut self, _ledger: &mut Ledger, _ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {
@@ -455,8 +442,7 @@ impl EpochStrategy for AdaptiveTxAllo {
         history: &mut History<'_>,
         k: u16,
     ) -> (AccountShardMap, Duration) {
-        let graph = history.graph();
-        time_it(|| self.init.allocate(graph, k))
+        EpochStrategy::initial_allocation(&mut self.init, history, k)
     }
 
     fn consumes_history(&self) -> bool {

@@ -7,15 +7,15 @@
 //! `mosaic-bench report` and `mosaic-bench ablation` print them.
 //!
 //! Every grid here is *data*: the effectiveness grid is
-//! `scenarios/effectiveness-*.scenario`, and Table V's β sweep and the
-//! ablations are studies derived from the session's scenario
+//! `scenarios/effectiveness-*.scenario`, and Table V's [`beta_sweep`]
+//! and the ablations are studies derived from the session's scenario
 //! (`scenarios/ablation-*.scenario` for the latter). The grid runs
 //! through [`Simulation::run`] and its observer stack; a derived study
-//! runs aggregate-only through one private helper, on the scenario's
-//! `grid_parallelism` lanes, over the session's resident trace or a
-//! re-opened streamed source. Results are order-stable and — the
-//! engine being deterministic — byte-identical to a sequential run on
-//! the same seed.
+//! runs aggregate-only through the same cell driver with no sink, on
+//! the scenario's `grid_parallelism` lanes, over the session's resident
+//! trace or a re-opened streamed source. Results are order-stable and
+//! — the engine being deterministic — byte-identical to a sequential
+//! run on the same seed.
 
 use mosaic_core::policy::{InteractionOnlyPolicy, PilotPolicy, StickyPolicy, WorkloadOnlyPolicy};
 use mosaic_core::ClientPolicy;
@@ -26,7 +26,7 @@ use mosaic_metrics::{Aggregate, TextTable};
 use mosaic_types::{AccountId, DefaultRule, Error, Result};
 use mosaic_workload::TraceSource;
 
-use crate::engine::{self, EpochStrategy, MosaicStrategy};
+use crate::engine::{EpochStrategy, MosaicStrategy};
 use crate::parallel::ordered_map;
 use crate::radar::{efficiency, normalise};
 use crate::scenario::{Capacity, CellSpec, GridAxis, Scenario};
@@ -149,8 +149,7 @@ pub fn table4(cells: &[GridCell]) -> TextTable {
 }
 
 /// **Table V** — impact of future knowledge: the Mosaic cells of a β
-/// sweep ([`report`] derives one; `scenarios/beta-sweep-*.scenario`
-/// reproduce the paper: `k = 4`, `η = 2`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`).
+/// sweep ([`beta_sweep`]).
 pub fn table5(cells: &[GridCell]) -> TextTable {
     let mut t = TextTable::new(["Metrics", "Ratio", "Throughput", "Workload"]);
     for cell in cells
@@ -354,12 +353,11 @@ fn mosaic<P: ClientPolicy + Default + 'static>(cell: &CellSpec) -> Box<dyn Epoch
 
 /// Runs `study`, a scenario derived from `session`'s, aggregate-only:
 /// every cell × every `build`, in that order, on the study's
-/// `grid_parallelism` lanes, each through [`engine::run_cell`] with its
-/// rows dropped — no observer sees them, so the study writes none of
-/// the scenario's CSVs and leaves its telemetry stream alone. The study
-/// shares the session's resident trace when it runs the same source,
-/// and otherwise opens its own (a streamed source is re-opened per
-/// cell).
+/// `grid_parallelism` lanes, each through the session's cell driver
+/// with no sink, no collected rows and no observer, so the study writes
+/// none of the scenario's CSVs. The study shares the session's resident
+/// trace when it runs the same source, and otherwise opens its own (a
+/// streamed source is re-opened per cell).
 fn derived(session: &Simulation, study: Scenario, builds: &[Build]) -> Result<Vec<GridCell>> {
     let study = match session.trace() {
         Some(trace) if study.trace == session.scenario().trace => {
@@ -375,28 +373,33 @@ fn derived(session: &Simulation, study: Scenario, builds: &[Build]) -> Result<Ve
     ordered_map(
         &runs,
         study.scenario().grid_parallelism,
-        |&(cell, build)| {
-            let mut stream = study.open_stream()?;
-            let mut strategy = build(cell);
-            let summary =
-                engine::run_cell(&cell.config, &mut stream, strategy.as_mut(), &mut |_, _| {
-                    true
-                })?;
-            Ok(GridCell {
-                param_label: cell.label.clone(),
-                config: cell.config,
-                per_epoch: Vec::new(),
-                summary,
-            })
-        },
+        |&(cell, build)| study.drive(cell, build(cell), Vec::new(), false, &[]),
     )
     .into_iter()
     .collect()
 }
 
+/// **Table V's β sweep**, derived from `scenario`: its base point at
+/// `k = 4`, `β ∈ {0, 0.25, 0.5, 0.75, 1}`, Mosaic only. Renamed, the
+/// sweep of `scenarios/effectiveness-*.scenario` is
+/// `scenarios/beta-sweep-*.scenario`.
+///
+/// # Errors
+///
+/// The base point's validation error at `k = 4`.
+pub fn beta_sweep(scenario: &Scenario) -> Result<Scenario> {
+    Ok(Scenario {
+        name: format!("{}-beta-sweep", scenario.name),
+        base: scenario.base.with_shards(4)?,
+        grid: vec![GridAxis::Beta(vec![0.0, 0.25, 0.5, 0.75, 1.0])],
+        strategies: vec![Strategy::Mosaic],
+        ..scenario.clone()
+    })
+}
+
 /// **The report** — Tables I–VI and Figure 1 from one run of the
-/// `session`'s grid, plus Table V's β sweep (`k = 4`, Mosaic only),
-/// derived from the same scenario and run aggregate-only.
+/// `session`'s grid, plus Table V's [`beta_sweep`] of the same
+/// scenario, run aggregate-only.
 ///
 /// # Errors
 ///
@@ -409,14 +412,7 @@ fn derived(session: &Simulation, study: Scenario, builds: &[Build]) -> Result<Ve
 pub fn report(session: &Simulation) -> Result<String> {
     let scenario = session.scenario();
     let cells = session.run()?;
-    let sweep = Scenario {
-        name: format!("{}-beta-sweep", scenario.name),
-        base: scenario.base.with_shards(4)?,
-        grid: vec![GridAxis::Beta(vec![0.0, 0.25, 0.5, 0.75, 1.0])],
-        strategies: vec![Strategy::Mosaic],
-        ..scenario.clone()
-    };
-    let beta_cells = derived(session, sweep, &[registry])?;
+    let beta_cells = derived(session, beta_sweep(scenario)?, &[registry])?;
     Ok(sections([
         (
             "Table I: cross-shard transaction ratio",
@@ -753,6 +749,26 @@ mod tests {
         let err = churn_ablation(&session).unwrap_err();
         assert!(matches!(err, Error::ParseScenario { line: 0, .. }), "{err}");
         assert!(err.to_string().contains("churn"), "{err}");
+    }
+
+    /// Table V's sweep has one owner: derived from an effectiveness spec
+    /// and renamed, it prints as the checked-in β-sweep spec.
+    #[test]
+    fn beta_sweep_of_the_effectiveness_specs_is_the_checked_in_sweep() {
+        for (grid, sweep) in [
+            (
+                include_str!("../../../scenarios/effectiveness-quick.scenario"),
+                include_str!("../../../scenarios/beta-sweep-quick.scenario"),
+            ),
+            (
+                include_str!("../../../scenarios/effectiveness-default.scenario"),
+                include_str!("../../../scenarios/beta-sweep-default.scenario"),
+            ),
+        ] {
+            let derived = beta_sweep(&Scenario::parse(grid).unwrap()).unwrap();
+            let name = Scenario::parse(sweep).unwrap().name;
+            assert_eq!(Scenario { name, ..derived }.to_text(), sweep);
+        }
     }
 
     #[test]

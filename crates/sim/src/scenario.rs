@@ -56,15 +56,6 @@ pub enum Capacity {
 }
 
 impl Capacity {
-    /// Converts to the [`ExperimentConfig::migration_capacity`] field.
-    pub fn to_config(self) -> Option<usize> {
-        match self {
-            Capacity::Lambda => None,
-            Capacity::Unbounded => Some(usize::MAX),
-            Capacity::Fixed(n) => Some(n),
-        }
-    }
-
     fn to_token(self) -> String {
         match self {
             Capacity::Lambda => "lambda".to_string(),
@@ -125,7 +116,7 @@ struct AxisSpec {
     parse: fn(&Field<'_>) -> Result<GridAxis>,
 }
 
-/// Every grid axis, in [`GridAxis`] variant order ([`GridAxis::spec`]
+/// Every grid axis, in [`GridAxis`] variant order ([`GridAxis::expand`]
 /// indexes it).
 #[rustfmt::skip]
 const AXES: [AxisSpec; 6] = [
@@ -138,27 +129,47 @@ const AXES: [AxisSpec; 6] = [
                parse: |f| f.list(|t| Capacity::parse_token(t, f.line)).map(GridAxis::MigrationCapacity) },
 ];
 
-impl GridAxis {
-    fn spec(&self) -> &'static AxisSpec {
-        &AXES[match self {
-            GridAxis::Shards(_) => 0,
-            GridAxis::Eta(_) => 1,
-            GridAxis::Tau(_) => 2,
-            GridAxis::Beta(_) => 3,
-            GridAxis::Lambda(_) => 4,
-            GridAxis::MigrationCapacity(_) => 5,
-        }]
-    }
+/// One value of a grid axis, as the text format and a row label print
+/// it and as it moves the base point.
+struct AxisValue {
+    token: String,
+    label: String,
+    params: Result<SystemParams>,
+    capacity: Capacity,
+}
 
-    fn values_text(&self) -> String {
-        match self {
-            GridAxis::Shards(v) => join(v, ToString::to_string),
-            GridAxis::Eta(v) | GridAxis::Beta(v) | GridAxis::Lambda(v) => {
-                join(v, ToString::to_string)
+impl GridAxis {
+    /// The axis's [`AXES`] entry and its values around `base` — the one
+    /// place the variants are matched.
+    fn expand(
+        &self,
+        base: SystemParams,
+        capacity: Capacity,
+    ) -> (&'static AxisSpec, Vec<AxisValue>) {
+        let num = |v: &dyn ToString, params| AxisValue {
+            token: v.to_string(),
+            label: v.to_string(),
+            params,
+            capacity,
+        };
+        let fixed = |lambda| base.with_lambda_policy(LambdaPolicy::Fixed(lambda));
+        let (index, values) = match self {
+            GridAxis::Shards(v) => (0, v.iter().map(|&x| num(&x, base.with_shards(x))).collect()),
+            GridAxis::Eta(v) => (1, v.iter().map(|&x| num(&x, base.with_eta(x))).collect()),
+            GridAxis::Tau(v) => (2, v.iter().map(|&x| num(&x, base.with_tau(x))).collect()),
+            GridAxis::Beta(v) => (3, v.iter().map(|&x| num(&x, base.with_beta(x))).collect()),
+            GridAxis::Lambda(v) => (4, v.iter().map(|&x| num(&x, fixed(x))).collect()),
+            GridAxis::MigrationCapacity(v) => {
+                let value = |c: Capacity| AxisValue {
+                    token: c.to_token(),
+                    label: c.label_value(),
+                    params: Ok(base),
+                    capacity: c,
+                };
+                (5, v.iter().map(|&c| value(c)).collect())
             }
-            GridAxis::Tau(v) => join(v, ToString::to_string),
-            GridAxis::MigrationCapacity(v) => join(v, |c| c.to_token()),
-        }
+        };
+        (&AXES[index], values)
     }
 
     fn parse(field: &Field<'_>) -> Result<Self> {
@@ -171,48 +182,6 @@ impl GridAxis {
             return Err(field.error(format!("{} has no values", field.key)));
         }
         (spec.parse)(field)
-    }
-
-    /// Expands this axis around `base`: one labelled parameter point per
-    /// value, every other parameter untouched.
-    fn points(&self, base: SystemParams, base_capacity: Capacity) -> Result<Vec<CellPoint>> {
-        let symbol = self.spec().symbol;
-        let point = |value: String, params: Result<SystemParams>, capacity| {
-            params.map(|params| CellPoint {
-                label: format!("{symbol} = {value}"),
-                params,
-                capacity,
-            })
-        };
-        match self {
-            GridAxis::Shards(values) => values
-                .iter()
-                .map(|&k| point(k.to_string(), base.with_shards(k), base_capacity))
-                .collect(),
-            GridAxis::Eta(values) => values
-                .iter()
-                .map(|&eta| point(eta.to_string(), base.with_eta(eta), base_capacity))
-                .collect(),
-            GridAxis::Tau(values) => values
-                .iter()
-                .map(|&tau| point(tau.to_string(), base.with_tau(tau), base_capacity))
-                .collect(),
-            GridAxis::Beta(values) => values
-                .iter()
-                .map(|&beta| point(beta.to_string(), base.with_beta(beta), base_capacity))
-                .collect(),
-            GridAxis::Lambda(values) => values
-                .iter()
-                .map(|&lambda| {
-                    let params = base.with_lambda_policy(LambdaPolicy::Fixed(lambda));
-                    point(lambda.to_string(), params, base_capacity)
-                })
-                .collect(),
-            GridAxis::MigrationCapacity(values) => values
-                .iter()
-                .map(|&capacity| point(capacity.label_value(), Ok(base), capacity))
-                .collect(),
-        }
     }
 }
 
@@ -661,6 +630,11 @@ fn parse_strategy(token: &str, line: usize) -> Result<Strategy> {
     })
 }
 
+/// The first item equal to an earlier one.
+fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
+    (0..items.len()).find_map(|i| items[..i].contains(&items[i]).then_some(&items[i]))
+}
+
 fn join<T>(items: &[T], token: impl Fn(&T) -> String) -> String {
     items.iter().map(token).collect::<Vec<_>>().join(", ")
 }
@@ -716,12 +690,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the base migration-commit bound.
-    pub fn with_capacity(mut self, capacity: Capacity) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
     /// The workload config behind a generated trace source, if any.
     pub fn workload(&self) -> Option<&WorkloadConfig> {
         self.trace.workload()
@@ -750,12 +718,18 @@ impl Scenario {
         }
         let mut points = Vec::new();
         for axis in &self.grid {
-            let axis_points = axis.points(self.base, self.capacity)?;
-            if axis_points.is_empty() {
-                let key = axis.spec().key;
+            let (spec, values) = axis.expand(self.base, self.capacity);
+            if values.is_empty() {
+                let key = spec.key;
                 return Err(parse_error(0, format!("{AXIS_PREFIX}{key} has no values")));
             }
-            points.extend(axis_points);
+            for value in values {
+                points.push(CellPoint {
+                    label: format!("{} = {}", spec.symbol, value.label),
+                    params: value.params?,
+                    capacity: value.capacity,
+                });
+            }
         }
         Ok(points)
     }
@@ -772,6 +746,11 @@ impl Scenario {
         self.validate()?;
         let mut cells = Vec::new();
         for point in self.points()? {
+            let migration_capacity = match point.capacity {
+                Capacity::Lambda => None,
+                Capacity::Unbounded => Some(usize::MAX),
+                Capacity::Fixed(n) => Some(n),
+            };
             for &strategy in &self.strategies {
                 cells.push(CellSpec {
                     label: point.label.clone(),
@@ -780,7 +759,7 @@ impl Scenario {
                         strategy,
                         train_fraction: self.train_fraction,
                         eval_epochs: self.eval_epochs,
-                        migration_capacity: point.capacity.to_config(),
+                        migration_capacity,
                     },
                 });
             }
@@ -848,25 +827,13 @@ impl Scenario {
                  use stream-csv:<dir> instead",
             ));
         }
-        if let Some(dup) = self
-            .observers
-            .iter()
-            .enumerate()
-            .find_map(|(i, o)| self.observers[..i].contains(o).then_some(o))
-        {
-            // Two identical stream-csv observers would open every cell's
-            // CSV file twice; a duplicate collect is a plain spec error.
-            return Err(parse_error(
-                0,
-                format!("duplicate observer {:?}", dup.to_token()),
-            ));
+        // Two identical stream-csv observers would open every cell's CSV
+        // file twice; a duplicate collect is a plain spec error.
+        if let Some(dup) = first_duplicate(&self.observers) {
+            let token = dup.to_token();
+            return Err(parse_error(0, format!("duplicate observer {token:?}")));
         }
-        if let Some(dup) = self
-            .strategies
-            .iter()
-            .enumerate()
-            .find_map(|(i, s)| self.strategies[..i].contains(s).then_some(s))
-        {
+        if let Some(dup) = first_duplicate(&self.strategies) {
             return Err(parse_error(0, format!("duplicate strategy {}", dup.name())));
         }
         // Surface invalid axis values now rather than at run time — and
@@ -875,13 +842,9 @@ impl Scenario {
         // stream-csv observer two identical cells would race on one CSV
         // path ([`CellSpec::file_stem`] is derived from label+strategy).
         let points = self.points()?;
-        for (i, p) in points.iter().enumerate() {
-            if points[..i].iter().any(|q| q.label == p.label) {
-                return Err(parse_error(
-                    0,
-                    format!("duplicate grid point {:?}", p.label),
-                ));
-            }
+        let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
+        if let Some(dup) = first_duplicate(&labels) {
+            return Err(parse_error(0, format!("duplicate grid point {dup:?}")));
         }
         Ok(())
     }
@@ -899,8 +862,9 @@ impl Scenario {
                 }
                 Line::Axes => {
                     for axis in &self.grid {
-                        let key = axis.spec().key;
-                        let _ = writeln!(out, "{AXIS_PREFIX}{key} = {}", axis.values_text());
+                        let (spec, values) = axis.expand(self.base, self.capacity);
+                        let values = join(&values, |value| value.token.clone());
+                        let _ = writeln!(out, "{AXIS_PREFIX}{} = {values}", spec.key);
                     }
                 }
             }
@@ -1085,7 +1049,6 @@ mod tests {
                     .build()
                     .unwrap(),
             )
-            .with_capacity(Capacity::Fixed(12))
             .with_axis(GridAxis::Shards(vec![2, 4]))
             .with_axis(GridAxis::Eta(vec![1.5, 2.25]))
             .with_axis(GridAxis::Tau(vec![60, 600]))
@@ -1104,6 +1067,7 @@ mod tests {
                 ObserverSpec::Telemetry(PathBuf::from("telemetry/run.jsonl")),
             ]);
         Scenario {
+            capacity: Capacity::Fixed(12),
             cell_parallelism: Parallelism::Auto,
             ..scenario
         }
@@ -1131,7 +1095,9 @@ mod tests {
                 value: "1",
                 line: 1,
             };
-            assert_eq!((axis.parse)(&field).unwrap().spec().key, axis.key);
+            let parsed = (axis.parse)(&field).unwrap();
+            let (spec, _) = parsed.expand(SystemParams::default(), Capacity::Lambda);
+            assert_eq!(spec.key, axis.key);
         }
 
         // to_text writes the keys in table order, the axis lines where
@@ -1141,12 +1107,10 @@ mod tests {
         for line in LINES {
             match line {
                 Line::Key(key) => expected.push(key.name.to_string()),
-                Line::Axes => expected.extend(
-                    scenario
-                        .grid
-                        .iter()
-                        .map(|axis| format!("{AXIS_PREFIX}{}", axis.spec().key)),
-                ),
+                Line::Axes => expected.extend(scenario.grid.iter().map(|axis| {
+                    let (spec, _) = axis.expand(scenario.base, scenario.capacity);
+                    format!("{AXIS_PREFIX}{}", spec.key)
+                })),
             }
         }
         let omitted: Vec<String> = expected
@@ -1482,9 +1446,12 @@ mod tests {
             capacity: Capacity::Unbounded,
         };
         assert_eq!(slug(&greek.label), "eta-5");
-        let unbounded = GridAxis::MigrationCapacity(vec![Capacity::Unbounded])
-            .points(SystemParams::default(), Capacity::Lambda)
-            .unwrap();
+        let unbounded = Scenario {
+            grid: vec![GridAxis::MigrationCapacity(vec![Capacity::Unbounded])],
+            ..effectiveness_quick()
+        }
+        .points()
+        .unwrap();
         assert_eq!(unbounded[0].label, "capacity = ∞");
         assert_eq!(slug(&unbounded[0].label), "capacity-unbounded");
         assert_eq!(slug("β = 0.25"), "beta-0.25");

@@ -4,9 +4,11 @@
 //! [`Simulation::from_scenario`] validates the spec and expands its
 //! grid into cells; [`Simulation::run`] maps them over the scenario's
 //! `grid_parallelism` lanes and returns one [`GridCell`] per cell, in
-//! cell order. Each cell opens an [`EpochWindowStream`] on the session's
-//! trace and runs through [`engine::run_cell`], fanning every epoch's
-//! metric row to the scenario's observer stack.
+//! cell order. A grid run's cells, [`Simulation::stream_cell`]'s and the
+//! derived studies' run through one driver: it opens an
+//! [`EpochWindowStream`] on the session's trace, scopes the strategy's
+//! telemetry to the cell and fans each row [`engine::run_cell`] yields
+//! to the sinks and observers its caller passes.
 //!
 //! Source kinds differ only in where the windows come from. A resident
 //! source (`generated`, `csv`) is materialised **once** and shared
@@ -19,7 +21,6 @@
 
 use std::fs;
 use std::io;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use mosaic_metrics::{EpochCsvWriter, EpochMetrics};
@@ -261,17 +262,23 @@ impl Simulation {
     where
         F: Fn(&CellSpec) -> Box<dyn EpochStrategy> + Sync,
     {
-        // Streaming observers need their directories before workers race
-        // to create files in them.
-        for observer in &self.scenario.observers {
-            if let ObserverSpec::StreamCsv(dir) = observer {
-                fs::create_dir_all(dir).map_err(|e| io_error(dir.display(), &e))?;
-            }
-        }
         let telemetry = self.install_telemetry()?;
+        let collect = self.scenario.observers.contains(&ObserverSpec::Collect);
+        let single_point = self.scenario.is_single_point();
         let outcomes = ordered_map(&self.cells, self.scenario.grid_parallelism, |cell| {
-            let mut strategy = factory(cell);
-            self.run_cell(cell, strategy.as_mut())
+            let mut sinks: Vec<Sink<'_>> = Vec::new();
+            for observer in &self.scenario.observers {
+                if let ObserverSpec::StreamCsv(dir) = observer {
+                    // Cells race to create the directory; `create_dir_all`
+                    // takes one that appears meanwhile as success.
+                    fs::create_dir_all(dir).map_err(|e| io_error(dir.display(), &e))?;
+                    let path = dir.join(format!("{}.csv", cell.file_stem(single_point)));
+                    let name = path.display().to_string();
+                    let file = fs::File::create(&path).map_err(|e| io_error(&name, &e))?;
+                    sinks.push((name, Box::new(io::BufWriter::new(file))));
+                }
+            }
+            self.drive(cell, factory(cell), sinks, collect, &self.observers)
         });
         if let Some(recorder) = telemetry {
             // Close the event stream with the final metric snapshot and
@@ -293,23 +300,14 @@ impl Simulation {
         }) else {
             return Ok(None);
         };
+        // A bare file name's parent is the empty path, which this accepts.
         if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|e| io_error(parent.display(), &e))?;
-            }
+            fs::create_dir_all(parent).map_err(|e| io_error(parent.display(), &e))?;
         }
         let file = fs::File::create(path).map_err(|e| io_error(path.display(), &e))?;
         let recorder = Recorder::with_sink(Box::new(io::BufWriter::new(file)));
         mosaic_telemetry::install_global(recorder.clone());
         Ok(Some(recorder))
-    }
-
-    /// A fresh window stream over the session's trace.
-    pub(crate) fn open_stream(&self) -> Result<EpochWindowStream> {
-        match &self.trace {
-            Some(trace) => Ok(EpochWindowStream::resident(Arc::clone(trace))),
-            None => self.scenario.trace.window_stream(),
-        }
     }
 
     /// Streams one cell's per-epoch CSV rows to `out`, byte-identical
@@ -320,58 +318,51 @@ impl Simulation {
     /// Returns [`Error::Io`] on the sink's first failure (the cell
     /// stops at the failing epoch), plus trace open/parse errors.
     pub fn stream_cell(&self, cell: &CellSpec, out: &mut dyn io::Write) -> Result<RunSummary> {
-        const SINK: &str = "<stream sink>";
-        let mut stream = self.open_stream()?;
-        let mut strategy = cell.config.strategy.build(cell.config.params);
-        let mut writer = EpochCsvWriter::new(out).map_err(|e| io_error(SINK, &e))?;
-        let mut failure = None;
-        let summary = engine::run_cell(
-            &cell.config,
-            &mut stream,
-            strategy.as_mut(),
-            &mut |_, metrics| {
-                failure = writer.write_epoch(metrics).err();
-                failure.is_none()
-            },
-        )?;
-        match failure {
-            Some(e) => Err(e),
-            None => writer.finish().map(|_| summary),
-        }
-        .map_err(|e| io_error(SINK, &e))
+        let strategy = cell.config.strategy.build(cell.config.params);
+        let sink: Sink<'_> = ("<stream sink>".to_string(), Box::new(out));
+        let grid = self.drive(cell, strategy, vec![sink], false, &[])?;
+        Ok(grid.summary)
     }
 
-    /// Runs one cell through the engine, fanning each metric row to the
-    /// whole observer stack in a single pass.
-    fn run_cell(&self, cell: &CellSpec, strategy: &mut dyn EpochStrategy) -> Result<GridCell> {
-        let collect = self.scenario.observers.contains(&ObserverSpec::Collect);
-        let single_point = self.scenario.is_single_point();
-        let mut writers: Vec<(PathBuf, EpochCsvWriter<io::BufWriter<fs::File>>)> = Vec::new();
-        for observer in &self.scenario.observers {
-            if let ObserverSpec::StreamCsv(dir) = observer {
-                let path = dir.join(format!("{}.csv", cell.file_stem(single_point)));
-                let file = fs::File::create(&path).map_err(|e| io_error(path.display(), &e))?;
-                let writer = EpochCsvWriter::new(io::BufWriter::new(file))
-                    .map_err(|e| io_error(path.display(), &e))?;
-                writers.push((path, writer));
-            }
+    /// The one way a cell runs: opens the window stream, scopes the
+    /// strategy's telemetry to the cell, drives [`engine::run_cell`] and
+    /// fans each metric row to the CSV `sinks`, the collected rows (if
+    /// `collect`), the `epoch` telemetry event and `observers`, in that
+    /// order. A sink's first failure stops the cell after that epoch and
+    /// is returned as an [`Error::Io`] naming the sink.
+    pub(crate) fn drive(
+        &self,
+        cell: &CellSpec,
+        mut strategy: Box<dyn EpochStrategy>,
+        sinks: Vec<Sink<'_>>,
+        collect: bool,
+        observers: &[Box<dyn RunObserver>],
+    ) -> Result<GridCell> {
+        let mut stream = match &self.trace {
+            Some(trace) => EpochWindowStream::resident(Arc::clone(trace)),
+            None => self.scenario.trace.window_stream()?,
+        };
+        let mut writers = Vec::with_capacity(sinks.len());
+        for (name, out) in sinks {
+            let writer = EpochCsvWriter::new(out).map_err(|e| io_error(&name, &e))?;
+            writers.push((name, writer));
         }
-
-        let mut per_epoch = Vec::new();
-        let mut io_failure: Option<Error> = None;
         // Scoped per cell so concurrent cells' epoch events and the
         // strategy's gauges stay distinguishable in the shared JSONL
-        // stream (disabled — one branch per epoch — unless a telemetry
-        // observer is installed).
-        let recorder = mosaic_telemetry::global().scoped(&cell.file_stem(single_point));
+        // stream (disabled — one branch per epoch — unless a recorder
+        // is installed).
+        let recorder =
+            mosaic_telemetry::global().scoped(&cell.file_stem(self.scenario.is_single_point()));
         strategy.scope_telemetry(&recorder);
+        let mut per_epoch = Vec::new();
+        let mut failure = None;
         let mut on_epoch = |epoch: usize, metrics: &EpochMetrics| {
             if collect {
                 per_epoch.push(*metrics);
             }
-            for (path, writer) in &mut writers {
+            for (name, writer) in &mut writers {
                 if let Err(e) = writer.write_epoch(metrics) {
-                    io_failure = Some(io_error(path.display(), &e));
+                    failure = Some(io_error(name, &e));
                     return false;
                 }
             }
@@ -385,19 +376,18 @@ impl Simulation {
                     ("migrations", metrics.migrations.to_string()),
                 ],
             );
-            self.observers
+            observers
                 .iter()
                 .all(|obs| obs.on_epoch(cell, epoch, metrics))
         };
-        let mut stream = self.open_stream()?;
-        let summary = engine::run_cell(&cell.config, &mut stream, strategy, &mut on_epoch)?;
-        if let Some(e) = io_failure {
+        let summary = engine::run_cell(&cell.config, &mut stream, &mut *strategy, &mut on_epoch)?;
+        if let Some(e) = failure {
             return Err(e);
         }
-        for (path, writer) in writers {
-            writer.finish().map_err(|e| io_error(path.display(), &e))?;
+        for (name, writer) in writers {
+            writer.finish().map_err(|e| io_error(&name, &e))?;
         }
-        for obs in &self.observers {
+        for obs in observers {
             obs.on_cell(cell, &summary);
         }
         Ok(GridCell {
@@ -408,6 +398,9 @@ impl Simulation {
         })
     }
 }
+
+/// One CSV sink of a cell: the name its errors carry, and the writer.
+type Sink<'a> = (String, Box<dyn io::Write + 'a>);
 
 fn io_error(path: impl std::fmt::Display, e: &dyn std::fmt::Display) -> Error {
     Error::Io {

@@ -53,10 +53,6 @@ pub enum DefaultRule {
     /// random allocation" baseline).
     #[default]
     Sha256Mod,
-    /// Monoxide-style: the first bits of `SHA256(address)` scaled to `k`
-    /// shards (exact when `k` is a power of two, range-partitioned
-    /// otherwise).
-    Sha256FirstBits,
 }
 
 impl DefaultRule {
@@ -73,15 +69,7 @@ impl DefaultRule {
     pub fn shard_of(&self, account: AccountId, k: u16) -> ShardId {
         debug_assert!(k > 0, "shard count must be positive");
         let prefix = sha256_prefix_u64(&account.address_bytes());
-        match self {
-            DefaultRule::Sha256Mod => ShardId::new((prefix % u64::from(k)) as u16),
-            DefaultRule::Sha256FirstBits => {
-                // Map the 64-bit prefix into [0, k): equivalent to taking
-                // the first log2(k) bits when k is a power of two.
-                let shard = ((u128::from(prefix) * u128::from(k)) >> 64) as u16;
-                ShardId::new(shard.min(k - 1))
-            }
-        }
+        ShardId::new((prefix % u64::from(k)) as u16)
     }
 }
 
@@ -118,7 +106,6 @@ impl DefaultRule {
 #[derive(Clone, Serialize, Deserialize)]
 pub struct AccountShardMap {
     shards: u16,
-    rule: DefaultRule,
     assigned: FnvHashMap<AccountId, ShardId>,
     /// Slot `a` holds ϕ(a) as a `u16`, or [`UNRESOLVED`]; ids at or past
     /// [`AccountShardMap::TABLE_CAP`] have no slot.
@@ -149,19 +136,9 @@ impl AccountShardMap {
     ///
     /// Panics if `shards == 0`.
     pub fn new(shards: u16) -> Self {
-        Self::with_rule(shards, DefaultRule::default())
-    }
-
-    /// Creates an empty mapping with an explicit fallback rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_rule(shards: u16, rule: DefaultRule) -> Self {
         assert!(shards > 0, "shard count must be positive");
         AccountShardMap {
             shards,
-            rule,
             assigned: FnvHashMap::default(),
             table: Vec::new(),
         }
@@ -170,11 +147,6 @@ impl AccountShardMap {
     /// Number of shards `k`.
     pub fn shards(&self) -> u16 {
         self.shards
-    }
-
-    /// The fallback rule for unassigned accounts.
-    pub fn default_rule(&self) -> DefaultRule {
-        self.rule
     }
 
     /// Resolves the shard of `account` (total: never fails): its table
@@ -204,7 +176,7 @@ impl AccountShardMap {
     fn uncached_shard_of(&self, account: AccountId) -> ShardId {
         match self.assigned.get(&account) {
             Some(&s) => s,
-            None => self.rule.shard_of(account, self.shards),
+            None => DefaultRule::Sha256Mod.shard_of(account, self.shards),
         }
     }
 
@@ -373,7 +345,7 @@ impl Extend<(AccountId, ShardId)> for AccountShardMap {
 /// other three fields, so what each side has cached does not matter.
 impl PartialEq for AccountShardMap {
     fn eq(&self, other: &Self) -> bool {
-        self.shards == other.shards && self.rule == other.rule && self.assigned == other.assigned
+        self.shards == other.shards && self.assigned == other.assigned
     }
 }
 
@@ -382,7 +354,6 @@ impl fmt::Debug for AccountShardMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AccountShardMap")
             .field("shards", &self.shards)
-            .field("rule", &self.rule)
             .field("assigned", &self.assigned)
             .finish_non_exhaustive()
     }
@@ -507,74 +478,55 @@ mod tests {
         assert!(phi.check_invariants().is_err());
     }
 
-    #[test]
-    fn first_bits_rule_power_of_two_matches_top_bits() {
-        let k = 16u16;
-        for i in 0..200u64 {
-            let a = AccountId::new(i);
-            let prefix = crate::hash::sha256_prefix_u64(&a.address_bytes());
-            let expected = (prefix >> 60) as u16; // top 4 bits for k=16
-            assert_eq!(
-                DefaultRule::Sha256FirstBits.shard_of(a, k),
-                ShardId::new(expected)
-            );
-        }
-    }
-
     /// The rule itself, pinned: shards printed by the scalar-only build
     /// before the SHA-NI kernel and the one-block path existed. A digest
     /// slip in either kernel moves a row here before it moves a golden CSV.
     #[test]
     fn default_rules_match_pinned_shards() {
         const KS: [u16; 3] = [2, 16, 48];
-        // (account, Sha256Mod shard per k, Sha256FirstBits shard per k)
+        // (account, Sha256Mod shard per k)
         #[rustfmt::skip]
-        let pinned: [(u64, [u16; 3], [u16; 3]); 32] = [
-            (0x0, [0, 12, 28], [0, 6, 18]),
-            (0x1, [1, 7, 39], [0, 5, 17]),
-            (0x2, [0, 12, 12], [1, 14, 44]),
-            (0x7, [1, 13, 13], [1, 10, 30]),
-            (0xff, [1, 1, 1], [0, 7, 22]),
-            (0x100, [0, 10, 26], [1, 8, 26]),
-            (0xffff, [0, 0, 16], [0, 6, 18]),
-            (0x10000, [0, 8, 40], [1, 14, 43]),
-            (0xf423f, [1, 3, 3], [0, 7, 23]),
-            (0xf4240, [0, 4, 4], [0, 2, 6]),
-            (0xffffffff, [1, 1, 33], [1, 9, 29]),
-            (0x100000000, [1, 5, 5], [0, 7, 23]),
-            (0xfffffffffffffffe, [0, 14, 30], [1, 12, 36]),
-            (0xffffffffffffffff, [1, 13, 45], [1, 12, 38]),
-            (0x8000000000000000, [0, 0, 32], [0, 1, 5]),
-            (0x7fffffffffffffff, [1, 9, 41], [0, 3, 9]),
-            (0x6e789e6aa1b965f4, [1, 5, 21], [1, 13, 40]),
-            (0x6c45d188009454f, [1, 5, 5], [0, 1, 5]),
-            (0xf88bb8a8724c81ec, [1, 7, 39], [0, 7, 21]),
-            (0x1b39896a51a8749b, [0, 10, 10], [0, 6, 20]),
-            (0x53cb9f0c747ea2ea, [0, 12, 12], [1, 9, 27]),
-            (0x2c829abe1f4532e1, [0, 2, 18], [1, 8, 25]),
-            (0xc584133ac916ab3c, [1, 13, 29], [0, 6, 20]),
-            (0x3ee5789041c98ac3, [1, 3, 19], [0, 3, 9]),
-            (0xf3b8488c368cb0a6, [0, 4, 36], [1, 11, 34]),
-            (0x657eecdd3cb13d09, [1, 1, 33], [0, 0, 0]),
-            (0xc2d326e0055bdef6, [1, 1, 1], [1, 9, 27]),
-            (0x8621a03fe0bbdb7b, [1, 13, 13], [1, 14, 43]),
-            (0x8e1f7555983aa92f, [1, 9, 41], [0, 1, 5]),
-            (0xb54e0f1600cc4d19, [1, 1, 1], [1, 12, 38]),
-            (0x84bb3f97971d80ab, [0, 10, 10], [1, 10, 31]),
-            (0x7d29825c75521255, [1, 13, 13], [0, 3, 9]),
+        let pinned: [(u64, [u16; 3]); 32] = [
+            (0x0, [0, 12, 28]),
+            (0x1, [1, 7, 39]),
+            (0x2, [0, 12, 12]),
+            (0x7, [1, 13, 13]),
+            (0xff, [1, 1, 1]),
+            (0x100, [0, 10, 26]),
+            (0xffff, [0, 0, 16]),
+            (0x10000, [0, 8, 40]),
+            (0xf423f, [1, 3, 3]),
+            (0xf4240, [0, 4, 4]),
+            (0xffffffff, [1, 1, 33]),
+            (0x100000000, [1, 5, 5]),
+            (0xfffffffffffffffe, [0, 14, 30]),
+            (0xffffffffffffffff, [1, 13, 45]),
+            (0x8000000000000000, [0, 0, 32]),
+            (0x7fffffffffffffff, [1, 9, 41]),
+            (0x6e789e6aa1b965f4, [1, 5, 21]),
+            (0x6c45d188009454f, [1, 5, 5]),
+            (0xf88bb8a8724c81ec, [1, 7, 39]),
+            (0x1b39896a51a8749b, [0, 10, 10]),
+            (0x53cb9f0c747ea2ea, [0, 12, 12]),
+            (0x2c829abe1f4532e1, [0, 2, 18]),
+            (0xc584133ac916ab3c, [1, 13, 29]),
+            (0x3ee5789041c98ac3, [1, 3, 19]),
+            (0xf3b8488c368cb0a6, [0, 4, 36]),
+            (0x657eecdd3cb13d09, [1, 1, 33]),
+            (0xc2d326e0055bdef6, [1, 1, 1]),
+            (0x8621a03fe0bbdb7b, [1, 13, 13]),
+            (0x8e1f7555983aa92f, [1, 9, 41]),
+            (0xb54e0f1600cc4d19, [1, 1, 1]),
+            (0x84bb3f97971d80ab, [0, 10, 10]),
+            (0x7d29825c75521255, [1, 13, 13]),
         ];
-        for (account, modulo, first_bits) in pinned {
+        for (account, modulo) in pinned {
             let a = AccountId::new(account);
             for (i, k) in KS.into_iter().enumerate() {
                 assert_eq!(
                     DefaultRule::Sha256Mod.shard_of(a, k),
                     ShardId::new(modulo[i]),
                     "Sha256Mod, account {account:#x}, k = {k}"
-                );
-                assert_eq!(
-                    DefaultRule::Sha256FirstBits.shard_of(a, k),
-                    ShardId::new(first_bits[i]),
-                    "Sha256FirstBits, account {account:#x}, k = {k}"
                 );
             }
         }
@@ -583,16 +535,15 @@ mod tests {
     #[test]
     fn hash_rules_spread_accounts_roughly_evenly() {
         let k = 8u16;
-        for rule in [DefaultRule::Sha256Mod, DefaultRule::Sha256FirstBits] {
-            let mut counts = vec![0usize; usize::from(k)];
-            for i in 0..8000u64 {
-                counts[rule.shard_of(AccountId::new(i), k).index()] += 1;
-            }
-            let expected = 1000.0;
-            for c in counts {
-                let dev = (c as f64 - expected).abs() / expected;
-                assert!(dev < 0.15, "rule {rule:?} too skewed: {c} vs {expected}");
-            }
+        let rule = DefaultRule::Sha256Mod;
+        let mut counts = vec![0usize; usize::from(k)];
+        for i in 0..8000u64 {
+            counts[rule.shard_of(AccountId::new(i), k).index()] += 1;
+        }
+        let expected = 1000.0;
+        for c in counts {
+            let dev = (c as f64 - expected).abs() / expected;
+            assert!(dev < 0.15, "rule {rule:?} too skewed: {c} vs {expected}");
         }
     }
 
@@ -655,7 +606,6 @@ mod tests {
     /// other account through the rule — no cache anywhere.
     struct Model {
         k: u16,
-        rule: DefaultRule,
         assigned: std::collections::BTreeMap<u64, u16>,
     }
 
@@ -663,12 +613,12 @@ mod tests {
         fn shard_of(&self, id: u64) -> ShardId {
             match self.assigned.get(&id) {
                 Some(&s) => ShardId::new(s),
-                None => self.rule.shard_of(AccountId::new(id), self.k),
+                None => DefaultRule::Sha256Mod.shard_of(AccountId::new(id), self.k),
             }
         }
 
         fn rebuilt(&self) -> AccountShardMap {
-            let mut phi = AccountShardMap::with_rule(self.k, self.rule);
+            let mut phi = AccountShardMap::new(self.k);
             phi.extend_assignments(
                 self.assigned
                     .iter()
@@ -706,7 +656,6 @@ mod tests {
         #[test]
         fn prop_table_matches_reference_model(
             k_pick in 0usize..4,
-            first_bits in any::<bool>(),
             ops in proptest::collection::vec(
                 (0u8..7, 0usize..EDGE_IDS.len(), 0u16..8, any::<u16>()),
                 1..24,
@@ -714,13 +663,8 @@ mod tests {
         ) {
             // k = 65535 puts shard 65534 right next to the sentinel.
             let k = [1u16, 2, 16, u16::MAX][k_pick];
-            let rule = if first_bits {
-                DefaultRule::Sha256FirstBits
-            } else {
-                DefaultRule::Sha256Mod
-            };
-            let mut phi = AccountShardMap::with_rule(k, rule);
-            let mut model = Model { k, rule, assigned: Default::default() };
+            let mut phi = AccountShardMap::new(k);
+            let mut model = Model { k, assigned: Default::default() };
             for (op, pick, shard_pick, raw) in ops {
                 let id = EDGE_IDS[pick];
                 let a = AccountId::new(id);
@@ -793,14 +737,13 @@ mod tests {
             prop_assert_eq!(counts.iter().sum::<usize>(), universe_size as usize);
         }
 
-        /// The default rules are deterministic and in-range for any k.
+        /// The default rule is deterministic and in-range for any k.
         #[test]
         fn prop_default_rules_in_range(account in any::<u64>(), k in 1u16..128) {
-            for rule in [DefaultRule::Sha256Mod, DefaultRule::Sha256FirstBits] {
-                let s = rule.shard_of(AccountId::new(account), k);
-                prop_assert!(s.index() < usize::from(k));
-                prop_assert_eq!(s, rule.shard_of(AccountId::new(account), k));
-            }
+            let rule = DefaultRule::Sha256Mod;
+            let s = rule.shard_of(AccountId::new(account), k);
+            prop_assert!(s.index() < usize::from(k));
+            prop_assert_eq!(s, rule.shard_of(AccountId::new(account), k));
         }
 
         /// Migration always reports the pre-move shard and lands on target.

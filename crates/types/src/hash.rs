@@ -1,10 +1,10 @@
 //! In-repo hashing: SHA-256 and FNV-1a.
 //!
 //! The hash-based allocation baseline of the paper assigns an account to
-//! `SHA256(address) mod k` (Chainspace) or by the first bits of the hash
-//! (Monoxide). To stay faithful to that specification without pulling a
-//! cryptography dependency, this module contains a complete FIPS 180-4
-//! SHA-256 implementation, validated against the standard test vectors.
+//! `SHA256(address) mod k` (Chainspace). To stay faithful to that
+//! specification without pulling a cryptography dependency, this module
+//! contains a complete FIPS 180-4 SHA-256 implementation, validated
+//! against the standard test vectors.
 //!
 //! # Two kernels, one dispatcher
 //!
@@ -314,9 +314,8 @@ fn sha256_with(compress: Kernel, data: &[u8]) -> [u8; 32] {
 
 /// Interprets the first 8 bytes of a SHA-256 digest as a big-endian `u64`.
 ///
-/// This is the quantity the Monoxide-style baseline truncates ("the first k
-/// bits of the hash value"), and the Chainspace-style baseline reduces
-/// modulo the shard count.
+/// This is the quantity the Chainspace-style baseline reduces modulo the
+/// shard count.
 ///
 /// A message of at most 55 bytes pads to a single block, so it costs one
 /// compression from the initial state and nothing else — no [`Sha256`],

@@ -235,7 +235,7 @@ fn the_feed_is_checked_at_every_entry() {
     // Nothing works before `begin`, and nothing panics.
     assert_eq!(core.next_boundary(), None);
     for result in [
-        core.ingest_tx(strategy.as_mut(), tx_at(0), &mut rows),
+        core.ingest_block(strategy.as_mut(), &[tx_at(0)], &mut rows),
         core.advance_to(strategy.as_mut(), 1, &mut rows),
         core.end_stream(strategy.as_mut(), &mut rows),
     ] {
@@ -250,16 +250,16 @@ fn the_feed_is_checked_at_every_entry() {
     // 40 blocks: training [0, 36) in chunks [0, 5) … [30, 31), [31, 36).
     core.begin(40).unwrap();
     assert_eq!(core.next_boundary(), Some(5));
-    core.ingest_tx(strategy.as_mut(), tx_at(3), &mut rows)
+    core.ingest_block(strategy.as_mut(), &[tx_at(3)], &mut rows)
         .unwrap();
     // `advance_to` is a promise: blocks below the mark are closed.
     core.advance_to(strategy.as_mut(), 12, &mut rows).unwrap();
     assert_eq!(core.next_boundary(), Some(15));
-    let late = core.ingest_tx(strategy.as_mut(), tx_at(11), &mut rows);
+    let late = core.ingest_block(strategy.as_mut(), &[tx_at(11)], &mut rows);
     assert!(matches!(late, Err(Error::ParseTrace { .. })), "{late:?}");
-    core.ingest_tx(strategy.as_mut(), tx_at(12), &mut rows)
+    core.ingest_block(strategy.as_mut(), &[tx_at(12)], &mut rows)
         .unwrap();
-    let beyond = core.ingest_tx(strategy.as_mut(), tx_at(40), &mut rows);
+    let beyond = core.ingest_block(strategy.as_mut(), &[tx_at(40)], &mut rows);
     assert!(
         matches!(beyond, Err(Error::ParseTrace { .. })),
         "{beyond:?}"
