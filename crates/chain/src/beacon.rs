@@ -4,61 +4,37 @@
 //! boundary the beacon miners commit at most `capacity` of them (the
 //! paper bounds committed `MR`s per epoch by `λ`, prioritising "the
 //! migration requests that offer the most significant improvements in
-//! `P^ν`", §V-A). Committed requests are recorded in a beacon block and
-//! become the authoritative ϕ update that every miner applies during
-//! reconfiguration.
+//! `P^ν`", §V-A). The committed requests are the authoritative ϕ update
+//! that every miner applies during reconfiguration; the beacon keeps
+//! only how many there were and how many rounds committed them.
 
-use mosaic_types::{EpochId, MigrationRequest};
+use mosaic_types::MigrationRequest;
 
-use crate::block::{Block, BlockBody};
-
-/// The beacon chain `BC` with its pending migration pool.
+/// The beacon chain `BC`: its pending migration pool and the totals of
+/// what it has committed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BeaconChain {
-    blocks: Vec<Block>,
     pending: Vec<MigrationRequest>,
-    /// Every committed request, in commit order (the on-chain `MR` set).
-    committed: Vec<MigrationRequest>,
+    /// Total committed requests (`|MR|`).
+    committed: usize,
+    /// Commitment rounds run, one per epoch boundary.
+    rounds: u64,
 }
 
 impl BeaconChain {
-    /// Creates the beacon chain with its genesis block.
-    pub fn new() -> Self {
-        BeaconChain {
-            blocks: vec![Block::genesis(None)],
-            pending: Vec::new(),
-            committed: Vec::new(),
-        }
-    }
-
-    /// Number of blocks including genesis (`|BC|`).
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// A chain always contains at least its genesis block.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The tip block.
-    pub fn tip(&self) -> &Block {
-        self.blocks.last().expect("chain contains genesis")
-    }
-
     /// Requests waiting for the next epoch boundary.
     pub fn pending(&self) -> &[MigrationRequest] {
         &self.pending
     }
 
-    /// All committed migration requests (`MR`), oldest first.
-    pub fn committed(&self) -> &[MigrationRequest] {
-        &self.committed
-    }
-
     /// Total committed migrations (`|MR|`).
     pub fn committed_len(&self) -> usize {
-        self.committed.len()
+        self.committed
+    }
+
+    /// Commitment rounds run so far ([`BeaconChain::commit_epoch`] calls).
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// Queues a client-submitted request for the next commitment round.
@@ -66,15 +42,15 @@ impl BeaconChain {
         self.pending.push(request);
     }
 
-    /// Commits up to `capacity` pending requests for `epoch`, appending
-    /// one beacon block, and returns the committed set in priority order.
+    /// Runs one commitment round: commits up to `capacity` pending
+    /// requests and returns the committed set in priority order.
     ///
     /// Selection: at most one request per account (the highest-gain one
     /// wins), then the top `capacity` by [`MigrationRequest::priority_cmp`]
     /// (gain descending, account id tie-break). Unselected requests are
     /// dropped — clients re-evaluate and resubmit next epoch, as Mosaic
     /// clients naturally do when Pilot still favours a move.
-    pub fn commit_epoch(&mut self, epoch: EpochId, capacity: usize) -> Vec<MigrationRequest> {
+    pub fn commit_epoch(&mut self, capacity: usize) -> Vec<MigrationRequest> {
         // Dedup by account, keeping the first of its highest-gain
         // requests (gains are finite: `MigrationRequest::new` zeroes the
         // rest). The stable sort groups each account's requests in
@@ -103,39 +79,16 @@ impl BeaconChain {
         self.pending.sort_by(MigrationRequest::priority_cmp);
         let requests: Vec<MigrationRequest> = self.pending.drain(..).collect();
 
-        let block = self.tip().child(
-            epoch,
-            BlockBody::Migrations {
-                committed: requests.len() as u32,
-            },
-        );
-        self.blocks.push(block);
-        self.committed.extend(requests.iter().copied());
+        self.committed += requests.len();
+        self.rounds += 1;
         requests
-    }
-
-    /// Verifies parent links and heights for the whole chain.
-    pub fn verify(&self) -> bool {
-        for (i, block) in self.blocks.iter().enumerate() {
-            if block.shard.is_some() || block.height.as_u64() != i as u64 {
-                return false;
-            }
-            if i == 0 {
-                if block.parent != [0u8; 32] {
-                    return false;
-                }
-            } else if block.parent != self.blocks[i - 1].hash() {
-                return false;
-            }
-        }
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_types::{AccountId, ShardId};
+    use mosaic_types::{AccountId, EpochId, ShardId};
     use proptest::prelude::*;
 
     fn mr(account: u64, gain: f64) -> MigrationRequest {
@@ -151,52 +104,52 @@ mod tests {
 
     #[test]
     fn commit_respects_capacity_and_priority() {
-        let mut bc = BeaconChain::new();
+        let mut bc = BeaconChain::default();
         bc.submit(mr(1, 1.0));
         bc.submit(mr(2, 5.0));
         bc.submit(mr(3, 3.0));
-        let committed = bc.commit_epoch(EpochId::new(0), 2);
+        let committed = bc.commit_epoch(2);
         let accounts: Vec<u64> = committed.iter().map(|m| m.account.as_u64()).collect();
         assert_eq!(accounts, vec![2, 3]);
         assert!(bc.pending().is_empty());
         assert_eq!(bc.committed_len(), 2);
-        assert_eq!(bc.len(), 2);
-        assert!(bc.verify());
+        assert_eq!(bc.rounds(), 1);
     }
 
     #[test]
     fn dedups_by_account_keeping_best_gain() {
-        let mut bc = BeaconChain::new();
+        let mut bc = BeaconChain::default();
         bc.submit(mr(7, 1.0));
         bc.submit(mr(7, 9.0));
         bc.submit(mr(7, 4.0));
-        let committed = bc.commit_epoch(EpochId::new(0), 10);
+        let committed = bc.commit_epoch(10);
         assert_eq!(committed.len(), 1);
         assert_eq!(committed[0].gain, 9.0);
     }
 
     #[test]
     fn unselected_requests_are_dropped() {
-        let mut bc = BeaconChain::new();
+        let mut bc = BeaconChain::default();
         for i in 0..5 {
             bc.submit(mr(i, i as f64));
         }
-        let first = bc.commit_epoch(EpochId::new(0), 2);
+        let first = bc.commit_epoch(2);
         assert_eq!(first.len(), 2);
         // Next epoch starts from an empty pool.
-        let second = bc.commit_epoch(EpochId::new(1), 2);
+        let second = bc.commit_epoch(2);
         assert!(second.is_empty());
-        assert_eq!(bc.len(), 3);
+        assert_eq!(bc.rounds(), 2);
+        assert_eq!(bc.committed_len(), 2);
     }
 
     #[test]
     fn zero_capacity_commits_empty_block() {
-        let mut bc = BeaconChain::new();
+        let mut bc = BeaconChain::default();
         bc.submit(mr(1, 1.0));
-        let committed = bc.commit_epoch(EpochId::new(0), 0);
+        let committed = bc.commit_epoch(0);
         assert!(committed.is_empty());
-        assert_eq!(bc.len(), 2);
-        assert_eq!(bc.tip().body.item_count(), 0);
+        assert_eq!(bc.rounds(), 1);
+        assert_eq!(bc.committed_len(), 0);
     }
 
     proptest! {
@@ -241,9 +194,9 @@ mod tests {
 
             let len = deduped.len();
             for capacity in [0, 1, len.saturating_sub(1), len, len + 1] {
-                let mut bc = BeaconChain::new();
+                let mut bc = BeaconChain::default();
                 pending.iter().for_each(|&request| bc.submit(request));
-                let committed = bc.commit_epoch(EpochId::new(0), capacity);
+                let committed = bc.commit_epoch(capacity);
                 let key = |m: &MigrationRequest| {
                     (m.account, m.from, m.to, m.proposed_at, m.gain.to_bits())
                 };
@@ -284,9 +237,9 @@ mod tests {
             let len = pending.len();
             for capacity in [0, 1, len / 2, len.saturating_sub(1), len, len + 1] {
                 let commit = |pool: &[MigrationRequest]| {
-                    let mut bc = BeaconChain::new();
+                    let mut bc = BeaconChain::default();
                     pool.iter().for_each(|&request| bc.submit(request));
-                    bc.commit_epoch(EpochId::new(0), capacity)
+                    bc.commit_epoch(capacity)
                         .iter()
                         .map(key)
                         .collect::<Vec<_>>()
@@ -298,18 +251,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chain_verifies_and_detects_tampering() {
-        let mut bc = BeaconChain::new();
-        bc.submit(mr(1, 1.0));
-        bc.commit_epoch(EpochId::new(0), 1);
-        bc.submit(mr(2, 1.0));
-        bc.commit_epoch(EpochId::new(1), 1);
-        assert!(bc.verify());
-        let mut tampered = bc.clone();
-        tampered.blocks[1].body = BlockBody::Migrations { committed: 42 };
-        assert!(!tampered.verify());
     }
 }

@@ -2,12 +2,10 @@
 
 use mosaic_metrics::{EpochLoad, LoadParams};
 use mosaic_types::{
-    ensure, AccountShardMap, EpochId, Error, MigrationRequest, Result, ShardId, SystemParams,
-    Transaction,
+    ensure, AccountShardMap, EpochId, Error, MigrationRequest, Result, SystemParams, Transaction,
 };
 
 use crate::beacon::BeaconChain;
-use crate::shard::ShardChain;
 
 /// Everything that happened in one processed epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +13,8 @@ pub struct EpochOutcome {
     /// The epoch that was processed.
     pub epoch: EpochId,
     /// Migration requests committed on the beacon chain at the epoch
-    /// boundary (before this epoch's transactions were processed).
+    /// boundary (before this epoch's transactions were processed). The
+    /// beacon keeps only their count, so this is the set's one copy.
     pub committed: Vec<MigrationRequest>,
     /// Committed migrations whose `from` shard no longer matched ϕ (the
     /// account had moved since the proposal); they are still applied to
@@ -35,9 +34,12 @@ pub struct EpochOutcome {
 ///    requests (highest gain first);
 /// 2. **reconfigure** — every committed request moves its account in ϕ
 ///    (§III-B1: miners sync the beacon chain and update their local ϕ);
-/// 3. **process** — the epoch's transactions execute under the updated ϕ,
-///    one summary block per shard is appended, and workload/throughput
-///    metrics are computed.
+/// 3. **process** — the epoch's transactions are classified under the
+///    updated ϕ into per-shard intra/cross loads and throughput.
+///
+/// The ledger keeps ϕ, the beacon's pending pool and its commit totals,
+/// and the epoch clock — no blocks — so its memory is O(accounts + pool)
+/// however many epochs run.
 ///
 /// Miner-driven baselines bypass the beacon entirely and overwrite ϕ via
 /// [`Ledger::set_allocation`] — which is exactly their architectural
@@ -46,7 +48,6 @@ pub struct EpochOutcome {
 pub struct Ledger {
     params: SystemParams,
     phi: AccountShardMap,
-    shards: Vec<ShardChain>,
     beacon: BeaconChain,
     epoch: EpochId,
     /// Per-epoch migration-commit cap override; `None` = the paper's
@@ -65,11 +66,9 @@ impl Ledger {
         if initial_phi.shards() != params.shards() {
             return Err(Error::InvalidShardCount(initial_phi.shards()));
         }
-        let shards = ShardId::all(params.shards()).map(ShardChain::new).collect();
         Ok(Ledger {
             phi: initial_phi,
-            shards,
-            beacon: BeaconChain::new(),
+            beacon: BeaconChain::default(),
             epoch: EpochId::new(0),
             migration_capacity: None,
             params,
@@ -96,11 +95,6 @@ impl Ledger {
     /// The beacon chain.
     pub fn beacon(&self) -> &BeaconChain {
         &self.beacon
-    }
-
-    /// The per-shard chains.
-    pub fn shards(&self) -> &[ShardChain] {
-        &self.shards
     }
 
     /// The next epoch to be processed.
@@ -163,7 +157,7 @@ impl Ledger {
         // Phase 1: beacon commitment, bounded by λ (§V-A) unless the
         // ablation override is set.
         let capacity = self.migration_capacity.unwrap_or(lambda.floor() as usize);
-        let committed = self.beacon.commit_epoch(epoch, capacity);
+        let committed = self.beacon.commit_epoch(capacity);
 
         // Phase 2: reconfiguration — ϕ takes every committed move.
         let mut migrations_stale = 0;
@@ -175,13 +169,8 @@ impl Ledger {
             migrations_stale += usize::from(from != mr.from);
         }
 
-        // Phase 3: transaction processing under the updated ϕ, then one
-        // summary block per shard.
+        // Phase 3: transaction processing under the updated ϕ.
         let load = self.classify(txs);
-        let counts = load.intra_counts().iter().zip(load.cross_counts());
-        for (chain, (&intra, &cross)) in self.shards.iter_mut().zip(counts) {
-            chain.commit_epoch(epoch, intra as u32, cross as u32);
-        }
 
         self.epoch = epoch.next();
         EpochOutcome {
@@ -194,19 +183,13 @@ impl Ledger {
     }
 
     /// Checks ϕ ([`AccountShardMap::check_invariants`]) and that the
-    /// beacon and every shard chain verify and hold one block per epoch
-    /// past genesis; else [`Error::Inconsistent`].
+    /// beacon committed exactly once per processed epoch; else
+    /// [`Error::Inconsistent`].
     pub fn check_invariants(&self) -> Result<()> {
         self.phi.check_invariants()?;
-        let blocks = self.epoch.as_u64() as usize + 1;
-        let len = self.beacon.len();
-        let beacon = self.beacon.verify() && len == blocks;
-        ensure!(beacon, "ledger", "beacon of {len} blocks, not {blocks}");
-        for chain in &self.shards {
-            let (id, len) = (chain.id(), chain.len());
-            let shard = chain.verify() && len == blocks;
-            ensure!(shard, "ledger", "{id} of {len} blocks, not {blocks}");
-        }
+        let (rounds, epochs) = (self.beacon.rounds(), self.epoch.as_u64());
+        let once = rounds == epochs;
+        ensure!(once, "ledger", "{rounds} beacon rounds, {epochs} epochs");
         Ok(())
     }
 }
@@ -214,7 +197,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_types::{AccountId, BlockHeight, TxId};
+    use mosaic_types::{AccountId, BlockHeight, ShardId, TxId};
 
     fn tx(id: u64, from: u64, to: u64) -> Transaction {
         Transaction::new(
@@ -252,9 +235,41 @@ mod tests {
         assert_eq!(out.epoch, EpochId::new(0));
         assert_eq!(out.load.total_txs(), 3);
         assert_eq!(ledger.current_epoch(), EpochId::new(1));
-        // One block per shard appended on top of genesis.
-        assert!(ledger.shards().iter().all(|s| s.len() == 2));
+        // One beacon round per processed epoch.
+        assert_eq!(ledger.beacon().rounds(), 1);
         ledger.check_invariants().unwrap();
+    }
+
+    /// The beacon's commit total is the sum of every epoch's committed
+    /// set, and a commit round that no epoch accounts for is caught.
+    #[test]
+    fn an_extra_beacon_round_breaks_the_invariant() {
+        let mut ledger = Ledger::new(params(2), assigned_phi(2, 40)).unwrap();
+        let mut committed = 0;
+        for epoch in 0..6u64 {
+            for a in (epoch..40).step_by(7) {
+                let from = ledger.phi().shard_of(AccountId::new(a));
+                let to = ShardId::new(1 - from.as_u16());
+                let at = ledger.current_epoch();
+                ledger.submit_migration(
+                    MigrationRequest::new(AccountId::new(a), from, to, at, a as f64).unwrap(),
+                );
+            }
+            let txs: Vec<Transaction> = (0..8).map(|i| tx(i, i, (i + epoch) % 40)).collect();
+            committed += ledger.process_epoch(&txs).committed.len();
+            ledger.check_invariants().unwrap();
+        }
+        assert!(committed > 0);
+        assert_eq!(ledger.beacon().committed_len(), committed);
+        assert_eq!(ledger.beacon().rounds(), 6);
+
+        ledger.beacon.commit_epoch(1);
+        match ledger.check_invariants() {
+            Err(Error::Inconsistent { component, detail }) => {
+                assert_eq!(component, "ledger", "{detail}");
+            }
+            other => panic!("an extra beacon round passed: {other:?}"),
+        }
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Sharded blockchain substrate for the Mosaic reproduction (§III of the
 //! paper).
 //!
-//! Models the ledger `L = (S₁, …, S_k, BC)`:
+//! Models the ledger `L = (S₁, …, S_k, BC)` by what the protocol and
+//! every metric read from it — ϕ, each epoch's per-shard loads and the
+//! beacon's commitments — not by blocks:
 //!
-//! * [`ShardChain`] — one chain of [`Block`]s per shard, committing the
-//!   transactions ϕ routes to it;
 //! * [`BeaconChain`] — the coordination chain: collects client-submitted
 //!   [`mosaic_types::MigrationRequest`]s, commits at most `λ` per epoch
-//!   (highest potential gain first, one per account), and serves as the
-//!   consistent view of allocation for all miners;
+//!   (highest potential gain first, one per account), and counts what it
+//!   committed;
 //! * [`Ledger`] — ties everything together: an epoch-at-a-time state
 //!   machine the experiment runner drives. At each epoch boundary it
 //!   applies the committed migrations to ϕ (§III-B1's reconfiguration)
-//!   before the epoch's transactions run, and one
-//!   [`Ledger::check_invariants`] covers ϕ and every chain.
+//!   before the epoch's transactions are classified per shard, and one
+//!   [`Ledger::check_invariants`] covers ϕ and the beacon's round count.
+//!
+//! Nothing grows with the number of epochs: the ledger holds
+//! O(accounts + pending pool).
 //!
 //! The ledger meters no bytes: the one byte-cost model, which Table VI
 //! and Figure 1 read, is `mosaic_metrics::data_size`.
@@ -39,11 +42,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod beacon;
-pub mod block;
 pub mod ledger;
-pub mod shard;
 
 pub use beacon::BeaconChain;
-pub use block::{Block, BlockBody};
 pub use ledger::{EpochOutcome, Ledger};
-pub use shard::ShardChain;

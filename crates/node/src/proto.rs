@@ -60,8 +60,8 @@ pub enum Request {
     Lookup(AccountId),
     /// `LOAD` — the migration-protocol state after the last processed
     /// epoch (`epoch`, `epochs_processed`, `lambda`,
-    /// `committed_migrations`, `migrations_stale`, `total_migrations`,
-    /// `beacon_blocks`), then its per-shard load.
+    /// `committed_migrations`, `migrations_stale`, `total_migrations`),
+    /// then its per-shard load.
     Load,
     /// `CSV` — the per-epoch metric rows produced so far, as CSV lines
     /// (header included), byte-identical to the offline runner's files.

@@ -248,7 +248,6 @@ fn load_lines(report: &LoadReport) -> Vec<String> {
         format!("committed_migrations {}", report.committed_migrations),
         format!("migrations_stale {}", report.migrations_stale),
         format!("total_migrations {}", report.total_migrations),
-        format!("beacon_blocks {}", report.beacon_blocks),
     ];
     for shard in &report.shards {
         lines.push(format!(

@@ -49,7 +49,8 @@ pub struct ShardLoad {
 
 /// A queryable snapshot of the chain state after the last processed
 /// epoch — what a live node serves for "per-shard load metrics",
-/// assembled from `chain::{beacon, ledger}` state.
+/// assembled from the last [`mosaic_chain::EpochOutcome`] and the run's
+/// migration count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
     /// Identifier of the last processed epoch.
@@ -65,8 +66,6 @@ pub struct LoadReport {
     pub migrations_stale: usize,
     /// Migrations counted over the whole run so far.
     pub total_migrations: usize,
-    /// Blocks on the beacon chain.
-    pub beacon_blocks: usize,
     /// Last epoch's per-shard intra/cross transaction counts.
     pub shards: Vec<ShardLoad>,
 }
@@ -327,7 +326,6 @@ impl AllocationCore {
     /// Per-shard load and migration-protocol state after the last
     /// processed epoch, or `None` before the first epoch completes.
     pub fn load_report(&self) -> Option<LoadReport> {
-        let ledger = self.ledger.as_ref()?;
         let last = self.last_epoch.as_ref()?;
         let shards = last
             .load
@@ -348,7 +346,6 @@ impl AllocationCore {
             committed_migrations: last.committed.len(),
             migrations_stale: last.migrations_stale,
             total_migrations: self.total_migrations,
-            beacon_blocks: ledger.beacon().len(),
             shards,
         })
     }
@@ -597,7 +594,7 @@ impl AllocationCore {
     }
 
     /// Runs the strategy's initial allocation on the training history
-    /// and builds the chain state (ledger, beacon, shard chains) around the
+    /// and builds the ledger (ϕ and the beacon) around the
     /// resulting ϕ; from here on [`AllocationCore::lookup`] answers.
     /// The training graph is freed if the strategy will never consult
     /// the history again — the memory bound large scenarios rely on.

@@ -5,7 +5,7 @@
 //! optimise: edge-cut (a proxy for cross-shard transactions) and balance
 //! (a proxy for workload deviation).
 
-use crate::csr::{NodeId, TxGraph};
+use crate::csr::TxGraph;
 
 /// Sum of weights of edges whose endpoints lie in different parts.
 ///
@@ -68,69 +68,6 @@ pub fn imbalance(graph: &TxGraph, parts: &[u16], k: u16) -> f64 {
     max / ideal
 }
 
-/// Newman modularity of the partition on the weighted graph.
-///
-/// `Q = Σ_c (e_c / m − (d_c / 2m)²)` where `e_c` is the intra-part edge
-/// weight, `d_c` the total weighted degree of part `c`, and `m` the total
-/// edge weight. Higher is more community-like; the synthetic workload's
-/// latent communities should yield clearly positive modularity under a
-/// good partition.
-///
-/// Returns 0.0 for a graph without edges.
-///
-/// # Panics
-///
-/// Panics if `parts.len() != graph.node_count()` or any part `≥ k`.
-pub fn modularity(graph: &TxGraph, parts: &[u16], k: u16) -> f64 {
-    assert_eq!(
-        parts.len(),
-        graph.node_count(),
-        "partition vector length mismatch"
-    );
-    let m = graph.total_edge_weight() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
-    let mut intra = vec![0.0f64; usize::from(k)];
-    let mut degree = vec![0.0f64; usize::from(k)];
-    for node in graph.nodes() {
-        let p = parts[node.index()];
-        assert!(p < k, "part {p} out of range for k = {k}");
-        for (nb, w) in graph.neighbors(node) {
-            degree[usize::from(p)] += w as f64;
-            if nb > node && parts[nb.index()] == p {
-                intra[usize::from(p)] += w as f64;
-            }
-        }
-    }
-    let mut q = 0.0;
-    for c in 0..usize::from(k) {
-        q += intra[c] / m - (degree[c] / (2.0 * m)).powi(2);
-    }
-    q
-}
-
-/// The weight of edges from `node` into each part, as a dense vector.
-///
-/// This is the inner loop of every refinement heuristic: moving `node` to
-/// part `p` changes the cut by `connectivity[current] − connectivity[p]`.
-///
-/// # Panics
-///
-/// Panics if `parts.len() != graph.node_count()`.
-pub fn node_connectivity(graph: &TxGraph, parts: &[u16], k: u16, node: NodeId) -> Vec<u64> {
-    assert_eq!(
-        parts.len(),
-        graph.node_count(),
-        "partition vector length mismatch"
-    );
-    let mut conn = vec![0u64; usize::from(k)];
-    for (nb, w) in graph.neighbors(node) {
-        conn[usize::from(parts[nb.index()])] += w;
-    }
-    conn
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,30 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn modularity_prefers_natural_split() {
-        let g = two_communities();
-        let natural = vec![0, 0, 0, 1, 1, 1];
-        let scrambled = vec![0, 1, 0, 1, 0, 1];
-        let single = vec![0, 0, 0, 0, 0, 0];
-        assert!(modularity(&g, &natural, 2) > modularity(&g, &scrambled, 2));
-        // A single part always has modularity 0.
-        assert!(modularity(&g, &single, 1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn connectivity_vector() {
-        let g = two_communities();
-        let parts = vec![0, 0, 0, 1, 1, 1];
-        let n2 = g.node_of(acct(2)).unwrap();
-        let conn = node_connectivity(&g, &parts, 2, n2);
-        assert_eq!(conn, vec![20, 1]);
-    }
-
-    #[test]
     fn empty_graph_measures() {
         let g = TxGraph::from_weighted_edges([], []);
         assert_eq!(edge_cut(&g, &[]), 0);
-        assert_eq!(modularity(&g, &[], 4), 0.0);
         assert!((imbalance(&g, &[], 4) - 1.0).abs() < 1e-12);
     }
 

@@ -99,11 +99,6 @@ impl GraphBuilder {
         self.vertex_weight.entry(account).or_default();
     }
 
-    /// Number of distinct vertices so far.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_weight.len()
-    }
-
     /// Number of distinct edges so far.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
@@ -182,8 +177,8 @@ mod tests {
     fn zero_weight_edge_is_ignored() {
         let mut b = GraphBuilder::new();
         b.add_edge(AccountId::new(1), AccountId::new(2), 0);
-        assert_eq!(b.vertex_count(), 0);
         assert_eq!(b.edge_count(), 0);
+        assert_eq!(b.build().node_count(), 0);
     }
 
     #[test]

@@ -207,11 +207,6 @@ impl TxGraph {
         self.total_edge_weight
     }
 
-    /// Sum of all vertex weights.
-    pub fn total_node_weight(&self) -> u64 {
-        self.vwgt.iter().sum()
-    }
-
     /// The node for `account`, if present.
     pub fn node_of(&self, account: AccountId) -> Option<NodeId> {
         self.index.get(&account).copied()
@@ -322,7 +317,7 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.total_edge_weight(), 13);
-        assert_eq!(g.total_node_weight(), 60);
+        assert_eq!(g.vwgt().iter().sum::<u64>(), 60);
         let n1 = g.node_of(acct(1)).unwrap();
         assert_eq!(g.degree(n1), 2);
         let neigh: Vec<_> = g.neighbors(n1).collect();

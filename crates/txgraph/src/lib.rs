@@ -22,7 +22,7 @@
 //!   into an adjacency map and builds a [`TxGraph`] from scratch: the
 //!   reference oracle of [`GrowingGraph`] and of
 //!   [`TxGraph::from_transactions`];
-//! * [`analysis`] — edge-cut, balance, and modularity measures over a
+//! * [`analysis`] — edge-cut and balance measures over a
 //!   partition vector.
 //!
 //! # Example

@@ -263,30 +263,6 @@ impl AccountShardMap {
         self.assigned.iter().map(|(&a, &s)| (a, s))
     }
 
-    /// Counts explicitly assigned accounts per shard (`|A_i|` restricted to
-    /// explicit assignments).
-    pub fn explicit_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; usize::from(self.shards)];
-        for &s in self.assigned.values() {
-            counts[s.index()] += 1;
-        }
-        counts
-    }
-
-    /// Computes the inverse mapping `ϕ⁻¹` restricted to explicit
-    /// assignments: for each shard, the list of accounts assigned to it.
-    /// Lists are sorted for determinism.
-    pub fn inverse_explicit(&self) -> Vec<Vec<AccountId>> {
-        let mut inv = vec![Vec::new(); usize::from(self.shards)];
-        for (&a, &s) in &self.assigned {
-            inv[s.index()].push(a);
-        }
-        for bucket in &mut inv {
-            bucket.sort_unstable();
-        }
-        inv
-    }
-
     /// Checks Definition 1 where state could break it, else
     /// [`Error::Inconsistent`]: every explicit assignment is in `[0, k)`,
     /// and every filled table slot holds what the explicit map, else the
@@ -418,28 +394,6 @@ mod tests {
         assert_eq!(phi.unassign(a), Some(ShardId::new(7)));
         assert_eq!(phi.shard_of(a), default);
         assert_eq!(phi.unassign(a), None);
-    }
-
-    #[test]
-    fn inverse_and_counts_agree() {
-        let mut phi = AccountShardMap::new(3);
-        for i in 0..30u64 {
-            phi.assign(AccountId::new(i), ShardId::new((i % 3) as u16))
-                .unwrap();
-        }
-        let counts = phi.explicit_counts();
-        assert_eq!(counts, vec![10, 10, 10]);
-        let inv = phi.inverse_explicit();
-        for (i, bucket) in inv.iter().enumerate() {
-            assert_eq!(bucket.len(), counts[i]);
-            for a in bucket {
-                assert_eq!(phi.shard_of(*a).index(), i);
-            }
-            // Sorted for determinism.
-            let mut sorted = bucket.clone();
-            sorted.sort_unstable();
-            assert_eq!(&sorted, bucket);
-        }
     }
 
     #[test]
@@ -639,11 +593,6 @@ mod tests {
                 );
             }
             assert_eq!(phi.assigned_len(), self.assigned.len());
-            let mut counts = vec![0usize; usize::from(self.k)];
-            for &s in self.assigned.values() {
-                counts[usize::from(s)] += 1;
-            }
-            assert_eq!(phi.explicit_counts(), counts);
             assert_eq!(*phi, self.rebuilt());
         }
     }

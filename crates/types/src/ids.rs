@@ -116,7 +116,7 @@ impl From<u16> for ShardId {
     }
 }
 
-/// Height of a block within a chain (shard chain or beacon chain).
+/// Height of a block in the transaction trace.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
 )]

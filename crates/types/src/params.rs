@@ -114,16 +114,6 @@ impl SystemParams {
         self.lambda.lambda(epoch_tx_count, self.shards)
     }
 
-    /// Workload cost a single shard pays for one transaction: `1` if
-    /// intra-shard, `η` if cross-shard (per involved shard).
-    pub fn shard_cost(&self, cross_shard: bool) -> f64 {
-        if cross_shard {
-            self.eta
-        } else {
-            1.0
-        }
-    }
-
     /// Returns a copy with a different `β` (convenience for β sweeps).
     ///
     /// # Errors
@@ -294,13 +284,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.lambda(999), 250.0);
-    }
-
-    #[test]
-    fn shard_cost_uses_eta() {
-        let p = SystemParams::builder().eta(5.0).build().unwrap();
-        assert_eq!(p.shard_cost(false), 1.0);
-        assert_eq!(p.shard_cost(true), 5.0);
     }
 
     #[test]

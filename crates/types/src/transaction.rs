@@ -5,7 +5,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{AccountId, BlockHeight, TxId};
-use crate::ShardId;
 
 /// Category of a transaction.
 ///
@@ -127,12 +126,6 @@ impl Transaction {
             None
         }
     }
-
-    /// Returns `true` if `phi_from != phi_to` — i.e. the transaction is
-    /// cross-shard under the given placement of its two endpoints.
-    pub fn is_cross_shard(phi_from: ShardId, phi_to: ShardId) -> bool {
-        phi_from != phi_to
-    }
 }
 
 impl fmt::Display for Transaction {
@@ -206,18 +199,6 @@ mod tests {
         assert_eq!(t.counterparty(AccountId::new(2)), Some(AccountId::new(1)));
         assert_eq!(t.counterparty(AccountId::new(3)), None);
         assert_eq!(tx(4, 4).counterparty(AccountId::new(4)), None);
-    }
-
-    #[test]
-    fn cross_shard_predicate() {
-        assert!(Transaction::is_cross_shard(
-            ShardId::new(0),
-            ShardId::new(1)
-        ));
-        assert!(!Transaction::is_cross_shard(
-            ShardId::new(3),
-            ShardId::new(3)
-        ));
     }
 
     #[test]

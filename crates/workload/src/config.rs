@@ -120,27 +120,9 @@ impl WorkloadConfig {
         self
     }
 
-    /// Sets the transactions per block.
-    pub fn with_txs_per_block(mut self, txs: usize) -> Self {
-        self.txs_per_block = txs;
-        self
-    }
-
-    /// Sets the community count.
-    pub fn with_communities(mut self, communities: usize) -> Self {
-        self.communities = communities;
-        self
-    }
-
     /// Sets the intra-community bias.
     pub fn with_intra_community_bias(mut self, bias: f64) -> Self {
         self.intra_community_bias = bias;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -272,19 +254,13 @@ mod tests {
         let cfg = WorkloadConfig::small_test(3)
             .with_accounts(123)
             .with_blocks(10)
-            .with_txs_per_block(2)
-            .with_communities(4)
             .with_intra_community_bias(0.5)
-            .with_churn(1.0)
-            .with_seed(99);
+            .with_churn(1.0);
         assert_eq!(cfg.initial_accounts, 123);
         assert_eq!(cfg.blocks, 10);
-        assert_eq!(cfg.txs_per_block, 2);
-        assert_eq!(cfg.communities, 4);
         assert_eq!(cfg.intra_community_bias, 0.5);
         assert_eq!(cfg.new_accounts_per_block, 1.0);
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.total_txs(), 20);
+        assert_eq!(cfg.total_txs(), 10 * cfg.txs_per_block);
     }
 
     // The generator refuses an invalid config with the typed error's

@@ -13,7 +13,7 @@
 //! | [`txgraph`] | account-interaction graph (builder, CSR, analysis) |
 //! | [`partition`] | hash-based allocation + multilevel Metis-like partitioner |
 //! | [`txallo`] | G-TxAllo / A-TxAllo baselines (ICDE'23, reimplemented) |
-//! | [`chain`] | shard chains, beacon chain, the epoch-at-a-time ledger |
+//! | [`chain`] | beacon chain (migration pool + commit counts), the epoch-at-a-time ledger |
 //! | [`core`] | **the paper's contribution**: Mosaic framework + Pilot |
 //! | [`metrics`] | cross-shard ratio, workload deviation, throughput |
 //! | [`sim`] | the unified epoch engine + experiment runner regenerating Tables I–VI & Fig. 1 |
@@ -119,7 +119,7 @@ pub use mosaic_workload as workload;
 
 /// The most common imports, bundled.
 pub mod prelude {
-    pub use mosaic_chain::{BeaconChain, Ledger, ShardChain};
+    pub use mosaic_chain::{BeaconChain, Ledger};
     pub use mosaic_core::{
         Client, CounterpartySet, MosaicFramework, Pilot, PilotDecision, PilotInput,
     };

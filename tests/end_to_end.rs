@@ -68,11 +68,9 @@ fn phi_remains_a_valid_partition_through_migrations() {
 fn chains_verify_after_full_run() {
     let (ledger, _) = run_mosaic_pipeline(4);
     ledger.check_invariants().unwrap();
-    // One block per processed epoch on every chain.
-    for shard in ledger.shards() {
-        assert_eq!(shard.len(), 5); // genesis + 4 epochs
-    }
-    assert_eq!(ledger.beacon().len(), 5);
+    // One beacon commit round per processed epoch.
+    assert_eq!(ledger.current_epoch(), EpochId::new(4));
+    assert_eq!(ledger.beacon().rounds(), 4);
 }
 
 #[test]

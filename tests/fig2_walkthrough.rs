@@ -59,9 +59,9 @@ fn propose_phase_supports_all_three_transaction_types() {
     let outcome = ledger.process_epoch(&[intra, cross]);
     assert_eq!(outcome.load.total_txs(), 2);
     assert_eq!(outcome.load.cross_txs(), 1);
-    // One new block on each shard chain and on the beacon chain.
-    assert!(ledger.shards().iter().all(|s| s.len() == 2));
-    assert_eq!(ledger.beacon().len(), 2);
+    // One epoch processed, one beacon commit round.
+    assert_eq!(ledger.current_epoch(), EpochId::new(1));
+    assert_eq!(ledger.beacon().rounds(), 1);
 }
 
 #[test]
@@ -145,12 +145,12 @@ fn afterwards_the_clients_transactions_are_intra_shard() {
 #[test]
 fn epoch_reconfiguration_fires_every_tau_blocks_regardless_of_traffic() {
     let (mut ledger, _client) = toy_system();
-    // Even with empty epochs the reconfiguration (a beacon block and a
-    // block per shard) happens on schedule.
+    // Even with empty epochs the reconfiguration (a beacon commit round)
+    // happens on schedule.
     for i in 0..3 {
         let outcome = ledger.process_epoch(&[]);
         assert_eq!(outcome.epoch, EpochId::new(i));
     }
-    assert_eq!(ledger.beacon().len(), 4); // genesis + 3 epochs
+    assert_eq!(ledger.beacon().rounds(), 3);
     ledger.check_invariants().unwrap();
 }
