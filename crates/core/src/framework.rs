@@ -33,12 +33,16 @@
 //!
 //! The population graph is one [`GrowingGraph`] from construction on:
 //! the training prefix and every epoch go in through
-//! [`MosaicFramework::observe_epoch`], which patches the CSR's weights in
-//! place and keeps edges and clients first seen since the last fold in
-//! per-row overflow blocks next to it. An epoch costs O(window · log deg)
-//! to learn; the only whole-graph passes are `propose`'s scoring pass, a
-//! fold each time the overflow reaches an eighth of the CSR, and
-//! [`MosaicFramework::graph`], which G-TxAllo's initial allocation reads.
+//! [`MosaicFramework::observe_epoch`]. Until the first row or graph read
+//! (G-TxAllo's initial allocation, or the first `propose`) no client's
+//! row is read, so the graph only logs each edge as a node pair and
+//! folds the log into its CSR by sort-merges. From then on it patches
+//! the CSR's weights in place and keeps edges and clients first seen
+//! since the last fold in per-row overflow blocks next to it. An epoch
+//! costs O(window · log deg) to learn; the only whole-graph passes are
+//! `propose`'s scoring pass, a fold each time the log or the overflow
+//! reaches an eighth of the CSR, and [`MosaicFramework::graph`], which
+//! G-TxAllo's initial allocation reads.
 
 use std::iter;
 use std::num::NonZeroUsize;
@@ -49,6 +53,7 @@ use std::time::{Duration, Instant};
 
 use mosaic_chain::{EpochOutcome, Ledger};
 use mosaic_metrics::data_size::client_input_bytes;
+use mosaic_telemetry::Recorder;
 use mosaic_txgraph::{GrowingGraph, TxGraph};
 use mosaic_types::hash::{sha256_prefix_u64, FnvHashMap};
 use mosaic_types::{AccountId, MigrationRequest, ShardId, SystemParams, Transaction};
@@ -130,10 +135,16 @@ impl MosaicFramework<PilotPolicy> {
 impl<P: ClientPolicy> MosaicFramework<P> {
     /// Creates an empty client population with a custom policy — clients
     /// in Mosaic are free to run any allocation algorithm (§I).
+    ///
+    /// The population graph records its folds in
+    /// [`mosaic_telemetry::global`], taken here, until
+    /// [`MosaicFramework::set_recorder`] gives it another recorder.
     pub fn with_policy(params: SystemParams, policy: P) -> Self {
+        let mut graph = GrowingGraph::new();
+        graph.set_recorder(&mosaic_telemetry::global());
         MosaicFramework {
             params,
-            graph: GrowingGraph::new(),
+            graph,
             expected: FnvHashMap::default(),
             expectation_seed: 0x6d6f_7361_6963, // "mosaic"
             policy,
@@ -143,6 +154,12 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     /// The policy clients run.
     pub fn policy(&self) -> &P {
         &self.policy
+    }
+
+    /// Records the population graph's folds in `recorder` (e.g. one
+    /// scoped to the cell); see [`GrowingGraph::set_recorder`].
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        self.graph.set_recorder(recorder);
     }
 
     /// Checks the population graph; see [`GrowingGraph::check_invariants`].
@@ -183,12 +200,13 @@ impl<P: ClientPolicy> MosaicFramework<P> {
     }
 
     /// Feeds committed transactions into the affected clients' histories
-    /// (both endpoints), creating clients on first sight, in
-    /// O(txs · log deg): an edge the CSR holds is patched in place, and
-    /// any other edge, or client, is added next to it. Once those reach
-    /// an eighth of the CSR, one pass folds them into it. A
-    /// per-transaction fold in slice order, so feeding a prefix in any
-    /// chunks builds the same graph as one call.
+    /// (both endpoints), creating clients on first sight. Before the
+    /// first row or graph read each edge is only logged; after it, in
+    /// O(txs · log deg), an edge the CSR holds is patched in place, and
+    /// any other edge, or client, is added next to it. Once the log or
+    /// those additions reach an eighth of the CSR, one pass folds them
+    /// into it. A per-transaction fold in slice order, so feeding a
+    /// prefix in any chunks builds the same graph as one call.
     pub fn observe_epoch(&mut self, txs: &[Transaction]) {
         self.graph.absorb(txs);
     }
@@ -225,7 +243,9 @@ impl<P: ClientPolicy> MosaicFramework<P> {
 
     /// Runs every client's Pilot against the current ϕ and the published
     /// `Ω`, submitting the resulting migration requests to the ledger's
-    /// beacon chain. Returns the framework report.
+    /// beacon chain. Returns the framework report. The first call folds
+    /// the population graph's training log, if any
+    /// ([`GrowingGraph::rows`]).
     ///
     /// One streaming pass over the population: ϕ is resolved once per
     /// client into a snapshot, then each row is scored against it. No
@@ -270,7 +290,7 @@ impl<P: ClientPolicy> MosaicFramework<P> {
         assert!(lanes > 0, "at least one scoring lane");
         let epoch = ledger.current_epoch();
         let (expected, policy) = (&self.expected, &self.policy);
-        let population = &self.graph;
+        let population = self.graph.rows();
         let decisions = population.node_count();
 
         let start = Instant::now();

@@ -31,8 +31,8 @@
 //! [`policy`]), and simulating a *population* of such clients
 //! ([`MosaicFramework`]). The population is stored as one interaction
 //! graph (a `mosaic-txgraph` `GrowingGraph`: a CSR grown in place, plus
-//! the edges and clients seen since its last fold; row ν is client ν's
-//! `T^ν_h`) instead
+//! the edges and clients seen since its last fold, logged while no row
+//! is read; row ν is client ν's `T^ν_h`) instead
 //! of one hash map per client, but a scoring step for ν reads
 //! only row ν, the public ϕ and the public `Ω` — the paper's information
 //! boundary — and Table IV's input size is still

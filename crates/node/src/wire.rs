@@ -7,8 +7,10 @@
 //! way: a `TX` line is rendered on the stack (`TxLine`), and the
 //! reader parses canonical `TX` and `LOOKUP` lines where they lie in
 //! its buffer, handing a buffered run of `TX` lines to the session as
-//! one [`Request::TxBatch`] (one core call per run, not per line). Any
-//! other line — a near miss, a blank, an unknown verb — goes through
+//! one [`Request::TxBatch`] (one core call per run, not per line). A
+//! canonical line that a buffer refill splits is read whole and decoded
+//! the same way, a `TX` line as the start of the next batch. Any other
+//! line — a near miss, a blank, an unknown verb — goes through
 //! [`Request::parse`], so what the wire accepts, and every error it
 //! reports, is defined there alone.
 //!
@@ -246,35 +248,7 @@ impl Wire {
         timed: bool,
     ) -> io::Result<Option<(Incoming, Option<Duration>)>> {
         match self {
-            Wire::Line => {
-                if let Some(decoded) = read_buffered_line(input, timed)? {
-                    return Ok(Some(decoded));
-                }
-                loop {
-                    let mut line = String::new();
-                    if input.take(MAX_LINE as u64).read_line(&mut line)? == 0 {
-                        return Ok(None);
-                    }
-                    let clock = timed.then(Instant::now);
-                    if line.len() == MAX_LINE && !line.ends_with('\n') {
-                        return Err(invalid(format!(
-                            "request line exceeds the {MAX_LINE}-byte cap"
-                        )));
-                    }
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let incoming = match Request::parse(line) {
-                        Ok(request) => Incoming::Request(request),
-                        Err(message) => Incoming::Malformed {
-                            message,
-                            fire_and_forget: !Request::line_expects_reply(line),
-                        },
-                    };
-                    return Ok(Some((incoming, clock.map(|c| c.elapsed()))));
-                }
-            }
+            Wire::Line => read_line_request(input, timed),
             Wire::Binary => {
                 let Some(frame) = read_frame(input)? else {
                     return Ok(None);
@@ -351,39 +325,127 @@ impl Wire {
     }
 }
 
-/// The line wire's fast path: decodes canonical lines
-/// ([`parse_canonical`]) where they lie in `input`'s buffer, after one
-/// `fill_buf` (which waits on the peer only when the buffer is empty).
-/// A `LOOKUP` line comes back alone; a `TX` line comes back with every
-/// canonical `TX` line after it in the buffer, as one
-/// [`Request::TxBatch`], so the session ingests the run in one call.
-/// Stops before the first line it does not accept and never consumes a
-/// partial one. `None` — nothing consumed — when the buffer does not
-/// start with a canonical line; the caller then reads that line the
-/// general way.
-fn read_buffered_line(
+/// The line wire's reader. Canonical lines ([`parse_canonical`]) are
+/// decoded where they lie in `input`'s buffer, after one `fill_buf`
+/// (which waits on the peer only when the buffer is empty): a `LOOKUP`
+/// line comes back alone, a `TX` line with every canonical `TX` line
+/// after it in the buffer as one [`Request::TxBatch`], so the session
+/// ingests the run in one call. The run stops before the first line it
+/// does not take, complete or not, and consumes no part of it.
+///
+/// Any other line is read whole, across refills, as `read_line` would
+/// (at most [`MAX_LINE`] bytes): a canonical `TX` line that the buffer's
+/// end split goes on as the start of a batch, which takes the canonical
+/// `TX` lines the refill brought along, and a canonical `LOOKUP` comes
+/// back as itself. Every other line goes to [`Request::parse`]; a blank
+/// one is skipped.
+fn read_line_request(
     input: &mut impl BufRead,
     timed: bool,
 ) -> io::Result<Option<(Incoming, Option<Duration>)>> {
-    let buffered = input.fill_buf()?;
-    let clock = timed.then(Instant::now);
-    let (request, used) = match parse_canonical(buffered) {
-        None => return Ok(None),
-        Some((Request::Tx(first), mut used)) => {
-            let mut txs = vec![first];
-            while let Some((Request::Tx(tx), len)) = parse_canonical(&buffered[used..]) {
-                txs.push(tx);
-                used += len;
-            }
-            (Request::TxBatch(txs), used)
+    loop {
+        let buffered = input.fill_buf()?;
+        let clock = timed.then(Instant::now);
+        if let Some((first, len)) = parse_canonical(buffered) {
+            let (request, used) = match first {
+                Request::Tx(tx) => {
+                    let mut txs = vec![tx];
+                    let used = len + extend_run(&buffered[len..], &mut txs);
+                    (Request::TxBatch(txs), used)
+                }
+                lookup => (lookup, len),
+            };
+            input.consume(used);
+            return Ok(Some((
+                Incoming::Request(request),
+                clock.map(|c| c.elapsed()),
+            )));
         }
-        Some(lookup) => lookup,
-    };
-    input.consume(used);
-    Ok(Some((
-        Incoming::Request(request),
-        clock.map(|c| c.elapsed()),
-    )))
+        let (line, rest) = read_whole_line(input)?;
+        if line.is_empty() {
+            return Ok(None);
+        }
+        let clock = timed.then(Instant::now);
+        let incoming = match parse_canonical(&line) {
+            Some((Request::Tx(tx), len)) if len == line.len() => {
+                let mut txs = vec![tx];
+                if rest > 0 {
+                    // Still buffered, so this reads nothing.
+                    let used = extend_run(input.fill_buf()?, &mut txs);
+                    input.consume(used);
+                }
+                Incoming::Request(Request::TxBatch(txs))
+            }
+            Some((lookup, len)) if len == line.len() => Incoming::Request(lookup),
+            _ => match parse_line(line)? {
+                Some(incoming) => incoming,
+                None => continue,
+            },
+        };
+        return Ok(Some((incoming, clock.map(|c| c.elapsed()))));
+    }
+}
+
+/// Appends the canonical `TX` lines at the start of `bytes` to `txs` and
+/// returns their length.
+fn extend_run(bytes: &[u8], txs: &mut Vec<Transaction>) -> usize {
+    let mut used = 0;
+    while let Some((Request::Tx(tx), len)) = parse_canonical(&bytes[used..]) {
+        txs.push(tx);
+        used += len;
+    }
+    used
+}
+
+/// Reads the next line through its newline, the end of the stream or
+/// [`MAX_LINE`] bytes, whichever comes first, and returns it with the
+/// bytes still buffered after it (0 unless it ended in a newline).
+fn read_whole_line(input: &mut impl BufRead) -> io::Result<(Vec<u8>, usize)> {
+    let mut line = Vec::new();
+    loop {
+        let buffered = input.fill_buf()?;
+        let room = &buffered[..buffered.len().min(MAX_LINE - line.len())];
+        match room.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                line.extend_from_slice(&room[..=at]);
+                let rest = buffered.len() - at - 1;
+                input.consume(at + 1);
+                return Ok((line, rest));
+            }
+            None => {
+                let taken = room.len();
+                line.extend_from_slice(room);
+                input.consume(taken);
+                if taken == 0 || line.len() == MAX_LINE {
+                    return Ok((line, 0));
+                }
+            }
+        }
+    }
+}
+
+/// Decodes one line the general way: it must be UTF-8 and end within
+/// [`MAX_LINE`] bytes, and its trimmed text goes to [`Request::parse`].
+/// `None` for a blank line.
+fn parse_line(line: Vec<u8>) -> io::Result<Option<Incoming>> {
+    let line = String::from_utf8(line)
+        .map_err(|_| invalid("stream did not contain valid UTF-8".to_string()))?;
+    if line.len() == MAX_LINE && !line.ends_with('\n') {
+        return Err(invalid(format!(
+            "request line exceeds the {MAX_LINE}-byte cap"
+        )));
+    }
+    let line = line.trim();
+    if line.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some(match Request::parse(line) {
+        Ok(request) => Incoming::Request(request),
+        Err(message) => Incoming::Malformed {
+            message,
+            fire_and_forget: !Request::line_expects_reply(line),
+        },
+    }))
 }
 
 /// What the server learned from a connection's first bytes.

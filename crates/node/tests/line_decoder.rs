@@ -330,3 +330,54 @@ fn a_refused_line_splits_a_run_in_order() {
     ));
     assert_eq!(items, reference(bytes));
 }
+
+/// A canonical `TX` line that a refill of the reader's buffer splits is
+/// completed across the refill and decoded into a batch, never as a
+/// lone `Tx`: over 250 000 `TX` lines with a `LOOKUP` after every tenth,
+/// every capacity decodes the stream in order with no single-`Tx`
+/// request, and at 8 KiB each refill splits at most one run, so the
+/// batches number at most the runs plus the refills.
+#[test]
+fn a_tx_line_split_by_a_refill_stays_in_a_batch() {
+    const LINES: u64 = 250_000;
+    let mut bytes = Vec::new();
+    let mut expected = Vec::new();
+    for start in (0..LINES).step_by(10) {
+        let txs: Vec<Transaction> = (start..start + 10).map(tx).collect();
+        Wire::Line.write_tx_batch(&mut bytes, &txs).unwrap();
+        expected.extend(txs.into_iter().map(Item::Tx));
+        let account = AccountId::new(start % 977);
+        Wire::Line
+            .write_request(&mut bytes, &Request::Lookup(account))
+            .unwrap();
+        expected.push(Item::Request(Request::Lookup(account)));
+    }
+    for capacity in [1, 7, 64, 8192] {
+        let mut input = BufReader::with_capacity(capacity, &bytes[..]);
+        let (mut items, mut batches) = (Vec::new(), 0);
+        while let Some(incoming) = Wire::Line.read_request(&mut input).unwrap() {
+            match incoming {
+                Incoming::Request(Request::TxBatch(txs)) => {
+                    batches += 1;
+                    items.extend(txs.into_iter().map(Item::Tx));
+                }
+                Incoming::Request(Request::Tx(tx)) => {
+                    panic!("a lone {tx:?} at capacity {capacity}")
+                }
+                Incoming::Request(lookup) => items.push(Item::Request(lookup)),
+                other => panic!("{other:?} at capacity {capacity}"),
+            }
+        }
+        assert!(
+            items == expected,
+            "capacity {capacity} decodes out of order"
+        );
+        if capacity == 8192 {
+            let (runs, refills) = (LINES / 10, bytes.len().div_ceil(capacity) as u64);
+            assert!(
+                batches <= runs + refills,
+                "{batches} batches for {runs} runs"
+            );
+        }
+    }
+}

@@ -187,9 +187,11 @@ impl AllocationCore {
     pub fn new(config: ExperimentConfig) -> Self {
         let recorder = mosaic_telemetry::global();
         let metrics = CoreMetrics::bind(&recorder);
+        let mut history = History::new();
+        history.set_recorder(&recorder);
         AllocationCore {
             config,
-            history: History::new(),
+            history,
             ledger: None,
             init_time: Duration::ZERO,
             aggregate: AggregateBuilder::new(),
@@ -210,7 +212,16 @@ impl AllocationCore {
     /// accumulated so far stay in the old registry.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.metrics = CoreMetrics::bind(&recorder);
+        self.scope_telemetry(&recorder);
         self.recorder = recorder;
+    }
+
+    /// Sends the cell's own counts — the history graph's `txgraph.fold`
+    /// span and `txgraph.*` fold counters — to `recorder`, the cell's
+    /// scoped recorder; the core's spans and counters stay where they
+    /// are.
+    pub fn scope_telemetry(&mut self, recorder: &Recorder) {
+        self.history.set_recorder(recorder);
     }
 
     /// The chain state, once the initial allocation has built it.
@@ -559,11 +570,13 @@ impl AllocationCore {
             // The graph is never read: keep only the count.
             self.history.record_unretained(feed.buf.len());
         } else {
-            // The history folds on its own geometric schedule, so its
-            // overflow stays below max(one chunk, CSR / 8) entries; the
-            // initial allocation's `graph()` folds the rest. The counter
-            // reads the folded CSR without forcing a fold, so telemetry
-            // never changes when folds run.
+            // Nothing reads the history's graph before the initial
+            // allocation, so it only logs each edge and folds the log on
+            // its own geometric schedule: the log stays below
+            // max(one chunk, CSR / 8) pairs, and the initial
+            // allocation's `graph()` folds the rest. The counter reads
+            // the folded CSR without forcing a fold, so telemetry never
+            // changes when folds run.
             self.history.absorb(&feed.buf);
             if self.metrics.edges_merged.is_enabled() {
                 let total = self.history.merged_edge_count();

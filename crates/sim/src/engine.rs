@@ -15,13 +15,15 @@
 //!   impl plus a registry entry ([`crate::Strategy::build`]);
 //! * [`History`] is the transaction history strategies see: windows are
 //!   absorbed into a [`GrowingGraph`], the same type that holds Pilot's
-//!   client population, which patches its CSR in place and folds new
-//!   edges and accounts into it only on a geometric schedule or when
-//!   [`History::graph`] asks for the whole graph — so the training
-//!   prefix costs O(log E) folds, not one per τ-chunk, and nothing ever
-//!   runs a full `GraphBuilder::build` of the whole history (which stays
-//!   in `mosaic-txgraph` as the reference oracle the growing graph is
-//!   proptested against);
+//!   client population. Until the initial allocation reads it, the
+//!   graph only logs each edge as a node pair, and a fold sorts the log
+//!   and merges it into the CSR in place; from then on it patches its
+//!   rows per edge. Either way new edges and accounts reach the CSR only
+//!   on a geometric schedule or when [`History::graph`] asks for the
+//!   whole graph — so the training prefix costs O(log E) folds, not one
+//!   per τ-chunk, and nothing ever runs a full `GraphBuilder::build` of
+//!   the whole history (which stays in `mosaic-txgraph` as the reference
+//!   oracle the growing graph is proptested against);
 //! * [`run_cell`] is the offline driver: it reads an
 //!   [`EpochWindowStream`] — resident trace, generator or CSV file, all
 //!   the same to it — into the core and hands each finished epoch's row
@@ -87,13 +89,16 @@ impl ExperimentConfig {
 /// Incrementally accreted transaction history.
 ///
 /// Committed windows are absorbed into a [`GrowingGraph`]: a long-lived
-/// CSR, patched in place, plus the edges and accounts first seen since
-/// its last fold. Absorbing folds only once those reach an eighth of
-/// the CSR, and [`History::graph`] folds the rest — at most one
-/// O(V + E) fold per read, and O(log E) over a stream of windows nobody
-/// reads (the training prefix). Strategies that never ask after the
-/// initial allocation (A-TxAllo) stop absorbing there, and those that
-/// never ask at all (Mosaic, Random) only count transactions.
+/// CSR plus the edges and accounts first seen since its last fold —
+/// over the training prefix, which nothing reads before the initial
+/// allocation, a log of node pairs; after the first [`History::graph`],
+/// per-row overflow blocks next to a CSR patched in place. Absorbing
+/// folds only once those reach an eighth of the CSR, and
+/// [`History::graph`] folds the rest — at most one O(V + E) fold per
+/// read, and O(log E) over a stream of windows nobody reads. Strategies
+/// that never ask after the initial allocation (A-TxAllo) stop absorbing
+/// there, and those that never ask at all (Mosaic, Random) only count
+/// transactions.
 ///
 /// The history owns everything it keeps. The lifetime parameter is
 /// unused: the end-to-end benchmark crate, which a PR may not edit,
@@ -122,6 +127,12 @@ impl History<'_> {
         self.txs == 0
     }
 
+    /// Records the graph's folds in `recorder`; see
+    /// [`GrowingGraph::set_recorder`].
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        self.graph.set_recorder(recorder);
+    }
+
     /// Folds `txs` into the graph (the part a miner amortises while
     /// blocks commit) without retaining the slice, folding into the CSR
     /// on [`GrowingGraph::absorb`]'s schedule. Accumulation order equals
@@ -144,17 +155,17 @@ impl History<'_> {
         self.txs += n;
     }
 
-    /// Frees the graph (CSR and overflow) while keeping the transaction
-    /// count. The core calls this right after the initial allocation
-    /// when the strategy will never consult the history again — from
-    /// then on the cell's footprint is bounded by the current + recent
-    /// window alone.
+    /// Frees the graph (CSR, log and overflow) while keeping the
+    /// transaction count. The core calls this right after the initial
+    /// allocation when the strategy will never consult the history
+    /// again — from then on the cell's footprint is bounded by the
+    /// current + recent window alone.
     pub fn release(&mut self) {
         self.graph = GrowingGraph::default();
     }
 
-    /// Edges of the folded CSR, not counting the overflow's; never
-    /// forces a fold.
+    /// Edges of the folded CSR, not counting the log's or the
+    /// overflow's; never forces a fold.
     pub fn merged_edge_count(&self) -> usize {
         self.graph.merged_edge_count()
     }
@@ -331,10 +342,10 @@ impl<A: GlobalAllocator> EpochStrategy for A {
         let input_bytes = miner_input_bytes(ctx.history.len()) as f64;
         // In-place accumulation already happened as windows were
         // absorbed (a miner folds blocks in as they commit, and folds
-        // the overflow into the CSR when it reaches an eighth of it);
-        // the remaining fold into the maintained CSR + the allocation is
-        // the per-epoch recomputation Table IV measures, so both run
-        // inside `time_it`.
+        // the pending edges into the CSR when they reach an eighth of
+        // it); the remaining fold into the maintained CSR + the
+        // allocation is the per-epoch recomputation Table IV measures,
+        // so both run inside `time_it`.
         let (phi, elapsed) = time_it(|| self.allocate(ctx.history.graph(), ctx.params.shards()));
         // The implicit migrations: accounts whose shard the new ϕ changes.
         let old = ledger.phi();
@@ -516,8 +527,10 @@ impl EpochStrategy for AdaptiveTxAllo {
 /// population graph, a [`GrowingGraph`] like [`History`]'s, is fed the
 /// training prefix and is also what G-TxAllo reads for the initial ϕ,
 /// so [`History`] stays empty (count only) for a Pilot cell. The
-/// framework keeps that CSR in place and adds each window's new edges
-/// and clients next to it, so learning an epoch costs
+/// training prefix only goes into the graph's log, folded into the CSR
+/// by sort-merges, until the initial allocation reads the graph; from
+/// then on the framework keeps that CSR in place and adds each window's
+/// new edges and clients next to it, so learning an epoch costs
 /// O(window · log deg) and the graph is rewritten only by a fold once
 /// the additions reach an eighth of it.
 #[derive(Debug, Clone)]
@@ -606,6 +619,10 @@ impl<P: ClientPolicy> EpochStrategy for MosaicStrategy<P> {
         self.framework.observe_epoch(window);
     }
 
+    fn scope_telemetry(&mut self, recorder: &Recorder) {
+        self.framework.set_recorder(recorder);
+    }
+
     fn check_invariants(&self) -> Result<()> {
         self.framework.check_invariants()
     }
@@ -645,6 +662,12 @@ pub struct RunSummary {
 /// after the current epoch (its row is already in the summary), so a
 /// sink failure doesn't burn the rest of a long protocol.
 ///
+/// `recorder` is the cell's own: the strategy's cell gauges and
+/// counters ([`EpochStrategy::scope_telemetry`]) and the history
+/// graph's fold counts ([`AllocationCore::scope_telemetry`]) go to it,
+/// while the core's phase spans and `core.*` counters stay on the
+/// process-wide recorder.
+///
 /// # Errors
 ///
 /// [`mosaic_types::Error::EmptyTrace`] if the stream spans no blocks;
@@ -653,9 +676,12 @@ pub fn run_cell(
     config: &ExperimentConfig,
     stream: &mut EpochWindowStream,
     strategy: &mut dyn EpochStrategy,
+    recorder: &Recorder,
     on_epoch: &mut dyn FnMut(usize, &EpochMetrics) -> bool,
 ) -> Result<RunSummary> {
+    strategy.scope_telemetry(recorder);
     let mut core = AllocationCore::new(*config);
+    core.scope_telemetry(recorder);
     core.begin(stream.blocks())?;
     let mut batch: Vec<Transaction> = Vec::new();
     let mut rows: Vec<EpochMetrics> = Vec::new();

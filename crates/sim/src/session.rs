@@ -7,8 +7,9 @@
 //! cell order. A grid run's cells, [`Simulation::stream_cell`]'s and the
 //! derived studies' run through one driver: it opens an
 //! [`EpochWindowStream`] on the session's trace, scopes the strategy's
-//! telemetry to the cell and fans each row [`engine::run_cell`] yields
-//! to the sinks and observers its caller passes.
+//! and the history graph's telemetry to the cell and fans each row
+//! [`engine::run_cell`] yields to the sinks and observers its caller
+//! passes.
 //!
 //! Source kinds differ only in where the windows come from. A resident
 //! source (`generated`, `csv`) is materialised **once** and shared
@@ -324,8 +325,8 @@ impl Simulation {
         Ok(grid.summary)
     }
 
-    /// The one way a cell runs: opens the window stream, scopes the
-    /// strategy's telemetry to the cell, drives [`engine::run_cell`] and
+    /// The one way a cell runs: opens the window stream, drives
+    /// [`engine::run_cell`] with telemetry scoped to the cell and
     /// fans each metric row to the CSV `sinks`, the collected rows (if
     /// `collect`), the `epoch` telemetry event and `observers`, in that
     /// order. A sink's first failure stops the cell after that epoch and
@@ -347,13 +348,12 @@ impl Simulation {
             let writer = EpochCsvWriter::new(out).map_err(|e| io_error(&name, &e))?;
             writers.push((name, writer));
         }
-        // Scoped per cell so concurrent cells' epoch events and the
-        // strategy's gauges stay distinguishable in the shared JSONL
-        // stream (disabled — one branch per epoch — unless a recorder
-        // is installed).
+        // Scoped per cell so concurrent cells' epoch events, the
+        // strategy's gauges and the graph's fold counts stay
+        // distinguishable in the shared JSONL stream (disabled — one
+        // branch per epoch — unless a recorder is installed).
         let recorder =
             mosaic_telemetry::global().scoped(&cell.file_stem(self.scenario.is_single_point()));
-        strategy.scope_telemetry(&recorder);
         let mut per_epoch = Vec::new();
         let mut failure = None;
         let mut on_epoch = |epoch: usize, metrics: &EpochMetrics| {
@@ -380,7 +380,13 @@ impl Simulation {
                 .iter()
                 .all(|obs| obs.on_epoch(cell, epoch, metrics))
         };
-        let summary = engine::run_cell(&cell.config, &mut stream, &mut *strategy, &mut on_epoch)?;
+        let summary = engine::run_cell(
+            &cell.config,
+            &mut stream,
+            &mut *strategy,
+            &recorder,
+            &mut on_epoch,
+        )?;
         if let Some(e) = failure {
             return Err(e);
         }

@@ -1,35 +1,63 @@
 //! The interaction graph of a transaction stream, grown in place.
 //!
-//! [`GrowingGraph`] holds a sorted CSR ([`TxGraph`]) and grows it per
-//! transaction:
+//! [`GrowingGraph`] holds a sorted CSR ([`TxGraph`]) and grows it in two
+//! phases.
+//!
+//! **Learning** (from construction until the first edge reader): no
+//! row is read, so [`GrowingGraph::absorb`] only interns the endpoints,
+//! counts vertex weights and appends each edge to a log, as its
+//! `(from, to)` node pair packed in one `u64`. A fold adds each pair's
+//! reverse and sorts the log, so each run of equal pairs is one
+//! directed edge and its length the weight, and merges it into the CSR.
+//! The training prefix every strategy learns before its initial
+//! allocation is this phase: it costs two hash lookups and one push per
+//! transaction, plus the folds.
+//!
+//! **Patching** (once [`GrowingGraph::rows`] or [`GrowingGraph::graph`]
+//! has been called): a reader of one row ([`GrowingGraph::visit`],
+//! Pilot's client) may come at any time, so each transaction updates
+//! the rows at once:
 //!
 //! * a weight increment on an edge the CSR holds is patched in place,
 //!   found by binary search in the row;
 //! * an edge the CSR does not hold goes into the row's overflow block,
-//!   kept sorted by neighbour;
-//! * an account first seen since the last fold gets the next node id
-//!   past the last one.
+//!   kept sorted by neighbour.
 //!
-//! So absorbing a window costs O(window · log deg), and a reader of one
-//! row ([`GrowingGraph::visit`], Pilot's client) never waits for more.
+//! So absorbing a window costs O(window · log deg), and reading a row
+//! costs its degree. Overflow blocks hold a power of two of slots, and a
+//! row that fills its block moves to one twice the size. Blocks of one
+//! size are carved out of fixed-size pages and recycled through a free
+//! list, so the overflow never needs a contiguous buffer of twice its
+//! size, and a node pays 8 bytes for its block handle.
 //!
-//! Overflow blocks hold a power of two of slots, and a row that fills
-//! its block moves to one twice the size. Blocks of one size are carved
-//! out of fixed-size pages and recycled through a free list, so the
-//! overflow never needs a contiguous buffer of twice its size, and a
-//! node pays 8 bytes for its block handle. A row's overflow block sits
-//! apart from its CSR row, which costs a row reader a cache miss per
-//! row that has one; so once the overflow holds an eighth of the CSR's
-//! entries, one pass folds it into the CSR (grown by exactly that
-//! much). The CSR grows by a constant factor per fold, so a stream pays
-//! O(log E) folds, not one per window.
-//!
-//! The fold also splices the accounts that joined since the last one
-//! into ascending account order. After it the CSR is exactly what
+//! In both phases an account first seen since the last fold gets the
+//! next node id past the last one, and the pending directed entries
+//! (two per log pair, one per overflow entry) are folded into the CSR
+//! once they reach an eighth of the CSR's entries, checked at the end
+//! of each absorb. So they stay below max(one window, CSR / 8) entries
+//! and memory stays
+//! O(CSR); while the stream keeps adding new edges the CSR grows by a
+//! constant factor per fold, so it pays O(log E) folds, not one per
+//! window. A fold sorts the newcomers into ascending account order,
+//! renames every node id to match, and merges the pending entries into
+//! the CSR back to front, in place: the CSR's own buffers grow by the
+//! distinct pending entries, and the room left by log pairs that only
+//! add weight to an entry the CSR holds is closed by one move. After it
+//! the CSR is exactly what
 //! [`crate::GraphBuilder::build`] makes of everything absorbed and
 //! touched, and [`GrowingGraph::graph`] folds whatever is left before
 //! it hands a reader of the whole graph (a miner) that CSR.
+//!
+//! Each fold is recorded, when the graph has been given an enabled
+//! recorder ([`GrowingGraph::set_recorder`]), as a `txgraph.fold` span
+//! and in the counters `txgraph.folds` and `txgraph.entries_rewritten`
+//! (the CSR entries the folds wrote); with telemetry off each costs one
+//! branch per fold.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+use mosaic_telemetry::{Counter, Recorder};
 use mosaic_types::{ensure, AccountId, Result, Transaction};
 
 use crate::csr::{NodeId, TxGraph};
@@ -38,9 +66,10 @@ use crate::csr::{NodeId, TxGraph};
 /// larger block gets a page of its own.
 const PAGE_BITS: u32 = 10;
 
-/// The overflow is folded into the CSR once its entries reach
-/// `1 / FOLD_FRACTION` of the CSR's. A fixed constant: the overflow
-/// stays below max(one window, CSR / 8) entries, so memory stays O(CSR).
+/// The log or the overflow is folded into the CSR once its directed
+/// entries (two per log pair) reach `1 / FOLD_FRACTION` of the CSR's. A
+/// fixed constant: either stays below max(one window, CSR / 8) entries,
+/// so memory stays O(CSR).
 const FOLD_FRACTION: usize = 8;
 
 /// The component [`GrowingGraph::check_invariants`] names.
@@ -260,11 +289,36 @@ impl Overflow {
 
 /// Row `node`'s slots in a CSR whose row starts are `xadj`; empty for a
 /// node past its rows.
-fn csr_row(xadj: &[usize], node: usize) -> std::ops::Range<usize> {
+fn csr_row(xadj: &[usize], node: usize) -> Range<usize> {
     match xadj.get(node..node + 2) {
         Some(&[start, end]) => start..end,
         _ => 0..0,
     }
+}
+
+/// The log's key of directed edge `row → nbr`: keys sort by row, then
+/// by neighbour.
+fn log_key(row: NodeId, nbr: NodeId) -> u64 {
+    (row.index() as u64) << 32 | nbr.index() as u64
+}
+
+/// The row of a log key.
+fn log_row(key: u64) -> usize {
+    (key >> 32) as usize
+}
+
+/// The neighbour of a log key.
+fn log_nbr(key: u64) -> NodeId {
+    NodeId::new(key as u32)
+}
+
+/// The fold's telemetry handles: inert unless
+/// [`GrowingGraph::set_recorder`] was given an enabled recorder.
+#[derive(Debug, Clone, Default)]
+struct FoldTelemetry {
+    recorder: Recorder,
+    folds: Counter,
+    rewritten: Counter,
 }
 
 /// The interaction graph of every transaction absorbed and account
@@ -292,25 +346,43 @@ fn csr_row(xadj: &[usize], node: usize) -> std::ops::Range<usize> {
 ///     );
 ///     g.absorb(&[tx]);
 /// }
-/// assert!(g.merged_edge_count() < 100); // the tail is still in overflow
+/// assert!(g.merged_edge_count() < 100); // the tail is still in the log
 /// assert_eq!(g.graph().edge_count(), 100);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GrowingGraph {
     /// The CSR as of the last fold. `accounts`, `index` and `vwgt` also
     /// cover the newcomers since, whose ids start at `xadj.len() - 1`;
-    /// `total_edge_weight` counts every non-self transaction, overflow
-    /// included.
+    /// `total_edge_weight` counts every non-self transaction, log and
+    /// overflow included.
     csr: TxGraph,
+    /// While learning: each edge absorbed since the last fold, as the
+    /// [`log_key`] of `from → to`, in arrival order. Empty once patching.
+    log: Vec<u64>,
+    /// Whether an edge reader has asked for the rows; from then on
+    /// absorb patches them per edge. The overflow is empty until then.
+    patching: bool,
     overflow: Overflow,
     /// Self-transfers absorbed.
     self_transfers: u64,
+    telemetry: FoldTelemetry,
 }
 
 impl GrowingGraph {
-    /// An empty graph.
+    /// An empty graph, learning.
     pub fn new() -> Self {
         GrowingGraph::default()
+    }
+
+    /// Records each fold as a `txgraph.fold` span and in the counters
+    /// `txgraph.folds` and `txgraph.entries_rewritten` of `recorder`
+    /// (one branch per fold when it is disabled, the default).
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        self.telemetry = FoldTelemetry {
+            recorder: recorder.clone(),
+            folds: recorder.counter("txgraph.folds"),
+            rewritten: recorder.counter("txgraph.entries_rewritten"),
+        };
     }
 
     /// Number of nodes, newcomers included.
@@ -334,14 +406,14 @@ impl GrowingGraph {
         self.csr.total_edge_weight + self.self_transfers
     }
 
-    /// Edges of the CSR, not counting the overflow's — a read that never
-    /// forces a fold.
+    /// Edges of the CSR, not counting the log's or the overflow's — a
+    /// read that never forces a fold.
     pub fn merged_edge_count(&self) -> usize {
         self.csr.edge_count()
     }
 
     /// The node of `account`, which becomes a node of vertex weight 0 if
-    /// it is not one yet.
+    /// it is not one yet. Reads no edge, so the graph keeps learning.
     pub fn touch(&mut self, account: AccountId) -> NodeId {
         let csr = &mut self.csr;
         *csr.index.entry(account).or_insert_with(|| {
@@ -355,8 +427,9 @@ impl GrowingGraph {
     /// Folds committed transactions in, as a [`crate::GraphBuilder`]
     /// would: one unit of vertex weight per endpoint, and one of edge
     /// weight between the two endpoints unless they are the same account.
-    /// Then folds the overflow into the CSR if it has reached an eighth
-    /// of it.
+    /// While learning the edge goes into the log, once patching into its
+    /// two rows. Then folds the log or the overflow into the CSR if it
+    /// has reached an eighth of it.
     pub fn absorb(&mut self, txs: &[Transaction]) {
         for tx in txs {
             let from = self.touch(tx.from);
@@ -367,22 +440,55 @@ impl GrowingGraph {
             }
             let to = self.touch(tx.to);
             self.csr.vwgt[to.index()] += 1;
-            self.bump(from, to);
-            self.bump(to, from);
+            if self.patching {
+                self.bump(from, to);
+                self.bump(to, from);
+            } else {
+                self.log.push(log_key(from, to));
+            }
             self.csr.total_edge_weight += 1;
         }
-        if self.overflow.entries * FOLD_FRACTION >= self.csr.adjncy.len().max(1) {
+        if self.pending_entries() * FOLD_FRACTION >= self.csr.adjncy.len().max(1) {
             self.fold();
         }
     }
 
+    /// Directed entries waiting for the next fold: two per logged pair
+    /// (a fold adds its reverse), one per overflow entry.
+    fn pending_entries(&self) -> usize {
+        2 * self.log.len() + self.overflow.entries
+    }
+
+    /// The graph, ready for row reads: the first call folds the log and
+    /// ends learning, so [`GrowingGraph::visit`] reads a row in
+    /// O(deg) and each later absorb patches the rows it touches.
+    pub fn rows(&mut self) -> &GrowingGraph {
+        self.end_learning();
+        self
+    }
+
     /// Folds whatever is left, then returns the whole graph, nodes in
-    /// ascending account order.
+    /// ascending account order. Ends learning, like
+    /// [`GrowingGraph::rows`].
     pub fn graph(&mut self) -> &TxGraph {
+        self.end_learning();
         if self.overflow.entries > 0 || self.csr.xadj.len() <= self.node_count() {
             self.fold();
         }
         &self.csr
+    }
+
+    /// If still learning, folds the log and frees its buffer; absorb
+    /// patches rows from now on.
+    fn end_learning(&mut self) {
+        if self.patching {
+            return;
+        }
+        if !self.log.is_empty() {
+            self.fold();
+        }
+        self.log = Vec::new();
+        self.patching = true;
     }
 
     /// Adds one to the weight of directed edge `row → nbr`.
@@ -400,18 +506,15 @@ impl GrowingGraph {
         Some(range.start + offset)
     }
 
-    /// Splices the newcomers into ascending account order and merges the
-    /// overflow into the CSR, which then has a row for every node.
+    /// Sorts the newcomers into ascending account order, renames every
+    /// node id outside the CSR to match, and returns `old_of`, which maps
+    /// each new id to its old one, and `remap`, its inverse. The CSR's
+    /// own rows and entries keep the old ids; the fold renames them as
+    /// it moves them.
     ///
     /// The newcomers, sorted, are merged into the sorted prefix back to
     /// front, which gives a renumbering that keeps the prefix's order.
-    /// CSR entries name prefix nodes only, so remapping them keeps each
-    /// row sorted; overflow rows may name newcomers, so they are
-    /// remapped and re-sorted. The rows are then merged back to front in
-    /// the grown buffers: the CSR rows keep their order and a row's new
-    /// start is at least its old one, so writes never overtake unread
-    /// CSR entries.
-    fn fold(&mut self) {
+    fn splice_newcomers(&mut self) -> (Vec<u32>, Vec<u32>) {
         let csr = &mut self.csr;
         let n = csr.accounts.len();
         let rows = csr.xadj.len() - 1;
@@ -441,46 +544,108 @@ impl GrowingGraph {
                 *node = NodeId::new(remap[node.index()]);
             }
             self.overflow.renumber(&remap);
+            let rename = |v: usize| u64::from(remap[v]);
+            for key in &mut self.log {
+                *key = rename(log_row(*key)) << 32 | rename(log_nbr(*key).index());
+            }
         }
+        (old_of, remap)
+    }
 
-        let overflow = &self.overflow;
-        let mut xadj = Vec::with_capacity(n + 1);
-        xadj.push(0);
-        for (node, &old) in old_of.iter().enumerate() {
-            let old = old as usize;
-            xadj.push(xadj[node] + csr_row(&csr.xadj, old).len() + overflow.row(old).0.len());
+    /// Splices the newcomers into ascending account order and merges the
+    /// log or the overflow into the CSR, which then has a row for every
+    /// node.
+    ///
+    /// Both are turned into one descending run of pending `(key,
+    /// weight)` pairs, keyed like the log: the runs of equal keys of the
+    /// log, sorted once each pair's reverse is added, or the overflow
+    /// rows in node order. The buffers grow by their count, a bound on
+    /// the new entries, and [`merge_pending`] writes the merged rows
+    /// against the grown end; log keys that repeat a CSR entry leave a
+    /// gap at the front, which one move closes.
+    fn fold(&mut self) {
+        let span = self.telemetry.recorder.span("txgraph.fold");
+        let (old_of, remap) = self.splice_newcomers();
+        let pairs = self.log.len();
+        self.log.reserve_exact(pairs);
+        self.log.extend_from_within(..);
+        for key in &mut self.log[pairs..] {
+            *key = key.rotate_left(32);
         }
-        let grown = xadj[n] - csr.adjncy.len();
-        csr.adjncy.reserve_exact(grown);
-        csr.adjncy.resize(xadj[n], NodeId::new(0));
-        csr.adjwgt.reserve_exact(grown);
-        csr.adjwgt.resize(xadj[n], 0);
-        for node in (0..n).rev() {
-            let old = old_of[node] as usize;
-            let csr_old = csr_row(&csr.xadj, old);
-            let (nbrs, wgts) = overflow.row(old);
-            let (mut r, mut o) = (csr_old.end, nbrs.len());
-            for write in (xadj[node]..xadj[node + 1]).rev() {
-                let kept =
-                    (r > csr_old.start).then(|| NodeId::new(remap[csr.adjncy[r - 1].index()]));
-                if o > 0 && kept.is_none_or(|kept| nbrs[o - 1] > kept) {
-                    o -= 1;
-                    csr.adjncy[write] = nbrs[o];
-                    csr.adjwgt[write] = wgts[o];
-                } else {
-                    r -= 1;
-                    csr.adjncy[write] = kept.expect("an entry is left");
-                    csr.adjwgt[write] = csr.adjwgt[r];
-                }
+        self.log.sort_unstable();
+        let (csr, log, overflow) = (&mut self.csr, &self.log, &self.overflow);
+        let renamed = (old_of.len() > csr.xadj.len() - 1).then_some(&remap[..]);
+        let merged = csr.adjncy.len();
+        let bound = merged + log.chunk_by(|a, b| a == b).count() + overflow.entries;
+        csr.adjncy.reserve_exact(bound - merged);
+        csr.adjncy.resize(bound, NodeId::new(0));
+        csr.adjwgt.reserve_exact(bound - merged);
+        csr.adjwgt.resize(bound, 0);
+        let mut xadj = if log.is_empty() {
+            let rows = (0..old_of.len()).rev().flat_map(|node| {
+                let (nbrs, wgts) = overflow.row(old_of[node] as usize);
+                let row = NodeId::new(node as u32);
+                nbrs.iter()
+                    .zip(wgts)
+                    .rev()
+                    .map(move |(&nbr, &weight)| (log_key(row, nbr), weight))
+            });
+            merge_pending(csr, &old_of, renamed, rows)
+        } else {
+            let runs = log.chunk_by(|a, b| a == b).rev();
+            merge_pending(
+                csr,
+                &old_of,
+                renamed,
+                runs.map(|run| (run[0], run.len() as u64)),
+            )
+        };
+        let gap = xadj[0];
+        if gap > 0 {
+            csr.adjncy.copy_within(gap.., 0);
+            csr.adjwgt.copy_within(gap.., 0);
+            csr.adjncy.truncate(bound - gap);
+            csr.adjwgt.truncate(bound - gap);
+            for start in &mut xadj {
+                *start -= gap;
             }
         }
         csr.xadj = xadj;
+        self.log.clear();
         self.overflow = Overflow::default();
+        self.telemetry.folds.incr();
+        self.telemetry.rewritten.add(self.csr.adjncy.len() as u64);
+        span.finish();
     }
 
-    /// Calls `f(neighbour, weight)` for every edge of `node`, the CSR's
-    /// first, and returns their number.
+    /// Calls `f(neighbour, weight)` for every edge of `node` and returns
+    /// their number: the CSR's first, then the overflow's. While the log
+    /// holds edges, each neighbour once, ascending, with the log's
+    /// weight added — a scan of the whole log, which
+    /// [`GrowingGraph::rows`] spares a reader of many rows.
     pub fn visit(&self, node: usize, mut f: impl FnMut(NodeId, u64)) -> usize {
+        if self.log.is_empty() {
+            return self.visit_rows(node, f);
+        }
+        let mut row = BTreeMap::new();
+        self.visit_rows(node, |nbr, weight| {
+            row.insert(nbr, weight);
+        });
+        for &key in &self.log {
+            for key in [key, key.rotate_left(32)] {
+                if log_row(key) == node {
+                    *row.entry(log_nbr(key)).or_insert(0) += 1;
+                }
+            }
+        }
+        for (&nbr, &weight) in &row {
+            f(nbr, weight);
+        }
+        row.len()
+    }
+
+    /// [`GrowingGraph::visit`] over the CSR and the overflow only.
+    fn visit_rows(&self, node: usize, mut f: impl FnMut(NodeId, u64)) -> usize {
         let range = csr_row(&self.csr.xadj, node);
         let (nbrs, wgts) = self.overflow.row(node);
         let csr = &self.csr;
@@ -496,7 +661,8 @@ impl GrowingGraph {
         range.len() + nbrs.len()
     }
 
-    /// The weight of directed edge `row → nbr`, wherever it is stored.
+    /// The weight of directed edge `row → nbr` in the CSR or the
+    /// overflow.
     fn weight(&self, row: NodeId, nbr: NodeId) -> Option<u64> {
         match self.csr_slot(row, nbr) {
             Some(slot) => Some(self.csr.adjwgt[slot]),
@@ -508,11 +674,14 @@ impl GrowingGraph {
     /// absorbed: the account ↔ node index is a bijection, the CSR's row
     /// starts do not decrease and cover at most every node, its nodes
     /// ascend by account, no row holds a neighbour twice (CSR and
-    /// overflow together) or out of order, w(a, b) = w(b, a), the
-    /// directed weights sum to twice the non-self transactions, and the
-    /// vertex weights to that plus the self-transfers; else
-    /// [`mosaic_types::Error::Inconsistent`]. One pass over the whole
-    /// graph.
+    /// overflow together) or out of order, w(a, b) = w(b, a) over the
+    /// CSR and overflow, the log (which holds each edge once, for both
+    /// directions) names nodes only and no self-loop and is empty once
+    /// patching (the overflow until then), the directed weights plus
+    /// twice the log's pairs sum to twice the non-self transactions, and
+    /// the vertex weights to that plus the self-transfers; else
+    /// [`mosaic_types::Error::Inconsistent`]. One pass over the graph
+    /// and the log.
     pub fn check_invariants(&self) -> Result<()> {
         let csr = &self.csr;
         let n = csr.accounts.len();
@@ -532,12 +701,15 @@ impl GrowingGraph {
         ensure!(sorted, WHO, "nodes [0, {rows}) do not ascend by account");
         let overflow_rows = self.overflow.rows.len();
         ensure!(overflow_rows <= n, WHO, "{overflow_rows} overflow rows");
+        let (log, overflow) = (self.log.len(), self.overflow.entries);
+        let stray = if self.patching { log } else { overflow };
+        ensure!(stray == 0, WHO, "{log} log pairs, {overflow} in overflow");
         let mut directed = 0u64;
         let mut edges = Vec::new();
         for node in 0..n {
             let row = NodeId::new(node as u32);
             edges.clear();
-            self.visit(node, |nbr, weight| edges.push((nbr, weight)));
+            self.visit_rows(node, |nbr, weight| edges.push((nbr, weight)));
             for &(nbr, w) in &edges {
                 let edge = nbr.index() < n && nbr != row && w > 0;
                 ensure!(edge, WHO, "{row} → {nbr} of weight {w}");
@@ -553,6 +725,15 @@ impl GrowingGraph {
             let twice = edges.windows(2).any(|p| p[0].0 == p[1].0);
             ensure!(!twice, WHO, "{row} holds a neighbour twice");
         }
+        for &key in &self.log {
+            let (from, to) = (log_row(key), log_nbr(key).index());
+            ensure!(
+                from < n && to < n && from != to,
+                WHO,
+                "log pair {from} – {to}"
+            );
+        }
+        directed += 2 * log as u64;
         let (edge, selfs) = (csr.total_edge_weight, self.self_transfers);
         let vertex: u64 = csr.vwgt.iter().sum();
         ensure!(directed == 2 * edge, WHO, "Σ w {directed}, {edge} edges");
@@ -561,10 +742,121 @@ impl GrowingGraph {
     }
 }
 
+/// Merges `pending` — `(log key, weight)` pairs in descending key
+/// order, each key once — into the CSR's rows, writing back to front
+/// from the end of the grown buffers, and returns the new row starts,
+/// the first of which is the gap left at the front. New node `v`'s row
+/// is old row `old_of[v]` (none for a newcomer), its neighbours renamed
+/// by `remap` (unchanged without one); a pending key the row also holds
+/// is written once, the weights added.
+///
+/// The CSR rows keep their order and the renaming keeps each row
+/// sorted, so the rows between two that have pending entries move as one
+/// block. The write cursor starts the buffers' growth past the read
+/// cursor and only ever gains on it by a pending entry, so a write never
+/// lands on an entry not yet read.
+fn merge_pending(
+    csr: &mut TxGraph,
+    old_of: &[u32],
+    remap: Option<&[u32]>,
+    pending: impl Iterator<Item = (u64, u64)>,
+) -> Vec<usize> {
+    let rename = |nbr: NodeId| remap.map_or(nbr, |remap| NodeId::new(remap[nbr.index()]));
+    let mut pending = pending.peekable();
+    let (n, rows) = (old_of.len(), csr.xadj.len() - 1);
+    let mut xadj = vec![0; n + 1];
+    // Old entries [0, read) have not moved yet; each is bound for
+    // `write - read` slots further up.
+    let (mut read, mut write) = (csr.xadj[rows], csr.adjncy.len());
+    xadj[n] = write;
+    let mut done = n;
+    while let Some(&(key, _)) = pending.peek() {
+        let node = log_row(key);
+        let shift = write - read;
+        place_rows(&mut xadj, &csr.xadj, old_of, node + 1..done, shift);
+        // Move the rows above, then merge this one from its end.
+        let end = xadj[node + 1] - shift;
+        move_block(csr, end..read, shift, remap);
+        let old = old_of[node] as usize;
+        let start = if old < rows { csr.xadj[old] } else { end };
+        (read, write) = (end, end + shift);
+        while let Some((key, mut weight)) = pending.next_if(|&(key, _)| log_row(key) == node) {
+            let nbr = log_nbr(key);
+            while read > start {
+                let held = rename(csr.adjncy[read - 1]);
+                if held < nbr {
+                    break;
+                }
+                read -= 1;
+                if held == nbr {
+                    weight += csr.adjwgt[read];
+                    break;
+                }
+                write -= 1;
+                csr.adjncy[write] = held;
+                csr.adjwgt[write] = csr.adjwgt[read];
+            }
+            write -= 1;
+            csr.adjncy[write] = nbr;
+            csr.adjwgt[write] = weight;
+        }
+        // The row's entries below its first pending one move with the
+        // rows below.
+        xadj[node] = start + write - read;
+        done = node;
+    }
+    let shift = write - read;
+    place_rows(&mut xadj, &csr.xadj, old_of, 0..done, shift);
+    move_block(csr, 0..read, shift, remap);
+    xadj
+}
+
+/// Sets the new starts of rows `nodes`, which have nothing pending and
+/// so move up by `shift` as one block: an old row's old start plus
+/// `shift`, a newcomer's empty row where the row after it starts.
+fn place_rows(
+    xadj: &mut [usize],
+    old_xadj: &[usize],
+    old_of: &[u32],
+    nodes: Range<usize>,
+    shift: usize,
+) {
+    let rows = old_xadj.len() - 1;
+    for node in nodes.rev() {
+        let old = old_of[node] as usize;
+        xadj[node] = if old < rows {
+            old_xadj[old] + shift
+        } else {
+            xadj[node + 1]
+        };
+    }
+}
+
+/// Moves CSR entries `block` up by `shift` slots, last first, renaming
+/// their neighbours through `remap` if there is one.
+fn move_block(csr: &mut TxGraph, block: Range<usize>, shift: usize, remap: Option<&[u32]>) {
+    match remap {
+        None if shift > 0 => {
+            let to = block.start + shift;
+            csr.adjncy.copy_within(block.clone(), to);
+            csr.adjwgt.copy_within(block, to);
+        }
+        None => {}
+        Some(remap) => {
+            for read in block.rev() {
+                let nbr = csr.adjncy[read];
+                csr.adjncy[read + shift] = NodeId::new(remap[nbr.index()]);
+                csr.adjwgt[read + shift] = csr.adjwgt[read];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use mosaic_telemetry::Recorder;
     use mosaic_types::{BlockHeight, Error, TxId};
 
     fn tx(id: u64, from: u64, to: u64) -> Transaction {
@@ -665,8 +957,9 @@ mod tests {
         assert!(is_graph_error(&err), "{err}");
     }
 
-    /// Whatever the chunking, after every absorb the overflow is empty
-    /// or under an eighth of the CSR's entries.
+    /// Whatever the chunking, after every absorb the log (while
+    /// learning) and the overflow (once patching) are empty or their
+    /// directed entries under an eighth of the CSR's.
     #[test]
     fn overflow_stays_under_an_eighth_of_the_csr() {
         let mut state = 0x5eed_u64;
@@ -679,7 +972,11 @@ mod tests {
         let mut graph = GrowingGraph::new();
         let mut oracle = GraphBuilder::new();
         let mut id = 0;
-        for _ in 0..400 {
+        for round in 0..800 {
+            if round == 400 {
+                graph.rows();
+                assert!(graph.log.is_empty() && graph.log.capacity() == 0);
+            }
             let len = next(48);
             let chunk: Vec<Transaction> = (0..len)
                 .map(|_| {
@@ -689,13 +986,117 @@ mod tests {
                 .collect();
             graph.absorb(&chunk);
             oracle.add_transactions(&chunk);
-            let (pending, merged) = (graph.overflow.entries, graph.csr.adjncy.len());
+            let (log, overflow) = (graph.log.len(), graph.overflow.entries);
+            let merged = graph.csr.adjncy.len();
+            assert!(round < 400 || log == 0, "{log} log pairs while patching");
+            assert!(
+                round >= 400 || overflow == 0,
+                "{overflow} in overflow while learning"
+            );
+            let pending = graph.pending_entries();
             assert!(
                 pending == 0 || pending * FOLD_FRACTION < merged,
-                "{pending} entries in overflow over {merged} in the CSR"
+                "{pending} pending entries over {merged} in the CSR"
             );
         }
         graph.check_invariants().unwrap();
         assert_eq!(graph.graph(), &oracle.build());
+    }
+
+    /// While learning, a window that mostly repeats edges the CSR holds
+    /// goes into the log; its fold adds the repeats to the CSR weights
+    /// and leaves a gap for them that it closes, and `visit` reads the
+    /// log before the fold. `rows` ends learning: the next window is
+    /// patched in place.
+    #[test]
+    fn the_log_folds_repeats_into_csr_weights() {
+        let training: Vec<Transaction> = (0..1000).map(|i| tx(i, i, i + 1)).collect();
+        let mut graph = GrowingGraph::new();
+        let mut oracle = GraphBuilder::new();
+        graph.absorb(&training);
+        oracle.add_transactions(&training);
+        assert_eq!(graph.csr.adjncy.len(), 2000, "one fold, no gap");
+
+        // 100 repeats and 24 new edges, 248 directed entries: under an
+        // eighth of the CSR.
+        let mut window: Vec<Transaction> = (0..100).map(|j| tx(j, j % 50, j % 50 + 1)).collect();
+        window.extend((0..24).map(|j| tx(j, 3000 + j, 7)));
+        graph.absorb(&window);
+        oracle.add_transactions(&window);
+        assert_eq!(graph.log.len(), 124);
+        let mut learning = Vec::new();
+        graph.visit(7, |nbr, weight| learning.push((nbr, weight)));
+        assert_eq!(learning.len(), 26, "two path neighbours and 24 newcomers");
+        let mut read = Vec::new();
+        graph
+            .clone()
+            .rows()
+            .visit(7, |nbr, weight| read.push((nbr, weight)));
+        assert_eq!(learning, read);
+        graph.check_invariants().unwrap();
+
+        let more = [tx(124, 10, 11)];
+        graph.absorb(&more);
+        oracle.add_transactions(&more);
+        assert!(graph.log.is_empty(), "250 entries reach an eighth of 2000");
+        assert_eq!(graph.csr.adjncy.len(), 2048);
+        assert_eq!(graph.csr.adjwgt.iter().sum::<u64>(), 2 * 1125);
+        graph.check_invariants().unwrap();
+        assert!(!graph.patching);
+        let slot = graph.csr_slot(NodeId::new(10), NodeId::new(11)).unwrap();
+        assert_eq!(graph.csr.adjwgt[slot], 4);
+
+        graph.rows();
+        let last = [tx(9000, 0, 999)];
+        graph.absorb(&last);
+        oracle.add_transactions(&last);
+        assert_eq!(graph.overflow.entries, 2, "patched, not logged");
+        assert_eq!(graph.graph(), &oracle.build());
+    }
+
+    /// A log pair with an endpoint out of range or the same at both
+    /// ends, or one missing from the weight sums, breaks the invariant.
+    #[test]
+    fn check_invariants_catches_a_broken_log() {
+        let mut graph = GrowingGraph::new();
+        graph.absorb(&(0..100).map(|i| tx(i, i, i + 1)).collect::<Vec<_>>());
+        graph.absorb(&[tx(100, 0, 50), tx(101, 7, 7)]);
+        assert_eq!(graph.log.len(), 1);
+        graph.check_invariants().unwrap();
+
+        for broken in [log_key(NodeId::new(3), NodeId::new(3)), 200 << 32 | 1] {
+            let mut copy = graph.clone();
+            copy.log[0] = broken;
+            let err = copy.check_invariants().unwrap_err();
+            assert!(is_graph_error(&err), "{err}");
+        }
+        graph.log.pop();
+        assert!(graph.check_invariants().is_err());
+    }
+
+    /// An enabled recorder counts each fold and the CSR entries it
+    /// wrote, and times it as `txgraph.fold`.
+    #[test]
+    fn set_recorder_counts_folds_and_rewritten_entries() {
+        let recorder = Recorder::enabled();
+        let mut graph = GrowingGraph::new();
+        graph.set_recorder(&recorder);
+        graph.absorb(&(0..10).map(|i| tx(i, i, i + 1)).collect::<Vec<_>>());
+        graph.absorb(&[tx(10, 10, 11)]);
+        graph.absorb(&[tx(11, 11, 12)]);
+        assert_eq!(graph.graph().adjncy.len(), 24);
+        let snapshot = recorder.snapshot();
+        let counter = |name: &str| snapshot.counters.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(
+            counter("txgraph.folds"),
+            2,
+            "the first absorb's and the third's"
+        );
+        assert_eq!(counter("txgraph.entries_rewritten"), 20 + 24);
+        let fold = snapshot
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "txgraph.fold");
+        assert_eq!(fold.unwrap().1.count, 2);
     }
 }

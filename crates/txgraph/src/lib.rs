@@ -12,12 +12,13 @@
 //!   deterministic node and neighbour ordering, the format consumed by
 //!   the partitioners; [`TxGraph::from_transactions`] builds one from a
 //!   slice of transactions by sorting (A-TxAllo's window graph);
-//! * [`GrowingGraph`] — the one graph that grows: it patches a
-//!   [`TxGraph`] in place per transaction, keeps new edges in per-row
-//!   overflow blocks and new accounts past the last node, and folds
-//!   both into the CSR, in account order, on a geometric schedule or
-//!   when a reader asks for the whole graph. The miners' history and
-//!   Pilot's client population are both one;
+//! * [`GrowingGraph`] — the one graph that grows: until a reader asks
+//!   for its rows it logs each edge as a node pair, and after that it
+//!   patches a [`TxGraph`] in place per transaction and keeps new edges
+//!   in per-row overflow blocks; new accounts go past the last node. A
+//!   fold merges both into the CSR in place, in account order, on a
+//!   geometric schedule or when a reader asks for the whole graph. The
+//!   miners' history and Pilot's client population are both one;
 //! * [`GraphBuilder`] — accumulates transactions (or raw weighted edges)
 //!   into an adjacency map and builds a [`TxGraph`] from scratch: the
 //!   reference oracle of [`GrowingGraph`] and of

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use mosaic::prelude::*;
 use mosaic::sim::engine::{self, History};
+use mosaic::telemetry::Recorder;
 use mosaic::types::Error;
 use mosaic::workload::EpochWindowStream;
 
@@ -106,7 +107,13 @@ fn empty_resident_trace_is_an_error_not_a_panic() {
     let config = ExperimentConfig::new(SystemParams::default(), Strategy::Random, 4);
     let mut stream = EpochWindowStream::resident(Arc::new(TransactionTrace::new(Vec::new())));
     let mut strategy = config.strategy.build(config.params);
-    let result = engine::run_cell(&config, &mut stream, strategy.as_mut(), &mut |_, _| true);
+    let result = engine::run_cell(
+        &config,
+        &mut stream,
+        strategy.as_mut(),
+        &Recorder::disabled(),
+        &mut |_, _| true,
+    );
     assert_eq!(result.unwrap_err(), Error::EmptyTrace);
 }
 

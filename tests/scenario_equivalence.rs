@@ -13,6 +13,7 @@ use mosaic::prelude::*;
 use mosaic::sim::engine::{self, RunSummary};
 use mosaic::sim::experiments::{effectiveness, Effectiveness};
 use mosaic::sim::{GridCell, ObserverSpec, Scenario, Simulation};
+use mosaic::telemetry::Recorder;
 use mosaic::workload::{EpochWindowStream, TraceSource, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -24,9 +25,13 @@ use mosaic::sim::Strategy;
 fn csv_of(config: &ExperimentConfig, mut stream: EpochWindowStream) -> (Vec<u8>, RunSummary) {
     let mut strategy = config.strategy.build(config.params);
     let mut writer = EpochCsvWriter::new(Vec::new()).unwrap();
-    let summary = engine::run_cell(config, &mut stream, strategy.as_mut(), &mut |_, row| {
-        writer.write_epoch(row).is_ok()
-    })
+    let summary = engine::run_cell(
+        config,
+        &mut stream,
+        strategy.as_mut(),
+        &Recorder::disabled(),
+        &mut |_, row| writer.write_epoch(row).is_ok(),
+    )
     .unwrap();
     (writer.finish().unwrap(), summary)
 }
@@ -59,6 +64,7 @@ fn manual_grid(tau: u32, eval_epochs: usize, trace: &Arc<TransactionTrace>) -> V
                 &config,
                 &mut EpochWindowStream::resident(Arc::clone(trace)),
                 built.as_mut(),
+                &Recorder::disabled(),
                 &mut |_, row| {
                     per_epoch.push(*row);
                     true
