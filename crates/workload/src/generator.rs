@@ -3,9 +3,20 @@
 //! See the crate docs for the modelled phenomena. The generator is a pure
 //! function of its [`WorkloadConfig`]: the same config always produces the
 //! same trace, which keeps every experiment in the repository reproducible.
+//!
+//! The trace is defined one transaction at a time: a sender drawn by
+//! activity rank, then a receiver that is a hub, a member of the
+//! sender's community or another account drawn by activity rank, every
+//! choice drawn from one RNG in a fixed order. Over a large population
+//! each of those draws reads a table that no longer fits in cache, and
+//! each read waits on the one before. So [`GeneratedStream`] samples a
+//! block in *staged runs* that make the same draws in the same order but
+//! read the tables one pass at a time for the whole run (see its docs).
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use mosaic_telemetry::{Counter, Recorder};
 use mosaic_types::{AccountId, BlockHeight, Transaction, TxId, TxKind};
@@ -15,13 +26,12 @@ use crate::trace::TransactionTrace;
 use crate::zipf::ZipfSampler;
 
 /// A generated workload: the trace plus the generator's ground-truth
-/// metadata (hub set, final community assignment), useful for validating
-/// that allocation algorithms recover latent structure.
+/// metadata (hub set, account count), useful for validating that
+/// allocation algorithms recover latent structure.
 #[derive(Debug, Clone)]
 pub struct GeneratedWorkload {
     trace: TransactionTrace,
     hubs: Vec<AccountId>,
-    communities: Vec<u32>,
     total_accounts: usize,
 }
 
@@ -41,15 +51,63 @@ impl GeneratedWorkload {
         &self.hubs
     }
 
-    /// Ground-truth community of each account (indexed by raw account id)
-    /// at the *end* of generation (drift included).
-    pub fn community_of(&self, account: AccountId) -> Option<u32> {
-        self.communities.get(account.as_u64() as usize).copied()
-    }
-
     /// Total number of accounts ever created (initial + churned).
     pub fn total_accounts(&self) -> usize {
         self.total_accounts
+    }
+}
+
+/// Transactions per staged run (see [`GeneratedStream`]): enough
+/// independent loads in each pass to cover a cache miss, few enough that
+/// a run's scratch stays in L1.
+const RUN: usize = 64;
+
+/// The staged passes' per-transaction scratch, kept across runs.
+/// Transactions are indexed by their place in the run; `hubs`, `locals`
+/// and `globals` list them by where their receiver comes from, so no pass
+/// branches on it.
+struct RunScratch {
+    sender_u: [f64; RUN],
+    /// The hub u's word, or the raw word after the locality test.
+    word: [u64; RUN],
+    kind: [TxKind; RUN],
+    sender_at: [Range<usize>; RUN],
+    receiver_at: [Range<usize>; RUN],
+    /// The sender's rank, then its account.
+    sender: [u32; RUN],
+    /// The receiver's rank (a local draw: the sender's community), then
+    /// its account.
+    to: [u32; RUN],
+    hubs: Vec<usize>,
+    locals: Vec<usize>,
+    globals: Vec<usize>,
+}
+
+impl RunScratch {
+    fn new() -> Self {
+        RunScratch {
+            sender_u: [0.0; RUN],
+            word: [0; RUN],
+            kind: [TxKind::Transfer; RUN],
+            sender_at: std::array::from_fn(|_| 0..0),
+            receiver_at: std::array::from_fn(|_| 0..0),
+            sender: [0; RUN],
+            to: [0; RUN],
+            hubs: Vec::with_capacity(RUN),
+            locals: Vec::with_capacity(RUN),
+            globals: Vec::with_capacity(RUN),
+        }
+    }
+}
+
+/// One word already drawn from the generator's RNG, handed back to
+/// `rand`'s own conversions (`gen`, `gen_range`), so a staged draw reads
+/// exactly the value the one-at-a-time path computes from that word.
+struct Word(u64);
+
+impl RngCore for Word {
+    fn next_u64(&mut self) -> u64 {
+        self.0
     }
 }
 
@@ -84,6 +142,12 @@ struct GenState {
     /// transaction soon, so churned accounts actually appear in the eval
     /// window.
     pending_debut: Vec<u32>,
+    /// Whether blocks are sampled in staged runs (see
+    /// [`GeneratedStream`]): only over an activity table large enough to
+    /// be searched through a guide, since smaller tables stay in cache
+    /// and have no misses to overlap.
+    staged: bool,
+    run: Box<RunScratch>,
 }
 
 impl GenState {
@@ -126,15 +190,18 @@ impl GenState {
             rank_to_account.swap(i, j);
         }
 
+        let activity = ZipfSampler::new(n, cfg.activity_exponent);
         GenState {
             rng,
             community,
             members,
             hub_popularity,
-            activity: ZipfSampler::new(n, cfg.activity_exponent),
+            staged: activity.guided(),
+            activity,
             rank_to_account,
             churn_accumulator: 0.0,
             pending_debut: Vec::new(),
+            run: Box::new(RunScratch::new()),
         }
     }
 
@@ -184,6 +251,116 @@ impl GenState {
         (fallback as u32, TxKind::Transfer)
     }
 
+    /// Samples the next `n ≤ RUN` transactions of the current block as
+    /// one staged run (see [`GeneratedStream`]) and appends them to
+    /// `buf`, ids from `*next_id` on. Returns how many it appended: all
+    /// `n`, or the index of the first transaction whose receiver hit its
+    /// sender, with the RNG rewound to that transaction's first word so
+    /// that [`GenState::sample_sender`] / [`GenState::sample_receiver`]
+    /// can redo it. The caller checks that no debut is pending.
+    fn sample_run(
+        &mut self,
+        cfg: &WorkloadConfig,
+        n: usize,
+        block: BlockHeight,
+        next_id: &mut u64,
+        buf: &mut Vec<Transaction>,
+    ) -> usize {
+        debug_assert!(n <= RUN && self.pending_debut.is_empty());
+        let start = self.rng.clone();
+        let run = &mut *self.run;
+        run.hubs.clear();
+        run.locals.clear();
+        run.globals.clear();
+        for i in 0..n {
+            run.sender_u[i] = self.rng.gen();
+            let hub =
+                self.hub_popularity.is_some() && self.rng.gen::<f64>() < cfg.hub_traffic_share;
+            if hub {
+                run.hubs.push(i);
+            } else if self.rng.gen::<f64>() < cfg.intra_community_bias {
+                run.locals.push(i);
+            } else {
+                run.globals.push(i);
+            }
+            run.kind[i] = if hub {
+                TxKind::ContractCall
+            } else {
+                TxKind::Transfer
+            };
+            run.word[i] = self.rng.next_u64();
+        }
+
+        // Guide slots, then cdf searches, then ranks to accounts (hub
+        // rank r is account r). `draws` pairs each receiver sampler with
+        // the transactions that draw from it.
+        let hubs = self
+            .hub_popularity
+            .as_ref()
+            .map(|z| (z, run.hubs.as_slice()));
+        let draws = [(&self.activity, run.globals.as_slice())]
+            .into_iter()
+            .chain(hubs);
+        for i in 0..n {
+            run.sender_at[i] = self.activity.bucket(run.sender_u[i]);
+        }
+        for (z, list) in draws.clone() {
+            for &i in list {
+                run.receiver_at[i] = z.bucket(Word(run.word[i]).gen());
+            }
+        }
+        for i in 0..n {
+            run.sender[i] =
+                self.activity
+                    .search(run.sender_u[i], run.sender_at[i].clone()) as u32;
+        }
+        for (z, list) in draws {
+            for &i in list {
+                run.to[i] = z.search(Word(run.word[i]).gen(), run.receiver_at[i].clone()) as u32;
+            }
+        }
+        for i in 0..n {
+            run.sender[i] = self.rank_to_account[run.sender[i] as usize];
+        }
+        for &i in &run.globals {
+            run.to[i] = self.rank_to_account[run.to[i] as usize];
+        }
+
+        // Local draws: the sender's community, then a member of it. The
+        // sender is a member, so in a community of one it draws itself:
+        // a collision, redone one at a time (which then draws globally).
+        for &i in &run.locals {
+            run.to[i] = self.community[run.sender[i] as usize];
+        }
+        for &i in &run.locals {
+            let members = &self.members[run.to[i] as usize];
+            run.to[i] = members[Word(run.word[i]).gen_range(0..members.len())];
+        }
+
+        for i in 0..n {
+            if run.to[i] == run.sender[i] {
+                // Rewind to transaction i's first word: three for a hub
+                // draw, else three plus the hub test's.
+                let hubs_before = run.hubs.partition_point(|&h| h < i);
+                let words = 3 * i + usize::from(self.hub_popularity.is_some()) * (i - hubs_before);
+                self.rng = start;
+                for _ in 0..words {
+                    self.rng.next_u64();
+                }
+                return i;
+            }
+            buf.push(Transaction::with_kind(
+                TxId::new(*next_id),
+                AccountId::new(u64::from(run.sender[i])),
+                AccountId::new(u64::from(run.to[i])),
+                block,
+                run.kind[i],
+            ));
+            *next_id += 1;
+        }
+        n
+    }
+
     fn apply_churn(&mut self, cfg: &WorkloadConfig) {
         self.churn_accumulator += cfg.new_accounts_per_block;
         while self.churn_accumulator >= 1.0 {
@@ -227,10 +404,39 @@ impl GenState {
 /// The cursor is forward-only: [`GeneratedStream::emit_through`] appends
 /// all transactions of blocks `[position, to)` and advances.
 ///
+/// # Staged runs
+///
+/// The generator's state changes only at block boundaries (churn and
+/// drift), so within a block every transaction's draws read fixed
+/// tables. Once the activity table is large enough to be searched
+/// through a guide (from 2^13 accounts on), a block is sampled in runs
+/// of up to 64 transactions. A run first draws every transaction's RNG
+/// words, in exactly the one-at-a-time order: the sender's u, the hub
+/// test, then the hub's u, or the locality test and one raw word (the
+/// member index of a local draw, else the global u). Then it reads the
+/// tables in passes over the whole run — guide slots, cumulative-table
+/// searches, rank to account, the senders' communities, the local
+/// members — so within a pass no load waits on another and their cache
+/// misses overlap. The words and what each one selects are those of the
+/// one-at-a-time path, so the trace is the same byte for byte.
+///
+/// Three cases draw a different number of words and take the
+/// one-at-a-time path instead: a debut sender (a churned account's first
+/// transaction, which draws no sender word), a hub draw that hits its own
+/// sender, and a community or global draw that does (a local draw in a
+/// community of one always does: its one member is the sender, and the
+/// one-at-a-time path then draws globally). A collision ends
+/// the run at that transaction: the RNG is rewound to its first word by
+/// replaying the run's earlier words from the run's starting state, the
+/// transaction is redone one at a time, and the next run starts after
+/// it. Smaller populations, whose tables stay in cache and so have no
+/// misses to overlap, sample every transaction one at a time.
+///
 /// The stream takes [`mosaic_telemetry::global`] at construction: each
-/// call that emits at least one block records a `workload.generate` span
-/// and adds its transactions to the `workload.generated_txs` counter
-/// (one branch each when telemetry is off).
+/// call that emits at least one block records a `workload.generate` span,
+/// adds its transactions to the `workload.generated_txs` counter and
+/// those it sampled one at a time to `workload.sequential_txs` (one
+/// branch each when telemetry is off).
 ///
 /// # Example
 ///
@@ -252,6 +458,7 @@ pub struct GeneratedStream {
     next_id: u64,
     recorder: Recorder,
     generated_txs: Counter,
+    sequential_txs: Counter,
 }
 
 impl GeneratedStream {
@@ -275,6 +482,7 @@ impl GeneratedStream {
             next_block: 0,
             next_id: 0,
             generated_txs: recorder.counter("workload.generated_txs"),
+            sequential_txs: recorder.counter("workload.sequential_txs"),
             recorder,
         }
     }
@@ -299,24 +507,42 @@ impl GeneratedStream {
         }
         let _span = self.recorder.span("workload.generate");
         let first_id = self.next_id;
+        let mut sequential = 0;
         while self.next_block < to {
             self.state.apply_churn(&self.cfg);
             self.state.apply_drift(&self.cfg);
-            for _ in 0..self.cfg.txs_per_block {
+            let block = BlockHeight::new(self.next_block);
+            let mut left = self.cfg.txs_per_block;
+            while left > 0 {
+                if self.state.staged && self.state.pending_debut.is_empty() {
+                    let run = left.min(RUN);
+                    let staged =
+                        self.state
+                            .sample_run(&self.cfg, run, block, &mut self.next_id, buf);
+                    left -= staged;
+                    if staged == run {
+                        continue;
+                    }
+                }
+                // A debut, a receiver that hit its sender, or an activity
+                // table small enough to stay in cache.
                 let from = self.state.sample_sender();
                 let (receiver, kind) = self.state.sample_receiver(&self.cfg, from);
                 buf.push(Transaction::with_kind(
                     TxId::new(self.next_id),
                     AccountId::new(u64::from(from)),
                     AccountId::new(u64::from(receiver)),
-                    BlockHeight::new(self.next_block),
+                    block,
                     kind,
                 ));
                 self.next_id += 1;
+                left -= 1;
+                sequential += 1;
             }
             self.next_block += 1;
         }
         self.generated_txs.add(self.next_id - first_id);
+        self.sequential_txs.add(sequential);
     }
 }
 
@@ -344,7 +570,6 @@ pub fn generate(cfg: &WorkloadConfig) -> GeneratedWorkload {
     GeneratedWorkload {
         trace: TransactionTrace::from_sorted(txs),
         hubs: state.hubs(),
-        communities: state.community,
         total_accounts,
     }
 }
@@ -363,23 +588,137 @@ mod tests {
         assert_eq!(a.hubs(), b.hubs());
     }
 
+    /// The one-transaction-at-a-time loop over
+    /// [`GenState::sample_sender`] / [`GenState::sample_receiver`]: the
+    /// definition of the trace, which the staged runs must reproduce.
+    fn one_at_a_time(cfg: &WorkloadConfig) -> Vec<Transaction> {
+        let mut state = GenState::new(cfg);
+        let mut txs = Vec::new();
+        for block in 0..cfg.blocks {
+            state.apply_churn(cfg);
+            state.apply_drift(cfg);
+            for _ in 0..cfg.txs_per_block {
+                let from = state.sample_sender();
+                let (to, kind) = state.sample_receiver(cfg, from);
+                txs.push(Transaction::with_kind(
+                    TxId::new(txs.len() as u64),
+                    AccountId::new(u64::from(from)),
+                    AccountId::new(u64::from(to)),
+                    BlockHeight::new(block),
+                    kind,
+                ));
+            }
+        }
+        txs
+    }
+
+    /// Streams `cfg` `chunk` blocks a call, with the staged runs on or
+    /// off whatever the population's size. Returns the trace and its
+    /// `workload.sequential_txs`.
+    fn streamed(cfg: &WorkloadConfig, staged: bool, chunk: u64) -> (Vec<Transaction>, u64) {
+        let recorder = Recorder::enabled();
+        let mut stream = GeneratedStream::with_recorder(cfg, recorder.clone());
+        stream.state.staged = staged;
+        let mut txs = Vec::new();
+        while stream.position() < stream.blocks() {
+            let to = stream.position() + chunk;
+            stream.emit_through(to, &mut txs);
+        }
+        let counters = recorder.snapshot().counters;
+        let sequential = counters
+            .iter()
+            .find(|(name, _)| name == "workload.sequential_txs")
+            .map_or(0, |&(_, n)| n);
+        (txs, sequential)
+    }
+
     #[test]
     fn streamed_emission_matches_generate_at_any_chunking() {
-        let cfg = WorkloadConfig::small_test(23).with_churn(0.3);
-        let reference = generate(&cfg);
-        for chunk in [1u64, 2, 3, 7, 1000] {
-            let mut stream = GeneratedStream::new(&cfg);
-            let mut txs = Vec::new();
-            while stream.position() < stream.blocks() {
-                let to = stream.position() + chunk;
-                stream.emit_through(to, &mut txs);
+        // 800 accounts sample one transaction at a time, 20 000 in
+        // staged runs.
+        for accounts in [800, 20_000] {
+            let cfg = WorkloadConfig::small_test(23)
+                .with_accounts(accounts)
+                .with_blocks(400)
+                .with_churn(0.3);
+            let reference = one_at_a_time(&cfg);
+            assert_eq!(generate(&cfg).trace().transactions(), reference);
+            for chunk in [1u64, 2, 3, 7, 1000] {
+                let (txs, _) = streamed(&cfg, GenState::new(&cfg).staged, chunk);
+                assert_eq!(
+                    txs, reference,
+                    "{accounts} accounts, chunk {chunk} diverged"
+                );
             }
-            assert_eq!(
-                txs.as_slice(),
-                reference.trace().transactions(),
-                "chunk size {chunk} diverged"
-            );
         }
+    }
+
+    /// The staged runs reproduce the one-at-a-time loop at every block
+    /// size around a run's length, on both sides of the guide's size
+    /// split, and on configs that force every fallback: tiny and
+    /// singleton communities (where a local draw is redone as a global
+    /// one), hub-heavy traffic whose hub draw often hits its sender, and
+    /// more debuts than transactions a block.
+    #[test]
+    fn staged_runs_match_the_one_at_a_time_trace() {
+        let base = |accounts: usize, txs_per_block: usize| {
+            let mut cfg = WorkloadConfig::small_test(61)
+                .with_accounts(accounts)
+                .with_churn(0.4);
+            cfg.txs_per_block = txs_per_block;
+            cfg.blocks = (24_000 / txs_per_block as u64).max(40);
+            cfg
+        };
+        let mut configs = Vec::new();
+        for accounts in [800, 20_000] {
+            for txs_per_block in [1, 7, RUN - 1, RUN, RUN + 1, 200] {
+                configs.push((
+                    format!("{accounts} accounts, {txs_per_block} a block"),
+                    base(accounts, txs_per_block),
+                ));
+            }
+        }
+        let mut hub_heavy = base(20_000, 7).with_churn(0.0);
+        hub_heavy.communities = 10_000;
+        hub_heavy.hub_fraction = 0.5;
+        hub_heavy.hub_traffic_share = 0.9;
+        configs.push(("hub-heavy, tiny communities".into(), hub_heavy.clone()));
+        let mut singletons = base(9_000, 7).with_churn(0.0);
+        singletons.communities = 9_000;
+        configs.push(("singleton communities".into(), singletons.clone()));
+        singletons.txs_per_block = 1;
+        configs.push((
+            "5 debuts a 1-transaction block".into(),
+            singletons.with_churn(5.0),
+        ));
+        let mut one_community = base(10_000, 200);
+        one_community.communities = 1;
+        configs.push(("one community".into(), one_community));
+        configs.push((
+            "9 debuts a 7-transaction block".into(),
+            base(20_000, 7).with_churn(9.0),
+        ));
+
+        for (name, cfg) in &configs {
+            let reference = one_at_a_time(cfg);
+            for staged in [false, true] {
+                let (txs, sequential) = streamed(cfg, staged, 3);
+                assert_eq!(txs, reference, "{name}, staged = {staged}");
+                if !staged {
+                    assert_eq!(sequential, txs.len() as u64, "{name}");
+                }
+            }
+        }
+
+        // Without churn, every transaction the staged runs hand back is a
+        // receiver that hit its sender; hub-heavy traffic makes them
+        // common, and the runs still carry most of the trace.
+        let (txs, sequential) = streamed(&hub_heavy, true, 3);
+        assert!(
+            sequential > 100 && sequential * 4 < txs.len() as u64,
+            "{sequential} of {} redone",
+            txs.len()
+        );
     }
 
     #[test]
@@ -396,9 +735,13 @@ mod tests {
         }
         assert_eq!(txs.len(), cfg.total_txs());
         let snapshot = recorder.snapshot();
+        // 800 accounts: every transaction is sampled one at a time.
         assert_eq!(
             snapshot.counters,
-            vec![("workload.generated_txs".to_string(), txs.len() as u64)]
+            vec![
+                ("workload.generated_txs".to_string(), txs.len() as u64),
+                ("workload.sequential_txs".to_string(), txs.len() as u64),
+            ]
         );
         let spans: Vec<_> = snapshot
             .histograms
@@ -407,6 +750,17 @@ mod tests {
             .collect();
         assert_eq!(spans, [("workload.generate", emitting_calls)]);
         assert_eq!(emitting_calls, 5);
+
+        // 20 000 accounts: staged runs carry all but the debuts (three a
+        // block) and the receivers that hit their sender.
+        let cfg = cfg.with_accounts(20_000).with_churn(3.0);
+        let (txs, sequential) = streamed(&cfg, GenState::new(&cfg).staged, 7);
+        assert_eq!(txs.len(), cfg.total_txs());
+        assert!(
+            (150..200).contains(&sequential),
+            "{sequential} of {} sampled one at a time",
+            txs.len()
+        );
     }
 
     /// Pins the trace at a population far past every golden's (the
@@ -504,22 +858,17 @@ mod tests {
         let cfg = WorkloadConfig::small_test(17)
             .with_intra_community_bias(0.9)
             .with_churn(0.0);
-        let w = generate(&cfg);
+        let mut stream = GeneratedStream::new(&cfg);
+        let mut txs = Vec::new();
+        stream.emit_through(cfg.blocks, &mut txs);
         // Measure: fraction of non-hub transfers that stay inside the
         // sender's (final) community. Drift makes this approximate.
-        let mut local = 0usize;
-        let mut total = 0usize;
-        for tx in w.trace().iter() {
-            if tx.kind == TxKind::Transfer {
-                let (Some(cf), Some(ct)) = (w.community_of(tx.from), w.community_of(tx.to)) else {
-                    continue;
-                };
-                total += 1;
-                if cf == ct {
-                    local += 1;
-                }
-            }
-        }
+        let community = |a: AccountId| stream.state.community[a.as_u64() as usize];
+        let transfers = txs.iter().filter(|tx| tx.kind == TxKind::Transfer);
+        let total = transfers.clone().count();
+        let local = transfers
+            .filter(|tx| community(tx.from) == community(tx.to))
+            .count();
         let ratio = local as f64 / total.max(1) as f64;
         // 16 communities: random mixing would give ~1/16 ≈ 0.0625.
         assert!(ratio > 0.4, "locality ratio too low: {ratio}");

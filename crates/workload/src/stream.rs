@@ -38,6 +38,7 @@ use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use mosaic_telemetry::{Counter, Recorder};
 use mosaic_types::{AccountId, BlockHeight, Error, Result, Transaction, TxId};
 
 use crate::config::WorkloadConfig;
@@ -117,6 +118,12 @@ impl EpochWindowStream {
     /// Streams a block-ordered `block,from,to[,kind]` CSV file through a
     /// bounded buffer of [`DEFAULT_CSV_CHUNK_TXS`] transactions.
     ///
+    /// The stream takes [`mosaic_telemetry::global`] when it opens: each
+    /// [`read_to`](EpochWindowStream::read_to) call that advances it
+    /// records a `workload.csv_read` span, and each refill of the buffer
+    /// adds its rows to the `workload.rows_parsed` counter (one branch
+    /// each when telemetry is off).
+    ///
     /// # Errors
     ///
     /// [`Error::Io`] if the file cannot be opened; [`Error::ParseTrace`]
@@ -132,7 +139,11 @@ impl EpochWindowStream {
     /// (transactions of lookahead; must be at least 1).
     pub fn csv_with_chunk_size(path: impl AsRef<Path>, chunk_txs: usize) -> Result<Self> {
         Ok(EpochWindowStream {
-            inner: Inner::Csv(CsvWindowStream::open(path.as_ref(), chunk_txs.max(1))?),
+            inner: Inner::Csv(CsvWindowStream::open(
+                path.as_ref(),
+                chunk_txs.max(1),
+                mosaic_telemetry::global(),
+            )?),
         })
     }
 
@@ -228,10 +239,12 @@ struct CsvWindowStream {
     last_block: Option<u64>,
     next_tx_id: u64,
     eof: bool,
+    recorder: Recorder,
+    rows_parsed: Counter,
 }
 
 impl CsvWindowStream {
-    fn open(path: &Path, chunk_txs: usize) -> Result<Self> {
+    fn open(path: &Path, chunk_txs: usize, recorder: Recorder) -> Result<Self> {
         let scan = File::open(path).map_err(|e| io_error(path, &e))?;
         let mut scan = RowReader::new(BufReader::new(scan));
         let mut max_block: Option<u64> = None;
@@ -258,6 +271,8 @@ impl CsvWindowStream {
             last_block: None,
             next_tx_id: 0,
             eof: false,
+            rows_parsed: recorder.counter("workload.rows_parsed"),
+            recorder,
         })
     }
 
@@ -269,7 +284,7 @@ impl CsvWindowStream {
         while self.chunk.len() < self.chunk_txs {
             let Some((block, from, to, kind)) = self.rows.next_row()? else {
                 self.eof = true;
-                return Ok(());
+                break;
             };
             if let Some(last) = self.last_block {
                 if block < last {
@@ -286,6 +301,7 @@ impl CsvWindowStream {
             ));
             self.next_tx_id += 1;
         }
+        self.rows_parsed.add(self.chunk.len() as u64);
         Ok(())
     }
 
@@ -294,6 +310,7 @@ impl CsvWindowStream {
         if to <= self.position {
             return Ok(());
         }
+        let _span = self.recorder.span("workload.csv_read");
         loop {
             // `refill` keeps the chunk block-ordered.
             let pending = &self.chunk[self.chunk_pos..];
@@ -385,6 +402,40 @@ mod tests {
             }
             assert_eq!(stream.position(), stream.blocks());
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn csv_telemetry_counts_every_advancing_call() {
+        let cfg = WorkloadConfig::small_test(29).with_blocks(50);
+        let trace = generate(&cfg).into_trace();
+        let mut bytes = Vec::new();
+        write_trace(&trace, &mut bytes).unwrap();
+        let path = temp_csv("telemetry.csv", &bytes);
+        let recorder = Recorder::enabled();
+        let mut stream = EpochWindowStream {
+            inner: Inner::Csv(CsvWindowStream::open(&path, 7, recorder.clone()).unwrap()),
+        };
+        let mut txs = Vec::new();
+        let mut advancing_calls = 0;
+        for to in [0, 7, 7, 3, 20, 21, 49, 50, 50, 90] {
+            let before = stream.position();
+            stream.read_to(to, &mut txs).unwrap();
+            advancing_calls += u64::from(stream.position() > before);
+        }
+        assert_eq!(txs.as_slice(), trace.transactions());
+        let snapshot = recorder.snapshot();
+        assert_eq!(
+            snapshot.counters,
+            vec![("workload.rows_parsed".to_string(), txs.len() as u64)]
+        );
+        let spans: Vec<_> = snapshot
+            .histograms
+            .iter()
+            .map(|(name, h)| (name.as_str(), h.count))
+            .collect();
+        assert_eq!(spans, [("workload.csv_read", advancing_calls)]);
+        assert_eq!(advancing_calls, 5);
         std::fs::remove_file(&path).ok();
     }
 

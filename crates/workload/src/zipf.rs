@@ -6,6 +6,8 @@
 //! around 0.8–1.2 is the standard model. This sampler draws ranks
 //! `1..=n` with `P(rank = r) ∝ r^(−s)` by inverting a precomputed CDF.
 
+use std::ops::Range;
+
 use rand::Rng;
 
 /// Table-based Zipf sampler over ranks `0..n` (zero-based).
@@ -23,6 +25,12 @@ use rand::Rng;
 /// so the rank is exactly the one a search over the whole table returns.
 /// Memory is the 8-byte cumulative entry per rank plus at most one byte
 /// per rank of `u32` guide.
+///
+/// Inside the crate a draw's search comes in two halves, the guide slot
+/// (`bucket`) and the cumulative-table search (`search`), so that the
+/// trace generator can do the first for a whole run of draws before the
+/// second and overlap their cache misses (see
+/// [`GeneratedStream`](crate::GeneratedStream)).
 ///
 /// # Example
 ///
@@ -42,7 +50,6 @@ pub struct ZipfSampler {
     /// `m + 1` entries, guide[j] = first rank with `cdf >= j / m`; empty
     /// below [`GUIDED_RANKS`] ranks.
     guide: Vec<u32>,
-    exponent: f64,
 }
 
 impl ZipfSampler {
@@ -80,11 +87,7 @@ impl ZipfSampler {
         } else {
             Vec::new()
         };
-        ZipfSampler {
-            cdf,
-            guide,
-            exponent: s,
-        }
+        ZipfSampler { cdf, guide }
     }
 
     /// Number of ranks.
@@ -97,45 +100,50 @@ impl ZipfSampler {
         false
     }
 
-    /// The configured exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// Probability mass of rank `r` (zero-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= len()`.
-    pub fn pmf(&self, r: usize) -> f64 {
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
+    /// Whether draws search through a guide (tables from
+    /// [`GUIDED_RANKS`] ranks on), i.e. the table is large enough that a
+    /// draw's reads miss the cache.
+    pub(crate) fn guided(&self) -> bool {
+        !self.guide.is_empty()
     }
 
     /// Draws a zero-based rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        let rank = self.rank_of(u);
-        debug_assert_eq!(rank, self.full_search(u), "guided search at u = {u}");
-        rank
+        self.rank_of(rng.gen())
     }
 
-    /// The first rank whose cumulative mass reaches `u ∈ [0, 1)`. With a
-    /// guide, it is searched between the guide entries of `u`'s bucket:
-    /// `j / m ≤ u < (j + 1) / m` holds exactly, so the rank lies in
-    /// `[guide[j], guide[j + 1]]`.
+    /// The first rank whose cumulative mass reaches `u ∈ [0, 1)`.
     pub(crate) fn rank_of(&self, u: f64) -> usize {
+        self.search(u, self.bucket(u))
+    }
+
+    /// The first half of [`ZipfSampler::rank_of`]: the ranks `u`'s answer
+    /// lies in, read from the guide alone. With a guide it is `u`'s
+    /// bucket: `j / m ≤ u < (j + 1) / m` holds exactly, so the rank lies
+    /// in `[guide[j], guide[j + 1]]`. Without one it is the whole table
+    /// (its last rank is the answer whenever no earlier one is).
+    ///
+    /// Split from [`ZipfSampler::search`] so that a caller drawing many
+    /// ranks can read every draw's guide slot before any draw's
+    /// cumulative-table lines: the loads of one pass do not wait on each
+    /// other, so their cache misses overlap.
+    pub(crate) fn bucket(&self, u: f64) -> Range<usize> {
         if self.guide.is_empty() {
-            return self.full_search(u);
+            return 0..self.cdf.len() - 1;
         }
         let buckets = self.guide.len() - 1;
         let j = ((u * buckets as f64) as usize).min(buckets - 1);
-        let lo = self.guide[j] as usize;
-        let hi = self.guide[j + 1] as usize;
-        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        self.guide[j] as usize..self.guide[j + 1] as usize
+    }
+
+    /// The second half of [`ZipfSampler::rank_of`]: the binary search of
+    /// the cumulative table over `u`'s [`ZipfSampler::bucket`]. Debug
+    /// builds check every answer against the search over the whole
+    /// table.
+    pub(crate) fn search(&self, u: f64, bucket: Range<usize>) -> usize {
+        let rank = bucket.start + self.cdf[bucket].partition_point(|&c| c < u);
+        debug_assert_eq!(rank, self.full_search(u), "guided search at u = {u}");
+        rank
     }
 
     /// The search over the whole table, which [`ZipfSampler::rank_of`]
@@ -200,14 +208,23 @@ mod tests {
             .filter(|u| (0.0..1.0).contains(u))
     }
 
-    fn assert_guided_exact(z: &ZipfSampler, draws: impl IntoIterator<Item = f64>) {
+    /// Probability mass of rank `r`.
+    fn pmf(z: &ZipfSampler, r: usize) -> f64 {
+        if r == 0 {
+            z.cdf[0]
+        } else {
+            z.cdf[r] - z.cdf[r - 1]
+        }
+    }
+
+    fn assert_guided_exact(z: &ZipfSampler, s: f64, draws: impl IntoIterator<Item = f64>) {
         for u in draws.into_iter().chain(thresholds(z)) {
             assert_eq!(
                 z.rank_of(u),
                 z.full_search(u),
                 "n = {}, s = {}, u = {u:e}",
                 z.len(),
-                z.exponent()
+                s
             );
         }
     }
@@ -228,7 +245,7 @@ mod tests {
                     f64::from_bits(x % 1.0f64.to_bits()),
                 ]
             });
-            assert_guided_exact(&guided(n, EXPONENTS[s]), draws);
+            assert_guided_exact(&guided(n, EXPONENTS[s]), EXPONENTS[s], draws);
         }
     }
 
@@ -236,7 +253,7 @@ mod tests {
     fn guided_rank_is_exact_for_small_tables() {
         for n in 1..=64 {
             for s in EXPONENTS {
-                assert_guided_exact(&guided(n, s), []);
+                assert_guided_exact(&guided(n, s), s, []);
             }
         }
     }
@@ -250,7 +267,7 @@ mod tests {
             for s in EXPONENTS {
                 let z = ZipfSampler::new(n, s);
                 let draws: Vec<f64> = (0..10_000).map(|_| rng.gen()).collect();
-                assert_guided_exact(&z, draws);
+                assert_guided_exact(&z, s, draws);
             }
         }
     }
@@ -271,7 +288,7 @@ mod tests {
     #[test]
     fn pmf_sums_to_one() {
         let z = ZipfSampler::new(50, 1.2);
-        let total: f64 = (0..50).map(|r| z.pmf(r)).sum();
+        let total: f64 = (0..50).map(|r| pmf(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-9, "total = {total}");
     }
 
@@ -279,16 +296,16 @@ mod tests {
     fn uniform_when_exponent_zero() {
         let z = ZipfSampler::new(10, 0.0);
         for r in 0..10 {
-            assert!((z.pmf(r) - 0.1).abs() < 1e-12);
+            assert!((pmf(&z, r) - 0.1).abs() < 1e-12);
         }
     }
 
     #[test]
     fn low_ranks_dominate_with_positive_exponent() {
         let z = ZipfSampler::new(1000, 1.0);
-        assert!(z.pmf(0) > z.pmf(1));
-        assert!(z.pmf(1) > z.pmf(10));
-        assert!(z.pmf(10) > z.pmf(999));
+        assert!(pmf(&z, 0) > pmf(&z, 1));
+        assert!(pmf(&z, 1) > pmf(&z, 10));
+        assert!(pmf(&z, 10) > pmf(&z, 999));
     }
 
     #[test]
@@ -301,7 +318,7 @@ mod tests {
             counts[z.sample(&mut rng)] += 1;
         }
         for (r, &count) in counts.iter().enumerate() {
-            let expected = z.pmf(r) * n as f64;
+            let expected = pmf(&z, r) * n as f64;
             let got = count as f64;
             // 5-sigma-ish tolerance on a multinomial cell.
             let sigma = (expected.max(1.0)).sqrt();

@@ -328,3 +328,38 @@ fn checked_in_scenario_files_are_canonical_presets() {
     };
     assert_eq!(load("scenarios/miner-quick.scenario"), miner_quick);
 }
+
+/// Pins the generator at the benchmark's own scale: the first 400 000
+/// transactions of `bench/workloads/wide-csv.scenario`'s workload
+/// (1 M accounts, 512 communities, 200 transactions a block), which the
+/// generator samples in staged runs. The digest was recorded from the
+/// one-transaction-at-a-time generator.
+#[test]
+fn wide_csv_trace_is_pinned_at_a_million_accounts() {
+    use std::hash::Hasher;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let scenario = Scenario::load(root.join("bench/workloads/wide-csv.scenario")).unwrap();
+    let mut cfg = scenario.workload().expect("a generated workload").clone();
+    assert_eq!(
+        (cfg.initial_accounts, cfg.communities, cfg.txs_per_block),
+        (1_000_000, 512, 200)
+    );
+    cfg.blocks = 2_000;
+    let mut txs = Vec::new();
+    mosaic::workload::GeneratedStream::new(&cfg).emit_through(cfg.blocks, &mut txs);
+    assert_eq!(txs.len(), 400_000);
+    let mut h = mosaic::types::hash::FnvHasher::default();
+    for tx in &txs {
+        h.write(&tx.id.as_u64().to_le_bytes());
+        h.write(&tx.from.as_u64().to_le_bytes());
+        h.write(&tx.to.as_u64().to_le_bytes());
+        h.write(&tx.block.as_u64().to_le_bytes());
+        h.write(&[tx.kind as u8]);
+    }
+    assert_eq!(
+        h.finish(),
+        0x8b8d_17c5_9e9a_1a30,
+        "digest {:#018x}",
+        h.finish()
+    );
+}
