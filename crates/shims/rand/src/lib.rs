@@ -5,12 +5,23 @@
 //! crate this workspace vendors a tiny, deterministic reimplementation:
 //! [`rngs::StdRng`] is xoshiro256++ seeded through SplitMix64 (not the
 //! real `StdRng`'s ChaCha12 — sequences differ from upstream `rand`, but
-//! every consumer in this repository only relies on determinism and
-//! uniformity, never on specific streams). Supported surface:
+//! consumers in this repository rely only on determinism, uniformity and
+//! the one-word contract below, never on specific streams). Supported
+//! surface:
 //!
 //! * `StdRng::seed_from_u64` via [`SeedableRng`];
 //! * `Rng::gen_range` over half-open and inclusive integer ranges;
 //! * `Rng::gen::<f64>()` uniform in `[0, 1)`.
+//!
+//! **One word per draw.** Every conversion ([`Standard`] and
+//! [`SampleRange`]) calls [`RngCore::next_u64`] exactly once and is a
+//! pure function of that word. `mosaic-workload`'s generator relies on
+//! it: it draws a run of words first and converts them later through a
+//! source that hands back one stored word, and the trace is unchanged
+//! only because each conversion consumes exactly that word. This is why
+//! `gen_range` reduces by `%` (slightly biased for spans that do not
+//! divide 2^64) instead of rejecting and redrawing as upstream `rand`
+//! does; changing that changes every generated trace.
 
 #![deny(missing_docs)]
 
@@ -51,7 +62,9 @@ impl<R: RngCore> Rng for R {}
 
 /// Types with a standard distribution for [`Rng::gen`].
 pub trait Standard {
-    /// Draws one value from the standard distribution.
+    /// Draws one value from the standard distribution, from exactly one
+    /// [`RngCore::next_u64`] word (see the crate docs' one-word
+    /// contract).
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
@@ -70,7 +83,8 @@ impl Standard for bool {
 
 /// A range that [`Rng::gen_range`] can sample from.
 pub trait SampleRange<T> {
-    /// Draws one uniform sample.
+    /// Draws one uniform sample from exactly one [`RngCore::next_u64`]
+    /// word (see the crate docs' one-word contract).
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
@@ -159,7 +173,62 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
+
+    /// Hands back the same word forever.
+    struct Constant(u64);
+
+    impl RngCore for Constant {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Pins the one-word contract: each conversion consumes exactly one
+    /// word and depends on nothing else, so converting a stored word
+    /// gives what the same draw gives on the generator itself.
+    #[test]
+    fn every_conversion_reads_exactly_one_word() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for span in [1u64, 2, 3, 7, 1000, (1 << 40) + 1] {
+            for _ in 0..200 {
+                let word = rng.clone().next_u64();
+                let mut after = rng.clone();
+                after.next_u64();
+
+                let mut draw = rng.clone();
+                assert_eq!(draw.gen::<f64>(), Constant(word).gen::<f64>());
+                assert_eq!(draw, after);
+                let mut draw = rng.clone();
+                assert_eq!(draw.gen::<bool>(), Constant(word).gen::<bool>());
+                assert_eq!(draw, after);
+                let mut draw = rng.clone();
+                assert_eq!(
+                    draw.gen_range(5..5 + span),
+                    Constant(word).gen_range(5..5 + span)
+                );
+                assert_eq!(draw, after);
+                let mut draw = rng.clone();
+                let (lo, hi) = (3usize, 3 + span as usize - 1);
+                assert_eq!(draw.gen_range(lo..=hi), Constant(word).gen_range(lo..=hi));
+                assert_eq!(draw, after);
+                let mut draw = rng.clone();
+                assert_eq!(
+                    draw.gen_range(0u32..=u32::MAX),
+                    Constant(word).gen_range(0u32..=u32::MAX)
+                );
+                assert_eq!(draw, after);
+                let mut draw = rng.clone();
+                assert_eq!(
+                    draw.gen_range(-1.5..span as f64),
+                    Constant(word).gen_range(-1.5..span as f64)
+                );
+                assert_eq!(draw, after);
+
+                rng = after;
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -67,6 +67,9 @@ const RUN: usize = 64;
 /// and `globals` list them by where their receiver comes from, so no pass
 /// branches on it.
 struct RunScratch {
+    /// The RNG as each transaction's first word is about to be drawn,
+    /// to rewind to when that transaction is redone one at a time.
+    rng_at: [StdRng; RUN],
     sender_u: [f64; RUN],
     /// The hub u's word, or the raw word after the locality test.
     word: [u64; RUN],
@@ -86,6 +89,7 @@ struct RunScratch {
 impl RunScratch {
     fn new() -> Self {
         RunScratch {
+            rng_at: std::array::from_fn(|_| StdRng::seed_from_u64(0)),
             sender_u: [0.0; RUN],
             word: [0; RUN],
             kind: [TxKind::Transfer; RUN],
@@ -100,9 +104,11 @@ impl RunScratch {
     }
 }
 
-/// One word already drawn from the generator's RNG, handed back to
-/// `rand`'s own conversions (`gen`, `gen_range`), so a staged draw reads
-/// exactly the value the one-at-a-time path computes from that word.
+/// One word already drawn from the generator's RNG, handed back to the
+/// `rand` shim's conversions (`gen`, `gen_range`). Each of them reads
+/// exactly one word and is a pure function of it (the shim documents and
+/// tests this), so a staged draw selects exactly what the one-at-a-time
+/// path selects from that word.
 struct Word(u64);
 
 impl RngCore for Word {
@@ -255,9 +261,9 @@ impl GenState {
     /// one staged run (see [`GeneratedStream`]) and appends them to
     /// `buf`, ids from `*next_id` on. Returns how many it appended: all
     /// `n`, or the index of the first transaction whose receiver hit its
-    /// sender, with the RNG rewound to that transaction's first word so
-    /// that [`GenState::sample_sender`] / [`GenState::sample_receiver`]
-    /// can redo it. The caller checks that no debut is pending.
+    /// sender, with the RNG rewound to the state it had before that
+    /// transaction's first word so that [`GenState::sample_sender`] /
+    /// [`GenState::sample_receiver`] can redo it. The caller checks that no debut is pending.
     fn sample_run(
         &mut self,
         cfg: &WorkloadConfig,
@@ -267,12 +273,12 @@ impl GenState {
         buf: &mut Vec<Transaction>,
     ) -> usize {
         debug_assert!(n <= RUN && self.pending_debut.is_empty());
-        let start = self.rng.clone();
         let run = &mut *self.run;
         run.hubs.clear();
         run.locals.clear();
         run.globals.clear();
         for i in 0..n {
+            run.rng_at[i] = self.rng.clone();
             run.sender_u[i] = self.rng.gen();
             let hub =
                 self.hub_popularity.is_some() && self.rng.gen::<f64>() < cfg.hub_traffic_share;
@@ -339,14 +345,7 @@ impl GenState {
 
         for i in 0..n {
             if run.to[i] == run.sender[i] {
-                // Rewind to transaction i's first word: three for a hub
-                // draw, else three plus the hub test's.
-                let hubs_before = run.hubs.partition_point(|&h| h < i);
-                let words = 3 * i + usize::from(self.hub_popularity.is_some()) * (i - hubs_before);
-                self.rng = start;
-                for _ in 0..words {
-                    self.rng.next_u64();
-                }
+                self.rng = run.rng_at[i].clone();
                 return i;
             }
             buf.push(Transaction::with_kind(
@@ -426,8 +425,8 @@ impl GenState {
 /// sender, and a community or global draw that does (a local draw in a
 /// community of one always does: its one member is the sender, and the
 /// one-at-a-time path then draws globally). A collision ends
-/// the run at that transaction: the RNG is rewound to its first word by
-/// replaying the run's earlier words from the run's starting state, the
+/// the run at that transaction: the RNG is restored to the state the
+/// first pass saved just before that transaction's first word, the
 /// transaction is redone one at a time, and the next run starts after
 /// it. Smaller populations, whose tables stay in cache and so have no
 /// misses to overlap, sample every transaction one at a time.
@@ -639,7 +638,6 @@ mod tests {
         for accounts in [800, 20_000] {
             let cfg = WorkloadConfig::small_test(23)
                 .with_accounts(accounts)
-                .with_blocks(400)
                 .with_churn(0.3);
             let reference = one_at_a_time(&cfg);
             assert_eq!(generate(&cfg).trace().transactions(), reference);
