@@ -44,5 +44,5 @@ mod traits;
 
 pub use dense::DenseHistogram;
 pub use hash_alloc::HashAllocator;
-pub use metis::{MetisConfig, MetisPartitioner};
+pub use metis::{overweight_parts, MetisConfig, MetisPartitioner};
 pub use traits::GlobalAllocator;

@@ -21,26 +21,37 @@
 //! # Layout
 //!
 //! Every phase is one sequential pass — each committed match or move
-//! changes what the next decision reads. Every coarsening level stores
-//! its adjacency in flat CSR lanes (`WorkGraph`: contiguous `u32`
-//! neighbour ids and `u64` weights), so the scoring loops stream
-//! branch-light over contiguous memory instead of chasing one `Vec` per
-//! node. Both halves of a level cost what can change, exactly: the
-//! contraction is one O(E) pass that merges each coarse row in place
-//! and keeps it in first-touch order (`finish_coarsen`), and refinement
-//! re-scores only the nodes that can still move (`refine`). Rows are in
-//! ascending neighbour order only at level 0, the copy of the
-//! [`TxGraph`]; no phase depends on row order, because every tie is
-//! broken by an explicit id or part-weight rule and every score is an
-//! integer sum.
+//! changes what the next decision reads. Every level stores its
+//! adjacency in flat CSR lanes (`WorkGraph`: contiguous neighbour ids
+//! and `u64` weights), so the scoring loops stream over contiguous
+//! memory instead of chasing one `Vec` per node. Level 0 borrows the
+//! [`TxGraph`]'s own lanes and copies only the vertex weights (each at
+//! least 1); each coarser level owns the lanes its contraction built,
+//! and nothing outlives the call. Both halves of a level cost what can
+//! change, exactly: the contraction is one O(E) pass that merges each
+//! coarse row in place and keeps it in first-touch order
+//! (`finish_coarsen`), and refinement re-scores only the nodes that can
+//! still move (`refine`). The per-entry loops take no branch the data
+//! decides: the contraction writes every entry the same way, whether
+//! its coarse neighbour is new to the row or not; matching keeps the
+//! best neighbour as one integer key; refinement sums a node's
+//! connectivity per part in a [`DenseHistogram`] and reads only the
+//! parts its neighbours are in. Rows are in ascending neighbour order
+//! only at level 0, the [`TxGraph`]'s own; no phase depends on row
+//! order, because every tie is broken by an explicit id or part-weight
+//! rule and every score is an integer sum.
+
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mosaic_txgraph::TxGraph;
+use mosaic_telemetry::Recorder;
+use mosaic_txgraph::{NodeId, TxGraph};
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountShardMap, ShardId};
 
+use crate::dense::DenseHistogram;
 use crate::traits::GlobalAllocator;
 
 /// Tuning knobs for [`MetisPartitioner`].
@@ -76,15 +87,31 @@ impl Default for MetisConfig {
 ///
 /// See the module docs for the algorithm. Fully deterministic for a fixed
 /// [`MetisConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+///
+/// It takes [`mosaic_telemetry::global`] at construction: each
+/// [`GlobalAllocator::allocate`] records a `partition.allocate` span
+/// (one branch when telemetry is off).
+#[derive(Debug, Clone)]
 pub struct MetisPartitioner {
     config: MetisConfig,
+    recorder: Recorder,
+}
+
+impl Default for MetisPartitioner {
+    fn default() -> Self {
+        MetisPartitioner::new(MetisConfig::default())
+    }
 }
 
 impl MetisPartitioner {
     /// Creates a partitioner with explicit configuration.
     pub fn new(config: MetisConfig) -> Self {
-        MetisPartitioner { config }
+        MetisPartitioner::with_recorder(config, mosaic_telemetry::global())
+    }
+
+    /// Creates a partitioner recording its span into `recorder`.
+    pub fn with_recorder(config: MetisConfig, recorder: Recorder) -> Self {
+        MetisPartitioner { config, recorder }
     }
 
     /// The active configuration.
@@ -95,16 +122,31 @@ impl MetisPartitioner {
     /// Partitions `graph` into `k` parts, returning one part id per node
     /// (indexed by [`mosaic_txgraph::NodeId`]).
     ///
+    /// Debug builds certify the result: when no account is too heavy for
+    /// the balance bound to be promised, no part may be over it
+    /// ([`overweight_parts`]). Release builds never check.
+    ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn partition(&self, graph: &TxGraph, k: u16) -> Vec<u16> {
         assert!(k > 0, "cannot partition into zero parts");
-        self.partition_work(WorkGraph::from_tx_graph(graph), k)
+        let parts = self.partition_work(WorkGraph::from_tx_graph(graph), k);
+        let balance_factor = self.config.balance_factor;
+        if cfg!(debug_assertions) && balance_is_promised(graph, k, balance_factor) {
+            let over = overweight_parts(graph, &parts, k, balance_factor);
+            assert_eq!(
+                over,
+                0,
+                "parts over the balance bound on a graph of {} accounts",
+                graph.node_count()
+            );
+        }
+        parts
     }
 
     /// [`Self::partition`] from the level-0 [`WorkGraph`] on.
-    fn partition_work(&self, base: WorkGraph, k: u16) -> Vec<u16> {
+    fn partition_work(&self, base: WorkGraph<'_>, k: u16) -> Vec<u16> {
         let n = base.len();
         if n == 0 {
             return Vec::new();
@@ -175,6 +217,7 @@ impl GlobalAllocator for MetisPartitioner {
     }
 
     fn allocate(&self, graph: &TxGraph, k: u16) -> AccountShardMap {
+        let _span = self.recorder.span("partition.allocate");
         let parts = self.partition(graph, k);
         let mut phi = AccountShardMap::new(k);
         for node in graph.nodes() {
@@ -188,31 +231,31 @@ impl GlobalAllocator for MetisPartitioner {
 /// Internal flat-CSR graph used across coarsening levels: one
 /// contiguous neighbour-id lane and one weight lane, row-indexed by
 /// `xadj` — the same layout [`TxGraph`] uses, so the scoring loops
-/// stream over contiguous `u32`/`u64` arrays at every level.
+/// stream over contiguous `u32`/`u64` arrays at every level. Level 0
+/// borrows the [`TxGraph`]'s own row, neighbour and weight lanes; each
+/// coarser level owns the lanes its contraction built.
 #[derive(Debug, Clone)]
-struct WorkGraph {
+struct WorkGraph<'g> {
     vwgt: Vec<u64>,
     /// Row index: node `v`'s neighbours occupy `xadj[v]..xadj[v + 1]`.
-    xadj: Vec<usize>,
+    xadj: Cow<'g, [usize]>,
     /// Neighbour ids; no self-loops. Ascending within each row at level
     /// 0 (the [`TxGraph`]'s order), first-touch order at coarser levels.
-    anbr: Vec<u32>,
+    anbr: Cow<'g, [NodeId]>,
     /// Edge weights, parallel to `anbr`.
-    awgt: Vec<u64>,
+    awgt: Cow<'g, [u64]>,
 }
 
-impl WorkGraph {
-    fn from_tx_graph(graph: &TxGraph) -> Self {
+impl<'g> WorkGraph<'g> {
+    fn from_tx_graph(graph: &'g TxGraph) -> Self {
         // Account for isolated/low-activity vertices: weight at least 1
-        // so balance constraints stay meaningful.
-        let vwgt: Vec<u64> = graph.vwgt().iter().map(|&w| w.max(1)).collect();
-        // The source graph is already CSR — copy the lanes straight
-        // across (NodeId is a u32 newtype).
+        // so balance constraints stay meaningful. The vertex weights are
+        // the only lane level 0 copies.
         WorkGraph {
-            vwgt,
-            xadj: graph.xadj().to_vec(),
-            anbr: graph.adjncy().iter().map(|nb| nb.index() as u32).collect(),
-            awgt: graph.adjwgt().to_vec(),
+            vwgt: graph.vwgt().iter().map(|&w| w.max(1)).collect(),
+            xadj: Cow::Borrowed(graph.xadj()),
+            anbr: Cow::Borrowed(graph.adjncy()),
+            awgt: Cow::Borrowed(graph.adjwgt()),
         }
     }
 
@@ -226,11 +269,11 @@ impl WorkGraph {
 
     /// Iterates `(neighbour, weight)` over `v`'s CSR row.
     #[inline]
-    fn nbrs(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+    fn nbrs(&self, v: usize) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
         let range = self.xadj[v]..self.xadj[v + 1];
         self.anbr[range.clone()]
             .iter()
-            .copied()
+            .map(|nb| nb.index() as u32)
             .zip(self.awgt[range].iter().copied())
     }
 
@@ -245,25 +288,67 @@ fn max_part_weight(total: u64, k: u16, balance_factor: f64) -> u64 {
     (ideal * balance_factor).ceil() as u64 + 1
 }
 
+/// How many of the `k` parts weigh more than the balance bound every
+/// level is refined under: `max = ⌈W/k · balance_factor⌉ + 1`, with `W`
+/// the total account weight (each account weighs its node weight, at
+/// least 1).
+///
+/// # Panics
+///
+/// Panics if `parts` does not hold one part below `k` per node.
+pub fn overweight_parts(graph: &TxGraph, parts: &[u16], k: u16, balance_factor: f64) -> usize {
+    assert_eq!(parts.len(), graph.node_count(), "one part per node");
+    let total: u64 = graph.vwgt().iter().map(|&w| w.max(1)).sum();
+    let max = max_part_weight(total, k, balance_factor);
+    let mut weight = vec![0u64; usize::from(k)];
+    for (&w, &p) in graph.vwgt().iter().zip(parts) {
+        weight[usize::from(p)] += w.max(1);
+    }
+    weight.iter().filter(|&&w| w > max).count()
+}
+
+/// `true` if no account weighs more than `max − W/k` (see
+/// [`overweight_parts`]), which promises that no part ends over the
+/// bound: the finest level's `rebalance` moves a node out of the
+/// heaviest overweight part into the lightest part, which weighs at most
+/// `W/k`. Then every node of the heavy part qualifies and the lightest
+/// part stays within `max`, so each node moves at most once and every
+/// overweight part is drained; `refine` moves a node only into a part it
+/// fits. A heavier account (a hub can outweigh a whole part's slack)
+/// voids the promise.
+fn balance_is_promised(graph: &TxGraph, k: u16, balance_factor: f64) -> bool {
+    let total: u64 = graph.vwgt().iter().map(|&w| w.max(1)).sum();
+    let max = max_part_weight(total, k, balance_factor);
+    // w ≤ max − W/k, in integers: w·k + W ≤ max·k.
+    let k = u128::from(k);
+    graph
+        .vwgt()
+        .iter()
+        .all(|&w| u128::from(w.max(1)) * k + u128::from(total) <= u128::from(max) * k)
+}
+
 const UNMATCHED: u32 = u32::MAX;
 
 /// Heaviest currently-unmatched neighbour of `v`; ties to the lower id.
-fn best_unmatched_neighbor(graph: &WorkGraph, mate: &[u32], v: usize) -> Option<(u32, u64)> {
-    let mut best: Option<(u32, u64)> = None;
+///
+/// Every entry is scored with no branch: an eligible neighbour's key is
+/// its weight above its complemented id, so the largest key is the
+/// heaviest neighbour, ties to the lower id, and an ineligible one's
+/// key is 0, below every eligible key (ids stay below `u32::MAX`, the
+/// `UNMATCHED` mark).
+fn best_unmatched_neighbor(graph: &WorkGraph<'_>, mate: &[u32], v: usize) -> Option<(u32, u64)> {
+    let mut best = 0u128;
     for (nb, w) in graph.nbrs(v) {
-        if mate[nb as usize] == UNMATCHED && nb as usize != v {
-            match best {
-                Some((bn, bw)) if w < bw || (w == bw && nb >= bn) => {}
-                _ => best = Some((nb, w)),
-            }
-        }
+        let eligible = mate[nb as usize] == UNMATCHED && nb as usize != v;
+        let key = (u128::from(w) << 32 | u128::from(!nb)) * u128::from(eligible);
+        best = best.max(key);
     }
-    best
+    (best != 0).then_some((!(best as u32), (best >> 32) as u64))
 }
 
 /// One heavy-edge-matching coarsening step. Returns the coarse graph and
 /// the fine→coarse node map.
-fn coarsen_once(graph: &WorkGraph, rng: &mut StdRng) -> (WorkGraph, Vec<u32>) {
+fn coarsen_once(graph: &WorkGraph<'_>, rng: &mut StdRng) -> (WorkGraph<'static>, Vec<u32>) {
     let n = graph.len();
     let mut mate = vec![UNMATCHED; n];
 
@@ -299,17 +384,26 @@ fn commit_match(mate: &mut [u32], v: usize, best: Option<(u32, u64)>) {
 
 /// Contracts a computed matching into the coarse graph in O(E), in one
 /// pass with no sort: each coarse row is built in first-touch order
-/// straight into the final lanes. `pos[d]` is one past the slot of
-/// coarse neighbour `d`'s latest entry, so a value past the current
-/// row's start means `d` is already in this row and its weight is added
-/// in place. A zero-weight fine edge adds no entry: a coarse edge exists
-/// iff its weight is positive.
+/// straight into the final lanes, which are sized to the fine entry
+/// count (a fine entry yields at most one coarse entry) and zeroed.
+/// `pos[d]` is one past the slot of coarse neighbour `d`'s latest entry,
+/// so a value past the current row's start means `d` is already in this
+/// row. Every entry is written the same way, with no branch on whether
+/// `d` is new: its slot is `d`'s old one or the next free one, the
+/// neighbour is stored and the weight added there, and the row grows by
+/// one only for a new `d`. A zero-weight fine edge adds no entry: a
+/// coarse edge exists iff its weight is positive.
 ///
 /// The rows stay in first-touch order because no reader needs them
 /// sorted: matching breaks weight ties to the lower id explicitly;
-/// `fill_conn`, `rebalance`, `refine` and region growing sum integer
-/// weights; and the region-growing frontier's argmax is a total order.
-fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph, Vec<u32>) {
+/// `rebalance`, `refine` and region growing sum integer weights; and
+/// `refine`'s candidate and the region-growing frontier's argmax are
+/// total orders.
+fn finish_coarsen(
+    graph: &WorkGraph<'_>,
+    order: &[u32],
+    mate: &[u32],
+) -> (WorkGraph<'static>, Vec<u32>) {
     // Assign coarse ids in visit order (pair owner = first visited; a
     // singleton is its own mate).
     let mut coarse_of = vec![UNMATCHED; graph.len()];
@@ -328,14 +422,13 @@ fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph,
     let mut vwgt = Vec::with_capacity(cn);
     let mut xadj = Vec::with_capacity(cn + 1);
     xadj.push(0usize);
-    // A fine entry yields at most one coarse entry, so the lanes never
-    // reallocate.
-    let mut anbr: Vec<u32> = Vec::with_capacity(graph.anbr.len());
-    let mut awgt: Vec<u64> = Vec::with_capacity(graph.anbr.len());
+    let mut anbr = vec![0u32; graph.anbr.len()];
+    let mut awgt = vec![0u64; graph.anbr.len()];
+    let mut len = 0usize;
     let mut pos = vec![0usize; cn];
     for (c, &v) in owner.iter().enumerate() {
         let m = mate[v as usize];
-        let row_start = anbr.len();
+        let row_start = len;
         let mut weight = 0u64;
         for &u in &[v, m][..1 + usize::from(m != v)] {
             weight += graph.vwgt[u as usize];
@@ -345,25 +438,26 @@ fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph,
                     continue;
                 }
                 let slot = &mut pos[d as usize];
-                if *slot > row_start {
-                    awgt[*slot - 1] += w;
-                } else {
-                    anbr.push(d);
-                    awgt.push(w);
-                    *slot = anbr.len();
-                }
+                let fresh = *slot <= row_start;
+                let at = if fresh { len } else { *slot - 1 };
+                anbr[at] = d;
+                awgt[at] += w;
+                len += usize::from(fresh);
+                *slot = at + 1;
             }
         }
         vwgt.push(weight);
-        xadj.push(anbr.len());
+        xadj.push(len);
     }
+    anbr.truncate(len);
+    awgt.truncate(len);
 
     (
         WorkGraph {
             vwgt,
-            xadj,
-            anbr,
-            awgt,
+            xadj: Cow::Owned(xadj),
+            anbr: Cow::Owned(anbr.into_iter().map(NodeId::new).collect()),
+            awgt: Cow::Owned(awgt),
         },
         coarse_of,
     )
@@ -372,7 +466,7 @@ fn finish_coarsen(graph: &WorkGraph, order: &[u32], mate: &[u32]) -> (WorkGraph,
 /// Greedy region growing: seed each part with the heaviest unassigned
 /// node, grow by maximum connectivity until the part reaches its weight
 /// target; leftovers go to the lightest part.
-fn initial_partition(graph: &WorkGraph, k: u16) -> Vec<u16> {
+fn initial_partition(graph: &WorkGraph<'_>, k: u16) -> Vec<u16> {
     let n = graph.len();
     const UNASSIGNED: u16 = u16::MAX;
     let mut parts = vec![UNASSIGNED; n];
@@ -442,7 +536,7 @@ fn initial_partition(graph: &WorkGraph, k: u16) -> Vec<u16> {
 
 /// Moves nodes out of overweight parts (smallest cut-damage first) until
 /// every part fits `max_allowed`, or no improving move exists.
-fn rebalance(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64) {
+fn rebalance(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64) {
     let mut part_weight = vec![0u64; usize::from(k)];
     for v in 0..graph.len() {
         part_weight[usize::from(parts[v])] += graph.vwgt[v];
@@ -496,14 +590,6 @@ fn rebalance(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64) {
     }
 }
 
-/// Accumulates `v`'s connectivity-per-part vector into `conn`.
-fn fill_conn(graph: &WorkGraph, parts: &[u16], v: usize, conn: &mut [u64]) {
-    conn.iter_mut().for_each(|c| *c = 0);
-    for (nb, w) in graph.nbrs(v) {
-        conn[usize::from(parts[nb as usize])] += w;
-    }
-}
-
 /// FM-style greedy boundary refinement: repeatedly move each node to the
 /// part it is most connected to (ties to the lighter part), when the
 /// move has positive cut gain (or zero gain but improves balance) and
@@ -522,7 +608,7 @@ fn fill_conn(graph: &WorkGraph, parts: &[u16], v: usize, conn: &mut [u64]) {
 /// would therefore return "no move": skipping it changes no move, no
 /// per-pass move count and no pass count. A move un-settles the mover's
 /// neighbours — its own row, since the graph is symmetric.
-fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes: usize) {
+fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, passes: usize) {
     let n = graph.len();
     let kk = usize::from(k);
     let mut part_weight = vec![0u64; kk];
@@ -530,7 +616,7 @@ fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes
         part_weight[usize::from(parts[v])] += graph.vwgt[v];
     }
 
-    let mut conn = vec![0u64; kk];
+    let mut conn = DenseHistogram::new(kk);
     let mut settled = vec![false; n];
     for _ in 0..passes {
         let mut moved = 0usize;
@@ -538,34 +624,36 @@ fn refine(graph: &WorkGraph, parts: &mut [u16], k: u16, max_allowed: u64, passes
             if settled[v] || graph.degree(v) == 0 {
                 continue;
             }
-            fill_conn(graph, parts, v, &mut conn);
             let cur = usize::from(parts[v]);
+            conn.add_all(
+                graph
+                    .nbrs(v)
+                    .map(|(nb, w)| (u32::from(parts[nb as usize]), w)),
+            );
             // Candidate: the part with max connectivity (≠ cur), ties to
-            // the lighter part.
-            let mut best_p = cur;
-            let mut best_conn = 0u64;
-            for p in 0..kk {
+            // the lighter part, then to the lower part id.
+            let mut own = 0u64;
+            let mut best: Option<(usize, u64)> = None;
+            conn.drain(|p, c| {
+                let p = p as usize;
                 if p == cur {
-                    continue;
+                    own = c;
+                } else if best.is_none_or(|(bp, bc)| {
+                    c > bc || (c == bc && (part_weight[p], p) < (part_weight[bp], bp))
+                }) {
+                    best = Some((p, c));
                 }
-                if conn[p] > best_conn
-                    || (conn[p] == best_conn
-                        && best_p != cur
-                        && part_weight[p] < part_weight[best_p])
-                {
-                    best_p = p;
-                    best_conn = conn[p];
-                }
-            }
+            });
+            let (best_p, best_conn) = best.unwrap_or((cur, 0));
             // `best_conn` is the largest other connectivity.
-            if conn[cur] > best_conn {
+            if own > best_conn {
                 settled[v] = true;
                 continue;
             }
             if best_p == cur {
                 continue;
             }
-            let gain = best_conn as i64 - conn[cur] as i64;
+            let gain = best_conn as i64 - own as i64;
             let fits = part_weight[best_p] + graph.vwgt[v] <= max_allowed;
             let balance_improves = part_weight[best_p] + graph.vwgt[v] < part_weight[cur];
             if fits && (gain > 0 || (gain == 0 && balance_improves)) {
@@ -712,6 +800,44 @@ mod tests {
         }
     }
 
+    /// One `partition.allocate` span per allocation, whatever the graph.
+    #[test]
+    fn telemetry_counts_every_allocation() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let metis = MetisPartitioner::with_recorder(MetisConfig::default(), recorder.clone());
+        metis.allocate(&clique_chain(2, 6), 2);
+        metis.allocate(&TxGraph::default(), 4);
+        metis.allocate(&clique_chain(2, 6), 1);
+        metis.partition(&clique_chain(2, 6), 2);
+        let spans: Vec<_> = recorder
+            .snapshot()
+            .histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), h.count))
+            .collect();
+        assert_eq!(spans, [("partition.allocate".to_string(), 3)]);
+    }
+
+    /// Where no account is too heavy, the bound is promised and held; a
+    /// planted overload (one part emptied into another) is counted; a
+    /// hub heavier than a part's slack voids the promise.
+    #[test]
+    fn balance_certificate_counts_parts_over_the_bound() {
+        let g = clique_chain(8, 10);
+        let bf = MetisConfig::default().balance_factor;
+        assert!(balance_is_promised(&g, 2, bf));
+        let mut parts = MetisPartitioner::default().partition(&g, 2);
+        assert_eq!(overweight_parts(&g, &parts, 2, bf), 0);
+        parts.iter_mut().for_each(|p| *p = 0);
+        assert_eq!(overweight_parts(&g, &parts, 2, bf), 1);
+
+        let mut b = GraphBuilder::new();
+        for i in 1..500u64 {
+            b.add_edge(acct(0), acct(i), 1);
+        }
+        assert!(!balance_is_promised(&b.build(), 4, bf));
+    }
+
     #[test]
     fn handles_star_graph_without_stalling() {
         // Stars defeat heavy-edge matching (everything wants the hub);
@@ -780,6 +906,14 @@ mod tests {
         ] {
             let parts = MetisPartitioner::default().partition(&g, k);
             assert_eq!(digest(&parts), pinned, "k = {k}");
+        }
+    }
+
+    /// Accumulates `v`'s connectivity-per-part vector into `conn`.
+    fn fill_conn(graph: &WorkGraph<'_>, parts: &[u16], v: usize, conn: &mut [u64]) {
+        conn.iter_mut().for_each(|c| *c = 0);
+        for (nb, w) in graph.nbrs(v) {
+            conn[usize::from(parts[nb as usize])] += w;
         }
     }
 
@@ -878,7 +1012,8 @@ mod tests {
     /// refinement short — each checked to be the regime it claims.
     #[test]
     fn refine_skip_matches_reference_in_every_regime() {
-        let g = WorkGraph::from_tx_graph(&hub_graph());
+        let hub = hub_graph();
+        let g = WorkGraph::from_tx_graph(&hub);
         let k = 4;
         let mut rng = StdRng::seed_from_u64(7);
         let parts: Vec<u16> = (0..g.len())
@@ -916,7 +1051,8 @@ mod tests {
             for (x, y, w) in edges {
                 b.add_edge(acct(x), acct(y), w);
             }
-            let g = WorkGraph::from_tx_graph(&b.build());
+            let g = b.build();
+            let g = WorkGraph::from_tx_graph(&g);
             let parts: Vec<u16> = part_keys[..g.len()].iter().map(|p| p % k).collect();
             let max_allowed = g.total_weight() * bound_pct / (100 * u64::from(k));
             refine_against_reference(&g, &parts, k, max_allowed, passes);
@@ -926,7 +1062,7 @@ mod tests {
     /// The contraction by definition, written the slow obvious way:
     /// coarse edge `(a, b)` weighs the sum of the fine edges between the
     /// two groups, rows in ascending neighbour id, no self-loops.
-    fn reference_contraction(fine: &WorkGraph, coarse_of: &[u32]) -> WorkGraph {
+    fn reference_contraction(fine: &WorkGraph<'_>, coarse_of: &[u32]) -> WorkGraph<'static> {
         let cn = coarse_of.iter().max().map_or(0, |&c| c as usize + 1);
         let mut vwgt = vec![0u64; cn];
         let mut rows: Vec<std::collections::BTreeMap<u32, u64>> = vec![Default::default(); cn];
@@ -940,18 +1076,18 @@ mod tests {
                 }
             }
         }
-        let mut coarse = WorkGraph {
-            vwgt,
-            xadj: vec![0],
-            anbr: Vec::new(),
-            awgt: Vec::new(),
-        };
+        let (mut xadj, mut anbr, mut awgt) = (vec![0], Vec::new(), Vec::new());
         for row in rows {
-            coarse.anbr.extend(row.keys());
-            coarse.awgt.extend(row.values());
-            coarse.xadj.push(coarse.anbr.len());
+            anbr.extend(row.keys().map(|&nb| NodeId::new(nb)));
+            awgt.extend(row.values());
+            xadj.push(anbr.len());
         }
-        coarse
+        WorkGraph {
+            vwgt,
+            xadj: Cow::Owned(xadj),
+            anbr: Cow::Owned(anbr),
+            awgt: Cow::Owned(awgt),
+        }
     }
 
     /// Row `v` as a `(neighbour, weight)` list sorted by neighbour.
@@ -961,13 +1097,20 @@ mod tests {
         row
     }
 
-    /// A small arbitrary graph as a [`WorkGraph`].
-    fn work_graph(edges: &[(u64, u64, u64)]) -> WorkGraph {
+    /// A small arbitrary graph as a [`WorkGraph`] that owns its lanes.
+    fn work_graph(edges: &[(u64, u64, u64)]) -> WorkGraph<'static> {
         let mut b = GraphBuilder::new();
         for &(x, y, w) in edges {
             b.add_edge(acct(x), acct(y), w);
         }
-        WorkGraph::from_tx_graph(&b.build())
+        let tx_graph = b.build();
+        let g = WorkGraph::from_tx_graph(&tx_graph);
+        WorkGraph {
+            vwgt: g.vwgt,
+            xadj: Cow::Owned(g.xadj.into_owned()),
+            anbr: Cow::Owned(g.anbr.into_owned()),
+            awgt: Cow::Owned(g.awgt.into_owned()),
+        }
     }
 
     proptest! {
@@ -1020,8 +1163,8 @@ mod tests {
                 let (start, end) = (shuffled.xadj[v], shuffled.xadj[v + 1]);
                 for i in (start + 1..end).rev() {
                     let j = rand::Rng::gen_range(&mut rng, start..=i);
-                    shuffled.anbr.swap(i, j);
-                    shuffled.awgt.swap(i, j);
+                    shuffled.anbr.to_mut().swap(i, j);
+                    shuffled.awgt.to_mut().swap(i, j);
                 }
             }
             let partitioner = MetisPartitioner::default();

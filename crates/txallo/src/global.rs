@@ -5,6 +5,7 @@ use mosaic_telemetry::Recorder;
 use mosaic_txgraph::TxGraph;
 use mosaic_types::{AccountShardMap, ShardId};
 
+use crate::certificate::improving_moves;
 use crate::config::TxAlloConfig;
 use crate::objective::AlloObjective;
 use crate::sweep;
@@ -65,6 +66,11 @@ impl GTxAllo {
 
     /// Computes the partition vector (one part per graph node).
     ///
+    /// Debug builds certify a refinement that reached a fixed point
+    /// against TxAllo's score ([`improving_moves`]): no single-account
+    /// move may still raise it. A refinement the round limit cut short
+    /// promises nothing and is not checked; release builds never check.
+    ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
@@ -103,7 +109,7 @@ impl GTxAllo {
         for v in 0..n {
             load[usize::from(parts[v])] += dv[v];
         }
-        sweep::objective_refine(
+        let converged = sweep::objective_refine(
             graph,
             &order,
             &dv,
@@ -112,6 +118,14 @@ impl GTxAllo {
             &mut load,
             self.config.rounds,
         );
+        if cfg!(debug_assertions) && converged {
+            let left = improving_moves(graph, &parts, k, &objective);
+            assert_eq!(
+                left, 0,
+                "single-account moves still raise the objective after G-TxAllo's converged \
+                 refinement over {n} accounts"
+            );
+        }
 
         parts
     }

@@ -7,9 +7,11 @@
 //! move, repeat until a fixed point. Every committed move shifts the
 //! loads and labels later decisions read, so each kernel is one
 //! sequential sweep. What keeps it fast is that the per-account
-//! histogram lives in dense reused scratch ([`DenseHistogram`]) and that
-//! both kernels score only what can change a decision, each by an exact
-//! rule:
+//! histogram lives in dense reused scratch ([`DenseHistogram`]), where a
+//! neighbour entry costs one store and one add with no branch on whether
+//! its community is new, and community detection decides while the
+//! histogram drains, with no copy of it; and that both kernels score
+//! only what can change a decision, each by an exact rule:
 //!
 //! - community detection parks an account the cap turned away on each
 //!   community that turned it away, until that community loses a member
@@ -221,23 +223,6 @@ pub(crate) fn objective_refine(
     false
 }
 
-/// Scores `v`'s connectivity per neighbouring community into `entries`
-/// (first-touch order). Community ids are node ids, so the histogram is
-/// dense; weights sum as integers, so entry order never matters.
-fn score_communities(
-    graph: &TxGraph,
-    comm: &[u32],
-    v: usize,
-    hist: &mut DenseHistogram<u64>,
-    entries: &mut Vec<(u32, u64)>,
-) {
-    for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
-        hist.add(comm[nb.index()], w);
-    }
-    entries.clear();
-    hist.drain_into(entries);
-}
-
 /// End of a [`Parked`] list.
 const NIL: u32 = u32::MAX;
 
@@ -276,15 +261,29 @@ impl Parked {
     }
 }
 
-/// The community-join decision: adopt the most-connected other
-/// community that fits under the cap (ties to the lower community id),
-/// when strictly better-connected than the current one, and park `v` on
-/// every community the cap excluded. Returns the community `v` left, if
-/// it moved. Order-independent over `entries` (total order comparator),
-/// so the histogram's entry order never leaks into the result.
+/// Scores `v`'s connectivity per neighbouring community into `hist`.
+/// Community ids are node ids, so the histogram is dense; weights sum
+/// as integers, so the neighbours' order never matters.
+fn score_communities(graph: &TxGraph, comm: &[u32], v: usize, hist: &mut DenseHistogram) {
+    let row = graph.xadj()[v]..graph.xadj()[v + 1];
+    let neighbours = graph.adjncy()[row.clone()].iter();
+    hist.add_all(
+        neighbours
+            .zip(&graph.adjwgt()[row])
+            .map(|(nb, &w)| (comm[nb.index()], w)),
+    );
+}
+
+/// The community-join decision, made while draining `v`'s scored
+/// `hist`: adopt the most-connected other community that fits under the
+/// cap (ties to the lower community id), when strictly better-connected
+/// than the current one, and park `v` on every community the cap
+/// excluded. Returns the community `v` left, if it moved.
+/// Order-independent over the entries (total order comparator), so the
+/// histogram's entry order never leaks into the result.
 fn commit_community_move(
     v: usize,
-    entries: &[(u32, u64)],
+    hist: &mut DenseHistogram,
     dv: &[f64],
     capacity: f64,
     comm: &mut [u32],
@@ -294,20 +293,15 @@ fn commit_community_move(
     let own = comm[v];
     let mut own_conn = 0u64;
     let mut best: Option<(u32, u64)> = None;
-    for &(c, cw) in entries {
+    hist.drain(|c, cw| {
         if c == own {
             own_conn = cw;
-            continue;
-        }
-        if comm_weight[c as usize] + dv[v] > capacity {
+        } else if comm_weight[c as usize] + dv[v] > capacity {
             parked.park(c, v as u32);
-            continue;
+        } else if best.is_none_or(|(bc, bw)| cw > bw || (cw == bw && c < bc)) {
+            best = Some((c, cw));
         }
-        match best {
-            Some((bc, bw)) if cw < bw || (cw == bw && c >= bc) => {}
-            _ => best = Some((c, cw)),
-        }
-    }
+    });
     let (c, cw) = best?;
     if cw <= own_conn {
         return None;
@@ -351,9 +345,8 @@ pub(crate) fn detect_communities(
     let mut settled = vec![false; n];
     let mut parked = Parked::new(n);
 
-    // One histogram + one entry buffer reused across nodes and rounds.
+    // One histogram reused across nodes and rounds.
     let mut hist = DenseHistogram::new(n);
-    let mut entries: Vec<(u32, u64)> = Vec::new();
     for _ in 0..rounds.max(1) {
         let mut moves = 0usize;
         for &v in order {
@@ -361,11 +354,11 @@ pub(crate) fn detect_communities(
             if settled[v] {
                 continue;
             }
-            score_communities(graph, &comm, v, &mut hist, &mut entries);
+            score_communities(graph, &comm, v, &mut hist);
             settled[v] = true;
             let left = commit_community_move(
                 v,
-                &entries,
+                &mut hist,
                 dv,
                 capacity,
                 &mut comm,
@@ -817,5 +810,71 @@ mod tests {
                 prop_assert_eq!(improving_moves(&g, &refined, k as u16, &objective), 0);
             }
         }
+
+        /// [`detect_communities_equals_rescore_everything_reference`] on
+        /// [`hub_heavy_graph`]s: a hub's neighbours repeat communities, so
+        /// most of its histogram adds land on an id already touched.
+        #[test]
+        fn detect_communities_equals_reference_on_hub_heavy_graphs(
+            spokes in proptest::collection::vec((0u64..4, 0u64..2, 0u64..12, 1u64..6), 40..200),
+            intra in proptest::collection::vec((0u64..5, 0u64..12, 0u64..12, 1u64..4), 0..150),
+            order_keys in proptest::collection::vec(any::<u32>(), 70),
+            cap_share in 0.01f64..1.2,
+            rounds in 0usize..7,
+        ) {
+            let g = hub_heavy_graph(&spokes, &intra);
+            let dv = node_weights(&g);
+            let mut order: Vec<u32> = (0..g.node_count() as u32).collect();
+            order.sort_unstable_by_key(|&v| (order_keys[v as usize], v));
+            let capacity = cap_share * dv.iter().sum::<f64>();
+            let (expected, _, _) = reference_communities(&g, &dv, &order, capacity, rounds);
+            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds), expected);
+        }
+
+        /// [`objective_refine_equals_rescore_everything_reference`] on
+        /// [`hub_heavy_graph`]s, where hubs have more neighbours than
+        /// even 16 shards and so are scored against every shard.
+        #[test]
+        fn objective_refine_equals_reference_on_hub_heavy_graphs(
+            spokes in proptest::collection::vec((0u64..4, 0u64..2, 0u64..12, 1u64..6), 40..200),
+            intra in proptest::collection::vec((0u64..5, 0u64..12, 0u64..12, 1u64..4), 0..150),
+            part_keys in proptest::collection::vec(any::<u16>(), 70),
+            k_idx in 0usize..3,
+            cap_share in 0.05f64..1.5,
+            rounds in 1usize..=6,
+        ) {
+            let g = hub_heavy_graph(&spokes, &intra);
+            let dv = node_weights(&g);
+            let k = [2usize, 4, 16][k_idx];
+            let parts: Vec<u16> = part_keys[..g.node_count()]
+                .iter()
+                .map(|&p| p % k as u16)
+                .collect();
+            let objective = AlloObjective::new(2.0, cap_share * dv.iter().sum::<f64>());
+            let (refined, _, run) =
+                refine_against_reference(&g, &busiest_first(&g), &dv, &objective, &parts, k, rounds);
+            if run.converged {
+                prop_assert_eq!(improving_moves(&g, &refined, k as u16, &objective), 0);
+            }
+        }
+    }
+
+    /// Five communities of twelve accounts (`intra`: community, two
+    /// members, weight) and four hubs, each trading with the members of
+    /// two communities (`spokes`: hub, which of its two, member, weight):
+    /// with enough spokes a hub has more than 16 neighbours, many of
+    /// them in one community.
+    fn hub_heavy_graph(spokes: &[(u64, u64, u64, u64)], intra: &[(u64, u64, u64, u64)]) -> TxGraph {
+        let member = |c: u64, i: u64| c * 12 + i;
+        let mut edges: Vec<(u64, u64, u64)> = spokes
+            .iter()
+            .map(|&(h, side, i, w)| (1000 + h, member((h + side) % 5, i), w))
+            .collect();
+        edges.extend(
+            intra
+                .iter()
+                .map(|&(c, i, j, w)| (member(c, i), member(c, j), w)),
+        );
+        graph_from_edges(&edges)
     }
 }

@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         let n1 = g.node_of(AccountId::new(1)).unwrap();
         let n2 = g.node_of(AccountId::new(2)).unwrap();
-        assert_eq!(g.edge_weight_between(n1, n2), Some(2));
+        assert_eq!(g.neighbors(n1).find(|&(nb, _)| nb == n2), Some((n2, 2)));
     }
 
     #[test]

@@ -255,16 +255,6 @@ impl TxGraph {
         range.map(move |j| (self.adjncy[j], self.adjwgt[j]))
     }
 
-    /// Weight of the edge between `a` and `b`, if adjacent (binary search).
-    pub fn edge_weight_between(&self, a: NodeId, b: NodeId) -> Option<u64> {
-        let range = self.xadj[a.index()]..self.xadj[a.index() + 1];
-        let slice = &self.adjncy[range.clone()];
-        slice
-            .binary_search(&b)
-            .ok()
-            .map(|off| self.adjwgt[range.start + off])
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone {
         (0..self.node_count() as u32).map(NodeId::new)
@@ -332,10 +322,11 @@ mod tests {
         let n1 = g.node_of(acct(1)).unwrap();
         let n2 = g.node_of(acct(2)).unwrap();
         let n3 = g.node_of(acct(3)).unwrap();
-        assert_eq!(g.edge_weight_between(n1, n2), Some(5));
-        assert_eq!(g.edge_weight_between(n2, n1), Some(5));
-        assert_eq!(g.edge_weight_between(n2, n3), Some(7));
-        assert_eq!(g.edge_weight_between(n1, n1), None);
+        let weight = |a: NodeId, b: NodeId| g.neighbors(a).find(|&(nb, _)| nb == b).map(|(_, w)| w);
+        assert_eq!(weight(n1, n2), Some(5));
+        assert_eq!(weight(n2, n1), Some(5));
+        assert_eq!(weight(n2, n3), Some(7));
+        assert_eq!(weight(n1, n1), None);
     }
 
     #[test]

@@ -363,3 +363,44 @@ fn wide_csv_trace_is_pinned_at_a_million_accounts() {
         h.finish()
     );
 }
+
+/// Pins G-TxAllo and Metis at the benchmark's full scale: the graph of
+/// the first 3/4 of `bench/workloads/miner-recompute.scenario`'s
+/// transactions (≈ 8.8 k accounts, ≈ 99 k CSR entries), which reaches
+/// the community cap and the hub regimes the 4-epoch `miner-quick`
+/// golden rarely does. The digests fold each node's part as
+/// `h = h · 1 000 003 + part`; they were recorded from the kernels
+/// before label propagation and the Metis levels were rewritten. Debug
+/// builds certify G-TxAllo's converged refinement inside `partition`;
+/// this graph's hubs are too heavy for Metis's balance promise, so the
+/// balance bound is asserted here.
+#[test]
+fn miner_recompute_partitions_are_pinned_at_full_scale() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let scenario = Scenario::load(root.join("bench/workloads/miner-recompute.scenario")).unwrap();
+    let cfg = scenario.workload().expect("a generated workload").clone();
+    let mut txs = Vec::new();
+    mosaic::workload::GeneratedStream::new(&cfg).emit_through(cfg.blocks, &mut txs);
+    assert_eq!(txs.len(), 81_600);
+    let mut history = mosaic::txgraph::GrowingGraph::new();
+    history.absorb(&txs[..txs.len() * 3 / 4]);
+    let graph = history.graph();
+    assert_eq!((graph.node_count(), graph.adjncy().len()), (8_758, 99_364));
+    let digest = |parts: &[u16]| {
+        parts.iter().fold(0u64, |h, &p| {
+            h.wrapping_mul(1_000_003).wrapping_add(u64::from(p))
+        })
+    };
+    let txallo = digest(&GTxAllo::new(TxAlloConfig::with_eta(2.0)).partition(graph, 16));
+    let metis = MetisPartitioner::default().partition(graph, 16);
+    assert_eq!(
+        mosaic::partition::overweight_parts(graph, &metis, 16, 1.10),
+        0
+    );
+    let metis = digest(&metis);
+    assert_eq!(
+        (txallo, metis),
+        (0xb05d_67c8_8064_195d, 0x119f_c5f4_9f07_b45a),
+        "digests {txallo:#018x} {metis:#018x}"
+    );
+}
