@@ -22,7 +22,7 @@
 //! `validate <file>...` loads every spec and also rejects a file that
 //! is not byte-identical to its canonical serialisation
 //! ([`Scenario::to_text`]), so checked-in specs never drift from the
-//! format [`Scenario::save`] writes.
+//! canonical format.
 
 use std::path::{Path, PathBuf};
 
@@ -181,8 +181,8 @@ pub(crate) fn validate(args: &Args) -> Result<(), Failure> {
                 let on_disk = std::fs::read_to_string(path).expect("load() just read it");
                 if on_disk != scenario.to_text() {
                     eprintln!(
-                        "{path}: NOT CANONICAL — rewrite it in canonical form \
-                         with Scenario::save"
+                        "{path}: NOT CANONICAL — rewrite it as its canonical \
+                         form, Scenario::to_text"
                     );
                     invalid += 1;
                     continue;

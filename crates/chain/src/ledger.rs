@@ -377,7 +377,7 @@ mod tests {
     /// 3) — across committed migrations and a `set_allocation` swap.
     #[test]
     fn classification_matches_a_cache_free_model_across_the_table_cap() {
-        use mosaic_types::DefaultRule;
+        use mosaic_types::hash_shard;
         use std::collections::BTreeMap;
 
         let k = 4u16;
@@ -405,7 +405,7 @@ mod tests {
         };
         let model_shard = |model: &BTreeMap<u64, u16>, a: AccountId| match model.get(&a.as_u64()) {
             Some(&s) => ShardId::new(s),
-            None => DefaultRule::Sha256Mod.shard_of(a, k),
+            None => hash_shard(a, k),
         };
         let reference = |model: &BTreeMap<u64, u16>, window: &[Transaction]| {
             let params = params(k);

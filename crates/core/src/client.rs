@@ -1,5 +1,6 @@
 //! A Mosaic client (wallet-side state and decision making).
 
+use mosaic_metrics::data_size::client_input_bytes;
 use mosaic_types::{
     AccountId, AccountShardMap, EpochId, MigrationRequest, Result, SystemParams, Transaction,
 };
@@ -155,14 +156,12 @@ impl Client {
         )?))
     }
 
-    /// The bytes of input this client feeds Pilot: its own header, the
-    /// encoded counterparty multisets, and the downloaded `Ω` vector —
-    /// the quantity the paper reports as 228.66 B on average (Table IV).
+    /// The bytes of input this client feeds Pilot: its own header, one
+    /// entry per distinct counterparty in each of its two multisets, and
+    /// the downloaded `Ω` vector — the quantity the paper reports as
+    /// 228.66 B on average (Table IV), priced by [`client_input_bytes`].
     pub fn input_size_bytes(&self, shards: u16) -> usize {
-        mosaic_metrics::data_size::CLIENT_HEADER_BYTES
-            + self.history.encoded_len()
-            + self.expected.encoded_len()
-            + usize::from(shards) * mosaic_metrics::data_size::WORKLOAD_ENTRY_BYTES
+        client_input_bytes(self.history.distinct() + self.expected.distinct(), shards)
     }
 }
 

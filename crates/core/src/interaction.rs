@@ -14,8 +14,6 @@
 //! the current allocation), so the client's stored state never goes
 //! stale when other accounts migrate.
 
-use bytes::{BufMut, BytesMut};
-
 use mosaic_types::hash::FnvHashMap;
 use mosaic_types::{AccountId, AccountShardMap, Transaction};
 
@@ -81,26 +79,6 @@ impl CounterpartySet {
         }
         psi
     }
-
-    /// Serialises the set in the compact wire format used for the input
-    /// data-size accounting of Table IV: one `(u64 id, u32 count)` entry
-    /// per counterparty.
-    pub fn encode(&self) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(self.counts.len() * 12);
-        // Deterministic order for reproducible fixtures.
-        let mut entries: Vec<(AccountId, u32)> = self.iter().collect();
-        entries.sort_unstable();
-        for (a, c) in entries {
-            buf.put_u64(a.as_u64());
-            buf.put_u32(c);
-        }
-        buf
-    }
-
-    /// Size in bytes of the encoded set.
-    pub fn encoded_len(&self) -> usize {
-        self.counts.len() * 12
-    }
 }
 
 impl FromIterator<(AccountId, u32)> for CounterpartySet {
@@ -159,19 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_sorted_and_sized() {
-        let set: CounterpartySet = [(AccountId::new(9), 2), (AccountId::new(3), 1)]
-            .into_iter()
-            .collect();
-        let buf = set.encode();
-        assert_eq!(buf.len(), set.encoded_len());
-        assert_eq!(buf.len(), 24);
-        // Sorted: account 3 first.
-        assert_eq!(&buf[..8], &3u64.to_be_bytes());
-        assert_eq!(&buf[8..12], &1u32.to_be_bytes());
-    }
-
-    #[test]
     fn add_accumulates() {
         let mut set = CounterpartySet::new();
         set.add(AccountId::new(5), 2);
@@ -188,6 +153,5 @@ mod tests {
         let phi = AccountShardMap::new(4);
         assert_eq!(set.interaction_vector(&phi), vec![0.0; 4]);
         assert!(set.is_empty());
-        assert_eq!(set.encoded_len(), 0);
     }
 }

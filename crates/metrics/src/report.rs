@@ -11,8 +11,6 @@
 use std::fmt;
 use std::io;
 
-use serde::{Deserialize, Serialize};
-
 use crate::load::EpochLoad;
 
 /// Header line of the per-epoch CSV series (no trailing newline).
@@ -20,7 +18,7 @@ pub const EPOCH_CSV_HEADER: &str =
     "epoch,cross_ratio,workload_deviation,normalized_throughput,txs,migrations";
 
 /// The effectiveness metrics of a single evaluation epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochMetrics {
     /// Cross-shard transaction ratio in `[0, 1]`.
     pub cross_ratio: f64,
@@ -62,8 +60,8 @@ impl EpochMetrics {
 /// Streams per-epoch metric rows to an [`io::Write`] sink as they are
 /// produced, so a run of any length holds no per-epoch vector in memory.
 ///
-/// The output is byte-identical to `GridCell::to_csv` in
-/// `mosaic-sim` (header + one [`EpochMetrics::csv_row`] per epoch).
+/// The output is [`EPOCH_CSV_HEADER`] and one [`EpochMetrics::csv_row`]
+/// per epoch: the per-epoch CSV every runner and the node write.
 #[derive(Debug)]
 pub struct EpochCsvWriter<W: io::Write> {
     out: W,
@@ -163,7 +161,7 @@ impl AggregateBuilder {
 
 /// Mean metrics over a sequence of epochs (the paper reports per-epoch
 /// averages over 200 evaluation epochs).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Aggregate {
     /// Mean cross-shard ratio.
     pub cross_ratio: f64,

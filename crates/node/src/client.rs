@@ -11,11 +11,10 @@
 //! binary client performs the version hello before the first request
 //! and fails fast on a version-skewed node.
 //!
-//! Transaction traffic ([`MosaicClient::ingest_tx`],
-//! [`MosaicClient::ingest_block`]) is buffered fire-and-forget: nothing
-//! is flushed until the next reply-carrying request, so a replay stream
-//! is never round-trip-bound. On the binary wire a whole block travels
-//! as one `TX` batch frame.
+//! Transaction traffic ([`MosaicClient::ingest_block`]) is buffered
+//! fire-and-forget: nothing is flushed until the next reply-carrying
+//! request, so a replay stream is never round-trip-bound. On the binary
+//! wire a whole block travels as one `TX` batch frame.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -66,8 +65,7 @@ impl MosaicClient {
     }
 
     /// Sends `request` and waits for its reply. Not for fire-and-forget
-    /// traffic — use [`MosaicClient::ingest_tx`] /
-    /// [`MosaicClient::ingest_block`] for transactions.
+    /// traffic — use [`MosaicClient::ingest_block`] for transactions.
     ///
     /// # Errors
     ///
@@ -81,13 +79,9 @@ impl MosaicClient {
     }
 
     /// Sends `request` and unwraps an `OK` reply into its detail text,
-    /// turning `ERR` replies into errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] carrying the node's `ERR` message, or on an
-    /// unexpected reply shape.
-    pub fn expect_ok(&mut self, request: &Request) -> Result<String> {
+    /// turning `ERR` replies (and any other reply shape) into
+    /// [`Error::Io`].
+    fn expect_ok(&mut self, request: &Request) -> Result<String> {
         match self.request(request)? {
             Response::Ok(detail) => Ok(detail),
             Response::Error(message) => Err(protocol_error(message)),
@@ -106,21 +100,10 @@ impl MosaicClient {
         self.expect_ok(&Request::Begin { cell, blocks })
     }
 
-    /// Queues one transaction (fire-and-forget; buffered, not flushed —
-    /// the next reply-carrying request flushes before it waits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] on socket failure.
-    pub fn ingest_tx(&mut self, tx: &Transaction) -> Result<()> {
-        self.wire
-            .write_request(&mut self.writer, &Request::Tx(*tx))
-            .map_err(|e| io_error("<node>", &e))
-    }
-
     /// Queues a block's worth of transactions — one batch frame on the
-    /// binary wire, plain `TX` lines on the line wire. Fire-and-forget
-    /// like [`MosaicClient::ingest_tx`].
+    /// binary wire, plain `TX` lines on the line wire (fire-and-forget;
+    /// buffered, not flushed — the next reply-carrying request flushes
+    /// before it waits).
     ///
     /// # Errors
     ///

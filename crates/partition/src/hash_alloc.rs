@@ -7,7 +7,7 @@
 //! k = 16.
 
 use mosaic_txgraph::TxGraph;
-use mosaic_types::{AccountShardMap, DefaultRule};
+use mosaic_types::AccountShardMap;
 
 use crate::traits::GlobalAllocator;
 
@@ -15,9 +15,10 @@ use crate::traits::GlobalAllocator;
 ///
 /// Because the hash rule covers *every* account, the resulting
 /// [`AccountShardMap`] needs no explicit entries at all: the whole
-/// "computation" is the default-rule closure. This mirrors the paper's
-/// efficiency observation that hash-based methods are extremely cheap but
-/// ignore interaction structure entirely.
+/// "computation" is the map's fallback, [`mosaic_types::hash_shard`].
+/// This mirrors the paper's efficiency observation that hash-based
+/// methods are extremely cheap but ignore interaction structure
+/// entirely.
 ///
 /// # Example
 ///
@@ -25,27 +26,11 @@ use crate::traits::GlobalAllocator;
 /// use mosaic_partition::{GlobalAllocator, HashAllocator};
 /// use mosaic_txgraph::TxGraph;
 ///
-/// let phi = HashAllocator::chainspace().allocate(&TxGraph::from_weighted_edges([], []), 16);
+/// let phi = HashAllocator.allocate(&TxGraph::from_weighted_edges([], []), 16);
 /// assert_eq!(phi.assigned_len(), 0); // pure rule, no stored state
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HashAllocator {
-    rule: DefaultRule,
-}
-
-impl HashAllocator {
-    /// Chainspace-style `SHA256(address) mod k`.
-    pub fn chainspace() -> Self {
-        HashAllocator {
-            rule: DefaultRule::Sha256Mod,
-        }
-    }
-
-    /// The underlying rule.
-    pub fn rule(&self) -> DefaultRule {
-        self.rule
-    }
-}
+pub struct HashAllocator;
 
 impl GlobalAllocator for HashAllocator {
     fn name(&self) -> &'static str {
@@ -54,10 +39,6 @@ impl GlobalAllocator for HashAllocator {
 
     fn allocate(&self, _graph: &TxGraph, k: u16) -> AccountShardMap {
         AccountShardMap::new(k)
-    }
-
-    fn uses_graph(&self) -> bool {
-        false
     }
 }
 
@@ -74,7 +55,7 @@ mod tests {
             b.add_edge(AccountId::new(i), AccountId::new(i + 1), 1);
         }
         let graph = b.build();
-        let phi = HashAllocator::chainspace().allocate(&graph, 8);
+        let phi = HashAllocator.allocate(&graph, 8);
         let mut counts = [0usize; 8];
         for i in 0..4001 {
             counts[phi.shard_of(AccountId::new(i)).index()] += 1;
@@ -92,7 +73,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(AccountId::new(1), AccountId::new(2), 100);
         let dense = b.build();
-        let alloc = HashAllocator::chainspace();
+        let alloc = HashAllocator;
         let a = alloc.allocate(&empty, 4);
         let b = alloc.allocate(&dense, 4);
         for i in 0..100u64 {
@@ -102,8 +83,6 @@ mod tests {
 
     #[test]
     fn variants_have_distinct_names() {
-        assert_eq!(HashAllocator::chainspace().name(), "Random");
-        assert_eq!(HashAllocator::default(), HashAllocator::chainspace());
-        assert_eq!(HashAllocator::default().rule(), DefaultRule::Sha256Mod);
+        assert_eq!(HashAllocator.name(), "Random");
     }
 }

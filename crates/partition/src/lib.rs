@@ -4,8 +4,9 @@
 //! allocation:
 //!
 //! * **Hash-based** ([`HashAllocator`]) — `SHA256(address) mod k`
-//!   (Chainspace). Static, pattern-blind, perfectly balanced in
-//!   expectation.
+//!   (Chainspace), the [`mosaic_types::hash_shard`] rule every ϕ falls
+//!   back to, so its ϕ holds no explicit entry and it never reads the
+//!   graph. Static, pattern-blind, perfectly balanced in expectation.
 //! * **Graph-based** ([`MetisPartitioner`]) — a from-scratch multilevel
 //!   k-way partitioner in the METIS family: heavy-edge-matching
 //!   coarsening, greedy region-growing initial partitioning, and FM-style

@@ -9,9 +9,9 @@ use mosaic_types::AccountShardMap;
 /// This is exactly the computation the paper's Table VI labels "global
 /// optimization" with "redundant computation results ϕ(A)": every miner
 /// runs it over the whole graph. Accounts absent from the graph resolve
-/// through the map's hash-based default rule — the paper's treatment of
-/// new accounts for the graph-based baselines ("these accounts are
-/// randomly allocated").
+/// through the map's hash rule, [`mosaic_types::hash_shard`] — the
+/// paper's treatment of new accounts for the graph-based baselines
+/// ("these accounts are randomly allocated").
 ///
 /// The experiment runner drives every implementation through its
 /// `EpochStrategy` trait (in `mosaic-sim`): a blanket impl adapts any
@@ -27,18 +27,6 @@ pub trait GlobalAllocator {
 
     /// Computes an allocation of every account in `graph` over `k` shards.
     fn allocate(&self, graph: &TxGraph, k: u16) -> AccountShardMap;
-
-    /// `true` if [`GlobalAllocator::allocate`] reads the transaction
-    /// graph at all. Rule-only allocators (hash-based Random) return
-    /// `false`: their ϕ is a pure function of the shard count, so the
-    /// streamed experiment pipeline can skip building the training
-    /// graph entirely when such an allocator is the only consumer — the
-    /// memory/time win `huge.scenario` relies on. Implementations
-    /// returning `false` must produce an identical result for every
-    /// graph argument, including the empty graph.
-    fn uses_graph(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

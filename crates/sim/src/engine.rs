@@ -9,7 +9,7 @@
 //! * [`EpochStrategy`] is the seam between the protocol and the
 //!   mechanisms — a blanket impl adapts any miner-driven
 //!   [`GlobalAllocator`] (Metis, G-TxAllo), [`StaticStrategy`] wraps
-//!   rule-only allocation (hash-based Random), [`AdaptiveTxAllo`] wraps
+//!   the hash-based Random baseline, [`AdaptiveTxAllo`] wraps
 //!   the incremental A-TxAllo update, and [`MosaicStrategy`] wraps the
 //!   client-driven [`MosaicFramework`]. Adding a sixth strategy is a new
 //!   impl plus a registry entry ([`crate::Strategy::build`]);
@@ -43,7 +43,7 @@ use mosaic_core::{ClientPolicy, MosaicFramework};
 use mosaic_metrics::data_size::miner_input_bytes;
 use mosaic_metrics::timing::time_it;
 use mosaic_metrics::{Aggregate, EpochMetrics};
-use mosaic_partition::GlobalAllocator;
+use mosaic_partition::{GlobalAllocator, HashAllocator};
 use mosaic_telemetry::Recorder;
 use mosaic_txallo::{ATxAllo, GTxAllo, TxAlloConfig, WindowRefinement};
 use mosaic_txgraph::{GrowingGraph, TxGraph};
@@ -362,15 +362,15 @@ impl<A: GlobalAllocator> EpochStrategy for A {
     }
 }
 
-/// Adapter for rule-only allocation (the paper's hash-based "Random"
-/// baseline): the initial allocation runs once, then nothing ever moves
-/// and every epoch records a zero-cost sample.
+/// Adapter for the paper's hash-based "Random" baseline: the initial
+/// allocation runs once, then nothing ever moves and every epoch records
+/// a zero-cost sample.
 #[derive(Debug, Clone)]
-pub struct StaticStrategy<A>(pub A);
+pub struct StaticStrategy(pub HashAllocator);
 
-impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
+impl EpochStrategy for StaticStrategy {
     fn name(&self) -> &'static str {
-        self.0.name()
+        GlobalAllocator::name(&self.0)
     }
 
     fn initial_allocation(
@@ -385,10 +385,10 @@ impl<A: GlobalAllocator> EpochStrategy for StaticStrategy<A> {
         false
     }
 
+    /// The hash rule never reads the graph, so the core can skip
+    /// building it.
     fn needs_training_graph(&self) -> bool {
-        // Rule-only allocators (hash-based Random) never read the
-        // graph, so the core can skip building it.
-        self.0.uses_graph()
+        false
     }
 
     fn before_epoch(&mut self, _ledger: &mut Ledger, _ctx: EpochCtx<'_, '_, '_>) -> EpochDecision {

@@ -23,7 +23,7 @@ use mosaic_metrics::data_size::{
     human_bytes, ADDRESS_BYTES, MIGRATION_REQUEST_BYTES, TX_RECORD_BYTES,
 };
 use mosaic_metrics::{Aggregate, TextTable};
-use mosaic_types::{AccountId, DefaultRule, Error, Result};
+use mosaic_types::{hash_shard, AccountId, Error, Result};
 use mosaic_workload::TraceSource;
 
 use crate::engine::{EpochStrategy, MosaicStrategy};
@@ -273,9 +273,7 @@ pub fn fig1(cells: &[GridCell], scenario: &Scenario) -> TextTable {
     let (_, hash_time) = mosaic_metrics::timing::time_it(|| {
         let mut acc = 0u16;
         for i in 0..1000u64 {
-            acc ^= DefaultRule::Sha256Mod
-                .shard_of(AccountId::new(i), shards)
-                .as_u16();
+            acc ^= hash_shard(AccountId::new(i), shards).as_u16();
         }
         acc
     });

@@ -945,19 +945,6 @@ impl Scenario {
         })?;
         Scenario::parse(&text)
     }
-
-    /// Writes the canonical text form to a `.scenario` file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] on write failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_text()).map_err(|e| Error::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
-    }
 }
 
 fn parallelism_to_token(p: Parallelism) -> String {
@@ -1463,7 +1450,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mosaic-scenario-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("beta.scenario");
-        scenario.save(&path).unwrap();
+        std::fs::write(&path, scenario.to_text()).unwrap();
         assert_eq!(Scenario::load(&path).unwrap(), scenario);
         std::fs::remove_file(&path).ok();
         assert!(matches!(

@@ -68,20 +68,6 @@ impl GridCell {
         }
         labels
     }
-
-    /// Serialises the per-epoch series as CSV
-    /// ([`mosaic_metrics::report::EPOCH_CSV_HEADER`] + one row per
-    /// epoch), byte-identical to what the `stream-csv` observer and
-    /// [`Simulation::stream_cell`] write for the same cell.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(mosaic_metrics::report::EPOCH_CSV_HEADER);
-        out.push('\n');
-        for (i, m) in self.per_epoch.iter().enumerate() {
-            out.push_str(&m.csv_row(i));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Observes every cell a session runs — the custom layer of the

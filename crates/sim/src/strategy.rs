@@ -61,7 +61,7 @@ impl Strategy {
             Strategy::GTxAllo => Box::new(GTxAllo::new(txallo_cfg)),
             Strategy::ATxAllo => Box::new(AdaptiveTxAllo::new(txallo_cfg)),
             Strategy::Metis => Box::new(MetisPartitioner::default()),
-            Strategy::Random => Box::new(StaticStrategy(HashAllocator::chainspace())),
+            Strategy::Random => Box::new(StaticStrategy(HashAllocator)),
         }
     }
 }

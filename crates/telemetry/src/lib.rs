@@ -47,7 +47,7 @@ use std::sync::{Mutex, OnceLock};
 
 pub use export::{json_f64, HistogramSnapshot, Snapshot};
 pub use recorder::{Counter, Gauge, Histogram, Recorder, Span};
-pub use stats::{DurationHistogram, DurationStats, BUCKETS, BUCKET_BOUNDS_NS};
+pub use stats::{DurationStats, BUCKETS, BUCKET_BOUNDS_NS};
 
 /// The process-wide recorder, disabled until [`install_global`] runs.
 static GLOBAL: OnceLock<Mutex<Recorder>> = OnceLock::new();

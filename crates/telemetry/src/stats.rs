@@ -1,13 +1,12 @@
-//! Plain (single-owner) duration accumulators.
+//! The plain (single-owner) duration accumulator and the histogram
+//! bucket layout.
 //!
 //! [`DurationStats`] is the online mean/min/max accumulator Table IV's
 //! per-epoch allocation runtimes are reported through (it used to live
 //! in `mosaic_metrics::timing`; a re-export keeps those callers
-//! compiling unchanged). [`DurationHistogram`] folds the same summary
-//! together with fixed log-decade buckets — the shape every shared
-//! [`crate::Recorder`] histogram snapshots into as well, so offline
-//! accumulators and live telemetry report through one bucket layout
-//! ([`BUCKET_BOUNDS_NS`]).
+//! compiling unchanged). Every shared [`crate::Recorder`] histogram
+//! buckets its observations into the fixed log decades of
+//! [`BUCKET_BOUNDS_NS`].
 
 use std::time::Duration;
 
@@ -98,50 +97,6 @@ impl DurationStats {
     }
 }
 
-/// [`DurationStats`] plus fixed log-decade buckets
-/// ([`BUCKET_BOUNDS_NS`]) — the single-owner counterpart of a
-/// [`crate::Recorder`] histogram, for code that accumulates durations
-/// without sharing them across threads.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    stats: DurationStats,
-    buckets: [u64; BUCKETS],
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        DurationHistogram {
-            stats: DurationStats::default(),
-            buckets: [0; BUCKETS],
-        }
-    }
-}
-
-impl DurationHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation into the summary and its bucket.
-    pub fn record(&mut self, d: Duration) {
-        self.stats.record(d);
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[bucket_index(ns)] += 1;
-    }
-
-    /// The folded mean/min/max summary.
-    pub fn stats(&self) -> &DurationStats {
-        &self.stats
-    }
-
-    /// Per-bucket observation counts (not cumulative), one per
-    /// [`BUCKET_BOUNDS_NS`] bound plus the overflow bucket.
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,18 +121,5 @@ mod tests {
         assert_eq!(bucket_index(1_001), 1);
         assert_eq!(bucket_index(10_000_000_000), BUCKET_BOUNDS_NS.len() - 1);
         assert_eq!(bucket_index(u64::MAX), BUCKET_BOUNDS_NS.len());
-    }
-
-    #[test]
-    fn histogram_folds_stats_and_buckets() {
-        let mut h = DurationHistogram::new();
-        h.record(Duration::from_micros(1)); // bucket 0 (1µs bound)
-        h.record(Duration::from_micros(500)); // bucket 3 (≤ 1ms)
-        h.record(Duration::from_secs(100)); // overflow
-        assert_eq!(h.stats().count(), 3);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[3], 1);
-        assert_eq!(h.buckets()[BUCKETS - 1], 1);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 3);
     }
 }

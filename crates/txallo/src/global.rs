@@ -34,8 +34,10 @@ use crate::sweep;
 /// the full ledger, the cost Table VI charges as `O(|T|)`.
 ///
 /// It takes [`mosaic_telemetry::global`] at construction: each
-/// [`GlobalAllocator::allocate`] records a `txallo.allocate` span (one
-/// branch when telemetry is off).
+/// [`GlobalAllocator::allocate`] records a `txallo.allocate` span, and
+/// each refinement the round limit cuts short adds one to the
+/// `txallo.refine_cut_short` counter (one branch each when telemetry is
+/// off).
 #[derive(Debug, Clone)]
 pub struct GTxAllo {
     config: TxAlloConfig,
@@ -69,7 +71,8 @@ impl GTxAllo {
     /// Debug builds certify a refinement that reached a fixed point
     /// against TxAllo's score ([`improving_moves`]): no single-account
     /// move may still raise it. A refinement the round limit cut short
-    /// promises nothing and is not checked; release builds never check.
+    /// promises nothing and is not checked, but counts one in
+    /// `txallo.refine_cut_short`; release builds never check.
     ///
     /// # Panics
     ///
@@ -118,6 +121,9 @@ impl GTxAllo {
             &mut load,
             self.config.rounds,
         );
+        if !converged {
+            self.recorder.add("txallo.refine_cut_short", 1);
+        }
         if cfg!(debug_assertions) && converged {
             let left = improving_moves(graph, &parts, k, &objective);
             assert_eq!(
@@ -194,23 +200,31 @@ impl GlobalAllocator for GTxAllo {
 mod tests {
     use super::*;
     use mosaic_txgraph::{analysis, GraphBuilder};
-    use mosaic_types::{AccountId, DefaultRule};
+    use mosaic_types::{hash_shard, AccountId};
 
     fn acct(i: u64) -> AccountId {
         AccountId::new(i)
     }
 
-    fn two_cliques() -> TxGraph {
+    /// `count` 6-cliques of weight-10 edges, each joined to the next by
+    /// one weight-1 edge.
+    fn cliques(count: u64) -> TxGraph {
         let mut b = GraphBuilder::new();
-        for base in [0u64, 10] {
+        for base in (0..count).map(|c| 10 * c) {
             for i in 0..6 {
                 for j in (i + 1)..6 {
                     b.add_edge(acct(base + i), acct(base + j), 10);
                 }
             }
         }
-        b.add_edge(acct(0), acct(10), 1);
+        for base in (1..count).map(|c| 10 * c) {
+            b.add_edge(acct(base - 10), acct(base), 1);
+        }
         b.build()
+    }
+
+    fn two_cliques() -> TxGraph {
+        cliques(2)
     }
 
     #[test]
@@ -239,6 +253,38 @@ mod tests {
             .map(|(name, h)| (name.clone(), h.count))
             .collect();
         assert_eq!(spans, [("txallo.allocate".to_string(), 3)]);
+    }
+
+    /// A refinement the round limit cut short counts one in
+    /// `txallo.refine_cut_short`; a converged one counts nothing.
+    #[test]
+    fn telemetry_counts_refinements_cut_short() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let counted = || {
+            let snapshot = recorder.snapshot();
+            let counters = snapshot.counters.iter();
+            counters
+                .map(|(name, value)| {
+                    assert_eq!(name, "txallo.refine_cut_short");
+                    *value
+                })
+                .sum::<u64>()
+        };
+        let partition = |rounds, graph: &TxGraph| {
+            let config = TxAlloConfig {
+                rounds,
+                ..TxAlloConfig::default()
+            };
+            GTxAllo::with_recorder(config, recorder.clone()).partition(graph, 2);
+        };
+        // Three cliques over two shards: the refinement moves an account
+        // in its first round, so one round leaves no round to confirm a
+        // fixed point.
+        let graph = cliques(3);
+        partition(TxAlloConfig::default().rounds, &graph);
+        assert_eq!(counted(), 0, "a converged refinement counts nothing");
+        partition(1, &graph);
+        assert_eq!(counted(), 1, "one round cannot reach the fixed point");
     }
 
     #[test]
@@ -314,7 +360,7 @@ mod tests {
         };
         let hash_parts: Vec<u16> = g
             .nodes()
-            .map(|v| DefaultRule::Sha256Mod.shard_of(g.account_of(v), 2).as_u16())
+            .map(|v| hash_shard(g.account_of(v), 2).as_u16())
             .collect();
         let allo_parts = GTxAllo::new(cfg).partition(&g, 2);
         assert!(

@@ -9,7 +9,7 @@
 //!
 //! [`AccountShardMap`] guarantees uniqueness structurally (it is a map) and
 //! completeness by resolving accounts without an explicit assignment through
-//! a deterministic [`DefaultRule`] — hash-based allocation, exactly how
+//! the deterministic [`hash_shard`] rule — hash-based allocation, exactly how
 //! conventional sharded blockchains place accounts that no allocation
 //! algorithm has touched yet.
 //!
@@ -25,8 +25,7 @@
 //! rule path.
 //!
 //! * [`AccountShardMap::assign`] and [`AccountShardMap::migrate`] write
-//!   through to the slot, and [`AccountShardMap::unassign`] clears it, so
-//!   a filled slot always equals ϕ(a).
+//!   through to the slot, so a filled slot always equals ϕ(a).
 //! * [`AccountShardMap::shard_of`] (`&self`) reads the slot first and falls
 //!   back to the map, then the rule; it never fills a slot.
 //! * [`AccountShardMap::resolve`] (`&mut self`) does the same and fills
@@ -40,43 +39,32 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::hash::{sha256_prefix_u64, FnvHashMap};
 use crate::ids::{AccountId, ShardId};
 
-/// Deterministic rule for accounts with no explicit assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum DefaultRule {
-    /// `SHA256(address) mod k` — Chainspace-style (the paper's "hash-based
-    /// random allocation" baseline).
-    #[default]
-    Sha256Mod,
-}
-
-impl DefaultRule {
-    /// Resolves `account` to a shard under `k` shards.
-    ///
-    /// The 20-byte address pads to a single SHA-256 block, so this is one
-    /// compression on the stack ([`sha256_prefix_u64`]'s one-block path)
-    /// and a reduction: no allocation, no hasher state, no digest bytes.
-    /// Through [`AccountShardMap::resolve`] it runs once per account below
-    /// [`AccountShardMap::TABLE_CAP`] — the first transaction endpoint
-    /// of that account in a Random cell, or a Pilot newcomer's first
-    /// read — not once per endpoint; a `LOOKUP` of an account nothing
-    /// has resolved yet and every id past the cap pay it per read.
-    pub fn shard_of(&self, account: AccountId, k: u16) -> ShardId {
-        debug_assert!(k > 0, "shard count must be positive");
-        let prefix = sha256_prefix_u64(&account.address_bytes());
-        ShardId::new((prefix % u64::from(k)) as u16)
-    }
+/// The shard of an account with no explicit assignment:
+/// `SHA256(address) mod k`, Chainspace's rule and the paper's "hash-based
+/// random allocation" baseline.
+///
+/// The 20-byte address pads to a single SHA-256 block, so this is one
+/// compression on the stack ([`sha256_prefix_u64`]'s one-block path)
+/// and a reduction: no allocation, no hasher state, no digest bytes.
+/// Through [`AccountShardMap::resolve`] it runs once per account below
+/// [`AccountShardMap::TABLE_CAP`] — the first transaction endpoint
+/// of that account in a Random cell, or a Pilot newcomer's first
+/// read — not once per endpoint; a `LOOKUP` of an account nothing
+/// has resolved yet and every id past the cap pay it per read.
+pub fn hash_shard(account: AccountId, k: u16) -> ShardId {
+    debug_assert!(k > 0, "shard count must be positive");
+    let prefix = sha256_prefix_u64(&account.address_bytes());
+    ShardId::new((prefix % u64::from(k)) as u16)
 }
 
 /// The account-shard mapping ϕ.
 ///
 /// A total function `A → [0, k)`: explicitly assigned accounts resolve to
-/// their assignment, all others through the [`DefaultRule`]. Every miner in
+/// their assignment, all others through [`hash_shard`]. Every miner in
 /// the paper stores exactly this object and updates it from the beacon chain
 /// during epoch reconfiguration.
 ///
@@ -103,13 +91,12 @@ impl DefaultRule {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct AccountShardMap {
     shards: u16,
     assigned: FnvHashMap<AccountId, ShardId>,
     /// Slot `a` holds ϕ(a) as a `u16`, or [`UNRESOLVED`]; ids at or past
     /// [`AccountShardMap::TABLE_CAP`] have no slot.
-    #[serde(skip)]
     table: Vec<u16>,
 }
 
@@ -130,7 +117,7 @@ impl AccountShardMap {
     pub const TABLE_CAP: u64 = 1 << 24;
 
     /// Creates an empty mapping over `shards` shards with the
-    /// [`DefaultRule::Sha256Mod`] fallback.
+    /// [`hash_shard`] fallback.
     ///
     /// # Panics
     ///
@@ -176,7 +163,7 @@ impl AccountShardMap {
     fn uncached_shard_of(&self, account: AccountId) -> ShardId {
         match self.assigned.get(&account) {
             Some(&s) => s,
-            None => DefaultRule::Sha256Mod.shard_of(account, self.shards),
+            None => hash_shard(account, self.shards),
         }
     }
 
@@ -235,16 +222,6 @@ impl AccountShardMap {
         let from = self.shard_of(account);
         self.assign(account, to)?;
         Ok(from)
-    }
-
-    /// Removes the explicit assignment of `account` (it falls back to the
-    /// default rule) and clears its table slot. Returns the removed shard,
-    /// if any.
-    pub fn unassign(&mut self, account: AccountId) -> Option<ShardId> {
-        if let Some(s) = slot(account).and_then(|i| self.table.get_mut(i)) {
-            *s = UNRESOLVED;
-        }
-        self.assigned.remove(&account)
     }
 
     /// Number of explicitly assigned accounts; accounts the rule
@@ -344,7 +321,7 @@ mod tests {
     fn unassigned_resolves_via_default_rule() {
         let phi = AccountShardMap::new(16);
         let a = AccountId::new(12345);
-        let expected = DefaultRule::Sha256Mod.shard_of(a, 16);
+        let expected = hash_shard(a, 16);
         assert_eq!(phi.shard_of(a), expected);
         assert!(!phi.is_assigned(a));
         assert_eq!(phi.explicit(a), None);
@@ -386,17 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn unassign_restores_default() {
-        let mut phi = AccountShardMap::new(8);
-        let a = AccountId::new(3);
-        let default = phi.shard_of(a);
-        phi.assign(a, ShardId::new(7)).unwrap();
-        assert_eq!(phi.unassign(a), Some(ShardId::new(7)));
-        assert_eq!(phi.shard_of(a), default);
-        assert_eq!(phi.unassign(a), None);
-    }
-
-    #[test]
     fn check_invariants_flags_a_stale_table_slot() {
         let mut phi = AccountShardMap::new(4);
         let (a, b) = (AccountId::new(0), AccountId::new(1));
@@ -424,7 +390,7 @@ mod tests {
         let wrong = (phi.shard_of(b).as_u16() + 1) % 4;
         phi.table[1] = wrong;
         assert!(phi.check_invariants().is_err());
-        phi.unassign(b);
+        phi.table[1] = UNRESOLVED;
         phi.check_invariants().unwrap();
         // An explicit assignment out of range.
         phi.assigned
@@ -438,7 +404,7 @@ mod tests {
     #[test]
     fn default_rules_match_pinned_shards() {
         const KS: [u16; 3] = [2, 16, 48];
-        // (account, Sha256Mod shard per k)
+        // (account, shard per k)
         #[rustfmt::skip]
         let pinned: [(u64, [u16; 3]); 32] = [
             (0x0, [0, 12, 28]),
@@ -478,9 +444,9 @@ mod tests {
             let a = AccountId::new(account);
             for (i, k) in KS.into_iter().enumerate() {
                 assert_eq!(
-                    DefaultRule::Sha256Mod.shard_of(a, k),
+                    hash_shard(a, k),
                     ShardId::new(modulo[i]),
-                    "Sha256Mod, account {account:#x}, k = {k}"
+                    "account {account:#x}, k = {k}"
                 );
             }
         }
@@ -489,15 +455,14 @@ mod tests {
     #[test]
     fn hash_rules_spread_accounts_roughly_evenly() {
         let k = 8u16;
-        let rule = DefaultRule::Sha256Mod;
         let mut counts = vec![0usize; usize::from(k)];
         for i in 0..8000u64 {
-            counts[rule.shard_of(AccountId::new(i), k).index()] += 1;
+            counts[hash_shard(AccountId::new(i), k).index()] += 1;
         }
         let expected = 1000.0;
         for c in counts {
             let dev = (c as f64 - expected).abs() / expected;
-            assert!(dev < 0.15, "rule {rule:?} too skewed: {c} vs {expected}");
+            assert!(dev < 0.15, "too skewed: {c} vs {expected}");
         }
     }
 
@@ -567,7 +532,7 @@ mod tests {
         fn shard_of(&self, id: u64) -> ShardId {
             match self.assigned.get(&id) {
                 Some(&s) => ShardId::new(s),
-                None => DefaultRule::Sha256Mod.shard_of(AccountId::new(id), self.k),
+                None => hash_shard(AccountId::new(id), self.k),
             }
         }
 
@@ -606,7 +571,7 @@ mod tests {
         fn prop_table_matches_reference_model(
             k_pick in 0usize..4,
             ops in proptest::collection::vec(
-                (0u8..7, 0usize..EDGE_IDS.len(), 0u16..8, any::<u16>()),
+                (0u8..6, 0usize..EDGE_IDS.len(), 0u16..8, any::<u16>()),
                 1..24,
             ),
         ) {
@@ -637,13 +602,9 @@ mod tests {
                         prop_assert_eq!(from, model.shard_of(id));
                         model.assigned.insert(id, shard);
                     }
-                    2 => {
-                        let removed = phi.unassign(a);
-                        prop_assert_eq!(removed, model.assigned.remove(&id).map(ShardId::new));
-                    }
-                    3 => prop_assert_eq!(phi.resolve(a), model.shard_of(id)),
-                    4 => prop_assert_eq!(phi.shard_of(a), model.shard_of(id)),
-                    5 => {
+                    2 => prop_assert_eq!(phi.resolve(a), model.shard_of(id)),
+                    3 => prop_assert_eq!(phi.shard_of(a), model.shard_of(id)),
+                    4 => {
                         let next = EDGE_IDS[(pick + 1) % EDGE_IDS.len()];
                         let other = raw.wrapping_add(1) % k;
                         phi.extend_assignments([
@@ -689,10 +650,9 @@ mod tests {
         /// The default rule is deterministic and in-range for any k.
         #[test]
         fn prop_default_rules_in_range(account in any::<u64>(), k in 1u16..128) {
-            let rule = DefaultRule::Sha256Mod;
-            let s = rule.shard_of(AccountId::new(account), k);
+            let s = hash_shard(AccountId::new(account), k);
             prop_assert!(s.index() < usize::from(k));
-            prop_assert_eq!(s, rule.shard_of(AccountId::new(account), k));
+            prop_assert_eq!(s, hash_shard(AccountId::new(account), k));
         }
 
         /// Migration always reports the pre-move shard and lands on target.

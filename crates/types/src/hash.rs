@@ -27,7 +27,7 @@
 //! nobody can set correctly for a host they have not seen, and it would
 //! double the configurations the tests must cover.
 //!
-//! [`sha256_prefix_u64`] — what [`DefaultRule::shard_of`] and β-sampling
+//! [`sha256_prefix_u64`] — what [`hash_shard`] and β-sampling
 //! call — takes a one-block path for messages of at most 55 bytes: pad
 //! on the stack, one `compress_block` from the initial state, read the
 //! first two state words. No [`Sha256`], no 32-byte digest.
@@ -37,7 +37,7 @@
 //! the simulator (account → shard, account → counterparty counts). FNV is a
 //! good fit because all keys are small integers.
 //!
-//! [`DefaultRule::shard_of`]: crate::DefaultRule::shard_of
+//! [`hash_shard`]: crate::hash_shard
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

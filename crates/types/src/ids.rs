@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an account (an address in the paper's account-based model).
 ///
 /// The paper identifies accounts by their 160-bit Ethereum address; in the
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.as_u64(), 42);
 /// assert_eq!(format!("{a}"), "acct:0x000000000000002a");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AccountId(u64);
 
 impl AccountId {
@@ -70,9 +66,7 @@ impl From<u64> for AccountId {
 /// The paper numbers shards `1..=k`; we use the conventional zero-based
 /// range `0..k` internally and render one-based in `Display` to match the
 /// paper's figures.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ShardId(u16);
 
 impl ShardId {
@@ -117,9 +111,7 @@ impl From<u16> for ShardId {
 }
 
 /// Height of a block in the transaction trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BlockHeight(u64);
 
 impl BlockHeight {
@@ -162,9 +154,7 @@ impl From<u64> for BlockHeight {
 }
 
 /// Identifier of an epoch (a window of `τ` beacon-chain blocks, §III-B1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EpochId(u64);
 
 impl EpochId {
@@ -197,9 +187,7 @@ impl From<u64> for EpochId {
 }
 
 /// Identifier of a transaction within a trace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TxId(u64);
 
 impl TxId {

@@ -9,8 +9,7 @@
 //! and cache-friendly sequential access.
 //!
 //! [`AccountInterner`] assigns dense ids in first-seen order (which makes
-//! interning deterministic for a deterministic input order) and can
-//! optionally keep the reverse `u32 → AccountId` map for reporting.
+//! interning deterministic for a deterministic input order).
 
 use crate::hash::FnvHashMap;
 use crate::ids::AccountId;
@@ -22,36 +21,23 @@ use crate::ids::AccountId;
 /// ```
 /// use mosaic_types::{AccountId, AccountInterner};
 ///
-/// let mut interner = AccountInterner::with_reverse();
+/// let mut interner = AccountInterner::new();
 /// let a = interner.intern(AccountId::new(0xdead_beef));
 /// let b = interner.intern(AccountId::new(7));
 /// assert_eq!((a, b), (0, 1));
 /// // Interning is idempotent.
 /// assert_eq!(interner.intern(AccountId::new(0xdead_beef)), 0);
 /// assert_eq!(interner.len(), 2);
-/// // The optional reverse map recovers the raw id.
-/// assert_eq!(interner.resolve(1), Some(AccountId::new(7)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AccountInterner {
     map: FnvHashMap<AccountId, u32>,
-    reverse: Option<Vec<AccountId>>,
 }
 
 impl AccountInterner {
-    /// An empty interner without a reverse map (forward-only: smallest
-    /// footprint, `resolve` always returns `None`).
+    /// An empty interner.
     pub fn new() -> Self {
         AccountInterner::default()
-    }
-
-    /// An empty interner that also records the reverse `u32 → AccountId`
-    /// map (one extra `Vec<AccountId>`, 8 bytes per distinct account).
-    pub fn with_reverse() -> Self {
-        AccountInterner {
-            map: FnvHashMap::default(),
-            reverse: Some(Vec::new()),
-        }
     }
 
     /// Returns the dense id of `account`, assigning the next free one on
@@ -62,28 +48,12 @@ impl AccountInterner {
     /// Panics if more than `u32::MAX` distinct accounts are interned.
     pub fn intern(&mut self, account: AccountId) -> u32 {
         let next = u32::try_from(self.map.len()).expect("more than u32::MAX distinct accounts");
-        match self.map.entry(account) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(next);
-                if let Some(reverse) = &mut self.reverse {
-                    reverse.push(account);
-                }
-                next
-            }
-        }
+        *self.map.entry(account).or_insert(next)
     }
 
     /// The dense id of `account`, if it has been interned.
     pub fn get(&self, account: AccountId) -> Option<u32> {
         self.map.get(&account).copied()
-    }
-
-    /// The raw account behind dense id `id`. Returns `None` when the
-    /// interner was built without a reverse map ([`AccountInterner::new`])
-    /// or `id` has not been assigned.
-    pub fn resolve(&self, id: u32) -> Option<AccountId> {
-        self.reverse.as_ref()?.get(id as usize).copied()
     }
 
     /// Number of distinct accounts interned so far (equals the next free
@@ -112,25 +82,5 @@ mod tests {
         assert_eq!(i.len(), 3);
         assert_eq!(i.get(AccountId::new(77)), Some(2));
         assert_eq!(i.get(AccountId::new(4)), None);
-    }
-
-    #[test]
-    fn reverse_map_roundtrips() {
-        let mut i = AccountInterner::with_reverse();
-        for raw in [5u64, 1, 5, 9] {
-            i.intern(AccountId::new(raw));
-        }
-        for id in 0..i.len() as u32 {
-            let account = i.resolve(id).unwrap();
-            assert_eq!(i.get(account), Some(id));
-        }
-        assert_eq!(i.resolve(3), None);
-    }
-
-    #[test]
-    fn forward_only_interner_never_resolves() {
-        let mut i = AccountInterner::new();
-        i.intern(AccountId::new(1));
-        assert_eq!(i.resolve(0), None);
     }
 }

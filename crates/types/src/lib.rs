@@ -47,7 +47,7 @@ pub mod migration;
 pub mod params;
 pub mod transaction;
 
-pub use allocation::{AccountShardMap, DefaultRule};
+pub use allocation::{hash_shard, AccountShardMap};
 pub use error::{Error, Result};
 pub use ids::{AccountId, BlockHeight, EpochId, ShardId, TxId};
 pub use interner::AccountInterner;

@@ -10,8 +10,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::ids::{AccountId, EpochId, ShardId};
 
@@ -34,7 +32,7 @@ use crate::ids::{AccountId, EpochId, ShardId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRequest {
     /// The migrating account ν.
     pub account: AccountId,

@@ -1,7 +1,5 @@
 //! System parameters of the sharded blockchain model (§III-A2, §V-A).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// How the per-shard processing capacity `λ` is determined each epoch.
@@ -10,7 +8,7 @@ use crate::error::{Error, Result};
 /// divided evenly across shards — "to avoid extremely overloaded or
 /// underloaded cases" (§V-A). A fixed capacity is also supported for
 /// ablations and unit tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LambdaPolicy {
     /// `λ = |T_epoch| / k`, recomputed every epoch (the paper's setting).
     #[default]
@@ -57,7 +55,7 @@ impl LambdaPolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
     shards: u16,
     eta: f64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AccountId, BlockHeight, TxId};
 
 /// Category of a transaction.
@@ -12,7 +10,7 @@ use crate::ids::{AccountId, BlockHeight, TxId};
 /// the workload generator distinguishes plain transfers from contract calls
 /// so that hub accounts (DEX routers, token contracts) receive realistic
 /// traffic shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TxKind {
     /// Plain value transfer between two externally-owned accounts.
     #[default]
@@ -50,7 +48,7 @@ impl fmt::Display for TxKind {
 /// assert_eq!(tx.accounts().count(), 2);
 /// assert!(!tx.is_self_transfer());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transaction {
     /// Unique id within the trace (assigned in trace order).
     pub id: TxId,

@@ -1,7 +1,6 @@
 //! Workload generator configuration.
 
 use mosaic_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic Ethereum-like trace generator.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = WorkloadConfig::paper_scaled(7).with_accounts(10_000);
 /// assert_eq!(cfg.initial_accounts, 10_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of accounts existing at block 0.
     pub initial_accounts: usize,

@@ -72,7 +72,7 @@ fn main() -> Result<(), mosaic::types::Error> {
 
     // The same protocol, declaratively: one serializable spec drives
     // trace generation, the 90/10 split, initial allocation, the epoch
-    // loop, and metric collection. Save it with `scenario.save(path)`
+    // loop, and metric collection. Write `scenario.to_text()` to a file
     // and replay it from any binary with `--scenario <path>`.
     let quick = Scenario::load(concat!(
         env!("CARGO_MANIFEST_DIR"),

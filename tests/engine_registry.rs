@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use mosaic::metrics::EpochCsvWriter;
 use mosaic::prelude::*;
 use mosaic::sim::engine::{self, History};
 use mosaic::telemetry::Recorder;
@@ -33,6 +34,15 @@ fn quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> Simulation {
 
 fn run_quick_cell(strategy: Strategy, trace: &Arc<TransactionTrace>) -> GridCell {
     quick_cell(strategy, trace).run().unwrap().remove(0)
+}
+
+/// A collected cell's rows as the per-epoch CSV the runners write.
+fn collected_csv(cell: &GridCell) -> String {
+    let mut writer = EpochCsvWriter::new(Vec::new()).unwrap();
+    for row in &cell.per_epoch {
+        writer.write_epoch(row).unwrap();
+    }
+    String::from_utf8(writer.finish().unwrap()).unwrap()
 }
 
 #[test]
@@ -64,6 +74,31 @@ fn every_registry_strategy_yields_valid_shards_for_all_accounts() {
     }
 }
 
+/// Each strategy's three protocol flags, pinned:
+/// `(is_client_driven, needs_training_graph, consumes_history)`. Random
+/// reads no graph and keeps no history, which is the memory bound the
+/// million-account scenarios rely on; Pilot builds its own graph from
+/// its clients' histories.
+#[test]
+fn every_registry_strategy_declares_its_protocol_flags() {
+    let params = quick().base.with_shards(4).unwrap();
+    for strategy in Strategy::ALL {
+        let expected = match strategy {
+            Strategy::Mosaic => (true, false, false),
+            Strategy::GTxAllo | Strategy::Metis => (false, true, true),
+            Strategy::ATxAllo => (false, true, false),
+            Strategy::Random => (false, false, false),
+        };
+        let built = strategy.build(params);
+        let flags = (
+            built.is_client_driven(),
+            built.needs_training_graph(),
+            built.consumes_history(),
+        );
+        assert_eq!(flags, expected, "{strategy}");
+    }
+}
+
 #[test]
 fn full_runs_stay_within_shard_bounds_for_every_strategy() {
     let quick = quick();
@@ -85,7 +120,7 @@ fn full_runs_stay_within_shard_bounds_for_every_strategy() {
 #[test]
 fn streamed_cell_matches_collected_cell() {
     // `Simulation::stream_cell` (rows straight to a sink) must write
-    // exactly the bytes `GridCell::to_csv` renders from the collected
+    // exactly the bytes `EpochCsvWriter` renders from the collected
     // rows, and report a bit-identical aggregate.
     let trace = Arc::new(generate(quick().workload().unwrap()).into_trace());
     for strategy in Strategy::ALL {
@@ -95,7 +130,7 @@ fn streamed_cell_matches_collected_cell() {
         let summary = sim.stream_cell(&sim.cells()[0], &mut bytes).unwrap();
         assert_eq!(
             String::from_utf8(bytes).unwrap(),
-            collected.to_csv(),
+            collected_csv(&collected),
             "{strategy}"
         );
         assert_eq!(summary.aggregate, collected.summary.aggregate, "{strategy}");
@@ -143,7 +178,7 @@ fn parallel_grid_output_is_byte_identical_to_sequential() {
                     c.param_label,
                     c.config.strategy,
                     c.summary.total_migrations,
-                    c.to_csv()
+                    collected_csv(c)
                 )
             })
             .collect()
