@@ -31,12 +31,18 @@
 //! change, exactly: the contraction is one O(E) pass that merges each
 //! coarse row in place and keeps it in first-touch order
 //! (`finish_coarsen`), and refinement re-scores only the nodes that can
-//! still move (`refine`). The per-entry loops take no branch the data
-//! decides: the contraction writes every entry the same way, whether
-//! its coarse neighbour is new to the row or not; matching keeps the
-//! best neighbour as one integer key; refinement sums a node's
-//! connectivity per part in a [`DenseHistogram`] and reads only the
-//! parts its neighbours are in. Rows are in ascending neighbour order
+//! still move (`refine`): each evaluation that keeps a node in place
+//! records by how much its own part out-connects the next best, each
+//! neighbour's move charges that margin what the move can cost it, and
+//! the node is scored again only once the margin is spent, so a hub's
+//! wide margin outlasts most of its neighbours' moves. The per-entry
+//! loops take no branch the data decides: the contraction writes every
+//! entry the same way, whether its coarse neighbour is new to the row
+//! or not; matching keeps the best neighbour as one integer key;
+//! refinement sums a node's connectivity per part in a
+//! [`DenseHistogram`], reads only the parts its neighbours are in, and
+//! charges a mover's neighbours by arithmetic on the two parts' ids
+//! rather than by a branch. Rows are in ascending neighbour order
 //! only at level 0, the [`TxGraph`]'s own; no phase depends on row
 //! order, because every tie is broken by an explicit id or part-weight
 //! rule and every score is an integer sum.
@@ -89,8 +95,10 @@ impl Default for MetisConfig {
 /// [`MetisConfig`].
 ///
 /// It takes [`mosaic_telemetry::global`] at construction: each
-/// [`GlobalAllocator::allocate`] records a `partition.allocate` span
-/// (one branch when telemetry is off).
+/// [`GlobalAllocator::allocate`] records a `partition.allocate` span,
+/// and each partition that refines adds the nodes its refinement scored,
+/// over every level, to the `partition.nodes_refined` counter (one
+/// branch each when telemetry is off).
 #[derive(Debug, Clone)]
 pub struct MetisPartitioner {
     config: MetisConfig,
@@ -185,7 +193,7 @@ impl MetisPartitioner {
         let mut parts = initial_partition(coarsest, k);
         let max_allowed = max_part_weight(coarsest.total_weight(), k, self.config.balance_factor);
         rebalance(coarsest, &mut parts, k, max_allowed);
-        refine(
+        let mut refined = refine(
             coarsest,
             &mut parts,
             k,
@@ -204,8 +212,9 @@ impl MetisPartitioner {
             parts = fine_parts;
             let max_allowed = max_part_weight(fine.total_weight(), k, self.config.balance_factor);
             rebalance(fine, &mut parts, k, max_allowed);
-            refine(fine, &mut parts, k, max_allowed, self.config.refine_passes);
+            refined += refine(fine, &mut parts, k, max_allowed, self.config.refine_passes);
         }
+        self.recorder.add("partition.nodes_refined", refined);
 
         parts
     }
@@ -593,22 +602,34 @@ fn rebalance(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64)
 /// FM-style greedy boundary refinement: repeatedly move each node to the
 /// part it is most connected to (ties to the lighter part), when the
 /// move has positive cut gain (or zero gain but improves balance) and
-/// respects the balance bound.
+/// respects the balance bound. Returns the number of nodes it scored.
 ///
 /// The first pass moves most of what will move and the passes after it
 /// a shrinking handful, so a node is re-scored only while it can still
-/// move — exactly, not heuristically. Call a node *settled* once an
-/// evaluation found its own part strictly better connected than every
-/// other part (`conn[cur] > conn[p]` for all `p ≠ cur`). Every move open
-/// to it then has negative gain, which is refused whatever the part
-/// weights are, so other nodes' moves can change the verdict only
-/// through its `conn`. That depends only on its neighbours' parts (its
-/// own part stays while it does not move), so it stays what the
-/// evaluation saw until a neighbour moves. Re-scoring a settled node
-/// would therefore return "no move": skipping it changes no move, no
-/// per-pass move count and no pass count. A move un-settles the mover's
-/// neighbours — its own row, since the graph is symmetric.
-fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, passes: usize) {
+/// move — exactly, not heuristically. An evaluation that finds the
+/// node's own part strictly better connected than every other part
+/// records its *margin*, `conn[cur] − max_{p ≠ cur} conn[p] > 0`. While
+/// the margin is positive every move open to the node has negative gain,
+/// which is refused whatever the part weights are, so other nodes' moves
+/// can change the verdict only through its `conn`. That depends only on
+/// its neighbours' parts (its own part stays while it does not move).
+/// When a neighbour joined by an edge of weight `w` moves from part `a`
+/// to part `b`, `conn[a]` falls by `w` and `conn[b]` rises by `w`, so
+/// the margin falls by at most `2w` if the node sits in `a`, by nothing
+/// if it sits in `b`, and by at most `w` otherwise; the stored margin
+/// is lowered by exactly that, never below 0, and so never exceeds the
+/// true one. Re-scoring a node with a positive stored margin would
+/// therefore return "no move": skipping it changes no move, no per-pass
+/// move count and no pass count. A hub's wide margin absorbs many of
+/// its neighbours' moves before it is scored again. A move charges the
+/// mover's neighbours — its own row, since the graph is symmetric.
+fn refine(
+    graph: &WorkGraph<'_>,
+    parts: &mut [u16],
+    k: u16,
+    max_allowed: u64,
+    passes: usize,
+) -> u64 {
     let n = graph.len();
     let kk = usize::from(k);
     let mut part_weight = vec![0u64; kk];
@@ -617,13 +638,15 @@ fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, pa
     }
 
     let mut conn = DenseHistogram::new(kk);
-    let mut settled = vec![false; n];
+    let mut margin = vec![0u64; n];
+    let mut scored = 0u64;
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
-            if settled[v] || graph.degree(v) == 0 {
+            if margin[v] > 0 || graph.degree(v) == 0 {
                 continue;
             }
+            scored += 1;
             let cur = usize::from(parts[v]);
             conn.add_all(
                 graph
@@ -647,7 +670,7 @@ fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, pa
             let (best_p, best_conn) = best.unwrap_or((cur, 0));
             // `best_conn` is the largest other connectivity.
             if own > best_conn {
-                settled[v] = true;
+                margin[v] = own - best_conn;
                 continue;
             }
             if best_p == cur {
@@ -661,8 +684,11 @@ fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, pa
                 part_weight[best_p] += graph.vwgt[v];
                 parts[v] = best_p as u16;
                 moved += 1;
-                for (nb, _) in graph.nbrs(v) {
-                    settled[nb as usize] = false;
+                let (from, to) = (cur as u16, best_p as u16);
+                for (nb, w) in graph.nbrs(v) {
+                    let p = parts[nb as usize];
+                    let loss = w * (1 + u64::from(p == from) - u64::from(p == to));
+                    margin[nb as usize] = margin[nb as usize].saturating_sub(loss);
                 }
             }
         }
@@ -670,6 +696,7 @@ fn refine(graph: &WorkGraph<'_>, parts: &mut [u16], k: u16, max_allowed: u64, pa
             break;
         }
     }
+    scored
 }
 
 #[cfg(test)]
@@ -1034,6 +1061,82 @@ mod tests {
         assert_ne!(cut, free, "two passes must not reach the fixed point");
     }
 
+    /// A hub's margin outlasts one neighbour's move. Hub `h` (node 0)
+    /// and its six leaves sit in part 0; `y` and `z` in part 1. Pass 1
+    /// (9 evaluations): `h` keeps part 0 with margin 6; leaf 1, pulled
+    /// by `y`, moves to part 1, which charges `h` 2 of its 6. Pass 2
+    /// scores leaf 1 alone and moves nothing, 10 evaluations in all; a
+    /// rule that re-scored every neighbour of a mover would score `h`
+    /// again, 11 in all.
+    #[test]
+    fn a_hubs_margin_outlasts_a_neighbours_move() {
+        let (h, y, z) = (0u64, 7, 8);
+        let mut b = GraphBuilder::new();
+        for leaf in 1..=6 {
+            b.add_edge(acct(h), acct(leaf), 1);
+        }
+        b.add_edge(acct(1), acct(y), 5);
+        b.add_edge(acct(y), acct(z), 10);
+        let tx_graph = b.build();
+        let g = WorkGraph::from_tx_graph(&tx_graph);
+        let parts: Vec<u16> = (0..9).map(|v| u16::from(v >= 7)).collect();
+        let total = g.total_weight();
+        let mut expected = parts.clone();
+        let (_, passes_run, _) = reference_refine(&g, &mut expected, 2, total, 8);
+        assert_eq!(passes_run, 2);
+        assert_eq!(expected[1], 1, "leaf 1 follows y");
+        let mut got = parts;
+        assert_eq!(refine(&g, &mut got, 2, total, 8), 10);
+        assert_eq!(got, expected);
+    }
+
+    /// `partition.nodes_refined` adds, per partition, the nodes every
+    /// level's refinement scored; a partition that does not refine adds
+    /// nothing. [`clique_chain`]`(2, 8)` is too small to coarsen, so the
+    /// count is one `refine` call's.
+    #[test]
+    fn telemetry_counts_nodes_refined() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let metis = MetisPartitioner::with_recorder(MetisConfig::default(), recorder.clone());
+        let tx_graph = clique_chain(2, 8);
+        let g = WorkGraph::from_tx_graph(&tx_graph);
+        let config = MetisConfig::default();
+        let max_allowed = max_part_weight(g.total_weight(), 2, config.balance_factor);
+        let mut parts = initial_partition(&g, 2);
+        rebalance(&g, &mut parts, 2, max_allowed);
+        let scored = refine(&g, &mut parts, 2, max_allowed, config.refine_passes);
+        assert!(scored >= g.len() as u64);
+
+        assert_eq!(metis.partition(&tx_graph, 2), parts);
+        metis.partition(&tx_graph, 1);
+        metis.partition(&TxGraph::default(), 2);
+        let counted = || recorder.counter("partition.nodes_refined").value();
+        assert_eq!(counted(), scored);
+        metis.partition(&tx_graph, 2);
+        assert_eq!(counted(), 2 * scored);
+    }
+
+    /// Four hubs, each trading with the members of two of five
+    /// communities of twelve (`spokes`: hub, which of its two, member,
+    /// weight), plus edges inside the communities (`intra`: community,
+    /// two members, weight): a hub's many neighbours share few parts.
+    fn hub_heavy_graph(
+        spokes: &[(u64, u64, u64, u64)],
+        intra: &[(u64, u64, u64, u64)],
+    ) -> WorkGraph<'static> {
+        let member = |c: u64, i: u64| c * 12 + i;
+        let mut edges: Vec<(u64, u64, u64)> = spokes
+            .iter()
+            .map(|&(h, side, i, w)| (1000 + h, member((h + side) % 5, i), w))
+            .collect();
+        edges.extend(
+            intra
+                .iter()
+                .map(|&(c, i, j, w)| (member(c, i), member(c, j), w)),
+        );
+        work_graph(&edges)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Node for node, on arbitrary graphs and initial parts, balance
@@ -1053,6 +1156,25 @@ mod tests {
             }
             let g = b.build();
             let g = WorkGraph::from_tx_graph(&g);
+            let parts: Vec<u16> = part_keys[..g.len()].iter().map(|p| p % k).collect();
+            let max_allowed = g.total_weight() * bound_pct / (100 * u64::from(k));
+            refine_against_reference(&g, &parts, k, max_allowed, passes);
+        }
+
+        /// [`prop_refine_equals_every_node_reference`] on
+        /// [`hub_heavy_graph`]s, where a hub's margin absorbs many of its
+        /// neighbours' moves, for k up to 16.
+        #[test]
+        fn prop_refine_equals_every_node_reference_on_hub_heavy_graphs(
+            spokes in proptest::collection::vec((0u64..4, 0u64..2, 0u64..12, 1u64..6), 40..200),
+            intra in proptest::collection::vec((0u64..5, 0u64..12, 0u64..12, 1u64..4), 0..150),
+            part_keys in proptest::collection::vec(any::<u16>(), 70),
+            k_idx in 0usize..3,
+            bound_pct in 50u64..400,
+            passes in 0usize..=8,
+        ) {
+            let g = hub_heavy_graph(&spokes, &intra);
+            let k = [2u16, 4, 16][k_idx];
             let parts: Vec<u16> = part_keys[..g.len()].iter().map(|p| p % k).collect();
             let max_allowed = g.total_weight() * bound_pct / (100 * u64::from(k));
             refine_against_reference(&g, &parts, k, max_allowed, passes);

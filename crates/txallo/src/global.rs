@@ -34,10 +34,11 @@ use crate::sweep;
 /// the full ledger, the cost Table VI charges as `O(|T|)`.
 ///
 /// It takes [`mosaic_telemetry::global`] at construction: each
-/// [`GlobalAllocator::allocate`] records a `txallo.allocate` span, and
-/// each refinement the round limit cuts short adds one to the
-/// `txallo.refine_cut_short` counter (one branch each when telemetry is
-/// off).
+/// [`GlobalAllocator::allocate`] records a `txallo.allocate` span; each
+/// community detection adds the accounts it scored to
+/// `txallo.nodes_scored`; and each detection or refinement the round
+/// limit cuts short adds one to `txallo.detect_cut_short` or
+/// `txallo.refine_cut_short` (one branch each when telemetry is off).
 #[derive(Debug, Clone)]
 pub struct GTxAllo {
     config: TxAlloConfig,
@@ -101,11 +102,15 @@ impl GTxAllo {
         let order = sweep::busiest_first(graph);
 
         // --- Phase 1: community detection ---------------------------------
-        let communities =
-            sweep::detect_communities(graph, &dv, &order, capacity, self.config.rounds);
+        let detection = sweep::detect_communities(graph, &dv, &order, capacity, self.config.rounds);
+        self.recorder
+            .add("txallo.nodes_scored", detection.nodes_scored);
+        if !detection.converged {
+            self.recorder.add("txallo.detect_cut_short", 1);
+        }
 
         // --- Phase 2: LPT community-to-shard mapping -----------------------
-        let mut parts = map_communities_lpt(&communities, &dv, k);
+        let mut parts = map_communities_lpt(&detection.communities, &dv, k);
 
         // --- Phase 3: account-level refinement -----------------------------
         let mut load = vec![0.0f64; kk];
@@ -260,16 +265,7 @@ mod tests {
     #[test]
     fn telemetry_counts_refinements_cut_short() {
         let recorder = mosaic_telemetry::Recorder::enabled();
-        let counted = || {
-            let snapshot = recorder.snapshot();
-            let counters = snapshot.counters.iter();
-            counters
-                .map(|(name, value)| {
-                    assert_eq!(name, "txallo.refine_cut_short");
-                    *value
-                })
-                .sum::<u64>()
-        };
+        let counted = || recorder.counter("txallo.refine_cut_short").value();
         let partition = |rounds, graph: &TxGraph| {
             let config = TxAlloConfig {
                 rounds,
@@ -285,6 +281,55 @@ mod tests {
         assert_eq!(counted(), 0, "a converged refinement counts nothing");
         partition(1, &graph);
         assert_eq!(counted(), 1, "one round cannot reach the fixed point");
+    }
+
+    /// Community detection the round limit cut short counts one in
+    /// `txallo.detect_cut_short`; a converged one counts nothing.
+    #[test]
+    fn telemetry_counts_detections_cut_short() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let counted = || recorder.counter("txallo.detect_cut_short").value();
+        let partition = |rounds| {
+            let config = TxAlloConfig {
+                rounds,
+                ..TxAlloConfig::default()
+            };
+            GTxAllo::with_recorder(config, recorder.clone()).partition(&cliques(3), 2);
+        };
+        // Round 1 gathers every clique's accounts, so one round leaves no
+        // round to confirm a fixed point.
+        partition(TxAlloConfig::default().rounds);
+        assert_eq!(counted(), 0, "a converged detection counts nothing");
+        partition(1);
+        assert_eq!(counted(), 1, "one round cannot reach the fixed point");
+    }
+
+    /// `txallo.nodes_scored` adds, per partition, the evaluations its
+    /// community detection made; a graph too small to detect on adds
+    /// nothing.
+    #[test]
+    fn telemetry_counts_nodes_scored() {
+        let recorder = mosaic_telemetry::Recorder::enabled();
+        let allo = GTxAllo::with_recorder(TxAlloConfig::default(), recorder.clone());
+        let graph = cliques(3);
+        let dv: Vec<f64> = graph
+            .nodes()
+            .map(|v| graph.node_weight(v).max(1) as f64)
+            .collect();
+        let capacity = allo.config.capacity_slack * dv.iter().sum::<f64>() / 2.0;
+        let order = sweep::busiest_first(&graph);
+        let rounds = allo.config.rounds;
+        let detection = sweep::detect_communities(&graph, &dv, &order, capacity, rounds);
+        assert!(detection.nodes_scored >= graph.node_count() as u64);
+
+        allo.partition(&graph, 2);
+        allo.partition(&graph, 1);
+        allo.partition(&TxGraph::default(), 2);
+        let counted = recorder.counter("txallo.nodes_scored").value();
+        assert_eq!(counted, detection.nodes_scored);
+        allo.partition(&graph, 2);
+        let counted = recorder.counter("txallo.nodes_scored").value();
+        assert_eq!(counted, 2 * detection.nodes_scored);
     }
 
     #[test]

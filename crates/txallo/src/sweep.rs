@@ -13,9 +13,12 @@
 //! histogram drains, with no copy of it; and that both kernels score
 //! only what can change a decision, each by an exact rule:
 //!
-//! - community detection parks an account the cap turned away on each
-//!   community that turned it away, until that community loses a member
-//!   or a neighbour moves ([`detect_communities`]);
+//! - community detection re-scores an account only once its neighbours'
+//!   moves have spent its *margin*, the lead its verdict held by over
+//!   every admissible other community, so a hub's wide margin outlasts
+//!   most of its neighbours' moves; an account the cap turned away is
+//!   parked on each community that turned it away, until that community
+//!   loses enough weight to fit it ([`detect_communities`]);
 //! - refinement skips a *glued* account, one whose shard strictly
 //!   out-connects every other shard and is not overloaded, until a
 //!   neighbour moves ([`objective_refine`]);
@@ -226,9 +229,17 @@ pub(crate) fn objective_refine(
 /// End of a [`Parked`] list.
 const NIL: u32 = u32::MAX;
 
+/// `true` if a node of weight `dv` fits a community of weight `weight`
+/// under the cap: the one expression both the exclusion test of
+/// [`commit_community_move`] and [`Parked::wake`] evaluate, so `f64`
+/// rounding cannot split them.
+fn fits(weight: f64, dv: f64, capacity: f64) -> bool {
+    weight + dv <= capacity
+}
+
 /// The nodes parked on each community, as flat singly linked lists: one
 /// head per community and one `(node, next)` arena shared by all lists.
-/// A woken list's slots are not reused: the arena only grows, by at most
+/// A woken node's slot is not reused: the arena only grows, by at most
 /// one slot per capped entry evaluated (a few slots per node in
 /// practice).
 struct Parked {
@@ -250,12 +261,20 @@ impl Parked {
         self.head[c as usize] = (self.arena.len() - 1) as u32;
     }
 
-    /// Un-settles every node parked on `c` and empties its list.
-    fn wake(&mut self, c: u32, settled: &mut [bool]) {
-        let mut slot = std::mem::replace(&mut self.head[c as usize], NIL);
+    /// Community `c`, now weighing `weight`, lost a member: zeroes the
+    /// margin of every node parked on it that now fits, so each is
+    /// scored again, and keeps the rest parked on it.
+    fn wake(&mut self, c: u32, weight: f64, dv: &[f64], capacity: f64, margin: &mut [u64]) {
+        let head = &mut self.head[c as usize];
+        let mut slot = std::mem::replace(head, NIL);
         while slot != NIL {
             let (v, next) = self.arena[slot as usize];
-            settled[v as usize] = false;
+            if fits(weight, dv[v as usize], capacity) {
+                margin[v as usize] = 0;
+            } else {
+                self.arena[slot as usize].1 = *head;
+                *head = slot;
+            }
             slot = next;
         }
     }
@@ -278,9 +297,16 @@ fn score_communities(graph: &TxGraph, comm: &[u32], v: usize, hist: &mut DenseHi
 /// `hist`: adopt the most-connected other community that fits under the
 /// cap (ties to the lower community id), when strictly better-connected
 /// than the current one, and park `v` on every community the cap
-/// excluded. Returns the community `v` left, if it moved.
-/// Order-independent over the entries (total order comparator), so the
-/// histogram's entry order never leaks into the result.
+/// excluded. Order-independent over the entries (total order
+/// comparator), so the histogram's entry order never leaks into the
+/// result.
+///
+/// Returns `v`'s margin plus one (ties stay put, so a margin of 0 still
+/// holds the verdict): its own community's connectivity minus the best
+/// admissible other one's, `own − best + 1`, if it stayed; if it moved
+/// with connectivity `cw`, `cw − max(second, own) + 1`, where `second`
+/// is the runner-up admissible community and `own` the community it
+/// left, counted whether or not that one now fits.
 fn commit_community_move(
     v: usize,
     hist: &mut DenseHistogram,
@@ -289,61 +315,85 @@ fn commit_community_move(
     comm: &mut [u32],
     comm_weight: &mut [f64],
     parked: &mut Parked,
-) -> Option<u32> {
+) -> u64 {
     let own = comm[v];
     let mut own_conn = 0u64;
     let mut best: Option<(u32, u64)> = None;
+    let mut second = 0u64;
     hist.drain(|c, cw| {
         if c == own {
             own_conn = cw;
-        } else if comm_weight[c as usize] + dv[v] > capacity {
+        } else if !fits(comm_weight[c as usize], dv[v], capacity) {
             parked.park(c, v as u32);
         } else if best.is_none_or(|(bc, bw)| cw > bw || (cw == bw && c < bc)) {
+            second = second.max(best.map_or(0, |(_, bw)| bw));
             best = Some((c, cw));
+        } else {
+            second = second.max(cw);
         }
     });
-    let (c, cw) = best?;
-    if cw <= own_conn {
-        return None;
+    match best {
+        Some((c, cw)) if cw > own_conn => {
+            comm_weight[own as usize] -= dv[v];
+            comm_weight[c as usize] += dv[v];
+            comm[v] = c;
+            cw - second.max(own_conn) + 1
+        }
+        _ => own_conn - best.map_or(0, |(_, bw)| bw) + 1,
     }
-    comm_weight[own as usize] -= dv[v];
-    comm_weight[c as usize] += dv[v];
-    comm[v] = c;
-    Some(own)
 }
 
-/// Greedy capped label propagation (G-TxAllo phase 1). Returns a
-/// community id per node.
+/// What one [`detect_communities`] call found and did.
+pub(crate) struct Detection {
+    /// A community id per node.
+    pub(crate) communities: Vec<u32>,
+    /// `true` if a round moved nothing (a fixed point), `false` if the
+    /// round limit cut detection short.
+    pub(crate) converged: bool,
+    /// Evaluations made: nodes scored, over every round.
+    pub(crate) nodes_scored: u64,
+}
+
+/// Greedy capped label propagation (G-TxAllo phase 1).
 ///
 /// Round 1 moves most nodes and the rounds after it move a shrinking
 /// handful, so a node is re-scored only while its decision can still
-/// change — exactly, not heuristically. Every evaluation *settles* the
-/// node: it now sits in the best-connected community among those the
-/// cap let it consider (it stayed because none beat its own, or it
-/// moved to the best one, so none beats its new one either). Its
-/// entries depend only on its neighbours' communities, so they stay
-/// what that evaluation saw until a neighbour moves. Meanwhile a
-/// candidate can only drop out, by filling up; a community the cap
-/// excluded can come back only by losing weight, since `comm_weight` is
-/// an exact integer sum and only a member's departure lowers it. So the
-/// evaluation parks the node on every community that excluded it, and
-/// until a neighbour moves or one of those communities loses a member,
-/// re-scoring it would find nothing better-connected and return "no
-/// move": skipping it changes no move, no round count and no result. A
-/// move un-settles the mover's neighbours and wakes every node parked
-/// on the community it left.
+/// change — exactly, not heuristically. Every evaluation leaves the node
+/// in the best-connected community among those the cap let it consider
+/// (it stayed because none beat its own, or it moved to the best one,
+/// so none beats its new one either), and records by how much: its
+/// *margin* ([`commit_community_move`]'s value, one above the lead of
+/// its community's connectivity over every admissible other). Its
+/// entries depend only on its neighbours' communities. When a neighbour
+/// joined by an edge of weight `w` moves from `a` to `b`, `v`'s
+/// connectivity to `a` falls by `w` and to `b` rises by `w`, so the lead
+/// falls by at most `2w` if `v` sits in `a`, by nothing if it sits in
+/// `b`, and by at most `w` otherwise; the margin is charged exactly
+/// that, never below 0, and so never exceeds the true lead plus one.
+/// Meanwhile an admissible community can only drop out, by filling up;
+/// a community the cap excluded can come back only by losing weight,
+/// since `comm_weight` is an exact integer sum and only a member's
+/// departure lowers it. So the evaluation parks the node on every
+/// community that excluded it, and a departure from such a community
+/// zeroes the margin of each node parked there that now fits, by the
+/// exclusion test's own expression ([`fits`]); the others stay parked.
+/// While the margin is positive, re-scoring the node would find nothing
+/// better-connected and return "no move": skipping it changes no move,
+/// no round count and no result. A hub's wide margin absorbs many of
+/// its neighbours' moves before it is scored again.
 pub(crate) fn detect_communities(
     graph: &TxGraph,
     dv: &[f64],
     order: &[u32],
     capacity: f64,
     rounds: usize,
-) -> Vec<u32> {
+) -> Detection {
     let n = graph.node_count();
     let mut comm: Vec<u32> = (0..n as u32).collect();
     let mut comm_weight: Vec<f64> = dv.to_vec();
-    let mut settled = vec![false; n];
+    let mut margin = vec![0u64; n];
     let mut parked = Parked::new(n);
+    let (mut converged, mut nodes_scored) = (false, 0u64);
 
     // One histogram reused across nodes and rounds.
     let mut hist = DenseHistogram::new(n);
@@ -351,12 +401,13 @@ pub(crate) fn detect_communities(
         let mut moves = 0usize;
         for &v in order {
             let v = v as usize;
-            if settled[v] {
+            if margin[v] > 0 {
                 continue;
             }
+            nodes_scored += 1;
             score_communities(graph, &comm, v, &mut hist);
-            settled[v] = true;
-            let left = commit_community_move(
+            let left = comm[v];
+            margin[v] = commit_community_move(
                 v,
                 &mut hist,
                 dv,
@@ -365,19 +416,28 @@ pub(crate) fn detect_communities(
                 &mut comm_weight,
                 &mut parked,
             );
-            if let Some(left) = left {
+            let joined = comm[v];
+            if joined != left {
                 moves += 1;
-                parked.wake(left, &mut settled);
-                for (nb, _) in graph.neighbors(NodeId::new(v as u32)) {
-                    settled[nb.index()] = false;
+                let weight = comm_weight[left as usize];
+                parked.wake(left, weight, dv, capacity, &mut margin);
+                for (nb, w) in graph.neighbors(NodeId::new(v as u32)) {
+                    let c = comm[nb.index()];
+                    let loss = w * (1 + u64::from(c == left) - u64::from(c == joined));
+                    margin[nb.index()] = margin[nb.index()].saturating_sub(loss);
                 }
             }
         }
         if moves == 0 {
+            converged = true;
             break;
         }
     }
-    comm
+    Detection {
+        communities: comm,
+        converged,
+        nodes_scored,
+    }
 }
 
 #[cfg(test)]
@@ -521,18 +581,27 @@ mod tests {
             !free_capped && (3..10).contains(&free_rounds),
             "{free_rounds}"
         );
-        assert_eq!(detect_communities(&g, &dv, &order, total, 10), free);
+        assert_eq!(
+            detect_communities(&g, &dv, &order, total, 10).communities,
+            free
+        );
 
         let tight = total / 40.0;
         let (capped, _, was_capped) = reference_communities(&g, &dv, &order, tight, 10);
         assert!(was_capped);
         assert_ne!(capped, free);
-        assert_eq!(detect_communities(&g, &dv, &order, tight, 10), capped);
+        assert_eq!(
+            detect_communities(&g, &dv, &order, tight, 10).communities,
+            capped
+        );
 
         let (cut, cut_rounds, _) = reference_communities(&g, &dv, &order, total, 1);
         assert_eq!(cut_rounds, 1);
         assert_ne!(cut, free, "one round must not reach the fixed point");
-        assert_eq!(detect_communities(&g, &dv, &order, total, 1), cut);
+        assert_eq!(
+            detect_communities(&g, &dv, &order, total, 1).communities,
+            cut
+        );
 
         // Parked, then woken by a drain. Unit weights and room for three
         // members per community. Round 1: `a` and `d` join `b`, so `x`
@@ -573,7 +642,10 @@ mod tests {
             "x's only neighbour stays put"
         );
         assert_eq!(log[joined].moved, Some((node(x), node(b))));
-        assert_eq!(detect_communities(&g, &dv, &order, 3.0, 10), woken);
+        assert_eq!(
+            detect_communities(&g, &dv, &order, 3.0, 10).communities,
+            woken
+        );
     }
 
     /// What one run of [`reference_refine`] went through.
@@ -741,6 +813,86 @@ mod tests {
         assert_ne!(cut, pushed, "one round must not reach the fixed point");
     }
 
+    /// A hub's margin outlasts one neighbour's move. Hub `h` sits with
+    /// five leaves and trades 1 with `x`. Round 1 (9 evaluations): the
+    /// leaves join `h`; `x` joins `p`; `h` stays with margin
+    /// `5 − 1 + 1 = 5`; `p` joins `q`, which spends `x`'s margin. Round 2
+    /// scores `x` alone: it follows `p` into `q`, which costs `h` one of
+    /// its five. Round 3 scores nobody, 10 evaluations in all; a rule
+    /// that re-scored every neighbour of a mover would score `h` (and
+    /// `p`) again in round 3, 12 in all.
+    #[test]
+    fn a_hubs_margin_outlasts_a_neighbours_move() {
+        let [h, x, p, q] = [0u64, 6, 7, 8];
+        let mut edges: Vec<(u64, u64, u64)> = (1..=5).map(|leaf| (leaf, h, 1)).collect();
+        edges.extend([(x, h, 1), (x, p, 2), (p, q, 3)]);
+        let g = graph_from_edges(&edges);
+        let node = |acct: u64| g.node_of(AccountId::new(acct)).unwrap().index() as u32;
+        let order: Vec<u32> = [1, 2, 3, 4, 5, x, h, p, q].map(node).to_vec();
+        let dv = vec![1.0; g.node_count()];
+        let (expected, rounds_run, _) = reference_log(&g, &dv, &order, 100.0, 10);
+        assert_eq!(rounds_run, 3);
+        let detection = detect_communities(&g, &dv, &order, 100.0, 10);
+        assert_eq!(detection.communities, expected);
+        assert!(detection.converged);
+        assert_eq!(detection.nodes_scored, 10);
+    }
+
+    /// A heavy account parked on a full community stays parked when a
+    /// light member leaves and it still does not fit. Capacity 6, unit
+    /// weights but `v`'s 5. Round 1 (7 evaluations): `a1`, `a3` and `m`
+    /// join `a2`'s community `A`, which then weighs 4, so `v` (whose one
+    /// neighbour is `a1`) is parked on `A`; `n2` joins `n1`. Round 2
+    /// scores `m` alone: it leaves `A` for `n1`'s community, `A` weighs
+    /// 3 and `v` still does not fit. Round 3 scores nobody, 8 evaluations
+    /// in all; waking every parked node on a departure would score `v`
+    /// again, 9 in all.
+    #[test]
+    fn a_heavy_account_stays_parked_while_its_community_stays_full() {
+        let [a1, a2, a3, m, v, n1, n2] = [1u64, 2, 3, 4, 5, 6, 7];
+        let g = graph_from_edges(&[
+            (a1, a2, 5),
+            (a3, a2, 5),
+            (m, a2, 3),
+            (v, a1, 3),
+            (m, n1, 2),
+            (m, n2, 2),
+            (n1, n2, 4),
+        ]);
+        let node = |acct: u64| g.node_of(AccountId::new(acct)).unwrap().index();
+        let order: Vec<u32> = [a1, a3, a2, m, v, n2, n1].map(|a| node(a) as u32).to_vec();
+        let mut dv = vec![1.0; g.node_count()];
+        dv[node(v)] = 5.0;
+        let (expected, _, log) = reference_log(&g, &dv, &order, 6.0, 10);
+        let v_evals: Vec<&Eval> = log.iter().filter(|e| e.node == node(v) as u32).collect();
+        assert!(v_evals.len() >= 3);
+        for eval in v_evals {
+            assert_eq!(eval.capped_by, [node(a2) as u32]);
+            assert_eq!(eval.moved, None);
+        }
+        assert!(log.iter().any(
+            |e| e.node == node(m) as u32 && e.moved == Some((node(a2) as u32, node(n1) as u32))
+        ));
+        let detection = detect_communities(&g, &dv, &order, 6.0, 10);
+        assert_eq!(detection.communities, expected);
+        assert!(detection.converged);
+        assert_eq!(detection.nodes_scored, 8);
+    }
+
+    /// Detection reports whether a round moved nothing: the free and
+    /// capped regimes of [`clique_ring`] converge within ten rounds, one
+    /// round does not.
+    #[test]
+    fn detection_reports_whether_it_converged() {
+        let g = clique_ring(12, 9);
+        let dv = node_weights(&g);
+        let total: f64 = dv.iter().sum();
+        let order: Vec<u32> = (0..g.node_count() as u32).collect();
+        assert!(detect_communities(&g, &dv, &order, total, 10).converged);
+        assert!(detect_communities(&g, &dv, &order, total / 40.0, 10).converged);
+        assert!(!detect_communities(&g, &dv, &order, total, 1).converged);
+    }
+
     /// Busiest first, ties to the lower id: the order the `f64`
     /// comparator over node weights gave.
     #[test]
@@ -775,7 +927,7 @@ mod tests {
             order.sort_unstable_by_key(|&v| (order_keys[v as usize], v));
             let capacity = cap_share * dv.iter().sum::<f64>();
             let (expected, _, _) = reference_communities(&g, &dv, &order, capacity, rounds);
-            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds), expected);
+            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds).communities, expected);
         }
 
         /// Account for account, on arbitrary graphs, visit orders and
@@ -828,7 +980,7 @@ mod tests {
             order.sort_unstable_by_key(|&v| (order_keys[v as usize], v));
             let capacity = cap_share * dv.iter().sum::<f64>();
             let (expected, _, _) = reference_communities(&g, &dv, &order, capacity, rounds);
-            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds), expected);
+            prop_assert_eq!(detect_communities(&g, &dv, &order, capacity, rounds).communities, expected);
         }
 
         /// [`objective_refine_equals_rescore_everything_reference`] on
